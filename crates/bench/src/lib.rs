@@ -1,13 +1,12 @@
 //! # minoan-bench — the paper-reproduction harness
 //!
 //! Shared plumbing for the `repro_table{1,2,3}` and `ablation_params`
-//! binaries and the Criterion benches: dataset construction, method
-//! execution, and the paper's reference numbers for side-by-side
-//! comparison.
+//! binaries: dataset construction, method execution, and the paper's
+//! reference numbers for side-by-side comparison. Performance is
+//! measured by `spine/` (see `spine/README.md`), not here.
 
 #![warn(missing_docs)]
 
-pub mod benchutil;
 pub mod paper;
 pub mod runner;
 

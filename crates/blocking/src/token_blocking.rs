@@ -185,7 +185,7 @@ mod tests {
         let toks = TokenizedPair::build(&pair, &Tokenizer::default());
         let seq = token_blocking(&toks);
         for threads in [2, 3, 8] {
-            let par = token_blocking_with(&toks, &Executor::new(ExecutorKind::Rayon, threads));
+            let par = token_blocking_with(&toks, &Executor::new(ExecutorKind::Pool, threads));
             assert_eq!(seq.blocks(), par.blocks(), "threads={threads}");
         }
     }

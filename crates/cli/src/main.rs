@@ -3,29 +3,29 @@
 //! ```text
 //! minoaner match  <first.(tsv|nt)> <second.(tsv|nt)> [--method minoaner|bsl|sigma|paris]
 //!                 [--truth <pairs.tsv>] [--json] [--theta F] [--k N] [--no-purge]
-//!                 [--executor sequential|rayon|pool] [--threads N]
-//! minoaner batch  --manifest <fleet.(toml|json)> [--slots N] [--threads N]
+//!                 [--executor sequential|pool] [--threads N]
+//! minoaner batch  --manifest <fleet.json> [--slots N] [--threads N]
 //!                 [--memory-mib N] [--timeout-ms N] [--max-retries N]
-//!                 [--rss-kill-factor F] [--executor sequential|rayon|pool] [--json] [--pairs]
+//!                 [--rss-kill-factor F] [--executor sequential|pool] [--json] [--pairs]
 //! minoaner serve  [--listen <addr>] [--listen-http <addr>] [--auth-token T]
 //!                 [--index-dir <dir>] [--index-cache-mib N]
 //!                 [--slots N] [--threads N] [--memory-mib N]
 //!                 [--timeout-ms N] [--max-retries N] [--rss-kill-factor F]
 //!                 [--shed-depth N] [--max-connections N]
-//!                 [--executor sequential|rayon|pool] [--json] [--pairs]
+//!                 [--executor sequential|pool] [--json] [--pairs]
 //! minoaner index build <name> --dir <dir>
 //!                 (--dataset restaurant|rexa|bbc|yago [--scale F] [--seed N]
 //!                  | <first.(tsv|nt)> <second.(tsv|nt)>)
 //!                 [--theta F] [--k N] [--no-purge]
-//!                 [--executor sequential|rayon|pool] [--threads N]
+//!                 [--executor sequential|pool] [--threads N]
 //! minoaner index inspect <artifact.idx>
 //! minoaner index query <artifact.idx> (--entity <iri> | --sample) [--k N]
 //! minoaner index patch <artifact.idx> --deltas <file.json|->
-//!                 [--executor sequential|rayon|pool] [--threads N]
+//!                 [--executor sequential|pool] [--threads N]
 //! minoaner datagen <restaurant|rexa|bbc|yago> --mutate [--scale F] [--seed N]
 //!                 [--mutate-seed N] [--ops N]
 //! minoaner demo   [restaurant|rexa|bbc|yago] [--scale F] [--seed N]
-//!                 [--executor sequential|rayon|pool] [--threads N]
+//!                 [--executor sequential|pool] [--threads N]
 //! minoaner trace  <job-id> --connect <addr>
 //! minoaner stats  <kb.(tsv|nt)>
 //! ```
@@ -43,7 +43,7 @@
 //! bit-identical across backends); `--threads 0` means all cores.
 //!
 //! `batch` resolves a whole fleet of KB pairs described by a manifest
-//! (see `minoan_serve::manifest`; `examples/fleet.toml` is a ready-made
+//! (see `minoan_serve::manifest`; `examples/fleet.json` is a ready-made
 //! one): jobs are scheduled pairs-first across `--slots` fleet slots
 //! under bounded-memory admission, per-job completions stream to stderr,
 //! and the final report goes to stdout (`--json` for the machine
@@ -133,27 +133,27 @@ fn usage() -> ! {
         "cli",
         "usage:\n  minoaner match <first> <second> [--method minoaner|bsl|sigma|paris] \
          [--truth pairs.tsv] [--json] [--theta F] [--k N] [--no-purge] \
-         [--executor sequential|rayon|pool] [--threads N]\n  \
-         minoaner batch --manifest fleet.(toml|json) [--slots N] [--threads N] \
+         [--executor sequential|pool] [--threads N]\n  \
+         minoaner batch --manifest fleet.json [--slots N] [--threads N] \
          [--memory-mib N] [--timeout-ms N] [--max-retries N] [--rss-kill-factor F] \
-         [--executor sequential|rayon|pool] [--json] [--pairs]\n  \
+         [--executor sequential|pool] [--json] [--pairs]\n  \
          minoaner serve [--listen addr:port] [--listen-http addr:port] \
          [--auth-token T] [--index-dir dir] [--index-cache-mib N] \
          [--slots N] [--threads N] [--memory-mib N] \
          [--timeout-ms N] [--max-retries N] [--rss-kill-factor F] \
          [--shed-depth N] [--max-connections N] \
-         [--executor sequential|rayon|pool] [--json] [--pairs]\n  \
+         [--executor sequential|pool] [--json] [--pairs]\n  \
          minoaner index build <name> --dir <dir> (--dataset restaurant|rexa|bbc|yago \
          [--scale F] [--seed N] | <first> <second>) [--theta F] [--k N] [--no-purge] \
-         [--executor sequential|rayon|pool] [--threads N]\n  \
+         [--executor sequential|pool] [--threads N]\n  \
          minoaner index inspect <artifact.idx>\n  \
          minoaner index query <artifact.idx> (--entity iri | --sample) [--k N]\n  \
          minoaner index patch <artifact.idx> --deltas <file.json|-> \
-         [--executor sequential|rayon|pool] [--threads N]\n  \
+         [--executor sequential|pool] [--threads N]\n  \
          minoaner datagen <restaurant|rexa|bbc|yago> --mutate [--scale F] [--seed N] \
          [--mutate-seed N] [--ops N]\n  \
          minoaner demo [restaurant|rexa|bbc|yago] [--scale F] [--seed N] \
-         [--executor sequential|rayon|pool] [--threads N]\n  \
+         [--executor sequential|pool] [--threads N]\n  \
          minoaner trace <job-id> --connect addr:port\n  \
          minoaner stats <kb>\n\
          global: [--log-level error|warn|info|debug]"

@@ -159,6 +159,9 @@ pub struct MatchAnswer {
 #[derive(Debug)]
 pub struct IndexArtifact {
     pub(crate) meta: ArtifactMeta,
+    /// `meta.config_json`, parsed: the parameters a patch re-resolves
+    /// with.
+    pub(crate) config: MinoanConfig,
     pub(crate) pair: KbPair,
     pub(crate) tokens: TokenizedPair,
     pub(crate) name_blocks: BlockCollection,
@@ -211,6 +214,7 @@ impl IndexArtifact {
         };
         Self {
             meta,
+            config: config.clone(),
             pair: pair.clone(),
             tokens: artifacts.tokens,
             name_blocks: artifacts.name_blocks,
@@ -328,6 +332,13 @@ impl IndexArtifact {
         let mut meta = decode_meta(file.section(TAG_META)?)?;
         meta.format_version = file.version();
         meta.file_bytes = file.file_bytes();
+        // A patch re-resolves with the persisted parameters, so a config
+        // this build cannot read (version skew, an unknown field) fails
+        // the open; running the patch on defaults would quietly stop it
+        // being bit-identical to a rebuild.
+        let config = Json::parse(&meta.config_json)
+            .and_then(|j| MinoanConfig::from_json(&j))
+            .map_err(|e| ArtifactError::Corrupt(format!("meta config: {e}")))?;
         let pair = KbPair::new(
             decode_kb(file.section(TAG_KB_FIRST)?)?,
             decode_kb(file.section(TAG_KB_SECOND)?)?,
@@ -341,6 +352,7 @@ impl IndexArtifact {
         let matching = decode_matching(file.section(TAG_MATCHING)?, counts)?;
         Ok(Self {
             meta,
+            config,
             pair,
             tokens,
             name_blocks,
@@ -924,5 +936,36 @@ mod tests {
             );
         }
         std::fs::remove_file(&path).unwrap();
+    }
+
+    #[test]
+    fn unreadable_persisted_config_fails_the_open() {
+        let pair = sample_pair();
+        let (mut artifact, _) = build_artifact(&pair);
+        for (config_json, needle) in [
+            (r#"{"theta":0.3,"no_such_knob":1}"#, "no_such_knob"),
+            (r#"{"theta":"#, "meta config: "),
+        ] {
+            artifact.meta.config_json = config_json.to_string();
+            let path = temp_path("badconfig");
+            artifact.write_to(&path).unwrap();
+            match IndexArtifact::read_from(&path) {
+                Err(ArtifactError::Corrupt(msg)) => {
+                    assert!(msg.starts_with("meta config: "), "{msg}");
+                    assert!(msg.contains(needle), "{msg}");
+                }
+                other => panic!(
+                    "expected a corrupt-config error, got {:?}",
+                    other.map(|_| ())
+                ),
+            }
+            // The cheap metadata read still works, so an operator can
+            // see what the file says.
+            assert_eq!(
+                IndexArtifact::read_meta(&path).unwrap().config_json,
+                config_json
+            );
+            std::fs::remove_file(&path).unwrap();
+        }
     }
 }

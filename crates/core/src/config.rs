@@ -237,7 +237,7 @@ mod tests {
             ..MinoanConfig::default()
         };
         assert_eq!(c.executor().threads(), 1);
-        c.executor = ExecutorKind::Rayon;
+        c.executor = ExecutorKind::Pool;
         c.threads = 7;
         assert_eq!(c.executor().threads(), 7);
     }

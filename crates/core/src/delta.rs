@@ -39,12 +39,11 @@ use std::path::Path;
 
 use minoan_blocking::{name_blocking_with, threshold_from_cards, BlockKind, MutableBlocks};
 use minoan_exec::{faults, CancelToken, Cancelled, Executor};
-use minoan_kb::{Csr, DeltaOp, EntityId, FxHashMap, FxHashSet, Json, KbSide, TokenId};
+use minoan_kb::{Csr, DeltaOp, EntityId, FxHashMap, FxHashSet, KbSide, TokenId};
 use minoan_sim::token_weight;
 use minoan_text::Tokenizer;
 
 use crate::artifact::IndexArtifact;
-use crate::config::MinoanConfig;
 use crate::importance::{entity_names_with, top_neighbors_with};
 use crate::pipeline::matching_phase;
 use crate::simindex::{cand_cmp, Candidate, SimilarityIndex};
@@ -106,10 +105,7 @@ impl IndexArtifact {
         exec: &Executor,
         cancel: &CancelToken,
     ) -> Result<DeltaReport, Cancelled> {
-        let config = Json::parse(&self.meta.config_json)
-            .ok()
-            .and_then(|j| MinoanConfig::from_json(&j).ok())
-            .unwrap_or_default();
+        let config = self.config.clone();
         let tokenizer = Tokenizer::default();
         cancel.checkpoint()?;
 
@@ -353,6 +349,7 @@ impl IndexArtifact {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::config::MinoanConfig;
     use crate::pipeline::MinoanEr;
     use minoan_kb::{KbBuilder, KbPair, Object};
 
@@ -378,7 +375,11 @@ mod tests {
     }
 
     fn build_artifact(pair: &KbPair) -> IndexArtifact {
-        let matcher = MinoanEr::with_defaults();
+        build_artifact_with(pair, MinoanConfig::default())
+    }
+
+    fn build_artifact_with(pair: &KbPair, config: MinoanConfig) -> IndexArtifact {
+        let matcher = MinoanEr::new(config).unwrap();
         let indexed = matcher
             .run_cancellable_indexed(pair, &Executor::sequential(), &CancelToken::new())
             .unwrap();
@@ -388,9 +389,44 @@ mod tests {
     /// The reference: mutate a clone of the pair with the same ops and
     /// run the whole pipeline from scratch.
     fn rebuild(pair: &KbPair, ops: &[DeltaOp]) -> IndexArtifact {
+        rebuild_with(pair, ops, MinoanConfig::default())
+    }
+
+    fn rebuild_with(pair: &KbPair, ops: &[DeltaOp], config: MinoanConfig) -> IndexArtifact {
         let mut mutated = pair.clone();
         minoan_kb::delta::apply_to_pair(&mut mutated, ops);
-        build_artifact(&mutated)
+        build_artifact_with(&mutated, config)
+    }
+
+    /// Writes `artifact` out and loads it back, as a patch job does.
+    fn through_disk(artifact: &IndexArtifact, tag: &str) -> IndexArtifact {
+        let dir = std::env::temp_dir().join("minoan-core-delta-test");
+        std::fs::create_dir_all(&dir).unwrap();
+        let path = dir.join(format!("{tag}-{}.idx", std::process::id()));
+        artifact.write_to(&path).unwrap();
+        let loaded = IndexArtifact::read_from(&path).unwrap();
+        std::fs::remove_file(&path).unwrap();
+        loaded
+    }
+
+    /// One rename, one insert, one delete.
+    fn mixed_ops() -> Vec<DeltaOp> {
+        vec![
+            upsert(
+                KbSide::First,
+                "a:r1",
+                &[("name", Object::Literal("Minotaur Grill".into()))],
+            ),
+            upsert(
+                KbSide::Second,
+                "b:r9",
+                &[("title", Object::Literal("Kri Kri Taverna".into()))],
+            ),
+            DeltaOp::Delete {
+                side: KbSide::Second,
+                uri: "b:r2".to_string(),
+            },
+        ]
     }
 
     fn assert_bit_identical(patched: &IndexArtifact, reference: &IndexArtifact) {
@@ -563,5 +599,49 @@ mod tests {
             .unwrap();
         assert_eq!(report.ops_applied, 2);
         assert_bit_identical(&artifact, &rebuild(&pair, &ops));
+    }
+
+    #[test]
+    fn a_loaded_index_patches_with_the_parameters_it_was_built_with() {
+        let config = MinoanConfig {
+            theta: 0.25,
+            candidates_k: 1,
+            purge_blocks: false,
+            ..MinoanConfig::default()
+        };
+        let pair = sample_pair();
+        let mut loaded = through_disk(&build_artifact_with(&pair, config.clone()), "theta");
+        assert_eq!(loaded.config, config, "not reset to the defaults");
+        let ops = mixed_ops();
+        loaded
+            .apply_delta(&ops, &Executor::sequential(), &CancelToken::new())
+            .unwrap();
+        assert_bit_identical(&loaded, &rebuild_with(&pair, &ops, config));
+    }
+
+    /// An index built when a third backend existed says
+    /// `"executor":"rayon"` in its meta section for as long as the file
+    /// lives; it must keep loading and patching like any other.
+    #[test]
+    fn a_legacy_rayon_artifact_patches_like_its_pool_twin() {
+        let pair = sample_pair();
+        let mut pool = build_artifact(&pair);
+        let mut legacy = build_artifact(&pair);
+        assert!(legacy.meta.config_json.contains(r#""executor":"pool""#));
+        legacy.meta.config_json = legacy
+            .meta
+            .config_json
+            .replace(r#""executor":"pool""#, r#""executor":"rayon""#);
+        let mut legacy = through_disk(&legacy, "legacy");
+        assert!(legacy.meta().config_json.contains("rayon"));
+        assert_eq!(legacy.config, pool.config);
+        let ops = mixed_ops();
+        for artifact in [&mut pool, &mut legacy] {
+            artifact
+                .apply_delta(&ops, &Executor::pool(), &CancelToken::new())
+                .unwrap();
+        }
+        assert_bit_identical(&legacy, &pool);
+        assert_bit_identical(&legacy, &rebuild(&pair, &ops));
     }
 }

@@ -363,7 +363,7 @@ mod tests {
         let seq_names = entity_names(&kb, 2);
         let seq_tn = top_neighbors(&kb, 2, 8);
         for threads in [2, 3, 7] {
-            let exec = Executor::new(ExecutorKind::Rayon, threads);
+            let exec = Executor::new(ExecutorKind::Pool, threads);
             assert_eq!(seq_attr, attribute_importance_with(&kb, &exec));
             assert_eq!(seq_rel, relation_importance_with(&kb, &exec));
             assert_eq!(seq_names, entity_names_with(&kb, 2, &exec));

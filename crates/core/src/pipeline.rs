@@ -578,7 +578,7 @@ mod tests {
         let seq = MinoanEr::new(seq_cfg).unwrap().run(&pair);
         for threads in [2, 5] {
             let par_cfg = MinoanConfig {
-                executor: minoan_exec::ExecutorKind::Rayon,
+                executor: minoan_exec::ExecutorKind::Pool,
                 threads,
                 ..MinoanConfig::default()
             };

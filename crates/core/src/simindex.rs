@@ -520,7 +520,7 @@ mod tests {
         let (_, tokens, bt, tn1, tn2) = setup();
         let seq = SimilarityIndex::build(&bt, &tokens, [&tn1, &tn2]);
         for threads in [2, 3, 5, 8] {
-            let exec = Executor::new(ExecutorKind::Rayon, threads);
+            let exec = Executor::new(ExecutorKind::Pool, threads);
             let par = SimilarityIndex::build_with(&bt, &tokens, [&tn1, &tn2], &exec);
             for side in [KbSide::First, KbSide::Second] {
                 for e in 0..tokens.entity_count(side) as u32 {

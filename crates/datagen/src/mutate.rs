@@ -1,6 +1,6 @@
 //! Deterministic delta streams drawn from a rendered profile.
 //!
-//! The delta-equivalence tests and the patch benchmarks both need the
+//! The delta-equivalence tests and the patch benchmark both need the
 //! same thing: a reproducible sequence of entity upserts and deletes
 //! that exercises an *existing* dataset — renames of live entities,
 //! brand-new descriptions, and tombstones — without hand-writing

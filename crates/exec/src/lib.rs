@@ -6,9 +6,9 @@
 //! provides the executor abstraction the hot layers (blocking, similarity
 //! indexing, matching) run on:
 //!
-//! - [`Executor`] with a [`Sequential`](ExecutorKind::Sequential), a
-//!   [`Rayon`](ExecutorKind::Rayon) (scoped threads per wave) and a
-//!   [`Pool`](ExecutorKind::Pool) backend (waves submitted as
+//! - [`Executor`] with a [`Sequential`](ExecutorKind::Sequential)
+//!   backend (the reference every equivalence test compares against)
+//!   and a [`Pool`](ExecutorKind::Pool) backend (waves submitted as
 //!   quantum-bounded task batches into the process-wide work-stealing
 //!   [`pool`]), selected by configuration;
 //! - ordered fan-out primitives ([`Executor::map_parts`],
@@ -55,9 +55,6 @@ use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 pub enum ExecutorKind {
     /// Everything on the calling thread, one part per fan-out.
     Sequential,
-    /// Data-parallel over the rayon backend (structured scoped threads,
-    /// spawned per wave).
-    Rayon,
     /// Data-parallel over the process-wide work-stealing [`pool`]: waves
     /// become batches of quantum-bounded tasks, so concurrent jobs share
     /// one fixed worker set instead of oversubscribing the machine.
@@ -66,11 +63,10 @@ pub enum ExecutorKind {
 }
 
 impl ExecutorKind {
-    /// Canonical lower-case name (`"sequential"` / `"rayon"` / `"pool"`).
+    /// Canonical lower-case name (`"sequential"` / `"pool"`).
     pub fn name(self) -> &'static str {
         match self {
             ExecutorKind::Sequential => "sequential",
-            ExecutorKind::Rayon => "rayon",
             ExecutorKind::Pool => "pool",
         }
     }
@@ -88,20 +84,24 @@ impl FromStr for ExecutorKind {
     fn from_str(s: &str) -> Result<Self, Self::Err> {
         match s.to_ascii_lowercase().as_str() {
             "sequential" | "seq" | "serial" => Ok(ExecutorKind::Sequential),
-            "rayon" | "parallel" | "par" => Ok(ExecutorKind::Rayon),
             "pool" => Ok(ExecutorKind::Pool),
+            // Persisted artifacts embed `MinoanConfig::to_json()`, so an
+            // index built when a third backend existed says
+            // `"executor":"rayon"` forever. Results are bit-identical
+            // across backends by contract, so its spellings read as the
+            // one parallel backend instead of failing the load.
+            "rayon" | "parallel" | "par" => Ok(ExecutorKind::Pool),
             other => Err(format!(
-                "unknown executor {other:?} (expected sequential|rayon|pool)"
+                "unknown executor {other:?} (expected sequential|pool)"
             )),
         }
     }
 }
 
-/// Hard cap on worker threads. The rayon backend spawns one scoped OS
-/// thread per part, so an absurd `--threads` request must not translate
-/// into an absurd spawn count. (The pool backend never spawns past
-/// `available_parallelism()`; for it this only caps [`Executor::threads`]
-/// as a partition hint.)
+/// Hard cap on [`Executor::threads`], so an absurd `--threads` request
+/// cannot translate into an absurd partition count. (The pool never
+/// spawns past `available_parallelism()`; the thread budget is only a
+/// partition hint.)
 pub const MAX_THREADS: usize = 256;
 
 /// Upper bound on items per pool task: [`ExecutorKind::Pool`] waves over
@@ -139,11 +139,6 @@ impl Executor {
         Self::new(ExecutorKind::Sequential, 1)
     }
 
-    /// The rayon executor using all available parallelism.
-    pub fn rayon() -> Self {
-        Self::new(ExecutorKind::Rayon, 0)
-    }
-
     /// The pool executor using the whole process-wide pool.
     pub fn pool() -> Self {
         Self::new(ExecutorKind::Pool, 0)
@@ -152,8 +147,8 @@ impl Executor {
     /// This executor with `cancel` observed between pool tasks: a pool
     /// wave stops claiming tasks once the token fires and unwinds with
     /// [`Cancelled`] (recover at a stage boundary via [`catch_cancel`]).
-    /// The sequential and rayon backends ignore the token mid-wave;
-    /// their cancellation latency stays one full wave.
+    /// The sequential backend ignores the token mid-wave; its
+    /// cancellation latency stays one full wave.
     pub fn with_cancel(mut self, cancel: CancelToken) -> Self {
         self.cancel = Some(cancel);
         self
@@ -177,14 +172,6 @@ impl Executor {
     pub fn threads(&self) -> usize {
         match self.kind {
             ExecutorKind::Sequential => 1,
-            ExecutorKind::Rayon => {
-                let requested = if self.threads == 0 {
-                    rayon::current_num_threads()
-                } else {
-                    self.threads
-                };
-                requested.clamp(1, MAX_THREADS)
-            }
             ExecutorKind::Pool => {
                 let requested = if self.threads == 0 {
                     pool::default_workers()
@@ -211,36 +198,9 @@ impl Executor {
         n.div_ceil(POOL_TASK_ITEMS).max(self.threads()).min(n)
     }
 
-    /// Runs `f` over each range, one scoped thread per range (or inline
-    /// when there is at most one), returning results **in range order**.
-    /// The rayon/sequential fan-out behind [`Executor::map_parts`] and
-    /// [`Executor::map_chunks`].
-    fn run_ranges<R, F>(ranges: Vec<Range<usize>>, f: F) -> Vec<R>
-    where
-        R: Send,
-        F: Fn(Range<usize>) -> R + Sync,
-    {
-        if ranges.len() <= 1 {
-            return ranges.into_iter().map(f).collect();
-        }
-        let mut out: Vec<Option<R>> = ranges.iter().map(|_| None).collect();
-        rayon::scope(|s| {
-            let f = &f;
-            for (slot, range) in out.iter_mut().zip(ranges) {
-                s.spawn(move || {
-                    *slot = Some(f(range));
-                });
-            }
-        });
-        out.into_iter()
-            .map(|r| r.expect("executor range did not run"))
-            .collect()
-    }
-
     /// The pool fan-out: the submitting thread runs a claim loop over
-    /// the wave itself (**help-first**, like rayon's `join`) while one
-    /// helper claim loop per pool worker is injected into the
-    /// process-wide pool. Claim loops pick ranges off an ascending
+    /// the wave itself (**help-first**) while one helper claim loop per
+    /// pool worker is injected into the process-wide pool. Claim loops pick ranges off an ascending
     /// atomic cursor and write result slots indexed by range position,
     /// so the output order — and therefore every downstream merge — is
     /// independent of which thread ran what.
@@ -340,7 +300,9 @@ impl Executor {
         });
         match self.kind {
             ExecutorKind::Pool => self.run_tasks_pool(ranges, f),
-            ExecutorKind::Sequential | ExecutorKind::Rayon => Self::run_ranges(ranges, f),
+            // One thread means one range (see `part_ranges` and
+            // `chunk_ranges`), so the wave is a plain call.
+            ExecutorKind::Sequential => ranges.into_iter().map(f).collect(),
         }
     }
 
@@ -486,11 +448,9 @@ where
 mod tests {
     use super::*;
 
-    fn both() -> [Executor; 5] {
+    fn both() -> [Executor; 3] {
         [
             Executor::sequential(),
-            Executor::new(ExecutorKind::Rayon, 3),
-            Executor::new(ExecutorKind::Rayon, 16),
             Executor::new(ExecutorKind::Pool, 3),
             Executor::new(ExecutorKind::Pool, 16),
         ]
@@ -499,13 +459,25 @@ mod tests {
     #[test]
     fn kind_parses_and_displays() {
         assert_eq!("seq".parse::<ExecutorKind>(), Ok(ExecutorKind::Sequential));
-        assert_eq!("RAYON".parse::<ExecutorKind>(), Ok(ExecutorKind::Rayon));
-        assert_eq!("par".parse::<ExecutorKind>(), Ok(ExecutorKind::Rayon));
+        assert_eq!(
+            "SEQUENTIAL".parse::<ExecutorKind>(),
+            Ok(ExecutorKind::Sequential)
+        );
         assert_eq!("pool".parse::<ExecutorKind>(), Ok(ExecutorKind::Pool));
         assert_eq!("Pool".parse::<ExecutorKind>(), Ok(ExecutorKind::Pool));
-        assert!("gpu".parse::<ExecutorKind>().is_err());
+        let err = "gpu".parse::<ExecutorKind>().unwrap_err();
+        assert!(err.ends_with("(expected sequential|pool)"), "{err}");
         assert_eq!(ExecutorKind::Sequential.to_string(), "sequential");
         assert_eq!(ExecutorKind::Pool.to_string(), "pool");
+    }
+
+    #[test]
+    fn legacy_parallel_spellings_read_as_pool() {
+        for legacy in ["rayon", "RAYON", "parallel", "par"] {
+            assert_eq!(legacy.parse::<ExecutorKind>(), Ok(ExecutorKind::Pool));
+        }
+        // Reading only: the name written back is the canonical one.
+        assert_eq!("rayon".parse::<ExecutorKind>().unwrap().name(), "pool");
     }
 
     #[test]
@@ -517,20 +489,16 @@ mod tests {
     #[test]
     fn threads_are_effective() {
         assert_eq!(Executor::sequential().threads(), 1);
-        assert_eq!(Executor::new(ExecutorKind::Rayon, 5).threads(), 5);
         assert_eq!(Executor::new(ExecutorKind::Pool, 5).threads(), 5);
-        assert!(Executor::rayon().threads() >= 1);
         assert!(Executor::pool().threads() >= 1);
     }
 
     #[test]
     fn absurd_thread_requests_are_clamped() {
-        for kind in [ExecutorKind::Rayon, ExecutorKind::Pool] {
-            let exec = Executor::new(kind, 1_000_000);
-            assert_eq!(exec.threads(), MAX_THREADS);
-            // And the fan-out still works at the cap.
-            assert_eq!(exec.map_range(10, |i| i).len(), 10);
-        }
+        let exec = Executor::new(ExecutorKind::Pool, 1_000_000);
+        assert_eq!(exec.threads(), MAX_THREADS);
+        // And the fan-out still works at the cap.
+        assert_eq!(exec.map_range(10, |i| i).len(), 10);
     }
 
     #[test]

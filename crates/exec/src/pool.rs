@@ -4,15 +4,13 @@
 //! ## Why one pool
 //!
 //! The fleet scheduler runs many jobs concurrently, and every job's
-//! pipeline fans waves out over an executor. With per-job scoped
-//! threads (the [`Rayon`](crate::ExecutorKind::Rayon) backend), a
-//! 4-slot fleet on a small machine oversubscribes the cores: each job
-//! spawns its own workers and the kernel time-slices them against each
-//! other — `BENCH_serve.json` once recorded fleet slots 4/8 *regressing*
-//! to 0.88×/0.85× of sequential from exactly this. The pool fixes it
-//! structurally: there is **one** process-wide [`WorkPool`] sized to
-//! `available_parallelism()`, and every job submits its waves into it
-//! as task batches. The submitter *helps* with its own wave (it runs
+//! pipeline fans waves out over an executor. Threads spawned per job
+//! would let a 4-slot fleet on a small machine oversubscribe the cores:
+//! each job brings its own workers and the kernel time-slices them
+//! against each other, which is slower than running the jobs one after
+//! another. The pool rules that out structurally: there is **one**
+//! process-wide [`WorkPool`] sized to `available_parallelism()`, and
+//! every job submits its waves into it as task batches. The submitter *helps* with its own wave (it runs
 //! the same claim loop the injected helper tasks run — rayon's
 //! help-first `join` discipline) and returns when the wave completes,
 //! so the runnable CPU-bound threads are the fixed worker set plus at
@@ -49,16 +47,16 @@
 //! sequential runs, which `tests/executor_equivalence.rs` enforces per
 //! profile.
 //!
-//! ## Rayon compatibility
+//! ## Shape of the API
 //!
-//! The public surface is deliberately shaped like rayon's scoped API:
-//! [`WorkPool::scope`] mirrors `rayon::scope` and [`Scope::spawn`]
-//! mirrors `rayon::Scope::spawn` (same lifetime contract: spawned
+//! The public surface is deliberately shaped like the scoped API of the
+//! upstream rayon crate: [`WorkPool::scope`] and [`Scope::spawn`] keep
+//! the lifetime contract of its `scope` and `Scope::spawn` (spawned
 //! closures may borrow anything that outlives the scope, and `scope`
 //! does not return until every spawned task finished). Swapping this
-//! vendored pool for the real rayon crate is therefore a one-line
-//! change at the submission site; the pool exists because the build
-//! environment vendors all dependencies.
+//! pool for that crate is therefore a one-line change at the submission
+//! site; the pool exists because the build environment has no registry
+//! access.
 //!
 //! ## Quantum sizing
 //!
@@ -222,9 +220,8 @@ impl WorkPool {
 
     /// Runs `op` with a [`Scope`] whose spawns execute on the pool, and
     /// blocks until **every** spawned task has finished (even if `op`
-    /// or a task panics — the first panic is then propagated). Mirrors
-    /// `rayon::scope`: spawned closures may borrow anything alive
-    /// across this call.
+    /// or a task panics — the first panic is then propagated). Spawned
+    /// closures may borrow anything alive across this call.
     pub fn scope<'scope, OP, R>(&'scope self, op: OP) -> R
     where
         OP: FnOnce(&Scope<'scope>) -> R,
@@ -266,16 +263,17 @@ impl WorkPool {
     }
 }
 
-/// A scope handle mirroring `rayon::Scope`: tasks spawned through it
-/// may borrow anything that outlives `'scope`, and the owning
-/// [`WorkPool::scope`] call joins them all before returning.
+/// A scope handle: tasks spawned through it may borrow anything that
+/// outlives `'scope`, and the owning [`WorkPool::scope`] call joins
+/// them all before returning.
 pub struct Scope<'scope> {
     pool: &'scope WorkPool,
     latch: Arc<Latch>,
     /// Opened on a pool worker: spawns run inline to avoid parking a
     /// worker on work only other workers could do.
     inline: bool,
-    /// Invariant in `'scope`, as in rayon.
+    /// Invariant in `'scope`, so a scope cannot be coerced to a shorter
+    /// borrow than the tasks it spawned were checked against.
     _marker: PhantomData<&'scope mut &'scope ()>,
 }
 

@@ -77,7 +77,7 @@ mod tests {
     fn disjoint_parallel_writes_land() {
         let n = 10_000usize;
         let mut buf = vec![0u64; n];
-        let exec = Executor::new(ExecutorKind::Rayon, 4);
+        let exec = Executor::new(ExecutorKind::Pool, 4);
         {
             let shared = SharedSlice::new(&mut buf);
             exec.map_parts(n, |range| {
@@ -94,7 +94,7 @@ mod tests {
     fn disjoint_subslices_can_be_sorted_in_parallel() {
         let mut buf: Vec<u32> = (0..1000).rev().collect();
         let bounds: Vec<usize> = (0..=10).map(|i| i * 100).collect();
-        let exec = Executor::new(ExecutorKind::Rayon, 4);
+        let exec = Executor::new(ExecutorKind::Pool, 4);
         {
             let shared = SharedSlice::new(&mut buf);
             exec.map_range(10, |row| {

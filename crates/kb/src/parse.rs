@@ -898,8 +898,8 @@ mod tests {
         use minoan_exec::ExecutorKind;
         [
             Executor::sequential(),
-            Executor::new(ExecutorKind::Rayon, 3),
-            Executor::new(ExecutorKind::Rayon, 7),
+            Executor::new(ExecutorKind::Pool, 3),
+            Executor::new(ExecutorKind::Pool, 7),
         ]
     }
 

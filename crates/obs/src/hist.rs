@@ -155,21 +155,6 @@ impl Snapshot {
         }
         bucket_bound_micros(BUCKETS - 1) as f64
     }
-
-    /// [`Snapshot::quantile_micros`] in milliseconds, the unit the
-    /// bench trajectories record.
-    pub fn quantile_ms(&self, q: f64) -> f64 {
-        self.quantile_micros(q) / 1e3
-    }
-
-    /// Mean observed value in milliseconds (`0.0` when empty).
-    pub fn mean_ms(&self) -> f64 {
-        if self.count == 0 {
-            0.0
-        } else {
-            self.sum_micros as f64 / self.count as f64 / 1e3
-        }
-    }
 }
 
 #[cfg(test)]

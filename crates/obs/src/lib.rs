@@ -25,7 +25,7 @@
 //!   power-of-two microsecond buckets updated with relaxed atomics,
 //!   merged on read into [`hist::Snapshot`]s that yield quantiles and
 //!   Prometheus `_bucket`/`_sum`/`_count` families. Registry-free by
-//!   design: each owner (the serving layer, a bench) holds its own
+//!   design: each owner (the serving layer, say) holds its own
 //!   histograms and renders them itself.
 //!
 //! None of this may perturb results: observation records what happened,

@@ -1224,7 +1224,7 @@ pub fn prometheus_metrics(queue: &JobQueue, registry: Option<&IndexRegistry>) ->
     }
     // Work-stealing pool telemetry, present once the first pool-backed
     // wave has started the process-wide pool (the snapshot never starts
-    // it, so an all-rayon/sequential process simply omits the family).
+    // it, so an all-sequential process simply omits the family).
     if let Some(pool) = &stats.pool {
         text.single(
             "gauge",

@@ -21,10 +21,10 @@
 //!
 //! ## Manifest format
 //!
-//! A manifest is a TOML-subset or JSON document (see [`manifest`] for
-//! the full field reference and [`toml`] for the supported TOML slice):
-//! fleet knobs (`slots`, `threads`, `memory_budget_mib`) plus a list of
-//! jobs, each either *synthetic* (`dataset`/`seed`/`scale`, a benchmark
+//! A manifest is a JSON document (see [`manifest`] for the full field
+//! reference; `examples/fleet.json` is a ready-made one): fleet knobs
+//! (`slots`, `threads`, `memory_budget_mib`) plus a list of jobs, each
+//! either *synthetic* (`dataset`/`seed`/`scale`, a benchmark
 //! profile generated in-process) or *file-based* (`first`/`second` KB
 //! paths with an optional `truth` file), with optional per-job matching
 //! overrides (`theta`, `k`, `purge`).
@@ -77,7 +77,6 @@ pub mod registry;
 pub mod report;
 pub mod scheduler;
 pub mod telemetry;
-pub mod toml;
 
 pub use daemon::{run_daemon, run_server, Frontends};
 pub use http::{prometheus_metrics, run_http, HttpOptions};

@@ -1,35 +1,49 @@
 //! Batch manifests: which KB pairs to resolve, with what parameters.
 //!
-//! A manifest is a TOML (subset, see [`crate::toml`]) or JSON document
-//! listing resolution jobs plus fleet-level scheduling knobs:
+//! A manifest is a JSON document listing resolution jobs plus
+//! fleet-level scheduling knobs (`examples/fleet.json` is a ready-made
+//! one; the HTTP and line-JSON `submit` bodies take the same job
+//! objects):
 //!
-//! ```toml
-//! slots = 4               # pair-level parallelism (0 = one slot per core)
-//! threads = 0             # total worker-thread budget (0 = all cores)
-//! memory_budget_mib = 512 # bounded-memory admission (0 = unlimited)
-//! timeout_ms = 0          # default per-job deadline (0 = none)
-//! max_retries = 0         # default transient-failure retry budget
-//!
-//! [[job]]                 # synthetic job: a benchmark profile
-//! name = "rexa-small"
-//! dataset = "rexa"        # restaurant | rexa | bbc | yago
-//! seed = 20180416
-//! scale = 0.1
-//!
-//! [[job]]                 # file job: on-disk KBs (.tsv / .nt)
-//! name = "films"
-//! first = "data/yago.nt"
-//! second = "data/imdb.tsv"
-//! truth = "data/truth.tsv" # optional ground truth (2-column TSV)
-//! theta = 0.5              # optional per-job overrides
-//! k = 10
-//! purge = false
-//! timeout_ms = 60000       # per-job deadline override
-//! max_retries = 2          # per-job retry budget override
+//! ```json
+//! {
+//!   "slots": 4,
+//!   "threads": 0,
+//!   "memory_budget_mib": 512,
+//!   "timeout_ms": 0,
+//!   "max_retries": 0,
+//!   "jobs": [
+//!     {"name": "rexa-small", "dataset": "rexa", "seed": 20180416, "scale": 0.1},
+//!     {"name": "films", "first": "data/yago.nt", "second": "data/imdb.tsv",
+//!      "truth": "data/truth.tsv", "theta": 0.5, "k": 10, "purge": false,
+//!      "timeout_ms": 60000, "max_retries": 2}
+//!   ]
+//! }
 //! ```
 //!
-//! The JSON spelling is the same object shape with a `jobs` array. The
-//! scheduler admits jobs in manifest order under the memory budget: a
+//! Fleet fields (all optional):
+//!
+//! - `slots` — pair-level parallelism: up to this many jobs run
+//!   concurrently (`0` = one slot per core);
+//! - `threads` — total worker-thread budget the running jobs share
+//!   (`0` = all cores);
+//! - `memory_budget_mib` — bounded-memory admission: jobs are admitted
+//!   in order while their footprint estimates fit (`0` = unlimited);
+//! - `timeout_ms` — default per-job deadline (`0` = none);
+//! - `max_retries` — default transient-failure retry budget.
+//!
+//! Job fields: every job has a unique `name` and is either *synthetic* —
+//! `dataset` (`restaurant` | `rexa` | `bbc` | `yago`) with optional
+//! `seed` and `scale`, a benchmark profile generated in-process, so a
+//! manifest of these needs no data files — or *file-based* — `first` and
+//! `second` on-disk KBs (`.tsv` / `.nt`) with an optional `truth` file
+//! (2-column TSV of matching URIs). Either kind takes the per-job
+//! overrides `theta`, `k`, `purge`, `timeout_ms` and `max_retries`.
+//! Serving one profile twice under different names, seeds or overrides
+//! is fine: jobs share no state, and per-job outputs are bit-identical
+//! to running each pair alone.
+//!
+//! The scheduler admits jobs in manifest order under the memory budget: a
 //! job's footprint is **estimated before loading anything** — from the
 //! profile's entity budget for synthetic jobs ([`JobSpec::estimated_bytes`])
 //! and from on-disk file sizes for file jobs — and the job waits until
@@ -41,8 +55,6 @@ use std::path::{Path, PathBuf};
 use minoan_core::MinoanConfig;
 use minoan_datagen::DatasetKind;
 use minoan_kb::Json;
-
-use crate::toml::parse_toml;
 
 /// Estimated resident bytes per synthetic entity once parsed, tokenized,
 /// blocked and indexed (measured on the benchmark profiles, rounded up).
@@ -122,9 +134,9 @@ pub struct JobSpec {
 }
 
 impl JobSpec {
-    /// Parses one job from the manifest job schema — the same object
-    /// shape a `[[job]]` table or `jobs` array element uses, and the
-    /// shape the daemon's `submit` op takes over the wire.
+    /// Parses one job from the manifest job schema — the object shape a
+    /// `jobs` array element uses, and the shape the daemon's `submit` op
+    /// takes over the wire.
     pub fn from_json(json: &Json) -> Result<JobSpec, String> {
         job_from_json(json)
     }
@@ -237,35 +249,31 @@ pub struct Manifest {
 }
 
 impl Manifest {
-    /// Loads a manifest from `path`, choosing the format by extension
-    /// (`.toml` vs `.json`; anything else tries TOML first).
+    /// Loads a JSON manifest from `path`. A `.toml` path is refused by
+    /// name rather than answered with a JSON syntax error at its first
+    /// `#` or `=`.
     pub fn load(path: &Path) -> Result<Manifest, String> {
+        if path
+            .extension()
+            .is_some_and(|e| e.eq_ignore_ascii_case("toml"))
+        {
+            return Err(format!(
+                "{}: manifests are JSON (see examples/fleet.json), not TOML",
+                path.display()
+            ));
+        }
         let text = std::fs::read_to_string(path)
             .map_err(|e| format!("cannot read {}: {e}", path.display()))?;
-        let is_json = path
-            .extension()
-            .is_some_and(|e| e.eq_ignore_ascii_case("json"));
-        let result = if is_json {
-            Manifest::parse_json(&text)
-        } else {
-            Manifest::parse_toml(&text)
-        };
-        result.map_err(|e| format!("{}: {e}", path.display()))
+        Manifest::parse_json(&text).map_err(|e| format!("{}: {e}", path.display()))
     }
 
-    /// Parses the TOML spelling.
-    pub fn parse_toml(text: &str) -> Result<Manifest, String> {
-        Manifest::from_json(&parse_toml(text)?)
-    }
-
-    /// Parses the JSON spelling.
+    /// Parses a manifest from JSON text.
     pub fn parse_json(text: &str) -> Result<Manifest, String> {
         Manifest::from_json(&Json::parse(text)?)
     }
 
-    /// Builds a manifest from the common JSON object shape. The job list
-    /// may be spelled `jobs` (JSON) or `job` (TOML array-of-tables).
-    /// Unknown fields error, like [`MinoanConfig::from_json`].
+    /// Builds a manifest from its JSON object. Unknown fields error,
+    /// like [`MinoanConfig::from_json`].
     pub fn from_json(json: &Json) -> Result<Manifest, String> {
         let Json::Obj(fields) = json else {
             return Err("manifest must be an object".into());
@@ -291,7 +299,7 @@ impl Manifest {
                     manifest.max_retries =
                         u32::try_from(value.as_usize().ok_or_else(bad)?).map_err(|_| bad())?
                 }
-                "job" | "jobs" => {
+                "jobs" => {
                     let Json::Arr(items) = value else {
                         return Err(format!("{key} must be an array"));
                     };
@@ -496,14 +504,19 @@ fn job_to_json(job: &JobSpec) -> Json {
 mod tests {
     use super::*;
 
-    const TOML: &str = "\
-slots = 2\nthreads = 4\nmemory_budget_mib = 256\ntimeout_ms = 90000\nmax_retries = 1\n\
-[[job]]\nname = \"syn\"\ndataset = \"rexa\"\nseed = 7\nscale = 0.25\ntimeout_ms = 500\nmax_retries = 3\n\
-[[job]]\nname = \"fil\"\nfirst = \"a.tsv\"\nsecond = \"b.nt\"\ntruth = \"t.tsv\"\ntheta = 0.5\nk = 9\npurge = false\n";
+    const JSON: &str = r#"{
+        "slots": 2, "threads": 4, "memory_budget_mib": 256, "timeout_ms": 90000, "max_retries": 1,
+        "jobs": [
+            {"name": "syn", "dataset": "rexa", "seed": 7, "scale": 0.25,
+             "timeout_ms": 500, "max_retries": 3},
+            {"name": "fil", "first": "a.tsv", "second": "b.nt", "truth": "t.tsv",
+             "theta": 0.5, "k": 9, "purge": false}
+        ]
+    }"#;
 
     #[test]
-    fn toml_manifest_parses() {
-        let m = Manifest::parse_toml(TOML).unwrap();
+    fn json_manifest_parses() {
+        let m = Manifest::parse_json(JSON).unwrap();
         assert_eq!(m.slots, 2);
         assert_eq!(m.threads, 4);
         assert_eq!(m.memory_budget_mib, 256);
@@ -530,14 +543,14 @@ slots = 2\nthreads = 4\nmemory_budget_mib = 256\ntimeout_ms = 90000\nmax_retries
 
     #[test]
     fn json_round_trip() {
-        let m = Manifest::parse_toml(TOML).unwrap();
+        let m = Manifest::parse_json(JSON).unwrap();
         let back = Manifest::parse_json(&m.to_json().pretty()).unwrap();
         assert_eq!(m, back);
     }
 
     #[test]
     fn overrides_apply_to_config() {
-        let m = Manifest::parse_toml(TOML).unwrap();
+        let m = Manifest::parse_json(JSON).unwrap();
         let base = MinoanConfig::default();
         let c0 = m.jobs[0].config(&base);
         assert_eq!(c0.theta, base.theta, "no override keeps the base");
@@ -576,44 +589,45 @@ slots = 2\nthreads = 4\nmemory_budget_mib = 256\ntimeout_ms = 90000\nmax_retries
 
     #[test]
     fn bad_manifests_are_rejected() {
+        let rexa =
+            |extra: &str| format!(r#"{{"jobs": [{{"name": "x", "dataset": "rexa"{extra}}}]}}"#);
         for (text, needle) in [
-            ("slots = 1\n", "no jobs"),
-            ("[[job]]\ndataset = \"rexa\"\n", "needs a name"),
-            ("[[job]]\nname = \"x\"\n", "either dataset or"),
+            (r#"{"slots": 1}"#.to_string(), "no jobs"),
             (
-                "[[job]]\nname = \"x\"\ndataset = \"rexa\"\nfirst = \"a\"\nsecond = \"b\"\n",
-                "not both",
+                r#"{"jobs": [{"dataset": "rexa"}]}"#.to_string(),
+                "needs a name",
             ),
             (
-                "[[job]]\nname = \"x\"\ndataset = \"mars\"\n",
+                r#"{"jobs": [{"name": "x"}]}"#.to_string(),
+                "either dataset or",
+            ),
+            (rexa(r#", "first": "a", "second": "b""#), "not both"),
+            (
+                r#"{"jobs": [{"name": "x", "dataset": "mars"}]}"#.to_string(),
                 "unknown dataset",
             ),
+            (rexa(r#", "theta": 1.5"#), "theta"),
+            (rexa(r#", "scale": 0"#), "scale"),
             (
-                "[[job]]\nname = \"x\"\ndataset = \"rexa\"\ntheta = 1.5\n",
-                "theta",
-            ),
-            (
-                "[[job]]\nname = \"x\"\ndataset = \"rexa\"\nscale = 0\n",
-                "scale",
-            ),
-            (
-                "[[job]]\nname = \"x\"\ndataset = \"rexa\"\n[[job]]\nname = \"x\"\ndataset = \"bbc\"\n",
+                r#"{"jobs": [{"name": "x", "dataset": "rexa"}, {"name": "x", "dataset": "bbc"}]}"#
+                    .to_string(),
                 "duplicate",
             ),
-            ("wat = 1\n", "unknown manifest field"),
-            ("[[job]]\nname = \"x\"\ndataset = \"rexa\"\nwat = 1\n", "unknown job field"),
+            (r#"{"wat": 1}"#.to_string(), "unknown manifest field"),
+            (rexa(r#", "wat": 1"#), "unknown job field"),
             // 2^53 + 1: rounds to 2^53 in the f64 number pipeline, so it
             // must be rejected rather than silently run as a neighbor.
             (
-                "[[job]]\nname = \"x\"\ndataset = \"rexa\"\nseed = 9007199254740993\n",
+                rexa(r#", "seed": 9007199254740993"#),
                 "not exactly representable",
             ),
             (
-                "[[job]]\nname = \"x\"\nfirst = \"a.tsv\"\nsecond = \"b.tsv\"\nscale = 0.1\n",
+                r#"{"jobs": [{"name": "x", "first": "a.tsv", "second": "b.tsv", "scale": 0.1}]}"#
+                    .to_string(),
                 "synthetic jobs only",
             ),
         ] {
-            let err = Manifest::parse_toml(text).unwrap_err();
+            let err = Manifest::parse_json(&text).unwrap_err();
             assert!(err.contains(needle), "{text:?} -> {err}");
         }
     }

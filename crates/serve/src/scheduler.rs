@@ -25,8 +25,7 @@
 //!   default pool backend the allotment is a *partition hint*: wave
 //!   work runs through the process-wide work-stealing pool sized to
 //!   the core count (the submitter helping with its own wave), and
-//!   idle capacity flows to whichever job has tasks pending. (On the
-//!   rayon backend the allotment still spawns real scoped threads.)
+//!   idle capacity flows to whichever job has tasks pending.
 //!   Manifest-derived `slots`/`threads` clamp to
 //!   `available_parallelism()`; explicit CLI overrides are honored as
 //!   written — they widen the queue, while the execution width keeps
@@ -578,6 +577,13 @@ pub const RETRY_BACKOFF_CAP: Duration = Duration::from_secs(2);
 /// RSS watchdog sampling interval.
 const WATCHDOG_INTERVAL: Duration = Duration::from_millis(10);
 
+/// Smallest RSS growth the watchdog treats as a breach. It samples the
+/// *process*, so for a job whose estimate is a few KiB, pages touched by
+/// anything else — allocator arenas, pool worker stacks, a neighbor's
+/// buffers — would otherwise outgrow `estimate × factor` and kill a job
+/// that did nothing wrong.
+const WATCHDOG_NOISE_FLOOR: u64 = 8 << 20;
+
 /// Why [`JobQueue::submit`] refused a job.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum SubmitError {
@@ -984,10 +990,11 @@ impl JobQueue {
     /// [`JobQueue::slots`] of these concurrently. `fleet_cancel` is the
     /// coarse batch-mode token (stop dispatching); per-job cancellation
     /// goes through [`JobQueue::cancel`]. `on_done` fires once per
-    /// terminal report, in completion order, outside the queue lock; it
-    /// receives the spec too, so callers with post-completion side
-    /// effects (the daemon invalidating a patched index's cache entry)
-    /// can see what kind of job finished.
+    /// terminal report, in completion order, outside the queue lock and
+    /// **before** waiters on that job are woken; it receives the spec
+    /// too, so callers with post-completion side effects (the daemon
+    /// invalidating a patched index's cache entry) can see what kind of
+    /// job finished.
     pub fn worker(
         &self,
         opts: &ServeOptions,
@@ -1110,25 +1117,28 @@ impl JobQueue {
                         };
                         report.status = JobStatus::Poisoned(detail);
                     }
-                    guard.transition(id, Phase::Done(Box::new(report.clone())));
+                    // The job's slot, bytes and threads are free, but
+                    // its terminal phase is published only after
+                    // `on_done` returned: a `wait` caller woken by
+                    // `done` must find the post-completion side effects
+                    // finished (the daemon drops a patched index's
+                    // cached copy there, so patch-then-read never meets
+                    // the pre-patch index). Nothing else moves a
+                    // `Running` entry, so the phase is still ours to set.
                     drop(guard);
+                    self.admit.notify_all();
+                    on_done(&spec, &report);
                     if let Some(timings) = &report.timings {
                         crate::telemetry::observe_stages(timings);
                     }
-                    trace::emit_job(
-                        Level::Info,
-                        "job.done",
-                        id as i64,
-                        job_trace,
-                        format!(
-                            "status={} wall_ms={:.1}",
-                            report.status.label(),
-                            report.wall.as_secs_f64() * 1e3
-                        ),
+                    let ended = format!(
+                        "status={} wall_ms={:.1}",
+                        report.status.label(),
+                        report.wall.as_secs_f64() * 1e3
                     );
-                    self.admit.notify_all();
+                    self.lock().transition(id, Phase::Done(Box::new(report)));
+                    trace::emit_job(Level::Info, "job.done", id as i64, job_trace, ended);
                     self.done.notify_all();
-                    on_done(&spec, &report);
                 }
             }
         }
@@ -1418,7 +1428,7 @@ fn run_job(
     let rss_before = peak_rss_bytes();
     let watchdog = match opts.rss_kill_factor {
         Some(factor) if factor > 0.0 && estimated > 0 => {
-            let limit = (estimated as f64 * factor) as u64;
+            let limit = ((estimated as f64 * factor) as u64).max(WATCHDOG_NOISE_FLOOR);
             current_rss_bytes().map(|base| spawn_rss_watchdog(cancel.clone(), base, limit))
         }
         _ => None,
@@ -2003,6 +2013,23 @@ mod tests {
             .iter()
             .all(|s| s.phase == JobPhase::Done && s.status.is_some()));
         assert_eq!(queue.into_reports().len(), 2);
+    }
+
+    /// `on_done` is where the daemon drops a patched index's cached
+    /// copy; a waiter woken before it ran would read the stale one.
+    #[test]
+    fn on_done_runs_before_the_terminal_phase_is_published() {
+        let queue = JobQueue::new(1, 1, 0);
+        let id = queue
+            .submit(synthetic_job("j", DatasetKind::Restaurant, 0.05))
+            .unwrap();
+        queue.close();
+        let seen = Mutex::new(None);
+        queue.worker(&ServeOptions::default(), &CancelToken::new(), &|_, _| {
+            *seen.lock().unwrap() = queue.job_snapshot(id).map(|s| s.phase);
+        });
+        assert_eq!(seen.into_inner().unwrap(), Some(JobPhase::Running));
+        assert_eq!(queue.wait(id).unwrap().status, JobStatus::Ok);
     }
 
     #[test]

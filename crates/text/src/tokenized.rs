@@ -419,7 +419,7 @@ mod tests {
         let p = KbPair::new(a.finish(), b.finish());
         let seq = TokenizedPair::build(&p, &Tokenizer::default());
         for threads in [2, 3, 7, 16] {
-            let exec = Executor::new(ExecutorKind::Rayon, threads);
+            let exec = Executor::new(ExecutorKind::Pool, threads);
             let par = TokenizedPair::build_with(&p, &Tokenizer::default(), &exec);
             assert_eq!(seq.dict().len(), par.dict().len(), "threads={threads}");
             for t in seq.dict().tokens() {

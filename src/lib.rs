@@ -18,7 +18,7 @@
 //!   latency histograms ([`obs::hist`]), and the `MINOAN_LOG` console
 //!   sink — dependency-free, threaded through every layer above;
 //! - [`exec`] — the **executor layer**: an [`exec::Executor`] with
-//!   `Sequential` and `Rayon` backends that every hot stage fans out on,
+//!   `Sequential` and `Pool` backends that every hot stage fans out on,
 //!   providing ordered fan-out over index ranges (`map_parts`,
 //!   `map_range`), ownership shards (`map_shards`) and boundary-aligned
 //!   byte ranges (`map_chunks` — the primitive behind streaming ingest);
@@ -47,7 +47,7 @@
 //!   pairs-first (intra-pair threads widen for stragglers) with
 //!   pre-load footprint estimates, failure isolation and **cooperative
 //!   mid-job cancellation** through pipeline checkpoints; drained
-//!   either by `minoaner batch` (TOML/JSON manifests) or by the
+//!   either by `minoaner batch` (JSON manifests) or by the
 //!   long-running `minoaner serve` daemon, whose line-delimited JSON
 //!   socket protocol (submit / status / cancel / wait / shutdown, see
 //!   [`serve::daemon`]) feeds jobs in as they arrive — with per-job

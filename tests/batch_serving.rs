@@ -1,5 +1,5 @@
 //! Batch serving layer tests: scheduler determinism, the example
-//! manifests, and batch-vs-solo bit-identity (the serving acceptance
+//! manifest, and batch-vs-solo bit-identity (the serving acceptance
 //! criterion: per-job outputs must match running each pair alone,
 //! sequentially, regardless of fleet shape or manifest order).
 
@@ -56,20 +56,22 @@ fn fingerprints(manifest: &Manifest, opts: &ServeOptions) -> Vec<(String, String
 }
 
 #[test]
-fn example_manifests_parse_and_agree() {
-    let toml = Manifest::load(&example_path("fleet.toml")).expect("fleet.toml parses");
-    let json = Manifest::load(&example_path("fleet.json")).expect("fleet.json parses");
-    assert_eq!(toml, json, "the two example spellings describe one fleet");
-    assert!(toml.jobs.len() >= 4, "the example serves at least 4 pairs");
+fn example_manifest_parses() {
+    let fleet = Manifest::load(&example_path("fleet.json")).expect("fleet.json parses");
+    assert!(fleet.jobs.len() >= 4, "the example serves at least 4 pairs");
     assert!(
-        toml.slots >= 4,
+        fleet.slots >= 4,
         "the example runs at least 4 pairs concurrently"
     );
+    // Manifests have one spelling; the other is refused by name.
+    let err = Manifest::load(&example_path("fleet.toml")).unwrap_err();
+    assert!(err.contains("fleet.toml"), "{err}");
+    assert!(err.contains("manifests are JSON"), "{err}");
 }
 
 #[test]
 fn example_fleet_resolves_every_pair_concurrently() {
-    let manifest = Manifest::load(&example_path("fleet.toml")).unwrap();
+    let manifest = Manifest::load(&example_path("fleet.json")).unwrap();
     let report = run_batch(&manifest, &ServeOptions::default());
     assert_eq!(report.ok_count(), manifest.jobs.len());
     for job in &report.jobs {

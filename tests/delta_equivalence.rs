@@ -19,11 +19,8 @@ const MUTATE_SEED: u64 = 7;
 /// Ops per profile — the acceptance gate asks for at least 50.
 const N_OPS: usize = 60;
 
-const BACKENDS: [(ExecutorKind, usize); 3] = [
-    (ExecutorKind::Sequential, 1),
-    (ExecutorKind::Rayon, 3),
-    (ExecutorKind::Pool, 3),
-];
+const BACKENDS: [(ExecutorKind, usize); 2] =
+    [(ExecutorKind::Sequential, 1), (ExecutorKind::Pool, 3)];
 
 fn executor_for(kind: ExecutorKind, threads: usize) -> Executor {
     MinoanConfig {

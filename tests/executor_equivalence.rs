@@ -13,11 +13,6 @@ use minoaner::kb::{EntityId, KbSide};
 const SEED: u64 = 20180416;
 const SCALE: f64 = 0.1;
 const THREAD_COUNTS: [usize; 3] = [2, 3, 7];
-/// Both parallel backends must match the sequential bytes: rayon
-/// (scoped threads per wave) and the work-stealing pool (quantum-split
-/// task batches — a *different* partition of every wave).
-const PARALLEL_KINDS: [ExecutorKind; 2] = [ExecutorKind::Rayon, ExecutorKind::Pool];
-
 fn config_with(kind: ExecutorKind, threads: usize) -> MinoanConfig {
     MinoanConfig {
         executor: kind,
@@ -35,24 +30,22 @@ fn matchings_are_bit_identical_on_every_profile() {
             .run(&d.pair);
         let seq_pairs: Vec<_> = seq.matching.iter().collect();
         assert!(!seq_pairs.is_empty(), "{}: empty matching", d.name);
-        for kind in PARALLEL_KINDS {
-            for threads in THREAD_COUNTS {
-                let par = MinoanEr::new(config_with(kind, threads))
-                    .unwrap()
-                    .run(&d.pair);
-                let par_pairs: Vec<_> = par.matching.iter().collect();
-                assert_eq!(
-                    seq_pairs, par_pairs,
-                    "{}: matching differs at {threads} {kind} threads",
-                    d.name
-                );
-                // Stage counters must agree too: the heuristics made the
-                // same decisions, not just the same final set.
-                assert_eq!(seq.report.h1_matches, par.report.h1_matches, "{}", d.name);
-                assert_eq!(seq.report.h2_matches, par.report.h2_matches, "{}", d.name);
-                assert_eq!(seq.report.h3_matches, par.report.h3_matches, "{}", d.name);
-                assert_eq!(seq.report.h4_removed, par.report.h4_removed, "{}", d.name);
-            }
+        for threads in THREAD_COUNTS {
+            let par = MinoanEr::new(config_with(ExecutorKind::Pool, threads))
+                .unwrap()
+                .run(&d.pair);
+            let par_pairs: Vec<_> = par.matching.iter().collect();
+            assert_eq!(
+                seq_pairs, par_pairs,
+                "{}: matching differs at {threads} pool threads",
+                d.name
+            );
+            // Stage counters must agree too: the heuristics made the
+            // same decisions, not just the same final set.
+            assert_eq!(seq.report.h1_matches, par.report.h1_matches, "{}", d.name);
+            assert_eq!(seq.report.h2_matches, par.report.h2_matches, "{}", d.name);
+            assert_eq!(seq.report.h3_matches, par.report.h3_matches, "{}", d.name);
+            assert_eq!(seq.report.h4_removed, par.report.h4_removed, "{}", d.name);
         }
     }
 }
@@ -80,40 +73,34 @@ fn candidate_orderings_are_bit_identical_on_every_profile() {
             &Executor::sequential(),
         );
         assert!(seq.pair_count() > 0, "{}: empty index", d.name);
-        for kind in PARALLEL_KINDS {
-            for threads in THREAD_COUNTS {
-                let exec = Executor::new(kind, threads);
-                let par = SimilarityIndex::build_with(
-                    &art.token_blocks,
-                    &art.tokens,
-                    [&tn1, &tn2],
-                    &exec,
-                );
-                assert_eq!(seq.pair_count(), par.pair_count(), "{}", d.name);
-                assert_eq!(
-                    seq.neighbor_pair_count(),
-                    par.neighbor_pair_count(),
-                    "{}",
-                    d.name
-                );
-                for side in [KbSide::First, KbSide::Second] {
-                    let n = art.tokens.entity_count(side);
-                    for e in (0..n as u32).map(EntityId) {
-                        // Slice equality is exact: same candidates, same
-                        // order, same f64 bits.
-                        assert_eq!(
-                            seq.value_candidates(side, e),
-                            par.value_candidates(side, e),
-                            "{}: value candidates of {side:?} {e} differ at {threads} {kind} threads",
-                            d.name
-                        );
-                        assert_eq!(
-                            seq.neighbor_candidates(side, e),
-                            par.neighbor_candidates(side, e),
-                            "{}: neighbor candidates of {side:?} {e} differ at {threads} {kind} threads",
-                            d.name
-                        );
-                    }
+        for threads in THREAD_COUNTS {
+            let exec = Executor::new(ExecutorKind::Pool, threads);
+            let par =
+                SimilarityIndex::build_with(&art.token_blocks, &art.tokens, [&tn1, &tn2], &exec);
+            assert_eq!(seq.pair_count(), par.pair_count(), "{}", d.name);
+            assert_eq!(
+                seq.neighbor_pair_count(),
+                par.neighbor_pair_count(),
+                "{}",
+                d.name
+            );
+            for side in [KbSide::First, KbSide::Second] {
+                let n = art.tokens.entity_count(side);
+                for e in (0..n as u32).map(EntityId) {
+                    // Slice equality is exact: same candidates, same
+                    // order, same f64 bits.
+                    assert_eq!(
+                        seq.value_candidates(side, e),
+                        par.value_candidates(side, e),
+                        "{}: value candidates of {side:?} {e} differ at {threads} pool threads",
+                        d.name
+                    );
+                    assert_eq!(
+                        seq.neighbor_candidates(side, e),
+                        par.neighbor_candidates(side, e),
+                        "{}: neighbor candidates of {side:?} {e} differ at {threads} pool threads",
+                        d.name
+                    );
                 }
             }
         }
@@ -124,21 +111,19 @@ fn candidate_orderings_are_bit_identical_on_every_profile() {
 fn blocking_artifacts_are_identical_across_executors() {
     let d = DatasetKind::RexaDblp.generate_scaled(SEED, SCALE);
     let seq_art = build_blocks(&d.pair, &config_with(ExecutorKind::Sequential, 1));
-    for kind in PARALLEL_KINDS {
-        for threads in THREAD_COUNTS {
-            let par_art = build_blocks(&d.pair, &config_with(kind, threads));
-            assert_eq!(
-                seq_art.token_blocks.blocks(),
-                par_art.token_blocks.blocks(),
-                "token blocks differ at {threads} {kind} threads"
-            );
-            assert_eq!(
-                seq_art.name_blocks.blocks(),
-                par_art.name_blocks.blocks(),
-                "name blocks differ at {threads} {kind} threads"
-            );
-            assert_eq!(seq_art.purge, par_art.purge, "purge reports differ");
-        }
+    for threads in THREAD_COUNTS {
+        let par_art = build_blocks(&d.pair, &config_with(ExecutorKind::Pool, threads));
+        assert_eq!(
+            seq_art.token_blocks.blocks(),
+            par_art.token_blocks.blocks(),
+            "token blocks differ at {threads} pool threads"
+        );
+        assert_eq!(
+            seq_art.name_blocks.blocks(),
+            par_art.name_blocks.blocks(),
+            "name blocks differ at {threads} pool threads"
+        );
+        assert_eq!(seq_art.purge, par_art.purge, "purge reports differ");
     }
 }
 
@@ -167,29 +152,22 @@ fn pregrouped_shard_scan_is_bit_identical_at_high_shard_counts() {
         &Executor::sequential(),
     );
     let n1 = art.tokens.entity_count(KbSide::First);
-    for kind in PARALLEL_KINDS {
-        for threads in [13, 64, n1 + 5] {
-            let exec = Executor::new(kind, threads);
-            let par =
-                SimilarityIndex::build_with(&art.token_blocks, &art.tokens, [&tn1, &tn2], &exec);
-            assert_eq!(
-                seq.pair_count(),
-                par.pair_count(),
-                "threads={threads} kind={kind}"
-            );
-            for side in [KbSide::First, KbSide::Second] {
-                for e in (0..art.tokens.entity_count(side) as u32).map(EntityId) {
-                    assert_eq!(
-                        seq.value_candidates(side, e),
-                        par.value_candidates(side, e),
-                        "value candidates of {side:?} {e} differ at {threads} {kind} shards"
-                    );
-                    assert_eq!(
-                        seq.neighbor_candidates(side, e),
-                        par.neighbor_candidates(side, e),
-                        "neighbor candidates of {side:?} {e} differ at {threads} {kind} shards"
-                    );
-                }
+    for threads in [13, 64, n1 + 5] {
+        let exec = Executor::new(ExecutorKind::Pool, threads);
+        let par = SimilarityIndex::build_with(&art.token_blocks, &art.tokens, [&tn1, &tn2], &exec);
+        assert_eq!(seq.pair_count(), par.pair_count(), "threads={threads}");
+        for side in [KbSide::First, KbSide::Second] {
+            for e in (0..art.tokens.entity_count(side) as u32).map(EntityId) {
+                assert_eq!(
+                    seq.value_candidates(side, e),
+                    par.value_candidates(side, e),
+                    "value candidates of {side:?} {e} differ at {threads} shards"
+                );
+                assert_eq!(
+                    seq.neighbor_candidates(side, e),
+                    par.neighbor_candidates(side, e),
+                    "neighbor candidates of {side:?} {e} differ at {threads} shards"
+                );
             }
         }
     }
@@ -213,11 +191,8 @@ fn ingest_stages_are_bit_identical_on_every_profile() {
         let seq_rel = relation_importance_with(&d.pair.first, &seq_exec);
         let seq_names = entity_names_with(&d.pair.first, 2, &seq_exec);
         let seq_tn = top_neighbors_with(&d.pair.first, 3, 32, &seq_exec);
-        for (kind, threads) in PARALLEL_KINDS
-            .into_iter()
-            .flat_map(|k| THREAD_COUNTS.map(|t| (k, t)))
-        {
-            let exec = Executor::new(kind, threads);
+        for threads in THREAD_COUNTS {
+            let exec = Executor::new(ExecutorKind::Pool, threads);
             let par_tokens = TokenizedPair::build_with(&d.pair, &tokenizer, &exec);
             assert_eq!(
                 seq_tokens.dict().len(),

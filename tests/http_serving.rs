@@ -733,3 +733,54 @@ fn shutdown_cancel_mode_flips_queued_jobs_and_closes_the_connection() {
         .all(|j| j.status == JobStatus::Cancelled || j.status.is_ok()));
     assert!(report.jobs.iter().any(|j| j.status == JobStatus::Cancelled));
 }
+
+/// Patch-then-read: a `PATCH …?wait=true` must not answer before the
+/// daemon dropped the cached pre-patch index, so the very next read —
+/// with the old copy warm in the registry — is served the patched one.
+#[test]
+fn a_waited_patch_is_visible_to_the_very_next_read() {
+    let dir = std::env::temp_dir().join(format!("minoan-http-patch-{}", std::process::id()));
+    std::fs::create_dir_all(&dir).unwrap();
+    let listener = TcpListener::bind("127.0.0.1:0").unwrap();
+    let addr = listener.local_addr().unwrap();
+    let opts = ServeOptions {
+        index_dir: Some(dir.clone()),
+        ..serve_opts()
+    };
+    std::thread::scope(|scope| {
+        let server = scope.spawn(move || run_http(listener, &opts, HttpOptions::default(), |_| {}));
+        let http = Http { addr, token: None };
+        let job = Json::obj([
+            ("name", Json::str("churn")),
+            ("dataset", Json::str("restaurant")),
+            ("seed", Json::num(20180416.0)),
+            ("scale", Json::Num(0.1)),
+        ]);
+        http.json("POST", "/v1/indexes?wait=true", Some(&job), 201);
+        // Warm the registry: from here on a stale copy is there to serve.
+        http.json("GET", "/v1/indexes/churn/match?entity=r1%3Ae0", None, 200);
+        for cycle in 1..=24u32 {
+            let uri = format!("new:{cycle}");
+            let deltas = Json::parse(&format!(
+                r#"{{"deltas":[{{"op":"upsert","side":"first","uri":"{uri}",
+                   "statements":[{{"attr":"name","value":"Fresh Arrival {cycle}"}}]}}]}}"#
+            ))
+            .unwrap();
+            http.json("PATCH", "/v1/indexes/churn?wait=true", Some(&deltas), 202);
+            // Only the patched index knows the new entity…
+            let path = format!("/v1/indexes/churn/match?entity=new%3A{cycle}");
+            let answer = http.json("GET", &path, None, 200);
+            assert_eq!(answer.get("entity").and_then(Json::as_str), Some(&*uri));
+            // …and the copy that answered carries the bumped version.
+            let meta = http.json("GET", "/v1/indexes/churn", None, 200);
+            assert_eq!(
+                meta.get("content_version").and_then(Json::as_usize),
+                Some(cycle as usize + 1),
+                "cycle {cycle} was served a stale index"
+            );
+        }
+        http.shutdown();
+        server.join().unwrap().unwrap();
+    });
+    let _ = std::fs::remove_dir_all(&dir);
+}

@@ -18,8 +18,8 @@ const SCALE: f64 = 0.1;
 fn executors() -> [Executor; 3] {
     [
         Executor::sequential(),
-        Executor::new(ExecutorKind::Rayon, 3),
-        Executor::new(ExecutorKind::Rayon, 7),
+        Executor::new(ExecutorKind::Pool, 3),
+        Executor::new(ExecutorKind::Pool, 7),
     ]
 }
 
