@@ -1,6 +1,6 @@
 //! Mutable token-block membership for incremental delta resolution.
 //!
-//! [`crate::token_blocking`] builds an immutable [`BlockCollection`]
+//! [`crate::token_blocking()`] builds an immutable [`BlockCollection`]
 //! from scratch; a delta session instead keeps the raw `token →
 //! entities` membership lists **mutable** so a dirty entity's tokens
 //! can be spliced in O(its token count · log block size): remove the

@@ -3,8 +3,8 @@
 //! Implements the blocking layer the whole MinoanER pipeline runs on:
 //!
 //! - bilateral [`BlockCollection`]s with per-entity indices;
-//! - [`token_blocking`] (`BT`) over the shared token dictionary;
-//! - [`name_blocking`] (`BN`) over distinctive entity names, plus the
+//! - [`token_blocking()`] (`BT`) over the shared token dictionary;
+//! - [`name_blocking()`] (`BN`) over distinctive entity names, plus the
 //!   H1-level [`unique_name_pairs`] decision;
 //! - comparison-based [`purge`] (Block Purging, smoothing 1.025);
 //! - [`block_metrics`]: the recall/precision/F1 rows of Table II.
@@ -13,7 +13,6 @@
 
 pub mod block;
 pub mod delta;
-pub mod filtering;
 pub mod metrics;
 pub mod name_blocking;
 pub mod purging;
@@ -21,7 +20,6 @@ pub mod token_blocking;
 
 pub use block::{Block, BlockCollection, BlockKind};
 pub use delta::MutableBlocks;
-pub use filtering::block_filtering;
 pub use metrics::{block_metrics, BlockMetrics};
 pub use name_blocking::{canonical_name, name_blocking, name_blocking_with, unique_name_pairs};
 pub use purging::{

@@ -4,7 +4,7 @@
 //! (stop-words, country names, …) create enormous blocks that contribute
 //! a huge number of comparisons and almost no matching evidence. The
 //! paper bounds the comparison count by removing such blocks (§III,
-//! following the meta-blocking literature [6]).
+//! following the meta-blocking literature, the paper's reference 6).
 //!
 //! The comparison-based criterion implemented here works on the
 //! distribution of block cardinalities: let the distinct per-block

@@ -95,7 +95,7 @@
 //!
 //! `index build` runs the full MinoanER pipeline once and persists
 //! everything downstream queries need — tokenized KBs, blocks, the
-//! sharded similarity index and the final matching — as one versioned,
+//! CSR similarity index and the final matching — as one versioned,
 //! checksummed artifact (`<dir>/<name>.idx`, see
 //! `minoan_core::artifact` for the wire format). `index inspect` reads
 //! only the metadata section; `index query` loads the artifact and
@@ -161,11 +161,95 @@ fn usage() -> ! {
     exit(2);
 }
 
-fn parse_executor(value: Option<&String>, config: &mut MinoanConfig) {
-    let Some(kind) = value.and_then(|v| v.parse().ok()) else {
-        usage()
-    };
-    config.executor = kind;
+/// The command line left to read.
+type Args<'a> = std::slice::Iter<'a, String>;
+
+/// Why a flag's value could not be read. Either way the CLI prints the
+/// usage text and exits 2 (see [`or_usage`]); the readers return it so
+/// they can be tested without the process exiting.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+enum FlagError {
+    /// The command line ended where the flag's value should be.
+    MissingValue,
+    /// The value does not parse as the flag's type.
+    BadValue,
+}
+
+/// The one typed flag reader: takes the next argument as the value of
+/// the flag just matched.
+fn value<T: std::str::FromStr>(it: &mut Args) -> Result<T, FlagError> {
+    it.next()
+        .ok_or(FlagError::MissingValue)?
+        .parse()
+        .map_err(|_| FlagError::BadValue)
+}
+
+fn or_usage<T>(read: Result<T, FlagError>) -> T {
+    read.unwrap_or_else(|_| usage())
+}
+
+/// `--executor` / `--threads` of the single-pair verbs. Like every flag
+/// group, returns whether `flag` was one of its own (and is now read).
+fn executor_flag(config: &mut MinoanConfig, flag: &str, it: &mut Args) -> Result<bool, FlagError> {
+    match flag {
+        "--executor" => config.executor = value(it)?,
+        "--threads" => config.threads = value(it)?,
+        _ => return Ok(false),
+    }
+    Ok(true)
+}
+
+/// The matching flags `match` and `index build` share: `--theta`, `--k`,
+/// `--no-purge` and the executor pair.
+fn matching_flag(config: &mut MinoanConfig, flag: &str, it: &mut Args) -> Result<bool, FlagError> {
+    match flag {
+        "--theta" => config.theta = value(it)?,
+        "--k" => config.candidates_k = value(it)?,
+        "--no-purge" => config.purge_blocks = false,
+        _ => return executor_flag(config, flag, it),
+    }
+    Ok(true)
+}
+
+/// What `batch` and `serve` share: the fleet scheduler's options and the
+/// two switches of the final report.
+#[derive(Default)]
+struct FleetArgs {
+    opts: ServeOptions,
+    json: bool,
+    pairs: bool,
+}
+
+/// The fleet flags. Explicit flags override the manifest — including
+/// explicit zeros (`--threads 0` = all cores, `--memory-mib 0` =
+/// unlimited), so a manifest limit can always be lifted from the
+/// command line.
+fn fleet_flag(fleet: &mut FleetArgs, flag: &str, it: &mut Args) -> Result<bool, FlagError> {
+    let opts = &mut fleet.opts;
+    match flag {
+        "--slots" => opts.slots = Some(value(it)?),
+        "--threads" => opts.threads = Some(value(it)?),
+        "--memory-mib" => opts.memory_budget_mib = Some(value(it)?),
+        "--timeout-ms" => opts.timeout_ms = Some(value(it)?),
+        "--max-retries" => opts.max_retries = Some(value(it)?),
+        "--rss-kill-factor" => opts.rss_kill_factor = Some(value(it)?),
+        "--executor" => opts.executor = value(it)?,
+        "--json" => fleet.json = true,
+        "--pairs" => fleet.pairs = true,
+        _ => return Ok(false),
+    }
+    Ok(true)
+}
+
+/// A benchmark profile by its command-line name.
+fn dataset_kind(name: &str) -> Option<DatasetKind> {
+    match name {
+        "restaurant" => Some(DatasetKind::Restaurant),
+        "rexa" => Some(DatasetKind::RexaDblp),
+        "bbc" => Some(DatasetKind::BbcDbpedia),
+        "yago" => Some(DatasetKind::YagoImdb),
+        _ => None,
+    }
 }
 
 /// Loads a KB by **streaming** the file through the chunked parallel
@@ -370,7 +454,7 @@ fn print_fleet_report(report: &minoan_serve::ServeReport, json: bool, pairs: boo
 /// `minoaner index build`: run the pipeline once, persist the artifact.
 fn index_build(args: &[String]) {
     let mut name: Option<&str> = None;
-    let mut dir: Option<&str> = None;
+    let mut dir: Option<String> = None;
     let mut dataset: Option<DatasetKind> = None;
     let mut scale = 0.3f64;
     let mut seed = 20180416u64;
@@ -379,48 +463,14 @@ fn index_build(args: &[String]) {
     let mut it = args.iter();
     while let Some(a) = it.next() {
         match a.as_str() {
-            "--dir" => dir = Some(it.next().map(String::as_str).unwrap_or_else(|| usage())),
+            "--dir" => dir = Some(or_usage(value(&mut it))),
             "--dataset" => {
-                dataset = Some(match it.next().map(String::as_str) {
-                    Some("restaurant") => DatasetKind::Restaurant,
-                    Some("rexa") => DatasetKind::RexaDblp,
-                    Some("bbc") => DatasetKind::BbcDbpedia,
-                    Some("yago") => DatasetKind::YagoImdb,
-                    _ => usage(),
-                })
+                let kind: String = or_usage(value(&mut it));
+                dataset = Some(dataset_kind(&kind).unwrap_or_else(|| usage()))
             }
-            "--scale" => {
-                scale = it
-                    .next()
-                    .and_then(|v| v.parse().ok())
-                    .unwrap_or_else(|| usage())
-            }
-            "--seed" => {
-                seed = it
-                    .next()
-                    .and_then(|v| v.parse().ok())
-                    .unwrap_or_else(|| usage())
-            }
-            "--theta" => {
-                config.theta = it
-                    .next()
-                    .and_then(|v| v.parse().ok())
-                    .unwrap_or_else(|| usage())
-            }
-            "--k" => {
-                config.candidates_k = it
-                    .next()
-                    .and_then(|v| v.parse().ok())
-                    .unwrap_or_else(|| usage())
-            }
-            "--no-purge" => config.purge_blocks = false,
-            "--executor" => parse_executor(it.next(), &mut config),
-            "--threads" => {
-                config.threads = it
-                    .next()
-                    .and_then(|v| v.parse().ok())
-                    .unwrap_or_else(|| usage())
-            }
+            "--scale" => scale = or_usage(value(&mut it)),
+            "--seed" => seed = or_usage(value(&mut it)),
+            flag if or_usage(matching_flag(&mut config, flag, &mut it)) => {}
             other if !other.starts_with('-') && name.is_none() => name = Some(other),
             other if !other.starts_with('-') => files.push(other),
             _ => usage(),
@@ -453,7 +503,7 @@ fn index_build(args: &[String]) {
         .run_cancellable_indexed(&pair, &exec, &CancelToken::new())
         .expect("no cancellation source in the CLI");
     let artifact = IndexArtifact::from_run(name, &pair, indexed, matcher.config());
-    let dir = std::path::Path::new(dir);
+    let dir = std::path::Path::new(&dir);
     if let Err(e) = std::fs::create_dir_all(dir) {
         minoan_obs::error!("cli.index", "cannot create {}: {e}", dir.display());
         exit(1);
@@ -490,14 +540,9 @@ fn index_query(args: &[String]) {
     let mut it = args.iter();
     while let Some(a) = it.next() {
         match a.as_str() {
-            "--entity" => entity = Some(it.next().cloned().unwrap_or_else(|| usage())),
+            "--entity" => entity = Some(or_usage(value(&mut it))),
             "--sample" => sample = true,
-            "--k" => {
-                k = it
-                    .next()
-                    .and_then(|v| v.parse().ok())
-                    .unwrap_or_else(|| usage())
-            }
+            "--k" => k = or_usage(value(&mut it)),
             other if !other.starts_with('-') && path.is_none() => path = Some(other),
             _ => usage(),
         }
@@ -574,19 +619,13 @@ fn index_query(args: &[String]) {
 /// then rewrite the artifact atomically with a bumped content version.
 fn index_patch(args: &[String]) {
     let mut path: Option<&str> = None;
-    let mut deltas: Option<&str> = None;
+    let mut deltas: Option<String> = None;
     let mut config = MinoanConfig::default();
     let mut it = args.iter();
     while let Some(a) = it.next() {
         match a.as_str() {
-            "--deltas" => deltas = Some(it.next().map(String::as_str).unwrap_or_else(|| usage())),
-            "--executor" => parse_executor(it.next(), &mut config),
-            "--threads" => {
-                config.threads = it
-                    .next()
-                    .and_then(|v| v.parse().ok())
-                    .unwrap_or_else(|| usage())
-            }
+            "--deltas" => deltas = Some(or_usage(value(&mut it))),
+            flag if or_usage(executor_flag(&mut config, flag, &mut it)) => {}
             other if !other.starts_with('-') && path.is_none() => path = Some(other),
             _ => usage(),
         }
@@ -605,7 +644,7 @@ fn index_patch(args: &[String]) {
             });
         buf
     } else {
-        std::fs::read_to_string(deltas).unwrap_or_else(|e| {
+        std::fs::read_to_string(&deltas).unwrap_or_else(|e| {
             minoan_obs::error!("cli.index", "cannot read {deltas}: {e}");
             exit(1);
         })
@@ -671,36 +710,12 @@ fn datagen_cmd(args: &[String]) {
     let mut it = args.iter();
     while let Some(a) = it.next() {
         match a.as_str() {
-            "restaurant" => kind = Some(DatasetKind::Restaurant),
-            "rexa" => kind = Some(DatasetKind::RexaDblp),
-            "bbc" => kind = Some(DatasetKind::BbcDbpedia),
-            "yago" => kind = Some(DatasetKind::YagoImdb),
             "--mutate" => mutate = true,
-            "--scale" => {
-                scale = it
-                    .next()
-                    .and_then(|v| v.parse().ok())
-                    .unwrap_or_else(|| usage())
-            }
-            "--seed" => {
-                seed = it
-                    .next()
-                    .and_then(|v| v.parse().ok())
-                    .unwrap_or_else(|| usage())
-            }
-            "--mutate-seed" => {
-                mutate_seed = it
-                    .next()
-                    .and_then(|v| v.parse().ok())
-                    .unwrap_or_else(|| usage())
-            }
-            "--ops" => {
-                n_ops = it
-                    .next()
-                    .and_then(|v| v.parse().ok())
-                    .unwrap_or_else(|| usage())
-            }
-            _ => usage(),
+            "--scale" => scale = or_usage(value(&mut it)),
+            "--seed" => seed = or_usage(value(&mut it)),
+            "--mutate-seed" => mutate_seed = or_usage(value(&mut it)),
+            "--ops" => n_ops = or_usage(value(&mut it)),
+            name => kind = Some(dataset_kind(name).unwrap_or_else(|| usage())),
         }
     }
     let Some(kind) = kind else { usage() };
@@ -741,29 +756,10 @@ fn main() {
             let mut it = args[1..].iter();
             while let Some(a) = it.next() {
                 match a.as_str() {
-                    "--method" => method = it.next().cloned().unwrap_or_else(|| usage()),
-                    "--truth" => truth_path = Some(it.next().cloned().unwrap_or_else(|| usage())),
+                    "--method" => method = or_usage(value(&mut it)),
+                    "--truth" => truth_path = Some(or_usage(value(&mut it))),
                     "--json" => json = true,
-                    "--theta" => {
-                        config.theta = it
-                            .next()
-                            .and_then(|v| v.parse().ok())
-                            .unwrap_or_else(|| usage())
-                    }
-                    "--k" => {
-                        config.candidates_k = it
-                            .next()
-                            .and_then(|v| v.parse().ok())
-                            .unwrap_or_else(|| usage())
-                    }
-                    "--no-purge" => config.purge_blocks = false,
-                    "--executor" => parse_executor(it.next(), &mut config),
-                    "--threads" => {
-                        config.threads = it
-                            .next()
-                            .and_then(|v| v.parse().ok())
-                            .unwrap_or_else(|| usage())
-                    }
+                    flag if or_usage(matching_flag(&mut config, flag, &mut it)) => {}
                     other if !other.starts_with('-') => positional.push(other),
                     _ => usage(),
                 }
@@ -781,69 +777,12 @@ fn main() {
         }
         Some("batch") => {
             let mut manifest_path: Option<String> = None;
-            let mut opts = ServeOptions::default();
-            let mut json = false;
-            let mut pairs = false;
+            let mut fleet = FleetArgs::default();
             let mut it = args[1..].iter();
             while let Some(a) = it.next() {
                 match a.as_str() {
-                    "--manifest" => {
-                        manifest_path = Some(it.next().cloned().unwrap_or_else(|| usage()))
-                    }
-                    // Explicit flags override the manifest — including
-                    // explicit zeros (`--threads 0` = all cores,
-                    // `--memory-mib 0` = unlimited), so a manifest
-                    // limit can always be lifted from the command line.
-                    "--slots" => {
-                        opts.slots = Some(
-                            it.next()
-                                .and_then(|v| v.parse().ok())
-                                .unwrap_or_else(|| usage()),
-                        )
-                    }
-                    "--threads" => {
-                        opts.threads = Some(
-                            it.next()
-                                .and_then(|v| v.parse().ok())
-                                .unwrap_or_else(|| usage()),
-                        )
-                    }
-                    "--memory-mib" => {
-                        opts.memory_budget_mib = Some(
-                            it.next()
-                                .and_then(|v| v.parse().ok())
-                                .unwrap_or_else(|| usage()),
-                        )
-                    }
-                    "--timeout-ms" => {
-                        opts.timeout_ms = Some(
-                            it.next()
-                                .and_then(|v| v.parse().ok())
-                                .unwrap_or_else(|| usage()),
-                        )
-                    }
-                    "--max-retries" => {
-                        opts.max_retries = Some(
-                            it.next()
-                                .and_then(|v| v.parse().ok())
-                                .unwrap_or_else(|| usage()),
-                        )
-                    }
-                    "--rss-kill-factor" => {
-                        opts.rss_kill_factor = Some(
-                            it.next()
-                                .and_then(|v| v.parse().ok())
-                                .unwrap_or_else(|| usage()),
-                        )
-                    }
-                    "--executor" => {
-                        let Some(kind) = it.next().and_then(|v| v.parse().ok()) else {
-                            usage()
-                        };
-                        opts.executor = kind;
-                    }
-                    "--json" => json = true,
-                    "--pairs" => pairs = true,
+                    "--manifest" => manifest_path = Some(or_usage(value(&mut it))),
+                    flag if or_usage(fleet_flag(&mut fleet, flag, &mut it)) => {}
                     _ => usage(),
                 }
             }
@@ -862,10 +801,11 @@ fn main() {
             );
             // Stream one line per job as it completes; the final report
             // stays in manifest order.
-            let report = run_batch_streaming(&manifest, &opts, &CancelToken::new(), |_, job| {
-                print_job_completion(job)
-            });
-            print_fleet_report(&report, json, pairs);
+            let report =
+                run_batch_streaming(&manifest, &fleet.opts, &CancelToken::new(), |_, job| {
+                    print_job_completion(job)
+                });
+            print_fleet_report(&report, fleet.json, fleet.pairs);
             if report.ok_count() < report.jobs.len() {
                 exit(1);
             }
@@ -875,93 +815,23 @@ fn main() {
             let mut listen_http: Option<String> = None;
             let mut auth_token: Option<String> = None;
             let mut max_connections: Option<usize> = None;
-            let mut opts = ServeOptions::default();
-            let mut json = false;
-            let mut pairs = false;
+            let mut fleet = FleetArgs::default();
             let mut it = args[1..].iter();
             while let Some(a) = it.next() {
                 match a.as_str() {
-                    "--listen" => listen = Some(it.next().cloned().unwrap_or_else(|| usage())),
-                    "--listen-http" => {
-                        listen_http = Some(it.next().cloned().unwrap_or_else(|| usage()))
-                    }
-                    "--auth-token" => {
-                        auth_token = Some(it.next().cloned().unwrap_or_else(|| usage()))
-                    }
+                    "--listen" => listen = Some(or_usage(value(&mut it))),
+                    "--listen-http" => listen_http = Some(or_usage(value(&mut it))),
+                    "--auth-token" => auth_token = Some(or_usage(value(&mut it))),
                     "--index-dir" => {
-                        opts.index_dir = Some(it.next().cloned().unwrap_or_else(|| usage()).into())
+                        fleet.opts.index_dir = Some(or_usage(value::<String>(&mut it)).into())
                     }
                     "--index-cache-mib" => {
-                        let mib: u64 = it
-                            .next()
-                            .and_then(|v| v.parse().ok())
-                            .unwrap_or_else(|| usage());
-                        opts.index_cache_bytes = Some(mib << 20);
+                        let mib: u64 = or_usage(value(&mut it));
+                        fleet.opts.index_cache_bytes = Some(mib << 20);
                     }
-                    "--slots" => {
-                        opts.slots = Some(
-                            it.next()
-                                .and_then(|v| v.parse().ok())
-                                .unwrap_or_else(|| usage()),
-                        )
-                    }
-                    "--threads" => {
-                        opts.threads = Some(
-                            it.next()
-                                .and_then(|v| v.parse().ok())
-                                .unwrap_or_else(|| usage()),
-                        )
-                    }
-                    "--memory-mib" => {
-                        opts.memory_budget_mib = Some(
-                            it.next()
-                                .and_then(|v| v.parse().ok())
-                                .unwrap_or_else(|| usage()),
-                        )
-                    }
-                    "--timeout-ms" => {
-                        opts.timeout_ms = Some(
-                            it.next()
-                                .and_then(|v| v.parse().ok())
-                                .unwrap_or_else(|| usage()),
-                        )
-                    }
-                    "--max-retries" => {
-                        opts.max_retries = Some(
-                            it.next()
-                                .and_then(|v| v.parse().ok())
-                                .unwrap_or_else(|| usage()),
-                        )
-                    }
-                    "--rss-kill-factor" => {
-                        opts.rss_kill_factor = Some(
-                            it.next()
-                                .and_then(|v| v.parse().ok())
-                                .unwrap_or_else(|| usage()),
-                        )
-                    }
-                    "--shed-depth" => {
-                        opts.shed_queue_depth = Some(
-                            it.next()
-                                .and_then(|v| v.parse().ok())
-                                .unwrap_or_else(|| usage()),
-                        )
-                    }
-                    "--max-connections" => {
-                        max_connections = Some(
-                            it.next()
-                                .and_then(|v| v.parse().ok())
-                                .unwrap_or_else(|| usage()),
-                        )
-                    }
-                    "--executor" => {
-                        let Some(kind) = it.next().and_then(|v| v.parse().ok()) else {
-                            usage()
-                        };
-                        opts.executor = kind;
-                    }
-                    "--json" => json = true,
-                    "--pairs" => pairs = true,
+                    "--shed-depth" => fleet.opts.shed_queue_depth = Some(or_usage(value(&mut it))),
+                    "--max-connections" => max_connections = Some(or_usage(value(&mut it))),
+                    flag if or_usage(fleet_flag(&mut fleet, flag, &mut it)) => {}
                     _ => usage(),
                 }
             }
@@ -1009,11 +879,12 @@ fn main() {
             // Per-job completions stream to stderr as they happen; the
             // final report (submission order, exactly like a batch run)
             // prints after a clean shutdown.
-            let report = run_server(frontends, &opts, print_job_completion).unwrap_or_else(|e| {
-                minoan_obs::error!("serve", "daemon error: {e}");
-                exit(1);
-            });
-            print_fleet_report(&report, json, pairs);
+            let report =
+                run_server(frontends, &fleet.opts, print_job_completion).unwrap_or_else(|e| {
+                    minoan_obs::error!("serve", "daemon error: {e}");
+                    exit(1);
+                });
+            print_fleet_report(&report, fleet.json, fleet.pairs);
         }
         Some("index") => match it.next().map(String::as_str) {
             Some("build") => index_build(&args[2..]),
@@ -1031,30 +902,10 @@ fn main() {
             let mut it = args[1..].iter();
             while let Some(a) = it.next() {
                 match a.as_str() {
-                    "restaurant" => kind = DatasetKind::Restaurant,
-                    "rexa" => kind = DatasetKind::RexaDblp,
-                    "bbc" => kind = DatasetKind::BbcDbpedia,
-                    "yago" => kind = DatasetKind::YagoImdb,
-                    "--scale" => {
-                        scale = it
-                            .next()
-                            .and_then(|v| v.parse().ok())
-                            .unwrap_or_else(|| usage())
-                    }
-                    "--seed" => {
-                        seed = it
-                            .next()
-                            .and_then(|v| v.parse().ok())
-                            .unwrap_or_else(|| usage())
-                    }
-                    "--executor" => parse_executor(it.next(), &mut config),
-                    "--threads" => {
-                        config.threads = it
-                            .next()
-                            .and_then(|v| v.parse().ok())
-                            .unwrap_or_else(|| usage())
-                    }
-                    _ => usage(),
+                    "--scale" => scale = or_usage(value(&mut it)),
+                    "--seed" => seed = or_usage(value(&mut it)),
+                    flag if or_usage(executor_flag(&mut config, flag, &mut it)) => {}
+                    name => kind = dataset_kind(name).unwrap_or_else(|| usage()),
                 }
             }
             let d = kind.generate_scaled(seed, scale);
@@ -1112,7 +963,7 @@ fn trace_cmd(args: &[String]) {
     let mut it = args.iter();
     while let Some(a) = it.next() {
         match a.as_str() {
-            "--connect" => connect = Some(it.next().cloned().unwrap_or_else(|| usage())),
+            "--connect" => connect = Some(or_usage(value(&mut it))),
             other if !other.starts_with('-') && id.is_none() => {
                 id = other.parse().ok().or_else(|| usage())
             }
@@ -1145,4 +996,164 @@ fn trace_cmd(args: &[String]) {
         exit(1);
     }
     println!("{}", response.pretty());
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use minoan_exec::ExecutorKind;
+
+    fn args(words: &[&str]) -> Vec<String> {
+        words.iter().map(|w| w.to_string()).collect()
+    }
+
+    /// Feeds `words[0]` as the flag and the rest as what follows it.
+    fn read<G>(
+        group: fn(&mut G, &str, &mut Args) -> Result<bool, FlagError>,
+        target: &mut G,
+        words: &[&str],
+    ) -> (Result<bool, FlagError>, usize) {
+        let rest = args(&words[1..]);
+        let mut it = rest.iter();
+        let outcome = group(target, words[0], &mut it);
+        (outcome, it.len())
+    }
+
+    #[test]
+    fn value_reads_one_typed_argument() {
+        let line = args(&["7", "0.5", "x", "pool"]);
+        let mut it = line.iter();
+        assert_eq!(value::<usize>(&mut it), Ok(7));
+        assert_eq!(value::<f64>(&mut it), Ok(0.5));
+        assert_eq!(value::<u64>(&mut it), Err(FlagError::BadValue));
+        assert_eq!(value::<ExecutorKind>(&mut it), Ok(ExecutorKind::Pool));
+        assert_eq!(value::<String>(&mut it), Err(FlagError::MissingValue));
+    }
+
+    #[test]
+    fn matching_flags_table() {
+        use FlagError::{BadValue, MissingValue};
+        // (words, outcome, arguments left unread)
+        let table: &[(&[&str], Result<bool, FlagError>, usize)] = &[
+            (&["--theta", "0.25", "next"], Ok(true), 1),
+            (&["--k", "3"], Ok(true), 0),
+            (&["--no-purge", "next"], Ok(true), 1),
+            (&["--executor", "sequential"], Ok(true), 0),
+            (&["--threads", "4"], Ok(true), 0),
+            (&["--theta"], Err(MissingValue), 0),
+            (&["--threads"], Err(MissingValue), 0),
+            (&["--k", "many"], Err(BadValue), 0),
+            (&["--executor", "gpu"], Err(BadValue), 0),
+            (&["--threads", "-1"], Err(BadValue), 0),
+            // Not this group's: left for the verb to judge, nothing read.
+            (&["--slots", "2"], Ok(false), 1),
+            (&["first.nt", "second.nt"], Ok(false), 1),
+        ];
+        for (words, outcome, left) in table {
+            let mut config = MinoanConfig::default();
+            assert_eq!(
+                read(matching_flag, &mut config, words),
+                (*outcome, *left),
+                "{words:?}"
+            );
+        }
+        let mut config = MinoanConfig::default();
+        for words in [
+            &["--theta", "0.25"][..],
+            &["--k", "3"],
+            &["--no-purge"],
+            &["--executor", "seq"],
+            &["--threads", "4"],
+        ] {
+            read(matching_flag, &mut config, words).0.unwrap();
+        }
+        let want = MinoanConfig {
+            theta: 0.25,
+            candidates_k: 3,
+            purge_blocks: false,
+            executor: ExecutorKind::Sequential,
+            threads: 4,
+            ..MinoanConfig::default()
+        };
+        assert_eq!(config, want);
+    }
+
+    /// `index patch` and `demo` take the executor pair only: a matching
+    /// parameter there must stay an unknown flag.
+    #[test]
+    fn executor_flags_do_not_read_matching_parameters() {
+        let mut config = MinoanConfig::default();
+        for words in [&["--theta", "0.25"][..], &["--k", "3"], &["--no-purge"]] {
+            assert_eq!(
+                read(executor_flag, &mut config, words),
+                (Ok(false), words.len() - 1)
+            );
+        }
+        assert_eq!(
+            read(executor_flag, &mut config, &["--threads", "2"]),
+            (Ok(true), 0)
+        );
+        assert_eq!(config.threads, 2);
+    }
+
+    #[test]
+    fn fleet_flags_table() {
+        use FlagError::{BadValue, MissingValue};
+        let table: &[(&[&str], Result<bool, FlagError>, usize)] = &[
+            (&["--slots", "2", "next"], Ok(true), 1),
+            (&["--threads", "0"], Ok(true), 0),
+            (&["--memory-mib", "0"], Ok(true), 0),
+            (&["--timeout-ms", "1500"], Ok(true), 0),
+            (&["--max-retries", "2"], Ok(true), 0),
+            (&["--rss-kill-factor", "1.5"], Ok(true), 0),
+            (&["--executor", "pool"], Ok(true), 0),
+            (&["--json", "next"], Ok(true), 1),
+            (&["--pairs"], Ok(true), 0),
+            (&["--slots"], Err(MissingValue), 0),
+            (&["--rss-kill-factor"], Err(MissingValue), 0),
+            (&["--timeout-ms", "soon"], Err(BadValue), 0),
+            (&["--max-retries", "-1"], Err(BadValue), 0),
+            (&["--executor", "rayon2"], Err(BadValue), 0),
+            (&["--theta", "0.5"], Ok(false), 1),
+            (&["--manifest", "fleet.json"], Ok(false), 1),
+        ];
+        for (words, outcome, left) in table {
+            let mut fleet = FleetArgs::default();
+            assert_eq!(
+                read(fleet_flag, &mut fleet, words),
+                (*outcome, *left),
+                "{words:?}"
+            );
+        }
+        let mut fleet = FleetArgs::default();
+        for words in [
+            &["--slots", "2"][..],
+            &["--threads", "0"],
+            &["--memory-mib", "0"],
+            &["--timeout-ms", "1500"],
+            &["--max-retries", "2"],
+            &["--rss-kill-factor", "1.5"],
+            &["--executor", "sequential"],
+            &["--json"],
+            &["--pairs"],
+        ] {
+            read(fleet_flag, &mut fleet, words).0.unwrap();
+        }
+        // Explicit zeros are values, not "unset".
+        assert_eq!(fleet.opts.slots, Some(2));
+        assert_eq!(fleet.opts.threads, Some(0));
+        assert_eq!(fleet.opts.memory_budget_mib, Some(0));
+        assert_eq!(fleet.opts.timeout_ms, Some(1500));
+        assert_eq!(fleet.opts.max_retries, Some(2));
+        assert_eq!(fleet.opts.rss_kill_factor, Some(1.5));
+        assert_eq!(fleet.opts.executor, ExecutorKind::Sequential);
+        assert!(fleet.json && fleet.pairs);
+    }
+
+    #[test]
+    fn dataset_names() {
+        assert_eq!(dataset_kind("rexa"), Some(DatasetKind::RexaDblp));
+        assert_eq!(dataset_kind("yago"), Some(DatasetKind::YagoImdb));
+        assert_eq!(dataset_kind("--scale"), None);
+    }
 }

@@ -3,8 +3,7 @@
 //! A MinoanER run produces structures that are expensive to build and
 //! cheap to query: the tokenized pair, the blocking graph, the CSR
 //! similarity index and the final matching. [`IndexArtifact`] captures
-//! all of them from an [`IndexedOutput`](crate::pipeline::IndexedOutput)
-//! and persists them in the checksummed section container of
+//! all of them from an [`IndexedOutput`] and persists them in the checksummed section container of
 //! [`minoan_kb::artifact`], so a serving process can answer "who matches
 //! this entity?" without re-running ingest, blocking or matching.
 //!

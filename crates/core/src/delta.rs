@@ -18,11 +18,13 @@
 //!    (membership changed on either side, so its weight changed) plus
 //!    the members of every token whose purge-kept status *flipped*
 //!    because the global threshold moved.
-//! 4. **Recompute exactly there**: each affected row is re-accumulated
-//!    over its kept tokens in lexicographic token-string order — the
+//! 4. **Recompute exactly there**: the purged token blocks are
+//!    re-materialized in lexicographic token-string order — the
 //!    canonical block order of [`minoan_blocking::token_blocking_with`]
-//!    — so its floating-point sums replay the rebuild's accumulation
-//!    order bit for bit. Unaffected rows are spliced through unchanged.
+//!    — and each affected row goes through the *same row kernel* a full
+//!    build runs for every row (`simindex::value_rows`), so its
+//!    floating-point sums are the rebuild's by construction. Unaffected
+//!    rows are spliced through unchanged.
 //! 5. **Re-derive the rest**: transposes, the neighbor pass and the
 //!    H1–H4 matching phase are linear in the pair count and run through
 //!    the same functions as a full build, so the patched artifact is
@@ -39,14 +41,13 @@ use std::path::Path;
 
 use minoan_blocking::{name_blocking_with, threshold_from_cards, BlockKind, MutableBlocks};
 use minoan_exec::{faults, CancelToken, Cancelled, Executor};
-use minoan_kb::{Csr, DeltaOp, EntityId, FxHashMap, FxHashSet, KbSide, TokenId};
-use minoan_sim::token_weight;
+use minoan_kb::{Csr, DeltaOp, EntityId, FxHashSet, KbSide, TokenId};
 use minoan_text::Tokenizer;
 
 use crate::artifact::IndexArtifact;
 use crate::importance::{entity_names_with, top_neighbors_with};
 use crate::pipeline::matching_phase;
-use crate::simindex::{cand_cmp, Candidate, SimilarityIndex};
+use crate::simindex::{value_rows, Candidate, SimilarityIndex};
 
 /// Fault-injection site armed at the start of a patch persist. Combined
 /// with the atomic write underneath, an injected crash here must leave
@@ -202,52 +203,21 @@ impl IndexArtifact {
         let dict = self.tokens.dict();
         let mut lex: Vec<TokenId> = (0..dict.len() as u32).map(TokenId).collect();
         lex.sort_unstable_by(|&a, &b| dict.token(a).cmp(dict.token(b)));
-        let mut rank = vec![0u32; dict.len()];
-        for (r, &t) in lex.iter().enumerate() {
-            rank[t.index()] = r as u32;
-        }
 
         let n1 = self.pair.first.entity_count();
         let n2 = self.pair.second.entity_count();
         let token_blocks = blocks.materialize(BlockKind::Token, &lex, threshold_new, n1, n2);
         cancel.checkpoint()?;
 
-        // Recompute exactly the affected rows: accumulate each row over
-        // its kept tokens in lex order — the same per-pair addition
-        // sequence the sharded full build produces.
-        let tokens = &self.tokens;
-        let kept = |t: TokenId| match blocks.card(t) {
-            Some((c, _)) => threshold_new.is_none_or(|max| c <= max),
-            None => false,
-        };
-        let mut new_rows: Vec<Vec<Candidate>> = exec
-            .map_parts(affected.len(), |range| {
-                let mut out = Vec::with_capacity(range.len());
-                let mut acc: FxHashMap<u32, f64> = FxHashMap::default();
-                for i in range {
-                    let e1 = affected[i];
-                    acc.clear();
-                    let mut toks: Vec<TokenId> = tokens
-                        .tokens(KbSide::First, e1)
-                        .iter()
-                        .copied()
-                        .filter(|&t| kept(t))
-                        .collect();
-                    toks.sort_unstable_by_key(|t| rank[t.index()]);
-                    for t in toks {
-                        let w = token_weight(dict.ef(KbSide::First, t), dict.ef(KbSide::Second, t));
-                        for &e2 in blocks.members(KbSide::Second, t) {
-                            *acc.entry(e2.0).or_insert(0.0) += w;
-                        }
-                    }
-                    let mut row: Vec<Candidate> =
-                        acc.iter().map(|(&e2, &v)| (EntityId(e2), v)).collect();
-                    row.sort_unstable_by(cand_cmp);
-                    out.push(row);
-                }
-                out
-            })
-            .concat();
+        // Recompute exactly the affected rows, with the kernel a full
+        // build over `token_blocks` would run for them.
+        let mut new_rows = value_rows(
+            &token_blocks,
+            &self.tokens,
+            affected.len(),
+            |i| affected[i],
+            exec,
+        );
         cancel.checkpoint()?;
 
         // Splice recomputed rows over the retained ones and re-derive

@@ -50,11 +50,13 @@ pub struct PipelineReport {
 pub struct Timings {
     /// Tokenization of both KBs.
     pub tokenize: Duration,
-    /// Name extraction + name blocking + H1.
+    /// H1 alone (the unique-name scan over the finished name blocks).
+    /// Name extraction and name blocking are clocked inside `blocking`.
     pub names_h1: Duration,
-    /// Token blocking + purging.
+    /// Everything else [`build_blocks_cancellable`] does: name extraction
+    /// for both KBs, name blocking, token blocking and purging.
     pub blocking: Duration,
-    /// Similarity-index construction.
+    /// Both top-neighbor passes + similarity-index construction.
     pub similarities: Duration,
     /// H2 + H3 + H4.
     pub matching: Duration,

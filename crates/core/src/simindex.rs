@@ -6,22 +6,34 @@
 //! process iterates over blocks instead of the KBs — and that this pass
 //! is *massively parallel*. This module realizes both claims:
 //!
-//! - `valueSim` accumulation is **sharded by `e1 % shards`**: every shard
-//!   scans the blocks in order and accumulates only the pairs it owns, so
-//!   each pair's floating-point sum has exactly the sequential
-//!   block-order accumulation order — parallel results are bit-identical
-//!   to sequential for any shard count;
+//! - `valueSim` is accumulated **row-major by one kernel**
+//!   (`RowScratch::value_row`): the candidate row of a first-side entity
+//!   is the sum, over the blocks containing it, of each block's token
+//!   weight into a dense per-second-entity scratch. The blocks of an
+//!   entity are walked in ascending block order, so every pair's
+//!   floating-point sum has exactly the block-order addition sequence —
+//!   a row depends on nothing but its own entity. Rows are therefore
+//!   **bit-identical for any backend, thread count or part count**, and
+//!   the full build ([`SimilarityIndex::build_with`]) and the delta
+//!   engine ([`crate::IndexArtifact::apply_delta`], which recomputes
+//!   only its affected rows) share the kernel instead of agreeing by
+//!   test;
+//! - the row pass is a plain [`Executor::map_parts`] over entities, so
+//!   the pool backend runs it as
+//!   [`POOL_TASK_ITEMS`](minoan_exec::POOL_TASK_ITEMS)-bounded tasks
+//!   and a cancel or deadline is observed within one task quantum — the
+//!   promise [`crate::MinoanEr::run_cancellable`] makes for every stage;
 //! - candidate lists are stored as **CSR** ([`Csr<Candidate>`]): one flat
-//!   buffer plus offsets instead of one allocation per entity, filled and
-//!   sorted in parallel (ties broken by entity id for determinism);
+//!   buffer plus offsets instead of one allocation per entity, sorted by
+//!   similarity (ties broken by entity id for determinism);
 //! - the `neighborNSim` pass is embarrassingly parallel over `e1` and
-//!   reuses the same machinery;
+//!   accumulates on the same dense scratch;
 //! - the reverse-direction lists are a parallel CSR **transpose**
 //!   (partial histograms → per-part cursors → disjoint fills).
 
 use minoan_blocking::BlockCollection;
 use minoan_exec::{Executor, SharedSlice};
-use minoan_kb::{Csr, EntityId, FxHashMap, KbSide, TokenId};
+use minoan_kb::{Csr, EntityId, KbSide, TokenId};
 use minoan_sim::token_weight;
 use minoan_text::TokenizedPair;
 
@@ -35,6 +47,123 @@ pub(crate) fn cand_cmp(a: &Candidate, b: &Candidate) -> std::cmp::Ordering {
     b.1.partial_cmp(&a.1)
         .unwrap_or(std::cmp::Ordering::Equal)
         .then(a.0.cmp(&b.0))
+}
+
+/// A dense accumulator over the second KB's entities plus the list of
+/// slots touched since the last reset: the working memory of one row of
+/// either similarity. Allocated once per executor task and reset per
+/// row in O(touched), so a row costs its own candidates — no hashing,
+/// no per-row allocation beyond the row it returns.
+///
+/// `0.0` marks an untouched slot. That rests on every added term being
+/// strictly positive, so a touched slot can never return to zero:
+/// [`token_weight`] is `1 / log2(ef1·ef2 + 1)`, which lies in `(0, 1]`
+/// for entity frequencies `≥ 1` (a block's token occurs on both sides)
+/// and is never zero, negative or NaN for any frequencies; the neighbor
+/// pass adds sums of such weights.
+pub(crate) struct RowScratch {
+    sums: Vec<f64>,
+    touched: Vec<u32>,
+}
+
+impl RowScratch {
+    /// A zeroed scratch for candidates in `0..n_second`.
+    pub(crate) fn new(n_second: usize) -> Self {
+        Self {
+            sums: vec![0.0; n_second],
+            touched: Vec::new(),
+        }
+    }
+
+    #[inline]
+    fn add(&mut self, e2: EntityId, v: f64) {
+        debug_assert!(v > 0.0, "0.0 is the untouched mark; terms must be positive");
+        let slot = &mut self.sums[e2.index()];
+        if *slot == 0.0 {
+            self.touched.push(e2.0);
+        }
+        *slot += v;
+    }
+
+    /// The sum accumulated for `e2` (`0.0` if untouched).
+    #[inline]
+    fn get(&self, e2: EntityId) -> f64 {
+        self.sums[e2.index()]
+    }
+
+    /// Zeroes every touched slot.
+    fn reset(&mut self) {
+        for e2 in self.touched.drain(..) {
+            self.sums[e2 as usize] = 0.0;
+        }
+    }
+
+    /// **The** `valueSim` row: accumulates `weight` into every entity of
+    /// `seconds` for each `(weight, seconds)` block of one first-side
+    /// entity, and returns the [`cand_cmp`]-sorted candidates, leaving
+    /// the scratch reset. `blocks` must come in ascending block order —
+    /// that order *is* each pair's floating-point addition sequence, and
+    /// what makes a row reproducible bit for bit wherever it is computed.
+    pub(crate) fn value_row<'a>(
+        &mut self,
+        blocks: impl IntoIterator<Item = (f64, &'a [EntityId])>,
+    ) -> Vec<Candidate> {
+        for (weight, seconds) in blocks {
+            for &e2 in seconds {
+                self.add(e2, weight);
+            }
+        }
+        let sums = &mut self.sums;
+        let mut row: Vec<Candidate> = self
+            .touched
+            .drain(..)
+            .map(|e2| (EntityId(e2), std::mem::take(&mut sums[e2 as usize])))
+            .collect();
+        row.sort_unstable_by(cand_cmp);
+        row
+    }
+}
+
+/// The `valueSim` candidate rows of the first-side entities
+/// `entity(0..n)` over `blocks`, in that order. Both the full build
+/// (every entity) and the delta engine (its affected entities) come
+/// through here. An entity in no block — or one `blocks` does not index
+/// at all — gets an empty row.
+pub(crate) fn value_rows(
+    blocks: &BlockCollection,
+    tokens: &TokenizedPair,
+    n: usize,
+    entity: impl Fn(usize) -> EntityId + Sync,
+    exec: &Executor,
+) -> Vec<Vec<Candidate>> {
+    // Per-block token weights, data-parallel over block ranges.
+    let block_list = blocks.blocks();
+    let weights: Vec<f64> = exec.map_range(block_list.len(), |i| {
+        let t = TokenId(block_list[i].key);
+        token_weight(
+            tokens.dict().ef(KbSide::First, t),
+            tokens.dict().ef(KbSide::Second, t),
+        )
+    });
+    let indexed = blocks.entity_count(KbSide::First);
+    let parts = exec.map_parts(n, |range| {
+        let mut scratch = RowScratch::new(blocks.entity_count(KbSide::Second));
+        let mut rows: Vec<Vec<Candidate>> = Vec::with_capacity(range.len());
+        for i in range {
+            let e1 = entity(i);
+            let of_e1: &[_] = if e1.index() < indexed {
+                blocks.blocks_of(KbSide::First, e1)
+            } else {
+                &[]
+            };
+            let weighted = of_e1
+                .iter()
+                .map(|b| (weights[b.index()], &block_list[b.index()].seconds[..]));
+            rows.push(scratch.value_row(weighted));
+        }
+        rows
+    });
+    parts.into_iter().flatten().collect()
 }
 
 /// Value and neighbor similarities for all co-occurring pairs, with
@@ -61,8 +190,13 @@ impl SimilarityIndex {
         Self::build_with(blocks, tokens, top_neighbors, &Executor::sequential())
     }
 
-    /// Builds the index on `exec`. Bit-identical to [`SimilarityIndex::build`]
-    /// for any backend and thread count (see the module docs).
+    /// Builds the index on `exec`: one `valueSim` row per first-side
+    /// entity through the shared row kernel, fanned out as a plain
+    /// [`Executor::map_parts`] with the rows concatenated in part order,
+    /// then [`SimilarityIndex::derive_from_value_firsts`]. A row is a
+    /// function of its own entity's blocks alone (see the module docs),
+    /// so the result is bit-identical to [`SimilarityIndex::build`] for
+    /// any backend, thread count and part count.
     pub fn build_with(
         blocks: &BlockCollection,
         tokens: &TokenizedPair,
@@ -71,115 +205,20 @@ impl SimilarityIndex {
     ) -> Self {
         let n1 = tokens.entity_count(KbSide::First);
         let n2 = tokens.entity_count(KbSide::Second);
-
-        // Per-block token weights, data-parallel over block ranges.
-        let block_list = blocks.blocks();
-        let weights: Vec<f64> = exec.map_range(block_list.len(), |i| {
-            let t = TokenId(block_list[i].key);
-            token_weight(
-                tokens.dict().ef(KbSide::First, t),
-                tokens.dict().ef(KbSide::Second, t),
-            )
-        });
-
-        // Sharded valueSim accumulation: shard `s` owns every pair whose
-        // first entity satisfies `e1 % shards == s`. Each shard scans the
-        // blocks in order, so per-pair sums accumulate in block order —
-        // the exact sequential order — regardless of the shard count.
-        //
-        // Each *large* block's `firsts` list is **pre-grouped by owner
-        // shard** once (a stable counting-sort per block, itself
-        // data-parallel over blocks), so a shard reads only its own
-        // sub-slice instead of rescanning the full list — O(assignments)
-        // total reads instead of O(shards × assignments). Blocks with
-        // fewer entities than shards keep the cheap filter scan: for
-        // them the rescan costs less than the counting-sort's
-        // O(shards) offset array, and skipping the grouping bounds the
-        // extra memory by the assignment count. Both paths yield a
-        // shard's entities in block order (the scatter is stable), so
-        // per-pair sums keep the sequential accumulation order bit for
-        // bit either way.
-        let shards = exec.threads();
-        let grouped: Vec<Option<(Vec<EntityId>, Vec<u32>)>> = if shards > 1 {
-            exec.map_range(block_list.len(), |i| {
-                let firsts = &block_list[i].firsts;
-                if firsts.len() < shards {
-                    return None;
-                }
-                let mut offsets = vec![0u32; shards + 1];
-                for &e1 in firsts {
-                    offsets[e1.index() % shards + 1] += 1;
-                }
-                for s in 0..shards {
-                    offsets[s + 1] += offsets[s];
-                }
-                let mut items = vec![EntityId(0); firsts.len()];
-                let mut cursor = offsets[..shards].to_vec();
-                for &e1 in firsts {
-                    let s = e1.index() % shards;
-                    items[cursor[s] as usize] = e1;
-                    cursor[s] += 1;
-                }
-                Some((items, offsets))
-            })
-        } else {
-            Vec::new()
-        };
-        let mut shard_rows: Vec<Vec<Vec<Candidate>>> = exec.map_shards(shards, |s| {
-            let mut acc: FxHashMap<(u32, u32), f64> = FxHashMap::default();
-            for (i, (b, &w)) in block_list.iter().zip(&weights).enumerate() {
-                let pregrouped = if shards > 1 {
-                    grouped[i].as_ref()
-                } else {
-                    None
-                };
-                if let Some((items, offsets)) = pregrouped {
-                    for &e1 in &items[offsets[s] as usize..offsets[s + 1] as usize] {
-                        for &e2 in &b.seconds {
-                            *acc.entry((e1.0, e2.0)).or_insert(0.0) += w;
-                        }
-                    }
-                } else {
-                    // Filter scan; a no-op filter when shards == 1.
-                    for &e1 in &b.firsts {
-                        if e1.index() % shards != s {
-                            continue;
-                        }
-                        for &e2 in &b.seconds {
-                            *acc.entry((e1.0, e2.0)).or_insert(0.0) += w;
-                        }
-                    }
-                }
-            }
-            // Shard-local candidate rows: entity e1 lives at e1 / shards.
-            let local_n = if n1 > s { (n1 - 1 - s) / shards + 1 } else { 0 };
-            let mut rows: Vec<Vec<Candidate>> = vec![Vec::new(); local_n];
-            for (&(e1, e2), &v) in &acc {
-                rows[e1 as usize / shards].push((EntityId(e2), v));
-            }
-            for row in &mut rows {
-                row.sort_unstable_by(cand_cmp);
-            }
-            rows
-        });
-        drop(grouped);
-
-        // Interleave the shard rows back into entity order.
-        let mut firsts_rows: Vec<Vec<Candidate>> = Vec::with_capacity(n1);
-        for e1 in 0..n1 {
-            firsts_rows.push(std::mem::take(&mut shard_rows[e1 % shards][e1 / shards]));
-        }
-        let value_firsts = Csr::from_rows(firsts_rows);
-        Self::derive_from_value_firsts(value_firsts, n2, top_neighbors, exec)
+        let rows = value_rows(blocks, tokens, n1, |e1| EntityId(e1 as u32), exec);
+        Self::derive_from_value_firsts(Csr::from_rows(rows), n2, top_neighbors, exec)
     }
 
     /// Completes an index from a finished `value_firsts` CSR: transposes
     /// the reverse value direction and runs the `neighborNSim` pass in
     /// both directions. Shared by [`SimilarityIndex::build_with`] and
     /// the delta engine, which recomputes only the *affected* value rows
-    /// and re-derives everything downstream — the derivation is linear
-    /// in the pair count and a pure function of its inputs, so both
-    /// paths produce bit-identical indexes.
+    /// (through the same row kernel) and re-derives everything
+    /// downstream — the derivation is linear in the pair count and a
+    /// pure function of its inputs, so both paths produce bit-identical
+    /// indexes. The neighbor pass accumulates on the kernel's dense
+    /// scratch, one per executor task; its sums follow the order of the
+    /// top-neighbor lists and value rows, never the part boundaries.
     pub fn derive_from_value_firsts(
         value_firsts: Csr<Candidate>,
         n_second: usize,
@@ -196,30 +235,29 @@ impl SimilarityIndex {
         // reads over the value CSR — embarrassingly parallel over e1.
         let neighbor_parts: Vec<Vec<Vec<Candidate>>> = exec.map_parts(n1, |range| {
             let mut rows: Vec<Vec<Candidate>> = Vec::with_capacity(range.len());
-            let mut acc: FxHashMap<u32, f64> = FxHashMap::default();
+            let mut acc = RowScratch::new(n2);
             for e1 in range {
                 let cands = value_firsts.row(e1);
-                let tops1 = &top_neighbors[0][e1];
                 let mut row: Vec<Candidate> = Vec::new();
-                if !cands.is_empty() && !tops1.is_empty() {
-                    acc.clear();
-                    for &nb1 in tops1 {
+                if !cands.is_empty() {
+                    for &nb1 in &top_neighbors[0][e1] {
                         for &(nb2, v) in value_firsts.row(nb1.index()) {
-                            *acc.entry(nb2.0).or_insert(0.0) += v;
+                            acc.add(nb2, v);
                         }
                     }
-                    if !acc.is_empty() {
+                    if !acc.touched.is_empty() {
                         for &(e2, _) in cands {
+                            // An untouched neighbor reads 0.0, and
+                            // `s + 0.0` is `s` bit for bit.
                             let mut s = 0.0;
                             for &nb2 in &top_neighbors[1][e2.index()] {
-                                if let Some(&v) = acc.get(&nb2.0) {
-                                    s += v;
-                                }
+                                s += acc.get(nb2);
                             }
                             if s > 0.0 {
                                 row.push((e2, s));
                             }
                         }
+                        acc.reset();
                     }
                 }
                 row.sort_unstable_by(cand_cmp);
@@ -227,7 +265,7 @@ impl SimilarityIndex {
             }
             rows
         });
-        let neighbor_firsts = Csr::from_rows(neighbor_parts.concat());
+        let neighbor_firsts = Csr::from_rows(neighbor_parts.into_iter().flatten().collect());
         let neighbor_seconds = transpose(&neighbor_firsts, n2, exec);
 
         Self {
@@ -513,8 +551,9 @@ mod tests {
         assert!(v > 0.0);
     }
 
-    /// The executor-equivalence contract at unit scale: every shard count
-    /// must reproduce the sequential index bit for bit.
+    /// The executor-equivalence contract at unit scale: every thread
+    /// count (hence part count) must reproduce the sequential index bit
+    /// for bit.
     #[test]
     fn parallel_index_is_bit_identical_to_sequential() {
         let (_, tokens, bt, tn1, tn2) = setup();
@@ -540,6 +579,149 @@ mod tests {
             assert_eq!(seq.pair_count(), par.pair_count());
             assert_eq!(seq.neighbor_pair_count(), par.neighbor_pair_count());
         }
+    }
+
+    fn e(i: u32) -> EntityId {
+        EntityId(i)
+    }
+
+    /// Where the block-major algorithm survives: one pair-keyed map over
+    /// a scan of the blocks in order, rows scattered out and sorted.
+    fn naive_value_rows(
+        blocks: &BlockCollection,
+        tokens: &TokenizedPair,
+        n1: usize,
+    ) -> Vec<Vec<Candidate>> {
+        let mut acc: minoan_kb::FxHashMap<(u32, u32), f64> = Default::default();
+        for b in blocks.blocks() {
+            let t = TokenId(b.key);
+            let w = token_weight(
+                tokens.dict().ef(KbSide::First, t),
+                tokens.dict().ef(KbSide::Second, t),
+            );
+            for &e1 in &b.firsts {
+                for &e2 in &b.seconds {
+                    *acc.entry((e1.0, e2.0)).or_insert(0.0) += w;
+                }
+            }
+        }
+        let mut rows: Vec<Vec<Candidate>> = vec![Vec::new(); n1];
+        for (&(e1, e2), &v) in &acc {
+            rows[e1 as usize].push((EntityId(e2), v));
+        }
+        for row in &mut rows {
+            row.sort_unstable_by(cand_cmp);
+        }
+        rows
+    }
+
+    /// 40 × 50 entities drawing 1–4 tokens each from a 13-word
+    /// vocabulary, so most pairs share several blocks of different
+    /// weights and the addition order shows in the low bits.
+    fn dense_setup() -> (TokenizedPair, BlockCollection) {
+        let words: Vec<String> = (0..13).map(|w| format!("w{w:02}")).collect();
+        let text = |i: usize, salt: usize| {
+            (0..1 + (i + salt) % 4)
+                .map(|j| words[(i * 7 + j * 5 + salt) % 13].as_str())
+                .collect::<Vec<_>>()
+                .join(" ")
+        };
+        let mut a = KbBuilder::new("E1");
+        for i in 0..40 {
+            a.add_literal(&format!("a:{i}"), "v", &text(i, 0));
+        }
+        let mut b = KbBuilder::new("E2");
+        for i in 0..50 {
+            b.add_literal(&format!("b:{i}"), "v", &text(i, 3));
+        }
+        let pair = KbPair::new(a.finish(), b.finish());
+        let tokens = TokenizedPair::build(&pair, &Tokenizer::default());
+        let blocks = token_blocking(&tokens);
+        (tokens, blocks)
+    }
+
+    #[test]
+    fn kernel_rows_equal_the_naive_pair_keyed_accumulation() {
+        let (_, small_tokens, small_blocks, _, _) = setup();
+        for (tokens, blocks) in [dense_setup(), (small_tokens, small_blocks)] {
+            let n1 = tokens.entity_count(KbSide::First);
+            let want = naive_value_rows(&blocks, &tokens, n1);
+            assert!(want.iter().any(|row| !row.is_empty()));
+            for exec in [Executor::sequential(), Executor::new(ExecutorKind::Pool, 3)] {
+                // Exact: same candidates, same order, same f64 bits.
+                assert_eq!(
+                    value_rows(&blocks, &tokens, n1, |i| e(i as u32), &exec),
+                    want
+                );
+            }
+        }
+    }
+
+    #[test]
+    fn kernel_rows_follow_the_requested_entities() {
+        let (tokens, blocks) = dense_setup();
+        let all = naive_value_rows(&blocks, &tokens, tokens.entity_count(KbSide::First));
+        let picked = [e(17), e(2), e(17), e(39)];
+        let rows = value_rows(
+            &blocks,
+            &tokens,
+            picked.len(),
+            |i| picked[i],
+            &Executor::sequential(),
+        );
+        for (row, e1) in rows.iter().zip(picked) {
+            assert_eq!(row, &all[e1.index()]);
+        }
+    }
+
+    #[test]
+    fn unblocked_and_unindexed_entities_get_empty_rows() {
+        let mut a = KbBuilder::new("E1");
+        a.add_literal("a:0", "title", "zorba");
+        a.add_literal("a:1", "title", "unshared");
+        let mut b = KbBuilder::new("E2");
+        b.add_literal("b:0", "label", "zorba");
+        let pair = KbPair::new(a.finish(), b.finish());
+        let tokens = TokenizedPair::build(&pair, &Tokenizer::default());
+        let blocks = token_blocking(&tokens);
+        assert!(blocks.blocks_of(KbSide::First, e(1)).is_empty());
+        assert_eq!(blocks.entity_count(KbSide::First), 2);
+        // Rows 2 and 3 name entities the collection does not index: the
+        // row-major walk must not read `blocks_of` out of bounds.
+        let rows = value_rows(
+            &blocks,
+            &tokens,
+            4,
+            |i| e(i as u32),
+            &Executor::sequential(),
+        );
+        assert_eq!(rows[0], vec![(e(0), 1.0)]);
+        assert!(rows[1..].iter().all(Vec::is_empty));
+        // And a tokenized pair larger than the indexed blocks builds.
+        let none = BlockCollection::new(minoan_blocking::BlockKind::Token, vec![], 0, 0);
+        let idx = SimilarityIndex::build(&none, &tokens, [&[vec![], vec![]], &[vec![]]]);
+        assert_eq!(idx.pair_count(), 0);
+    }
+
+    #[test]
+    fn scratch_is_fully_reset_between_rows() {
+        let (a, b, c) = ([e(0), e(1)], [e(1), e(2)], [e(3)]);
+        let mut scratch = RowScratch::new(4);
+        assert_eq!(
+            scratch.value_row([(0.5, &a[..]), (0.25, &b[..])]),
+            vec![(e(1), 0.75), (e(0), 0.5), (e(2), 0.25)]
+        );
+        // Overlapping candidates: nothing of the previous row's 0.75 or
+        // 0.25 may leak into the sums.
+        assert_eq!(
+            scratch.value_row([(1.0, &b[..])]),
+            vec![(e(1), 1.0), (e(2), 1.0)]
+        );
+        // Disjoint candidates, then no blocks at all.
+        assert_eq!(scratch.value_row([(0.125, &c[..])]), vec![(e(3), 0.125)]);
+        assert!(scratch.value_row([]).is_empty());
+        assert!(scratch.touched.is_empty());
+        assert!(scratch.sums.iter().all(|&v| v == 0.0));
     }
 
     #[test]

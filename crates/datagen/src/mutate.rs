@@ -9,7 +9,7 @@
 //! that pass the same four numbers replay byte-identical streams.
 //!
 //! The generator never inspects pipeline output; it only reads the
-//! rendered [`KbPair`]. That keeps the stream a pure function of the
+//! rendered [`minoan_kb::KbPair`]. That keeps the stream a pure function of the
 //! dataset, independent of matcher configuration.
 
 use minoan_kb::delta::DeltaOp;

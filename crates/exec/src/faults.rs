@@ -28,7 +28,7 @@
 //!                seed     site:prob[:kind[:max]]
 //! ```
 //!
-//! `prob` ∈ [0,1] is the per-hit firing probability, `kind` is one of
+//! `prob` ∈ `[0,1]` is the per-hit firing probability, `kind` is one of
 //! `io|panic|delay|alloc` (default `io`), and `max` caps the total
 //! number of firings at that site (default unlimited) — `site:1:io:1`
 //! reads "fail the first hit, then behave", the shape retry tests want.

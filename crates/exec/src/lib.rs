@@ -28,9 +28,10 @@
 //!
 //! Design rule for all call sites: a parallel algorithm must produce the
 //! *same bytes* as its one-part sequential specialization. Partial
-//! results are always merged in part order, floating-point accumulation
-//! order per key is kept identical across shard counts, and ties are
-//! broken by entity id — never by thread arrival order.
+//! results are always merged in part order, a floating-point sum is
+//! accumulated whole inside one part in an order fixed by the data (never
+//! split across parts and re-added), and ties are broken by entity id —
+//! never by thread arrival order.
 
 #![warn(missing_docs)]
 
@@ -343,18 +344,6 @@ impl Executor {
         out
     }
 
-    /// Runs `f` once per shard id in `0..shards`, returning results in
-    /// shard order. Exactly [`Executor::map_range`], named for call sites
-    /// that fan out over ownership shards (`key % shards`) rather than
-    /// index ranges.
-    pub fn map_shards<R, F>(&self, shards: usize, f: F) -> Vec<R>
-    where
-        R: Send,
-        F: Fn(usize) -> R + Sync,
-    {
-        self.map_range(shards, f)
-    }
-
     /// Splits `0..len` into at most [`Executor::threads`] contiguous
     /// ranges whose interior boundaries are adjusted by `align`: each
     /// proposed boundary `p` is moved to `align(p)`, which must return a
@@ -541,13 +530,6 @@ mod tests {
             let parts = exec.map_parts(50, |r| r.collect::<Vec<usize>>());
             let flat: Vec<usize> = parts.into_iter().flatten().collect();
             assert_eq!(flat, (0..50).collect::<Vec<_>>());
-        }
-    }
-
-    #[test]
-    fn map_shards_runs_every_shard() {
-        for exec in both() {
-            assert_eq!(exec.map_shards(5, |s| s), vec![0, 1, 2, 3, 4]);
         }
     }
 

@@ -42,8 +42,8 @@
 //! range order after the wave completes. Which worker runs which range,
 //! in what interleaving, on how many cores — none of it is observable
 //! in the output. Combined with the workspace rule that every fan-out
-//! merges partials in part order (float accumulation order preserved,
-//! shard-by-`e1` ownership fixed), pool runs are bit-identical to
+//! merges partials in part order (each floating-point sum accumulated
+//! whole inside one part, in data order), pool runs are bit-identical to
 //! sequential runs, which `tests/executor_equivalence.rs` enforces per
 //! profile.
 //!

@@ -46,7 +46,7 @@ define_id! {
     AttrId
 }
 define_id! {
-    /// Identifies a token within a [`minoan_text::TokenDictionary`]-style
+    /// Identifies a token within a `minoan_text::TokenDictionary`-style
     /// dictionary shared by a KB pair.
     TokenId
 }

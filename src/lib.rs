@@ -20,8 +20,8 @@
 //! - [`exec`] — the **executor layer**: an [`exec::Executor`] with
 //!   `Sequential` and `Pool` backends that every hot stage fans out on,
 //!   providing ordered fan-out over index ranges (`map_parts`,
-//!   `map_range`), ownership shards (`map_shards`) and boundary-aligned
-//!   byte ranges (`map_chunks` — the primitive behind streaming ingest);
+//!   `map_range`) and boundary-aligned byte ranges (`map_chunks` — the
+//!   primitive behind streaming ingest);
 //! - [`kb`] — entity descriptions, arena-backed interning, statistics,
 //!   the shared substrate (Fx hashing, CSR row storage ([`kb::Csr`]),
 //!   minimal JSON) and **ingest**: each input format has a whole-string
@@ -39,9 +39,10 @@
 //! - [`sim`] — `valueSim` (ARCS variant) and vector-space measures;
 //! - [`core`] — attribute/relation importance (data-parallel passes with
 //!   order-independent integer merges), the CSR-backed
-//!   [`core::SimilarityIndex`] (valueSim sharded by `e1 % shards` with
-//!   per-block pre-grouped shard scans), heuristics H1–H4, the
-//!   non-iterative pipeline with per-stage [`core::Timings`];
+//!   [`core::SimilarityIndex`] (one row-major `valueSim` kernel over a
+//!   dense scratch, shared by the full build and the delta engine),
+//!   heuristics H1–H4, the non-iterative pipeline with per-stage
+//!   [`core::Timings`];
 //! - [`serve`] — the **multi-pair serving layer**: a live
 //!   bounded-memory admission queue ([`serve::JobQueue`]) scheduling
 //!   pairs-first (intra-pair threads widen for stragglers) with

@@ -8,7 +8,7 @@ use minoaner::core::top_neighbors;
 use minoaner::core::{build_blocks, MinoanConfig, MinoanEr, SimilarityIndex};
 use minoaner::datagen::DatasetKind;
 use minoaner::exec::{Executor, ExecutorKind};
-use minoaner::kb::{EntityId, KbSide};
+use minoaner::kb::{EntityId, KbSide, Matching};
 
 const SEED: u64 = 20180416;
 const SCALE: f64 = 0.1;
@@ -50,12 +50,57 @@ fn matchings_are_bit_identical_on_every_profile() {
     }
 }
 
+/// Fingerprints of every value and neighbor candidate row of both sides
+/// (`EntityId` + `f64::to_bits`) plus the matching, per profile in
+/// [`DatasetKind::ALL`] order at [`SEED`]/[`SCALE`] — captured at the
+/// commit *before* the row-major `valueSim` kernel replaced the
+/// block-major shard scan. The Sequential-vs-Pool comparisons in this
+/// file run both sides at one commit and would let them drift together;
+/// these constants pin the bits across commits.
+const GOLDEN_FINGERPRINTS: [u64; 4] = [
+    0x3540_e48f_a8f8_015f,
+    0xbbef_74fd_0b23_b4dd,
+    0xc97b_316d_e1ac_69eb,
+    0xf7e9_5ceb_ef06_561d,
+];
+
+/// FNV-1a over the index's candidate rows (row length, then entity id and
+/// similarity bits per candidate) and the matching in insertion order.
+fn fingerprint(idx: &SimilarityIndex, counts: [usize; 2], matching: &Matching) -> u64 {
+    fn mix(h: &mut u64, word: u64) {
+        for b in word.to_le_bytes() {
+            *h = (*h ^ u64::from(b)).wrapping_mul(0x0000_0100_0000_01b3);
+        }
+    }
+    let mut h = 0xcbf2_9ce4_8422_2325;
+    for side in [KbSide::First, KbSide::Second] {
+        for e in (0..counts[side.index()] as u32).map(EntityId) {
+            for row in [
+                idx.value_candidates(side, e),
+                idx.neighbor_candidates(side, e),
+            ] {
+                mix(&mut h, row.len() as u64);
+                for &(c, v) in row {
+                    mix(&mut h, u64::from(c.0));
+                    mix(&mut h, v.to_bits());
+                }
+            }
+        }
+    }
+    for (e1, e2) in matching.iter() {
+        mix(&mut h, u64::from(e1.0));
+        mix(&mut h, u64::from(e2.0));
+    }
+    h
+}
+
 #[test]
 fn candidate_orderings_are_bit_identical_on_every_profile() {
-    for kind in DatasetKind::ALL {
+    for (kind, golden) in DatasetKind::ALL.into_iter().zip(GOLDEN_FINGERPRINTS) {
         let d = kind.generate_scaled(SEED, SCALE);
         let config = MinoanConfig::default();
         let art = build_blocks(&d.pair, &config);
+        let counts = [KbSide::First, KbSide::Second].map(|side| art.tokens.entity_count(side));
         let tn1 = top_neighbors(
             &d.pair.first,
             config.top_relations_n,
@@ -73,6 +118,16 @@ fn candidate_orderings_are_bit_identical_on_every_profile() {
             &Executor::sequential(),
         );
         assert!(seq.pair_count() > 0, "{}: empty index", d.name);
+        let seq_matching = MinoanEr::new(config_with(ExecutorKind::Sequential, 1))
+            .unwrap()
+            .run(&d.pair)
+            .matching;
+        assert_eq!(
+            fingerprint(&seq, counts, &seq_matching),
+            golden,
+            "{}: sequential index or matching drifted from the pinned parent-commit bits",
+            d.name
+        );
         for threads in THREAD_COUNTS {
             let exec = Executor::new(ExecutorKind::Pool, threads);
             let par =
@@ -85,8 +140,7 @@ fn candidate_orderings_are_bit_identical_on_every_profile() {
                 d.name
             );
             for side in [KbSide::First, KbSide::Second] {
-                let n = art.tokens.entity_count(side);
-                for e in (0..n as u32).map(EntityId) {
+                for e in (0..counts[side.index()] as u32).map(EntityId) {
                     // Slice equality is exact: same candidates, same
                     // order, same f64 bits.
                     assert_eq!(
@@ -103,6 +157,16 @@ fn candidate_orderings_are_bit_identical_on_every_profile() {
                     );
                 }
             }
+            let par_matching = MinoanEr::new(config_with(ExecutorKind::Pool, threads))
+                .unwrap()
+                .run(&d.pair)
+                .matching;
+            assert_eq!(
+                fingerprint(&par, counts, &par_matching),
+                golden,
+                "{}: drifted from the pinned parent-commit bits at {threads} pool threads",
+                d.name
+            );
         }
     }
 }
@@ -127,9 +191,10 @@ fn blocking_artifacts_are_identical_across_executors() {
     }
 }
 
-/// The pre-grouped shard scan must stay bit-identical when the shard
-/// count dwarfs typical block sizes (most per-block shard groups empty)
-/// and even exceeds the entity count.
+/// Rows must stay bit-identical when the requested part count dwarfs
+/// typical block sizes and even exceeds the entity count. (The name
+/// dates from the per-thread shard scan this test first guarded; the
+/// thread hint now only sets how many parts the row pass splits into.)
 #[test]
 fn pregrouped_shard_scan_is_bit_identical_at_high_shard_counts() {
     let d = DatasetKind::Restaurant.generate_scaled(SEED, SCALE);
@@ -161,12 +226,12 @@ fn pregrouped_shard_scan_is_bit_identical_at_high_shard_counts() {
                 assert_eq!(
                     seq.value_candidates(side, e),
                     par.value_candidates(side, e),
-                    "value candidates of {side:?} {e} differ at {threads} shards"
+                    "value candidates of {side:?} {e} differ at {threads} threads"
                 );
                 assert_eq!(
                     seq.neighbor_candidates(side, e),
                     par.neighbor_candidates(side, e),
-                    "neighbor candidates of {side:?} {e} differ at {threads} shards"
+                    "neighbor candidates of {side:?} {e} differ at {threads} threads"
                 );
             }
         }
