@@ -12,18 +12,16 @@
 #![warn(missing_docs)]
 
 pub mod block;
-pub mod delta;
 pub mod metrics;
 pub mod name_blocking;
 pub mod purging;
 pub mod token_blocking;
 
 pub use block::{Block, BlockCollection, BlockKind};
-pub use delta::MutableBlocks;
 pub use metrics::{block_metrics, BlockMetrics};
 pub use name_blocking::{canonical_name, name_blocking, name_blocking_with, unique_name_pairs};
 pub use purging::{
-    purge, purge_with, purge_with_exec, purging_threshold, purging_threshold_with,
-    threshold_from_cards, PurgeReport, DEFAULT_SMOOTHING,
+    purge, purge_with, purge_with_exec, purging_threshold, purging_threshold_with, PurgeReport,
+    DEFAULT_SMOOTHING,
 };
 pub use token_blocking::{token_blocking, token_blocking_with};

@@ -69,14 +69,10 @@ pub fn purging_threshold_with(collection: &BlockCollection, s: f64, exec: &Execu
     threshold_from_cards(cards, s)
 }
 
-/// Computes the purging threshold directly from per-block
-/// `(comparisons, assignments)` cardinalities. The criterion only
-/// depends on the *multiset* of cardinalities (they are sorted here),
-/// so any layer that can enumerate block statistics — the delta engine
-/// does it from its mutable membership lists without materializing
-/// blocks — gets exactly the threshold [`purging_threshold_with`]
-/// would compute.
-pub fn threshold_from_cards(mut cards: Vec<(u64, u64)>, s: f64) -> u64 {
+/// The purging threshold of per-block `(comparisons, assignments)`
+/// cardinalities. The criterion only depends on their *multiset* (they
+/// are sorted here).
+fn threshold_from_cards(mut cards: Vec<(u64, u64)>, s: f64) -> u64 {
     assert!(s >= 1.0, "smoothing factor must be >= 1");
     if cards.is_empty() {
         return 0;

@@ -25,12 +25,12 @@ pub fn token_blocking(tokens: &TokenizedPair) -> BlockCollection {
 /// so every block's entity list is in ascending entity order — exactly
 /// the sequential result — for any thread count.
 ///
-/// Blocks are emitted in **lexicographic token-string order**. Token
-/// *ids* are first-seen ids and therefore differ between a from-scratch
-/// build and an incrementally grown dictionary; the string order is the
-/// canonical order both agree on, which is what makes incremental delta
-/// resolution bit-identical to a rebuild (floating-point similarity
-/// sums accumulate in block-scan order).
+/// Blocks are emitted in **lexicographic token-string order**.
+/// Floating-point similarity sums accumulate in block order, so this
+/// order is each pair's addition sequence — the one the
+/// `GOLDEN_FINGERPRINTS` of `tests/executor_equivalence.rs` pin bit
+/// for bit. Emitting blocks in any other order (token id, say) moves
+/// low bits of `valueSim` and with them candidate ranks.
 pub fn token_blocking_with(tokens: &TokenizedPair, exec: &Executor) -> BlockCollection {
     let n_tokens = tokens.dict().len();
     let n1 = tokens.entity_count(KbSide::First);

@@ -108,9 +108,10 @@
 //! then-queried results are bit-identical to a fresh in-memory run.
 //!
 //! `index patch` applies an entity delta stream (upserts/deletes, see
-//! `minoan_kb::delta` for the wire JSON) to a persisted artifact
-//! *incrementally*: only the affected neighborhood is re-resolved, and
-//! the artifact is rewritten atomically with a bumped content version.
+//! `minoan_kb::delta` for the wire JSON) to the KB pair embedded in a
+//! persisted artifact and re-runs the pipeline over the result with
+//! the parameters the index was built with; the artifact is rewritten
+//! atomically with a bumped content version.
 //! `datagen --mutate` emits deterministic seeded delta streams drawn
 //! from a profile — pipe it straight into `index patch --deltas -`.
 
@@ -615,8 +616,8 @@ fn index_query(args: &[String]) {
 }
 
 /// `minoaner index patch`: apply a delta stream to a persisted
-/// artifact incrementally — only the affected neighborhood re-runs —
-/// then rewrite the artifact atomically with a bumped content version.
+/// artifact's embedded pair, re-run the pipeline over it, then rewrite
+/// the artifact atomically with a bumped content version.
 fn index_patch(args: &[String]) {
     let mut path: Option<&str> = None;
     let mut deltas: Option<String> = None;
@@ -683,7 +684,6 @@ fn index_patch(args: &[String]) {
         ("ops_applied", Json::num(delta.ops_applied as f64)),
         ("ops_noop", Json::num(delta.ops_noop as f64)),
         ("affected_rows", Json::num(delta.affected_rows as f64)),
-        ("touched_tokens", Json::num(delta.touched_tokens as f64)),
         ("h1_matches", Json::num(delta.h1_matches as f64)),
         ("h2_matches", Json::num(delta.h2_matches as f64)),
         ("h3_matches", Json::num(delta.h3_matches as f64)),

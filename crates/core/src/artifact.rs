@@ -50,8 +50,9 @@ pub const TAG_MATCHING: u32 = 0x08;
 /// Section tag: the first knowledge base, embedded whole (name, URI and
 /// attribute interners, per-entity statements). Format version 2
 /// replaced the bare URI-interner sections (tags `0x02`/`0x03` of
-/// version 1) with these so a loaded artifact can be *patched*: delta
-/// resolution needs the statements, not just the URIs.
+/// version 1) with these so a loaded artifact can be *patched*: a patch
+/// re-runs the pipeline over the mutated pair, so it needs the
+/// statements, not just the URIs.
 pub const TAG_KB_FIRST: u32 = 0x09;
 /// Section tag: the second knowledge base, embedded whole.
 pub const TAG_KB_SECOND: u32 = 0x0A;
@@ -65,8 +66,8 @@ pub struct ArtifactMeta {
     /// [`minoan_kb::artifact::FORMAT_VERSION`] for freshly built ones).
     pub format_version: u32,
     /// Logical content version: 1 for a fresh build, bumped by one on
-    /// every persisted delta patch. Readers use it to tell "same file"
-    /// from "same index name, newer contents".
+    /// every delta patch. Readers use it to tell "same file" from "same
+    /// index name, newer contents".
     pub content_version: u64,
     /// Total artifact file size in bytes (0 until written or read).
     pub file_bytes: u64,
@@ -86,15 +87,59 @@ pub struct ArtifactMeta {
     pub neighbor_pair_count: u64,
     /// Pairs in the final matching.
     pub matched_pairs: u64,
-    /// Stage timings of the build run.
+    /// Stage timings of the run that produced the current content: the
+    /// build, or the latest patch's re-run.
     pub build_timings: Timings,
-    /// Wall-clock build completion time, milliseconds since the epoch.
+    /// Wall-clock completion time of that run, milliseconds since the
+    /// epoch.
     pub built_unix_ms: u64,
     /// The build configuration, as compact JSON.
     pub config_json: String,
 }
 
 impl ArtifactMeta {
+    /// Describes an artifact about to hold `indexed`, a finished run
+    /// over `pair`. The one place the run-derived fields (counts,
+    /// timings, completion time) are computed — for a fresh build
+    /// ([`IndexArtifact::from_run`], content version 1) and for a patch
+    /// ([`IndexArtifact::apply_delta`], the previous version + 1) alike,
+    /// so they always describe the content they sit beside.
+    pub(crate) fn of_run(
+        name: String,
+        content_version: u64,
+        config_json: String,
+        pair: &KbPair,
+        indexed: &IndexedOutput,
+    ) -> Self {
+        let built_unix_ms = SystemTime::now()
+            .duration_since(SystemTime::UNIX_EPOCH)
+            .map(|d| d.as_millis() as u64)
+            .unwrap_or(0);
+        Self {
+            name,
+            format_version: minoan_kb::artifact::FORMAT_VERSION,
+            content_version,
+            file_bytes: 0,
+            kb_names: [
+                pair.first.name().to_string(),
+                pair.second.name().to_string(),
+            ],
+            entity_counts: [
+                pair.first.entity_count() as u64,
+                pair.second.entity_count() as u64,
+            ],
+            token_count: indexed.artifacts.tokens.dict().len() as u64,
+            name_block_count: indexed.artifacts.name_blocks.len() as u64,
+            token_block_count: indexed.artifacts.token_blocks.len() as u64,
+            value_pair_count: indexed.index.pair_count() as u64,
+            neighbor_pair_count: indexed.index.neighbor_pair_count() as u64,
+            matched_pairs: indexed.output.matching.len() as u64,
+            build_timings: indexed.output.report.timings.clone(),
+            built_unix_ms,
+            config_json,
+        }
+    }
+
     /// The metadata as a JSON object (the `GET /v1/indexes/{id}` body).
     pub fn to_json(&self) -> Json {
         let config = Json::parse(&self.config_json).unwrap_or(Json::Null);
@@ -153,13 +198,13 @@ pub struct MatchAnswer {
 /// A loaded (or freshly built) persistent index.
 ///
 /// Since format version 2 the artifact embeds both knowledge bases
-/// whole, which is what makes it *patchable*: [`crate::delta`] mutates
-/// the pair in place and re-resolves only the affected neighborhood.
+/// whole, which is what makes it *patchable*: [`crate::delta`] applies
+/// the ops to the pair and re-runs the pipeline over it.
 #[derive(Debug)]
 pub struct IndexArtifact {
     pub(crate) meta: ArtifactMeta,
-    /// `meta.config_json`, parsed: the parameters a patch re-resolves
-    /// with.
+    /// `meta.config_json`, parsed and validated: the parameters a patch
+    /// re-resolves with.
     pub(crate) config: MinoanConfig,
     pub(crate) pair: KbPair,
     pub(crate) tokens: TokenizedPair,
@@ -179,38 +224,13 @@ impl IndexArtifact {
         indexed: IndexedOutput,
         config: &MinoanConfig,
     ) -> Self {
+        let config_json = config.to_json().compact();
+        let meta = ArtifactMeta::of_run(name.to_string(), 1, config_json, pair, &indexed);
         let IndexedOutput {
             output,
             artifacts,
             index,
         } = indexed;
-        let built_unix_ms = SystemTime::now()
-            .duration_since(SystemTime::UNIX_EPOCH)
-            .map(|d| d.as_millis() as u64)
-            .unwrap_or(0);
-        let meta = ArtifactMeta {
-            name: name.to_string(),
-            format_version: minoan_kb::artifact::FORMAT_VERSION,
-            content_version: 1,
-            file_bytes: 0,
-            kb_names: [
-                pair.first.name().to_string(),
-                pair.second.name().to_string(),
-            ],
-            entity_counts: [
-                pair.first.entity_count() as u64,
-                pair.second.entity_count() as u64,
-            ],
-            token_count: artifacts.tokens.dict().len() as u64,
-            name_block_count: artifacts.name_blocks.len() as u64,
-            token_block_count: artifacts.token_blocks.len() as u64,
-            value_pair_count: index.pair_count() as u64,
-            neighbor_pair_count: index.neighbor_pair_count() as u64,
-            matched_pairs: output.matching.len() as u64,
-            build_timings: output.report.timings.clone(),
-            built_unix_ms,
-            config_json: config.to_json().compact(),
-        };
         Self {
             meta,
             config: config.clone(),
@@ -332,11 +352,13 @@ impl IndexArtifact {
         meta.format_version = file.version();
         meta.file_bytes = file.file_bytes();
         // A patch re-resolves with the persisted parameters, so a config
-        // this build cannot read (version skew, an unknown field) fails
-        // the open; running the patch on defaults would quietly stop it
-        // being bit-identical to a rebuild.
+        // this build cannot read (version skew, an unknown field) or
+        // would refuse to run (a parameter out of range) fails the open;
+        // running the patch on defaults would quietly stop it being
+        // bit-identical to a rebuild.
         let config = Json::parse(&meta.config_json)
             .and_then(|j| MinoanConfig::from_json(&j))
+            .and_then(|c| c.validate().map(|()| c))
             .map_err(|e| ArtifactError::Corrupt(format!("meta config: {e}")))?;
         let pair = KbPair::new(
             decode_kb(file.section(TAG_KB_FIRST)?)?,
@@ -944,6 +966,7 @@ mod tests {
         for (config_json, needle) in [
             (r#"{"theta":0.3,"no_such_knob":1}"#, "no_such_knob"),
             (r#"{"theta":"#, "meta config: "),
+            (r#"{"theta":7}"#, "theta must be in (0,1)"),
         ] {
             artifact.meta.config_json = config_json.to_string();
             let path = temp_path("badconfig");

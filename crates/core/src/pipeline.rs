@@ -202,31 +202,29 @@ pub fn build_blocks_cancellable(
     })
 }
 
-/// Outcome of the shared H1–H4 matching phase.
-pub(crate) struct MatchingPhase {
+/// Outcome of the H1–H4 matching phase.
+struct MatchingPhase {
     /// The final matching (after H4).
-    pub matching: Matching,
+    matching: Matching,
     /// Matches contributed by H1.
-    pub h1_matches: usize,
+    h1_matches: usize,
     /// Matches contributed by H2.
-    pub h2_matches: usize,
+    h2_matches: usize,
     /// Matches contributed by H3.
-    pub h3_matches: usize,
+    h3_matches: usize,
     /// Pairs discarded by H4.
-    pub h4_removed: usize,
+    h4_removed: usize,
     /// Wall-clock time of H1.
-    pub names_h1: Duration,
+    names_h1: Duration,
     /// Wall-clock time of H2 + H3 + H4.
-    pub matching_time: Duration,
+    matching_time: Duration,
 }
 
-/// `(H1 ∨ H2 ∨ H3) ∧ H4` over a similarity index and name blocks —
-/// shared verbatim by the one-shot pipeline and the delta engine, so a
-/// patched index decides matches with exactly the code a from-scratch
-/// rebuild runs. Insertion order (H1, then H2, then H3; H4 retains in
-/// that order) is part of the contract: `Matching` iterates in
-/// insertion order and the persisted fingerprint hashes that order.
-pub(crate) fn matching_phase(
+/// `(H1 ∨ H2 ∨ H3) ∧ H4` over a similarity index and name blocks.
+/// Insertion order (H1, then H2, then H3; H4 retains in that order) is
+/// part of the contract: `Matching` iterates in insertion order and
+/// the persisted fingerprint hashes that order.
+fn matching_phase(
     name_blocks: &BlockCollection,
     idx: &SimilarityIndex,
     smaller: KbSide,
@@ -422,8 +420,7 @@ impl MinoanEr {
         report.timings.similarities = t0.elapsed();
         drop(sim_span);
 
-        // H1 ∨ H2 ∨ H3, then the H4 reciprocity filter — the phase the
-        // delta engine re-runs against a patched index.
+        // H1 ∨ H2 ∨ H3, then the H4 reciprocity filter.
         let smaller = pair.smaller_side();
         let n_smaller = pair.kb(smaller).entity_count();
         let match_span = stage_span("stage.matching");

@@ -13,11 +13,7 @@
 //!   entity are walked in ascending block order, so every pair's
 //!   floating-point sum has exactly the block-order addition sequence —
 //!   a row depends on nothing but its own entity. Rows are therefore
-//!   **bit-identical for any backend, thread count or part count**, and
-//!   the full build ([`SimilarityIndex::build_with`]) and the delta
-//!   engine ([`crate::IndexArtifact::apply_delta`], which recomputes
-//!   only its affected rows) share the kernel instead of agreeing by
-//!   test;
+//!   **bit-identical for any backend, thread count or part count**;
 //! - the row pass is a plain [`Executor::map_parts`] over entities, so
 //!   the pool backend runs it as
 //!   [`POOL_TASK_ITEMS`](minoan_exec::POOL_TASK_ITEMS)-bounded tasks
@@ -43,7 +39,7 @@ pub type Candidate = (EntityId, f64);
 /// Candidate ordering: similarity descending, ties by entity id
 /// ascending — a total order, so sorting is deterministic.
 #[inline]
-pub(crate) fn cand_cmp(a: &Candidate, b: &Candidate) -> std::cmp::Ordering {
+fn cand_cmp(a: &Candidate, b: &Candidate) -> std::cmp::Ordering {
     b.1.partial_cmp(&a.1)
         .unwrap_or(std::cmp::Ordering::Equal)
         .then(a.0.cmp(&b.0))
@@ -61,14 +57,14 @@ pub(crate) fn cand_cmp(a: &Candidate, b: &Candidate) -> std::cmp::Ordering {
 /// for entity frequencies `≥ 1` (a block's token occurs on both sides)
 /// and is never zero, negative or NaN for any frequencies; the neighbor
 /// pass adds sums of such weights.
-pub(crate) struct RowScratch {
+struct RowScratch {
     sums: Vec<f64>,
     touched: Vec<u32>,
 }
 
 impl RowScratch {
     /// A zeroed scratch for candidates in `0..n_second`.
-    pub(crate) fn new(n_second: usize) -> Self {
+    fn new(n_second: usize) -> Self {
         Self {
             sums: vec![0.0; n_second],
             touched: Vec::new(),
@@ -104,7 +100,7 @@ impl RowScratch {
     /// the scratch reset. `blocks` must come in ascending block order —
     /// that order *is* each pair's floating-point addition sequence, and
     /// what makes a row reproducible bit for bit wherever it is computed.
-    pub(crate) fn value_row<'a>(
+    fn value_row<'a>(
         &mut self,
         blocks: impl IntoIterator<Item = (f64, &'a [EntityId])>,
     ) -> Vec<Candidate> {
@@ -124,16 +120,12 @@ impl RowScratch {
     }
 }
 
-/// The `valueSim` candidate rows of the first-side entities
-/// `entity(0..n)` over `blocks`, in that order. Both the full build
-/// (every entity) and the delta engine (its affected entities) come
-/// through here. An entity in no block — or one `blocks` does not index
-/// at all — gets an empty row.
-pub(crate) fn value_rows(
+/// The `valueSim` candidate row of every first-side entity of `tokens`
+/// over `blocks`, in entity order. An entity in no block — or one
+/// `blocks` does not index at all — gets an empty row.
+fn value_rows(
     blocks: &BlockCollection,
     tokens: &TokenizedPair,
-    n: usize,
-    entity: impl Fn(usize) -> EntityId + Sync,
     exec: &Executor,
 ) -> Vec<Vec<Candidate>> {
     // Per-block token weights, data-parallel over block ranges.
@@ -146,13 +138,12 @@ pub(crate) fn value_rows(
         )
     });
     let indexed = blocks.entity_count(KbSide::First);
-    let parts = exec.map_parts(n, |range| {
+    let parts = exec.map_parts(tokens.entity_count(KbSide::First), |range| {
         let mut scratch = RowScratch::new(blocks.entity_count(KbSide::Second));
         let mut rows: Vec<Vec<Candidate>> = Vec::with_capacity(range.len());
-        for i in range {
-            let e1 = entity(i);
-            let of_e1: &[_] = if e1.index() < indexed {
-                blocks.blocks_of(KbSide::First, e1)
+        for e1 in range {
+            let of_e1: &[_] = if e1 < indexed {
+                blocks.blocks_of(KbSide::First, EntityId(e1 as u32))
             } else {
                 &[]
             };
@@ -193,7 +184,7 @@ impl SimilarityIndex {
     /// Builds the index on `exec`: one `valueSim` row per first-side
     /// entity through the shared row kernel, fanned out as a plain
     /// [`Executor::map_parts`] with the rows concatenated in part order,
-    /// then [`SimilarityIndex::derive_from_value_firsts`]. A row is a
+    /// then the reverse direction and the `neighborNSim` pass. A row is a
     /// function of its own entity's blocks alone (see the module docs),
     /// so the result is bit-identical to [`SimilarityIndex::build`] for
     /// any backend, thread count and part count.
@@ -203,23 +194,18 @@ impl SimilarityIndex {
         top_neighbors: [&[Vec<EntityId>]; 2],
         exec: &Executor,
     ) -> Self {
-        let n1 = tokens.entity_count(KbSide::First);
         let n2 = tokens.entity_count(KbSide::Second);
-        let rows = value_rows(blocks, tokens, n1, |e1| EntityId(e1 as u32), exec);
+        let rows = value_rows(blocks, tokens, exec);
         Self::derive_from_value_firsts(Csr::from_rows(rows), n2, top_neighbors, exec)
     }
 
     /// Completes an index from a finished `value_firsts` CSR: transposes
     /// the reverse value direction and runs the `neighborNSim` pass in
-    /// both directions. Shared by [`SimilarityIndex::build_with`] and
-    /// the delta engine, which recomputes only the *affected* value rows
-    /// (through the same row kernel) and re-derives everything
-    /// downstream — the derivation is linear in the pair count and a
-    /// pure function of its inputs, so both paths produce bit-identical
-    /// indexes. The neighbor pass accumulates on the kernel's dense
-    /// scratch, one per executor task; its sums follow the order of the
-    /// top-neighbor lists and value rows, never the part boundaries.
-    pub fn derive_from_value_firsts(
+    /// both directions. The neighbor pass accumulates on the kernel's
+    /// dense scratch, one per executor task; its sums follow the order
+    /// of the top-neighbor lists and value rows, never the part
+    /// boundaries.
+    fn derive_from_value_firsts(
         value_firsts: Csr<Candidate>,
         n_second: usize,
         top_neighbors: [&[Vec<EntityId>]; 2],
@@ -649,28 +635,8 @@ mod tests {
             assert!(want.iter().any(|row| !row.is_empty()));
             for exec in [Executor::sequential(), Executor::new(ExecutorKind::Pool, 3)] {
                 // Exact: same candidates, same order, same f64 bits.
-                assert_eq!(
-                    value_rows(&blocks, &tokens, n1, |i| e(i as u32), &exec),
-                    want
-                );
+                assert_eq!(value_rows(&blocks, &tokens, &exec), want);
             }
-        }
-    }
-
-    #[test]
-    fn kernel_rows_follow_the_requested_entities() {
-        let (tokens, blocks) = dense_setup();
-        let all = naive_value_rows(&blocks, &tokens, tokens.entity_count(KbSide::First));
-        let picked = [e(17), e(2), e(17), e(39)];
-        let rows = value_rows(
-            &blocks,
-            &tokens,
-            picked.len(),
-            |i| picked[i],
-            &Executor::sequential(),
-        );
-        for (row, e1) in rows.iter().zip(picked) {
-            assert_eq!(row, &all[e1.index()]);
         }
     }
 
@@ -685,19 +651,10 @@ mod tests {
         let tokens = TokenizedPair::build(&pair, &Tokenizer::default());
         let blocks = token_blocking(&tokens);
         assert!(blocks.blocks_of(KbSide::First, e(1)).is_empty());
-        assert_eq!(blocks.entity_count(KbSide::First), 2);
-        // Rows 2 and 3 name entities the collection does not index: the
-        // row-major walk must not read `blocks_of` out of bounds.
-        let rows = value_rows(
-            &blocks,
-            &tokens,
-            4,
-            |i| e(i as u32),
-            &Executor::sequential(),
-        );
-        assert_eq!(rows[0], vec![(e(0), 1.0)]);
-        assert!(rows[1..].iter().all(Vec::is_empty));
-        // And a tokenized pair larger than the indexed blocks builds.
+        let rows = value_rows(&blocks, &tokens, &Executor::sequential());
+        assert_eq!(rows, vec![vec![(e(0), 1.0)], vec![]]);
+        // A collection that indexes fewer entities than were tokenized:
+        // the row-major walk must not read `blocks_of` out of bounds.
         let none = BlockCollection::new(minoan_blocking::BlockKind::Token, vec![], 0, 0);
         let idx = SimilarityIndex::build(&none, &tokens, [&[vec![], vec![]], &[vec![]]]);
         assert_eq!(idx.pair_count(), 0);

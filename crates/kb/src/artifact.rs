@@ -39,8 +39,9 @@ pub const MAGIC: [u8; 8] = *b"MINOANIX";
 /// Current artifact format version. Bump on any layout change; readers
 /// reject other versions with [`ArtifactError::UnsupportedVersion`].
 /// Version 2 replaced the bare URI-dictionary sections with whole
-/// embedded KBs (required for incremental delta resolution) and added
-/// a content version to the meta section.
+/// embedded KBs (a patch applies its ops to them and re-runs the
+/// pipeline over the result) and added a content version to the meta
+/// section.
 pub const FORMAT_VERSION: u32 = 2;
 
 /// Size of the fixed header preceding the section table.

@@ -1,15 +1,16 @@
 //! Entity-level deltas against a KB pair.
 //!
 //! A production KB is never static. This module defines the *mutation
-//! vocabulary* shared by every layer that touches incremental updates:
-//! the delta generator in `datagen`, the incremental re-resolution
-//! engine in `minoan-core`, the `PATCH /v1/indexes/{id}` wire format in
-//! `minoan-serve`, and the from-scratch reference rebuild the
-//! equivalence tests compare against. Keeping [`apply_op`] here — and
-//! having both the incremental path and the rebuild path call it on the
-//! same pair — is what makes "incremental result ≡ rebuild result" a
-//! statement about the *pipeline*, not about two divergent mutation
-//! implementations.
+//! vocabulary* shared by every layer that touches updates: the delta
+//! generator in `datagen`, the patch path in `minoan-core` (which
+//! applies the ops to an index's embedded pair and re-runs the
+//! pipeline over it), the `PATCH /v1/indexes/{id}` wire format in
+//! `minoan-serve`, and the reference the equivalence tests compare
+//! against (the same ops applied to the original pair, resolved from
+//! scratch). Keeping [`apply_op`] here — and having both the patch path
+//! and the tests' reference call it — means "patched index ≡ rebuilt
+//! index" can only fail in what persists and reloads the pair, never in
+//! two divergent mutation implementations.
 //!
 //! # Semantics
 //!
@@ -24,7 +25,6 @@
 //!   *into* the tombstone remain valid. Deleting an unknown URI is a
 //!   no-op.
 
-use crate::hash::FxHashSet;
 use crate::ids::{EntityId, KbSide};
 use crate::json::Json;
 use crate::model::{Object, Statement, Value};
@@ -106,17 +106,16 @@ pub fn apply_op(pair: &mut KbPair, op: &DeltaOp) -> Option<(KbSide, EntityId, bo
     }
 }
 
-/// Applies a stream of ops in order and returns the dirty entity set
-/// per side — every entity whose description the stream touched
-/// (created, replaced, or tombstoned).
-pub fn apply_to_pair(pair: &mut KbPair, ops: &[DeltaOp]) -> [FxHashSet<EntityId>; 2] {
-    let mut dirty = [FxHashSet::default(), FxHashSet::default()];
+/// Applies a stream of ops in order and returns how many mutated the
+/// pair and how many were no-ops, as `(applied, noop)`.
+pub fn apply_to_pair(pair: &mut KbPair, ops: &[DeltaOp]) -> (usize, usize) {
+    let mut applied = 0;
     for op in ops {
-        if let Some((side, e, _)) = apply_op(pair, op) {
-            dirty[side.index()].insert(e);
+        if apply_op(pair, op).is_some() {
+            applied += 1;
         }
     }
-    dirty
+    (applied, ops.len() - applied)
 }
 
 fn side_str(side: KbSide) -> &'static str {
@@ -312,7 +311,7 @@ mod tests {
     }
 
     #[test]
-    fn apply_to_pair_collects_dirty_sets() {
+    fn apply_to_pair_counts_applied_and_noop_ops() {
         let mut p = pair();
         let ops = vec![
             DeltaOp::Upsert {
@@ -329,9 +328,11 @@ mod tests {
                 uri: "b:missing".into(),
             },
         ];
-        let dirty = apply_to_pair(&mut p, &ops);
-        assert_eq!(dirty[0].len(), 1);
-        assert_eq!(dirty[1].len(), 1);
+        assert_eq!(apply_to_pair(&mut p, &ops), (2, 1));
+        let r1 = p.first.entity_by_uri("a:r1").unwrap();
+        assert_eq!(p.first.literals(r1).collect::<Vec<_>>(), vec!["x"]);
+        let b1 = p.second.entity_by_uri("b:r1").unwrap();
+        assert!(p.second.statements(b1).is_empty());
     }
 
     #[test]

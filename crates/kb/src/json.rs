@@ -192,14 +192,11 @@ impl Json {
 
     /// Parses a JSON document (strict; trailing content is an error).
     pub fn parse(text: &str) -> Result<Json, String> {
-        let mut p = Parser {
-            bytes: text.as_bytes(),
-            pos: 0,
-        };
+        let mut p = Parser { text, pos: 0 };
         p.skip_ws();
         let v = p.value()?;
         p.skip_ws();
-        if p.pos != p.bytes.len() {
+        if p.pos != text.len() {
             return Err(format!("trailing content at byte {}", p.pos));
         }
         Ok(v)
@@ -243,14 +240,18 @@ fn write_str(out: &mut String, s: &str) {
 }
 
 struct Parser<'a> {
-    bytes: &'a [u8],
+    text: &'a str,
     pos: usize,
 }
 
-impl Parser<'_> {
+impl<'a> Parser<'a> {
+    fn bytes(&self) -> &'a [u8] {
+        self.text.as_bytes()
+    }
+
     fn skip_ws(&mut self) {
         while self
-            .bytes
+            .bytes()
             .get(self.pos)
             .is_some_and(|b| matches!(b, b' ' | b'\t' | b'\n' | b'\r'))
         {
@@ -259,11 +260,11 @@ impl Parser<'_> {
     }
 
     fn peek(&self) -> Option<u8> {
-        self.bytes.get(self.pos).copied()
+        self.bytes().get(self.pos).copied()
     }
 
     fn eat(&mut self, token: &str) -> Result<(), String> {
-        if self.bytes[self.pos..].starts_with(token.as_bytes()) {
+        if self.bytes()[self.pos..].starts_with(token.as_bytes()) {
             self.pos += token.len();
             Ok(())
         } else {
@@ -292,7 +293,7 @@ impl Parser<'_> {
         {
             self.pos += 1;
         }
-        let text = std::str::from_utf8(&self.bytes[start..self.pos]).expect("ascii");
+        let text = std::str::from_utf8(&self.bytes()[start..self.pos]).expect("ascii");
         text.parse::<f64>()
             .map(Json::Num)
             .map_err(|e| format!("bad number {text:?} at byte {start}: {e}"))
@@ -300,7 +301,7 @@ impl Parser<'_> {
 
     fn hex4(&mut self) -> Result<u32, String> {
         let hex = self
-            .bytes
+            .bytes()
             .get(self.pos..self.pos + 4)
             .ok_or("truncated \\u escape")?;
         let code = u32::from_str_radix(std::str::from_utf8(hex).map_err(|_| "bad \\u escape")?, 16)
@@ -338,8 +339,8 @@ impl Parser<'_> {
                             // standard serializers escape non-BMP
                             // characters).
                             let scalar = if (0xD800..0xDC00).contains(&code) {
-                                if self.bytes.get(self.pos) == Some(&b'\\')
-                                    && self.bytes.get(self.pos + 1) == Some(&b'u')
+                                if self.bytes().get(self.pos) == Some(&b'\\')
+                                    && self.bytes().get(self.pos + 1) == Some(&b'u')
                                 {
                                     self.pos += 2;
                                     let low = self.hex4()?;
@@ -362,12 +363,13 @@ impl Parser<'_> {
                     }
                 }
                 Some(_) => {
-                    // Copy one UTF-8 character.
-                    let rest = std::str::from_utf8(&self.bytes[self.pos..])
-                        .map_err(|_| "invalid utf-8 in string")?;
-                    let c = rest.chars().next().expect("nonempty");
-                    out.push(c);
-                    self.pos += c.len_utf8();
+                    // Copy the unescaped run up to the next quote or
+                    // backslash in one go. Both are ASCII, so the run
+                    // starts and ends on character boundaries.
+                    let run = &self.text[self.pos..];
+                    let len = run.find(['"', '\\']).unwrap_or(run.len());
+                    out.push_str(&run[..len]);
+                    self.pos += len;
                 }
             }
         }
@@ -501,6 +503,56 @@ mod tests {
         let v = Json::str("πολύ 🏛️");
         let back = Json::parse(&v.pretty()).unwrap();
         assert_eq!(back.as_str(), Some("πολύ 🏛️"));
+        // Multi-byte characters on both sides of every escape: each
+        // unescaped run is copied whole and must end exactly there.
+        let text = "é\"ü\\ñ\n🏛\té";
+        let wire = Json::str(text).compact();
+        assert_eq!(wire, r#""é\"ü\\ñ\n🏛\té""#);
+        assert_eq!(Json::parse(&wire).unwrap().as_str(), Some(text));
+        assert_eq!(Json::parse(r#""ü\u00e9ü""#).unwrap().as_str(), Some("üéü"));
+    }
+
+    /// A `PATCH` body may be 4 MiB; the string reader once re-validated
+    /// the whole remaining document per character, so parse time grew
+    /// with the square of the size. Linear is 8× from 512 KiB to 4 MiB;
+    /// quadratic is 64×.
+    #[test]
+    fn parse_time_is_linear_in_document_size() {
+        fn string_heavy(bytes: usize) -> String {
+            let mut doc = String::with_capacity(bytes + 128);
+            doc.push_str(r#"{"deltas":["#);
+            let mut i = 0usize;
+            while doc.len() < bytes {
+                if i > 0 {
+                    doc.push(',');
+                }
+                let _ = write!(
+                    doc,
+                    r#"{{"uri":"a:r{i}","value":"Kri Kri Taverna №{i} \"Minos\" Ave\nHeraklion, Κρήτη"}}"#
+                );
+                i += 1;
+            }
+            doc.push_str("]}");
+            doc
+        }
+        fn min_of_3(doc: &str) -> std::time::Duration {
+            (0..3)
+                .map(|_| {
+                    let t0 = std::time::Instant::now();
+                    let parsed = Json::parse(std::hint::black_box(doc)).unwrap();
+                    let elapsed = t0.elapsed();
+                    std::hint::black_box(parsed);
+                    elapsed
+                })
+                .min()
+                .expect("three runs")
+        }
+        let small = min_of_3(&string_heavy(512 << 10));
+        let large = min_of_3(&string_heavy(4 << 20));
+        assert!(
+            large < small * 24,
+            "512 KiB parses in {small:?}, 4 MiB in {large:?}: more than 24x"
+        );
     }
 
     #[test]

@@ -19,9 +19,9 @@
 //!   ([`Json`]) used across the workspace;
 //! - a versioned, checksummed binary container for persisted index
 //!   artifacts ([`artifact`]);
-//! - the entity-level mutation vocabulary for incremental updates
-//!   ([`DeltaOp`], [`delta::apply_to_pair`]), shared by the delta
-//!   engine, the wire protocols, and the equivalence tests.
+//! - the entity-level mutation vocabulary for updates ([`DeltaOp`],
+//!   [`delta::apply_to_pair`]), shared by the patch path, the wire
+//!   protocols, and the tests' reference.
 
 #![warn(missing_docs)]
 

@@ -225,6 +225,10 @@ impl KnowledgeBase {
     /// survive so entity ids stay dense and stable, and edges pointing
     /// *at* the tombstone remain valid).
     ///
+    /// Reverse-edge lists stay in subject order, the order
+    /// [`KnowledgeBase::from_parts`] rebuilds them in, so a mutated KB
+    /// still equals its own persisted-and-reloaded copy.
+    ///
     /// Entity references in `stmts` must be in range (panics otherwise —
     /// the delta layer resolves URIs before calling this).
     pub fn replace_statements(&mut self, e: EntityId, stmts: Vec<Statement>) {
@@ -248,10 +252,15 @@ impl KnowledgeBase {
                     "statement references entity {t} beyond {}",
                     self.statements.len()
                 );
-                self.in_edges[t.index()].push(Edge {
-                    relation: s.attr,
-                    neighbor: e,
-                });
+                let edges = &mut self.in_edges[t.index()];
+                let at = edges.partition_point(|d| d.neighbor <= e);
+                edges.insert(
+                    at,
+                    Edge {
+                        relation: s.attr,
+                        neighbor: e,
+                    },
+                );
             }
         }
         self.triple_count += stmts.len();
@@ -769,6 +778,23 @@ mod tests {
         assert_eq!(kb.triple_count(), 6);
         assert_eq!(kb.in_edges(a1).len(), 2);
         assert!(kb.literals(r1).any(|l| l == "Renamed"));
+        // r1 precedes r2, so its re-added edge goes back in front of
+        // r2's — where a reload of the persisted KB will put it.
+        let r2 = kb.entity_by_uri("e:r2").unwrap();
+        let sources: Vec<EntityId> = kb.in_edges(a1).iter().map(|d| d.neighbor).collect();
+        assert_eq!(sources, vec![r1, r2]);
+        assert_eq!(reassembled(&kb), kb);
+    }
+
+    /// `kb` as the artifact layer persists and reloads it.
+    fn reassembled(kb: &KnowledgeBase) -> KnowledgeBase {
+        KnowledgeBase::from_parts(
+            kb.name().to_string(),
+            kb.entity_uris().clone(),
+            kb.attr_interner().clone(),
+            kb.entities().map(|e| kb.statements(e).to_vec()).collect(),
+        )
+        .unwrap()
     }
 
     #[test]
@@ -787,16 +813,7 @@ mod tests {
     #[test]
     fn from_parts_round_trips_builder_output() {
         let kb = sample();
-        let statements: Vec<Vec<Statement>> =
-            kb.entities().map(|e| kb.statements(e).to_vec()).collect();
-        let back = KnowledgeBase::from_parts(
-            kb.name().to_string(),
-            kb.entity_uris().clone(),
-            kb.attr_interner().clone(),
-            statements,
-        )
-        .unwrap();
-        assert_eq!(back, kb);
+        assert_eq!(reassembled(&kb), kb);
     }
 
     #[test]

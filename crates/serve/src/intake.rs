@@ -420,9 +420,9 @@ pub(crate) fn index_build(
 
 /// `PATCH /v1/indexes/{id}` / op `index-patch`: parse the delta stream
 /// (the [`minoan_kb::delta`] wire schema, `{"deltas":[…]}`) and admit
-/// an incremental re-resolution job through the supervised queue. The
-/// job loads the artifact, applies the ops with O(delta) re-resolution,
-/// and atomically rewrites the file; the daemon's completion hook then
+/// a patch job through the supervised queue. The job loads the
+/// artifact, applies the ops to its embedded pair, re-runs the pipeline
+/// over it and atomically rewrites the file; the daemon's completion hook then
 /// drops the stale cached copy. One patch per index at a time: a second
 /// PATCH while one is queued or running is a `409` — two writers would
 /// race on the same artifact file.

@@ -83,7 +83,7 @@ pub enum JobInput {
         /// Second KB path.
         second: PathBuf,
     },
-    /// An incremental patch of a persisted index artifact
+    /// A delta patch of a persisted index artifact
     /// (`PATCH /v1/indexes/{id}`). Like [`JobSpec::persist`], this is an
     /// *internal* input set by the serving layer — the manifest wire
     /// schema never parses it, so clients cannot aim patches at

@@ -1561,14 +1561,16 @@ fn execute(
     Ok(report)
 }
 
-/// Runs one incremental delta patch against a persisted index: load the
-/// artifact (`store.artifact.read` fault site), apply the ops through
-/// [`minoan_core::delta`]'s O(delta) re-resolution, persist the patched
-/// artifact atomically (`core.delta.apply` fault site fires *before*
-/// the temp-file/rename write, so a crash leaves the old artifact fully
-/// intact). The report's matches are the patched matching, so a patch
-/// job fingerprints exactly like a from-scratch rebuild of the same
-/// final KB state.
+/// Runs one delta patch against a persisted index: load the artifact
+/// (`store.artifact.read` fault site), apply the ops to its embedded
+/// pair and re-run the pipeline over it ([`minoan_core::delta`]),
+/// persist the patched artifact atomically (`core.delta.apply` fault
+/// site fires *before* the temp-file/rename write, so a crash leaves
+/// the old artifact fully intact). The loaded copy is private to this
+/// attempt and dropped on any error, which is what `apply_delta`'s
+/// discard-after-`Err` contract asks for. The report's matches are the
+/// patched matching, so a patch job fingerprints exactly like a
+/// from-scratch rebuild of the same final KB state.
 fn execute_patch(
     spec: &JobSpec,
     path: &std::path::Path,

@@ -177,79 +177,6 @@ impl TokenizedPair {
         })
     }
 
-    /// Phase 1 of retokenizing one entity after a delta: tokenizes the
-    /// entity's **current** (pre-mutation) literals to release their
-    /// occurrence count, decrements EF for each distinct token, and
-    /// clears the token row. Must run *before* the KB mutation —
-    /// occurrence counts cannot be recovered from the deduplicated
-    /// stored row afterwards. Returns the distinct tokens released.
-    pub fn release_entity(
-        &mut self,
-        side: KbSide,
-        e: EntityId,
-        kb: &KnowledgeBase,
-        tokenizer: &Tokenizer,
-    ) -> Vec<TokenId> {
-        let mut buf: Vec<String> = Vec::new();
-        for literal in kb.literals(e) {
-            tokenizer.tokenize_into(literal, &mut buf);
-        }
-        let tk = &mut self.sides[side.index()];
-        tk.total_occurrences -= buf.len();
-        let old = std::mem::take(&mut tk.entity_tokens[e.index()]);
-        let ef = &mut self.dict.ef[side.index()];
-        for &t in old.iter() {
-            ef[t.index()] -= 1;
-        }
-        old.into_vec()
-    }
-
-    /// Phase 2 of retokenizing one entity after a delta: tokenizes the
-    /// entity's **post-mutation** literals, appending unseen tokens to
-    /// the shared dictionary, restoring EF and occurrence counts, and
-    /// storing the sorted deduplicated row (appending a row when the
-    /// entity was just created). Returns the new row plus the token ids
-    /// newly appended to the dictionary.
-    pub fn absorb_entity(
-        &mut self,
-        side: KbSide,
-        e: EntityId,
-        kb: &KnowledgeBase,
-        tokenizer: &Tokenizer,
-    ) -> (Vec<TokenId>, Vec<TokenId>) {
-        let mut buf: Vec<String> = Vec::new();
-        for literal in kb.literals(e) {
-            tokenizer.tokenize_into(literal, &mut buf);
-        }
-        let n_before = self.dict.interner.len() as u32;
-        let occurrences = buf.len();
-        let mut ids: Vec<TokenId> = Vec::with_capacity(buf.len());
-        for tok in buf.drain(..) {
-            ids.push(TokenId(self.dict.interner.intern(&tok)));
-        }
-        ids.sort_unstable();
-        ids.dedup();
-        for side_ef in &mut self.dict.ef {
-            side_ef.resize(self.dict.interner.len(), 0);
-        }
-        let ef = &mut self.dict.ef[side.index()];
-        for &t in &ids {
-            ef[t.index()] += 1;
-        }
-        let tk = &mut self.sides[side.index()];
-        tk.total_occurrences += occurrences;
-        let row = ids.clone().into_boxed_slice();
-        if e.index() == tk.entity_tokens.len() {
-            tk.entity_tokens.push(row);
-        } else {
-            tk.entity_tokens[e.index()] = row;
-        }
-        let new_tokens = (n_before..self.dict.interner.len() as u32)
-            .map(TokenId)
-            .collect();
-        (ids, new_tokens)
-    }
-
     /// Average number of token occurrences per entity (Table I's
     /// "av. tokens").
     pub fn avg_tokens(&self, side: KbSide) -> f64 {
@@ -442,83 +369,6 @@ mod tests {
                         "threads={threads} side={side:?} e={e}"
                     );
                 }
-            }
-        }
-    }
-
-    #[test]
-    fn release_and_absorb_track_a_fresh_build() {
-        use minoan_kb::delta::{apply_op, DeltaOp};
-        use minoan_kb::Object;
-        let mut p = pair();
-        let tok = Tokenizer::default();
-        let mut t = TokenizedPair::build(&p, &tok);
-
-        // Upsert a:2 (perturb literals, introduce one new token) and
-        // create a:3; delete b:2.
-        let ops = vec![
-            DeltaOp::Upsert {
-                side: KbSide::First,
-                uri: "a:2".into(),
-                statements: vec![
-                    ("name".into(), Object::Literal("Labyrinth Bistro".into())),
-                    ("city".into(), Object::Literal("Heraklion".into())),
-                ],
-            },
-            DeltaOp::Upsert {
-                side: KbSide::First,
-                uri: "a:3".into(),
-                statements: vec![("name".into(), Object::Literal("kri palace".into()))],
-            },
-            DeltaOp::Delete {
-                side: KbSide::Second,
-                uri: "b:2".into(),
-            },
-        ];
-        for op in &ops {
-            let exists = p.kb(op.side()).entity_by_uri(op.uri()).is_some();
-            if exists {
-                let e = p.kb(op.side()).entity_by_uri(op.uri()).unwrap();
-                t.release_entity(op.side(), e, p.kb(op.side()), &tok);
-            }
-            let (side, e, _) = apply_op(&mut p, op).unwrap();
-            t.absorb_entity(side, e, p.kb(side), &tok);
-        }
-
-        // The incremental view must agree with a fresh build of the
-        // mutated pair on every *string-level* statistic (token ids may
-        // differ: incremental appends, a fresh build re-assigns; dead
-        // tokens linger in the append-only dictionary with EF 0).
-        let fresh = TokenizedPair::build(&p, &tok);
-        for id in t.dict().tokens() {
-            let s = t.dict().token(id);
-            if fresh.dict().token_id(s).is_none() {
-                assert_eq!(t.dict().ef(KbSide::First, id), 0, "dead token {s}");
-                assert_eq!(t.dict().ef(KbSide::Second, id), 0, "dead token {s}");
-            }
-        }
-        for side in [KbSide::First, KbSide::Second] {
-            assert_eq!(t.entity_count(side), fresh.entity_count(side));
-            assert_eq!(t.total_occurrences(side), fresh.total_occurrences(side));
-            for id in fresh.dict().tokens() {
-                let s = fresh.dict().token(id);
-                let mine = t.dict().token_id(s).unwrap();
-                assert_eq!(t.dict().ef(side, mine), fresh.dict().ef(side, id), "{s}");
-            }
-            for e in 0..fresh.entity_count(side) as u32 {
-                let mut a: Vec<&str> = t
-                    .tokens(side, EntityId(e))
-                    .iter()
-                    .map(|&x| t.dict().token(x))
-                    .collect();
-                let mut b: Vec<&str> = fresh
-                    .tokens(side, EntityId(e))
-                    .iter()
-                    .map(|&x| fresh.dict().token(x))
-                    .collect();
-                a.sort_unstable();
-                b.sort_unstable();
-                assert_eq!(a, b, "side={side:?} e={e}");
             }
         }
     }

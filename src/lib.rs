@@ -40,7 +40,7 @@
 //! - [`core`] — attribute/relation importance (data-parallel passes with
 //!   order-independent integer merges), the CSR-backed
 //!   [`core::SimilarityIndex`] (one row-major `valueSim` kernel over a
-//!   dense scratch, shared by the full build and the delta engine),
+//!   dense scratch),
 //!   heuristics H1–H4, the non-iterative pipeline with per-stage
 //!   [`core::Timings`];
 //! - [`serve`] — the **multi-pair serving layer**: a live
