@@ -94,8 +94,8 @@
 //! ## Persistent indexes
 //!
 //! `index build` runs the full MinoanER pipeline once and persists
-//! everything downstream queries need — tokenized KBs, blocks, the
-//! CSR similarity index and the final matching — as one versioned,
+//! what queries and patches read afterwards — both KBs, the ranked
+//! value candidates and the final matching — as one versioned,
 //! checksummed artifact (`<dir>/<name>.idx`, see
 //! `minoan_core::artifact` for the wire format). `index inspect` reads
 //! only the metadata section; `index query` loads the artifact and
@@ -119,7 +119,7 @@ use std::process::exit;
 
 use minoan_baselines::{run_bsl, run_paris, run_sigma, ParisConfig, SigmaConfig};
 use minoan_blocking::unique_name_pairs;
-use minoan_core::{build_blocks, IndexArtifact, MinoanConfig, MinoanEr};
+use minoan_core::{build_blocks, ArtifactMeta, IndexArtifact, MinoanConfig, MinoanEr};
 use minoan_datagen::DatasetKind;
 use minoan_eval::MatchQuality;
 use minoan_kb::{GroundTruth, Json, KbPair, KbSide, KnowledgeBase, Matching};
@@ -510,14 +510,17 @@ fn index_build(args: &[String]) {
         exit(1);
     }
     let path = dir.join(format!("{name}.{}", minoan_serve::registry::ARTIFACT_EXT));
-    match artifact.write_to(&path) {
-        Ok(bytes) => minoan_obs::info!("cli.index", "wrote {} ({bytes} bytes)", path.display()),
-        Err(e) => {
-            minoan_obs::error!("cli.index", "cannot write {}: {e}", path.display());
-            exit(1);
-        }
-    }
-    println!("{}", artifact.meta().to_json().pretty());
+    let file_bytes = artifact.write_to(&path).unwrap_or_else(|e| {
+        minoan_obs::error!("cli.index", "cannot write {}: {e}", path.display());
+        exit(1);
+    });
+    minoan_obs::info!("cli.index", "wrote {} ({file_bytes} bytes)", path.display());
+    // `write_to(&self)` cannot record the size it wrote; the report can.
+    let meta = ArtifactMeta {
+        file_bytes,
+        ..artifact.meta().clone()
+    };
+    println!("{}", meta.to_json().pretty());
 }
 
 /// `minoaner index inspect`: print the metadata section without

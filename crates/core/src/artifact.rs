@@ -1,11 +1,19 @@
 //! Persistent index artifacts: build once, query many times.
 //!
-//! A MinoanER run produces structures that are expensive to build and
-//! cheap to query: the tokenized pair, the blocking graph, the CSR
-//! similarity index and the final matching. [`IndexArtifact`] captures
-//! all of them from an [`IndexedOutput`] and persists them in the checksummed section container of
-//! [`minoan_kb::artifact`], so a serving process can answer "who matches
-//! this entity?" without re-running ingest, blocking or matching.
+//! MinoanER is non-iterative: once `(H1 ∨ H2 ∨ H3) ∧ H4` has run, the
+//! token sets, the blocks and the `neighborNSim` lists are spent. A
+//! loaded index has two readers, and [`IndexArtifact`] — freshly built
+//! or loaded — holds what they read and nothing else:
+//!
+//! - [`IndexArtifact::match_query`] reads the URI dictionaries of the
+//!   embedded pair, the matching and the two **value**-candidate CSRs;
+//! - [`IndexArtifact::apply_delta`] (a patch is a rebuild, see
+//!   [`crate::delta`]) reads the persisted configuration and the pair,
+//!   and replaces the rest with a fresh run's.
+//!
+//! Those parts are persisted as the five sections of one checksummed
+//! [`minoan_kb::artifact`] container; of everything else the metadata
+//! keeps the run's *counts* (tokens, blocks, neighbor pairs).
 //!
 //! The matching stored in the artifact is byte-for-byte the matching the
 //! in-memory run produced — persistence happens *after* the pipeline, on
@@ -14,48 +22,56 @@
 //! guarantees (truncation, bad magic, wrong version, flipped bits all
 //! rejected with structured [`ArtifactError`]s) come from the container
 //! layer; this module adds structural validation on top: every decoded
-//! entity id is bounds-checked before any index is rebuilt.
+//! entity id is bounds-checked, and the candidate rows must cover
+//! exactly the entities of the embedded KBs, before any query runs.
 
 use std::io;
 use std::path::Path;
 use std::time::{Duration, SystemTime};
 
-use minoan_blocking::{Block, BlockCollection, BlockKind};
 use minoan_kb::artifact::{
-    put_f64, put_str, put_u32, put_u32s, put_u64, ArtifactError, ArtifactFile, ArtifactWriter,
-    Cursor,
+    put_f64, put_str, put_u32, put_u64, ArtifactError, ArtifactFile, ArtifactWriter, Cursor,
 };
 use minoan_kb::{
     AttrId, Csr, EntityId, Interner, Json, KbPair, KbSide, KnowledgeBase, Matching, Statement,
-    TokenId, Value,
+    Value,
 };
-use minoan_text::{TokenDictionary, TokenizedPair};
 
 use crate::config::MinoanConfig;
 use crate::pipeline::{IndexedOutput, Timings};
-use crate::simindex::{Candidate, SimilarityIndex};
+use crate::simindex::Candidate;
 
 /// Section tag: artifact metadata (name, counts, timings, config).
 pub const TAG_META: u32 = 0x01;
-/// Section tag: token dictionary and per-entity token sets.
-pub const TAG_TOKENS: u32 = 0x04;
-/// Section tag: name blocks (`BN`).
-pub const TAG_NAME_BLOCKS: u32 = 0x05;
-/// Section tag: token blocks (`BT`, purged).
-pub const TAG_TOKEN_BLOCKS: u32 = 0x06;
-/// Section tag: the four candidate CSRs of the similarity index.
-pub const TAG_SIMINDEX: u32 = 0x07;
+/// Section tag: the two value-candidate CSRs, first side then second —
+/// the ranked `valueSim` lists [`IndexArtifact::match_query`] answers
+/// from. The tag is older than format version 3: until then the
+/// section also carried the two `neighborNSim` CSRs.
+pub const TAG_CANDIDATES: u32 = 0x07;
 /// Section tag: the final matching, as entity-id pairs.
 pub const TAG_MATCHING: u32 = 0x08;
 /// Section tag: the first knowledge base, embedded whole (name, URI and
-/// attribute interners, per-entity statements). Format version 2
-/// replaced the bare URI-interner sections (tags `0x02`/`0x03` of
-/// version 1) with these so a loaded artifact can be *patched*: a patch
+/// attribute interners, per-entity statements) — a patch's input: it
 /// re-runs the pipeline over the mutated pair, so it needs the
 /// statements, not just the URIs.
 pub const TAG_KB_FIRST: u32 = 0x09;
 /// Section tag: the second knowledge base, embedded whole.
 pub const TAG_KB_SECOND: u32 = 0x0A;
+// Tags `0x02`–`0x06` are retired and never reused: the bare URI
+// interners of format version 1, and the token sets and name / token
+// blocks that left with version 3.
+
+/// The name [`ArtifactMeta::section_bytes`] reports a section under.
+fn section_name(tag: u32) -> Option<&'static str> {
+    match tag {
+        TAG_META => Some("meta"),
+        TAG_KB_FIRST => Some("kb_first"),
+        TAG_KB_SECOND => Some("kb_second"),
+        TAG_CANDIDATES => Some("candidates"),
+        TAG_MATCHING => Some("matching"),
+        _ => None,
+    }
+}
 
 /// Cheap-to-read metadata about a persisted index.
 #[derive(Debug, Clone)]
@@ -71,6 +87,10 @@ pub struct ArtifactMeta {
     pub content_version: u64,
     /// Total artifact file size in bytes (0 until written or read).
     pub file_bytes: u64,
+    /// Payload bytes per section, by name (`meta`, `kb_first`,
+    /// `kb_second`, `candidates`, `matching`) in file order: where the
+    /// file's bytes are. Empty until read from a file.
+    pub section_bytes: Vec<(&'static str, u64)>,
     /// Human-readable KB names, first and second side.
     pub kb_names: [String; 2],
     /// Entity counts per side.
@@ -120,6 +140,7 @@ impl ArtifactMeta {
             format_version: minoan_kb::artifact::FORMAT_VERSION,
             content_version,
             file_bytes: 0,
+            section_bytes: Vec::new(),
             kb_names: [
                 pair.first.name().to_string(),
                 pair.second.name().to_string(),
@@ -149,6 +170,14 @@ impl ArtifactMeta {
             ("format_version", Json::num(self.format_version as f64)),
             ("content_version", Json::num(self.content_version as f64)),
             ("file_bytes", Json::num(self.file_bytes as f64)),
+            (
+                "section_bytes",
+                Json::obj(
+                    self.section_bytes
+                        .iter()
+                        .map(|&(name, bytes)| (name, Json::num(bytes as f64))),
+                ),
+            ),
             ("kb_names", Json::arr(self.kb_names.iter().map(Json::str))),
             (
                 "entities",
@@ -195,11 +224,13 @@ pub struct MatchAnswer {
     pub candidates: Vec<(String, f64)>,
 }
 
-/// A loaded (or freshly built) persistent index.
+/// A persistent index, freshly built or loaded — the same five parts
+/// either way: what [`IndexArtifact::match_query`] and
+/// [`IndexArtifact::apply_delta`] read (see the module docs).
 ///
-/// Since format version 2 the artifact embeds both knowledge bases
-/// whole, which is what makes it *patchable*: [`crate::delta`] applies
-/// the ops to the pair and re-runs the pipeline over it.
+/// The artifact embeds both knowledge bases whole, which is what makes
+/// it *patchable*: [`crate::delta`] applies the ops to the pair and
+/// re-runs the pipeline over it.
 #[derive(Debug)]
 pub struct IndexArtifact {
     pub(crate) meta: ArtifactMeta,
@@ -207,17 +238,19 @@ pub struct IndexArtifact {
     /// re-resolves with.
     pub(crate) config: MinoanConfig,
     pub(crate) pair: KbPair,
-    pub(crate) tokens: TokenizedPair,
-    pub(crate) name_blocks: BlockCollection,
-    pub(crate) token_blocks: BlockCollection,
-    pub(crate) index: SimilarityIndex,
+    /// Per side: every entity's `valueSim` candidates from the other
+    /// side, best first.
+    pub(crate) candidates: [Csr<Candidate>; 2],
     pub(crate) matching: Matching,
 }
 
 impl IndexArtifact {
-    /// Captures an index from a finished pipeline run. `pair` must be
-    /// the pair `indexed` was produced from; the artifact keeps its own
-    /// copy so patches can mutate it.
+    /// Captures an index from a finished pipeline run: the matching and
+    /// the value candidates are taken out of `indexed`, and the rest of
+    /// the run — token sets, blocks, neighbor lists — is dropped here,
+    /// before anything is encoded. `pair` must be the pair `indexed` was
+    /// produced from; the artifact keeps its own copy so patches can
+    /// mutate it.
     pub fn from_run(
         name: &str,
         pair: &KbPair,
@@ -226,20 +259,12 @@ impl IndexArtifact {
     ) -> Self {
         let config_json = config.to_json().compact();
         let meta = ArtifactMeta::of_run(name.to_string(), 1, config_json, pair, &indexed);
-        let IndexedOutput {
-            output,
-            artifacts,
-            index,
-        } = indexed;
         Self {
             meta,
             config: config.clone(),
             pair: pair.clone(),
-            tokens: artifacts.tokens,
-            name_blocks: artifacts.name_blocks,
-            token_blocks: artifacts.token_blocks,
-            index,
-            matching: output.matching,
+            candidates: indexed.index.into_value_candidates(),
+            matching: indexed.output.matching,
         }
     }
 
@@ -253,32 +278,15 @@ impl IndexArtifact {
         &self.matching
     }
 
-    /// The persisted similarity index.
-    pub fn index(&self) -> &SimilarityIndex {
-        &self.index
-    }
-
-    /// The persisted tokenized pair.
-    pub fn tokens(&self) -> &TokenizedPair {
-        &self.tokens
-    }
-
-    /// The persisted block collection of one kind.
-    pub fn blocks(&self, kind: BlockKind) -> &BlockCollection {
-        match kind {
-            BlockKind::Name => &self.name_blocks,
-            BlockKind::Token => &self.token_blocks,
-        }
+    /// The persisted value-candidate CSR of one side: row `e` ranks the
+    /// other side's entities by `valueSim` with `e`.
+    pub fn candidates(&self, side: KbSide) -> &Csr<Candidate> {
+        &self.candidates[side.index()]
     }
 
     /// The embedded knowledge-base pair.
     pub fn pair(&self) -> &KbPair {
         &self.pair
-    }
-
-    /// The entity-URI dictionary of one side.
-    pub fn uris(&self, side: KbSide) -> &Interner {
-        self.pair.kb(side).entity_uris()
     }
 
     /// The matching as URI pairs, in pipeline insertion order — the
@@ -316,9 +324,8 @@ impl IndexArtifact {
                 KbSide::Second => (b == id).then(|| self.pair.first.entity_uri(a).to_string()),
             })
             .collect();
-        let candidates: Vec<(String, f64)> = self
-            .index
-            .value_candidates(side, id)
+        let candidates: Vec<(String, f64)> = self.candidates[side.index()]
+            .row(id.index())
             .iter()
             .take(k)
             .map(|&(e, v)| (self.pair.kb(other).entity_uri(e).to_string(), v))
@@ -337,10 +344,7 @@ impl IndexArtifact {
         w.push_section(TAG_META, self.encode_meta());
         w.push_section(TAG_KB_FIRST, encode_kb(&self.pair.first));
         w.push_section(TAG_KB_SECOND, encode_kb(&self.pair.second));
-        w.push_section(TAG_TOKENS, encode_tokens(&self.tokens));
-        w.push_section(TAG_NAME_BLOCKS, encode_blocks(&self.name_blocks));
-        w.push_section(TAG_TOKEN_BLOCKS, encode_blocks(&self.token_blocks));
-        w.push_section(TAG_SIMINDEX, encode_simindex(&self.index));
+        w.push_section(TAG_CANDIDATES, encode_candidates(&self.candidates));
         w.push_section(TAG_MATCHING, encode_matching(&self.matching));
         w.write_to(path)
     }
@@ -348,9 +352,7 @@ impl IndexArtifact {
     /// Loads and fully validates the artifact at `path`.
     pub fn read_from(path: &Path) -> Result<Self, ArtifactError> {
         let file = ArtifactFile::open(path)?;
-        let mut meta = decode_meta(file.section(TAG_META)?)?;
-        meta.format_version = file.version();
-        meta.file_bytes = file.file_bytes();
+        let meta = decode_meta(&file)?;
         // A patch re-resolves with the persisted parameters, so a config
         // this build cannot read (version skew, an unknown field) or
         // would refuse to run (a parameter out of range) fails the open;
@@ -365,20 +367,13 @@ impl IndexArtifact {
             decode_kb(file.section(TAG_KB_SECOND)?)?,
         );
         let counts = [pair.first.entity_count(), pair.second.entity_count()];
-        let tokens = decode_tokens(file.section(TAG_TOKENS)?, counts)?;
-        let name_blocks = decode_blocks(file.section(TAG_NAME_BLOCKS)?, BlockKind::Name, counts)?;
-        let token_blocks =
-            decode_blocks(file.section(TAG_TOKEN_BLOCKS)?, BlockKind::Token, counts)?;
-        let index = decode_simindex(file.section(TAG_SIMINDEX)?, counts)?;
+        let candidates = decode_candidates(file.section(TAG_CANDIDATES)?, counts)?;
         let matching = decode_matching(file.section(TAG_MATCHING)?, counts)?;
         Ok(Self {
             meta,
             config,
             pair,
-            tokens,
-            name_blocks,
-            token_blocks,
-            index,
+            candidates,
             matching,
         })
     }
@@ -386,11 +381,7 @@ impl IndexArtifact {
     /// Reads only the metadata of the artifact at `path` (the file is
     /// still checksum-validated in full, but no structures are rebuilt).
     pub fn read_meta(path: &Path) -> Result<ArtifactMeta, ArtifactError> {
-        let file = ArtifactFile::open(path)?;
-        let mut meta = decode_meta(file.section(TAG_META)?)?;
-        meta.format_version = file.version();
-        meta.file_bytes = file.file_bytes();
-        Ok(meta)
+        decode_meta(&ArtifactFile::open(path)?)
     }
 
     fn encode_meta(&self) -> Vec<u8> {
@@ -424,8 +415,10 @@ impl IndexArtifact {
     }
 }
 
-fn decode_meta(bytes: &[u8]) -> Result<ArtifactMeta, ArtifactError> {
-    let mut c = Cursor::new(bytes);
+/// The meta section of an opened file, plus what only the container
+/// knows: format version, file size and where the bytes are.
+fn decode_meta(file: &ArtifactFile) -> Result<ArtifactMeta, ArtifactError> {
+    let mut c = Cursor::new(file.section(TAG_META)?);
     let name = c.get_str()?;
     let kb_names = [c.get_str()?, c.get_str()?];
     let entity_counts = [c.get_u64()?, c.get_u64()?];
@@ -444,9 +437,13 @@ fn decode_meta(bytes: &[u8]) -> Result<ArtifactMeta, ArtifactError> {
     let content_version = c.get_u64()?;
     Ok(ArtifactMeta {
         name,
-        format_version: 0,
+        format_version: file.version(),
         content_version,
-        file_bytes: 0,
+        file_bytes: file.file_bytes(),
+        section_bytes: file
+            .tags()
+            .filter_map(|tag| Some((section_name(tag)?, file.section_len(tag)?)))
+            .collect(),
         kb_names,
         entity_counts,
         token_count,
@@ -569,136 +566,6 @@ fn decode_interner(bytes: &[u8]) -> Result<Interner, ArtifactError> {
     Interner::from_parts(arena, spans).map_err(ArtifactError::Corrupt)
 }
 
-fn encode_tokens(tokens: &TokenizedPair) -> Vec<u8> {
-    let mut out = Vec::new();
-    let dict = tokens.dict();
-    let encoded_interner = encode_interner(dict.interner());
-    put_u64(&mut out, encoded_interner.len() as u64);
-    out.extend_from_slice(&encoded_interner);
-    for side in [KbSide::First, KbSide::Second] {
-        put_u32s(&mut out, dict.ef_counts(side));
-    }
-    for side in [KbSide::First, KbSide::Second] {
-        put_u64(&mut out, tokens.total_occurrences(side) as u64);
-        let n = tokens.entity_count(side);
-        put_u64(&mut out, n as u64);
-        for e in 0..n {
-            let toks = tokens.tokens(side, EntityId(e as u32));
-            put_u64(&mut out, toks.len() as u64);
-            for t in toks {
-                put_u32(&mut out, t.0);
-            }
-        }
-    }
-    out
-}
-
-fn decode_tokens(bytes: &[u8], counts: [usize; 2]) -> Result<TokenizedPair, ArtifactError> {
-    let mut c = Cursor::new(bytes);
-    let interner_len = c.get_len()?;
-    if c.remaining() < interner_len {
-        return Err(ArtifactError::Corrupt(
-            "token interner extends past section".into(),
-        ));
-    }
-    let interner = decode_interner(&bytes[8..8 + interner_len])?;
-    let mut c = Cursor::new(&bytes[8 + interner_len..]);
-    let ef = [c.get_u32s()?, c.get_u32s()?];
-    let dict = TokenDictionary::from_parts(interner, ef).map_err(ArtifactError::Corrupt)?;
-    let mut sides: [Vec<Box<[TokenId]>>; 2] = [Vec::new(), Vec::new()];
-    let mut occurrences = [0usize; 2];
-    for (side, counts_n) in counts.iter().enumerate() {
-        occurrences[side] = c.get_len()?;
-        let n = c.get_len()?;
-        if n != *counts_n {
-            return Err(ArtifactError::Corrupt(format!(
-                "token section covers {n} entities, URI dictionary has {counts_n}"
-            )));
-        }
-        let mut entity_tokens = Vec::with_capacity(n);
-        for _ in 0..n {
-            let len = c.get_len()?;
-            if c.remaining() < len.saturating_mul(4) {
-                return Err(ArtifactError::Corrupt(
-                    "entity token list extends past section".into(),
-                ));
-            }
-            let mut toks = Vec::with_capacity(len);
-            for _ in 0..len {
-                toks.push(TokenId(c.get_u32()?));
-            }
-            entity_tokens.push(toks.into_boxed_slice());
-        }
-        sides[side] = entity_tokens;
-    }
-    TokenizedPair::from_parts(dict, sides, occurrences).map_err(ArtifactError::Corrupt)
-}
-
-fn encode_blocks(blocks: &BlockCollection) -> Vec<u8> {
-    let mut out = Vec::new();
-    put_u64(&mut out, blocks.entity_count(KbSide::First) as u64);
-    put_u64(&mut out, blocks.entity_count(KbSide::Second) as u64);
-    put_u64(&mut out, blocks.len() as u64);
-    for b in blocks.blocks() {
-        put_u32(&mut out, b.key);
-        for side in [&b.firsts, &b.seconds] {
-            put_u64(&mut out, side.len() as u64);
-            for e in side {
-                put_u32(&mut out, e.0);
-            }
-        }
-    }
-    out
-}
-
-fn decode_blocks(
-    bytes: &[u8],
-    kind: BlockKind,
-    counts: [usize; 2],
-) -> Result<BlockCollection, ArtifactError> {
-    let mut c = Cursor::new(bytes);
-    let n_first = c.get_len()?;
-    let n_second = c.get_len()?;
-    if [n_first, n_second] != counts {
-        return Err(ArtifactError::Corrupt(format!(
-            "block collection indexes {n_first}x{n_second} entities, expected {}x{}",
-            counts[0], counts[1]
-        )));
-    }
-    let n_blocks = c.get_len()?;
-    let mut blocks = Vec::with_capacity(n_blocks.min(bytes.len() / 4));
-    for _ in 0..n_blocks {
-        let key = c.get_u32()?;
-        let mut sides: [Vec<EntityId>; 2] = [Vec::new(), Vec::new()];
-        for (i, bound) in [n_first, n_second].into_iter().enumerate() {
-            let len = c.get_len()?;
-            if c.remaining() < len.saturating_mul(4) {
-                return Err(ArtifactError::Corrupt(
-                    "block entity list extends past section".into(),
-                ));
-            }
-            let mut entities = Vec::with_capacity(len);
-            for _ in 0..len {
-                let e = c.get_u32()?;
-                if e as usize >= bound {
-                    return Err(ArtifactError::Corrupt(format!(
-                        "block entity id {e} out of range {bound}"
-                    )));
-                }
-                entities.push(EntityId(e));
-            }
-            sides[i] = entities;
-        }
-        let [firsts, seconds] = sides;
-        blocks.push(Block {
-            key,
-            firsts,
-            seconds,
-        });
-    }
-    Ok(BlockCollection::new(kind, blocks, n_first, n_second))
-}
-
 fn encode_csr(out: &mut Vec<u8>, csr: &Csr<Candidate>) {
     put_u64(out, csr.rows() as u64);
     put_u64(out, csr.item_count() as u64);
@@ -711,8 +578,20 @@ fn encode_csr(out: &mut Vec<u8>, csr: &Csr<Candidate>) {
     }
 }
 
-fn decode_csr(c: &mut Cursor<'_>, n_cols: usize) -> Result<Csr<Candidate>, ArtifactError> {
+/// Decodes one candidate CSR that must hold exactly `n_rows` rows —
+/// [`IndexArtifact::match_query`] indexes it by entity id — of
+/// candidates in `0..n_cols`.
+fn decode_csr(
+    c: &mut Cursor<'_>,
+    n_rows: usize,
+    n_cols: usize,
+) -> Result<Csr<Candidate>, ArtifactError> {
     let rows = c.get_len()?;
+    if rows != n_rows {
+        return Err(ArtifactError::Corrupt(format!(
+            "candidate CSR has {rows} rows, its KB has {n_rows} entities"
+        )));
+    }
     let item_count = c.get_len()?;
     if c.remaining() < rows.saturating_add(1).saturating_mul(8) {
         return Err(ArtifactError::Corrupt(
@@ -755,30 +634,30 @@ fn decode_csr(c: &mut Cursor<'_>, n_cols: usize) -> Result<Csr<Candidate>, Artif
     Ok(Csr::from_lens_and_items(&lens, items))
 }
 
-fn encode_simindex(index: &SimilarityIndex) -> Vec<u8> {
+fn encode_candidates(candidates: &[Csr<Candidate>; 2]) -> Vec<u8> {
     let mut out = Vec::new();
-    for csr in [
-        index.value_csr(KbSide::First),
-        index.value_csr(KbSide::Second),
-        index.neighbor_csr(KbSide::First),
-        index.neighbor_csr(KbSide::Second),
-    ] {
+    for csr in candidates {
         encode_csr(&mut out, csr);
     }
     out
 }
 
-fn decode_simindex(bytes: &[u8], counts: [usize; 2]) -> Result<SimilarityIndex, ArtifactError> {
+fn decode_candidates(
+    bytes: &[u8],
+    counts: [usize; 2],
+) -> Result<[Csr<Candidate>; 2], ArtifactError> {
     let mut c = Cursor::new(bytes);
-    let value = [
-        decode_csr(&mut c, counts[1])?,
-        decode_csr(&mut c, counts[0])?,
-    ];
-    let neighbor = [
-        decode_csr(&mut c, counts[1])?,
-        decode_csr(&mut c, counts[0])?,
-    ];
-    SimilarityIndex::from_parts(value, neighbor).map_err(ArtifactError::Corrupt)
+    let first = decode_csr(&mut c, counts[0], counts[1])?;
+    let second = decode_csr(&mut c, counts[1], counts[0])?;
+    // The two directions are transposes of each other.
+    if first.item_count() != second.item_count() {
+        return Err(ArtifactError::Corrupt(format!(
+            "candidate directions hold {} and {} pairs",
+            first.item_count(),
+            second.item_count()
+        )));
+    }
+    Ok([first, second])
 }
 
 fn encode_matching(matching: &Matching) -> Vec<u8> {
@@ -818,6 +697,7 @@ fn decode_matching(bytes: &[u8], counts: [usize; 2]) -> Result<Matching, Artifac
 mod tests {
     use super::*;
     use minoan_exec::{CancelToken, Executor};
+    use minoan_kb::artifact::{HEADER_BYTES, SECTION_ENTRY_BYTES};
     use minoan_kb::KbBuilder;
 
     fn sample_pair() -> KbPair {
@@ -882,23 +762,17 @@ mod tests {
         assert_eq!(loaded.meta().name, "sample");
         assert_eq!(loaded.matched_uri_pairs(), artifact.matched_uri_pairs());
         assert_eq!(loaded.meta().entity_counts, artifact.meta().entity_counts);
-        // The similarity index survives bit for bit.
+        // The candidates survive bit for bit.
         for side in [KbSide::First, KbSide::Second] {
-            assert_eq!(
-                loaded.index().value_csr(side),
-                artifact.index().value_csr(side)
-            );
-            assert_eq!(
-                loaded.index().neighbor_csr(side),
-                artifact.index().neighbor_csr(side)
-            );
+            assert_eq!(loaded.candidates(side), artifact.candidates(side));
         }
-        // Blocks and tokens survive too.
+        // Five sections, nothing else: meta, the two KBs, candidates,
+        // matching — by value, so a renumbered tag fails here too.
+        let file = ArtifactFile::open(&path).unwrap();
         assert_eq!(
-            loaded.blocks(BlockKind::Token).len(),
-            artifact.blocks(BlockKind::Token).len()
+            file.tags().collect::<Vec<_>>(),
+            [0x01, 0x09, 0x0A, 0x07, 0x08]
         );
-        assert_eq!(loaded.tokens().dict().len(), artifact.tokens().dict().len());
         std::fs::remove_file(&path).unwrap();
     }
 
@@ -932,9 +806,24 @@ mod tests {
         let meta = IndexArtifact::read_meta(&path).unwrap();
         assert_eq!(meta.name, "sample");
         assert_eq!(meta.matched_pairs, artifact.meta().matched_pairs);
+        // An unwritten artifact cannot say where its bytes are; a read
+        // one accounts for every byte of the file.
+        assert!(artifact.meta().section_bytes.is_empty());
+        let names: Vec<&str> = meta.section_bytes.iter().map(|&(name, _)| name).collect();
+        assert_eq!(
+            names,
+            ["meta", "kb_first", "kb_second", "candidates", "matching"]
+        );
+        let payload: u64 = meta.section_bytes.iter().map(|&(_, bytes)| bytes).sum();
+        let framing = (HEADER_BYTES + names.len() * SECTION_ENTRY_BYTES) as u64;
+        assert_eq!(payload + framing, meta.file_bytes);
         let json = meta.to_json();
         assert_eq!(json.get("name").unwrap().as_str(), Some("sample"));
         assert!(json.get("build_timings_ms").is_some());
+        assert_eq!(
+            json.get("section_bytes").unwrap().get("candidates"),
+            Some(&Json::num(meta.section_bytes[3].1 as f64))
+        );
         std::fs::remove_file(&path).unwrap();
     }
 
@@ -955,6 +844,43 @@ mod tests {
                 IndexArtifact::read_from(&path).is_err(),
                 "flipping byte {at} went undetected"
             );
+        }
+        std::fs::remove_file(&path).unwrap();
+    }
+
+    /// Every checksum is valid here — the files go through the real
+    /// writer — so only the decoder stands between a short candidate
+    /// CSR and an out-of-range row read in `match_query`.
+    #[test]
+    fn candidate_rows_must_cover_the_embedded_kbs() {
+        let pair = sample_pair();
+        let n = [pair.first.entity_count(), pair.second.entity_count()];
+        let (mut artifact, _) = build_artifact(&pair);
+        let path = temp_path("shortcsr");
+        let first = artifact.candidates[0].clone();
+        for (candidates, needle) in [
+            // No rows at all on either side.
+            (
+                <[Csr<Candidate>; 2]>::default(),
+                format!("0 rows, its KB has {} entities", n[0]),
+            ),
+            // One direction short by a row.
+            (
+                [first.clone(), Csr::empty(n[1] - 1)],
+                format!("{} rows, its KB has {} entities", n[1] - 1, n[1]),
+            ),
+            // Full-height directions that are not each other's transpose.
+            (
+                [first.clone(), Csr::empty(n[1])],
+                format!("hold {} and 0 pairs", first.item_count()),
+            ),
+        ] {
+            artifact.candidates = candidates;
+            artifact.write_to(&path).unwrap();
+            match IndexArtifact::read_from(&path) {
+                Err(ArtifactError::Corrupt(msg)) => assert!(msg.contains(&needle), "{msg}"),
+                other => panic!("expected Corrupt({needle}), got {:?}", other.map(|_| ())),
+            }
         }
         std::fs::remove_file(&path).unwrap();
     }

@@ -34,14 +34,11 @@
 use std::io;
 use std::path::Path;
 
-use minoan_blocking::{BlockCollection, BlockKind};
 use minoan_exec::{faults, CancelToken, Cancelled, Executor};
 use minoan_kb::{DeltaOp, Matching};
-use minoan_text::TokenizedPair;
 
 use crate::artifact::{ArtifactMeta, IndexArtifact};
-use crate::pipeline::{IndexedOutput, MinoanEr};
-use crate::simindex::SimilarityIndex;
+use crate::pipeline::MinoanEr;
 
 /// Fault-injection site armed at the start of a patch persist. Combined
 /// with the atomic write underneath, an injected crash here must leave
@@ -75,12 +72,13 @@ pub struct DeltaReport {
 impl IndexArtifact {
     /// Applies `ops` to the embedded pair and re-resolves it: the
     /// pipeline runs on `exec` under `cancel` with the parameters the
-    /// index was built with, and its products replace the artifact's —
-    /// matching, similarity index, blocks, tokens and the meta fields
-    /// describing them — with the content version bumped by one.
+    /// index was built with, and the two products an index keeps of a
+    /// run — the value candidates and the matching — replace the
+    /// artifact's, as do the meta fields describing the run, with the
+    /// content version bumped by one.
     ///
-    /// The previous products are **released before the run**, so a
-    /// patch peaks at one index in memory, not two. The price is the
+    /// The previous two are **released before the run**, so a patch
+    /// peaks at one index in memory, not two. The price is the
     /// error contract: after [`Cancelled`] the artifact holds the
     /// mutated pair and no index, and the caller must discard it (the
     /// serving registry reloads from disk, which a failed patch never
@@ -92,10 +90,7 @@ impl IndexArtifact {
         cancel: &CancelToken,
     ) -> Result<DeltaReport, Cancelled> {
         let (ops_applied, ops_noop) = minoan_kb::delta::apply_to_pair(&mut self.pair, ops);
-        self.tokens = TokenizedPair::default();
-        self.name_blocks = BlockCollection::new(BlockKind::Name, Vec::new(), 0, 0);
-        self.token_blocks = BlockCollection::new(BlockKind::Token, Vec::new(), 0, 0);
-        self.index = SimilarityIndex::default();
+        self.candidates = Default::default();
         self.matching = Matching::new();
 
         let matcher = MinoanEr::new(self.config.clone())
@@ -108,24 +103,17 @@ impl IndexArtifact {
             &self.pair,
             &indexed,
         );
-        let IndexedOutput {
-            output,
-            artifacts,
-            index,
-        } = indexed;
-        self.tokens = artifacts.tokens;
-        self.name_blocks = artifacts.name_blocks;
-        self.token_blocks = artifacts.token_blocks;
-        self.index = index;
-        self.matching = output.matching;
+        self.candidates = indexed.index.into_value_candidates();
+        self.matching = indexed.output.matching;
+        let report = indexed.output.report;
         Ok(DeltaReport {
             ops_applied,
             ops_noop,
             affected_rows: self.pair.first.entity_count(),
-            h1_matches: output.report.h1_matches,
-            h2_matches: output.report.h2_matches,
-            h3_matches: output.report.h3_matches,
-            h4_removed: output.report.h4_removed,
+            h1_matches: report.h1_matches,
+            h2_matches: report.h2_matches,
+            h3_matches: report.h3_matches,
+            h4_removed: report.h4_removed,
             matched_pairs: self.matching.len(),
             content_version: self.meta.content_version,
         })
@@ -232,14 +220,9 @@ mod tests {
         assert_eq!(patched.matched_uri_pairs(), reference.matched_uri_pairs());
         for side in [KbSide::First, KbSide::Second] {
             assert_eq!(
-                patched.index().value_csr(side),
-                reference.index().value_csr(side),
-                "value CSR differs on {side:?}"
-            );
-            assert_eq!(
-                patched.index().neighbor_csr(side),
-                reference.index().neighbor_csr(side),
-                "neighbor CSR differs on {side:?}"
+                patched.candidates(side),
+                reference.candidates(side),
+                "candidates differ on {side:?}"
             );
         }
         assert_eq!(patched.meta().matched_pairs, reference.meta().matched_pairs);

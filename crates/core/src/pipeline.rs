@@ -78,12 +78,14 @@ pub struct MatchOutput {
     pub report: PipelineReport,
 }
 
-/// A pipeline run that additionally retains the build-once structures a
-/// persistent index artifact needs: the tokenized pair, both block
-/// collections and the similarity index. Produced by
+/// A pipeline run handed back whole: the matching plus every structure
+/// it was decided from — the tokenized pair, both block collections and
+/// the similarity index. Produced by
 /// [`MinoanEr::run_cancellable_indexed`]; the `output` field is exactly
 /// what [`MinoanEr::run_cancellable`] would have returned for the same
-/// inputs, so persisting an index never perturbs the matching.
+/// inputs, so persisting an index never perturbs the matching. A
+/// persistent index ([`crate::IndexArtifact::from_run`]) keeps the
+/// matching and the value candidates and only *counts* the rest.
 pub struct IndexedOutput {
     /// The final matching and stage report.
     pub output: MatchOutput,
@@ -360,9 +362,10 @@ impl MinoanEr {
 
     /// Like [`MinoanEr::run_cancellable`], but returning the
     /// [`IndexedOutput`] that keeps the tokenized pair, block
-    /// collections and similarity index alive for persistence. This is
-    /// the same code path as `run_cancellable` — the matching is
-    /// bit-identical; only what survives the run differs.
+    /// collections and similarity index alive for the caller — an index
+    /// build, or a harness inspecting them. This is the same code path
+    /// as `run_cancellable` — the matching is bit-identical; only what
+    /// survives the run differs.
     pub fn run_cancellable_indexed(
         &self,
         pair: &KbPair,

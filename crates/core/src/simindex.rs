@@ -160,7 +160,7 @@ fn value_rows(
 /// Value and neighbor similarities for all co-occurring pairs, with
 /// per-entity candidate lists sorted by similarity (descending, ties by
 /// entity id for determinism), stored in CSR form.
-#[derive(Debug, Default)]
+#[derive(Debug)]
 pub struct SimilarityIndex {
     /// Per side: CSR of candidates by value similarity.
     value_cands: [Csr<Candidate>; 2],
@@ -295,34 +295,12 @@ impl SimilarityIndex {
         self.value_cands[0].item_count()
     }
 
-    /// The raw value-candidate CSR of one side (persisted by the
-    /// artifact layer).
-    pub fn value_csr(&self, side: KbSide) -> &Csr<Candidate> {
-        &self.value_cands[side.index()]
-    }
-
-    /// The raw neighbor-candidate CSR of one side.
-    pub fn neighbor_csr(&self, side: KbSide) -> &Csr<Candidate> {
-        &self.neighbor_cands[side.index()]
-    }
-
-    /// Rebuilds an index from persisted CSR shards. The two directions
-    /// of each similarity must agree on their total pair count (they are
-    /// transposes of each other).
-    pub fn from_parts(
-        value_cands: [Csr<Candidate>; 2],
-        neighbor_cands: [Csr<Candidate>; 2],
-    ) -> Result<Self, String> {
-        if value_cands[0].item_count() != value_cands[1].item_count() {
-            return Err("value candidate directions disagree on pair count".into());
-        }
-        if neighbor_cands[0].item_count() != neighbor_cands[1].item_count() {
-            return Err("neighbor candidate directions disagree on pair count".into());
-        }
-        Ok(Self {
-            value_cands,
-            neighbor_cands,
-        })
+    /// Consumes the index, keeping the two value-candidate CSRs (first
+    /// side, then second) — all a persistent index serves match queries
+    /// from. The neighbor lists are dropped: `neighborNSim` is read only
+    /// by H3 and H4, while the pipeline runs.
+    pub fn into_value_candidates(self) -> [Csr<Candidate>; 2] {
+        self.value_cands
     }
 
     /// Number of pairs with non-zero neighbor similarity.

@@ -4,8 +4,8 @@
 //! many times, so they are worth persisting. This module provides the
 //! *container* layer of that persistence: an append-only section file
 //! with a fixed header and a checksummed section table. What goes *into*
-//! the sections (interners, CSR buffers, blocks, matchings) is encoded
-//! by the layers that own those types; this module only guarantees that
+//! the sections (interners, statements, CSR buffers, matchings) is
+//! encoded by the layers that own those types; this module only guarantees that
 //! a file either round-trips byte-for-byte or is rejected with a
 //! structured [`ArtifactError`] — never a panic, never a torn read.
 //!
@@ -37,12 +37,15 @@ use minoan_exec::faults;
 pub const MAGIC: [u8; 8] = *b"MINOANIX";
 
 /// Current artifact format version. Bump on any layout change; readers
-/// reject other versions with [`ArtifactError::UnsupportedVersion`].
-/// Version 2 replaced the bare URI-dictionary sections with whole
-/// embedded KBs (a patch applies its ops to them and re-runs the
-/// pipeline over the result) and added a content version to the meta
-/// section.
-pub const FORMAT_VERSION: u32 = 2;
+/// reject every other version with
+/// [`ArtifactError::UnsupportedVersion`] — one format, one reader; an
+/// older file is rebuilt, not migrated. Version 2 embedded both KBs
+/// whole in place of bare URI dictionaries (a patch re-runs the pipeline
+/// over them) and added a content version to the meta section. Version
+/// 3 stopped persisting what no reader of a loaded index reads — token
+/// sets, both block collections, the two `neighborNSim` CSRs: 28 % of
+/// the file on Rexa-DBLP ×2 (44.6 of 157.8 MB), 38 % on YAGO-IMDb ×2.
+pub const FORMAT_VERSION: u32 = 3;
 
 /// Size of the fixed header preceding the section table.
 pub const HEADER_BYTES: usize = 16;
@@ -98,7 +101,8 @@ impl fmt::Display for ArtifactError {
             ArtifactError::BadMagic => write!(f, "not a MinoanER artifact (bad magic)"),
             ArtifactError::UnsupportedVersion { found } => write!(
                 f,
-                "unsupported artifact format version {found} (reader supports {FORMAT_VERSION})"
+                "unsupported artifact format version {found} \
+                 (reader supports {FORMAT_VERSION}): rebuild the index"
             ),
             ArtifactError::Truncated { needed, have } => {
                 write!(f, "artifact truncated: need {needed} bytes, have {have}")
@@ -161,25 +165,34 @@ impl ArtifactWriter {
         self.sections.push((tag, payload));
     }
 
-    /// Serializes header, section table and payloads into one buffer.
-    pub fn into_bytes(self) -> Vec<u8> {
+    /// The one serializer: header and section table, then each payload
+    /// straight through to `out` — no file-sized staging copy. Returns
+    /// the number of bytes written.
+    fn serialize(self, out: &mut impl Write) -> io::Result<u64> {
         let table_bytes = self.sections.len() * SECTION_ENTRY_BYTES;
-        let payload_bytes: usize = self.sections.iter().map(|(_, p)| p.len()).sum();
-        let mut out = Vec::with_capacity(HEADER_BYTES + table_bytes + payload_bytes);
-        out.extend_from_slice(&MAGIC);
-        out.extend_from_slice(&FORMAT_VERSION.to_le_bytes());
-        out.extend_from_slice(&(self.sections.len() as u32).to_le_bytes());
+        let mut head = Vec::with_capacity(HEADER_BYTES + table_bytes);
+        head.extend_from_slice(&MAGIC);
+        put_u32(&mut head, FORMAT_VERSION);
+        put_u32(&mut head, self.sections.len() as u32);
         let mut offset = (HEADER_BYTES + table_bytes) as u64;
         for (tag, payload) in &self.sections {
-            out.extend_from_slice(&tag.to_le_bytes());
-            out.extend_from_slice(&offset.to_le_bytes());
-            out.extend_from_slice(&(payload.len() as u64).to_le_bytes());
-            out.extend_from_slice(&fnv1a(payload).to_le_bytes());
+            put_u32(&mut head, *tag);
+            put_u64(&mut head, offset);
+            put_u64(&mut head, payload.len() as u64);
+            put_u64(&mut head, fnv1a(payload));
             offset += payload.len() as u64;
         }
-        for (_, payload) in &self.sections {
-            out.extend_from_slice(payload);
+        out.write_all(&head)?;
+        for (_, payload) in self.sections {
+            out.write_all(&payload)?;
         }
+        Ok(offset)
+    }
+
+    /// Serializes header, section table and payloads into one buffer.
+    pub fn into_bytes(self) -> Vec<u8> {
+        let mut out = Vec::new();
+        self.serialize(&mut out).expect("a Vec write cannot fail");
         out
     }
 
@@ -190,15 +203,13 @@ impl ArtifactWriter {
         let _span = minoan_obs::trace::span(minoan_obs::Level::Debug, "artifact.write", || {
             path.display().to_string()
         });
-        let bytes = self.into_bytes();
         let tmp = path.with_extension("tmp");
-        {
-            let mut f = std::fs::File::create(&tmp)?;
-            f.write_all(&bytes)?;
-            f.sync_all()?;
-        }
+        let mut f = std::fs::File::create(&tmp)?;
+        let bytes = self.serialize(&mut f)?;
+        f.sync_all()?;
+        drop(f);
         std::fs::rename(&tmp, path)?;
-        Ok(bytes.len() as u64)
+        Ok(bytes)
     }
 }
 
@@ -341,14 +352,6 @@ pub fn put_str(out: &mut Vec<u8>, s: &str) {
     out.extend_from_slice(s.as_bytes());
 }
 
-/// Appends a length-prefixed `u32` slice.
-pub fn put_u32s(out: &mut Vec<u8>, vs: &[u32]) {
-    put_u64(out, vs.len() as u64);
-    for &v in vs {
-        put_u32(out, v);
-    }
-}
-
 /// A bounds-checked reader over a section payload. Every read returns
 /// [`ArtifactError::Corrupt`] instead of panicking when the payload is
 /// shorter than its structure claims.
@@ -424,22 +427,6 @@ impl<'a> Cursor<'a> {
         let bytes = self.take(len)?;
         String::from_utf8(bytes.to_vec())
             .map_err(|_| ArtifactError::Corrupt("string payload is not UTF-8".into()))
-    }
-
-    /// Reads a length-prefixed `u32` slice.
-    pub fn get_u32s(&mut self) -> Result<Vec<u32>, ArtifactError> {
-        let len = self.get_len()?;
-        if self.remaining() < len.saturating_mul(4) {
-            return Err(ArtifactError::Corrupt(format!(
-                "u32 slice claims {len} entries but only {} bytes remain",
-                self.remaining()
-            )));
-        }
-        let mut out = Vec::with_capacity(len);
-        for _ in 0..len {
-            out.push(self.get_u32()?);
-        }
-        Ok(out)
     }
 }
 
@@ -526,13 +513,11 @@ mod tests {
         put_u64(&mut buf, u64::MAX - 3);
         put_f64(&mut buf, -0.125);
         put_str(&mut buf, "κνωσός");
-        put_u32s(&mut buf, &[5, 6, 7]);
         let mut c = Cursor::new(&buf);
         assert_eq!(c.get_u32().unwrap(), 7);
         assert_eq!(c.get_u64().unwrap(), u64::MAX - 3);
         assert_eq!(c.get_f64().unwrap(), -0.125);
         assert_eq!(c.get_str().unwrap(), "κνωσός");
-        assert_eq!(c.get_u32s().unwrap(), vec![5, 6, 7]);
         assert!(c.is_exhausted());
     }
 
@@ -545,8 +530,6 @@ mod tests {
         put_u64(&mut buf, u64::MAX);
         let mut c = Cursor::new(&buf);
         assert!(c.get_str().is_err());
-        let mut c = Cursor::new(&buf);
-        assert!(c.get_u32s().is_err());
     }
 
     #[test]

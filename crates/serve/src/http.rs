@@ -23,7 +23,7 @@
 //! | `DELETE /v1/jobs/{id}` | — | `200` `{"id":N,"outcome":"cancelled\|cancelling\|done"}`; `404` unknown id |
 //! | `POST /v1/indexes` | a manifest job object | `201` `{"job":N,"index":"…"}` + `Location: /v1/indexes/{name}` — builds through the supervised queue, then persists the index artifact (wait on `/v1/jobs/{N}?wait=true`); `409` the index already exists / queue closed; `503` index serving disabled |
 //! | `GET /v1/indexes` | — | `200` `{"indexes":[{"id","file_bytes","loaded"}],"cache":{…}}` |
-//! | `GET /v1/indexes/{id}` | — | `200` artifact metadata: sizes, entity counts, build timings, format version; `404` unknown index |
+//! | `GET /v1/indexes/{id}` | — | `200` artifact metadata: `file_bytes` and per-section `section_bytes`, entity counts, build timings, format version; `404` unknown index |
 //! | `DELETE /v1/indexes/{id}` | — | `200` `{"index":"…","deleted":true}`; `404` unknown index |
 //! | `PATCH /v1/indexes/{id}` | `{"deltas":[{"op":"upsert"\|"delete","side":"first"\|"second","uri":"…","statements":[…]}]}` (see [`minoan_kb::delta`]) | `202` `{"job":N,"index":"…"}` + `Location: /v1/jobs/{N}` — admits a **patch** job: the artifact is loaded, the ops are applied to its embedded KB pair, the pipeline re-runs over it with the index's build parameters (so the result is a from-scratch rebuild of the final KB state, bit for bit), and the file is atomically rewritten; `?wait=true` blocks until the patch job is terminal; `404` unknown index; `409` another patch for this index is still in flight; `400` malformed delta stream |
 //! | `GET /v1/indexes/{id}/match?entity=<iri>&k=<n>` | — | `200` the hot match path: `matches`, top-`k` `candidates` with scores, and `stage_timings_ms` whose build-once stages (`ingest`, `blocking`, `similarities`) are always `0` — the answer comes from the loaded artifact, never from re-running the pipeline; `404` unknown index or entity |
@@ -56,11 +56,12 @@
 //! The files behind `/v1/indexes` use the checksummed section container
 //! of [`minoan_kb::artifact`]: an 8-byte magic (`MINOANIX`), a `u32`
 //! format version, a section table (tag, offset, length, FNV-1a
-//! checksum per section) and the section payloads — URI interners,
-//! token sets, blocks, the CSR similarity index and the final matching
-//! (see [`minoan_core::artifact`] for the section layout). Truncated,
-//! mis-versioned or bit-flipped files are rejected at load with
-//! structured errors, surfaced here as `503`.
+//! checksum per section) and the section payloads — metadata, the two
+//! embedded KBs, the value-candidate CSRs and the final matching (see
+//! [`minoan_core::artifact`] for the section layout). Truncated,
+//! mis-versioned (an older format included: "rebuild the index") or
+//! bit-flipped files are rejected at load with structured errors,
+//! surfaced here as `503`.
 //!
 //! ## Authentication
 //!

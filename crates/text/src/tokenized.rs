@@ -50,31 +50,6 @@ impl TokenDictionary {
     pub fn tokens(&self) -> impl Iterator<Item = TokenId> {
         (0..self.interner.len() as u32).map(TokenId)
     }
-
-    /// The token interner (persisted by the artifact layer).
-    pub fn interner(&self) -> &Interner {
-        &self.interner
-    }
-
-    /// The full entity-frequency vector of one side, indexed by token id.
-    pub fn ef_counts(&self, side: KbSide) -> &[u32] {
-        &self.ef[side.index()]
-    }
-
-    /// Rebuilds a dictionary from persisted parts. Both EF vectors must
-    /// cover every token.
-    pub fn from_parts(interner: Interner, ef: [Vec<u32>; 2]) -> Result<Self, String> {
-        for side_ef in &ef {
-            if side_ef.len() != interner.len() {
-                return Err(format!(
-                    "EF vector has {} entries for {} tokens",
-                    side_ef.len(),
-                    interner.len()
-                ));
-            }
-        }
-        Ok(Self { interner, ef })
-    }
 }
 
 /// Tokenized entities of one KB side.
@@ -137,44 +112,6 @@ impl TokenizedPair {
     /// Number of entities tokenized on `side`.
     pub fn entity_count(&self, side: KbSide) -> usize {
         self.sides[side.index()].entity_tokens.len()
-    }
-
-    /// Total token occurrences (with duplicates) on `side`.
-    pub fn total_occurrences(&self, side: KbSide) -> usize {
-        self.sides[side.index()].total_occurrences
-    }
-
-    /// Rebuilds a tokenized pair from persisted parts: the shared
-    /// dictionary plus, per side, every entity's sorted token set and
-    /// the side's total occurrence count. Token ids out of dictionary
-    /// range are rejected.
-    pub fn from_parts(
-        dict: TokenDictionary,
-        entity_tokens: [Vec<Box<[TokenId]>>; 2],
-        occurrences: [usize; 2],
-    ) -> Result<Self, String> {
-        let n_tokens = dict.len() as u32;
-        for side_tokens in &entity_tokens {
-            for toks in side_tokens {
-                if toks.iter().any(|t| t.0 >= n_tokens) {
-                    return Err("entity token id out of dictionary range".into());
-                }
-            }
-        }
-        let [first, second] = entity_tokens;
-        Ok(Self {
-            dict,
-            sides: [
-                TokenizedKb {
-                    entity_tokens: first,
-                    total_occurrences: occurrences[0],
-                },
-                TokenizedKb {
-                    entity_tokens: second,
-                    total_occurrences: occurrences[1],
-                },
-            ],
-        })
     }
 
     /// Average number of token occurrences per entity (Table I's

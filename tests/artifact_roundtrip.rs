@@ -142,6 +142,24 @@ fn corrupted_artifacts_are_rejected_with_structured_errors_not_panics() {
         "version mismatch reported as {err:?}"
     );
 
+    // And the previous writer's: there is one format and one reader, so
+    // a version-2 file is refused by the same check, and the message
+    // tells the operator what to do about it.
+    let mut previous = pristine.clone();
+    previous[8..12].copy_from_slice(&2u32.to_le_bytes());
+    let err = reload(&previous).unwrap_err();
+    assert!(
+        matches!(err, ArtifactError::UnsupportedVersion { found: 2 }),
+        "version 2 reported as {err:?}"
+    );
+    let message = err.to_string();
+    assert!(
+        message.contains("version 2")
+            && message.contains("supports 3")
+            && message.ends_with("rebuild the index"),
+        "{message}"
+    );
+
     // Flipped payload byte: the owning section's checksum must catch it.
     let mut flipped = pristine.clone();
     let last = flipped.len() - 1;

@@ -62,14 +62,9 @@ fn assert_bit_identical(patched: &IndexArtifact, reference: &IndexArtifact, labe
     );
     for side in [KbSide::First, KbSide::Second] {
         assert_eq!(
-            patched.index().value_csr(side),
-            reference.index().value_csr(side),
-            "{label}: value CSR differs on {side:?}"
-        );
-        assert_eq!(
-            patched.index().neighbor_csr(side),
-            reference.index().neighbor_csr(side),
-            "{label}: neighbor CSR differs on {side:?}"
+            patched.candidates(side),
+            reference.candidates(side),
+            "{label}: candidates differ on {side:?}"
         );
     }
     assert_eq!(
