@@ -114,10 +114,10 @@ pub struct BlockingArtifacts {
     pub tokenize_time: Duration,
 }
 
-/// A debug-level pipeline-stage span; stage timings for the report are
-/// measured by their own `Instant` clocks, so observation and
-/// measurement never share state.
-fn stage_span(name: &'static str) -> minoan_obs::trace::Span {
+/// A debug-level span around a pipeline stage or one of its passes;
+/// stage timings for the report are measured by their own `Instant`
+/// clocks, so observation and measurement never share state.
+pub(crate) fn stage_span(name: &'static str) -> minoan_obs::trace::Span {
     minoan_obs::trace::span(minoan_obs::Level::Debug, name, String::new)
 }
 

@@ -20,12 +20,28 @@
 //!   and a cancel or deadline is observed within one task quantum — the
 //!   promise [`crate::MinoanEr::run_cancellable`] makes for every stage;
 //! - candidate lists are stored as **CSR** ([`Csr<Candidate>`]): one flat
-//!   buffer plus offsets instead of one allocation per entity, sorted by
-//!   similarity (ties broken by entity id for determinism);
+//!   buffer plus offsets instead of one allocation per entity;
 //! - the `neighborNSim` pass is embarrassingly parallel over `e1` and
 //!   accumulates on the same dense scratch;
 //! - the reverse-direction lists are a parallel CSR **transpose**
 //!   (partial histograms → per-part cursors → disjoint fills).
+//!
+//! # Candidate order
+//!
+//! Every candidate row — value and neighbor, in both directions — is
+//! sorted by similarity descending, ties by entity id ascending: a total
+//! order, so a row is one fixed sequence. The four sorts compare one
+//! integer key, `cand_key = (Reverse(v.to_bits()), id)`, instead of the
+//! floats. That is exact because the index holds only **strictly
+//! positive, finite** similarities: value terms are token weights in
+//! `(0, 1]` (see `RowScratch`) and neighbor rows keep only `s > 0`. On
+//! such values the IEEE-754 bit pattern, read as an unsigned integer,
+//! orders exactly like the number — subnormals included — so the key
+//! gives the same total order as comparing the floats, and every row
+//! comes out bit-identical. A zero, negative or NaN similarity would
+//! break that; `cand_key` asserts none reaches a sort in debug builds.
+
+use std::cmp::Reverse;
 
 use minoan_blocking::BlockCollection;
 use minoan_exec::{Executor, SharedSlice};
@@ -33,16 +49,21 @@ use minoan_kb::{Csr, EntityId, KbSide, TokenId};
 use minoan_sim::token_weight;
 use minoan_text::TokenizedPair;
 
+use crate::pipeline::stage_span;
+
 /// A scored candidate (the other side's entity plus a similarity).
 pub type Candidate = (EntityId, f64);
 
-/// Candidate ordering: similarity descending, ties by entity id
-/// ascending — a total order, so sorting is deterministic.
+/// The sort key of the candidate order (see the module docs):
+/// similarity descending as its bit pattern, ties by entity id
+/// ascending. Exact only for strictly positive, finite similarities.
 #[inline]
-fn cand_cmp(a: &Candidate, b: &Candidate) -> std::cmp::Ordering {
-    b.1.partial_cmp(&a.1)
-        .unwrap_or(std::cmp::Ordering::Equal)
-        .then(a.0.cmp(&b.0))
+fn cand_key(&(e, v): &Candidate) -> (Reverse<u64>, u32) {
+    debug_assert!(
+        v > 0.0 && v.is_finite(),
+        "the candidate key orders only positive finite similarities, got {v}"
+    );
+    (Reverse(v.to_bits()), e.0)
 }
 
 /// A dense accumulator over the second KB's entities plus the list of
@@ -96,7 +117,7 @@ impl RowScratch {
 
     /// **The** `valueSim` row: accumulates `weight` into every entity of
     /// `seconds` for each `(weight, seconds)` block of one first-side
-    /// entity, and returns the [`cand_cmp`]-sorted candidates, leaving
+    /// entity, and returns the [`cand_key`]-sorted candidates, leaving
     /// the scratch reset. `blocks` must come in ascending block order —
     /// that order *is* each pair's floating-point addition sequence, and
     /// what makes a row reproducible bit for bit wherever it is computed.
@@ -115,7 +136,7 @@ impl RowScratch {
             .drain(..)
             .map(|e2| (EntityId(e2), std::mem::take(&mut sums[e2 as usize])))
             .collect();
-        row.sort_unstable_by(cand_cmp);
+        row.sort_unstable_by_key(cand_key);
         row
     }
 }
@@ -157,9 +178,70 @@ fn value_rows(
     parts.into_iter().flatten().collect()
 }
 
+/// The `neighborNSim` candidate row of every first-side entity, scored
+/// over that entity's **value candidates only**: a pair whose entities
+/// share no purged token block gets no neighbor score, however similar
+/// their top neighbors are. This restriction is deliberate. The formula
+/// below has no such condition, and the unrestricted rows would be
+/// larger on the synthetic profiles at ×1 — Restaurant 11×, Rexa 4.3×,
+/// BBC 1.8×, YAGO 9.1× — yet every ground-truth pair there shares a
+/// purged block. Replaying H1–H4 over unrestricted rows lowers BBC's F1
+/// at every scale (82.6 → 77.2 at ×1) and moves Rexa and YAGO by at
+/// most half a point at ×1 and ×2 (ROADMAP F5).
+///
+/// Accumulates on the kernel's dense scratch, one per executor task;
+/// the sums follow the order of the top-neighbor lists and value rows,
+/// never the part boundaries.
+fn neighbor_rows(
+    value_firsts: &Csr<Candidate>,
+    n_second: usize,
+    top_neighbors: [&[Vec<EntityId>]; 2],
+    exec: &Executor,
+) -> Vec<Vec<Candidate>> {
+    // neighborNSim(e1, e2) = Σ_{n1 ∈ top(e1), n2 ∈ top(e2)} valueSim(n1, n2),
+    // evaluated only for the e2 in e1's value row (see above).
+    // For each e1: acc[n2] = Σ_{n1 ∈ top(e1)} valueSim(n1, n2), then
+    // sum acc over e2's top neighbors for each candidate e2. Pure
+    // reads over the value CSR — embarrassingly parallel over e1.
+    let parts = exec.map_parts(value_firsts.rows(), |range| {
+        let mut rows: Vec<Vec<Candidate>> = Vec::with_capacity(range.len());
+        let mut acc = RowScratch::new(n_second);
+        for e1 in range {
+            let cands = value_firsts.row(e1);
+            let mut row: Vec<Candidate> = Vec::new();
+            if !cands.is_empty() {
+                for &nb1 in &top_neighbors[0][e1] {
+                    for &(nb2, v) in value_firsts.row(nb1.index()) {
+                        acc.add(nb2, v);
+                    }
+                }
+                if !acc.touched.is_empty() {
+                    for &(e2, _) in cands {
+                        // An untouched neighbor reads 0.0, and
+                        // `s + 0.0` is `s` bit for bit.
+                        let mut s = 0.0;
+                        for &nb2 in &top_neighbors[1][e2.index()] {
+                            s += acc.get(nb2);
+                        }
+                        if s > 0.0 {
+                            row.push((e2, s));
+                        }
+                    }
+                    acc.reset();
+                }
+            }
+            row.sort_unstable_by_key(cand_key);
+            rows.push(row);
+        }
+        rows
+    });
+    parts.into_iter().flatten().collect()
+}
+
 /// Value and neighbor similarities for all co-occurring pairs, with
-/// per-entity candidate lists sorted by similarity (descending, ties by
-/// entity id for determinism), stored in CSR form.
+/// per-entity candidate lists in the candidate order (similarity
+/// descending, ties by entity id; see the module docs), stored in CSR
+/// form.
 #[derive(Debug)]
 pub struct SimilarityIndex {
     /// Per side: CSR of candidates by value similarity.
@@ -181,13 +263,16 @@ impl SimilarityIndex {
         Self::build_with(blocks, tokens, top_neighbors, &Executor::sequential())
     }
 
-    /// Builds the index on `exec`: one `valueSim` row per first-side
-    /// entity through the shared row kernel, fanned out as a plain
-    /// [`Executor::map_parts`] with the rows concatenated in part order,
-    /// then the reverse direction and the `neighborNSim` pass. A row is a
-    /// function of its own entity's blocks alone (see the module docs),
-    /// so the result is bit-identical to [`SimilarityIndex::build`] for
-    /// any backend, thread count and part count.
+    /// Builds the index on `exec` in four passes, each under its own
+    /// debug span: one `valueSim` row per first-side entity through the
+    /// shared row kernel (`simindex.value_rows`), fanned out as a plain
+    /// [`Executor::map_parts`] with the rows concatenated in part order;
+    /// the reverse value direction (`simindex.value_reverse`); the
+    /// `neighborNSim` rows (`simindex.neighbor_rows`); and their reverse
+    /// (`simindex.neighbor_reverse`). A row is a function of its own
+    /// entity's blocks alone (see the module docs), so the result is
+    /// bit-identical to [`SimilarityIndex::build`] for any backend,
+    /// thread count and part count.
     pub fn build_with(
         blocks: &BlockCollection,
         tokens: &TokenizedPair,
@@ -195,65 +280,22 @@ impl SimilarityIndex {
         exec: &Executor,
     ) -> Self {
         let n2 = tokens.entity_count(KbSide::Second);
-        let rows = value_rows(blocks, tokens, exec);
-        Self::derive_from_value_firsts(Csr::from_rows(rows), n2, top_neighbors, exec)
-    }
-
-    /// Completes an index from a finished `value_firsts` CSR: transposes
-    /// the reverse value direction and runs the `neighborNSim` pass in
-    /// both directions. The neighbor pass accumulates on the kernel's
-    /// dense scratch, one per executor task; its sums follow the order
-    /// of the top-neighbor lists and value rows, never the part
-    /// boundaries.
-    fn derive_from_value_firsts(
-        value_firsts: Csr<Candidate>,
-        n_second: usize,
-        top_neighbors: [&[Vec<EntityId>]; 2],
-        exec: &Executor,
-    ) -> Self {
-        let n1 = value_firsts.rows();
-        let n2 = n_second;
-        let value_seconds = transpose(&value_firsts, n2, exec);
-
-        // neighborNSim(e1, e2) = Σ_{n1 ∈ top(e1), n2 ∈ top(e2)} valueSim(n1, n2).
-        // For each e1: acc[n2] = Σ_{n1 ∈ top(e1)} valueSim(n1, n2), then
-        // sum acc over e2's top neighbors for each candidate e2. Pure
-        // reads over the value CSR — embarrassingly parallel over e1.
-        let neighbor_parts: Vec<Vec<Vec<Candidate>>> = exec.map_parts(n1, |range| {
-            let mut rows: Vec<Vec<Candidate>> = Vec::with_capacity(range.len());
-            let mut acc = RowScratch::new(n2);
-            for e1 in range {
-                let cands = value_firsts.row(e1);
-                let mut row: Vec<Candidate> = Vec::new();
-                if !cands.is_empty() {
-                    for &nb1 in &top_neighbors[0][e1] {
-                        for &(nb2, v) in value_firsts.row(nb1.index()) {
-                            acc.add(nb2, v);
-                        }
-                    }
-                    if !acc.touched.is_empty() {
-                        for &(e2, _) in cands {
-                            // An untouched neighbor reads 0.0, and
-                            // `s + 0.0` is `s` bit for bit.
-                            let mut s = 0.0;
-                            for &nb2 in &top_neighbors[1][e2.index()] {
-                                s += acc.get(nb2);
-                            }
-                            if s > 0.0 {
-                                row.push((e2, s));
-                            }
-                        }
-                        acc.reset();
-                    }
-                }
-                row.sort_unstable_by(cand_cmp);
-                rows.push(row);
-            }
-            rows
-        });
-        let neighbor_firsts = Csr::from_rows(neighbor_parts.into_iter().flatten().collect());
-        let neighbor_seconds = transpose(&neighbor_firsts, n2, exec);
-
+        let value_firsts = {
+            let _span = stage_span("simindex.value_rows");
+            Csr::from_rows(value_rows(blocks, tokens, exec))
+        };
+        let value_seconds = {
+            let _span = stage_span("simindex.value_reverse");
+            transpose(&value_firsts, n2, exec)
+        };
+        let neighbor_firsts = {
+            let _span = stage_span("simindex.neighbor_rows");
+            Csr::from_rows(neighbor_rows(&value_firsts, n2, top_neighbors, exec))
+        };
+        let neighbor_seconds = {
+            let _span = stage_span("simindex.neighbor_reverse");
+            transpose(&neighbor_firsts, n2, exec)
+        };
         Self {
             value_cands: [value_firsts, value_seconds],
             neighbor_cands: [neighbor_firsts, neighbor_seconds],
@@ -266,7 +308,11 @@ impl SimilarityIndex {
         lookup(&self.value_cands[0], e1, e2)
     }
 
-    /// `neighborNSim(e1, e2)` (0 when no top-neighbor pair co-occurs).
+    /// `neighborNSim(e1, e2)`, scored only when `e2` is a value
+    /// candidate of `e1`: 0 when the pair itself shares no purged token
+    /// block — even if some top-neighbor pair co-occurs — and 0 when no
+    /// top-neighbor pair co-occurs. The restriction is deliberate (see
+    /// `neighbor_rows`).
     pub fn neighbor_sim(&self, e1: EntityId, e2: EntityId) -> f64 {
         lookup(&self.neighbor_cands[0], e1, e2)
     }
@@ -277,7 +323,10 @@ impl SimilarityIndex {
         self.value_cands[side.index()].row(e.index())
     }
 
-    /// Candidates of `e` with non-zero neighbor similarity, descending.
+    /// Candidates of `e` with non-zero neighbor similarity, descending —
+    /// drawn from `e`'s value candidates only: a pair that shares no
+    /// purged token block is never a neighbor candidate (see
+    /// [`SimilarityIndex::neighbor_sim`]).
     pub fn neighbor_candidates(&self, side: KbSide, e: EntityId) -> &[Candidate] {
         self.neighbor_cands[side.index()].row(e.index())
     }
@@ -322,7 +371,7 @@ fn lookup(csr: &Csr<Candidate>, e: EntityId, other: EntityId) -> f64 {
 }
 
 /// Transposes a `rows -> (col, v)` CSR into a `cols -> (row, v)` CSR with
-/// every output row sorted by [`cand_cmp`].
+/// every output row sorted by [`cand_key`].
 ///
 /// Parallel scheme: per-part column histograms, a sequential prefix-sum
 /// handing each part a private cursor per column, then disjoint parallel
@@ -381,7 +430,7 @@ fn transpose(src: &Csr<Candidate>, n_cols: usize, exec: &Executor) -> Csr<Candid
         exec.map_range(n_cols, |c| {
             // SAFETY: column ranges are disjoint slices of the buffer.
             let row = unsafe { shared.slice_mut(offsets[c]..offsets[c + 1]) };
-            row.sort_unstable_by(cand_cmp);
+            row.sort_unstable_by_key(cand_key);
         });
     }
     Csr::from_lens_and_items(&lens, items)
@@ -394,6 +443,71 @@ mod tests {
     use minoan_exec::ExecutorKind;
     use minoan_kb::{KbBuilder, KbPair};
     use minoan_text::Tokenizer;
+
+    /// The reference candidate order the index's key must reproduce:
+    /// similarity descending through the float comparison, ties by
+    /// entity id ascending.
+    fn cand_cmp(a: &Candidate, b: &Candidate) -> std::cmp::Ordering {
+        b.1.partial_cmp(&a.1)
+            .unwrap_or(std::cmp::Ordering::Equal)
+            .then(a.0.cmp(&b.0))
+    }
+
+    #[test]
+    fn cand_key_sorts_exactly_like_the_float_comparator() {
+        let one = 1.0f64;
+        let values = [
+            f64::from_bits(1), // the smallest subnormal
+            f64::from_bits(2),
+            f64::MIN_POSITIVE / 2.0, // subnormal
+            f64::from_bits(f64::MIN_POSITIVE.to_bits() - 1),
+            f64::MIN_POSITIVE,
+            1e-300,
+            0.25,
+            f64::from_bits(one.to_bits() - 1), // just under H2's threshold
+            one,
+            f64::from_bits(one.to_bits() + 1), // just over it
+            2.0,
+            1e300,
+            f64::MAX,
+        ];
+        let ids = [0, 1, 2, 1 << 31, u32::MAX - 1, u32::MAX];
+        let cands: Vec<Candidate> = values
+            .iter()
+            .flat_map(|&v| ids.iter().map(move |&id| (EntityId(id), v)))
+            .collect();
+        let n = cands.len();
+        let mut want = cands.clone();
+        want.sort_by(cand_cmp);
+        assert_eq!(want[0], (EntityId(0), f64::MAX));
+        assert_eq!(want[n - 1], (EntityId(u32::MAX), f64::from_bits(1)));
+        // The same rows in several input orders: as built, reversed, and
+        // strided (each stride coprime to n = 78) so equal similarities
+        // arrive with their ids shuffled.
+        let mut inputs = vec![cands.clone(), cands.iter().rev().copied().collect()];
+        for stride in [5, 7, 11] {
+            inputs.push((0..n).map(|i| cands[i * stride % n]).collect());
+        }
+        for mut row in inputs {
+            row.sort_unstable_by_key(cand_key);
+            // Exact: same candidates, same order, same f64 bits.
+            assert_eq!(row, want);
+        }
+    }
+
+    #[cfg(debug_assertions)]
+    #[test]
+    #[should_panic(expected = "positive finite")]
+    fn cand_key_rejects_a_zero_similarity() {
+        cand_key(&(EntityId(0), 0.0));
+    }
+
+    #[cfg(debug_assertions)]
+    #[test]
+    #[should_panic(expected = "positive finite")]
+    fn cand_key_rejects_nan() {
+        cand_key(&(EntityId(0), f64::NAN));
+    }
 
     /// Two tiny movie KBs: movies m share a title token with their
     /// counterpart, actors are linked via `starring`.
