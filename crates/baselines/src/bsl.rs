@@ -191,9 +191,17 @@ pub fn run_bsl(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use minoan_blocking::token_blocking;
+    use minoan_blocking::token_blocking_with;
+    use minoan_exec::Executor;
     use minoan_kb::{KbBuilder, KbPair};
     use minoan_text::TokenizedPair;
+
+    /// The token blocks `BT` of `pair`.
+    fn token_blocks(pair: &KbPair) -> BlockCollection {
+        let exec = Executor::sequential();
+        let tokens = TokenizedPair::build_with(pair, &Tokenizer::default(), &exec);
+        token_blocking_with(&tokens, &exec)
+    }
 
     fn easy_pair() -> (KbPair, GroundTruth) {
         let mut a = KbBuilder::new("E1");
@@ -218,8 +226,7 @@ mod tests {
     #[test]
     fn bsl_nails_strongly_similar_data() {
         let (pair, truth) = easy_pair();
-        let tokens = TokenizedPair::build(&pair, &Tokenizer::default());
-        let bt = token_blocking(&tokens);
+        let bt = token_blocks(&pair);
         let r = run_bsl(&pair.first, &pair.second, &[&bt], &truth);
         assert!(
             (r.quality.f1() - 1.0).abs() < 1e-9,
@@ -234,8 +241,7 @@ mod tests {
     #[test]
     fn bsl_reports_the_config_it_used() {
         let (pair, truth) = easy_pair();
-        let tokens = TokenizedPair::build(&pair, &Tokenizer::default());
-        let bt = token_blocking(&tokens);
+        let bt = token_blocks(&pair);
         let r = run_bsl(&pair.first, &pair.second, &[&bt], &truth);
         assert!((1..=3).contains(&r.config.ngram));
         let shown = r.config.to_string();
@@ -254,8 +260,7 @@ mod tests {
         b.add_literal("b:0", "label", "nothing alike");
         let pair = KbPair::new(a.finish(), b.finish());
         let truth = Matching::from_pairs([(EntityId(0), EntityId(0))]);
-        let tokens = TokenizedPair::build(&pair, &Tokenizer::default());
-        let bt = token_blocking(&tokens);
+        let bt = token_blocks(&pair);
         let r = run_bsl(&pair.first, &pair.second, &[&bt], &truth);
         assert_eq!(r.quality.recall(), 0.0);
     }

@@ -220,7 +220,8 @@ pub fn run_sigma(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use minoan_blocking::token_blocking;
+    use minoan_blocking::token_blocking_with;
+    use minoan_exec::Executor;
     use minoan_kb::KbBuilder;
     use minoan_text::Tokenizer;
 
@@ -237,8 +238,9 @@ mod tests {
             b.add_literal(uri, "v", lit);
         }
         let pair = KbPair::new(a.finish(), b.finish());
-        let tokens = TokenizedPair::build(&pair, &Tokenizer::default());
-        let bt = token_blocking(&tokens);
+        let exec = Executor::sequential();
+        let tokens = TokenizedPair::build_with(&pair, &Tokenizer::default(), &exec);
+        let bt = token_blocking_with(&tokens, &exec);
         (pair, tokens, bt)
     }
 
@@ -282,8 +284,9 @@ mod tests {
         // Distractor movie with the same weak token but no actor.
         b.add_literal("b:x", "t", "film other things");
         let pair = KbPair::new(a.finish(), b.finish());
-        let tokens = TokenizedPair::build(&pair, &Tokenizer::default());
-        let bt = token_blocking(&tokens);
+        let exec = Executor::sequential();
+        let tokens = TokenizedPair::build_with(&pair, &Tokenizer::default(), &exec);
+        let bt = token_blocking_with(&tokens, &exec);
         let m = run_sigma(&pair, &tokens, &bt, &[], SigmaConfig::default());
         let am = pair.first.entity_by_uri("a:m").unwrap();
         let bm = pair.second.entity_by_uri("b:m").unwrap();

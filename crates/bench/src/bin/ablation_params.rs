@@ -11,7 +11,10 @@ use minoan_datagen::{Dataset, DatasetKind};
 use minoan_eval::{MatchQuality, Table};
 
 fn f1(d: &Dataset, config: MinoanConfig) -> f64 {
-    let out = MinoanEr::new(config).expect("valid config").run(&d.pair);
+    let exec = config.executor();
+    let out = MinoanEr::new(config)
+        .expect("valid config")
+        .run_with(&d.pair, &exec);
     MatchQuality::evaluate(&out.matching, &d.truth).f1()
 }
 

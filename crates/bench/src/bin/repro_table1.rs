@@ -7,6 +7,7 @@
 //! down by design (DESIGN.md §3).
 
 use minoan_bench::{DEFAULT_SEED, PAPER_TABLE1};
+use minoan_core::MinoanConfig;
 use minoan_datagen::DatasetKind;
 use minoan_eval::{scientific, Table};
 use minoan_kb::{KbSide, KbStats};
@@ -44,6 +45,7 @@ fn main() {
         ("E1/E2 vocab.".into(), vec![]),
         ("Matches".into(), vec![]),
     ];
+    let exec = MinoanConfig::default().executor();
     let datasets: Vec<_> = DatasetKind::ALL
         .iter()
         .map(|&k| k.generate_scaled(seed, scale))
@@ -51,7 +53,7 @@ fn main() {
     for (i, d) in datasets.iter().enumerate() {
         let s1 = KbStats::compute(&d.pair.first);
         let s2 = KbStats::compute(&d.pair.second);
-        let tokens = TokenizedPair::build(&d.pair, &Tokenizer::default());
+        let tokens = TokenizedPair::build_with(&d.pair, &Tokenizer::default(), &exec);
         let p = &PAPER_TABLE1[i];
         let fmt2 = |ours: String, paper: String| format!("{ours} (paper {paper})");
         rows[0].1.push(fmt2(
@@ -121,12 +123,12 @@ fn main() {
         "BBCmusic-DBpedia: DBpedia side has a far larger schema",
         datasets[2].pair.second.attr_count() > 10 * datasets[2].pair.first.attr_count(),
     );
-    let t2 = TokenizedPair::build(&datasets[2].pair, &Tokenizer::default());
+    let t2 = TokenizedPair::build_with(&datasets[2].pair, &Tokenizer::default(), &exec);
     check(
         "BBCmusic-DBpedia: DBpedia descriptions are far more verbose",
         t2.avg_tokens(KbSide::Second) > 2.0 * t2.avg_tokens(KbSide::First),
     );
-    let t3 = TokenizedPair::build(&datasets[3].pair, &Tokenizer::default());
+    let t3 = TokenizedPair::build_with(&datasets[3].pair, &Tokenizer::default(), &exec);
     check(
         "YAGO-IMDb: terse descriptions on both sides",
         t3.avg_tokens(KbSide::First) < 25.0 && t3.avg_tokens(KbSide::Second) < 25.0,

@@ -49,7 +49,7 @@ fn main() {
     let mut claims: Vec<(String, bool)> = Vec::new();
     for (i, kind) in DatasetKind::ALL.into_iter().enumerate() {
         let d = kind.generate_scaled(seed, scale);
-        let art = build_blocks(&d.pair, &config);
+        let art = build_blocks(&d.pair, &config, &config.executor());
         let bn = &art.name_blocks;
         let bt = &art.token_blocks;
         let m = block_metrics(&[bn, bt], &d.truth);

@@ -5,7 +5,6 @@ use minoan_blocking::unique_name_pairs;
 use minoan_core::{build_blocks, MinoanConfig, MinoanEr, PipelineReport};
 use minoan_datagen::{Dataset, DatasetKind};
 use minoan_eval::MatchQuality;
-use minoan_text::{TokenizedPair, Tokenizer};
 
 /// Seed used by all repro binaries so every table is generated from the
 /// same KBs.
@@ -50,15 +49,15 @@ pub fn run_methods(kind: DatasetKind, seed: u64, scale: f64) -> DatasetRun {
     let pair = &dataset.pair;
     let truth = &dataset.truth;
     let config = MinoanConfig::default();
-    let artifacts = build_blocks(pair, &config);
+    let exec = config.executor();
+    let artifacts = build_blocks(pair, &config, &exec);
     let mut methods = Vec::new();
 
     // SiGMa-like: seeds are the unique-name pairs, candidates from BT.
-    let tokens = TokenizedPair::build(pair, &Tokenizer::default());
     let seeds = unique_name_pairs(&artifacts.name_blocks);
     let sigma = run_sigma(
         pair,
-        &tokens,
+        &artifacts.tokens,
         &artifacts.token_blocks,
         &seeds,
         SigmaConfig::default(),
@@ -91,7 +90,7 @@ pub fn run_methods(kind: DatasetKind, seed: u64, scale: f64) -> DatasetRun {
     });
 
     // MinoanER.
-    let out = MinoanEr::with_defaults().run(pair);
+    let out = MinoanEr::with_defaults().run_with(pair, &exec);
     methods.push(MethodResult {
         method: "MinoanER",
         quality: MatchQuality::evaluate(&out.matching, truth),

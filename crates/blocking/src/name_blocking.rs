@@ -13,24 +13,17 @@ use minoan_kb::{EntityId, Interner};
 
 use crate::block::{Block, BlockCollection, BlockKind};
 
-/// Builds the name block collection `BN` sequentially.
+/// Builds the name block collection `BN` on `exec`.
 ///
 /// `names_first[e]` / `names_second[e]` hold the name strings of entity
 /// `e` on each side. Names are canonicalized (lower-cased, whitespace
 /// collapsed) before keying. The returned interner resolves block keys
 /// back to canonical names. Blocks populated on only one side are
 /// dropped.
-pub fn name_blocking(
-    names_first: &[Vec<String>],
-    names_second: &[Vec<String>],
-) -> (BlockCollection, Interner) {
-    name_blocking_with(names_first, names_second, &Executor::sequential())
-}
-
-/// Builds `BN` on `exec`: name canonicalization (the string-heavy part)
-/// runs data-parallel over entities; interning and block grouping stay
-/// sequential, in entity order, so the result is identical to
-/// [`name_blocking`] for any thread count.
+///
+/// Canonicalization (the string-heavy part) runs data-parallel over
+/// entities; interning and block grouping stay sequential, in entity
+/// order, so the result is identical for any thread count.
 pub fn name_blocking_with(
     names_first: &[Vec<String>],
     names_second: &[Vec<String>],
@@ -144,6 +137,13 @@ pub fn unique_name_pairs(bn: &BlockCollection) -> Vec<(EntityId, EntityId)> {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    fn name_blocking(
+        names_first: &[Vec<String>],
+        names_second: &[Vec<String>],
+    ) -> (BlockCollection, Interner) {
+        name_blocking_with(names_first, names_second, &Executor::sequential())
+    }
 
     fn names(v: &[&[&str]]) -> Vec<Vec<String>> {
         v.iter()

@@ -48,14 +48,10 @@ pub struct PurgeReport {
 ///
 /// Returns the maximum per-block comparison cardinality that survives.
 /// Collections with fewer than two distinct cardinality levels are left
-/// intact (their largest cardinality is returned).
-pub fn purging_threshold(collection: &BlockCollection, s: f64) -> u64 {
-    purging_threshold_with(collection, s, &Executor::sequential())
-}
-
-/// [`purging_threshold`] with the per-block cardinality statistics
-/// gathered data-parallel over block ranges on `exec`. The statistics
-/// are integers, so the threshold is identical for any thread count.
+/// intact (their largest cardinality is returned). The per-block
+/// cardinality statistics are gathered data-parallel over block ranges
+/// on `exec`; they are integers, so the threshold is identical for any
+/// thread count.
 pub fn purging_threshold_with(collection: &BlockCollection, s: f64, exec: &Executor) -> u64 {
     let blocks = collection.blocks();
     let cards: Vec<(u64, u64)> = exec
@@ -106,13 +102,8 @@ fn threshold_from_cards(mut cards: Vec<(u64, u64)>, s: f64) -> u64 {
     levels[0].0
 }
 
-/// Purges `collection` using [`purging_threshold`] with smoothing `s`,
-/// returning the surviving collection and a report.
-pub fn purge_with(collection: &BlockCollection, s: f64) -> (BlockCollection, PurgeReport) {
-    purge_with_exec(collection, s, &Executor::sequential())
-}
-
-/// [`purge_with`] running the statistics pass on `exec`.
+/// Purges `collection` using [`purging_threshold_with`] with smoothing
+/// `s` on `exec`, returning the surviving collection and a report.
 pub fn purge_with_exec(
     collection: &BlockCollection,
     s: f64,
@@ -130,11 +121,6 @@ pub fn purge_with_exec(
     (purged, report)
 }
 
-/// Purges with the default smoothing factor.
-pub fn purge(collection: &BlockCollection) -> (BlockCollection, PurgeReport) {
-    purge_with(collection, DEFAULT_SMOOTHING)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -147,6 +133,14 @@ mod tests {
             firsts: (0..n1 as u32).map(EntityId).collect(),
             seconds: (0..n2 as u32).map(EntityId).collect(),
         }
+    }
+
+    fn purging_threshold(c: &BlockCollection, s: f64) -> u64 {
+        purging_threshold_with(c, s, &Executor::sequential())
+    }
+
+    fn purge(c: &BlockCollection) -> (BlockCollection, PurgeReport) {
+        purge_with_exec(c, DEFAULT_SMOOTHING, &Executor::sequential())
     }
 
     fn collection(blocks: Vec<Block>) -> BlockCollection {

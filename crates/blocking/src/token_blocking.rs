@@ -12,15 +12,10 @@ use minoan_text::TokenizedPair;
 
 use crate::block::{Block, BlockCollection, BlockKind};
 
-/// Builds the token block collection `BT` sequentially.
+/// Builds the token block collection `BT` on `exec`.
 ///
 /// Blocks whose key occurs on only one side are dropped: they can never
-/// produce a comparison.
-pub fn token_blocking(tokens: &TokenizedPair) -> BlockCollection {
-    token_blocking_with(tokens, &Executor::sequential())
-}
-
-/// Builds `BT` on `exec`: each part inverts an entity range into a
+/// produce a comparison. Each part inverts an entity range into a
 /// partial `token -> entities` index; partials are merged in part order,
 /// so every block's entity list is in ascending entity order — exactly
 /// the sequential result — for any thread count.
@@ -113,8 +108,9 @@ mod tests {
         b.add_literal("b:1", "title", "taverna kri");
         b.add_literal("b:2", "title", "knossos palace hotel");
         let pair = KbPair::new(a.finish(), b.finish());
-        let toks = TokenizedPair::build(&pair, &Tokenizer::default());
-        let bt = token_blocking(&toks);
+        let seq = Executor::sequential();
+        let toks = TokenizedPair::build_with(&pair, &Tokenizer::default(), &seq);
+        let bt = token_blocking_with(&toks, &seq);
         (toks, bt)
     }
 
@@ -182,8 +178,9 @@ mod tests {
             );
         }
         let pair = KbPair::new(a.finish(), b.finish());
-        let toks = TokenizedPair::build(&pair, &Tokenizer::default());
-        let seq = token_blocking(&toks);
+        let exec = Executor::sequential();
+        let toks = TokenizedPair::build_with(&pair, &Tokenizer::default(), &exec);
+        let seq = token_blocking_with(&toks, &exec);
         for threads in [2, 3, 8] {
             let par = token_blocking_with(&toks, &Executor::new(ExecutorKind::Pool, threads));
             assert_eq!(seq.blocks(), par.blocks(), "threads={threads}");

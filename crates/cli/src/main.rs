@@ -55,7 +55,7 @@
 //! status / cancel / wait / shutdown — see `minoan_serve::daemon` for
 //! the wire format; `examples/daemon_client.rs` is a ready-made
 //! client), feed the same bounded-memory admission queue, and can be
-//! cancelled **mid-run** via cooperative pipeline checkpoints. On
+//! cancelled **mid-run** through the job's executor. On
 //! `shutdown` the daemon drains and prints the fleet report in
 //! submission order, exactly like `batch`; the exit code is 0 on a
 //! clean shutdown (per-job failures were already reported to clients).
@@ -80,8 +80,8 @@
 //!
 //! ## Supervised lifecycle knobs
 //!
-//! `--timeout-ms N` sets a per-job deadline observed at the pipeline's
-//! cooperative checkpoints (`0` = none; overrides the manifest),
+//! `--timeout-ms N` sets a per-job deadline observed at every wave of
+//! the job's executor (`0` = none; overrides the manifest),
 //! `--max-retries N` gives transiently-failing jobs (I/O errors,
 //! timeouts) that many re-runs with exponential backoff and
 //! deterministic jitter, and `--rss-kill-factor F` arms a watchdog
@@ -127,7 +127,6 @@ use minoan_serve::{
     run_batch_streaming, run_server, CancelToken, Frontends, HttpOptions, JobReport, Manifest,
     ServeOptions,
 };
-use minoan_text::{TokenizedPair, Tokenizer};
 
 fn usage() -> ! {
     minoan_obs::error!(
@@ -259,7 +258,7 @@ fn dataset_kind(name: &str) -> Option<DatasetKind> {
 fn load_kb(path: &str, name: &str, config: &MinoanConfig) -> KnowledgeBase {
     minoan_serve::load_kb_file(std::path::Path::new(path), name, config, &config.executor())
         .unwrap_or_else(|e| {
-            minoan_obs::error!("cli", "{e}");
+            minoan_obs::error!("cli", "cannot load {path}: {e}");
             exit(1);
         })
 }
@@ -344,7 +343,7 @@ fn run_method(
                     minoan_obs::error!("cli", "bad config: {e}");
                     exit(1);
                 })
-                .run(pair)
+                .run_with(pair, &config.executor())
                 .matching
         }
         "bsl" => {
@@ -355,7 +354,7 @@ fn run_method(
                 );
                 exit(1);
             };
-            let art = build_blocks(pair, config);
+            let art = build_blocks(pair, config, &config.executor());
             run_bsl(
                 &pair.first,
                 &pair.second,
@@ -365,12 +364,11 @@ fn run_method(
             .matching
         }
         "sigma" => {
-            let art = build_blocks(pair, config);
-            let tokens = TokenizedPair::build(pair, &Tokenizer::default());
+            let art = build_blocks(pair, config, &config.executor());
             let seeds = unique_name_pairs(&art.name_blocks);
             run_sigma(
                 pair,
-                &tokens,
+                &art.tokens,
                 &art.token_blocks,
                 &seeds,
                 SigmaConfig::default(),
@@ -922,12 +920,13 @@ fn main() {
                 config.executor,
                 config.executor().threads(),
             );
+            let exec = config.executor();
             let out = MinoanEr::new(config)
                 .unwrap_or_else(|e| {
                     minoan_obs::error!("cli", "bad config: {e}");
                     exit(1);
                 })
-                .run(&d.pair);
+                .run_with(&d.pair, &exec);
             let q = MatchQuality::evaluate(&out.matching, &d.truth);
             minoan_obs::info!(
                 "cli.demo",
@@ -1047,6 +1046,7 @@ mod tests {
             (&["--threads"], Err(MissingValue), 0),
             (&["--k", "many"], Err(BadValue), 0),
             (&["--executor", "gpu"], Err(BadValue), 0),
+            (&["--executor", "rayon"], Err(BadValue), 0),
             (&["--threads", "-1"], Err(BadValue), 0),
             // Not this group's: left for the verb to judge, nothing read.
             (&["--slots", "2"], Ok(false), 1),

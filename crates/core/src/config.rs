@@ -226,8 +226,10 @@ mod tests {
         assert!(MinoanConfig::from_json(&bad).is_err());
         let bad = Json::parse(r#"{"candidates_k": -3}"#).unwrap();
         assert!(MinoanConfig::from_json(&bad).is_err());
-        let bad = Json::parse(r#"{"executor": "gpu"}"#).unwrap();
-        assert!(MinoanConfig::from_json(&bad).is_err());
+        for executor in ["gpu", "rayon"] {
+            let bad = Json::parse(&format!(r#"{{"executor": "{executor}"}}"#)).unwrap();
+            assert!(MinoanConfig::from_json(&bad).is_err(), "{executor}");
+        }
     }
 
     #[test]

@@ -71,7 +71,8 @@ pub struct DeltaReport {
 
 impl IndexArtifact {
     /// Applies `ops` to the embedded pair and re-resolves it: the
-    /// pipeline runs on `exec` under `cancel` with the parameters the
+    /// pipeline runs on `exec`, with `cancel` attached to it (see
+    /// [`MinoanEr::run_cancellable_indexed`]), and with the parameters the
     /// index was built with, and the two products an index keeps of a
     /// run — the value candidates and the matching — replace the
     /// artifact's, as do the meta fields describing the run, with the
@@ -410,31 +411,5 @@ mod tests {
             .apply_delta(&ops, &Executor::sequential(), &CancelToken::new())
             .unwrap();
         assert_bit_identical(&loaded, &rebuild_with(&pair, &ops, config));
-    }
-
-    /// An index built when a third backend existed says
-    /// `"executor":"rayon"` in its meta section for as long as the file
-    /// lives; it must keep loading and patching like any other.
-    #[test]
-    fn a_legacy_rayon_artifact_patches_like_its_pool_twin() {
-        let pair = sample_pair();
-        let mut pool = build_artifact(&pair);
-        let mut legacy = build_artifact(&pair);
-        assert!(legacy.meta.config_json.contains(r#""executor":"pool""#));
-        legacy.meta.config_json = legacy
-            .meta
-            .config_json
-            .replace(r#""executor":"pool""#, r#""executor":"rayon""#);
-        let mut legacy = through_disk(&legacy, "legacy");
-        assert!(legacy.meta().config_json.contains("rayon"));
-        assert_eq!(legacy.config, pool.config);
-        let ops = mixed_ops();
-        for artifact in [&mut pool, &mut legacy] {
-            artifact
-                .apply_delta(&ops, &Executor::pool(), &CancelToken::new())
-                .unwrap();
-        }
-        assert_bit_identical(&legacy, &pool);
-        assert_bit_identical(&legacy, &rebuild(&pair, &ops));
     }
 }

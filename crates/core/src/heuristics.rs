@@ -40,18 +40,10 @@ pub fn h1_name_matches(bn: &BlockCollection) -> Vec<(EntityId, EntityId)> {
 ///
 /// Entities already matched by H1 are not examined, neither as probes
 /// nor as candidates.
-pub fn h2_value_matches(
-    idx: &SimilarityIndex,
-    smaller: KbSide,
-    n_smaller: usize,
-    matched: [&FxHashSet<EntityId>; 2],
-) -> Vec<(EntityId, EntityId)> {
-    h2_value_matches_with(idx, smaller, n_smaller, matched, &Executor::sequential())
-}
-
-/// [`h2_value_matches`] fanned out over entity ranges on `exec`. Each
-/// entity's decision is independent and partials are concatenated in
-/// entity order, so the output is identical for any thread count.
+///
+/// Fanned out over entity ranges on `exec`. Each entity's decision is
+/// independent and partials are concatenated in entity order, so the
+/// output is identical for any thread count.
 pub fn h2_value_matches_with(
     idx: &SimilarityIndex,
     smaller: KbSide,
@@ -145,29 +137,10 @@ pub fn h3_top_candidate(
     })
 }
 
-/// Runs H3 over every not-yet-matched entity of the smaller KB.
-pub fn h3_rank_matches(
-    idx: &SimilarityIndex,
-    smaller: KbSide,
-    n_smaller: usize,
-    k: usize,
-    theta: f64,
-    matched: [&FxHashSet<EntityId>; 2],
-) -> Vec<(EntityId, EntityId)> {
-    h3_rank_matches_with(
-        idx,
-        smaller,
-        n_smaller,
-        k,
-        theta,
-        matched,
-        &Executor::sequential(),
-    )
-}
-
-/// [`h3_rank_matches`] fanned out over entity ranges on `exec`; output
-/// identical for any thread count (independent per-entity decisions,
-/// partials concatenated in entity order).
+/// Runs H3 over every not-yet-matched entity of the smaller KB, fanned
+/// out over entity ranges on `exec`; output identical for any thread
+/// count (independent per-entity decisions, partials concatenated in
+/// entity order).
 pub fn h3_rank_matches_with(
     idx: &SimilarityIndex,
     smaller: KbSide,
@@ -230,7 +203,7 @@ fn in_top_k(idx: &SimilarityIndex, side: KbSide, e: EntityId, other: EntityId, k
 #[cfg(test)]
 mod tests {
     use super::*;
-    use minoan_blocking::token_blocking;
+    use minoan_blocking::token_blocking_with;
     use minoan_kb::{KbBuilder, KbPair};
     use minoan_text::{TokenizedPair, Tokenizer};
 
@@ -249,11 +222,21 @@ mod tests {
             b.add_literal(&format!("b:{i}"), "v", l);
         }
         let pair = KbPair::new(a.finish(), b.finish());
-        let tokens = TokenizedPair::build(&pair, &Tokenizer::default());
-        let bt = token_blocking(&tokens);
+        let exec = Executor::sequential();
+        let tokens = TokenizedPair::build_with(&pair, &Tokenizer::default(), &exec);
+        let bt = token_blocking_with(&tokens, &exec);
         let tn1 = vec![Vec::new(); pair.first.entity_count()];
         let tn2 = vec![Vec::new(); pair.second.entity_count()];
-        SimilarityIndex::build(&bt, &tokens, [&tn1, &tn2])
+        SimilarityIndex::build_with(&bt, &tokens, [&tn1, &tn2], &exec)
+    }
+
+    fn h2_value_matches(
+        idx: &SimilarityIndex,
+        smaller: KbSide,
+        n_smaller: usize,
+        matched: [&FxHashSet<EntityId>; 2],
+    ) -> Vec<(EntityId, EntityId)> {
+        h2_value_matches_with(idx, smaller, n_smaller, matched, &Executor::sequential())
     }
 
     #[test]
@@ -367,7 +350,15 @@ mod tests {
     fn h3_full_pass_orients_pairs() {
         let idx = index_of(&["x q"], &["x q"]);
         let none = FxHashSet::default();
-        let pairs = h3_rank_matches(&idx, KbSide::Second, 1, 15, 0.6, [&none, &none]);
+        let pairs = h3_rank_matches_with(
+            &idx,
+            KbSide::Second,
+            1,
+            15,
+            0.6,
+            [&none, &none],
+            &Executor::sequential(),
+        );
         assert_eq!(pairs, vec![(e(0), e(0))]);
     }
 }

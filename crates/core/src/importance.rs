@@ -119,14 +119,10 @@ fn rank_pass<V>(kb: &KnowledgeBase, pass: ImportancePart<V>) -> Vec<Importance> 
 }
 
 /// Ranks the *literal-valued* attributes of `kb` by importance,
-/// descending. Attributes with no literal values (pure relations) are
-/// excluded: names are literal strings.
-pub fn attribute_importance(kb: &KnowledgeBase) -> Vec<Importance> {
-    attribute_importance_with(kb, &Executor::sequential())
-}
-
-/// [`attribute_importance`] on `exec`; bit-identical for any thread
-/// count (all aggregates are integers, merged order-independently).
+/// descending, on `exec`. Attributes with no literal values (pure
+/// relations) are excluded: names are literal strings. Bit-identical for
+/// any thread count (all aggregates are integers, merged
+/// order-independently).
 pub fn attribute_importance_with(kb: &KnowledgeBase, exec: &Executor) -> Vec<Importance> {
     if kb.entity_count() == 0 {
         return Vec::new();
@@ -139,12 +135,7 @@ pub fn attribute_importance_with(kb: &KnowledgeBase, exec: &Executor) -> Vec<Imp
 }
 
 /// Ranks the *relations* (entity-valued attributes) of `kb` by
-/// importance, descending.
-pub fn relation_importance(kb: &KnowledgeBase) -> Vec<Importance> {
-    relation_importance_with(kb, &Executor::sequential())
-}
-
-/// [`relation_importance`] on `exec`; bit-identical for any thread count.
+/// importance, descending, on `exec`; bit-identical for any thread count.
 pub fn relation_importance_with(kb: &KnowledgeBase, exec: &Executor) -> Vec<Importance> {
     if kb.entity_count() == 0 {
         return Vec::new();
@@ -156,14 +147,10 @@ pub fn relation_importance_with(kb: &KnowledgeBase, exec: &Executor) -> Vec<Impo
     rank_pass(kb, pass)
 }
 
-/// Extracts the name strings of every entity: the literal values of the
-/// `k` most important attributes.
-pub fn entity_names(kb: &KnowledgeBase, k: usize) -> Vec<Vec<String>> {
-    entity_names_with(kb, k, &Executor::sequential())
-}
-
-/// [`entity_names`] on `exec`: the importance ranking and the per-entity
-/// extraction both fan out; partials merge in entity order.
+/// Extracts the name strings of every entity on `exec`: the literal
+/// values of the `k` most important attributes. The importance ranking
+/// and the per-entity extraction both fan out; partials merge in entity
+/// order.
 pub fn entity_names_with(kb: &KnowledgeBase, k: usize, exec: &Executor) -> Vec<Vec<String>> {
     let ranked = attribute_importance_with(kb, exec);
     let name_attrs: FxHashSet<AttrId> = ranked.iter().take(k).map(|i| i.attr).collect();
@@ -183,13 +170,8 @@ pub fn entity_names_with(kb: &KnowledgeBase, k: usize, exec: &Executor) -> Vec<V
 /// Computes `topNneighbors(e)` for every entity: the neighbors (both
 /// directions, as the paper's datasets use in- and out-neighbors)
 /// connected through one of the `n` most important relations, capped at
-/// `cap` neighbors per entity for robustness against hubs.
-pub fn top_neighbors(kb: &KnowledgeBase, n: usize, cap: usize) -> Vec<Vec<EntityId>> {
-    top_neighbors_with(kb, n, cap, &Executor::sequential())
-}
-
-/// [`top_neighbors`] on `exec`: a pure per-entity map, fanned out in
-/// entity order.
+/// `cap` neighbors per entity for robustness against hubs. A pure
+/// per-entity map on `exec`, fanned out in entity order.
 pub fn top_neighbors_with(
     kb: &KnowledgeBase,
     n: usize,
@@ -228,6 +210,22 @@ pub fn top_neighbors_with(
 mod tests {
     use super::*;
     use minoan_kb::KbBuilder;
+
+    fn attribute_importance(kb: &KnowledgeBase) -> Vec<Importance> {
+        attribute_importance_with(kb, &Executor::sequential())
+    }
+
+    fn relation_importance(kb: &KnowledgeBase) -> Vec<Importance> {
+        relation_importance_with(kb, &Executor::sequential())
+    }
+
+    fn entity_names(kb: &KnowledgeBase, k: usize) -> Vec<Vec<String>> {
+        entity_names_with(kb, k, &Executor::sequential())
+    }
+
+    fn top_neighbors(kb: &KnowledgeBase, n: usize, cap: usize) -> Vec<Vec<EntityId>> {
+        top_neighbors_with(kb, n, cap, &Executor::sequential())
+    }
 
     /// A KB where `name` is clearly the most distinctive attribute:
     /// full support, all-distinct values; `type` has full support but one

@@ -15,8 +15,12 @@
 //! 4. four threshold-free heuristics decide:
 //!    `M = (H1 ∨ H2 ∨ H3) ∧ H4` ([`heuristics`], [`MinoanEr`]).
 //!
+//! Every stage takes the [`minoan_exec::Executor`] it runs on; a job's
+//! cancel token rides on that executor (see [`minoan_exec::cancel`]).
+//!
 //! ```
 //! use minoan_core::MinoanEr;
+//! use minoan_exec::Executor;
 //! use minoan_kb::{KbBuilder, KbPair};
 //!
 //! let mut a = KbBuilder::new("E1");
@@ -25,7 +29,7 @@
 //! b.add_literal("b:1", "label", "Knossos Palace");
 //! let pair = KbPair::new(a.finish(), b.finish());
 //!
-//! let out = MinoanEr::with_defaults().run(&pair);
+//! let out = MinoanEr::with_defaults().run_with(&pair, &Executor::sequential());
 //! assert_eq!(out.matching.len(), 1);
 //! ```
 
@@ -43,15 +47,14 @@ pub use artifact::{ArtifactMeta, IndexArtifact, MatchAnswer};
 pub use config::MinoanConfig;
 pub use delta::{DeltaReport, PATCH_FAULT_SITE};
 pub use heuristics::{
-    h1_name_matches, h2_value_matches, h2_value_matches_with, h3_rank_matches,
-    h3_rank_matches_with, h3_top_candidate, h4_reciprocal, h4_reciprocal_batch,
+    h1_name_matches, h2_value_matches_with, h3_rank_matches_with, h3_top_candidate, h4_reciprocal,
+    h4_reciprocal_batch,
 };
 pub use importance::{
-    attribute_importance, attribute_importance_with, entity_names, entity_names_with,
-    relation_importance, relation_importance_with, top_neighbors, top_neighbors_with, Importance,
+    attribute_importance_with, entity_names_with, relation_importance_with, top_neighbors_with,
+    Importance,
 };
 pub use pipeline::{
-    build_blocks, build_blocks_cancellable, build_blocks_with, BlockingArtifacts, IndexedOutput,
-    MatchOutput, MinoanEr, PipelineReport, Timings,
+    build_blocks, BlockingArtifacts, IndexedOutput, MatchOutput, MinoanEr, PipelineReport, Timings,
 };
 pub use simindex::{Candidate, SimilarityIndex};

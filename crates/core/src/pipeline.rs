@@ -53,7 +53,7 @@ pub struct Timings {
     /// H1 alone (the unique-name scan over the finished name blocks).
     /// Name extraction and name blocking are clocked inside `blocking`.
     pub names_h1: Duration,
-    /// Everything else [`build_blocks_cancellable`] does: name extraction
+    /// Everything else [`build_blocks`] does: name extraction
     /// for both KBs, name blocking, token blocking and purging.
     pub blocking: Duration,
     /// Both top-neighbor passes + similarity-index construction.
@@ -82,8 +82,8 @@ pub struct MatchOutput {
 /// it was decided from — the tokenized pair, both block collections and
 /// the similarity index. Produced by
 /// [`MinoanEr::run_cancellable_indexed`]; the `output` field is exactly
-/// what [`MinoanEr::run_cancellable`] would have returned for the same
-/// inputs, so persisting an index never perturbs the matching. A
+/// what [`MinoanEr::run_with`] returns for the same inputs, so
+/// persisting an index never perturbs the matching. A
 /// persistent index ([`crate::IndexArtifact::from_run`]) keeps the
 /// matching and the value candidates and only *counts* the rest.
 pub struct IndexedOutput {
@@ -122,86 +122,46 @@ pub(crate) fn stage_span(name: &'static str) -> minoan_obs::trace::Span {
 }
 
 /// Builds the schema-agnostic blocking input (`BN`, `BT`) for a pair,
-/// running the block construction and purging statistics on the
-/// executor selected by `config`.
-pub fn build_blocks(pair: &KbPair, config: &MinoanConfig) -> BlockingArtifacts {
-    build_blocks_with(pair, config, &config.executor())
-}
-
-/// Like [`build_blocks`], but borrowing `exec` instead of constructing
-/// one from the config: the serving layer schedules many concurrent
+/// running tokenization, name extraction, name blocking, token blocking
+/// and purging on `exec`. The serving layer schedules many concurrent
 /// pipeline runs and owns the thread policy (how many workers each job
-/// gets), so the pipeline itself must be re-entrant with respect to the
-/// executor. The executor fields of `config` are ignored.
-pub fn build_blocks_with(
-    pair: &KbPair,
-    config: &MinoanConfig,
-    exec: &Executor,
-) -> BlockingArtifacts {
-    build_blocks_cancellable(pair, config, exec, &CancelToken::new())
-        .expect("a fresh token is never cancelled")
-}
-
-/// Like [`build_blocks_with`], but observing `cancel` at cooperative
-/// checkpoints **between executor waves** (tokenization, name
-/// extraction per side, name blocking, token blocking, purging) — and,
-/// on the pool backend, between the quantum-bounded tasks *inside* each
-/// wave. A cancelled build unwinds with [`Cancelled`] within one task
-/// quantum of work and leaves no partial artifacts behind.
-pub fn build_blocks_cancellable(
-    pair: &KbPair,
-    config: &MinoanConfig,
-    exec: &Executor,
-    cancel: &CancelToken,
-) -> Result<BlockingArtifacts, Cancelled> {
-    // Hand the token to the executor so pool waves can abort mid-wave;
-    // `catch_cancel` folds that unwind into the same `Err(Cancelled)`
-    // the between-wave checkpoints produce.
-    let exec = &exec.clone().with_cancel(cancel.clone());
-    minoan_exec::catch_cancel(|| {
-        let tokenizer = Tokenizer::default();
-        cancel.checkpoint()?;
-        let t_tok = Instant::now();
-        let tokens = {
-            let _s = stage_span("stage.tokenize");
-            TokenizedPair::build_with(pair, &tokenizer, exec)
-        };
-        let tokenize_time = t_tok.elapsed();
-        cancel.checkpoint()?;
-        let (names1, names2) = {
-            let _s = stage_span("stage.names");
-            let names1 = entity_names_with(&pair.first, config.name_attrs_k, exec);
-            cancel.checkpoint()?;
-            let names2 = entity_names_with(&pair.second, config.name_attrs_k, exec);
-            (names1, names2)
-        };
-        cancel.checkpoint()?;
-        let (bn, _) = {
-            let _s = stage_span("stage.name_blocking");
-            name_blocking_with(&names1, &names2, exec)
-        };
-        cancel.checkpoint()?;
-        let bt_raw = {
-            let _s = stage_span("stage.token_blocking");
-            token_blocking_with(&tokens, exec)
-        };
-        let (bt, purge) = if config.purge_blocks {
-            cancel.checkpoint()?;
-            let _s = stage_span("stage.purge");
-            let (purged, report) = purge_with_exec(&bt_raw, config.purge_smoothing, exec);
-            (purged, Some(report))
-        } else {
-            (bt_raw, None)
-        };
-        Ok(BlockingArtifacts {
-            tokens,
-            name_blocks: bn,
-            token_blocks: bt,
-            purge,
-            names: [names1, names2],
-            tokenize_time,
-        })
-    })
+/// gets), so the executor is borrowed and the executor fields of
+/// `config` are ignored. A cancel token on `exec` stops the build at
+/// its next wave (see [`minoan_exec::cancel`]).
+pub fn build_blocks(pair: &KbPair, config: &MinoanConfig, exec: &Executor) -> BlockingArtifacts {
+    let t_tok = Instant::now();
+    let tokens = {
+        let _s = stage_span("stage.tokenize");
+        TokenizedPair::build_with(pair, &Tokenizer::default(), exec)
+    };
+    let tokenize_time = t_tok.elapsed();
+    let names = {
+        let _s = stage_span("stage.names");
+        [&pair.first, &pair.second].map(|kb| entity_names_with(kb, config.name_attrs_k, exec))
+    };
+    let (bn, _) = {
+        let _s = stage_span("stage.name_blocking");
+        name_blocking_with(&names[0], &names[1], exec)
+    };
+    let bt_raw = {
+        let _s = stage_span("stage.token_blocking");
+        token_blocking_with(&tokens, exec)
+    };
+    let (bt, purge) = if config.purge_blocks {
+        let _s = stage_span("stage.purge");
+        let (purged, report) = purge_with_exec(&bt_raw, config.purge_smoothing, exec);
+        (purged, Some(report))
+    } else {
+        (bt_raw, None)
+    };
+    BlockingArtifacts {
+        tokens,
+        name_blocks: bn,
+        token_blocks: bt,
+        purge,
+        names,
+        tokenize_time,
+    }
 }
 
 /// Outcome of the H1–H4 matching phase.
@@ -233,8 +193,7 @@ fn matching_phase(
     n_smaller: usize,
     config: &MinoanConfig,
     exec: &Executor,
-    cancel: &CancelToken,
-) -> Result<MatchingPhase, Cancelled> {
+) -> MatchingPhase {
     // H1: unique-name matches.
     let t0 = Instant::now();
     let h1 = h1_name_matches(name_blocks);
@@ -249,7 +208,6 @@ fn matching_phase(
     }
 
     // H2 on the smaller KB.
-    cancel.checkpoint()?;
     let t0 = Instant::now();
     let h2 = h2_value_matches_with(idx, smaller, n_smaller, [&matched[0], &matched[1]], exec);
     for &(e1, e2) in &h2 {
@@ -259,7 +217,6 @@ fn matching_phase(
     }
 
     // H3 on what is left.
-    cancel.checkpoint()?;
     let h3 = h3_rank_matches_with(
         idx,
         smaller,
@@ -275,14 +232,13 @@ fn matching_phase(
 
     // H4: reciprocity filter over everything — evaluated in parallel
     // (pure reads over the index), applied in insertion order.
-    cancel.checkpoint()?;
     let before = matching.len();
     let pairs: Vec<(EntityId, EntityId)> = matching.iter().collect();
     let keep = h4_reciprocal_batch(idx, config.candidates_k, &pairs, exec);
     let mut keep_flags = keep.iter();
     matching.retain(|_, _| *keep_flags.next().expect("one flag per pair"));
     let h4_removed = before - matching.len();
-    Ok(MatchingPhase {
+    MatchingPhase {
         h1_matches: h1.len(),
         h2_matches: h2.len(),
         h3_matches: h3.len(),
@@ -290,7 +246,7 @@ fn matching_phase(
         matching,
         names_h1,
         matching_time: t0.elapsed(),
-    })
+    }
 }
 
 /// The MinoanER matcher.
@@ -316,78 +272,46 @@ impl MinoanEr {
         &self.config
     }
 
-    /// Resolves `pair`, returning the matching and a stage report.
-    pub fn run(&self, pair: &KbPair) -> MatchOutput {
-        self.run_with(pair, &self.config.executor())
-    }
-
-    /// Like [`MinoanEr::run`], but borrowing `exec` instead of building
-    /// one from the config. This is the re-entrant entry point the
-    /// serving layer uses: many jobs share one process, each handed an
-    /// executor sized by the fleet scheduler, while the matching
-    /// parameters still come from this matcher's config. Results are
-    /// bit-identical across executors and thread counts.
+    /// Resolves `pair` on `exec`, returning the matching and a stage
+    /// report. The executor is borrowed rather than built from the
+    /// config: the serving layer runs many jobs in one process, each
+    /// handed an executor sized by the fleet scheduler, while the
+    /// matching parameters still come from this matcher's config.
+    /// Results are bit-identical across executors and thread counts.
+    ///
+    /// A cancel token on `exec` is observed at every wave start and,
+    /// on the pool backend, between the quantum-bounded tasks inside a
+    /// wave; once it fires the run unwinds with [`Cancelled`], produces
+    /// no partial matching, and never merges a torn wave. Catch it at
+    /// the job boundary, or use [`MinoanEr::run_cancellable_indexed`].
     pub fn run_with(&self, pair: &KbPair, exec: &Executor) -> MatchOutput {
-        self.run_cancellable(pair, exec, &CancelToken::new())
-            .expect("a fresh token is never cancelled")
+        self.run_indexed(pair, exec).output
     }
 
-    /// Like [`MinoanEr::run_with`], but observing `cancel` at
-    /// cooperative checkpoints **between executor waves**: after every
-    /// blocking stage (see [`build_blocks_cancellable`]), after H1,
-    /// between the top-neighbor passes, after the similarity-index
-    /// build, and between each of the H2 / H3 / H4 scans. On the pool
-    /// backend the token is additionally observed between the
-    /// quantum-bounded tasks *inside* each wave, so cancellation latency
-    /// is one task quantum rather than one unbounded wave; either way a
-    /// cancelled run unwinds with [`Cancelled`], produces no partial
-    /// matching, and never merges a torn wave — the job's wave workers
-    /// are all joined by the time the error propagates. This is what
-    /// makes mid-job cancellation in the serving layer safe.
-    pub fn run_cancellable(
-        &self,
-        pair: &KbPair,
-        exec: &Executor,
-        cancel: &CancelToken,
-    ) -> Result<MatchOutput, Cancelled> {
-        // As in `build_blocks_cancellable`: pool waves observe the token
-        // between task quanta and abort by unwinding; fold that unwind
-        // into the checkpoint error here at the stage boundary.
-        let exec = &exec.clone().with_cancel(cancel.clone());
-        minoan_exec::catch_cancel(|| {
-            self.run_cancellable_inner(pair, exec, cancel)
-                .map(|indexed| indexed.output)
-        })
-    }
-
-    /// Like [`MinoanEr::run_cancellable`], but returning the
-    /// [`IndexedOutput`] that keeps the tokenized pair, block
-    /// collections and similarity index alive for the caller — an index
-    /// build, or a harness inspecting them. This is the same code path
-    /// as `run_cancellable` — the matching is bit-identical; only what
-    /// survives the run differs.
+    /// Like [`MinoanEr::run_with`], but returning the [`IndexedOutput`]
+    /// that keeps the tokenized pair, block collections and similarity
+    /// index alive for the caller — an index build, or a harness
+    /// inspecting them — and catching cancellation: `cancel` is
+    /// attached to `exec`, and a run it stops returns `Err(Cancelled)`
+    /// once every wave worker has joined. The matching is bit-identical
+    /// to [`MinoanEr::run_with`]'s; only what survives the run differs.
     pub fn run_cancellable_indexed(
         &self,
         pair: &KbPair,
         exec: &Executor,
         cancel: &CancelToken,
     ) -> Result<IndexedOutput, Cancelled> {
-        let exec = &exec.clone().with_cancel(cancel.clone());
-        minoan_exec::catch_cancel(|| self.run_cancellable_inner(pair, exec, cancel))
+        let exec = exec.clone().with_cancel(cancel.clone());
+        minoan_exec::catch_cancel(|| Ok(self.run_indexed(pair, &exec)))
     }
 
-    fn run_cancellable_inner(
-        &self,
-        pair: &KbPair,
-        exec: &Executor,
-        cancel: &CancelToken,
-    ) -> Result<IndexedOutput, Cancelled> {
+    fn run_indexed(&self, pair: &KbPair, exec: &Executor) -> IndexedOutput {
         let mut report = PipelineReport::default();
 
-        // Tokenize + block. `build_blocks_cancellable` measures
-        // tokenization on its own clock, so blocking time excludes it.
+        // Tokenize + block. `build_blocks` measures tokenization on its
+        // own clock, so blocking time excludes it.
         let t0 = Instant::now();
-        let artifacts = build_blocks_cancellable(pair, &self.config, exec, cancel)?;
+        let artifacts = build_blocks(pair, &self.config, exec);
         report.timings.tokenize = artifacts.tokenize_time;
         report.timings.blocking = t0.elapsed().saturating_sub(artifacts.tokenize_time);
         report.name_blocks = artifacts.name_blocks.len();
@@ -397,23 +321,16 @@ impl MinoanEr {
         report.purge = artifacts.purge.clone();
 
         // Similarity index over the purged token blocks.
-        cancel.checkpoint()?;
         let t0 = Instant::now();
         let sim_span = stage_span("stage.similarities");
-        let tn1 = top_neighbors_with(
-            &pair.first,
-            self.config.top_relations_n,
-            self.config.max_top_neighbors,
-            exec,
-        );
-        cancel.checkpoint()?;
-        let tn2 = top_neighbors_with(
-            &pair.second,
-            self.config.top_relations_n,
-            self.config.max_top_neighbors,
-            exec,
-        );
-        cancel.checkpoint()?;
+        let [tn1, tn2] = [&pair.first, &pair.second].map(|kb| {
+            top_neighbors_with(
+                kb,
+                self.config.top_relations_n,
+                self.config.max_top_neighbors,
+                exec,
+            )
+        });
         let idx = SimilarityIndex::build_with(
             &artifacts.token_blocks,
             &artifacts.tokens,
@@ -434,8 +351,7 @@ impl MinoanEr {
             n_smaller,
             &self.config,
             exec,
-            cancel,
-        )?;
+        );
         drop(match_span);
         report.h1_matches = phase.h1_matches;
         report.h2_matches = phase.h2_matches;
@@ -444,14 +360,14 @@ impl MinoanEr {
         report.timings.names_h1 = phase.names_h1;
         report.timings.matching = phase.matching_time;
 
-        Ok(IndexedOutput {
+        IndexedOutput {
             output: MatchOutput {
                 matching: phase.matching,
                 report,
             },
             artifacts,
             index: idx,
-        })
+        }
     }
 }
 
@@ -459,6 +375,11 @@ impl MinoanEr {
 mod tests {
     use super::*;
     use minoan_kb::KbBuilder;
+
+    /// Runs `matcher` on the executor its config selects.
+    fn run(matcher: MinoanEr, pair: &KbPair) -> MatchOutput {
+        matcher.run_with(pair, &matcher.config().executor())
+    }
 
     /// Two restaurant-style KBs with names, values and an address
     /// relation; r0/r1/r2 match their counterparts.
@@ -499,7 +420,7 @@ mod tests {
     #[test]
     fn end_to_end_resolves_identical_names() {
         let pair = restaurant_pair();
-        let out = MinoanEr::with_defaults().run(&pair);
+        let out = run(MinoanEr::with_defaults(), &pair);
         // All three restaurants match their counterparts.
         for i in 0..3u32 {
             let e1 = pair.first.entity_by_uri(&format!("a:r{i}")).unwrap();
@@ -516,7 +437,7 @@ mod tests {
     #[test]
     fn report_counts_are_consistent() {
         let pair = restaurant_pair();
-        let out = MinoanEr::with_defaults().run(&pair);
+        let out = run(MinoanEr::with_defaults(), &pair);
         let r = &out.report;
         assert_eq!(
             out.matching.len() + r.h4_removed,
@@ -539,7 +460,7 @@ mod tests {
     #[test]
     fn empty_pair_produces_empty_matching() {
         let pair = KbPair::new(KbBuilder::new("x").finish(), KbBuilder::new("y").finish());
-        let out = MinoanEr::with_defaults().run(&pair);
+        let out = run(MinoanEr::with_defaults(), &pair);
         assert!(out.matching.is_empty());
         assert_eq!(out.report.h1_matches, 0);
     }
@@ -551,7 +472,7 @@ mod tests {
         let mut b = KbBuilder::new("E2");
         b.add_literal("b:0", "label", "unique zanzibar artifact museum");
         let pair = KbPair::new(a.finish(), b.finish());
-        let out = MinoanEr::with_defaults().run(&pair);
+        let out = run(MinoanEr::with_defaults(), &pair);
         let e1 = pair.first.entity_by_uri("a:0").unwrap();
         let e2 = pair.second.entity_by_uri("b:0").unwrap();
         assert!(out.matching.contains(e1, e2));
@@ -560,13 +481,13 @@ mod tests {
     #[test]
     fn tokenize_time_is_reported_separately_from_blocking() {
         let pair = restaurant_pair();
-        let out = MinoanEr::with_defaults().run(&pair);
+        let out = run(MinoanEr::with_defaults(), &pair);
         let t = &out.report.timings;
         // Tokenization of a non-empty pair takes measurable time and is
         // no longer folded into the blocking stage.
         assert!(t.tokenize > Duration::ZERO, "tokenize must be measured");
         assert!(t.total() >= t.tokenize + t.blocking);
-        let art = build_blocks(&pair, &MinoanConfig::default());
+        let art = build_blocks(&pair, &MinoanConfig::default(), &Executor::sequential());
         assert!(art.tokenize_time > Duration::ZERO);
     }
 
@@ -577,14 +498,14 @@ mod tests {
             executor: minoan_exec::ExecutorKind::Sequential,
             ..MinoanConfig::default()
         };
-        let seq = MinoanEr::new(seq_cfg).unwrap().run(&pair);
+        let seq = run(MinoanEr::new(seq_cfg).unwrap(), &pair);
         for threads in [2, 5] {
             let par_cfg = MinoanConfig {
                 executor: minoan_exec::ExecutorKind::Pool,
                 threads,
                 ..MinoanConfig::default()
             };
-            let par = MinoanEr::new(par_cfg).unwrap().run(&pair);
+            let par = run(MinoanEr::new(par_cfg).unwrap(), &pair);
             assert_eq!(
                 seq.matching.iter().collect::<Vec<_>>(),
                 par.matching.iter().collect::<Vec<_>>(),
@@ -600,7 +521,7 @@ mod tests {
             purge_blocks: false,
             ..MinoanConfig::default()
         };
-        let out = MinoanEr::new(c).unwrap().run(&pair);
+        let out = run(MinoanEr::new(c).unwrap(), &pair);
         assert!(out.report.purge.is_none());
         assert!(!out.matching.is_empty());
     }
@@ -608,7 +529,7 @@ mod tests {
     #[test]
     fn build_blocks_exposes_bn_and_bt() {
         let pair = restaurant_pair();
-        let art = build_blocks(&pair, &MinoanConfig::default());
+        let art = build_blocks(&pair, &MinoanConfig::default(), &Executor::sequential());
         assert!(art.name_blocks.len() >= 3);
         assert!(art.token_blocks.len() > art.name_blocks.len());
         assert_eq!(art.names[0].len(), pair.first.entity_count());
@@ -623,10 +544,12 @@ mod tests {
         let exec = Executor::sequential();
         let matcher = MinoanEr::with_defaults();
         assert!(matches!(
-            matcher.run_cancellable(&pair, &exec, &cancel),
+            matcher.run_cancellable_indexed(&pair, &exec, &cancel),
             Err(Cancelled)
         ));
-        assert!(build_blocks_cancellable(&pair, matcher.config(), &exec, &cancel).is_err());
+        let exec = exec.with_cancel(cancel);
+        let built = minoan_exec::catch_cancel(|| Ok(build_blocks(&pair, matcher.config(), &exec)));
+        assert!(built.is_err());
     }
 
     #[test]
@@ -636,18 +559,18 @@ mod tests {
         let exec = Executor::sequential();
         let plain = matcher.run_with(&pair, &exec);
         let cancellable = matcher
-            .run_cancellable(&pair, &exec, &CancelToken::new())
+            .run_cancellable_indexed(&pair, &exec, &CancelToken::new())
             .unwrap();
         assert_eq!(
             plain.matching.iter().collect::<Vec<_>>(),
-            cancellable.matching.iter().collect::<Vec<_>>()
+            cancellable.output.matching.iter().collect::<Vec<_>>()
         );
     }
 
     #[test]
     fn mid_run_cancel_from_another_thread_is_observed() {
         // Cancel while runs are in flight: every run either completes
-        // (cancel arrived after its last checkpoint) or unwinds with
+        // (cancel arrived after its last wave) or unwinds with
         // `Cancelled` — it never panics or hangs.
         let pair = restaurant_pair();
         let matcher = MinoanEr::with_defaults();
@@ -657,8 +580,11 @@ mod tests {
         std::thread::scope(|s| {
             s.spawn(|| loop {
                 // Terminates: once the token flips, the next run fails
-                // at its first checkpoint.
-                if matcher.run_cancellable(&pair, &exec, &cancel).is_err() {
+                // at its first wave.
+                if matcher
+                    .run_cancellable_indexed(&pair, &exec, &cancel)
+                    .is_err()
+                {
                     saw_cancelled.store(true, std::sync::atomic::Ordering::SeqCst);
                     break;
                 }
@@ -668,7 +594,7 @@ mod tests {
         });
         assert!(
             saw_cancelled.load(std::sync::atomic::Ordering::SeqCst),
-            "a run after the cancel must observe a checkpoint"
+            "a run after the cancel must observe a wave start"
         );
     }
 
@@ -685,7 +611,7 @@ mod tests {
         b.add_uri("b:m", "actor", "b:p");
         b.add_literal("b:p", "fullname", "unique melina mercouri");
         let pair = KbPair::new(a.finish(), b.finish());
-        let out = MinoanEr::with_defaults().run(&pair);
+        let out = run(MinoanEr::with_defaults(), &pair);
         let m1 = pair.first.entity_by_uri("a:m").unwrap();
         let m2 = pair.second.entity_by_uri("b:m").unwrap();
         assert!(out.matching.contains(m1, m2));

@@ -18,7 +18,7 @@
 //!   the pool backend runs it as
 //!   [`POOL_TASK_ITEMS`](minoan_exec::POOL_TASK_ITEMS)-bounded tasks
 //!   and a cancel or deadline is observed within one task quantum — the
-//!   promise [`crate::MinoanEr::run_cancellable`] makes for every stage;
+//!   promise [`minoan_exec::cancel`] makes for every stage;
 //! - candidate lists are stored as **CSR** ([`Csr<Candidate>`]): one flat
 //!   buffer plus offsets instead of one allocation per entity;
 //! - the `neighborNSim` pass is embarrassingly parallel over `e1` and
@@ -251,28 +251,19 @@ pub struct SimilarityIndex {
 }
 
 impl SimilarityIndex {
-    /// Builds the index sequentially from the (purged) token blocks.
+    /// Builds the index from the (purged) token blocks on `exec`.
     ///
     /// `top_neighbors` holds `topNneighbors(e)` per entity for each side
-    /// (see [`crate::importance::top_neighbors`]).
-    pub fn build(
-        blocks: &BlockCollection,
-        tokens: &TokenizedPair,
-        top_neighbors: [&[Vec<EntityId>]; 2],
-    ) -> Self {
-        Self::build_with(blocks, tokens, top_neighbors, &Executor::sequential())
-    }
-
-    /// Builds the index on `exec` in four passes, each under its own
-    /// debug span: one `valueSim` row per first-side entity through the
+    /// (see [`crate::importance::top_neighbors_with`]).
+    ///
+    /// Four passes, each under its own debug span: one `valueSim` row per first-side entity through the
     /// shared row kernel (`simindex.value_rows`), fanned out as a plain
     /// [`Executor::map_parts`] with the rows concatenated in part order;
     /// the reverse value direction (`simindex.value_reverse`); the
     /// `neighborNSim` rows (`simindex.neighbor_rows`); and their reverse
     /// (`simindex.neighbor_reverse`). A row is a function of its own
     /// entity's blocks alone (see the module docs), so the result is
-    /// bit-identical to [`SimilarityIndex::build`] for any backend,
-    /// thread count and part count.
+    /// bit-identical for any backend, thread count and part count.
     pub fn build_with(
         blocks: &BlockCollection,
         tokens: &TokenizedPair,
@@ -439,7 +430,7 @@ fn transpose(src: &Csr<Candidate>, n_cols: usize, exec: &Executor) -> Csr<Candid
 #[cfg(test)]
 mod tests {
     use super::*;
-    use minoan_blocking::token_blocking;
+    use minoan_blocking::token_blocking_with;
     use minoan_exec::ExecutorKind;
     use minoan_kb::{KbBuilder, KbPair};
     use minoan_text::Tokenizer;
@@ -509,6 +500,21 @@ mod tests {
         cand_key(&(EntityId(0), f64::NAN));
     }
 
+    fn tokenize_and_block(pair: &KbPair) -> (TokenizedPair, BlockCollection) {
+        let exec = Executor::sequential();
+        let tokens = TokenizedPair::build_with(pair, &Tokenizer::default(), &exec);
+        let blocks = token_blocking_with(&tokens, &exec);
+        (tokens, blocks)
+    }
+
+    fn build(
+        blocks: &BlockCollection,
+        tokens: &TokenizedPair,
+        top_neighbors: [&[Vec<EntityId>]; 2],
+    ) -> SimilarityIndex {
+        SimilarityIndex::build_with(blocks, tokens, top_neighbors, &Executor::sequential())
+    }
+
     /// Two tiny movie KBs: movies m share a title token with their
     /// counterpart, actors are linked via `starring`.
     fn setup() -> (
@@ -529,17 +535,17 @@ mod tests {
         b.add_literal("b:p0", "fullname", "quinn anthony");
         b.add_literal("b:m1", "label", "stella nights");
         let pair = KbPair::new(a.finish(), b.finish());
-        let tokens = TokenizedPair::build(&pair, &Tokenizer::default());
-        let bt = token_blocking(&tokens);
-        let tn1 = crate::importance::top_neighbors(&pair.first, 3, 32);
-        let tn2 = crate::importance::top_neighbors(&pair.second, 3, 32);
+        let (tokens, bt) = tokenize_and_block(&pair);
+        let seq = Executor::sequential();
+        let tn1 = crate::importance::top_neighbors_with(&pair.first, 3, 32, &seq);
+        let tn2 = crate::importance::top_neighbors_with(&pair.second, 3, 32, &seq);
         (pair, tokens, bt, tn1, tn2)
     }
 
     #[test]
     fn value_sims_match_direct_computation() {
         let (pair, tokens, bt, tn1, tn2) = setup();
-        let idx = SimilarityIndex::build(&bt, &tokens, [&tn1, &tn2]);
+        let idx = build(&bt, &tokens, [&tn1, &tn2]);
         for e1 in pair.first.entities() {
             for e2 in pair.second.entities() {
                 let direct = minoan_sim::value_sim(&tokens, e1, e2);
@@ -555,7 +561,7 @@ mod tests {
     #[test]
     fn candidate_lists_are_sorted_desc() {
         let (_, tokens, bt, tn1, tn2) = setup();
-        let idx = SimilarityIndex::build(&bt, &tokens, [&tn1, &tn2]);
+        let idx = build(&bt, &tokens, [&tn1, &tn2]);
         for side in [KbSide::First, KbSide::Second] {
             for e in 0..tokens.entity_count(side) as u32 {
                 let c = idx.value_candidates(side, EntityId(e));
@@ -567,7 +573,7 @@ mod tests {
     #[test]
     fn neighbor_sim_propagates_actor_similarity_to_movies() {
         let (pair, tokens, bt, tn1, tn2) = setup();
-        let idx = SimilarityIndex::build(&bt, &tokens, [&tn1, &tn2]);
+        let idx = build(&bt, &tokens, [&tn1, &tn2]);
         let am0 = pair.first.entity_by_uri("a:m0").unwrap();
         let bm0 = pair.second.entity_by_uri("b:m0").unwrap();
         let ap0 = pair.first.entity_by_uri("a:p0").unwrap();
@@ -584,7 +590,7 @@ mod tests {
     #[test]
     fn non_cooccurring_pairs_have_zero_sims() {
         let (pair, tokens, bt, tn1, tn2) = setup();
-        let idx = SimilarityIndex::build(&bt, &tokens, [&tn1, &tn2]);
+        let idx = build(&bt, &tokens, [&tn1, &tn2]);
         let am1 = pair.first.entity_by_uri("a:m1").unwrap();
         let bm0 = pair.second.entity_by_uri("b:m0").unwrap();
         assert_eq!(idx.value_sim(am1, bm0), 0.0);
@@ -594,7 +600,7 @@ mod tests {
     #[test]
     fn neighbor_candidates_only_contain_nonzero_entries() {
         let (_, tokens, bt, tn1, tn2) = setup();
-        let idx = SimilarityIndex::build(&bt, &tokens, [&tn1, &tn2]);
+        let idx = build(&bt, &tokens, [&tn1, &tn2]);
         for side in [KbSide::First, KbSide::Second] {
             for e in 0..tokens.entity_count(side) as u32 {
                 for &(_, v) in idx.neighbor_candidates(side, EntityId(e)) {
@@ -607,7 +613,7 @@ mod tests {
     #[test]
     fn both_directions_agree() {
         let (_, tokens, bt, tn1, tn2) = setup();
-        let idx = SimilarityIndex::build(&bt, &tokens, [&tn1, &tn2]);
+        let idx = build(&bt, &tokens, [&tn1, &tn2]);
         for e1 in 0..tokens.entity_count(KbSide::First) as u32 {
             for &(e2, v) in idx.value_candidates(KbSide::First, EntityId(e1)) {
                 let back = idx.value_candidates(KbSide::Second, e2);
@@ -621,7 +627,7 @@ mod tests {
     #[test]
     fn top_value_candidate_is_the_argmax() {
         let (pair, tokens, bt, tn1, tn2) = setup();
-        let idx = SimilarityIndex::build(&bt, &tokens, [&tn1, &tn2]);
+        let idx = build(&bt, &tokens, [&tn1, &tn2]);
         let am0 = pair.first.entity_by_uri("a:m0").unwrap();
         let bm0 = pair.second.entity_by_uri("b:m0").unwrap();
         let (top, v) = idx.top_value_candidate(KbSide::First, am0).unwrap();
@@ -635,7 +641,7 @@ mod tests {
     #[test]
     fn parallel_index_is_bit_identical_to_sequential() {
         let (_, tokens, bt, tn1, tn2) = setup();
-        let seq = SimilarityIndex::build(&bt, &tokens, [&tn1, &tn2]);
+        let seq = build(&bt, &tokens, [&tn1, &tn2]);
         for threads in [2, 3, 5, 8] {
             let exec = Executor::new(ExecutorKind::Pool, threads);
             let par = SimilarityIndex::build_with(&bt, &tokens, [&tn1, &tn2], &exec);
@@ -713,9 +719,7 @@ mod tests {
             b.add_literal(&format!("b:{i}"), "v", &text(i, 3));
         }
         let pair = KbPair::new(a.finish(), b.finish());
-        let tokens = TokenizedPair::build(&pair, &Tokenizer::default());
-        let blocks = token_blocking(&tokens);
-        (tokens, blocks)
+        tokenize_and_block(&pair)
     }
 
     #[test]
@@ -740,15 +744,14 @@ mod tests {
         let mut b = KbBuilder::new("E2");
         b.add_literal("b:0", "label", "zorba");
         let pair = KbPair::new(a.finish(), b.finish());
-        let tokens = TokenizedPair::build(&pair, &Tokenizer::default());
-        let blocks = token_blocking(&tokens);
+        let (tokens, blocks) = tokenize_and_block(&pair);
         assert!(blocks.blocks_of(KbSide::First, e(1)).is_empty());
         let rows = value_rows(&blocks, &tokens, &Executor::sequential());
         assert_eq!(rows, vec![vec![(e(0), 1.0)], vec![]]);
         // A collection that indexes fewer entities than were tokenized:
         // the row-major walk must not read `blocks_of` out of bounds.
         let none = BlockCollection::new(minoan_blocking::BlockKind::Token, vec![], 0, 0);
-        let idx = SimilarityIndex::build(&none, &tokens, [&[vec![], vec![]], &[vec![]]]);
+        let idx = build(&none, &tokens, [&[vec![], vec![]], &[vec![]]]);
         assert_eq!(idx.pair_count(), 0);
     }
 
@@ -777,7 +780,7 @@ mod tests {
     fn empty_blocks_build_empty_index() {
         let (_, tokens, _, tn1, tn2) = setup();
         let empty = BlockCollection::new(minoan_blocking::BlockKind::Token, vec![], 4, 4);
-        let idx = SimilarityIndex::build(&empty, &tokens, [&tn1, &tn2]);
+        let idx = build(&empty, &tokens, [&tn1, &tn2]);
         assert_eq!(idx.pair_count(), 0);
         assert_eq!(idx.neighbor_pair_count(), 0);
     }

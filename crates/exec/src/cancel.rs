@@ -1,27 +1,36 @@
 //! Cooperative cancellation for executor-driven work.
 //!
-//! A [`CancelToken`] is a shared flag observed at **checkpoints between
-//! executor waves**: a fan-out that has already been dispatched always
-//! runs to completion (waves are never torn down mid-flight — partial
-//! results merged from an interrupted wave could not be bit-identical
-//! to a sequential run), and the stage driving the waves calls
-//! [`CancelToken::checkpoint`] before dispatching the next one. A
-//! cancelled computation therefore unwinds with [`Cancelled`] within a
-//! bounded number of checkpoints — at most one wave of work after the
-//! flag is set — leaving no partial state behind.
+//! One rule: **the token rides on the executor**. A job attaches its
+//! [`CancelToken`] with [`Executor::with_cancel`](crate::Executor::with_cancel)
+//! and hands that executor to every stage; no stage takes a token of
+//! its own. The executor observes the token
+//!
+//! - at the start of every wave, on both backends, and
+//! - between the quantum-bounded tasks of a pool wave,
+//!
+//! and once it has fired the wave unwinds with [`Cancelled`] instead of
+//! returning. No wave ever returns a partial result vector — merged
+//! partials of an interrupted wave could not be bit-identical to a
+//! sequential run — so a cancelled computation leaves no partial state
+//! behind. Cancellation latency is one task quantum on the pool backend
+//! and one wave on the sequential backend. The unwind is caught once, at
+//! a job boundary, by [`catch_cancel`] (or a `catch_unwind` that
+//! downcasts the payload); it is raised with
+//! [`resume_unwind`](std::panic::resume_unwind), so it never runs the
+//! panic hook and prints nothing.
 //!
 //! Beyond an explicit [`CancelToken::cancel`], a token can carry a
 //! **deadline** ([`CancelToken::set_deadline`]): once the deadline
-//! passes, every [`CancelToken::is_cancelled`] / `checkpoint` call
-//! observes the token as cancelled, so a per-job timeout rides the
-//! exact same wave/quantum checkpoints as user cancellation and lands
-//! within one quantum of work. The supervisor that set the deadline can
-//! distinguish the causes afterwards via [`CancelToken::reason`].
+//! passes, [`CancelToken::is_cancelled`] observes the token as
+//! cancelled, so a per-job timeout rides the exact same wave/quantum
+//! observation points as user cancellation and lands within one quantum
+//! of work. The supervisor that set the deadline can distinguish the
+//! causes afterwards via [`CancelToken::reason`].
 //!
 //! The token lives in `minoan-exec`, the bottom of the crate stack, so
-//! ingest (`minoan-kb`), the pipeline (`minoan-core`) and the serving
-//! layer (`minoan-serve`) can all thread the same token through their
-//! stages without dependency cycles.
+//! the serving layer (`minoan-serve`) can attach it to the executor that
+//! ingest (`minoan-kb`) and the pipeline (`minoan-core`) run on without
+//! dependency cycles.
 
 use std::fmt;
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicU8, Ordering};
@@ -74,8 +83,9 @@ struct TokenState {
 }
 
 /// Cooperative cancellation flag, cheap to clone and share across
-/// threads. Setting it never interrupts running code; work observes it
-/// at its next [`CancelToken::checkpoint`] and unwinds cleanly.
+/// threads. Setting it never interrupts running code; an executor
+/// carrying it observes it at its next wave start or pool task and
+/// unwinds cleanly.
 #[derive(Debug, Clone)]
 pub struct CancelToken {
     state: Arc<TokenState>,
@@ -123,10 +133,9 @@ impl CancelToken {
     }
 
     /// Arms (or re-arms) a deadline `timeout` from **now**. Once it
-    /// passes, the token reads as cancelled at every checkpoint with
-    /// reason [`CancelReason::DeadlineExceeded`]. Timeouts therefore
-    /// land within one wave/quantum of work, exactly like an explicit
-    /// cancel.
+    /// passes, the token reads as cancelled with reason
+    /// [`CancelReason::DeadlineExceeded`]. Timeouts therefore land
+    /// within one wave/quantum of work, exactly like an explicit cancel.
     pub fn set_deadline(&self, timeout: Duration) {
         let from_created = self
             .state
@@ -154,7 +163,7 @@ impl CancelToken {
 
     /// The recorded cause of cancellation, `None` while uncancelled.
     /// Reads the flag through [`CancelToken::is_cancelled`] first so an
-    /// expired deadline is visible even if no checkpoint ran yet.
+    /// expired deadline is visible even if no wave observed it yet.
     pub fn reason(&self) -> Option<CancelReason> {
         if !self.is_cancelled() {
             return None;
@@ -166,28 +175,19 @@ impl CancelToken {
             _ => Some(CancelReason::User),
         }
     }
+}
 
-    /// The cooperative checkpoint: returns `Err(Cancelled)` once
-    /// [`CancelToken::cancel`] has been called or an armed deadline has
-    /// passed. Stages call this between executor waves so a cancelled
-    /// job stops dispatching new work and unwinds within a bounded
-    /// number of checkpoints.
-    pub fn checkpoint(&self) -> Result<(), Cancelled> {
-        if self.is_cancelled() {
-            Err(Cancelled)
-        } else {
-            Ok(())
-        }
-    }
+/// Unwinds the calling thread with a [`Cancelled`] payload. Raised with
+/// `resume_unwind` rather than `panic_any`, so the panic hook never
+/// runs: a cancelled job prints nothing.
+pub(crate) fn unwind_cancelled() -> ! {
+    std::panic::resume_unwind(Box::new(Cancelled))
 }
 
 /// Runs `f`, converting an unwind carrying [`Cancelled`] into
-/// `Err(Cancelled)`. Pool-backed waves abort a cancelled fan-out by
-/// panicking with `Cancelled` (they cannot return a partial result
-/// vector); stage drivers wrap their wave sequence in `catch_cancel` so
-/// a mid-wave cancel surfaces as the same `Err(Cancelled)` a
-/// between-wave [`CancelToken::checkpoint`] produces. Any other panic
-/// payload is resumed untouched.
+/// `Err(Cancelled)`: the job boundary around work run on an executor
+/// that carries a token (see the module docs). `f`'s own result passes
+/// through; any other panic payload is resumed untouched.
 pub fn catch_cancel<R>(f: impl FnOnce() -> Result<R, Cancelled>) -> Result<R, Cancelled> {
     match std::panic::catch_unwind(std::panic::AssertUnwindSafe(f)) {
         Ok(result) => result,
@@ -209,7 +209,6 @@ mod tests {
     fn fresh_token_passes_checkpoints() {
         let t = CancelToken::new();
         assert!(!t.is_cancelled());
-        assert_eq!(t.checkpoint(), Ok(()));
         assert_eq!(t.reason(), None);
     }
 
@@ -219,8 +218,6 @@ mod tests {
         t.cancel();
         t.cancel(); // idempotent
         assert!(t.is_cancelled());
-        assert_eq!(t.checkpoint(), Err(Cancelled));
-        assert_eq!(t.checkpoint(), Err(Cancelled));
         assert_eq!(t.reason(), Some(CancelReason::User));
     }
 
@@ -237,7 +234,7 @@ mod tests {
         let t = CancelToken::new();
         let u = t.clone();
         std::thread::spawn(move || u.cancel()).join().unwrap();
-        assert_eq!(t.checkpoint(), Err(Cancelled));
+        assert!(t.is_cancelled());
     }
 
     #[test]
@@ -258,7 +255,6 @@ mod tests {
         let t = CancelToken::new();
         t.set_deadline(Duration::ZERO);
         assert!(t.is_cancelled());
-        assert_eq!(t.checkpoint(), Err(Cancelled));
         assert_eq!(t.reason(), Some(CancelReason::DeadlineExceeded));
     }
 
@@ -267,7 +263,6 @@ mod tests {
         let t = CancelToken::new();
         t.set_deadline(Duration::from_secs(3600));
         assert!(!t.is_cancelled());
-        assert_eq!(t.checkpoint(), Ok(()));
         assert_eq!(t.reason(), None);
     }
 
@@ -296,7 +291,7 @@ mod tests {
 
     #[test]
     fn catch_cancel_downcasts_cancelled_unwinds() {
-        let result = catch_cancel::<u8>(|| std::panic::panic_any(Cancelled));
+        let result = catch_cancel::<u8>(|| unwind_cancelled());
         assert_eq!(result, Err(Cancelled));
     }
 

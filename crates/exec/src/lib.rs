@@ -18,13 +18,14 @@
 //! - [`SharedSlice`], the unsafe-but-audited escape hatch for writing
 //!   disjoint index ranges of one buffer from multiple threads (CSR
 //!   fills and transposes);
-//! - [`CancelToken`], cooperative cancellation observed at
-//!   [checkpoints](CancelToken::checkpoint) **between** waves — and, on
-//!   the pool backend, between the quantum-bounded *tasks* of a wave:
-//!   an [`Executor::with_cancel`] executor stops claiming tasks once the
-//!   token fires and unwinds with [`Cancelled`] (catch it at a stage
-//!   boundary with [`catch_cancel`]), so cancellation latency is one
-//!   task quantum, not one unbounded wave.
+//! - [`CancelToken`], cooperative cancellation carried by the executor:
+//!   an [`Executor::with_cancel`] executor observes the token at the
+//!   start of every wave on both backends and, on the pool backend,
+//!   between the quantum-bounded *tasks* of a wave. Once it fires the
+//!   wave unwinds with [`Cancelled`] (caught at a job boundary with
+//!   [`catch_cancel`]), so stages take no token of their own and
+//!   cancellation latency is one task quantum on the pool, one wave on
+//!   the sequential backend.
 //!
 //! Design rule for all call sites: a parallel algorithm must produce the
 //! *same bytes* as its one-part sequential specialization. Partial
@@ -86,12 +87,6 @@ impl FromStr for ExecutorKind {
         match s.to_ascii_lowercase().as_str() {
             "sequential" | "seq" | "serial" => Ok(ExecutorKind::Sequential),
             "pool" => Ok(ExecutorKind::Pool),
-            // Persisted artifacts embed `MinoanConfig::to_json()`, so an
-            // index built when a third backend existed says
-            // `"executor":"rayon"` forever. Results are bit-identical
-            // across backends by contract, so its spellings read as the
-            // one parallel backend instead of failing the load.
-            "rayon" | "parallel" | "par" => Ok(ExecutorKind::Pool),
             other => Err(format!(
                 "unknown executor {other:?} (expected sequential|pool)"
             )),
@@ -117,7 +112,7 @@ pub const POOL_TASK_ITEMS: usize = 1024;
 pub const POOL_TASK_BYTES: usize = 256 << 10;
 
 /// A configured executor: backend, thread budget, and an optional
-/// cancellation token observed mid-wave by the pool backend.
+/// cancellation token observed by every wave it runs.
 #[derive(Debug, Clone, Default)]
 pub struct Executor {
     kind: ExecutorKind,
@@ -145,19 +140,16 @@ impl Executor {
         Self::new(ExecutorKind::Pool, 0)
     }
 
-    /// This executor with `cancel` observed between pool tasks: a pool
-    /// wave stops claiming tasks once the token fires and unwinds with
-    /// [`Cancelled`] (recover at a stage boundary via [`catch_cancel`]).
-    /// The sequential backend ignores the token mid-wave; its
-    /// cancellation latency stays one full wave.
+    /// This executor carrying `cancel`: every wave checks the token
+    /// before it starts, and a pool wave also checks it between tasks
+    /// and stops claiming work once it fires. Either way the wave
+    /// unwinds with [`Cancelled`] instead of returning, so a stage run
+    /// on this executor needs no token of its own; recover at the job
+    /// boundary via [`catch_cancel`]. A sequential wave already running
+    /// finishes before the next one observes the token.
     pub fn with_cancel(mut self, cancel: CancelToken) -> Self {
         self.cancel = Some(cancel);
         self
-    }
-
-    /// The cancellation token observed by pool waves, if any.
-    pub fn cancel_token(&self) -> Option<&CancelToken> {
-        self.cancel.as_ref()
     }
 
     /// The backend kind.
@@ -216,8 +208,8 @@ impl Executor {
     /// drained exit immediately.
     ///
     /// If a cancel token fires mid-wave, claim loops stop picking up
-    /// tasks and the wave unwinds by panicking with [`Cancelled`] —
-    /// never by returning a partial result vector.
+    /// tasks and the wave unwinds with [`Cancelled`] — never by
+    /// returning a partial result vector.
     fn run_tasks_pool<R, F>(&self, ranges: Vec<Range<usize>>, f: F) -> Vec<R>
     where
         R: Send,
@@ -278,7 +270,7 @@ impl Executor {
         if slots.iter().any(Option::is_none) {
             // Only a cancelled wave leaves gaps (a panicking wave
             // rethrows out of the scope above before reaching here).
-            std::panic::panic_any(Cancelled);
+            cancel::unwind_cancelled();
         }
         slots
             .into_iter()
@@ -286,15 +278,20 @@ impl Executor {
             .collect()
     }
 
-    /// Dispatches a wave of index ranges to the backend. Each wave is
-    /// a debug-level span in the trace collector (a disabled collector
-    /// reduces this to one relaxed atomic load); observation never
-    /// influences partitioning or merge order.
+    /// Dispatches a wave of index ranges to the backend, first
+    /// unwinding with [`Cancelled`] if this executor's token has fired:
+    /// every wave start is a cancellation point on both backends. Each
+    /// wave is a debug-level span in the trace collector (a disabled
+    /// collector reduces this to one relaxed atomic load); observation
+    /// never influences partitioning or merge order.
     fn run_wave<R, F>(&self, ranges: Vec<Range<usize>>, f: F) -> Vec<R>
     where
         R: Send,
         F: Fn(Range<usize>) -> R + Sync,
     {
+        if self.cancel.as_ref().is_some_and(CancelToken::is_cancelled) {
+            cancel::unwind_cancelled();
+        }
         let tasks = ranges.len();
         let _wave = minoan_obs::trace::span(minoan_obs::Level::Debug, "exec.wave", || {
             format!("{tasks} tasks on {}", self.kind.name())
@@ -454,19 +451,12 @@ mod tests {
         );
         assert_eq!("pool".parse::<ExecutorKind>(), Ok(ExecutorKind::Pool));
         assert_eq!("Pool".parse::<ExecutorKind>(), Ok(ExecutorKind::Pool));
-        let err = "gpu".parse::<ExecutorKind>().unwrap_err();
-        assert!(err.ends_with("(expected sequential|pool)"), "{err}");
+        for unknown in ["gpu", "rayon", "parallel", "par"] {
+            let err = unknown.parse::<ExecutorKind>().unwrap_err();
+            assert!(err.ends_with("(expected sequential|pool)"), "{err}");
+        }
         assert_eq!(ExecutorKind::Sequential.to_string(), "sequential");
         assert_eq!(ExecutorKind::Pool.to_string(), "pool");
-    }
-
-    #[test]
-    fn legacy_parallel_spellings_read_as_pool() {
-        for legacy in ["rayon", "RAYON", "parallel", "par"] {
-            assert_eq!(legacy.parse::<ExecutorKind>(), Ok(ExecutorKind::Pool));
-        }
-        // Reading only: the name written back is the canonical one.
-        assert_eq!("rayon".parse::<ExecutorKind>().unwrap().name(), "pool");
     }
 
     #[test]
@@ -560,6 +550,89 @@ mod tests {
             Ok(())
         });
         assert_eq!(result, Err(Cancelled));
+    }
+
+    #[test]
+    fn sequential_wave_start_observes_a_token_fired_in_the_previous_wave() {
+        let token = CancelToken::new();
+        let exec = Executor::sequential().with_cancel(token.clone());
+        let second_wave_ran = AtomicBool::new(false);
+        let result = catch_cancel(|| {
+            // The first wave runs to completion although its closure
+            // fires the token: a sequential wave is one plain call.
+            let first = exec.map_range(4, |i| {
+                token.cancel();
+                i
+            });
+            assert_eq!(first, vec![0, 1, 2, 3]);
+            exec.map_range(4, |_| second_wave_ran.store(true, Ordering::Relaxed));
+            Ok(())
+        });
+        assert_eq!(result, Err(Cancelled));
+        assert!(!second_wave_ran.load(Ordering::Relaxed));
+    }
+
+    #[test]
+    fn a_pre_cancelled_executor_runs_no_task_on_either_backend() {
+        let token = CancelToken::new();
+        token.cancel();
+        for exec in both() {
+            let exec = exec.with_cancel(token.clone());
+            let ran = AtomicUsize::new(0);
+            let result = catch_cancel(|| {
+                Ok(exec
+                    .map_range(POOL_TASK_ITEMS * 4, |_| ran.fetch_add(1, Ordering::Relaxed))
+                    .len())
+            });
+            assert_eq!(result, Err(Cancelled), "{:?}", exec.kind());
+            assert_eq!(ran.load(Ordering::Relaxed), 0, "{:?}", exec.kind());
+            // Empty waves are cancellation points too.
+            assert_eq!(
+                catch_cancel(|| Ok(exec.map_range(0, |i| i))),
+                Err(Cancelled)
+            );
+        }
+    }
+
+    /// Panic-hook calls that carried a [`Cancelled`] payload, counted by
+    /// the hook [`cancelled_unwinds_never_reach_the_panic_hook`] installs.
+    static CANCELLED_HOOK_CALLS: AtomicUsize = AtomicUsize::new(0);
+
+    #[test]
+    fn cancelled_unwinds_never_reach_the_panic_hook() {
+        // A daemon cancelling a running job must not print a panic
+        // message: only `resume_unwind` skips the hook. The counting
+        // hook forwards every other payload to the previous hook and
+        // stays installed (the hook is process-wide).
+        let previous = std::panic::take_hook();
+        std::panic::set_hook(Box::new(move |info| {
+            if info.payload().downcast_ref::<Cancelled>().is_some() {
+                CANCELLED_HOOK_CALLS.fetch_add(1, Ordering::SeqCst);
+            } else {
+                previous(info);
+            }
+        }));
+        for exec in [Executor::new(ExecutorKind::Pool, 2), Executor::sequential()] {
+            let token = CancelToken::new();
+            let exec = exec.with_cancel(token.clone());
+            let result = catch_cancel(|| {
+                // The pool wave is cancelled between its tasks, the
+                // sequential one at the start of the next wave.
+                exec.map_range(POOL_TASK_ITEMS * 16, |i| {
+                    if i == POOL_TASK_ITEMS {
+                        token.cancel();
+                    }
+                });
+                Ok(exec.map_range(1, |i| i))
+            });
+            assert_eq!(
+                CANCELLED_HOOK_CALLS.load(Ordering::SeqCst),
+                0,
+                "{:?}",
+                exec.kind()
+            );
+            assert_eq!(result, Err(Cancelled), "{:?}", exec.kind());
+        }
     }
 
     #[test]

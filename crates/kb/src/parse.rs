@@ -24,13 +24,15 @@
 //!   merge preserves first-seen order, the streaming parser produces a
 //!   [`KnowledgeBase`] **identical** to the whole-string parser —
 //!   including the error (line number and message) it reports on bad
-//!   input.
+//!   input. It returns a [`StreamError`], which also tells a reader
+//!   failure from bad input. An executor carrying a cancel token stops
+//!   the parse at its next chunk wave (see [`minoan_exec::cancel`]).
 
 use std::borrow::Cow;
 use std::fmt::{self, Write as _};
 use std::io::Read;
 
-use minoan_exec::{CancelToken, Executor};
+use minoan_exec::Executor;
 
 use crate::model::{KbBuilder, KbChunk, KnowledgeBase};
 
@@ -58,9 +60,8 @@ fn err(line: usize, message: impl Into<String>) -> ParseError {
     }
 }
 
-/// Failure of a **cancellable** streaming parse: the input was bad, the
-/// underlying reader failed, or the [`CancelToken`] was observed set at
-/// a checkpoint between chunk waves and the parse unwound cooperatively.
+/// Failure of a streaming parse: the input was bad, or the underlying
+/// reader failed.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum StreamError {
     /// The input failed to parse. Parse failures are *permanent*: the
@@ -72,15 +73,12 @@ pub enum StreamError {
     /// against the same path may succeed. Carries the line the stream
     /// had reached and the IO error text.
     Io(ParseError),
-    /// Cancellation was requested; no knowledge base was produced.
-    Cancelled,
 }
 
 impl fmt::Display for StreamError {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         match self {
             StreamError::Parse(e) | StreamError::Io(e) => e.fmt(f),
-            StreamError::Cancelled => f.write_str("cancelled"),
         }
     }
 }
@@ -90,6 +88,23 @@ impl std::error::Error for StreamError {}
 impl From<ParseError> for StreamError {
     fn from(e: ParseError) -> Self {
         StreamError::Parse(e)
+    }
+}
+
+/// Forgets whether the stream failed on bad input or on the reader,
+/// for callers that only report the failure.
+impl From<StreamError> for ParseError {
+    fn from(e: StreamError) -> Self {
+        match e {
+            StreamError::Parse(e) | StreamError::Io(e) => e,
+        }
+    }
+}
+
+/// The failure's text, for callers that only report it.
+impl From<StreamError> for String {
+    fn from(e: StreamError) -> Self {
+        e.to_string()
     }
 }
 
@@ -166,37 +181,8 @@ pub fn parse_ntriples_reader<R: Read>(
     reader: R,
     exec: &Executor,
     opts: StreamOptions,
-) -> Result<KnowledgeBase, ParseError> {
-    uncancelled(parse_ntriples_reader_cancellable(
-        name,
-        reader,
-        exec,
-        opts,
-        &CancelToken::new(),
-    ))
-}
-
-/// Like [`parse_ntriples_reader`], but observing `cancel` at a
-/// checkpoint before every chunk wave: a cancelled parse stops reading,
-/// dispatches no further workers and unwinds with
-/// [`StreamError::Cancelled`] within one wave of work.
-pub fn parse_ntriples_reader_cancellable<R: Read>(
-    name: &str,
-    reader: R,
-    exec: &Executor,
-    opts: StreamOptions,
-    cancel: &CancelToken,
 ) -> Result<KnowledgeBase, StreamError> {
-    stream_parse(name, reader, exec, opts, cancel, parse_ntriples_into)
-}
-
-/// Unwraps the result of a cancellable parse driven by a fresh token.
-fn uncancelled(result: Result<KnowledgeBase, StreamError>) -> Result<KnowledgeBase, ParseError> {
-    match result {
-        Ok(kb) => Ok(kb),
-        Err(StreamError::Parse(e)) | Err(StreamError::Io(e)) => Err(e),
-        Err(StreamError::Cancelled) => unreachable!("a fresh token is never cancelled"),
-    }
+    stream_parse(name, reader, exec, opts, parse_ntriples_into)
 }
 
 /// Parses every line of `text` into `sink`; returns the number of lines
@@ -449,26 +435,8 @@ pub fn parse_tsv_reader<R: Read>(
     reader: R,
     exec: &Executor,
     opts: StreamOptions,
-) -> Result<KnowledgeBase, ParseError> {
-    uncancelled(parse_tsv_reader_cancellable(
-        name,
-        reader,
-        exec,
-        opts,
-        &CancelToken::new(),
-    ))
-}
-
-/// Like [`parse_tsv_reader`], but observing `cancel` at a checkpoint
-/// before every chunk wave (see [`parse_ntriples_reader_cancellable`]).
-pub fn parse_tsv_reader_cancellable<R: Read>(
-    name: &str,
-    reader: R,
-    exec: &Executor,
-    opts: StreamOptions,
-    cancel: &CancelToken,
 ) -> Result<KnowledgeBase, StreamError> {
-    stream_parse(name, reader, exec, opts, cancel, parse_tsv_into)
+    stream_parse(name, reader, exec, opts, parse_tsv_into)
 }
 
 fn parse_tsv_into<S: TripleSink>(text: &str, sink: &mut S) -> Result<usize, ParseError> {
@@ -542,27 +510,21 @@ pub fn to_tsv(kb: &KnowledgeBase) -> String {
 /// The trailing partial line is carried into the next block, so the full
 /// input is never resident and every worker sees whole lines only.
 ///
-/// `cancel` is observed at a checkpoint before every read and before
-/// every chunk wave — and, on the pool backend, between the
-/// quantum-bounded tasks *inside* a wave — so cancellation lands within
-/// one task quantum of work and never produces a partially-merged KB
+/// A cancel token on `exec` is observed by every chunk wave, so a
+/// cancelled parse unwinds with [`Cancelled`](minoan_exec::Cancelled)
+/// within one wave of work and never produces a partially-merged KB
 /// (an aborted wave's partials are simply dropped).
 fn stream_parse<R, F>(
     name: &str,
     mut reader: R,
     exec: &Executor,
     opts: StreamOptions,
-    cancel: &CancelToken,
     parse_into: F,
 ) -> Result<KnowledgeBase, StreamError>
 where
     R: Read,
     F: Fn(&str, &mut KbChunk) -> Result<usize, ParseError> + Sync,
 {
-    // Pool waves observe the token between task quanta and abort by
-    // unwinding with `Cancelled`; `run_block` folds that unwind back
-    // into `StreamError::Cancelled` at the wave boundary.
-    let exec = &exec.clone().with_cancel(cancel.clone());
     let chunk_bytes = opts.chunk_bytes.max(1);
     let batch_bytes = chunk_bytes.saturating_mul(exec.threads().max(1));
     let mut builder = KbBuilder::new(name);
@@ -570,7 +532,6 @@ where
     let mut buf = vec![0u8; chunk_bytes.clamp(1, DEFAULT_CHUNK_BYTES)];
     let mut lines_done = 0usize;
     loop {
-        cancel.checkpoint().map_err(|_| StreamError::Cancelled)?;
         minoan_exec::faults::point("kb.parse.read")
             .map_err(|e| StreamError::Io(err(lines_done + 1, format!("read error: {e}"))))?;
         let n = reader
@@ -587,37 +548,15 @@ where
             if let Some(pos) = pending.iter().rposition(|&b| b == b'\n') {
                 let tail = pending.split_off(pos + 1);
                 let block = std::mem::replace(&mut pending, tail);
-                lines_done += run_block(&block, &mut builder, exec, lines_done, &parse_into)?;
+                lines_done += parse_block(&block, &mut builder, exec, lines_done, &parse_into)?;
             }
         }
     }
     if !pending.is_empty() {
-        cancel.checkpoint().map_err(|_| StreamError::Cancelled)?;
         let block = std::mem::take(&mut pending);
-        run_block(&block, &mut builder, exec, lines_done, &parse_into)?;
+        parse_block(&block, &mut builder, exec, lines_done, &parse_into)?;
     }
     Ok(builder.finish())
-}
-
-/// [`parse_block`] with a mid-wave cancellation net: a pool wave aborted
-/// by the executor's cancel token unwinds with
-/// [`Cancelled`](minoan_exec::Cancelled), which this folds into
-/// [`StreamError::Cancelled`].
-fn run_block<F>(
-    block: &[u8],
-    builder: &mut KbBuilder,
-    exec: &Executor,
-    line_offset: usize,
-    parse_into: &F,
-) -> Result<usize, StreamError>
-where
-    F: Fn(&str, &mut KbChunk) -> Result<usize, ParseError> + Sync,
-{
-    let parsed = minoan_exec::catch_cancel(|| {
-        Ok(parse_block(block, builder, exec, line_offset, parse_into))
-    })
-    .map_err(|_| StreamError::Cancelled)?;
-    Ok(parsed?)
 }
 
 /// Parses one line-complete block: fans line-aligned sub-chunks out over
@@ -794,28 +733,17 @@ mod tests {
 
     #[test]
     fn cancelled_stream_parse_unwinds_cleanly() {
-        use minoan_exec::CancelToken;
+        use minoan_exec::{catch_cancel, CancelToken, Cancelled};
         let text = "s\tp\tlit\tv\n".repeat(100);
         let cancel = CancelToken::new();
         cancel.cancel();
-        let err = parse_tsv_reader_cancellable(
-            "t",
-            text.as_bytes(),
-            &Executor::sequential(),
-            tiny_opts(16),
-            &cancel,
-        )
-        .unwrap_err();
-        assert_eq!(err, StreamError::Cancelled);
-        // A fresh token parses normally through the cancellable API.
-        let kb = parse_tsv_reader_cancellable(
-            "t",
-            text.as_bytes(),
-            &Executor::sequential(),
-            tiny_opts(16),
-            &CancelToken::new(),
-        )
-        .unwrap();
+        let exec = Executor::sequential().with_cancel(cancel);
+        let unwound =
+            catch_cancel(|| Ok(parse_tsv_reader("t", text.as_bytes(), &exec, tiny_opts(16))));
+        assert_eq!(unwound, Err(Cancelled));
+        // An executor with a live token parses normally.
+        let exec = Executor::sequential().with_cancel(CancelToken::new());
+        let kb = parse_tsv_reader("t", text.as_bytes(), &exec, tiny_opts(16)).unwrap();
         assert_eq!(kb.triple_count(), 100);
     }
 
@@ -944,7 +872,11 @@ mod tests {
                 let streamed =
                     parse_tsv_reader("t", text.as_bytes(), &exec, tiny_opts(chunk_bytes))
                         .unwrap_err();
-                assert_eq!(streamed, whole, "chunk_bytes={chunk_bytes}");
+                assert_eq!(
+                    streamed,
+                    StreamError::Parse(whole.clone()),
+                    "chunk_bytes={chunk_bytes}"
+                );
             }
         }
     }
@@ -957,7 +889,7 @@ mod tests {
         let whole = parse_tsv("t", text).unwrap_err();
         for exec in execs() {
             let streamed = parse_tsv_reader("t", text.as_bytes(), &exec, tiny_opts(4)).unwrap_err();
-            assert_eq!(streamed, whole);
+            assert_eq!(streamed, StreamError::Parse(whole.clone()));
         }
     }
 
@@ -972,6 +904,9 @@ mod tests {
             tiny_opts(4096),
         )
         .unwrap_err();
+        let StreamError::Parse(e) = e else {
+            panic!("bad bytes are a parse error, got {e:?}")
+        };
         assert_eq!(e.line, 2);
         assert!(e.message.contains("UTF-8"));
     }

@@ -7,10 +7,10 @@
 //! with straggler widening, and stream terminal reports in completion
 //! order — exactly like a manifest batch, including per-job
 //! bit-identity with solo sequential runs. A *running* job can be
-//! cancelled: its [`CancelToken`] makes the pipeline unwind at the next
-//! cooperative checkpoint (see
-//! [`minoan_core::MinoanEr::run_cancellable`]) to a `Cancelled` report
-//! within one executor wave, without disturbing other in-flight jobs.
+//! cancelled: its [`CancelToken`] rides on the job's executor and makes
+//! the load or pipeline unwind (see [`minoan_exec::cancel`]) to a
+//! `Cancelled` report within one pool task, or one wave on the
+//! sequential backend, without disturbing other in-flight jobs.
 //!
 //! The daemon can run **two protocol front-ends over the same queue**
 //! at once ([`run_server`], [`Frontends`]): this module's line-JSON
@@ -43,7 +43,7 @@
 //! |----|----------------|----------|
 //! | `submit` | `job`: a manifest job object (same schema as a `[[job]]` table / `jobs` element, see [`crate::manifest`]) | `{"ok":true,"id":N,"name":"…"}` — `id` is the submission index; an overload shed answers `{"ok":false,"retryable":true,"error":{…}}` (back off and resubmit) |
 //! | `status` | optional `id`, optional `status` (phase or terminal-status label), optional `limit` | `{"ok":true,"accepting":B,"queued":N,"running":N,"done":N,"telemetry":{…},"jobs":[{"id":N,"name":"…","phase":"queued\|running\|done","status":"ok\|failed\|cancelled"?,"error":"…"?}]}` (`jobs` narrowed by the filters; with an index registry live, an `"indexes"` cache-telemetry object rides along) — `telemetry` is the live [`QueueStats`](crate::scheduler::QueueStats) view: admitted footprint vs. memory budget, thread allotments, per-status done counts, cumulative stage timings |
-//! | `cancel` | `id` | `{"ok":true,"id":N,"outcome":"cancelled\|cancelling\|done\|unknown"}` — `cancelled`: flipped before dispatch; `cancelling`: token set, the running job unwinds at its next checkpoint; `done`: already terminal, report unchanged |
+//! | `cancel` | `id` | `{"ok":true,"id":N,"outcome":"cancelled\|cancelling\|done\|unknown"}` — `cancelled`: flipped before dispatch; `cancelling`: token set, the running job unwinds at its next wave; `done`: already terminal, report unchanged |
 //! | `wait` | `id` | blocks until the job is terminal, then `{"ok":true,"id":N,"fingerprint":"…","report":{…}}` — `report` is [`JobReport::to_json`] with pairs, `fingerprint` the raw deterministic [`JobReport::fingerprint`] |
 //! | `events` | optional `from` (ring cursor, default `0`: everything still buffered), optional `job`, optional `level` (`error\|warn\|info\|debug`, default `info`), optional `wait` (block up to ~1 s for at least one new record) | `{"ok":true,"events":[{"seq","micros","level","name","job","trace","detail"}],"next":N,"dropped":N}` — poll with `from` set to the previous `next`; `dropped` counts ring records evicted before this cursor read them |
 //! | `trace` | `id` | `{"ok":true,"id":N,"name":"…","phase":"…","attempts":[{"trace":N,"spans":[…],"events":[…]}]}` — one assembled span tree per attempt (each retry runs under a fresh trace id), from whatever the bounded ring still retains |

@@ -72,7 +72,7 @@ pub(crate) enum ShutdownMode {
     /// Queued jobs still run; the server exits once the queue drains.
     Drain,
     /// Queued jobs flip to `Cancelled`; running jobs unwind at their
-    /// next cooperative checkpoint.
+    /// executor's next wave.
     Cancel,
 }
 

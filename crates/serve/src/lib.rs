@@ -10,13 +10,13 @@
 //! submits a whole manifest up front, and **daemon mode**
 //! ([`run_server`], `minoaner serve`) accepts jobs as they arrive over
 //! one or both live protocols — the line-delimited JSON socket
-//! (`--listen`, see [`daemon`] for the wire protocol and checkpoint
+//! (`--listen`, see [`daemon`] for the wire protocol and cancellation
 //! granularity) and the dependency-free HTTP/1.1 front-end
 //! (`--listen-http`, see [`http`] for the endpoint table, bearer-token
 //! auth, request limits and Prometheus metrics). Submit / status /
 //! cancel / wait / shutdown work identically on both, including
-//! cooperative **mid-job cancellation** through the pipeline's
-//! checkpoints, because both delegate to one shared queue-fronting
+//! cooperative **mid-job cancellation** through the job's executor,
+//! because both delegate to one shared queue-fronting
 //! request layer.
 //!
 //! ## Manifest format
@@ -45,8 +45,8 @@
 //! ## Supervised lifecycle
 //!
 //! Jobs run under supervision (see the state diagram in [`scheduler`]):
-//! per-job deadlines (`timeout_ms`) expire at the pipeline's
-//! cooperative checkpoints into a `TimedOut` report; transient failures
+//! per-job deadlines (`timeout_ms`) expire at the next wave of the
+//! job's executor into a `TimedOut` report; transient failures
 //! (I/O errors, timeouts) re-enter the queue with exponential backoff
 //! and deterministic jitter under a `max_retries` budget (default `0`:
 //! one attempt, bit-identical to the historical behavior); a job that

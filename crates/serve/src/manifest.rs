@@ -116,8 +116,8 @@ pub struct JobSpec {
     pub purge_blocks: Option<bool>,
     /// Per-job run deadline in milliseconds, measured from dispatch
     /// (`None` = inherit the fleet default; `Some(0)` = explicitly no
-    /// deadline). A job past its deadline unwinds at the next
-    /// checkpoint and reports `timed_out`.
+    /// deadline). A job past its deadline unwinds at its executor's next
+    /// wave or pool task and reports `timed_out`.
     pub timeout_ms: Option<u64>,
     /// Per-job retry budget for *transient* failures (IO errors, fault
     /// stalls, timeouts). `None` = inherit the fleet default, which

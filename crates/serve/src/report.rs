@@ -25,13 +25,13 @@ pub enum JobStatus {
     /// the fleet was cancelled before dispatch).
     Cancelled,
     /// The job's deadline (`timeout_ms`) expired; the supervisor
-    /// cancelled its token and the job unwound at the next checkpoint.
+    /// cancelled its token and the job unwound at its next wave.
     TimedOut,
     /// The job panicked twice across retry attempts and was quarantined
     /// so it cannot wedge the fleet; carries the last panic message.
     Poisoned(String),
     /// The RSS watchdog observed the job exceeding `k×` its admission
-    /// estimate and killed it gracefully at the next checkpoint.
+    /// estimate and killed it gracefully at its next wave.
     KilledOverBudget,
 }
 

@@ -41,10 +41,11 @@
 //! - **Cancellation.** Each job carries its own [`CancelToken`].
 //!   Cancelling a *queued* job flips it to `Cancelled` **atomically**
 //!   under the queue lock — the job either never dispatches, or it was
-//!   already claimed and the token makes the running pipeline unwind at
-//!   its next checkpoint (see [`MinoanEr::run_cancellable`]) to a
-//!   `Cancelled` report — within one quantum-bounded pool task on the
-//!   default backend, within one executor wave otherwise. A job is
+//!   already claimed and the token, riding on the job's executor,
+//!   makes the running load or pipeline unwind (see
+//!   [`minoan_exec::cancel`]) to a `Cancelled` report — within one
+//!   quantum-bounded pool task on the default backend, at the next
+//!   wave start on the sequential one. A job is
 //!   never observable as both running and cancelled: phase transitions
 //!   (`Queued → Running → Done`, or `Queued → Done` for a pre-dispatch
 //!   cancel) happen under one lock and anything else panics. The
@@ -73,7 +74,7 @@
 //!     │                          │                           or retries exhausted
 //!     │                          ├─► Done(Cancelled)         operator/client cancel
 //!     │                          ├─► Done(TimedOut)          `timeout_ms` deadline
-//!     │                          │                           expired at a checkpoint
+//!     │                          │                           expired mid-run
 //!     │                          ├─► Done(Poisoned)          second panic across
 //!     │                          │                           attempts: quarantined
 //!     │                          └─► Done(KilledOverBudget)  RSS watchdog: grew past
@@ -200,8 +201,8 @@ pub enum CancelOutcome {
     /// The job was still queued: it was flipped to a `Cancelled` report
     /// atomically and will never dispatch.
     CancelledQueued,
-    /// The job was running: its token is set and the pipeline unwinds
-    /// to a `Cancelled` report at its next cooperative checkpoint.
+    /// The job was running: its token is set and the job unwinds to a
+    /// `Cancelled` report at its executor's next wave or pool task.
     Cancelling,
     /// The job had already finished; its report is unchanged.
     AlreadyDone,
@@ -1413,8 +1414,8 @@ fn spawn_rss_watchdog(
 
 /// Runs one job start to finish, converting every failure mode — input
 /// errors, config errors, panics — into a `Failed` report and a
-/// checkpoint-observed cancellation into a `Cancelled`, `TimedOut`, or
-/// `KilledOverBudget` one (the token's [`CancelReason`] decides which).
+/// cancellation into a `Cancelled`, `TimedOut`, or `KilledOverBudget`
+/// one (the token's [`CancelReason`] decides which).
 /// The returned [`EndClass`] tells the worker whether a retry is
 /// worthwhile.
 fn run_job(
@@ -1433,13 +1434,13 @@ fn run_job(
         }
         _ => None,
     };
-    // The token rides on the executor so pool-backed waves can abort
-    // between task quanta, not just between waves.
+    // The token rides on the executor: every wave of the load and the
+    // pipeline observes it, and this is the boundary its unwind is
+    // caught at.
     let exec = Executor::new(opts.executor, threads).with_cancel(cancel.clone());
     let outcome = catch_unwind(AssertUnwindSafe(|| execute(spec, opts, &exec, cancel)))
         .unwrap_or_else(|panic| {
-            // A cancelled pool wave that escaped a stage's catch_cancel
-            // net is still a cancellation, not a failure.
+            // A cancelled wave is a cancellation, not a failure.
             if panic.downcast_ref::<Cancelled>().is_some() {
                 return Err(JobEnd::Cancelled);
             }
@@ -1501,8 +1502,8 @@ fn run_job(
     (report, class)
 }
 
-/// Loads the job's inputs and resolves the pair on `exec`, observing
-/// `cancel` at the ingest and pipeline checkpoints.
+/// Loads the job's inputs and resolves the pair on `exec`, which carries
+/// `cancel`.
 fn execute(
     spec: &JobSpec,
     opts: &ServeOptions,
@@ -1519,7 +1520,7 @@ fn execute(
     let config = spec.config(&opts.base);
     let matcher =
         MinoanEr::new(config.clone()).map_err(|e| JobEnd::permanent(format!("bad config: {e}")))?;
-    let (pair, truth) = load_input(spec, &config, exec, cancel)?;
+    let (pair, truth) = load_input(spec, &config, exec)?;
     let indexed = matcher
         .run_cancellable_indexed(&pair, exec, cancel)
         .map_err(|Cancelled| JobEnd::Cancelled)?;
@@ -1607,19 +1608,26 @@ fn load_input(
     spec: &JobSpec,
     config: &MinoanConfig,
     exec: &Executor,
-    cancel: &CancelToken,
 ) -> Result<(KbPair, Option<GroundTruth>), JobEnd> {
     match &spec.input {
         JobInput::Synthetic { kind, seed, scale } => {
-            cancel.checkpoint().map_err(|_| JobEnd::Cancelled)?;
             let Dataset { pair, truth, .. } = kind.generate_scaled(*seed, *scale);
             Ok((pair, Some(truth)))
         }
         JobInput::Files { first, second } => {
-            let pair = KbPair::new(
-                load_kb_file_cancellable(first, "E1", config, exec, cancel)?,
-                load_kb_file_cancellable(second, "E2", config, exec, cancel)?,
-            );
+            let load = |path: &std::path::Path, name| {
+                load_kb_file(path, name, config, exec).map_err(|e| match e {
+                    // Malformed input fails the same way on every
+                    // attempt; a reader error (or injected fault) may not.
+                    parse::StreamError::Parse(e) => {
+                        JobEnd::permanent(format!("cannot parse {}: {e}", path.display()))
+                    }
+                    parse::StreamError::Io(e) => {
+                        JobEnd::transient(format!("cannot read {}: {e}", path.display()))
+                    }
+                })
+            };
+            let pair = KbPair::new(load(first, "E1")?, load(second, "E2")?);
             let truth = match &spec.truth {
                 Some(path) => Some(load_truth_file(path, &pair).map_err(JobEnd::permanent)?),
                 None => None,
@@ -1635,51 +1643,33 @@ fn load_input(
 /// Streams one KB file through the chunked parallel parser, picking the
 /// format by extension (`.nt`/`.ntriples`, case-insensitive, vs TSV).
 /// The one KB-file loader in the workspace: the CLI's `match`/`stats`
-/// paths wrap it, so a format or diagnostics fix lands everywhere.
+/// paths and the job supervisor wrap it, so a format or diagnostics fix
+/// lands everywhere. A file that cannot be opened fails like a reader
+/// that fails before its first line: a
+/// [`StreamError::Io`](parse::StreamError::Io), which the supervisor
+/// retries, where bad input is permanent. A caller that only reports
+/// the failure can `?` it into a `String`.
 pub fn load_kb_file(
     path: &std::path::Path,
     name: &str,
     config: &MinoanConfig,
     exec: &Executor,
-) -> Result<minoan_kb::KnowledgeBase, String> {
-    match load_kb_file_cancellable(path, name, config, exec, &CancelToken::new()) {
-        Ok(kb) => Ok(kb),
-        Err(JobEnd::Failed { error, .. }) => Err(error),
-        Err(JobEnd::Cancelled) => unreachable!("a fresh token is never cancelled"),
-    }
-}
-
-/// The cancellable loader behind [`load_kb_file`]: the streaming parse
-/// observes `cancel` between chunk waves.
-fn load_kb_file_cancellable(
-    path: &std::path::Path,
-    name: &str,
-    config: &MinoanConfig,
-    exec: &Executor,
-    cancel: &CancelToken,
-) -> Result<minoan_kb::KnowledgeBase, JobEnd> {
-    let file = std::fs::File::open(path)
-        .map_err(|e| JobEnd::transient(format!("cannot read {}: {e}", path.display())))?;
+) -> Result<minoan_kb::KnowledgeBase, parse::StreamError> {
+    let file = std::fs::File::open(path).map_err(|e| {
+        parse::StreamError::Io(parse::ParseError {
+            line: 1,
+            message: format!("open error: {e}"),
+        })
+    })?;
     let opts = config.stream_options();
     let is_nt = path
         .extension()
         .is_some_and(|e| e.eq_ignore_ascii_case("nt") || e.eq_ignore_ascii_case("ntriples"));
-    let result = if is_nt {
-        parse::parse_ntriples_reader_cancellable(name, file, exec, opts, cancel)
+    if is_nt {
+        parse::parse_ntriples_reader(name, file, exec, opts)
     } else {
-        parse::parse_tsv_reader_cancellable(name, file, exec, opts, cancel)
-    };
-    result.map_err(|e| match e {
-        parse::StreamError::Cancelled => JobEnd::Cancelled,
-        // Malformed input fails the same way on every attempt; a reader
-        // error (or injected fault) may not.
-        parse::StreamError::Parse(e) => {
-            JobEnd::permanent(format!("cannot parse {}: {e}", path.display()))
-        }
-        parse::StreamError::Io(e) => {
-            JobEnd::transient(format!("cannot read {}: {e}", path.display()))
-        }
-    })
+        parse::parse_tsv_reader(name, file, exec, opts)
+    }
 }
 
 /// Loads a 2-column TSV of matching URIs. Lines naming URIs absent from
@@ -2193,7 +2183,7 @@ mod tests {
     #[test]
     fn deadline_expiry_times_the_job_out() {
         // A 1 ms deadline on a job that takes tens of ms: some pipeline
-        // checkpoint observes the expired deadline and the job ends
+        // wave observes the expired deadline and the job ends
         // TimedOut (with no retry budget, terminally).
         let queue = JobQueue::new(1, 1, 0);
         let mut spec = synthetic_job("slow", DatasetKind::Restaurant, 0.3);

@@ -70,7 +70,11 @@ mod tests {
         for (i, l) in lits2.iter().enumerate() {
             b.add_literal(&format!("b:{i}"), "v", l);
         }
-        TokenizedPair::build(&KbPair::new(a.finish(), b.finish()), &Tokenizer::default())
+        TokenizedPair::build_with(
+            &KbPair::new(a.finish(), b.finish()),
+            &Tokenizer::default(),
+            &minoan_exec::Executor::sequential(),
+        )
     }
 
     #[test]

@@ -71,19 +71,14 @@ pub struct TokenizedPair {
 }
 
 impl TokenizedPair {
-    /// Tokenizes both KBs of `pair` with `tokenizer`.
-    pub fn build(pair: &KbPair, tokenizer: &Tokenizer) -> Self {
-        Self::build_with(pair, tokenizer, &Executor::sequential())
-    }
-
-    /// Tokenizes both KBs of `pair` on `exec`: each part tokenizes an
-    /// entity range against a **part-local** interner, and the partials
-    /// are merged in part order by re-interning each part's dictionary
-    /// in local-id (= first-seen) order. A token's global first
-    /// occurrence lies in the earliest part containing it, so the merged
-    /// dictionary assigns exactly the sequential first-seen ids — the
-    /// result is bit-identical to [`TokenizedPair::build`] for any
-    /// thread count.
+    /// Tokenizes both KBs of `pair` with `tokenizer` on `exec`: each
+    /// part tokenizes an entity range against a **part-local** interner,
+    /// and the partials are merged in part order by re-interning each
+    /// part's dictionary in local-id (= first-seen) order. A token's
+    /// global first occurrence lies in the earliest part containing it,
+    /// so the merged dictionary assigns exactly the sequential first-seen
+    /// ids — the result is bit-identical for any backend and thread
+    /// count.
     pub fn build_with(pair: &KbPair, tokenizer: &Tokenizer, exec: &Executor) -> Self {
         let mut dict = TokenDictionary::default();
         let mut sides: [TokenizedKb; 2] = Default::default();
@@ -210,6 +205,10 @@ mod tests {
     use super::*;
     use minoan_kb::KbBuilder;
 
+    fn build(p: &KbPair) -> TokenizedPair {
+        TokenizedPair::build_with(p, &Tokenizer::default(), &Executor::sequential())
+    }
+
     fn pair() -> KbPair {
         let mut a = KbBuilder::new("E1");
         a.add_literal("a:1", "name", "Kri Kri Taverna");
@@ -225,7 +224,7 @@ mod tests {
     #[test]
     fn ef_counts_entities_not_occurrences() {
         let p = pair();
-        let t = TokenizedPair::build(&p, &Tokenizer::default());
+        let t = build(&p);
         let kri = t.dict().token_id("kri").unwrap();
         // "kri" appears twice in a:1 but counts once.
         assert_eq!(t.dict().ef(KbSide::First, kri), 1);
@@ -238,7 +237,7 @@ mod tests {
     #[test]
     fn entity_token_sets_are_sorted_and_deduped() {
         let p = pair();
-        let t = TokenizedPair::build(&p, &Tokenizer::default());
+        let t = build(&p);
         let toks = t.tokens(KbSide::First, EntityId(0));
         assert!(toks.windows(2).all(|w| w[0] < w[1]));
         // kri kri taverna heraklion -> 3 distinct
@@ -248,7 +247,7 @@ mod tests {
     #[test]
     fn avg_tokens_counts_occurrences() {
         let p = pair();
-        let t = TokenizedPair::build(&p, &Tokenizer::default());
+        let t = build(&p);
         // a:1 has 4 occurrences (kri kri taverna heraklion), a:2 has 3.
         assert!((t.avg_tokens(KbSide::First) - 3.5).abs() < 1e-9);
         assert_eq!(t.entity_count(KbSide::First), 2);
@@ -258,7 +257,7 @@ mod tests {
     #[test]
     fn empty_pair_is_fine() {
         let p = KbPair::new(KbBuilder::new("x").finish(), KbBuilder::new("y").finish());
-        let t = TokenizedPair::build(&p, &Tokenizer::default());
+        let t = build(&p);
         assert!(t.dict().is_empty());
         assert_eq!(t.avg_tokens(KbSide::First), 0.0);
     }
@@ -281,7 +280,7 @@ mod tests {
             );
         }
         let p = KbPair::new(a.finish(), b.finish());
-        let seq = TokenizedPair::build(&p, &Tokenizer::default());
+        let seq = build(&p);
         for threads in [2, 3, 7, 16] {
             let exec = Executor::new(ExecutorKind::Pool, threads);
             let par = TokenizedPair::build_with(&p, &Tokenizer::default(), &exec);
@@ -313,7 +312,7 @@ mod tests {
     #[test]
     fn dictionary_is_shared_across_sides() {
         let p = pair();
-        let t = TokenizedPair::build(&p, &Tokenizer::default());
+        let t = build(&p);
         let taverna = t.dict().token_id("taverna").unwrap();
         assert!(t.tokens(KbSide::First, EntityId(0)).contains(&taverna));
         assert!(t.tokens(KbSide::Second, EntityId(0)).contains(&taverna));

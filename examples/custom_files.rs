@@ -6,6 +6,7 @@
 
 use minoaner::core::MinoanEr;
 use minoaner::eval::MatchQuality;
+use minoaner::exec::Executor;
 use minoaner::kb::{parse, KbPair, Matching};
 
 fn main() {
@@ -39,7 +40,7 @@ y:88\ttitle\tlit\tknossos snack bar
         pair.second.entity_by_uri("y:77").expect("y:77"),
     )]);
 
-    let out = MinoanEr::with_defaults().run(&pair);
+    let out = MinoanEr::with_defaults().run_with(&pair, &Executor::sequential());
     for (a, b) in out.matching.iter() {
         println!(
             "{} <=> {}",

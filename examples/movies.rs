@@ -10,6 +10,7 @@
 use minoaner::core::{MinoanConfig, MinoanEr};
 use minoaner::datagen::DatasetKind;
 use minoaner::eval::MatchQuality;
+use minoaner::exec::Executor;
 
 fn main() {
     let d = DatasetKind::YagoImdb.generate_scaled(42, 0.2);
@@ -22,7 +23,8 @@ fn main() {
     );
 
     // Default configuration (K=15, N=3, k=2, theta=0.6).
-    let out = MinoanEr::with_defaults().run(&d.pair);
+    let exec = Executor::default();
+    let out = MinoanEr::with_defaults().run_with(&d.pair, &exec);
     let q = MatchQuality::evaluate(&out.matching, &d.truth);
     println!(
         "MinoanER defaults:     P {:5.1}%  R {:5.1}%  F1 {:5.1}%",
@@ -49,14 +51,14 @@ fn main() {
         ..Default::default()
     })
     .expect("valid config")
-    .run(&d.pair);
+    .run_with(&d.pair, &exec);
     let qv = MatchQuality::evaluate(&value_heavy.matching, &d.truth);
     let neighbor_heavy = MinoanEr::new(MinoanConfig {
         theta: 0.01,
         ..Default::default()
     })
     .expect("valid config")
-    .run(&d.pair);
+    .run_with(&d.pair, &exec);
     let qn = MatchQuality::evaluate(&neighbor_heavy.matching, &d.truth);
     println!("theta=0.99 (values):   F1 {:5.1}%", qv.f1() * 100.0);
     println!("theta=0.01 (neighbors): F1 {:5.1}%", qn.f1() * 100.0);

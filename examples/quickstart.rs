@@ -3,6 +3,7 @@
 //! Run with `cargo run --example quickstart`.
 
 use minoaner::core::MinoanEr;
+use minoaner::exec::Executor;
 use minoaner::kb::{KbBuilder, KbPair};
 
 fn main() {
@@ -43,8 +44,10 @@ fn main() {
     let pair = KbPair::new(guide.finish(), wiki.finish());
 
     // Resolve with the paper's default configuration: no schema
-    // alignment, no thresholds to tune, no iterations.
-    let out = MinoanEr::with_defaults().run(&pair);
+    // alignment, no thresholds to tune, no iterations. Every stage runs
+    // on the executor it is handed; the default one is the process-wide
+    // work-stealing pool, and the result is the same on any executor.
+    let out = MinoanEr::with_defaults().run_with(&pair, &Executor::default());
 
     println!("found {} matches:", out.matching.len());
     for (e1, e2) in out.matching.iter() {

@@ -12,6 +12,7 @@ use minoaner::baselines::run_bsl;
 use minoaner::core::{build_blocks, MinoanConfig, MinoanEr};
 use minoaner::datagen::DatasetKind;
 use minoaner::eval::MatchQuality;
+use minoaner::exec::Executor;
 
 fn main() {
     let d = DatasetKind::BbcDbpedia.generate_scaled(42, 0.2);
@@ -25,7 +26,8 @@ fn main() {
         d.truth.len()
     );
 
-    let out = MinoanEr::with_defaults().run(&d.pair);
+    let exec = Executor::default();
+    let out = MinoanEr::with_defaults().run_with(&d.pair, &exec);
     let q = MatchQuality::evaluate(&out.matching, &d.truth);
     println!(
         "MinoanER   P {:5.1}%  R {:5.1}%  F1 {:5.1}%   (H1 {} / H2 {} / H3 {} / H4 -{})",
@@ -40,7 +42,7 @@ fn main() {
 
     // BSL gets the same blocks but only value similarity — and an oracle
     // picking its best of 480 configurations.
-    let art = build_blocks(&d.pair, &MinoanConfig::default());
+    let art = build_blocks(&d.pair, &MinoanConfig::default(), &exec);
     let bsl = run_bsl(
         &d.pair.first,
         &d.pair.second,

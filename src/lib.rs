@@ -21,7 +21,8 @@
 //!   `Sequential` and `Pool` backends that every hot stage fans out on,
 //!   providing ordered fan-out over index ranges (`map_parts`,
 //!   `map_range`) and boundary-aligned byte ranges (`map_chunks` — the
-//!   primitive behind streaming ingest);
+//!   primitive behind streaming ingest). Each stage has one entry point
+//!   taking the executor, and a job's cancel token rides on it;
 //! - [`kb`] — entity descriptions, arena-backed interning, statistics,
 //!   the shared substrate (Fx hashing, CSR row storage ([`kb::Csr`]),
 //!   minimal JSON) and **ingest**: each input format has a whole-string
@@ -47,7 +48,7 @@
 //!   bounded-memory admission queue ([`serve::JobQueue`]) scheduling
 //!   pairs-first (intra-pair threads widen for stragglers) with
 //!   pre-load footprint estimates, failure isolation and **cooperative
-//!   mid-job cancellation** through pipeline checkpoints; drained
+//!   mid-job cancellation** carried by the job's executor; drained
 //!   either by `minoaner batch` (JSON manifests) or by the
 //!   long-running `minoaner serve` daemon, whose line-delimited JSON
 //!   socket protocol (submit / status / cancel / wait / shutdown, see
@@ -75,6 +76,7 @@
 //!
 //! ```
 //! use minoaner::core::MinoanEr;
+//! use minoaner::exec::Executor;
 //! use minoaner::kb::{KbBuilder, KbPair};
 //!
 //! let mut a = KbBuilder::new("E1");
@@ -82,7 +84,7 @@
 //! let mut b = KbBuilder::new("E2");
 //! b.add_literal("b:1", "label", "Knossos Palace");
 //! let pair = KbPair::new(a.finish(), b.finish());
-//! let out = MinoanEr::with_defaults().run(&pair);
+//! let out = MinoanEr::with_defaults().run_with(&pair, &Executor::sequential());
 //! assert_eq!(out.matching.len(), 1);
 //! ```
 

@@ -4,11 +4,12 @@
 //! similarity values. This is the contract that makes `--executor` a
 //! pure performance knob.
 
-use minoaner::core::top_neighbors;
-use minoaner::core::{build_blocks, MinoanConfig, MinoanEr, SimilarityIndex};
+use minoaner::core::{
+    build_blocks, top_neighbors_with, MatchOutput, MinoanConfig, MinoanEr, SimilarityIndex,
+};
 use minoaner::datagen::DatasetKind;
 use minoaner::exec::{Executor, ExecutorKind};
-use minoaner::kb::{EntityId, KbSide, Matching};
+use minoaner::kb::{EntityId, KbPair, KbSide, Matching};
 
 const SEED: u64 = 20180416;
 const SCALE: f64 = 0.1;
@@ -21,19 +22,21 @@ fn config_with(kind: ExecutorKind, threads: usize) -> MinoanConfig {
     }
 }
 
+/// Resolves `pair` on the executor `config` selects.
+fn run(config: MinoanConfig, pair: &KbPair) -> MatchOutput {
+    let exec = config.executor();
+    MinoanEr::new(config).unwrap().run_with(pair, &exec)
+}
+
 #[test]
 fn matchings_are_bit_identical_on_every_profile() {
     for kind in DatasetKind::ALL {
         let d = kind.generate_scaled(SEED, SCALE);
-        let seq = MinoanEr::new(config_with(ExecutorKind::Sequential, 1))
-            .unwrap()
-            .run(&d.pair);
+        let seq = run(config_with(ExecutorKind::Sequential, 1), &d.pair);
         let seq_pairs: Vec<_> = seq.matching.iter().collect();
         assert!(!seq_pairs.is_empty(), "{}: empty matching", d.name);
         for threads in THREAD_COUNTS {
-            let par = MinoanEr::new(config_with(ExecutorKind::Pool, threads))
-                .unwrap()
-                .run(&d.pair);
+            let par = run(config_with(ExecutorKind::Pool, threads), &d.pair);
             let par_pairs: Vec<_> = par.matching.iter().collect();
             assert_eq!(
                 seq_pairs, par_pairs,
@@ -99,17 +102,19 @@ fn candidate_orderings_are_bit_identical_on_every_profile() {
     for (kind, golden) in DatasetKind::ALL.into_iter().zip(GOLDEN_FINGERPRINTS) {
         let d = kind.generate_scaled(SEED, SCALE);
         let config = MinoanConfig::default();
-        let art = build_blocks(&d.pair, &config);
+        let art = build_blocks(&d.pair, &config, &config.executor());
         let counts = [KbSide::First, KbSide::Second].map(|side| art.tokens.entity_count(side));
-        let tn1 = top_neighbors(
+        let tn1 = top_neighbors_with(
             &d.pair.first,
             config.top_relations_n,
             config.max_top_neighbors,
+            &Executor::sequential(),
         );
-        let tn2 = top_neighbors(
+        let tn2 = top_neighbors_with(
             &d.pair.second,
             config.top_relations_n,
             config.max_top_neighbors,
+            &Executor::sequential(),
         );
         let seq = SimilarityIndex::build_with(
             &art.token_blocks,
@@ -118,10 +123,7 @@ fn candidate_orderings_are_bit_identical_on_every_profile() {
             &Executor::sequential(),
         );
         assert!(seq.pair_count() > 0, "{}: empty index", d.name);
-        let seq_matching = MinoanEr::new(config_with(ExecutorKind::Sequential, 1))
-            .unwrap()
-            .run(&d.pair)
-            .matching;
+        let seq_matching = run(config_with(ExecutorKind::Sequential, 1), &d.pair).matching;
         assert_eq!(
             fingerprint(&seq, counts, &seq_matching),
             golden,
@@ -157,10 +159,7 @@ fn candidate_orderings_are_bit_identical_on_every_profile() {
                     );
                 }
             }
-            let par_matching = MinoanEr::new(config_with(ExecutorKind::Pool, threads))
-                .unwrap()
-                .run(&d.pair)
-                .matching;
+            let par_matching = run(config_with(ExecutorKind::Pool, threads), &d.pair).matching;
             assert_eq!(
                 fingerprint(&par, counts, &par_matching),
                 golden,
@@ -174,9 +173,14 @@ fn candidate_orderings_are_bit_identical_on_every_profile() {
 #[test]
 fn blocking_artifacts_are_identical_across_executors() {
     let d = DatasetKind::RexaDblp.generate_scaled(SEED, SCALE);
-    let seq_art = build_blocks(&d.pair, &config_with(ExecutorKind::Sequential, 1));
+    let config = MinoanConfig::default();
+    let seq_art = build_blocks(&d.pair, &config, &Executor::sequential());
     for threads in THREAD_COUNTS {
-        let par_art = build_blocks(&d.pair, &config_with(ExecutorKind::Pool, threads));
+        let par_art = build_blocks(
+            &d.pair,
+            &config,
+            &Executor::new(ExecutorKind::Pool, threads),
+        );
         assert_eq!(
             seq_art.token_blocks.blocks(),
             par_art.token_blocks.blocks(),
@@ -199,16 +203,18 @@ fn blocking_artifacts_are_identical_across_executors() {
 fn pregrouped_shard_scan_is_bit_identical_at_high_shard_counts() {
     let d = DatasetKind::Restaurant.generate_scaled(SEED, SCALE);
     let config = MinoanConfig::default();
-    let art = build_blocks(&d.pair, &config);
-    let tn1 = top_neighbors(
+    let art = build_blocks(&d.pair, &config, &config.executor());
+    let tn1 = top_neighbors_with(
         &d.pair.first,
         config.top_relations_n,
         config.max_top_neighbors,
+        &Executor::sequential(),
     );
-    let tn2 = top_neighbors(
+    let tn2 = top_neighbors_with(
         &d.pair.second,
         config.top_relations_n,
         config.max_top_neighbors,
+        &Executor::sequential(),
     );
     let seq = SimilarityIndex::build_with(
         &art.token_blocks,
@@ -243,15 +249,13 @@ fn pregrouped_shard_scan_is_bit_identical_at_high_shard_counts() {
 /// across executors on every profile — they feed everything downstream.
 #[test]
 fn ingest_stages_are_bit_identical_on_every_profile() {
-    use minoaner::core::{
-        attribute_importance_with, entity_names_with, relation_importance_with, top_neighbors_with,
-    };
+    use minoaner::core::{attribute_importance_with, entity_names_with, relation_importance_with};
     use minoaner::text::{TokenizedPair, Tokenizer};
     for kind in DatasetKind::ALL {
         let d = kind.generate_scaled(SEED, SCALE);
         let seq_exec = Executor::sequential();
         let tokenizer = Tokenizer::default();
-        let seq_tokens = TokenizedPair::build(&d.pair, &tokenizer);
+        let seq_tokens = TokenizedPair::build_with(&d.pair, &tokenizer, &seq_exec);
         let seq_attr = attribute_importance_with(&d.pair.first, &seq_exec);
         let seq_rel = relation_importance_with(&d.pair.first, &seq_exec);
         let seq_names = entity_names_with(&d.pair.first, 2, &seq_exec);

@@ -3,6 +3,7 @@
 //! poisoned job in a serving fleet must fail alone.
 
 use minoaner::core::{build_blocks, MinoanConfig, MinoanEr};
+use minoaner::exec::Executor;
 use minoaner::kb::{parse, KbBuilder, KbPair};
 use minoaner::serve::{
     run_batch, CancelOutcome, CancelToken, JobInput, JobPhase, JobQueue, JobSpec, JobStatus,
@@ -12,7 +13,7 @@ use minoaner::serve::{
 #[test]
 fn empty_kbs() {
     let pair = KbPair::new(KbBuilder::new("a").finish(), KbBuilder::new("b").finish());
-    let out = MinoanEr::with_defaults().run(&pair);
+    let out = MinoanEr::with_defaults().run_with(&pair, &Executor::default());
     assert!(out.matching.is_empty());
 }
 
@@ -21,7 +22,7 @@ fn one_empty_side() {
     let mut a = KbBuilder::new("a");
     a.add_literal("a:1", "name", "something");
     let pair = KbPair::new(a.finish(), KbBuilder::new("b").finish());
-    let out = MinoanEr::with_defaults().run(&pair);
+    let out = MinoanEr::with_defaults().run_with(&pair, &Executor::default());
     assert!(out.matching.is_empty());
 }
 
@@ -34,7 +35,7 @@ fn entities_without_literals() {
     b.add_uri("b:1", "knows", "b:2");
     b.declare_entity("b:2");
     let pair = KbPair::new(a.finish(), b.finish());
-    let out = MinoanEr::with_defaults().run(&pair);
+    let out = MinoanEr::with_defaults().run_with(&pair, &Executor::default());
     // Nothing to match on, but nothing crashes either.
     assert!(out.matching.is_empty());
 }
@@ -56,7 +57,7 @@ fn kb_without_relations_disables_neighbor_evidence_gracefully() {
         );
     }
     let pair = KbPair::new(a.finish(), b.finish());
-    let out = MinoanEr::with_defaults().run(&pair);
+    let out = MinoanEr::with_defaults().run_with(&pair, &Executor::default());
     assert_eq!(out.matching.len(), 20);
 }
 
@@ -69,7 +70,7 @@ fn self_loops_and_dangling_uris() {
     let mut b = KbBuilder::new("b");
     b.add_literal("b:1", "name", "weird entity");
     let pair = KbPair::new(a.finish(), b.finish());
-    let out = MinoanEr::with_defaults().run(&pair);
+    let out = MinoanEr::with_defaults().run_with(&pair, &Executor::default());
     assert_eq!(out.matching.len(), 1);
 }
 
@@ -82,7 +83,7 @@ fn unicode_and_long_values() {
     let mut b = KbBuilder::new("b");
     b.add_literal("b:1", "label", &long);
     let pair = KbPair::new(a.finish(), b.finish());
-    let out = MinoanEr::with_defaults().run(&pair);
+    let out = MinoanEr::with_defaults().run_with(&pair, &Executor::default());
     assert_eq!(out.matching.len(), 1);
 }
 
@@ -103,7 +104,7 @@ fn duplicate_triples_are_harmless() {
     let mut b = KbBuilder::new("b");
     b.add_literal("b:1", "name", "same triple");
     let pair = KbPair::new(a.finish(), b.finish());
-    let out = MinoanEr::with_defaults().run(&pair);
+    let out = MinoanEr::with_defaults().run_with(&pair, &Executor::default());
     assert_eq!(out.matching.len(), 1);
 }
 
@@ -147,7 +148,9 @@ fn extreme_configs_do_not_panic() {
             ..Default::default()
         },
     ] {
-        let out = MinoanEr::new(config).unwrap().run(&pair);
+        let out = MinoanEr::new(config)
+            .unwrap()
+            .run_with(&pair, &Executor::default());
         assert!(!out.matching.is_empty());
     }
 }
@@ -419,7 +422,7 @@ fn blocking_artifacts_are_consistent_under_no_purging() {
         purge_blocks: false,
         ..Default::default()
     };
-    let art = build_blocks(&pair, &cfg);
+    let art = build_blocks(&pair, &cfg, &Executor::default());
     assert!(art.purge.is_none());
     // "stopword" and "entity" blocks are 50x50 each.
     assert!(art.token_blocks.total_comparisons() >= 2 * 50 * 50);

@@ -7,6 +7,7 @@ use minoaner::blocking::{block_metrics, unique_name_pairs};
 use minoaner::core::{build_blocks, MinoanConfig, MinoanEr};
 use minoaner::datagen::DatasetKind;
 use minoaner::eval::MatchQuality;
+use minoaner::exec::Executor;
 use minoaner::kb::KbStats;
 use minoaner::text::{TokenizedPair, Tokenizer};
 
@@ -17,7 +18,7 @@ const SCALE: f64 = 0.15;
 fn minoaner_resolves_every_benchmark_profile_decently() {
     for kind in DatasetKind::ALL {
         let d = kind.generate_scaled(SEED, SCALE);
-        let out = MinoanEr::with_defaults().run(&d.pair);
+        let out = MinoanEr::with_defaults().run_with(&d.pair, &Executor::default());
         let q = MatchQuality::evaluate(&out.matching, &d.truth);
         assert!(
             q.f1() > 0.6,
@@ -33,7 +34,7 @@ fn minoaner_resolves_every_benchmark_profile_decently() {
 #[test]
 fn restaurant_is_solved_perfectly() {
     let d = DatasetKind::Restaurant.generate_scaled(SEED, 0.5);
-    let out = MinoanEr::with_defaults().run(&d.pair);
+    let out = MinoanEr::with_defaults().run_with(&d.pair, &Executor::default());
     let q = MatchQuality::evaluate(&out.matching, &d.truth);
     assert!(q.f1() > 0.99, "F1 {:.3}", q.f1());
 }
@@ -42,7 +43,7 @@ fn restaurant_is_solved_perfectly() {
 fn blocking_recall_is_high_and_comparisons_are_bounded() {
     for kind in DatasetKind::ALL {
         let d = kind.generate_scaled(SEED, SCALE);
-        let art = build_blocks(&d.pair, &MinoanConfig::default());
+        let art = build_blocks(&d.pair, &MinoanConfig::default(), &Executor::default());
         let m = block_metrics(&[&art.name_blocks, &art.token_blocks], &d.truth);
         assert!(
             m.recall() > 0.97,
@@ -68,8 +69,9 @@ fn purging_preserves_almost_all_block_recall() {
             purge_blocks: false,
             ..Default::default()
         },
+        &Executor::default(),
     );
-    let purged = build_blocks(&d.pair, &MinoanConfig::default());
+    let purged = build_blocks(&d.pair, &MinoanConfig::default(), &Executor::default());
     let r_un = block_metrics(&[&unpurged.token_blocks], &d.truth).recall();
     let r_pu = block_metrics(&[&purged.token_blocks], &d.truth).recall();
     assert!(
@@ -82,7 +84,7 @@ fn purging_preserves_almost_all_block_recall() {
 #[test]
 fn heuristics_decompose_additively() {
     let d = DatasetKind::BbcDbpedia.generate_scaled(SEED, SCALE);
-    let out = MinoanEr::with_defaults().run(&d.pair);
+    let out = MinoanEr::with_defaults().run_with(&d.pair, &Executor::default());
     let r = &out.report;
     assert_eq!(
         out.matching.len() + r.h4_removed,
@@ -96,7 +98,7 @@ fn name_matches_survive_formatting_differences() {
     // H1 keys on the token sequence, so punctuation-decorated labels
     // (DBpedia style) still match.
     let d = DatasetKind::BbcDbpedia.generate_scaled(SEED, SCALE);
-    let art = build_blocks(&d.pair, &MinoanConfig::default());
+    let art = build_blocks(&d.pair, &MinoanConfig::default(), &Executor::default());
     let h1 = unique_name_pairs(&art.name_blocks);
     let correct = h1.iter().filter(|&&(a, b)| d.truth.contains(a, b)).count();
     assert!(
@@ -110,12 +112,11 @@ fn name_matches_survive_formatting_differences() {
 #[test]
 fn sigma_and_paris_run_end_to_end() {
     let d = DatasetKind::Restaurant.generate_scaled(SEED, 0.3);
-    let art = build_blocks(&d.pair, &MinoanConfig::default());
-    let tokens = TokenizedPair::build(&d.pair, &Tokenizer::default());
+    let art = build_blocks(&d.pair, &MinoanConfig::default(), &Executor::default());
     let seeds = unique_name_pairs(&art.name_blocks);
     let sigma = run_sigma(
         &d.pair,
-        &tokens,
+        &art.tokens,
         &art.token_blocks,
         &seeds,
         SigmaConfig::default(),
@@ -136,7 +137,7 @@ fn dataset_statistics_have_the_papers_signature() {
         s2.attributes > 5 * s1.attributes,
         "DBpedia schema must be scattered"
     );
-    let tokens = TokenizedPair::build(&bbc.pair, &Tokenizer::default());
+    let tokens = TokenizedPair::build_with(&bbc.pair, &Tokenizer::default(), &Executor::default());
     assert!(
         tokens.avg_tokens(minoaner::kb::KbSide::Second)
             > 1.5 * tokens.avg_tokens(minoaner::kb::KbSide::First)
@@ -146,8 +147,8 @@ fn dataset_statistics_have_the_papers_signature() {
 #[test]
 fn matching_is_deterministic_across_runs() {
     let d = DatasetKind::YagoImdb.generate_scaled(SEED, SCALE);
-    let a = MinoanEr::with_defaults().run(&d.pair);
-    let b = MinoanEr::with_defaults().run(&d.pair);
+    let a = MinoanEr::with_defaults().run_with(&d.pair, &Executor::default());
+    let b = MinoanEr::with_defaults().run_with(&d.pair, &Executor::default());
     let pa: Vec<_> = a.matching.iter().collect();
     let pb: Vec<_> = b.matching.iter().collect();
     assert_eq!(pa, pb);
@@ -156,14 +157,14 @@ fn matching_is_deterministic_across_runs() {
 #[test]
 fn theta_extremes_are_worse_than_default_on_relational_data() {
     let d = DatasetKind::YagoImdb.generate_scaled(SEED, SCALE);
-    let default = MinoanEr::with_defaults().run(&d.pair);
+    let default = MinoanEr::with_defaults().run_with(&d.pair, &Executor::default());
     let f_default = MatchQuality::evaluate(&default.matching, &d.truth).f1();
     let values_only = MinoanEr::new(MinoanConfig {
         theta: 0.99,
         ..Default::default()
     })
     .unwrap()
-    .run(&d.pair);
+    .run_with(&d.pair, &Executor::default());
     let f_values = MatchQuality::evaluate(&values_only.matching, &d.truth).f1();
     assert!(
         f_default >= f_values,

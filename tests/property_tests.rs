@@ -6,9 +6,11 @@
 
 use minoaner::baselines::{umc_trace, unique_mapping_clustering};
 use minoaner::blocking::{
-    canonical_name, purge, token_blocking, Block, BlockCollection, BlockKind,
+    canonical_name, purge_with_exec, token_blocking_with, Block, BlockCollection, BlockKind,
+    DEFAULT_SMOOTHING,
 };
 use minoaner::core::MinoanEr;
+use minoaner::exec::Executor;
 use minoaner::kb::{EntityId, KbBuilder, KbPair, Matching};
 use minoaner::sim::{token_weight, value_sim};
 use minoaner::text::{TokenizedPair, Tokenizer};
@@ -69,7 +71,8 @@ fn value_sim_is_nonnegative_and_finite() {
     let mut gen = Gen(1);
     for _ in 0..40 {
         let pair = arb_kb_pair(&mut gen);
-        let tokens = TokenizedPair::build(&pair, &Tokenizer::default());
+        let tokens =
+            TokenizedPair::build_with(&pair, &Tokenizer::default(), &Executor::sequential());
         for e1 in pair.first.entities() {
             for e2 in pair.second.entities() {
                 let v = value_sim(&tokens, e1, e2);
@@ -113,7 +116,7 @@ fn purging_never_increases_comparisons_or_blocks() {
             })
             .collect();
         let c = BlockCollection::new(BlockKind::Token, blocks, 20, 20);
-        let (p, report) = purge(&c);
+        let (p, report) = purge_with_exec(&c, DEFAULT_SMOOTHING, &Executor::sequential());
         assert!(p.total_comparisons() <= c.total_comparisons());
         assert!(p.len() <= c.len());
         assert_eq!(report.comparisons_after, p.total_comparisons());
@@ -172,8 +175,9 @@ fn token_blocking_only_pairs_entities_sharing_a_token() {
     let mut gen = Gen(7);
     for _ in 0..40 {
         let pair = arb_kb_pair(&mut gen);
-        let tokens = TokenizedPair::build(&pair, &Tokenizer::default());
-        let bt = token_blocking(&tokens);
+        let exec = Executor::sequential();
+        let tokens = TokenizedPair::build_with(&pair, &Tokenizer::default(), &exec);
+        let bt = token_blocking_with(&tokens, &exec);
         for (e1, e2) in bt.distinct_pairs() {
             let v = value_sim(&tokens, e1, e2);
             assert!(v > 0.0, "co-occurring pair must share a token");
@@ -186,7 +190,7 @@ fn pipeline_never_panics_and_reports_consistently() {
     let mut gen = Gen(8);
     for _ in 0..40 {
         let pair = arb_kb_pair(&mut gen);
-        let out = MinoanEr::with_defaults().run(&pair);
+        let out = MinoanEr::with_defaults().run_with(&pair, &Executor::default());
         let r = &out.report;
         assert_eq!(
             out.matching.len() + r.h4_removed,

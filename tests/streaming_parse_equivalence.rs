@@ -9,7 +9,7 @@ use minoaner::datagen::DatasetKind;
 use minoaner::exec::{Executor, ExecutorKind};
 use minoaner::kb::parse::{
     parse_ntriples, parse_ntriples_reader, parse_tsv, parse_tsv_reader, to_ntriples, to_tsv,
-    StreamOptions,
+    StreamError, StreamOptions,
 };
 
 const SEED: u64 = 20180416;
@@ -197,7 +197,7 @@ fn surrogate_rejection_is_identical_across_chunk_sizes() {
                 parse_ntriples_reader("t", text.as_bytes(), &exec, opts(chunk_bytes)).unwrap_err();
             assert_eq!(
                 streamed,
-                whole,
+                StreamError::Parse(whole.clone()),
                 "surrogate error differs at {} threads, {chunk_bytes}B chunks",
                 exec.threads()
             );
@@ -225,7 +225,7 @@ fn streaming_errors_match_whole_string_errors() {
                 parse_ntriples_reader("t", text.as_bytes(), &exec, opts(chunk_bytes)).unwrap_err();
             assert_eq!(
                 streamed,
-                whole,
+                StreamError::Parse(whole.clone()),
                 "error differs at {} threads, {chunk_bytes}B chunks",
                 exec.threads()
             );
