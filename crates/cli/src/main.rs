@@ -100,7 +100,11 @@
 //! `minoan_core::artifact` for the wire format). `index inspect` reads
 //! only the metadata section; `index query` loads the artifact and
 //! answers match queries with **zero ingest work** (`--sample` queries
-//! the first matched entity, handy for smoke tests). The same
+//! the first matched entity, handy for smoke tests). Its `--k` (default
+//! 10) is how many ranked candidates to print; an index persists only
+//! the best 128 of each row (`minoan_core::MAX_CANDIDATES`), so a
+//! larger `--k` is a usage error (exit 2), as it is a `400` online. The
+//! same
 //! artifacts serve online when the daemon runs with `--index-dir`:
 //! `POST /v1/indexes` builds through the job queue, and
 //! `GET /v1/indexes/{id}/match?entity=<iri>` answers from the loaded
@@ -119,7 +123,9 @@ use std::process::exit;
 
 use minoan_baselines::{run_bsl, run_paris, run_sigma, ParisConfig, SigmaConfig};
 use minoan_blocking::unique_name_pairs;
-use minoan_core::{build_blocks, ArtifactMeta, IndexArtifact, MinoanConfig, MinoanEr};
+use minoan_core::{
+    build_blocks, ArtifactMeta, IndexArtifact, MinoanConfig, MinoanEr, MAX_CANDIDATES,
+};
 use minoan_datagen::DatasetKind;
 use minoan_eval::MatchQuality;
 use minoan_kb::{GroundTruth, Json, KbPair, KbSide, KnowledgeBase, Matching};
@@ -550,6 +556,13 @@ fn index_query(args: &[String]) {
         }
     }
     let Some(path) = path else { usage() };
+    if k > MAX_CANDIDATES {
+        minoan_obs::error!(
+            "cli.index",
+            "--k must be at most {MAX_CANDIDATES} (the longest row an index persists), got {k}"
+        );
+        usage();
+    }
     let t0 = std::time::Instant::now();
     let artifact = IndexArtifact::read_from(std::path::Path::new(path)).unwrap_or_else(|e| {
         minoan_obs::error!("cli.index", "cannot load {path}: {e}");

@@ -6,24 +6,32 @@
 //! or loaded — holds what they read and nothing else:
 //!
 //! - [`IndexArtifact::match_query`] reads the URI dictionaries of the
-//!   embedded pair, the matching and the two **value**-candidate CSRs;
+//!   embedded pair, the matching and the top `k ≤` [`MAX_CANDIDATES`]
+//!   of one **value**-candidate row;
 //! - [`IndexArtifact::apply_delta`] (a patch is a rebuild, see
 //!   [`crate::delta`]) reads the persisted configuration and the pair,
 //!   and replaces the rest with a fresh run's.
 //!
 //! Those parts are persisted as the five sections of one checksummed
 //! [`minoan_kb::artifact`] container; of everything else the metadata
-//! keeps the run's *counts* (tokens, blocks, neighbor pairs).
+//! keeps the run's *counts* (tokens, blocks, neighbor pairs). A value
+//! row is kept only to its best [`MAX_CANDIDATES`] entries: the run
+//! scores every co-occurring pair, and the pipeline decides on full
+//! rows, but no query can read past entry [`MAX_CANDIDATES`]. The two
+//! capped directions are not transposes of each other — a pair can sit
+//! in the top of one entity's row and below the cap in the other's.
 //!
 //! The matching stored in the artifact is byte-for-byte the matching the
 //! in-memory run produced — persistence happens *after* the pipeline, on
-//! the same output object — so answers served from a loaded artifact are
+//! the same output object — and each kept row is a bit-identical prefix
+//! of the run's full row, so answers served from a loaded artifact are
 //! fingerprint-identical to a fresh run by construction. The robustness
 //! guarantees (truncation, bad magic, wrong version, flipped bits all
 //! rejected with structured [`ArtifactError`]s) come from the container
 //! layer; this module adds structural validation on top: every decoded
-//! entity id is bounds-checked, and the candidate rows must cover
-//! exactly the entities of the embedded KBs, before any query runs.
+//! entity id is bounds-checked, the candidate rows must cover exactly
+//! the entities of the embedded KBs, and no row may be longer than
+//! [`MAX_CANDIDATES`], before any query runs.
 
 use std::io;
 use std::path::Path;
@@ -40,6 +48,15 @@ use minoan_kb::{
 use crate::config::MinoanConfig;
 use crate::pipeline::{IndexedOutput, Timings};
 use crate::simindex::Candidate;
+
+/// The longest value-candidate row an index persists, and the largest
+/// `k` a match query accepts on every front end (HTTP, line-JSON,
+/// `minoaner index query`): one bound, so a query can never ask past
+/// what the file holds. The decoder rejects a longer row, so a hostile
+/// file cannot make one row allocate without bound. The pipeline itself
+/// decides on full rows; measured on all four benchmark profiles at ×1
+/// and ×2, no decision of H1–H4 reads past entry 128 either.
+pub const MAX_CANDIDATES: usize = 128;
 
 /// Section tag: artifact metadata (name, counts, timings, config).
 pub const TAG_META: u32 = 0x01;
@@ -101,7 +118,10 @@ pub struct ArtifactMeta {
     pub name_block_count: u64,
     /// Token blocks after purging (`|BT|`).
     pub token_block_count: u64,
-    /// Pairs with recorded value similarity.
+    /// Pairs with recorded value similarity: every pair the run scored,
+    /// in one direction. That is more than the file holds — each
+    /// persisted row keeps only its best [`MAX_CANDIDATES`] — so this
+    /// describes the run, not the `candidates` section.
     pub value_pair_count: u64,
     /// Pairs with non-zero neighbor similarity.
     pub neighbor_pair_count: u64,
@@ -220,7 +240,8 @@ pub struct MatchAnswer {
     /// (at most one for a clean partial matching).
     pub matches: Vec<String>,
     /// Top-k value-similarity candidates from the other side, with
-    /// scores, best first.
+    /// scores, best first: a prefix of the persisted row, so at most
+    /// [`MAX_CANDIDATES`] long, and entry for entry the run's own top k.
     pub candidates: Vec<(String, f64)>,
 }
 
@@ -238,15 +259,16 @@ pub struct IndexArtifact {
     /// re-resolves with.
     pub(crate) config: MinoanConfig,
     pub(crate) pair: KbPair,
-    /// Per side: every entity's `valueSim` candidates from the other
-    /// side, best first.
+    /// Per side: every entity's best [`MAX_CANDIDATES`] `valueSim`
+    /// candidates from the other side, best first.
     pub(crate) candidates: [Csr<Candidate>; 2],
     pub(crate) matching: Matching,
 }
 
 impl IndexArtifact {
     /// Captures an index from a finished pipeline run: the matching and
-    /// the value candidates are taken out of `indexed`, and the rest of
+    /// the value candidates — each row cut to its best
+    /// [`MAX_CANDIDATES`] — are taken out of `indexed`, and the rest of
     /// the run — token sets, blocks, neighbor lists — is dropped here,
     /// before anything is encoded. `pair` must be the pair `indexed` was
     /// produced from; the artifact keeps its own copy so patches can
@@ -279,7 +301,10 @@ impl IndexArtifact {
     }
 
     /// The persisted value-candidate CSR of one side: row `e` ranks the
-    /// other side's entities by `valueSim` with `e`.
+    /// other side's entities by `valueSim` with `e` — the first
+    /// `min(len, MAX_CANDIDATES)` entries of the run's full row, bit for
+    /// bit (see [`MAX_CANDIDATES`]). The two sides are not transposes of
+    /// each other.
     pub fn candidates(&self, side: KbSide) -> &Csr<Candidate> {
         &self.candidates[side.index()]
     }
@@ -341,17 +366,26 @@ impl IndexArtifact {
     /// Serializes the artifact to `path`, returning the file size.
     pub fn write_to(&self, path: &Path) -> io::Result<u64> {
         let mut w = ArtifactWriter::new();
-        w.push_section(TAG_META, self.encode_meta());
-        w.push_section(TAG_KB_FIRST, encode_kb(&self.pair.first));
-        w.push_section(TAG_KB_SECOND, encode_kb(&self.pair.second));
-        w.push_section(TAG_CANDIDATES, encode_candidates(&self.candidates));
-        w.push_section(TAG_MATCHING, encode_matching(&self.matching));
+        {
+            let _span =
+                minoan_obs::trace::span(minoan_obs::Level::Debug, "artifact.encode", || {
+                    path.display().to_string()
+                });
+            w.push_section(TAG_META, self.encode_meta());
+            w.push_section(TAG_KB_FIRST, encode_kb(&self.pair.first));
+            w.push_section(TAG_KB_SECOND, encode_kb(&self.pair.second));
+            w.push_section(TAG_CANDIDATES, encode_candidates(&self.candidates));
+            w.push_section(TAG_MATCHING, encode_matching(&self.matching));
+        }
         w.write_to(path)
     }
 
     /// Loads and fully validates the artifact at `path`.
     pub fn read_from(path: &Path) -> Result<Self, ArtifactError> {
         let file = ArtifactFile::open(path)?;
+        let _span = minoan_obs::trace::span(minoan_obs::Level::Debug, "artifact.decode", || {
+            path.display().to_string()
+        });
         let meta = decode_meta(&file)?;
         // A patch re-resolves with the persisted parameters, so a config
         // this build cannot read (version skew, an unknown field) or
@@ -579,8 +613,8 @@ fn encode_csr(out: &mut Vec<u8>, csr: &Csr<Candidate>) {
 }
 
 /// Decodes one candidate CSR that must hold exactly `n_rows` rows —
-/// [`IndexArtifact::match_query`] indexes it by entity id — of
-/// candidates in `0..n_cols`.
+/// [`IndexArtifact::match_query`] indexes it by entity id — each of at
+/// most [`MAX_CANDIDATES`] candidates in `0..n_cols`.
 fn decode_csr(
     c: &mut Cursor<'_>,
     n_rows: usize,
@@ -608,7 +642,14 @@ fn decode_csr(
         if off < prev {
             return Err(ArtifactError::Corrupt("CSR offsets not monotone".into()));
         }
-        lens.push(off - prev);
+        let len = off - prev;
+        if len > MAX_CANDIDATES {
+            return Err(ArtifactError::Corrupt(format!(
+                "candidate row {} holds {len} entries, at most {MAX_CANDIDATES} are persisted",
+                lens.len()
+            )));
+        }
+        lens.push(len);
         prev = off;
     }
     if prev != item_count {
@@ -649,14 +690,6 @@ fn decode_candidates(
     let mut c = Cursor::new(bytes);
     let first = decode_csr(&mut c, counts[0], counts[1])?;
     let second = decode_csr(&mut c, counts[1], counts[0])?;
-    // The two directions are transposes of each other.
-    if first.item_count() != second.item_count() {
-        return Err(ArtifactError::Corrupt(format!(
-            "candidate directions hold {} and {} pairs",
-            first.item_count(),
-            second.item_count()
-        )));
-    }
     Ok([first, second])
 }
 
@@ -850,14 +883,19 @@ mod tests {
 
     /// Every checksum is valid here — the files go through the real
     /// writer — so only the decoder stands between a short candidate
-    /// CSR and an out-of-range row read in `match_query`.
+    /// CSR and an out-of-range row read in `match_query`, or between an
+    /// overlong row and an allocation the file alone sizes.
     #[test]
     fn candidate_rows_must_cover_the_embedded_kbs() {
         let pair = sample_pair();
         let n = [pair.first.entity_count(), pair.second.entity_count()];
         let (mut artifact, _) = build_artifact(&pair);
         let path = temp_path("shortcsr");
-        let first = artifact.candidates[0].clone();
+        let [first, second] = artifact.candidates.clone();
+        // Row 1 one entry over the cap, every id in range.
+        let mut lens = vec![0; n[0]];
+        lens[1] = MAX_CANDIDATES + 1;
+        let overlong = Csr::from_lens_and_items(&lens, vec![(EntityId(0), 1.0); lens[1]]);
         for (candidates, needle) in [
             // No rows at all on either side.
             (
@@ -866,13 +904,13 @@ mod tests {
             ),
             // One direction short by a row.
             (
-                [first.clone(), Csr::empty(n[1] - 1)],
+                [first, Csr::empty(n[1] - 1)],
                 format!("{} rows, its KB has {} entities", n[1] - 1, n[1]),
             ),
-            // Full-height directions that are not each other's transpose.
+            // A row longer than any the writer persists.
             (
-                [first.clone(), Csr::empty(n[1])],
-                format!("hold {} and 0 pairs", first.item_count()),
+                [overlong, second],
+                format!("candidate row 1 holds {} entries", MAX_CANDIDATES + 1),
             ),
         ] {
             artifact.candidates = candidates;

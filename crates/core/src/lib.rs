@@ -43,7 +43,7 @@ pub mod importance;
 pub mod pipeline;
 pub mod simindex;
 
-pub use artifact::{ArtifactMeta, IndexArtifact, MatchAnswer};
+pub use artifact::{ArtifactMeta, IndexArtifact, MatchAnswer, MAX_CANDIDATES};
 pub use config::MinoanConfig;
 pub use delta::{DeltaReport, PATCH_FAULT_SITE};
 pub use heuristics::{

@@ -49,6 +49,7 @@ use minoan_kb::{Csr, EntityId, KbSide, TokenId};
 use minoan_sim::token_weight;
 use minoan_text::TokenizedPair;
 
+use crate::artifact::MAX_CANDIDATES;
 use crate::pipeline::stage_span;
 
 /// A scored candidate (the other side's entity plus a similarity).
@@ -337,10 +338,16 @@ impl SimilarityIndex {
 
     /// Consumes the index, keeping the two value-candidate CSRs (first
     /// side, then second) — all a persistent index serves match queries
-    /// from. The neighbor lists are dropped: `neighborNSim` is read only
-    /// by H3 and H4, while the pipeline runs.
+    /// from — each row cut to its best [`MAX_CANDIDATES`] in place. Rows
+    /// are in candidate order, so a kept row is a bit-identical prefix of
+    /// the full one. The neighbor lists are dropped: `neighborNSim` is
+    /// read only by H3 and H4, while the pipeline runs.
     pub fn into_value_candidates(self) -> [Csr<Candidate>; 2] {
-        self.value_cands
+        let mut value_cands = self.value_cands;
+        for csr in &mut value_cands {
+            csr.truncate_rows(MAX_CANDIDATES);
+        }
+        value_cands
     }
 
     /// Number of pairs with non-zero neighbor similarity.

@@ -52,7 +52,7 @@
 //! | `index-inspect` | `index` | `{"ok":true,"id":"…",…}` — the artifact's metadata section, read without loading the full index |
 //! | `index-delete` | `index` | `{"ok":true,"index":"…","deleted":true}` — also evicts the loaded copy |
 //! | `index-patch` | `index`, `deltas`: an array of delta ops (the [`minoan_kb::delta`] wire schema) | `{"ok":true,"job":N,"index":"…"}` — admits a patch job: the ops are applied to the index's embedded KB pair, the pipeline re-runs over it with the index's build parameters, the artifact file is atomically rewritten, and the stale cached copy is dropped on completion; `wait` on the job id for the patched report. A second patch for the same index while one is in flight is a `conflict` |
-//! | `index-match` | `index`, `entity` (an entity IRI from either KB), optional `k` | `{"ok":true,"index":"…","entity":"…","side":"first\|second","matches":[…],"candidates":[{"uri":"…","score":F}],"stage_timings_ms":{…}}` — answered from the loaded artifact; `ingest`/`blocking`/`similarities` timings are literally `0` |
+//! | `index-match` | `index`, `entity` (an entity IRI from either KB), optional `k` in `1..=128` ([`minoan_core::MAX_CANDIDATES`]; outside it is a `bad_request`) | `{"ok":true,"index":"…","entity":"…","side":"first\|second","matches":[…],"candidates":[{"uri":"…","score":F}],"stage_timings_ms":{…}}` — answered from the loaded artifact; `ingest`/`blocking`/`similarities` timings are literally `0` |
 //! | `shutdown` | optional `mode`: `"drain"` (default: queued jobs still run) or `"cancel"` (queued jobs flip to `Cancelled`, running jobs are cancelled) | `{"ok":true}`; the daemon then stops accepting, drains and exits |
 //!
 //! The `index-*` ops need the daemon started with an index directory

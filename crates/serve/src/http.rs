@@ -26,7 +26,7 @@
 //! | `GET /v1/indexes/{id}` | — | `200` artifact metadata: `file_bytes` and per-section `section_bytes`, entity counts, build timings, format version; `404` unknown index |
 //! | `DELETE /v1/indexes/{id}` | — | `200` `{"index":"…","deleted":true}`; `404` unknown index |
 //! | `PATCH /v1/indexes/{id}` | `{"deltas":[{"op":"upsert"\|"delete","side":"first"\|"second","uri":"…","statements":[…]}]}` (see [`minoan_kb::delta`]) | `202` `{"job":N,"index":"…"}` + `Location: /v1/jobs/{N}` — admits a **patch** job: the artifact is loaded, the ops are applied to its embedded KB pair, the pipeline re-runs over it with the index's build parameters (so the result is a from-scratch rebuild of the final KB state, bit for bit), and the file is atomically rewritten; `?wait=true` blocks until the patch job is terminal; `404` unknown index; `409` another patch for this index is still in flight; `400` malformed delta stream |
-//! | `GET /v1/indexes/{id}/match?entity=<iri>&k=<n>` | — | `200` the hot match path: `matches`, top-`k` `candidates` with scores, and `stage_timings_ms` whose build-once stages (`ingest`, `blocking`, `similarities`) are always `0` — the answer comes from the loaded artifact, never from re-running the pipeline; `404` unknown index or entity |
+//! | `GET /v1/indexes/{id}/match?entity=<iri>&k=<n>` | — | `200` the hot match path: `matches`, top-`k` `candidates` with scores, and `stage_timings_ms` whose build-once stages (`ingest`, `blocking`, `similarities`) are always `0` — the answer comes from the loaded artifact, never from re-running the pipeline; `400` `k` outside `1..=128` ([`minoan_core::MAX_CANDIDATES`], the longest row an index persists); `404` unknown index or entity |
 //! | `GET /v1/metrics` | — | `200` Prometheus text (`text/plain; version=0.0.4`), see [`prometheus_metrics`] |
 //! | `POST /v1/shutdown` | optional `{"mode":"drain"\|"cancel"}` | `200` `{"shutting_down":true,"mode":"…"}`; the server drains and exits |
 //!

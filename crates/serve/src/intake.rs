@@ -20,6 +20,7 @@
 
 use std::time::Instant;
 
+use minoan_core::MAX_CANDIDATES;
 use minoan_kb::Json;
 
 use crate::manifest::JobSpec;
@@ -298,12 +299,6 @@ pub(crate) fn shutdown(queue: &JobQueue, flag: &CancelToken, mode: ShutdownMode)
 /// does not pass one.
 pub(crate) const DEFAULT_MATCH_K: usize = 10;
 
-/// Largest accepted `k` of a match query. The candidate lists an
-/// artifact stores are capped (`max_top_neighbors`) far below this, so
-/// a bigger `k` cannot produce more answers — it only lets clients ask
-/// the server to build pointlessly large response bodies.
-pub(crate) const MAX_MATCH_K: usize = 1000;
-
 /// Why an index operation failed, with enough structure for each
 /// front-end to pick its status code; the unified error body comes from
 /// [`IndexRejection::to_error_body`], so both protocols emit the same
@@ -546,9 +541,11 @@ pub(crate) fn index_match(
     if k == 0 {
         return Err(IndexRejection::BadRequest("`k` must be at least 1".into()));
     }
-    if k > MAX_MATCH_K {
+    // The bound is the longest row an index persists: a bigger `k`
+    // could not return more candidates.
+    if k > MAX_CANDIDATES {
         return Err(IndexRejection::BadRequest(format!(
-            "`k` must be at most {MAX_MATCH_K}, got {k}"
+            "`k` must be at most {MAX_CANDIDATES}, got {k}"
         )));
     }
     let t_load = Instant::now();

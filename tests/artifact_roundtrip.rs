@@ -1,17 +1,19 @@
 //! Persistent index artifacts: a persisted-then-loaded index must be
 //! **bit-identical** to the fresh in-memory run that produced it (all
-//! four benchmark profiles), match queries served over HTTP must report
-//! literally zero ingest work, and corrupt artifacts — truncated, bad
+//! four benchmark profiles), each persisted candidate row must be the
+//! bit-identical top of the run's full row, match queries served over
+//! HTTP must report literally zero ingest work and accept exactly the
+//! `k` an index can answer, and corrupt artifacts — truncated, bad
 //! magic, wrong format version, flipped checksum, injected read faults —
 //! must be rejected with structured errors, never a panic.
 
 use std::io::{Read, Write};
 use std::net::{SocketAddr, TcpListener, TcpStream};
 
-use minoaner::core::{IndexArtifact, MinoanEr};
-use minoaner::datagen::DatasetKind;
-use minoaner::exec::faults;
-use minoaner::kb::{ArtifactError, Json};
+use minoaner::core::{Candidate, IndexArtifact, MinoanEr, MAX_CANDIDATES};
+use minoaner::datagen::{mutate_stream, DatasetKind};
+use minoaner::exec::{faults, Executor};
+use minoaner::kb::{ArtifactError, EntityId, Json, KbPair, KbSide};
 use minoaner::serve::{fnv1a, run_http, CancelToken, HttpOptions, ServeOptions};
 
 /// A scratch directory that cleans up after itself.
@@ -102,6 +104,105 @@ fn persisted_artifacts_are_bit_identical_to_fresh_runs_on_all_profiles() {
     }
 }
 
+/// One side's full value rows, as a run computed them.
+type Rows = Vec<Vec<Candidate>>;
+
+/// Runs the pipeline over `pair` and returns the run's full value rows
+/// of both sides — read before [`IndexArtifact::from_run`] caps them —
+/// together with the artifact packed from that same run.
+fn full_rows_and_artifact(pair: &KbPair) -> ([Rows; 2], IndexArtifact) {
+    let matcher = MinoanEr::with_defaults();
+    let indexed = matcher
+        .run_cancellable_indexed(pair, &Executor::sequential(), &CancelToken::new())
+        .expect("nothing cancels this run");
+    let full = [KbSide::First, KbSide::Second].map(|side| {
+        pair.kb(side)
+            .entities()
+            .map(|e| indexed.index.value_candidates(side, e).to_vec())
+            .collect()
+    });
+    let artifact = IndexArtifact::from_run("capped", pair, indexed, matcher.config());
+    (full, artifact)
+}
+
+/// A row as comparable bits: `(id, similarity bit pattern)`.
+fn row_bits(row: &[Candidate]) -> Vec<(u32, u64)> {
+    row.iter().map(|&(e, v)| (e.0, v.to_bits())).collect()
+}
+
+/// Every persisted row of `artifact` is the first
+/// `min(len, MAX_CANDIDATES)` entries of the matching full row, bit for
+/// bit; `match_query(…, MAX_CANDIDATES)` answers exactly the full
+/// index's top `MAX_CANDIDATES`; and on each side at least one row was
+/// actually cut, so the check cannot pass vacuously.
+fn assert_top_of_full_rows(artifact: &IndexArtifact, full: &[Rows; 2], label: &str) {
+    let pair = artifact.pair();
+    for side in [KbSide::First, KbSide::Second] {
+        let persisted = artifact.candidates(side);
+        let rows = &full[side.index()];
+        assert_eq!(persisted.rows(), rows.len(), "{label}/{side:?}: row count");
+        let mut cut = 0;
+        for (e, row) in rows.iter().enumerate() {
+            let top = &row[..row.len().min(MAX_CANDIDATES)];
+            cut += usize::from(top.len() < row.len());
+            assert_eq!(
+                row_bits(persisted.row(e)),
+                row_bits(top),
+                "{label}/{side:?}: row {e} is not the top of the full row"
+            );
+            let uri = pair.kb(side).entity_uri(EntityId(e as u32));
+            let answer = artifact
+                .match_query(uri, MAX_CANDIDATES)
+                .expect("every embedded entity answers");
+            let expected: Vec<(&str, u64)> = top
+                .iter()
+                .map(|&(c, v)| (pair.kb(side.other()).entity_uri(c), v.to_bits()))
+                .collect();
+            let got: Vec<(&str, u64)> = answer
+                .candidates
+                .iter()
+                .map(|(c, v)| (c.as_str(), v.to_bits()))
+                .collect();
+            assert_eq!(got, expected, "{label}/{side:?}: query answer for {uri}");
+        }
+        assert!(
+            cut > 0,
+            "{label}/{side:?}: no row is longer than {MAX_CANDIDATES}, so nothing was capped"
+        );
+    }
+}
+
+#[test]
+fn persisted_rows_are_the_top_of_the_full_rows() {
+    // Dense enough that rows on both sides run past the cap.
+    let (kind, seed, scale) = (DatasetKind::BbcDbpedia, 20180416, 0.1);
+    let pair = kind.generate_scaled(seed, scale).pair;
+    let scratch = ScratchDir::new("capped");
+    let path = scratch.path("capped.idx");
+
+    // Packed from a run, before any disk trip.
+    let (full, mut artifact) = full_rows_and_artifact(&pair);
+    assert_top_of_full_rows(&artifact, &full, "from_run");
+
+    // Written and read back.
+    artifact.write_to(&path).expect("persist artifact");
+    let loaded = IndexArtifact::read_from(&path).expect("load artifact");
+    assert_top_of_full_rows(&loaded, &full, "read_from");
+
+    // Patched, persisted and read back, against a fresh run over the
+    // mutated pair.
+    let ops = mutate_stream(kind, seed, scale, 7, 16);
+    artifact
+        .apply_delta(&ops, &Executor::sequential(), &CancelToken::new())
+        .expect("nothing cancels this patch");
+    artifact.persist_patch(&path).expect("persist patch");
+    let patched = IndexArtifact::read_from(&path).expect("load patched artifact");
+    let mut mutated = pair.clone();
+    minoaner::kb::delta::apply_to_pair(&mut mutated, &ops);
+    let (full_mutated, _) = full_rows_and_artifact(&mutated);
+    assert_top_of_full_rows(&patched, &full_mutated, "patch");
+}
+
 #[test]
 fn corrupted_artifacts_are_rejected_with_structured_errors_not_panics() {
     let scratch = ScratchDir::new("corrupt");
@@ -143,19 +244,19 @@ fn corrupted_artifacts_are_rejected_with_structured_errors_not_panics() {
     );
 
     // And the previous writer's: there is one format and one reader, so
-    // a version-2 file is refused by the same check, and the message
-    // tells the operator what to do about it.
+    // a version-3 file — uncapped rows, same encoding — is refused by
+    // the same check, and the message tells the operator what to do.
     let mut previous = pristine.clone();
-    previous[8..12].copy_from_slice(&2u32.to_le_bytes());
+    previous[8..12].copy_from_slice(&3u32.to_le_bytes());
     let err = reload(&previous).unwrap_err();
     assert!(
-        matches!(err, ArtifactError::UnsupportedVersion { found: 2 }),
-        "version 2 reported as {err:?}"
+        matches!(err, ArtifactError::UnsupportedVersion { found: 3 }),
+        "version 3 reported as {err:?}"
     );
     let message = err.to_string();
     assert!(
-        message.contains("version 2")
-            && message.contains("supports 3")
+        message.contains("version 3")
+            && message.contains("supports 4")
             && message.ends_with("rebuild the index"),
         "{message}"
     );
@@ -304,6 +405,37 @@ fn http_match_queries_answer_with_zero_ingest_telemetry() {
             panic!("no matches array in {}", answer.compact());
         };
         assert!(!matches.is_empty(), "r1:e0 must have a match at scale 0.1");
+
+        // `k` runs from 1 to the longest row an index persists; outside
+        // that range is a unified 400 that names the bound.
+        let query = |k: usize| {
+            http.request(
+                "GET",
+                &format!("/v1/indexes/rt/match?entity=r1%3Ae0&k={k}"),
+                None,
+            )
+        };
+        let (status, body) = query(MAX_CANDIDATES);
+        assert_eq!(status, 200, "{body}");
+        for (k, needle) in [
+            (0, "at least 1".to_string()),
+            (
+                MAX_CANDIDATES + 1,
+                format!("at most {MAX_CANDIDATES}, got {}", MAX_CANDIDATES + 1),
+            ),
+        ] {
+            let (status, body) = query(k);
+            assert_eq!(status, 400, "k={k}: {body}");
+            let err = Json::parse(&body).unwrap();
+            let err = err.get("error").expect("unified error body");
+            assert_eq!(
+                err.get("code").and_then(Json::as_str),
+                Some("bad_request"),
+                "{body}"
+            );
+            let message = err.get("message").and_then(Json::as_str).unwrap();
+            assert!(message.contains(&needle), "k={k}: {message}");
+        }
 
         // Unknown entities and unknown indexes map to structured 404s.
         let (status, body) = http.request("GET", "/v1/indexes/rt/match?entity=nope%3A0", None);

@@ -1,13 +1,15 @@
 //! Daemon integration tests: jobs submitted over the socket must be
 //! **bit-identical** to the same jobs run via `minoaner batch` and via
-//! solo sequential runs ([`JobReport::fingerprint`]), and cancelling a
+//! solo sequential runs ([`JobReport::fingerprint`]), cancelling a
 //! *running* job must unwind it to a `Cancelled` report at a pipeline
-//! checkpoint without disturbing other in-flight jobs.
+//! checkpoint without disturbing other in-flight jobs, and `index-match`
+//! must accept exactly the `k` the HTTP front end accepts.
 
 use std::io::{BufRead, BufReader, Write};
 use std::net::{TcpListener, TcpStream};
 use std::time::{Duration, Instant};
 
+use minoaner::core::MAX_CANDIDATES;
 use minoaner::datagen::DatasetKind;
 use minoaner::exec::ExecutorKind;
 use minoaner::kb::Json;
@@ -32,13 +34,18 @@ impl Client {
         }
     }
 
-    fn request(&mut self, body: Json) -> Json {
+    /// Sends one request and returns the response, whatever its `ok`.
+    fn send(&mut self, body: Json) -> Json {
         self.writer
             .write_all((body.compact() + "\n").as_bytes())
             .expect("send request");
         let mut line = String::new();
         self.reader.read_line(&mut line).expect("read response");
-        let response = Json::parse(line.trim()).expect("response parses");
+        Json::parse(line.trim()).expect("response parses")
+    }
+
+    fn request(&mut self, body: Json) -> Json {
+        let response = self.send(body);
         assert_eq!(
             response.get("ok"),
             Some(&Json::Bool(true)),
@@ -311,6 +318,65 @@ fn malformed_frames_get_error_responses_and_never_wedge_the_daemon() {
         client.shutdown();
         daemon.join().unwrap()
     });
+}
+
+#[test]
+fn index_match_k_is_bounded_by_the_persisted_row_cap() {
+    let listener = TcpListener::bind("127.0.0.1:0").unwrap();
+    let addr = listener.local_addr().unwrap();
+    let dir = std::env::temp_dir().join(format!("minoan-daemon-k-{}", std::process::id()));
+    let opts = ServeOptions {
+        slots: Some(1),
+        threads: Some(2),
+        index_dir: Some(dir.clone()),
+        ..ServeOptions::default()
+    };
+    std::thread::scope(|scope| {
+        let daemon = scope.spawn(|| run_daemon(listener, &opts, |_| {}).unwrap());
+        let mut client = Client::connect(addr);
+        let built = client.request(Json::obj([
+            ("op", Json::str("index-build")),
+            (
+                "job",
+                Json::obj([
+                    ("name", Json::str("rt")),
+                    ("dataset", Json::str("restaurant")),
+                    ("seed", Json::num(20180416.0)),
+                    ("scale", Json::Num(0.1)),
+                ]),
+            ),
+        ]));
+        let job = built.get("job").and_then(Json::as_usize).expect("job id");
+        assert_eq!(client.wait(job).1, "ok", "the index build failed");
+
+        let mut query = |k: usize| {
+            client.send(Json::obj([
+                ("op", Json::str("index-match")),
+                ("index", Json::str("rt")),
+                ("entity", Json::str("r1:e0")),
+                ("k", Json::num(k as f64)),
+            ]))
+        };
+        let answer = query(MAX_CANDIDATES);
+        assert_eq!(answer.get("ok"), Some(&Json::Bool(true)), "{answer:?}");
+        for (k, needle) in [
+            (0, "at least 1".to_string()),
+            (
+                MAX_CANDIDATES + 1,
+                format!("at most {MAX_CANDIDATES}, got {}", MAX_CANDIDATES + 1),
+            ),
+        ] {
+            let r = query(k);
+            assert_eq!(r.get("ok"), Some(&Json::Bool(false)), "k={k}: {r:?}");
+            let err = r.get("error").expect("unified error body");
+            assert_eq!(err.get("code").and_then(Json::as_str), Some("bad_request"));
+            let message = err.get("message").and_then(Json::as_str).unwrap();
+            assert!(message.contains(&needle), "k={k}: {message}");
+        }
+        client.shutdown();
+        daemon.join().unwrap()
+    });
+    let _ = std::fs::remove_dir_all(&dir);
 }
 
 #[test]
