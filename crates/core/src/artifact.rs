@@ -53,9 +53,15 @@ use crate::simindex::Candidate;
 /// `k` a match query accepts on every front end (HTTP, line-JSON,
 /// `minoaner index query`): one bound, so a query can never ask past
 /// what the file holds. The decoder rejects a longer row, so a hostile
-/// file cannot make one row allocate without bound. The pipeline itself
-/// decides on full rows; measured on all four benchmark profiles at ×1
-/// and ×2, no decision of H1–H4 reads past entry 128 either.
+/// file cannot make one row allocate without bound.
+///
+/// It is also the ranked length of every in-memory candidate row of a
+/// [`SimilarityIndex`](crate::SimilarityIndex): the best 128 entries are
+/// stored in candidate order, the rest behind them unordered (see
+/// [`crate::simindex`]). The pipeline itself decides on full rows — a
+/// reader that runs off the prefix sorts the tail — but measured on all
+/// four benchmark profiles at ×1 and ×2, no decision of H1–H4 reads past
+/// entry 128.
 pub const MAX_CANDIDATES: usize = 128;
 
 /// Section tag: artifact metadata (name, counts, timings, config).

@@ -61,10 +61,9 @@ pub fn h2_value_matches_with(
             }
             let mut usable = idx
                 .value_candidates(smaller, e)
-                .iter()
                 .filter(|(c, _)| !matched_other.contains(c));
-            if let Some(&(c, vmax)) = usable.next() {
-                let runner_up = usable.next().map(|&(_, v)| v).unwrap_or(0.0);
+            if let Some((c, vmax)) = usable.next() {
+                let runner_up = usable.next().map(|(_, v)| v).unwrap_or(0.0);
                 if vmax >= 1.0 && runner_up < 1.0 {
                     out.push(orient(smaller, e, c));
                 }
@@ -98,17 +97,15 @@ pub fn h3_top_candidate(
 ) -> Option<(EntityId, f64)> {
     let value_list: Vec<EntityId> = idx
         .value_candidates(side, e)
-        .iter()
         .filter(|(c, v)| *v > 0.0 && !matched_other.contains(c))
         .take(k)
-        .map(|&(c, _)| c)
+        .map(|(c, _)| c)
         .collect();
     let neighbor_list: Vec<EntityId> = idx
         .neighbor_candidates(side, e)
-        .iter()
         .filter(|(c, _)| !matched_other.contains(c))
         .take(k)
-        .map(|&(c, _)| c)
+        .map(|(c, _)| c)
         .collect();
     if value_list.is_empty() && neighbor_list.is_empty() {
         return None;
@@ -190,14 +187,12 @@ pub fn h4_reciprocal_batch(
 
 fn in_top_k(idx: &SimilarityIndex, side: KbSide, e: EntityId, other: EntityId, k: usize) -> bool {
     idx.value_candidates(side, e)
-        .iter()
         .take(k)
-        .any(|&(c, _)| c == other)
+        .any(|(c, _)| c == other)
         || idx
             .neighbor_candidates(side, e)
-            .iter()
             .take(k)
-            .any(|&(c, _)| c == other)
+            .any(|(c, _)| c == other)
 }
 
 #[cfg(test)]
@@ -344,6 +339,77 @@ mod tests {
         assert!(h4_reciprocal(&idx, 1, e(2), e(0)));
         assert!(!h4_reciprocal(&idx, 1, e(0), e(0)));
         assert!(h4_reciprocal(&idx, 3, e(0), e(0)));
+    }
+
+    /// An index where a:0 has 300 value candidates: b:0..=b:130 each
+    /// share a token unique to the pair (weight 1) and all 300 share
+    /// `x`, so the first 131 score `1 + w(x)` and the rest `w(x) < 1`,
+    /// ties by id. Returned with a:0's row as the reference full sort.
+    fn long_row_index() -> (SimilarityIndex, Vec<(EntityId, f64)>) {
+        let probe = std::iter::once("x".to_string())
+            .chain((0..=130).map(|i| format!("p{i}")))
+            .collect::<Vec<_>>()
+            .join(" ");
+        let seconds: Vec<String> = (0..300)
+            .map(|i| {
+                if i <= 130 {
+                    format!("x p{i}")
+                } else {
+                    "x".into()
+                }
+            })
+            .collect();
+        let seconds: Vec<&str> = seconds.iter().map(String::as_str).collect();
+        let idx = index_of(&[&probe], &seconds);
+        let mut want: Vec<(EntityId, f64)> = (0..300)
+            .map(|i| (e(i), idx.value_sim(e(0), e(i))))
+            .filter(|&(_, v)| v > 0.0)
+            .collect();
+        want.sort_by(crate::simindex::tests::cand_cmp);
+        assert_eq!(want.len(), 300);
+        assert!(want[130].1 >= 1.0 && want[131].1 < 1.0);
+        (idx, want)
+    }
+
+    /// b:0..b:129 — the probe's first 130 candidates — already matched.
+    fn first_130_matched(want: &[(EntityId, f64)]) -> FxHashSet<EntityId> {
+        want[..130].iter().map(|&(c, _)| c).collect()
+    }
+
+    #[test]
+    fn h2_reads_past_the_ranked_prefix() {
+        let (idx, want) = long_row_index();
+        let matched = first_130_matched(&want);
+        let mut usable = want.iter().filter(|(c, _)| !matched.contains(c));
+        let (best, vmax) = *usable.next().unwrap();
+        let runner_up = usable.next().unwrap().1;
+        assert!(vmax >= 1.0 && runner_up < 1.0);
+        let none = FxHashSet::default();
+        let pairs = h2_value_matches(&idx, KbSide::First, 1, [&none, &matched]);
+        assert_eq!(pairs, vec![(e(0), best)]);
+    }
+
+    #[test]
+    fn h3_reads_past_the_ranked_prefix_and_counts_it() {
+        let (idx, want) = long_row_index();
+        let matched = first_130_matched(&want);
+        let best = want.iter().find(|(c, _)| !matched.contains(c)).unwrap().0;
+        assert_eq!(idx.tail_reads(), 0);
+        // No neighbor candidates here, so the top value candidate wins
+        // on the full value weight θ.
+        let (top, score) = h3_top_candidate(&idx, KbSide::First, e(0), 15, 0.6, &matched).unwrap();
+        assert_eq!((top, score), (best, 0.6));
+        assert_eq!(idx.tail_reads(), 1);
+    }
+
+    #[test]
+    fn h4_finds_a_candidate_ranked_past_the_prefix() {
+        let (idx, want) = long_row_index();
+        // Rank 150, 1-based; a:0 is b:149's only candidate.
+        let c = want[149].0;
+        assert!(h4_reciprocal(&idx, 200, e(0), c));
+        assert!(h4_reciprocal(&idx, 150, e(0), c));
+        assert!(!h4_reciprocal(&idx, 149, e(0), c));
     }
 
     #[test]

@@ -57,4 +57,4 @@ pub use importance::{
 pub use pipeline::{
     build_blocks, BlockingArtifacts, IndexedOutput, MatchOutput, MinoanEr, PipelineReport, Timings,
 };
-pub use simindex::{Candidate, SimilarityIndex};
+pub use simindex::{Candidate, Ranked, SimilarityIndex};

@@ -238,6 +238,11 @@ fn matching_phase(
     let mut keep_flags = keep.iter();
     matching.retain(|_, _| *keep_flags.next().expect("one flag per pair"));
     let h4_removed = before - matching.len();
+    minoan_obs::debug!(
+        "simindex.tail_reads",
+        "{} candidate reads ran past the ranked prefix",
+        idx.tail_reads()
+    );
     MatchingPhase {
         h1_matches: h1.len(),
         h2_matches: h2.len(),

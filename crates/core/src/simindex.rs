@@ -24,24 +24,38 @@
 //! - the `neighborNSim` pass is embarrassingly parallel over `e1` and
 //!   accumulates on the same dense scratch;
 //! - the reverse-direction lists are a parallel CSR **transpose**
-//!   (partial histograms → per-part cursors → disjoint fills).
+//!   (partial histograms → per-part cursors → disjoint fills), each
+//!   column then ranked like any other row.
 //!
 //! # Candidate order
 //!
-//! Every candidate row — value and neighbor, in both directions — is
-//! sorted by similarity descending, ties by entity id ascending: a total
-//! order, so a row is one fixed sequence. The four sorts compare one
-//! integer key, `cand_key = (Reverse(v.to_bits()), id)`, instead of the
-//! floats. That is exact because the index holds only **strictly
-//! positive, finite** similarities: value terms are token weights in
-//! `(0, 1]` (see `RowScratch`) and neighbor rows keep only `s > 0`. On
-//! such values the IEEE-754 bit pattern, read as an unsigned integer,
-//! orders exactly like the number — subnormals included — so the key
-//! gives the same total order as comparing the floats, and every row
-//! comes out bit-identical. A zero, negative or NaN similarity would
-//! break that; `cand_key` asserts none reaches a sort in debug builds.
+//! The candidate order is similarity descending, ties by entity id
+//! ascending: a total order, so a row has one fixed sequence. It is
+//! compared through one integer key, `cand_key = (Reverse(v.to_bits()),
+//! id)`, instead of the floats. That is exact because the index holds
+//! only **strictly positive, finite** similarities: value terms are
+//! token weights in `(0, 1]` (see `RowScratch`) and neighbor rows keep
+//! only `s > 0`. On such values the IEEE-754 bit pattern, read as an
+//! unsigned integer, orders exactly like the number — subnormals
+//! included — so the key gives the same total order as comparing the
+//! floats. A zero, negative or NaN similarity would break that;
+//! `cand_key` asserts none reaches a sort in debug builds.
+//!
+//! Every stored row — value and neighbor, in both directions — is
+//! **ranked**, not sorted (`rank`): its best [`MAX_CANDIDATES`] entries
+//! come first, in candidate order, and the rest follow in no order.
+//! H2 reads two usable candidates, H3 and H4 the first `K`, a persisted
+//! index the first [`MAX_CANDIDATES`], and on the benchmark profiles no
+//! decision reads past entry 128; the tail is selected behind the prefix
+//! in linear time instead of sorted. Rows are read only through
+//! [`Ranked`], which yields the prefix and, should a reader run off it,
+//! sorts a copy of the tail and goes on. That is exact: the key is a
+//! total order (ids are unique within a row), so the best 128 of a row
+//! are one set in one order whatever the input order, and the reader's
+//! sequence is the fully sorted row bit for bit, however far it reads.
 
 use std::cmp::Reverse;
+use std::sync::atomic::{AtomicUsize, Ordering};
 
 use minoan_blocking::BlockCollection;
 use minoan_exec::{Executor, SharedSlice};
@@ -66,6 +80,81 @@ fn cand_key(&(e, v): &Candidate) -> (Reverse<u64>, u32) {
     );
     (Reverse(v.to_bits()), e.0)
 }
+
+/// Puts the best [`MAX_CANDIDATES`] entries of `row` first, in
+/// [`cand_key`] order, and the rest after them in no order (see the
+/// module docs). A row no longer than that is simply sorted.
+fn rank(row: &mut [Candidate]) {
+    if row.len() > MAX_CANDIDATES {
+        row.select_nth_unstable_by_key(MAX_CANDIDATES, cand_key);
+        row[..MAX_CANDIDATES].sort_unstable_by_key(cand_key);
+    } else {
+        row.sort_unstable_by_key(cand_key);
+    }
+}
+
+/// One ranked candidate row read in the full candidate order: the
+/// stored prefix as it is, then — only once a reader runs off the
+/// prefix — a sorted copy of the tail. The sequence is the fully sorted
+/// row, bit for bit, however far it is read.
+#[derive(Debug)]
+pub struct Ranked<'a> {
+    row: &'a [Candidate],
+    next: usize,
+    /// `row[MAX_CANDIDATES..]` in [`cand_key`] order; empty until the
+    /// first read past the prefix.
+    tail: Vec<Candidate>,
+    tail_reads: &'a AtomicUsize,
+}
+
+impl<'a> Ranked<'a> {
+    /// A reader over `row`, ranked by [`rank`], counting its tail sort
+    /// (if any) in `tail_reads`.
+    fn new(row: &'a [Candidate], tail_reads: &'a AtomicUsize) -> Self {
+        Self {
+            row,
+            next: 0,
+            tail: Vec::new(),
+            tail_reads,
+        }
+    }
+
+    #[cold]
+    fn sort_tail(&mut self) {
+        self.tail = self.row[MAX_CANDIDATES..].to_vec();
+        self.tail.sort_unstable_by_key(cand_key);
+        self.tail_reads.fetch_add(1, Ordering::Relaxed);
+    }
+}
+
+impl Iterator for Ranked<'_> {
+    type Item = Candidate;
+
+    #[inline]
+    fn next(&mut self) -> Option<Candidate> {
+        let i = self.next;
+        let item = if i < MAX_CANDIDATES {
+            *self.row.get(i)?
+        } else {
+            if i >= self.row.len() {
+                return None;
+            }
+            if self.tail.is_empty() {
+                self.sort_tail();
+            }
+            self.tail[i - MAX_CANDIDATES]
+        };
+        self.next += 1;
+        Some(item)
+    }
+
+    fn size_hint(&self) -> (usize, Option<usize>) {
+        let left = self.row.len() - self.next;
+        (left, Some(left))
+    }
+}
+
+impl ExactSizeIterator for Ranked<'_> {}
 
 /// A dense accumulator over the second KB's entities plus the list of
 /// slots touched since the last reset: the working memory of one row of
@@ -118,8 +207,8 @@ impl RowScratch {
 
     /// **The** `valueSim` row: accumulates `weight` into every entity of
     /// `seconds` for each `(weight, seconds)` block of one first-side
-    /// entity, and returns the [`cand_key`]-sorted candidates, leaving
-    /// the scratch reset. `blocks` must come in ascending block order —
+    /// entity, and returns the candidates [`rank`]ed, leaving the
+    /// scratch reset. `blocks` must come in ascending block order —
     /// that order *is* each pair's floating-point addition sequence, and
     /// what makes a row reproducible bit for bit wherever it is computed.
     fn value_row<'a>(
@@ -137,7 +226,7 @@ impl RowScratch {
             .drain(..)
             .map(|e2| (EntityId(e2), std::mem::take(&mut sums[e2 as usize])))
             .collect();
-        row.sort_unstable_by_key(cand_key);
+        rank(&mut row);
         row
     }
 }
@@ -191,8 +280,9 @@ fn value_rows(
 /// most half a point at ×1 and ×2 (ROADMAP F5).
 ///
 /// Accumulates on the kernel's dense scratch, one per executor task;
-/// the sums follow the order of the top-neighbor lists and value rows,
-/// never the part boundaries.
+/// the sums follow the order of the top-neighbor lists, never the part
+/// boundaries, nor the order of a ranked value row's tail: a row adds
+/// each `nb2` at most once. Each row is returned [`rank`]ed.
 fn neighbor_rows(
     value_firsts: &Csr<Candidate>,
     n_second: usize,
@@ -231,7 +321,7 @@ fn neighbor_rows(
                     acc.reset();
                 }
             }
-            row.sort_unstable_by_key(cand_key);
+            rank(&mut row);
             rows.push(row);
         }
         rows
@@ -240,15 +330,17 @@ fn neighbor_rows(
 }
 
 /// Value and neighbor similarities for all co-occurring pairs, with
-/// per-entity candidate lists in the candidate order (similarity
-/// descending, ties by entity id; see the module docs), stored in CSR
-/// form.
+/// per-entity candidate lists stored ranked in CSR form and read in
+/// the candidate order (similarity descending, ties by entity id; see
+/// the module docs).
 #[derive(Debug)]
 pub struct SimilarityIndex {
     /// Per side: CSR of candidates by value similarity.
     value_cands: [Csr<Candidate>; 2],
     /// Per side: CSR of candidates with non-zero neighbor similarity.
     neighbor_cands: [Csr<Candidate>; 2],
+    /// How many [`Ranked`] readers have sorted a tail.
+    tail_reads: AtomicUsize,
 }
 
 impl SimilarityIndex {
@@ -291,6 +383,7 @@ impl SimilarityIndex {
         Self {
             value_cands: [value_firsts, value_seconds],
             neighbor_cands: [neighbor_firsts, neighbor_seconds],
+            tail_reads: AtomicUsize::new(0),
         }
     }
 
@@ -309,21 +402,38 @@ impl SimilarityIndex {
         lookup(&self.neighbor_cands[0], e1, e2)
     }
 
-    /// Candidates of `e` (an entity of `side`) sorted by value
-    /// similarity, descending.
-    pub fn value_candidates(&self, side: KbSide, e: EntityId) -> &[Candidate] {
-        self.value_cands[side.index()].row(e.index())
+    /// Candidates of `e` (an entity of `side`) by value similarity, in
+    /// the candidate order. The row is stored ranked; the reader yields
+    /// its full order and sorts the tail only if it is read past entry
+    /// [`MAX_CANDIDATES`] (counted for the debug event
+    /// `simindex.tail_reads`).
+    pub fn value_candidates(&self, side: KbSide, e: EntityId) -> Ranked<'_> {
+        Ranked::new(
+            self.value_cands[side.index()].row(e.index()),
+            &self.tail_reads,
+        )
     }
 
-    /// Candidates of `e` with non-zero neighbor similarity, descending —
-    /// drawn from `e`'s value candidates only: a pair that shares no
-    /// purged token block is never a neighbor candidate (see
-    /// [`SimilarityIndex::neighbor_sim`]).
-    pub fn neighbor_candidates(&self, side: KbSide, e: EntityId) -> &[Candidate] {
-        self.neighbor_cands[side.index()].row(e.index())
+    /// Candidates of `e` with non-zero neighbor similarity, in the
+    /// candidate order and read like
+    /// [`SimilarityIndex::value_candidates`] — drawn from `e`'s value
+    /// candidates only: a pair that shares no purged token block is
+    /// never a neighbor candidate (see [`SimilarityIndex::neighbor_sim`]).
+    pub fn neighbor_candidates(&self, side: KbSide, e: EntityId) -> Ranked<'_> {
+        Ranked::new(
+            self.neighbor_cands[side.index()].row(e.index()),
+            &self.tail_reads,
+        )
     }
 
-    /// The best value candidate of `e`, if any.
+    /// How many candidate readers so far ran off a row's ranked prefix
+    /// and sorted its tail.
+    pub(crate) fn tail_reads(&self) -> usize {
+        self.tail_reads.load(Ordering::Relaxed)
+    }
+
+    /// The best value candidate of `e`, if any: the head of the ranked
+    /// prefix.
     pub fn top_value_candidate(&self, side: KbSide, e: EntityId) -> Option<Candidate> {
         self.value_cands[side.index()]
             .row(e.index())
@@ -338,10 +448,11 @@ impl SimilarityIndex {
 
     /// Consumes the index, keeping the two value-candidate CSRs (first
     /// side, then second) — all a persistent index serves match queries
-    /// from — each row cut to its best [`MAX_CANDIDATES`] in place. Rows
-    /// are in candidate order, so a kept row is a bit-identical prefix of
-    /// the full one. The neighbor lists are dropped: `neighborNSim` is
-    /// read only by H3 and H4, while the pipeline runs.
+    /// from — each row cut to its best [`MAX_CANDIDATES`] in place. That
+    /// cut keeps exactly a row's ranked prefix, so a kept row is in
+    /// candidate order and a bit-identical prefix of the full one. The
+    /// neighbor lists are dropped: `neighborNSim` is read only by H3 and
+    /// H4, while the pipeline runs.
     pub fn into_value_candidates(self) -> [Csr<Candidate>; 2] {
         let mut value_cands = self.value_cands;
         for csr in &mut value_cands {
@@ -357,6 +468,8 @@ impl SimilarityIndex {
 }
 
 /// Finds `other` in the candidate row of `e`, returning its similarity.
+/// Scans the stored row as it is: an id occurs at most once in a row,
+/// so the order is immaterial.
 fn lookup(csr: &Csr<Candidate>, e: EntityId, other: EntityId) -> f64 {
     if e.index() >= csr.rows() {
         return 0.0;
@@ -369,14 +482,15 @@ fn lookup(csr: &Csr<Candidate>, e: EntityId, other: EntityId) -> f64 {
 }
 
 /// Transposes a `rows -> (col, v)` CSR into a `cols -> (row, v)` CSR with
-/// every output row sorted by [`cand_key`].
+/// every output row [`rank`]ed.
 ///
 /// Parallel scheme: per-part column histograms, a sequential prefix-sum
 /// handing each part a private cursor per column, then disjoint parallel
-/// fills and per-row parallel sorts through [`SharedSlice`]. The fill
+/// fills and per-row parallel ranks through [`SharedSlice`]. The fill
 /// order within a column is ascending source row — identical to a
-/// sequential transpose — and the final sort is a total order, so the
-/// result does not depend on the thread count.
+/// sequential transpose — whatever order the source rows' tails are in,
+/// so each column's rank, and with it the result, does not depend on
+/// the thread count.
 fn transpose(src: &Csr<Candidate>, n_cols: usize, exec: &Executor) -> Csr<Candidate> {
     let n_rows = src.rows();
     let ranges = exec.part_ranges(n_rows);
@@ -427,15 +541,14 @@ fn transpose(src: &Csr<Candidate>, n_cols: usize, exec: &Executor) -> Csr<Candid
         let shared = SharedSlice::new(&mut items);
         exec.map_range(n_cols, |c| {
             // SAFETY: column ranges are disjoint slices of the buffer.
-            let row = unsafe { shared.slice_mut(offsets[c]..offsets[c + 1]) };
-            row.sort_unstable_by_key(cand_key);
+            rank(unsafe { shared.slice_mut(offsets[c]..offsets[c + 1]) });
         });
     }
     Csr::from_lens_and_items(&lens, items)
 }
 
 #[cfg(test)]
-mod tests {
+pub(crate) mod tests {
     use super::*;
     use minoan_blocking::token_blocking_with;
     use minoan_exec::ExecutorKind;
@@ -445,16 +558,17 @@ mod tests {
     /// The reference candidate order the index's key must reproduce:
     /// similarity descending through the float comparison, ties by
     /// entity id ascending.
-    fn cand_cmp(a: &Candidate, b: &Candidate) -> std::cmp::Ordering {
+    pub(crate) fn cand_cmp(a: &Candidate, b: &Candidate) -> std::cmp::Ordering {
         b.1.partial_cmp(&a.1)
             .unwrap_or(std::cmp::Ordering::Equal)
             .then(a.0.cmp(&b.0))
     }
 
-    #[test]
-    fn cand_key_sorts_exactly_like_the_float_comparator() {
+    /// Similarities that stress the key: subnormals, the neighbours of
+    /// `MIN_POSITIVE` and of 1.0 (H2's threshold), and the extremes.
+    fn key_values() -> [f64; 13] {
         let one = 1.0f64;
-        let values = [
+        [
             f64::from_bits(1), // the smallest subnormal
             f64::from_bits(2),
             f64::MIN_POSITIVE / 2.0, // subnormal
@@ -468,9 +582,13 @@ mod tests {
             2.0,
             1e300,
             f64::MAX,
-        ];
+        ]
+    }
+
+    #[test]
+    fn cand_key_sorts_exactly_like_the_float_comparator() {
         let ids = [0, 1, 2, 1 << 31, u32::MAX - 1, u32::MAX];
-        let cands: Vec<Candidate> = values
+        let cands: Vec<Candidate> = key_values()
             .iter()
             .flat_map(|&v| ids.iter().map(move |&id| (EntityId(id), v)))
             .collect();
@@ -490,6 +608,70 @@ mod tests {
             row.sort_unstable_by_key(cand_key);
             // Exact: same candidates, same order, same f64 bits.
             assert_eq!(row, want);
+        }
+    }
+
+    /// The row lengths around the ranked prefix's edge.
+    const LENS: [usize; 6] = [0, 1, 127, 128, 129, 300];
+
+    /// `len` distinct candidates whose similarities cycle through
+    /// [`key_values`], so each repeats and ties break on ids that arrive
+    /// scrambled (`i · 7919 mod 1009` is injective for `i < 1009`).
+    fn repeating_row(len: usize) -> Vec<Candidate> {
+        let values = key_values();
+        (0..len)
+            .map(|i| (EntityId((i * 7919 % 1009) as u32), values[i % 13]))
+            .collect()
+    }
+
+    /// `row`, fully sorted by the reference comparator.
+    fn reference(row: &[Candidate]) -> Vec<Candidate> {
+        let mut want = row.to_vec();
+        want.sort_by(cand_cmp);
+        want
+    }
+
+    #[test]
+    fn rank_sorts_the_prefix_and_selects_the_tail_behind_it() {
+        for len in LENS {
+            let mut row = repeating_row(len);
+            let want = reference(&row);
+            rank(&mut row);
+            let cut = len.min(MAX_CANDIDATES);
+            assert_eq!(row[..cut], want[..cut], "prefix of a {len}-entry row");
+            if let Some(last) = row[..cut].last() {
+                assert!(
+                    row[cut..].iter().all(|c| cand_key(c) > cand_key(last)),
+                    "a tail entry of a {len}-entry row ranks inside the prefix"
+                );
+            }
+            // Nothing lost or duplicated.
+            assert_eq!(reference(&row), want);
+        }
+    }
+
+    #[test]
+    fn ranked_yields_the_full_order_read_whole_or_abandoned() {
+        for len in LENS {
+            let mut row = repeating_row(len);
+            let want = reference(&row);
+            rank(&mut row);
+            let tail_reads = AtomicUsize::new(0);
+            let whole = Ranked::new(&row, &tail_reads);
+            assert_eq!(whole.len(), len);
+            assert_eq!(
+                whole.collect::<Vec<_>>(),
+                want,
+                "{len}-entry row read whole"
+            );
+            for stop in [0, 1, MAX_CANDIDATES, MAX_CANDIDATES + 1, 200] {
+                let got: Vec<_> = Ranked::new(&row, &tail_reads).take(stop).collect();
+                assert_eq!(got, want[..stop.min(len)], "{len}-entry row cut at {stop}");
+            }
+            // One tail sort per reader that left the prefix: the whole
+            // read, and the cuts at 129 and 200.
+            let left = if len > MAX_CANDIDATES { 3 } else { 0 };
+            assert_eq!(tail_reads.into_inner(), left, "{len}-entry row");
         }
     }
 
@@ -571,7 +753,7 @@ mod tests {
         let idx = build(&bt, &tokens, [&tn1, &tn2]);
         for side in [KbSide::First, KbSide::Second] {
             for e in 0..tokens.entity_count(side) as u32 {
-                let c = idx.value_candidates(side, EntityId(e));
+                let c: Vec<_> = idx.value_candidates(side, EntityId(e)).collect();
                 assert!(c.windows(2).all(|w| w[0].1 >= w[1].1));
             }
         }
@@ -610,7 +792,7 @@ mod tests {
         let idx = build(&bt, &tokens, [&tn1, &tn2]);
         for side in [KbSide::First, KbSide::Second] {
             for e in 0..tokens.entity_count(side) as u32 {
-                for &(_, v) in idx.neighbor_candidates(side, EntityId(e)) {
+                for (_, v) in idx.neighbor_candidates(side, EntityId(e)) {
                     assert!(v > 0.0);
                 }
             }
@@ -622,11 +804,9 @@ mod tests {
         let (_, tokens, bt, tn1, tn2) = setup();
         let idx = build(&bt, &tokens, [&tn1, &tn2]);
         for e1 in 0..tokens.entity_count(KbSide::First) as u32 {
-            for &(e2, v) in idx.value_candidates(KbSide::First, EntityId(e1)) {
-                let back = idx.value_candidates(KbSide::Second, e2);
-                assert!(back
-                    .iter()
-                    .any(|&(e, bv)| e == EntityId(e1) && (bv - v).abs() < 1e-12));
+            for (e2, v) in idx.value_candidates(KbSide::First, EntityId(e1)) {
+                let mut back = idx.value_candidates(KbSide::Second, e2);
+                assert!(back.any(|(e, bv)| e == EntityId(e1) && (bv - v).abs() < 1e-12));
             }
         }
     }
@@ -656,13 +836,13 @@ mod tests {
                 for e in 0..tokens.entity_count(side) as u32 {
                     let e = EntityId(e);
                     assert_eq!(
-                        seq.value_candidates(side, e),
-                        par.value_candidates(side, e),
+                        seq.value_candidates(side, e).collect::<Vec<_>>(),
+                        par.value_candidates(side, e).collect::<Vec<_>>(),
                         "value candidates differ for {side:?} {e} at {threads} threads"
                     );
                     assert_eq!(
-                        seq.neighbor_candidates(side, e),
-                        par.neighbor_candidates(side, e),
+                        seq.neighbor_candidates(side, e).collect::<Vec<_>>(),
+                        par.neighbor_candidates(side, e).collect::<Vec<_>>(),
                         "neighbor candidates differ for {side:?} {e} at {threads} threads"
                     );
                 }

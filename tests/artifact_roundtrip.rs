@@ -118,7 +118,7 @@ fn full_rows_and_artifact(pair: &KbPair) -> ([Rows; 2], IndexArtifact) {
     let full = [KbSide::First, KbSide::Second].map(|side| {
         pair.kb(side)
             .entities()
-            .map(|e| indexed.index.value_candidates(side, e).to_vec())
+            .map(|e| indexed.index.value_candidates(side, e).collect())
             .collect()
     });
     let artifact = IndexArtifact::from_run("capped", pair, indexed, matcher.config());

@@ -5,7 +5,8 @@
 //! pure performance knob.
 
 use minoaner::core::{
-    build_blocks, top_neighbors_with, MatchOutput, MinoanConfig, MinoanEr, SimilarityIndex,
+    build_blocks, top_neighbors_with, Candidate, MatchOutput, MinoanConfig, MinoanEr,
+    SimilarityIndex, MAX_CANDIDATES,
 };
 use minoaner::datagen::DatasetKind;
 use minoaner::exec::{Executor, ExecutorKind};
@@ -67,6 +68,36 @@ const GOLDEN_FINGERPRINTS: [u64; 4] = [
     0xf7e9_5ceb_ef06_561d,
 ];
 
+/// Per profile, as [`GOLDEN_FINGERPRINTS`]: how many candidate rows are
+/// longer than [`MAX_CANDIDATES`] — value and neighbor rows of the first
+/// side, then of the second. Rows are stored ranked and read through
+/// the index's reader, so these rows are where the fingerprints cover
+/// the reader's sorted tail; at least one profile must have some, or
+/// the gate would pass without reading a tail.
+const LONG_ROWS: [[usize; 4]; 4] = [[0; 4], [55, 5, 0, 0], [145, 140, 64, 25], [0; 4]];
+
+/// Both candidate rows of `e`, value then neighbor, read in full.
+fn rows(idx: &SimilarityIndex, side: KbSide, e: EntityId) -> [Vec<Candidate>; 2] {
+    [
+        idx.value_candidates(side, e).collect(),
+        idx.neighbor_candidates(side, e).collect(),
+    ]
+}
+
+/// Counts the rows of `idx` longer than [`MAX_CANDIDATES`], in
+/// [`LONG_ROWS`]' layout.
+fn long_rows(idx: &SimilarityIndex, counts: [usize; 2]) -> [usize; 4] {
+    let mut long = [0; 4];
+    for side in [KbSide::First, KbSide::Second] {
+        for e in (0..counts[side.index()] as u32).map(EntityId) {
+            for (kind, row) in rows(idx, side, e).iter().enumerate() {
+                long[2 * side.index() + kind] += usize::from(row.len() > MAX_CANDIDATES);
+            }
+        }
+    }
+    long
+}
+
 /// FNV-1a over the index's candidate rows (row length, then entity id and
 /// similarity bits per candidate) and the matching in insertion order.
 fn fingerprint(idx: &SimilarityIndex, counts: [usize; 2], matching: &Matching) -> u64 {
@@ -83,7 +114,7 @@ fn fingerprint(idx: &SimilarityIndex, counts: [usize; 2], matching: &Matching) -
                 idx.neighbor_candidates(side, e),
             ] {
                 mix(&mut h, row.len() as u64);
-                for &(c, v) in row {
+                for (c, v) in row {
                     mix(&mut h, u64::from(c.0));
                     mix(&mut h, v.to_bits());
                 }
@@ -99,7 +130,8 @@ fn fingerprint(idx: &SimilarityIndex, counts: [usize; 2], matching: &Matching) -
 
 #[test]
 fn candidate_orderings_are_bit_identical_on_every_profile() {
-    for (kind, golden) in DatasetKind::ALL.into_iter().zip(GOLDEN_FINGERPRINTS) {
+    let profiles = DatasetKind::ALL.into_iter().zip(GOLDEN_FINGERPRINTS);
+    for ((kind, golden), long) in profiles.zip(LONG_ROWS) {
         let d = kind.generate_scaled(SEED, SCALE);
         let config = MinoanConfig::default();
         let art = build_blocks(&d.pair, &config, &config.executor());
@@ -123,6 +155,12 @@ fn candidate_orderings_are_bit_identical_on_every_profile() {
             &Executor::sequential(),
         );
         assert!(seq.pair_count() > 0, "{}: empty index", d.name);
+        assert_eq!(
+            long_rows(&seq, counts),
+            long,
+            "{}: rows longer than MAX_CANDIDATES (value, neighbor; first side, then second)",
+            d.name
+        );
         let seq_matching = run(config_with(ExecutorKind::Sequential, 1), &d.pair).matching;
         assert_eq!(
             fingerprint(&seq, counts, &seq_matching),
@@ -143,18 +181,12 @@ fn candidate_orderings_are_bit_identical_on_every_profile() {
             );
             for side in [KbSide::First, KbSide::Second] {
                 for e in (0..counts[side.index()] as u32).map(EntityId) {
-                    // Slice equality is exact: same candidates, same
+                    // Row equality is exact: same candidates, same
                     // order, same f64 bits.
                     assert_eq!(
-                        seq.value_candidates(side, e),
-                        par.value_candidates(side, e),
-                        "{}: value candidates of {side:?} {e} differ at {threads} pool threads",
-                        d.name
-                    );
-                    assert_eq!(
-                        seq.neighbor_candidates(side, e),
-                        par.neighbor_candidates(side, e),
-                        "{}: neighbor candidates of {side:?} {e} differ at {threads} pool threads",
+                        rows(&seq, side, e),
+                        rows(&par, side, e),
+                        "{}: candidate rows of {side:?} {e} differ at {threads} pool threads",
                         d.name
                     );
                 }
@@ -230,14 +262,9 @@ fn pregrouped_shard_scan_is_bit_identical_at_high_shard_counts() {
         for side in [KbSide::First, KbSide::Second] {
             for e in (0..art.tokens.entity_count(side) as u32).map(EntityId) {
                 assert_eq!(
-                    seq.value_candidates(side, e),
-                    par.value_candidates(side, e),
-                    "value candidates of {side:?} {e} differ at {threads} threads"
-                );
-                assert_eq!(
-                    seq.neighbor_candidates(side, e),
-                    par.neighbor_candidates(side, e),
-                    "neighbor candidates of {side:?} {e} differ at {threads} threads"
+                    rows(&seq, side, e),
+                    rows(&par, side, e),
+                    "value or neighbor candidates of {side:?} {e} differ at {threads} threads"
                 );
             }
         }
