@@ -5,7 +5,7 @@
 //! pure performance knob.
 
 use minoaner::core::{
-    build_blocks, top_neighbors_with, Candidate, MatchOutput, MinoanConfig, MinoanEr,
+    build_blocks, top_neighbors_with, Candidate, MatchOutput, MinoanConfig, MinoanEr, Ranked,
     SimilarityIndex, MAX_CANDIDATES,
 };
 use minoaner::datagen::DatasetKind;
@@ -54,18 +54,35 @@ fn matchings_are_bit_identical_on_every_profile() {
     }
 }
 
-/// Fingerprints of every value and neighbor candidate row of both sides
-/// (`EntityId` + `f64::to_bits`) plus the matching, per profile in
-/// [`DatasetKind::ALL`] order at [`SEED`]/[`SCALE`] — captured at the
-/// commit *before* the row-major `valueSim` kernel replaced the
-/// block-major shard scan. The Sequential-vs-Pool comparisons in this
-/// file run both sides at one commit and would let them drift together;
-/// these constants pin the bits across commits.
-const GOLDEN_FINGERPRINTS: [u64; 4] = [
-    0x3540_e48f_a8f8_015f,
-    0xbbef_74fd_0b23_b4dd,
-    0xc97b_316d_e1ac_69eb,
-    0xf7e9_5ceb_ef06_561d,
+/// Fingerprints per profile in [`DatasetKind::ALL`] order at
+/// [`SEED`]/[`SCALE`], as [`fingerprints`] splits them: the value and
+/// neighbor candidate rows of the first side, those of the second side,
+/// and the matching. The first pins were captured at the commit *before*
+/// the row-major `valueSim` kernel replaced the block-major shard scan.
+/// The Sequential-vs-Pool comparisons in this file run both sides at one
+/// commit and would let them drift together; these constants pin the
+/// bits across commits, and the split says which part moved.
+const GOLDEN_FINGERPRINTS: [[u64; 3]; 4] = [
+    [
+        0x7d29_acee_cafa_306b,
+        0x278f_d086_1fd2_a334,
+        0xe735_d911_74b6_50b4,
+    ],
+    [
+        0x1d5a_67a0_d1cf_18bb,
+        0x5fbf_7dd0_2c29_c20d,
+        0x4f29_c993_26c5_73a7,
+    ],
+    [
+        0xb1a5_1617_df41_e55b,
+        0x7238_f0df_79fd_48f0,
+        0xf5b5_1f7c_6f34_13c8,
+    ],
+    [
+        0xd5b8_381f_7491_c530,
+        0xf651_ae5f_53ae_5f94,
+        0xbbc9_e55c_d7a9_f76d,
+    ],
 ];
 
 /// Per profile, as [`GOLDEN_FINGERPRINTS`]: how many candidate rows are
@@ -76,12 +93,19 @@ const GOLDEN_FINGERPRINTS: [u64; 4] = [
 /// the gate would pass without reading a tail.
 const LONG_ROWS: [[usize; 4]; 4] = [[0; 4], [55, 5, 0, 0], [145, 140, 64, 25], [0; 4]];
 
-/// Both candidate rows of `e`, value then neighbor, read in full.
+/// Both candidate rows of `e`, value then neighbor, read as far as the
+/// reader says they reach.
 fn rows(idx: &SimilarityIndex, side: KbSide, e: EntityId) -> [Vec<Candidate>; 2] {
     [
-        idx.value_candidates(side, e).collect(),
-        idx.neighbor_candidates(side, e).collect(),
+        read(idx.value_candidates(side, e)),
+        read(idx.neighbor_candidates(side, e)),
     ]
+}
+
+/// Every entry a row's reader reports (`len()`), and no read past it.
+fn read(row: Ranked<'_>) -> Vec<Candidate> {
+    let len = row.len();
+    row.take(len).collect()
 }
 
 /// Counts the rows of `idx` longer than [`MAX_CANDIDATES`], in
@@ -98,21 +122,33 @@ fn long_rows(idx: &SimilarityIndex, counts: [usize; 2]) -> [usize; 4] {
     long
 }
 
-/// FNV-1a over the index's candidate rows (row length, then entity id and
-/// similarity bits per candidate) and the matching in insertion order.
-fn fingerprint(idx: &SimilarityIndex, counts: [usize; 2], matching: &Matching) -> u64 {
-    fn mix(h: &mut u64, word: u64) {
-        for b in word.to_le_bytes() {
-            *h = (*h ^ u64::from(b)).wrapping_mul(0x0000_0100_0000_01b3);
-        }
+/// One FNV-1a step: folds `word`'s bytes into `h`.
+fn mix(h: &mut u64, word: u64) {
+    for b in word.to_le_bytes() {
+        *h = (*h ^ u64::from(b)).wrapping_mul(0x0000_0100_0000_01b3);
     }
-    let mut h = 0xcbf2_9ce4_8422_2325;
-    for side in [KbSide::First, KbSide::Second] {
+}
+
+const FNV_OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
+
+/// FNV-1a over the matching in insertion order.
+fn matching_fingerprint(matching: &Matching) -> u64 {
+    let mut h = FNV_OFFSET;
+    for (e1, e2) in matching.iter() {
+        mix(&mut h, u64::from(e1.0));
+        mix(&mut h, u64::from(e2.0));
+    }
+    h
+}
+
+/// [`GOLDEN_FINGERPRINTS`]' three hashes: FNV-1a over each side's
+/// candidate rows (row length, then entity id and similarity bits per
+/// candidate), then [`matching_fingerprint`].
+fn fingerprints(idx: &SimilarityIndex, counts: [usize; 2], matching: &Matching) -> [u64; 3] {
+    let side_hash = |side: KbSide| {
+        let mut h = FNV_OFFSET;
         for e in (0..counts[side.index()] as u32).map(EntityId) {
-            for row in [
-                idx.value_candidates(side, e),
-                idx.neighbor_candidates(side, e),
-            ] {
+            for row in rows(idx, side, e) {
                 mix(&mut h, row.len() as u64);
                 for (c, v) in row {
                     mix(&mut h, u64::from(c.0));
@@ -120,12 +156,13 @@ fn fingerprint(idx: &SimilarityIndex, counts: [usize; 2], matching: &Matching) -
                 }
             }
         }
-    }
-    for (e1, e2) in matching.iter() {
-        mix(&mut h, u64::from(e1.0));
-        mix(&mut h, u64::from(e2.0));
-    }
-    h
+        h
+    };
+    [
+        side_hash(KbSide::First),
+        side_hash(KbSide::Second),
+        matching_fingerprint(matching),
+    ]
 }
 
 #[test]
@@ -163,9 +200,10 @@ fn candidate_orderings_are_bit_identical_on_every_profile() {
         );
         let seq_matching = run(config_with(ExecutorKind::Sequential, 1), &d.pair).matching;
         assert_eq!(
-            fingerprint(&seq, counts, &seq_matching),
+            fingerprints(&seq, counts, &seq_matching),
             golden,
-            "{}: sequential index or matching drifted from the pinned parent-commit bits",
+            "{}: sequential index or matching drifted from the pinned bits \
+             (first side, second side, matching)",
             d.name
         );
         for threads in THREAD_COUNTS {
@@ -193,9 +231,9 @@ fn candidate_orderings_are_bit_identical_on_every_profile() {
             }
             let par_matching = run(config_with(ExecutorKind::Pool, threads), &d.pair).matching;
             assert_eq!(
-                fingerprint(&par, counts, &par_matching),
+                fingerprints(&par, counts, &par_matching),
                 golden,
-                "{}: drifted from the pinned parent-commit bits at {threads} pool threads",
+                "{}: drifted from the pinned bits at {threads} pool threads",
                 d.name
             );
         }
