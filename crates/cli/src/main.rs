@@ -41,6 +41,10 @@
 //! URI); with it the tool reports precision/recall/F1. `--executor`
 //! selects the backend the hot pipeline stages run on (results are
 //! bit-identical across backends); `--threads 0` means all cores.
+//! `match` and `index build` check their matching parameters before
+//! reading any input: `--k` outside `1..=128`
+//! (`minoan_core::MAX_CANDIDATES`) or `--theta` outside `(0,1)` is a
+//! usage error (exit 2).
 //!
 //! `batch` resolves a whole fleet of KB pairs described by a manifest
 //! (see `minoan_serve::manifest`; `examples/fleet.json` is a ready-made
@@ -336,22 +340,25 @@ fn report(matching: &Matching, pair: &KbPair, truth: Option<&GroundTruth>, json:
     }
 }
 
+/// The matcher `match` and `index build` run, checked before any file
+/// is read: a parameter out of range — `--k` past [`MAX_CANDIDATES`],
+/// `--theta` outside `(0,1)` — is a usage error (exit 2).
+fn matcher_or_usage(config: MinoanConfig) -> MinoanEr {
+    MinoanEr::new(config).unwrap_or_else(|e| {
+        minoan_obs::error!("cli", "bad config: {e}");
+        usage()
+    })
+}
+
 fn run_method(
     method: &str,
     pair: &KbPair,
-    config: &MinoanConfig,
+    matcher: &MinoanEr,
     truth: Option<&GroundTruth>,
 ) -> Matching {
+    let config = matcher.config();
     match method {
-        "minoaner" => {
-            MinoanEr::new(config.clone())
-                .unwrap_or_else(|e| {
-                    minoan_obs::error!("cli", "bad config: {e}");
-                    exit(1);
-                })
-                .run_with(pair, &config.executor())
-                .matching
-        }
+        "minoaner" => matcher.run_with(pair, &config.executor()).matching,
         "bsl" => {
             let Some(t) = truth else {
                 minoan_obs::error!(
@@ -491,23 +498,19 @@ fn index_build(args: &[String]) {
         );
         exit(2);
     }
+    let matcher = matcher_or_usage(config);
+    let config = matcher.config();
     let pair = match (dataset, files.as_slice()) {
         (Some(kind), []) => kind.generate_scaled(seed, scale).pair,
-        (None, [first, second]) => KbPair::new(
-            load_kb(first, "E1", &config),
-            load_kb(second, "E2", &config),
-        ),
+        (None, [first, second]) => {
+            KbPair::new(load_kb(first, "E1", config), load_kb(second, "E2", config))
+        }
         _ => usage(),
     };
-    let matcher = MinoanEr::new(config).unwrap_or_else(|e| {
-        minoan_obs::error!("cli", "bad config: {e}");
-        exit(1);
-    });
-    let exec = matcher.config().executor();
     let indexed = matcher
-        .run_cancellable_indexed(&pair, &exec, &CancelToken::new())
+        .run_cancellable_indexed(&pair, &config.executor(), &CancelToken::new())
         .expect("no cancellation source in the CLI");
-    let artifact = IndexArtifact::from_run(name, &pair, indexed, matcher.config());
+    let artifact = IndexArtifact::from_run(name, &pair, indexed, config);
     let dir = std::path::Path::new(&dir);
     if let Err(e) = std::fs::create_dir_all(dir) {
         minoan_obs::error!("cli.index", "cannot create {}: {e}", dir.display());
@@ -781,12 +784,13 @@ fn main() {
             if positional.len() != 2 {
                 usage();
             }
+            let matcher = matcher_or_usage(config);
             let pair = KbPair::new(
-                load_kb(positional[0], "E1", &config),
-                load_kb(positional[1], "E2", &config),
+                load_kb(positional[0], "E1", matcher.config()),
+                load_kb(positional[1], "E2", matcher.config()),
             );
             let truth = truth_path.map(|p| load_truth(&p, &pair));
-            let matching = run_method(&method, &pair, &config, truth.as_ref());
+            let matching = run_method(&method, &pair, &matcher, truth.as_ref());
             report(&matching, &pair, truth.as_ref(), json);
         }
         Some("batch") => {

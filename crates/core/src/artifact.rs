@@ -41,13 +41,12 @@ use minoan_kb::artifact::{
     put_f64, put_str, put_u32, put_u64, ArtifactError, ArtifactFile, ArtifactWriter, Cursor,
 };
 use minoan_kb::{
-    AttrId, Csr, EntityId, Interner, Json, KbPair, KbSide, KnowledgeBase, Matching, Statement,
-    Value,
+    AttrId, EntityId, Interner, Json, KbPair, KbSide, KnowledgeBase, Matching, Statement, Value,
 };
 
+use crate::candidates::CandidateCsr;
 use crate::config::MinoanConfig;
 use crate::pipeline::{IndexedOutput, Timings};
-use crate::simindex::Candidate;
 
 /// The longest value-candidate row an index persists, and the largest
 /// `k` a match query accepts on every front end (HTTP, line-JSON,
@@ -55,13 +54,16 @@ use crate::simindex::Candidate;
 /// what the file holds. The decoder rejects a longer row, so a hostile
 /// file cannot make one row allocate without bound.
 ///
-/// It is also the ranked length of every in-memory candidate row of a
-/// [`SimilarityIndex`](crate::SimilarityIndex): the best 128 entries are
-/// stored in candidate order, the rest behind them unordered (see
-/// [`crate::simindex`]). The pipeline itself decides on full rows — a
-/// reader that runs off the prefix sorts the tail — but measured on all
-/// four benchmark profiles at ×1 and ×2, no decision of H1–H4 reads past
-/// entry 128.
+/// It also bounds the matching's `K`
+/// ([`MinoanConfig::candidates_k`](crate::MinoanConfig::candidates_k)),
+/// and with it what a run holds in memory. Every candidate row of a
+/// [`SimilarityIndex`](crate::SimilarityIndex) is ranked to this length:
+/// the best 128 entries in candidate order, the rest behind them
+/// unordered. The rows of the side H2 and H3 probe stay whole — a reader
+/// that runs off the prefix sorts the tail — while H4 reads a row of
+/// the other side only to `K`, so those rows are cut to their best 128
+/// (see [`crate::simindex`]). Measured on all four benchmark profiles at
+/// ×1 and ×2, no decision of H1–H4 reads past entry 128.
 pub const MAX_CANDIDATES: usize = 128;
 
 /// Section tag: artifact metadata (name, counts, timings, config).
@@ -267,7 +269,7 @@ pub struct IndexArtifact {
     pub(crate) pair: KbPair,
     /// Per side: every entity's best [`MAX_CANDIDATES`] `valueSim`
     /// candidates from the other side, best first.
-    pub(crate) candidates: [Csr<Candidate>; 2],
+    pub(crate) candidates: [CandidateCsr; 2],
     pub(crate) matching: Matching,
 }
 
@@ -311,7 +313,7 @@ impl IndexArtifact {
     /// `min(len, MAX_CANDIDATES)` entries of the run's full row, bit for
     /// bit (see [`MAX_CANDIDATES`]). The two sides are not transposes of
     /// each other.
-    pub fn candidates(&self, side: KbSide) -> &Csr<Candidate> {
+    pub fn candidates(&self, side: KbSide) -> &CandidateCsr {
         &self.candidates[side.index()]
     }
 
@@ -359,7 +361,7 @@ impl IndexArtifact {
             .row(id.index())
             .iter()
             .take(k)
-            .map(|&(e, v)| (self.pair.kb(other).entity_uri(e).to_string(), v))
+            .map(|(e, v)| (self.pair.kb(other).entity_uri(e).to_string(), v))
             .collect();
         Some(MatchAnswer {
             side,
@@ -606,15 +608,17 @@ fn decode_interner(bytes: &[u8]) -> Result<Interner, ArtifactError> {
     Interner::from_parts(arena, spans).map_err(ArtifactError::Corrupt)
 }
 
-fn encode_csr(out: &mut Vec<u8>, csr: &Csr<Candidate>) {
+fn encode_csr(out: &mut Vec<u8>, csr: &CandidateCsr) {
     put_u64(out, csr.rows() as u64);
     put_u64(out, csr.item_count() as u64);
     for &off in csr.offsets() {
         put_u64(out, off as u64);
     }
-    for &(e, v) in csr.items() {
-        put_u32(out, e.0);
-        put_f64(out, v);
+    for i in 0..csr.rows() {
+        for (e, v) in csr.row(i).iter() {
+            put_u32(out, e.0);
+            put_f64(out, v);
+        }
     }
 }
 
@@ -625,7 +629,7 @@ fn decode_csr(
     c: &mut Cursor<'_>,
     n_rows: usize,
     n_cols: usize,
-) -> Result<Csr<Candidate>, ArtifactError> {
+) -> Result<CandidateCsr, ArtifactError> {
     let rows = c.get_len()?;
     if rows != n_rows {
         return Err(ArtifactError::Corrupt(format!(
@@ -668,7 +672,8 @@ fn decode_csr(
             "CSR items extend past section".into(),
         ));
     }
-    let mut items = Vec::with_capacity(item_count);
+    let mut ids = Vec::with_capacity(item_count);
+    let mut sims = Vec::with_capacity(item_count);
     for _ in 0..item_count {
         let e = c.get_u32()?;
         if e as usize >= n_cols {
@@ -676,12 +681,13 @@ fn decode_csr(
                 "CSR candidate id {e} out of range {n_cols}"
             )));
         }
-        items.push((EntityId(e), c.get_f64()?));
+        ids.push(EntityId(e));
+        sims.push(c.get_f64()?);
     }
-    Ok(Csr::from_lens_and_items(&lens, items))
+    Ok(CandidateCsr::from_lens(&lens, ids, sims))
 }
 
-fn encode_candidates(candidates: &[Csr<Candidate>; 2]) -> Vec<u8> {
+fn encode_candidates(candidates: &[CandidateCsr; 2]) -> Vec<u8> {
     let mut out = Vec::new();
     for csr in candidates {
         encode_csr(&mut out, csr);
@@ -689,10 +695,7 @@ fn encode_candidates(candidates: &[Csr<Candidate>; 2]) -> Vec<u8> {
     out
 }
 
-fn decode_candidates(
-    bytes: &[u8],
-    counts: [usize; 2],
-) -> Result<[Csr<Candidate>; 2], ArtifactError> {
+fn decode_candidates(bytes: &[u8], counts: [usize; 2]) -> Result<[CandidateCsr; 2], ArtifactError> {
     let mut c = Cursor::new(bytes);
     let first = decode_csr(&mut c, counts[0], counts[1])?;
     let second = decode_csr(&mut c, counts[1], counts[0])?;
@@ -899,18 +902,20 @@ mod tests {
         let path = temp_path("shortcsr");
         let [first, second] = artifact.candidates.clone();
         // Row 1 one entry over the cap, every id in range.
-        let mut lens = vec![0; n[0]];
-        lens[1] = MAX_CANDIDATES + 1;
-        let overlong = Csr::from_lens_and_items(&lens, vec![(EntityId(0), 1.0); lens[1]]);
+        let mut overlong = CandidateCsr::default();
+        for i in 0..n[0] {
+            let len = if i == 1 { MAX_CANDIDATES + 1 } else { 0 };
+            overlong.push_row(&vec![(EntityId(0), 1.0); len]);
+        }
         for (candidates, needle) in [
             // No rows at all on either side.
             (
-                <[Csr<Candidate>; 2]>::default(),
+                <[CandidateCsr; 2]>::default(),
                 format!("0 rows, its KB has {} entities", n[0]),
             ),
             // One direction short by a row.
             (
-                [first, Csr::empty(n[1] - 1)],
+                [first, CandidateCsr::empty(n[1] - 1)],
                 format!("{} rows, its KB has {} entities", n[1] - 1, n[1]),
             ),
             // A row longer than any the writer persists.
@@ -937,6 +942,10 @@ mod tests {
             (r#"{"theta":0.3,"no_such_knob":1}"#, "no_such_knob"),
             (r#"{"theta":"#, "meta config: "),
             (r#"{"theta":7}"#, "theta must be in (0,1)"),
+            (
+                r#"{"candidates_k":129}"#,
+                "candidates_k must be in 1..=128, got 129",
+            ),
         ] {
             artifact.meta.config_json = config_json.to_string();
             let path = temp_path("badconfig");

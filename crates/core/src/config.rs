@@ -3,6 +3,8 @@
 use minoan_exec::{Executor, ExecutorKind};
 use minoan_kb::Json;
 
+use crate::MAX_CANDIDATES;
+
 /// Configuration of the MinoanER matching pipeline.
 ///
 /// The defaults are the paper's robust setting (§IV): `K=15`, `N=3`,
@@ -14,7 +16,9 @@ pub struct MinoanConfig {
     /// values serve as entity names (H1).
     pub name_attrs_k: usize,
     /// `K`: number of candidate matches kept per entity from values and
-    /// from neighbors (H3 list size and H4 reciprocity window).
+    /// from neighbors (H3 list size and H4 reciprocity window), at most
+    /// [`MAX_CANDIDATES`]: the similarity index keeps only that many
+    /// candidates of a non-probe row.
     pub candidates_k: usize,
     /// `N`: number of most important relations per KB defining
     /// `topNneighbors` (H3).
@@ -69,8 +73,11 @@ impl MinoanConfig {
         if self.name_attrs_k == 0 {
             return Err("name_attrs_k must be at least 1".into());
         }
-        if self.candidates_k == 0 {
-            return Err("candidates_k must be at least 1".into());
+        if !(1..=MAX_CANDIDATES).contains(&self.candidates_k) {
+            return Err(format!(
+                "candidates_k must be in 1..={MAX_CANDIDATES}, got {}",
+                self.candidates_k
+            ));
         }
         if self.top_relations_n == 0 {
             return Err("top_relations_n must be at least 1".into());
@@ -190,6 +197,10 @@ mod tests {
                 ..default()
             },
             MinoanConfig {
+                candidates_k: MAX_CANDIDATES + 1,
+                ..default()
+            },
+            MinoanConfig {
                 top_relations_n: 0,
                 ..default()
             },
@@ -204,6 +215,11 @@ mod tests {
         ] {
             assert!(bad.validate().is_err(), "{bad:?}");
         }
+        let widest = MinoanConfig {
+            candidates_k: MAX_CANDIDATES,
+            ..default()
+        };
+        assert_eq!(widest.validate(), Ok(()));
     }
 
     #[test]

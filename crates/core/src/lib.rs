@@ -36,6 +36,7 @@
 #![warn(missing_docs)]
 
 pub mod artifact;
+pub mod candidates;
 pub mod config;
 pub mod delta;
 pub mod heuristics;
@@ -44,6 +45,7 @@ pub mod pipeline;
 pub mod simindex;
 
 pub use artifact::{ArtifactMeta, IndexArtifact, MatchAnswer, MAX_CANDIDATES};
+pub use candidates::{Candidate, CandidateCsr, CandidateRow};
 pub use config::MinoanConfig;
 pub use delta::{DeltaReport, PATCH_FAULT_SITE};
 pub use heuristics::{
@@ -57,4 +59,4 @@ pub use importance::{
 pub use pipeline::{
     build_blocks, BlockingArtifacts, IndexedOutput, MatchOutput, MinoanEr, PipelineReport, Timings,
 };
-pub use simindex::{Candidate, Ranked, SimilarityIndex};
+pub use simindex::{Ranked, SimilarityIndex};

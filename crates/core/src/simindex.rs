@@ -7,25 +7,29 @@
 //! is *massively parallel*. This module realizes both claims:
 //!
 //! - `valueSim` is accumulated **row-major by one kernel**
-//!   (`RowScratch::value_row`): the candidate row of a first-side entity
-//!   is the sum, over the blocks containing it, of each block's token
-//!   weight into a dense per-second-entity scratch. The blocks of an
-//!   entity are walked in ascending block order, so every pair's
-//!   floating-point sum has exactly the block-order addition sequence —
-//!   a row depends on nothing but its own entity. Rows are therefore
-//!   **bit-identical for any backend, thread count or part count**;
-//! - the row pass is a plain [`Executor::map_parts`] over entities, so
+//!   (`RowScratch::value_row`), in both directions: the candidate row of
+//!   an entity is the sum, over the blocks containing it, of each
+//!   block's token weight into a dense scratch over the other side's
+//!   entities. The blocks of an entity are walked in ascending block
+//!   order, so every pair's floating-point sum has exactly the
+//!   block-order addition sequence — from either side — and a row
+//!   depends on nothing but its own entity. Rows are therefore
+//!   **bit-identical for any backend, thread count or part count**, and
+//!   the two directions hold the same bits for the same pair;
+//! - each row pass is a plain [`Executor::map_parts`] over entities, so
 //!   the pool backend runs it as
 //!   [`POOL_TASK_ITEMS`](minoan_exec::POOL_TASK_ITEMS)-bounded tasks
 //!   and a cancel or deadline is observed within one task quantum — the
-//!   promise [`minoan_exec::cancel`] makes for every stage;
-//! - candidate lists are stored as **CSR** ([`Csr<Candidate>`]): one flat
-//!   buffer plus offsets instead of one allocation per entity;
+//!   promise [`minoan_exec::cancel`] makes for every stage. Each part
+//!   appends its rows to its own flat buffers, and the parts are joined
+//!   in part order;
+//! - candidate lists are stored as **CSR** ([`CandidateCsr`]): flat
+//!   parallel id and similarity buffers plus offsets, 12 bytes per
+//!   candidate, instead of one allocation per entity;
 //! - the `neighborNSim` pass is embarrassingly parallel over `e1` and
-//!   accumulates on the same dense scratch;
-//! - the reverse-direction lists are a parallel CSR **transpose**
-//!   (partial histograms → per-part cursors → disjoint fills), each
-//!   column then ranked like any other row.
+//!   accumulates on the same dense scratch; its reverse direction is a
+//!   parallel CSR **transpose** (partial histograms → per-part cursors →
+//!   disjoint fills), each column then ranked like any other row.
 //!
 //! # Candidate order
 //!
@@ -44,30 +48,54 @@
 //! Every stored row — value and neighbor, in both directions — is
 //! **ranked**, not sorted (`rank`): its best [`MAX_CANDIDATES`] entries
 //! come first, in candidate order, and the rest follow in no order.
-//! H2 reads two usable candidates, H3 and H4 the first `K`, a persisted
-//! index the first [`MAX_CANDIDATES`], and on the benchmark profiles no
-//! decision reads past entry 128; the tail is selected behind the prefix
-//! in linear time instead of sorted. Rows are read only through
-//! [`Ranked`], which yields the prefix and, should a reader run off it,
-//! sorts a copy of the tail and goes on. That is exact: the key is a
-//! total order (ids are unique within a row), so the best 128 of a row
-//! are one set in one order whatever the input order, and the reader's
-//! sequence is the fully sorted row bit for bit, however far it reads.
+//! Rows are read only through [`Ranked`], which yields the prefix and,
+//! should a reader run off it, sorts a copy of the tail and goes on.
+//! That is exact: the key is a total order (ids are unique within a
+//! row), so the best 128 of a row are one set in one order whatever the
+//! input order, and the reader's sequence is the fully sorted row bit
+//! for bit, however far it reads.
+//!
+//! # Which rows are whole
+//!
+//! H2 and H3 probe the **smaller** KB only — the *probe side*, by
+//! [`KbPair::smaller_side`](minoan_kb::KbPair::smaller_side)'s rule:
+//! the side with fewer entities, the first on a tie. The index derives
+//! it from the tokenized entity counts. A probe row is read as far as a
+//! heuristic needs, so it is kept **whole**.
+//!
+//! A row of the other side is read only by H4, up to `K`, and by a
+//! persisted index, up to [`MAX_CANDIDATES`]; the configuration bounds
+//! `K` by [`MAX_CANDIDATES`] too. So each such row is **cut** to its
+//! best [`MAX_CANDIDATES`] once no pass of the build reads it whole:
+//!
+//! - its value rows as they are computed when the probe side is the
+//!   first — the kernel ranks a row and keeps its prefix — or, when the
+//!   first side is the larger one, after the `neighborNSim` pass has
+//!   read them;
+//! - its neighbor rows after the transpose has read them (the first
+//!   side's), or right after the transpose has built them (the
+//!   second side's).
+//!
+//! The cut is exact: it keeps a row's ranked prefix, which is the
+//! fully sorted row's first [`MAX_CANDIDATES`] entries bit for bit, and
+//! no reader of the cut side reads further. A reader that tries anyway
+//! panics in debug builds ([`Ranked::is_cut`]) instead of ending
+//! quietly. Lookups and pair counts
+//! ([`SimilarityIndex::value_sim`], [`SimilarityIndex::pair_count`], …)
+//! read the probe side, so they stay exact too.
 
 use std::cmp::Reverse;
 use std::sync::atomic::{AtomicUsize, Ordering};
 
 use minoan_blocking::BlockCollection;
 use minoan_exec::{Executor, SharedSlice};
-use minoan_kb::{Csr, EntityId, KbSide, TokenId};
+use minoan_kb::{EntityId, KbSide, TokenId};
 use minoan_sim::token_weight;
 use minoan_text::TokenizedPair;
 
 use crate::artifact::MAX_CANDIDATES;
+use crate::candidates::{Candidate, CandidateCsr, CandidateRow};
 use crate::pipeline::stage_span;
-
-/// A scored candidate (the other side's entity plus a similarity).
-pub type Candidate = (EntityId, f64);
 
 /// The sort key of the candidate order (see the module docs):
 /// similarity descending as its bit pattern, ties by entity id
@@ -96,10 +124,13 @@ fn rank(row: &mut [Candidate]) {
 /// One ranked candidate row read in the full candidate order: the
 /// stored prefix as it is, then — only once a reader runs off the
 /// prefix — a sorted copy of the tail. The sequence is the fully sorted
-/// row, bit for bit, however far it is read.
+/// row, bit for bit, however far it is read; for a cut row, as far as
+/// [`Ranked::len`].
 #[derive(Debug)]
 pub struct Ranked<'a> {
-    row: &'a [Candidate],
+    row: CandidateRow<'a>,
+    /// Whether `row` is the best [`MAX_CANDIDATES`] of a longer row.
+    cut: bool,
     next: usize,
     /// `row[MAX_CANDIDATES..]` in [`cand_key`] order; empty until the
     /// first read past the prefix.
@@ -108,20 +139,30 @@ pub struct Ranked<'a> {
 }
 
 impl<'a> Ranked<'a> {
-    /// A reader over `row`, ranked by [`rank`], counting its tail sort
-    /// (if any) in `tail_reads`.
-    fn new(row: &'a [Candidate], tail_reads: &'a AtomicUsize) -> Self {
+    /// A reader over `row`, ranked by [`rank`] (and `cut` if it holds
+    /// only a longer row's prefix), counting its tail sort (if any) in
+    /// `tail_reads`.
+    fn new(row: CandidateRow<'a>, cut: bool, tail_reads: &'a AtomicUsize) -> Self {
         Self {
             row,
+            cut,
             next: 0,
             tail: Vec::new(),
             tail_reads,
         }
     }
 
+    /// Whether the row was cut to its best [`MAX_CANDIDATES`] (a row of
+    /// the non-probe side, see the module docs): it yields exactly that
+    /// prefix, and a read past it panics in debug builds, since the
+    /// candidates after it are not stored.
+    pub fn is_cut(&self) -> bool {
+        self.cut
+    }
+
     #[cold]
     fn sort_tail(&mut self) {
-        self.tail = self.row[MAX_CANDIDATES..].to_vec();
+        self.tail = self.row.tail(MAX_CANDIDATES);
         self.tail.sort_unstable_by_key(cand_key);
         self.tail_reads.fetch_add(1, Ordering::Relaxed);
     }
@@ -134,9 +175,13 @@ impl Iterator for Ranked<'_> {
     fn next(&mut self) -> Option<Candidate> {
         let i = self.next;
         let item = if i < MAX_CANDIDATES {
-            *self.row.get(i)?
+            self.row.get(i)?
         } else {
             if i >= self.row.len() {
+                debug_assert!(
+                    !self.cut,
+                    "read past the {MAX_CANDIDATES} stored candidates of a cut row"
+                );
                 return None;
             }
             if self.tail.is_empty() {
@@ -156,11 +201,11 @@ impl Iterator for Ranked<'_> {
 
 impl ExactSizeIterator for Ranked<'_> {}
 
-/// A dense accumulator over the second KB's entities plus the list of
+/// A dense accumulator over the other KB's entities plus the list of
 /// slots touched since the last reset: the working memory of one row of
 /// either similarity. Allocated once per executor task and reset per
 /// row in O(touched), so a row costs its own candidates — no hashing,
-/// no per-row allocation beyond the row it returns.
+/// no per-row allocation.
 ///
 /// `0.0` marks an untouched slot. That rests on every added term being
 /// strictly positive, so a touched slot can never return to zero:
@@ -174,10 +219,10 @@ struct RowScratch {
 }
 
 impl RowScratch {
-    /// A zeroed scratch for candidates in `0..n_second`.
-    fn new(n_second: usize) -> Self {
+    /// A zeroed scratch for candidates in `0..n_other`.
+    fn new(n_other: usize) -> Self {
         Self {
-            sums: vec![0.0; n_second],
+            sums: vec![0.0; n_other],
             touched: Vec::new(),
         }
     }
@@ -206,66 +251,172 @@ impl RowScratch {
     }
 
     /// **The** `valueSim` row: accumulates `weight` into every entity of
-    /// `seconds` for each `(weight, seconds)` block of one first-side
-    /// entity, and returns the candidates [`rank`]ed, leaving the
-    /// scratch reset. `blocks` must come in ascending block order —
-    /// that order *is* each pair's floating-point addition sequence, and
-    /// what makes a row reproducible bit for bit wherever it is computed.
+    /// `others` for each `(weight, others)` block of one entity, and
+    /// leaves the candidates in `row` [`rank`]ed and the scratch reset.
+    /// `blocks` must come in ascending block order — that order *is*
+    /// each pair's floating-point addition sequence, and what makes a
+    /// row reproducible bit for bit wherever, and from whichever side,
+    /// it is computed.
     fn value_row<'a>(
         &mut self,
         blocks: impl IntoIterator<Item = (f64, &'a [EntityId])>,
-    ) -> Vec<Candidate> {
-        for (weight, seconds) in blocks {
-            for &e2 in seconds {
+        row: &mut Vec<Candidate>,
+    ) {
+        for (weight, others) in blocks {
+            for &e2 in others {
                 self.add(e2, weight);
             }
         }
         let sums = &mut self.sums;
-        let mut row: Vec<Candidate> = self
-            .touched
-            .drain(..)
-            .map(|e2| (EntityId(e2), std::mem::take(&mut sums[e2 as usize])))
-            .collect();
-        rank(&mut row);
-        row
+        row.clear();
+        row.extend(
+            self.touched
+                .drain(..)
+                .map(|e2| (EntityId(e2), std::mem::take(&mut sums[e2 as usize]))),
+        );
+        rank(row);
     }
 }
 
-/// The `valueSim` candidate row of every first-side entity of `tokens`
-/// over `blocks`, in entity order. An entity in no block — or one
-/// `blocks` does not index at all — gets an empty row.
-fn value_rows(
-    blocks: &BlockCollection,
-    tokens: &TokenizedPair,
-    exec: &Executor,
-) -> Vec<Vec<Candidate>> {
-    // Per-block token weights, data-parallel over block ranges.
+/// One side's candidate rows of one similarity, as the index stores
+/// them: ranked, whole or cut (see the module docs). The rows stay in
+/// the flat buffers the executor parts built them in; the parts are
+/// joined in part order by their first rows, not copied into one buffer.
+#[derive(Debug, Default)]
+struct Rows {
+    /// The rows of consecutive entity ranges, in range order.
+    parts: Vec<CandidateCsr>,
+    /// The first row of each part.
+    starts: Vec<usize>,
+    /// The rows cut to their best [`MAX_CANDIDATES`], ascending.
+    cut: Vec<u32>,
+}
+
+impl Rows {
+    /// The row of every entity in `0..n`: `row_of(scratch, e, row)`
+    /// leaves entity `e`'s row [`rank`]ed in `row`, on a [`RowScratch`]
+    /// over `n_other` entities, one per executor part. Each part appends
+    /// its rows to its own flat buffers, every row cut to its best
+    /// [`MAX_CANDIDATES`] at once if `cut`.
+    fn build<F>(n: usize, n_other: usize, cut: bool, exec: &Executor, row_of: F) -> Self
+    where
+        F: Fn(&mut RowScratch, usize, &mut Vec<Candidate>) + Sync,
+    {
+        let parts = exec.map_parts(n, |range| {
+            let mut scratch = RowScratch::new(n_other);
+            let mut row = Vec::new();
+            let mut part = Rows::default();
+            let mut csr = CandidateCsr::default();
+            part.starts.push(range.start);
+            for e in range {
+                row_of(&mut scratch, e, &mut row);
+                if cut && row.len() > MAX_CANDIDATES {
+                    part.cut.push(e as u32);
+                    row.truncate(MAX_CANDIDATES);
+                }
+                csr.push_row(&row);
+            }
+            csr.shrink_to_fit();
+            part.parts.push(csr);
+            part
+        });
+        let mut rows = Rows::default();
+        for part in parts {
+            rows.parts.extend(part.parts);
+            rows.starts.extend(part.starts);
+            rows.cut.extend(part.cut);
+        }
+        rows
+    }
+
+    /// Rows held in one buffer, none cut.
+    fn whole(csr: CandidateCsr) -> Self {
+        Self {
+            parts: vec![csr],
+            starts: vec![0],
+            cut: Vec::new(),
+        }
+    }
+
+    /// Number of rows.
+    fn len(&self) -> usize {
+        match (self.starts.last(), self.parts.last()) {
+            (Some(start), Some(part)) => start + part.rows(),
+            _ => 0,
+        }
+    }
+
+    /// Number of candidates stored.
+    fn item_count(&self) -> usize {
+        self.parts.iter().map(CandidateCsr::item_count).sum()
+    }
+
+    /// The stored row of entity `e`.
+    #[inline]
+    fn row(&self, e: usize) -> CandidateRow<'_> {
+        let p = self.starts.partition_point(|&start| start <= e) - 1;
+        self.parts[p].row(e - self.starts[p])
+    }
+
+    /// Cuts every row to its best [`MAX_CANDIDATES`], in place.
+    fn cut(&mut self) {
+        self.cut.clear();
+        for (part, &start) in self.parts.iter_mut().zip(&self.starts) {
+            let cut = part.cut_rows(MAX_CANDIDATES);
+            self.cut.extend(cut.into_iter().map(|e| e + start as u32));
+        }
+    }
+
+    /// A reader over the row of `e`.
+    fn read<'a>(&'a self, e: EntityId, tail_reads: &'a AtomicUsize) -> Ranked<'a> {
+        let row = self.row(e.index());
+        // Only a row of exactly MAX_CANDIDATES can have been cut.
+        let cut = row.len() == MAX_CANDIDATES && self.cut.binary_search(&e.0).is_ok();
+        Ranked::new(row, cut, tail_reads)
+    }
+}
+
+/// The token weight of every block of `blocks`, data-parallel over
+/// block ranges.
+fn block_weights(blocks: &BlockCollection, tokens: &TokenizedPair, exec: &Executor) -> Vec<f64> {
     let block_list = blocks.blocks();
-    let weights: Vec<f64> = exec.map_range(block_list.len(), |i| {
+    exec.map_range(block_list.len(), |i| {
         let t = TokenId(block_list[i].key);
         token_weight(
             tokens.dict().ef(KbSide::First, t),
             tokens.dict().ef(KbSide::Second, t),
         )
-    });
-    let indexed = blocks.entity_count(KbSide::First);
-    let parts = exec.map_parts(tokens.entity_count(KbSide::First), |range| {
-        let mut scratch = RowScratch::new(blocks.entity_count(KbSide::Second));
-        let mut rows: Vec<Vec<Candidate>> = Vec::with_capacity(range.len());
-        for e1 in range {
-            let of_e1: &[_] = if e1 < indexed {
-                blocks.blocks_of(KbSide::First, EntityId(e1 as u32))
-            } else {
-                &[]
-            };
-            let weighted = of_e1
-                .iter()
-                .map(|b| (weights[b.index()], &block_list[b.index()].seconds[..]));
-            rows.push(scratch.value_row(weighted));
-        }
-        rows
-    });
-    parts.into_iter().flatten().collect()
+    })
+}
+
+/// The `valueSim` candidate row of every entity of `side` over `blocks`
+/// (whose per-block token weights are `weights`), in entity order, each
+/// [`rank`]ed as the kernel computes it and cut at once if `cut`. An
+/// entity in no block — or one `blocks` does not index at all — gets an
+/// empty row.
+fn value_rows(
+    blocks: &BlockCollection,
+    weights: &[f64],
+    tokens: &TokenizedPair,
+    side: KbSide,
+    cut: bool,
+    exec: &Executor,
+) -> Rows {
+    let block_list = blocks.blocks();
+    let indexed = blocks.entity_count(side);
+    let n = tokens.entity_count(side);
+    let n_other = blocks.entity_count(side.other());
+    Rows::build(n, n_other, cut, exec, |scratch, e, row| {
+        let of_e: &[_] = if e < indexed {
+            blocks.blocks_of(side, EntityId(e as u32))
+        } else {
+            &[]
+        };
+        let weighted = of_e
+            .iter()
+            .map(|b| (weights[b.index()], block_list[b.index()].side(side.other())));
+        scratch.value_row(weighted, row);
+    })
 }
 
 /// The `neighborNSim` candidate row of every first-side entity, scored
@@ -279,66 +430,63 @@ fn value_rows(
 /// at every scale (82.6 → 77.2 at ×1) and moves Rexa and YAGO by at
 /// most half a point at ×1 and ×2 (ROADMAP F5).
 ///
-/// Accumulates on the kernel's dense scratch, one per executor task;
-/// the sums follow the order of the top-neighbor lists, never the part
-/// boundaries, nor the order of a ranked value row's tail: a row adds
-/// each `nb2` at most once. Each row is returned [`rank`]ed.
+/// Reads the first side's value rows **whole**. Accumulates on the
+/// kernel's dense scratch, one per executor task; the sums follow the
+/// order of the top-neighbor lists, never the part boundaries, nor the
+/// order of a ranked value row's tail: a row adds each `nb2` at most
+/// once. Each row is stored [`rank`]ed and whole.
 fn neighbor_rows(
-    value_firsts: &Csr<Candidate>,
+    value_firsts: &Rows,
     n_second: usize,
     top_neighbors: [&[Vec<EntityId>]; 2],
     exec: &Executor,
-) -> Vec<Vec<Candidate>> {
+) -> Rows {
     // neighborNSim(e1, e2) = Σ_{n1 ∈ top(e1), n2 ∈ top(e2)} valueSim(n1, n2),
     // evaluated only for the e2 in e1's value row (see above).
     // For each e1: acc[n2] = Σ_{n1 ∈ top(e1)} valueSim(n1, n2), then
     // sum acc over e2's top neighbors for each candidate e2. Pure
     // reads over the value CSR — embarrassingly parallel over e1.
-    let parts = exec.map_parts(value_firsts.rows(), |range| {
-        let mut rows: Vec<Vec<Candidate>> = Vec::with_capacity(range.len());
-        let mut acc = RowScratch::new(n_second);
-        for e1 in range {
-            let cands = value_firsts.row(e1);
-            let mut row: Vec<Candidate> = Vec::new();
-            if !cands.is_empty() {
-                for &nb1 in &top_neighbors[0][e1] {
-                    for &(nb2, v) in value_firsts.row(nb1.index()) {
-                        acc.add(nb2, v);
-                    }
-                }
-                if !acc.touched.is_empty() {
-                    for &(e2, _) in cands {
-                        // An untouched neighbor reads 0.0, and
-                        // `s + 0.0` is `s` bit for bit.
-                        let mut s = 0.0;
-                        for &nb2 in &top_neighbors[1][e2.index()] {
-                            s += acc.get(nb2);
-                        }
-                        if s > 0.0 {
-                            row.push((e2, s));
-                        }
-                    }
-                    acc.reset();
+    Rows::build(value_firsts.len(), n_second, false, exec, |acc, e1, row| {
+        row.clear();
+        let cands = value_firsts.row(e1);
+        if !cands.is_empty() {
+            for &nb1 in &top_neighbors[0][e1] {
+                for (nb2, v) in value_firsts.row(nb1.index()).iter() {
+                    acc.add(nb2, v);
                 }
             }
-            rank(&mut row);
-            rows.push(row);
+            if !acc.touched.is_empty() {
+                for &e2 in cands.ids() {
+                    // An untouched neighbor reads 0.0, and
+                    // `s + 0.0` is `s` bit for bit.
+                    let mut s = 0.0;
+                    for &nb2 in &top_neighbors[1][e2.index()] {
+                        s += acc.get(nb2);
+                    }
+                    if s > 0.0 {
+                        row.push((e2, s));
+                    }
+                }
+                acc.reset();
+            }
         }
-        rows
-    });
-    parts.into_iter().flatten().collect()
+        rank(row);
+    })
 }
 
 /// Value and neighbor similarities for all co-occurring pairs, with
-/// per-entity candidate lists stored ranked in CSR form and read in
-/// the candidate order (similarity descending, ties by entity id; see
-/// the module docs).
+/// per-entity candidate lists stored ranked in CSR form — whole on the
+/// probe side, cut to [`MAX_CANDIDATES`] on the other — and read in the
+/// candidate order (similarity descending, ties by entity id; see the
+/// module docs).
 #[derive(Debug)]
 pub struct SimilarityIndex {
-    /// Per side: CSR of candidates by value similarity.
-    value_cands: [Csr<Candidate>; 2],
-    /// Per side: CSR of candidates with non-zero neighbor similarity.
-    neighbor_cands: [Csr<Candidate>; 2],
+    /// The side H2 and H3 probe, whose rows are stored whole.
+    probe: KbSide,
+    /// Per side: candidates by value similarity.
+    value_cands: [Rows; 2],
+    /// Per side: candidates with non-zero neighbor similarity.
+    neighbor_cands: [Rows; 2],
     /// How many [`Ranked`] readers have sorted a tail.
     tail_reads: AtomicUsize,
 }
@@ -349,69 +497,105 @@ impl SimilarityIndex {
     /// `top_neighbors` holds `topNneighbors(e)` per entity for each side
     /// (see [`crate::importance::top_neighbors_with`]).
     ///
-    /// Four passes, each under its own debug span: one `valueSim` row per first-side entity through the
-    /// shared row kernel (`simindex.value_rows`), fanned out as a plain
-    /// [`Executor::map_parts`] with the rows concatenated in part order;
-    /// the reverse value direction (`simindex.value_reverse`); the
-    /// `neighborNSim` rows (`simindex.neighbor_rows`); and their reverse
-    /// (`simindex.neighbor_reverse`). A row is a function of its own
-    /// entity's blocks alone (see the module docs), so the result is
-    /// bit-identical for any backend, thread count and part count.
+    /// Four passes, each under its own debug span: one `valueSim` row
+    /// per first-side entity through the shared row kernel
+    /// (`simindex.value_rows`); one per second-side entity through the
+    /// same kernel (`simindex.value_reverse`); the `neighborNSim` rows
+    /// (`simindex.neighbor_rows`); and their transpose
+    /// (`simindex.neighbor_reverse`). Rows of the non-probe side are cut
+    /// after the last pass that reads them whole (see the module docs).
+    /// A row is a function of its own entity's blocks alone, so the
+    /// result is bit-identical for any backend, thread count and part
+    /// count.
     pub fn build_with(
         blocks: &BlockCollection,
         tokens: &TokenizedPair,
         top_neighbors: [&[Vec<EntityId>]; 2],
         exec: &Executor,
     ) -> Self {
-        let n2 = tokens.entity_count(KbSide::Second);
-        let value_firsts = {
+        let n = [KbSide::First, KbSide::Second].map(|side| tokens.entity_count(side));
+        let probe = if n[0] <= n[1] {
+            KbSide::First
+        } else {
+            KbSide::Second
+        };
+        let cut = |side: KbSide| side != probe;
+        let weights = block_weights(blocks, tokens, exec);
+        // The neighbor pass reads the first side's value rows whole.
+        let mut value_firsts = {
             let _span = stage_span("simindex.value_rows");
-            Csr::from_rows(value_rows(blocks, tokens, exec))
+            value_rows(blocks, &weights, tokens, KbSide::First, false, exec)
         };
         let value_seconds = {
             let _span = stage_span("simindex.value_reverse");
-            transpose(&value_firsts, n2, exec)
+            value_rows(
+                blocks,
+                &weights,
+                tokens,
+                KbSide::Second,
+                cut(KbSide::Second),
+                exec,
+            )
         };
-        let neighbor_firsts = {
+        // The transpose reads the first side's neighbor rows whole.
+        let mut neighbor_firsts = {
             let _span = stage_span("simindex.neighbor_rows");
-            Csr::from_rows(neighbor_rows(&value_firsts, n2, top_neighbors, exec))
+            neighbor_rows(&value_firsts, n[1], top_neighbors, exec)
         };
-        let neighbor_seconds = {
+        if cut(KbSide::First) {
+            value_firsts.cut();
+        }
+        let mut neighbor_seconds = {
             let _span = stage_span("simindex.neighbor_reverse");
-            transpose(&neighbor_firsts, n2, exec)
+            Rows::whole(transpose(&neighbor_firsts, n[1], exec))
         };
+        if cut(KbSide::First) {
+            neighbor_firsts.cut();
+        }
+        if cut(KbSide::Second) {
+            neighbor_seconds.cut();
+        }
         Self {
+            probe,
             value_cands: [value_firsts, value_seconds],
             neighbor_cands: [neighbor_firsts, neighbor_seconds],
             tail_reads: AtomicUsize::new(0),
         }
     }
 
+    /// `(e, other)` for the probe side's row of the pair `(e1, e2)`.
+    fn probe_pair(&self, e1: EntityId, e2: EntityId) -> (EntityId, EntityId) {
+        match self.probe {
+            KbSide::First => (e1, e2),
+            KbSide::Second => (e2, e1),
+        }
+    }
+
     /// `valueSim(e1, e2)` over the purged blocks (0 when the pair never
-    /// co-occurs).
+    /// co-occurs), read from the probe side's whole row.
     pub fn value_sim(&self, e1: EntityId, e2: EntityId) -> f64 {
-        lookup(&self.value_cands[0], e1, e2)
+        let (e, other) = self.probe_pair(e1, e2);
+        lookup(&self.value_cands[self.probe.index()], e, other)
     }
 
     /// `neighborNSim(e1, e2)`, scored only when `e2` is a value
     /// candidate of `e1`: 0 when the pair itself shares no purged token
     /// block — even if some top-neighbor pair co-occurs — and 0 when no
     /// top-neighbor pair co-occurs. The restriction is deliberate (see
-    /// `neighbor_rows`).
+    /// `neighbor_rows`). Read from the probe side's whole row.
     pub fn neighbor_sim(&self, e1: EntityId, e2: EntityId) -> f64 {
-        lookup(&self.neighbor_cands[0], e1, e2)
+        let (e, other) = self.probe_pair(e1, e2);
+        lookup(&self.neighbor_cands[self.probe.index()], e, other)
     }
 
     /// Candidates of `e` (an entity of `side`) by value similarity, in
     /// the candidate order. The row is stored ranked; the reader yields
     /// its full order and sorts the tail only if it is read past entry
     /// [`MAX_CANDIDATES`] (counted for the debug event
-    /// `simindex.tail_reads`).
+    /// `simindex.tail_reads`). A row of the non-probe side may be cut to
+    /// that many (see [`Ranked::is_cut`]).
     pub fn value_candidates(&self, side: KbSide, e: EntityId) -> Ranked<'_> {
-        Ranked::new(
-            self.value_cands[side.index()].row(e.index()),
-            &self.tail_reads,
-        )
+        self.value_cands[side.index()].read(e, &self.tail_reads)
     }
 
     /// Candidates of `e` with non-zero neighbor similarity, in the
@@ -420,10 +604,7 @@ impl SimilarityIndex {
     /// candidates only: a pair that shares no purged token block is
     /// never a neighbor candidate (see [`SimilarityIndex::neighbor_sim`]).
     pub fn neighbor_candidates(&self, side: KbSide, e: EntityId) -> Ranked<'_> {
-        Ranked::new(
-            self.neighbor_cands[side.index()].row(e.index()),
-            &self.tail_reads,
-        )
+        self.neighbor_cands[side.index()].read(e, &self.tail_reads)
     }
 
     /// How many candidate readers so far ran off a row's ranked prefix
@@ -435,15 +616,13 @@ impl SimilarityIndex {
     /// The best value candidate of `e`, if any: the head of the ranked
     /// prefix.
     pub fn top_value_candidate(&self, side: KbSide, e: EntityId) -> Option<Candidate> {
-        self.value_cands[side.index()]
-            .row(e.index())
-            .first()
-            .copied()
+        self.value_cands[side.index()].row(e.index()).get(0)
     }
 
-    /// Number of co-occurring pairs with recorded value similarity.
+    /// Number of co-occurring pairs with recorded value similarity,
+    /// counted on the probe side's whole rows.
     pub fn pair_count(&self) -> usize {
-        self.value_cands[0].item_count()
+        self.value_cands[self.probe.index()].item_count()
     }
 
     /// Consumes the index, keeping the two value-candidate CSRs (first
@@ -453,32 +632,39 @@ impl SimilarityIndex {
     /// candidate order and a bit-identical prefix of the full one. The
     /// neighbor lists are dropped: `neighborNSim` is read only by H3 and
     /// H4, while the pipeline runs.
-    pub fn into_value_candidates(self) -> [Csr<Candidate>; 2] {
-        let mut value_cands = self.value_cands;
-        for csr in &mut value_cands {
-            csr.truncate_rows(MAX_CANDIDATES);
-        }
-        value_cands
+    pub fn into_value_candidates(self) -> [CandidateCsr; 2] {
+        let Self {
+            value_cands,
+            neighbor_cands,
+            ..
+        } = self;
+        drop(neighbor_cands);
+        value_cands.map(|mut rows| {
+            rows.cut();
+            CandidateCsr::concat(rows.parts)
+        })
     }
 
-    /// Number of pairs with non-zero neighbor similarity.
+    /// Number of pairs with non-zero neighbor similarity, counted on the
+    /// probe side's whole rows.
     pub fn neighbor_pair_count(&self) -> usize {
-        self.neighbor_cands[0].item_count()
+        self.neighbor_cands[self.probe.index()].item_count()
     }
 }
 
 /// Finds `other` in the candidate row of `e`, returning its similarity.
 /// Scans the stored row as it is: an id occurs at most once in a row,
 /// so the order is immaterial.
-fn lookup(csr: &Csr<Candidate>, e: EntityId, other: EntityId) -> f64 {
-    if e.index() >= csr.rows() {
+fn lookup(rows: &Rows, e: EntityId, other: EntityId) -> f64 {
+    if e.index() >= rows.len() {
         return 0.0;
     }
-    csr.row(e.index())
+    let row = rows.row(e.index());
+    row.ids()
         .iter()
-        .find(|&&(c, _)| c == other)
-        .map(|&(_, v)| v)
-        .unwrap_or(0.0)
+        .position(|&c| c == other)
+        .and_then(|i| row.get(i))
+        .map_or(0.0, |(_, v)| v)
 }
 
 /// Transposes a `rows -> (col, v)` CSR into a `cols -> (row, v)` CSR with
@@ -486,18 +672,18 @@ fn lookup(csr: &Csr<Candidate>, e: EntityId, other: EntityId) -> f64 {
 ///
 /// Parallel scheme: per-part column histograms, a sequential prefix-sum
 /// handing each part a private cursor per column, then disjoint parallel
-/// fills and per-row parallel ranks through [`SharedSlice`]. The fill
-/// order within a column is ascending source row — identical to a
-/// sequential transpose — whatever order the source rows' tails are in,
-/// so each column's rank, and with it the result, does not depend on
-/// the thread count.
-fn transpose(src: &Csr<Candidate>, n_cols: usize, exec: &Executor) -> Csr<Candidate> {
-    let n_rows = src.rows();
+/// fills and per-row parallel ranks through [`SharedSlice`]s over the id
+/// and similarity buffers. The fill order within a column is ascending
+/// source row — identical to a sequential transpose — whatever order
+/// the source rows' tails are in, so each column's rank, and with it
+/// the result, does not depend on the thread count.
+fn transpose(src: &Rows, n_cols: usize, exec: &Executor) -> CandidateCsr {
+    let n_rows = src.len();
     let ranges = exec.part_ranges(n_rows);
     let histograms: Vec<Vec<usize>> = exec.map_range(ranges.len(), |p| {
         let mut counts = vec![0usize; n_cols];
         for r in ranges[p].clone() {
-            for &(c, _) in src.row(r) {
+            for &c in src.row(r).ids() {
                 counts[c.index()] += 1;
             }
         }
@@ -520,31 +706,55 @@ fn transpose(src: &Csr<Candidate>, n_cols: usize, exec: &Executor) -> Csr<Candid
         }
     }
     let total = *offsets.last().expect("offsets never empty");
-    let mut items: Vec<Candidate> = vec![(EntityId(0), 0.0); total];
+    let mut ids = vec![EntityId(0); total];
+    let mut sims = vec![0.0; total];
     {
-        let shared = SharedSlice::new(&mut items);
+        let (shared_ids, shared_sims) = (SharedSlice::new(&mut ids), SharedSlice::new(&mut sims));
         exec.map_range(ranges.len(), |p| {
             let mut cur = cursors[p].clone();
             for r in ranges[p].clone() {
                 let row_entity = EntityId(r as u32);
-                for &(c, v) in src.row(r) {
+                for (c, v) in src.row(r).iter() {
+                    let at = cur[c.index()];
                     // SAFETY: part p exclusively owns positions
                     // cursors[p][c] .. cursors[p][c] + histograms[p][c]
-                    // of every column c; parts never overlap.
-                    unsafe { shared.write(cur[c.index()], (row_entity, v)) };
+                    // of every column c in both buffers; parts never
+                    // overlap.
+                    unsafe {
+                        shared_ids.write(at, row_entity);
+                        shared_sims.write(at, v);
+                    }
                     cur[c.index()] += 1;
                 }
             }
         });
     }
     {
-        let shared = SharedSlice::new(&mut items);
-        exec.map_range(n_cols, |c| {
-            // SAFETY: column ranges are disjoint slices of the buffer.
-            rank(unsafe { shared.slice_mut(offsets[c]..offsets[c + 1]) });
+        let (shared_ids, shared_sims) = (SharedSlice::new(&mut ids), SharedSlice::new(&mut sims));
+        exec.map_parts(n_cols, |cols| {
+            let mut column: Vec<Candidate> = Vec::new();
+            for c in cols {
+                let range = offsets[c]..offsets[c + 1];
+                // SAFETY: column ranges are disjoint slices of both
+                // buffers, and parts rank disjoint column ranges.
+                let (col_ids, col_sims) = unsafe {
+                    (
+                        shared_ids.slice_mut(range.clone()),
+                        shared_sims.slice_mut(range),
+                    )
+                };
+                column.clear();
+                column.extend(col_ids.iter().copied().zip(col_sims.iter().copied()));
+                rank(&mut column);
+                for ((id, sim), &(e, v)) in col_ids.iter_mut().zip(col_sims.iter_mut()).zip(&column)
+                {
+                    *id = e;
+                    *sim = v;
+                }
+            }
         });
     }
-    Csr::from_lens_and_items(&lens, items)
+    CandidateCsr::from_lens(&lens, ids, sims)
 }
 
 #[cfg(test)]
@@ -650,22 +860,33 @@ pub(crate) mod tests {
         }
     }
 
+    /// `row`, ranked, stored as the only row of a [`Rows`], cut to its
+    /// best [`MAX_CANDIDATES`] if `cut`.
+    fn stored(row: &[Candidate], cut: bool) -> Rows {
+        Rows::build(1, 0, cut, &Executor::sequential(), |_, _, out| {
+            out.clear();
+            out.extend_from_slice(row);
+            rank(out);
+        })
+    }
+
     #[test]
     fn ranked_yields_the_full_order_read_whole_or_abandoned() {
         for len in LENS {
-            let mut row = repeating_row(len);
+            let row = repeating_row(len);
             let want = reference(&row);
-            rank(&mut row);
+            let rows = stored(&row, false);
             let tail_reads = AtomicUsize::new(0);
-            let whole = Ranked::new(&row, &tail_reads);
+            let whole = rows.read(e(0), &tail_reads);
             assert_eq!(whole.len(), len);
+            assert!(!whole.is_cut());
             assert_eq!(
                 whole.collect::<Vec<_>>(),
                 want,
                 "{len}-entry row read whole"
             );
             for stop in [0, 1, MAX_CANDIDATES, MAX_CANDIDATES + 1, 200] {
-                let got: Vec<_> = Ranked::new(&row, &tail_reads).take(stop).collect();
+                let got: Vec<_> = rows.read(e(0), &tail_reads).take(stop).collect();
                 assert_eq!(got, want[..stop.min(len)], "{len}-entry row cut at {stop}");
             }
             // One tail sort per reader that left the prefix: the whole
@@ -673,6 +894,43 @@ pub(crate) mod tests {
             let left = if len > MAX_CANDIDATES { 3 } else { 0 };
             assert_eq!(tail_reads.into_inner(), left, "{len}-entry row");
         }
+    }
+
+    #[test]
+    fn a_cut_row_is_the_ranked_prefix_of_the_full_one() {
+        for len in LENS {
+            let row = repeating_row(len);
+            let want = reference(&row);
+            let keep = len.min(MAX_CANDIDATES);
+            let rows = stored(&row, true);
+            assert_eq!(
+                rows.cut,
+                if len > MAX_CANDIDATES {
+                    vec![0]
+                } else {
+                    vec![]
+                }
+            );
+            let tail_reads = AtomicUsize::new(0);
+            let read = rows.read(e(0), &tail_reads);
+            assert_eq!(read.is_cut(), len > MAX_CANDIDATES, "{len}-entry row");
+            assert_eq!(read.len(), keep);
+            assert_eq!(read.take(keep).collect::<Vec<_>>(), want[..keep]);
+            // An uncut row ends where it ends, past the prefix or not.
+            if len <= MAX_CANDIDATES {
+                assert_eq!(rows.read(e(0), &tail_reads).count(), len);
+            }
+            assert_eq!(tail_reads.into_inner(), 0, "a cut row has no tail");
+        }
+    }
+
+    #[cfg(debug_assertions)]
+    #[test]
+    #[should_panic(expected = "read past the 128 stored candidates of a cut row")]
+    fn reading_past_a_cut_panics() {
+        let rows = stored(&repeating_row(MAX_CANDIDATES + 1), true);
+        let tail_reads = AtomicUsize::new(0);
+        let _ = rows.read(e(0), &tail_reads).count();
     }
 
     #[cfg(debug_assertions)]
@@ -857,12 +1115,12 @@ pub(crate) mod tests {
     }
 
     /// Where the block-major algorithm survives: one pair-keyed map over
-    /// a scan of the blocks in order, rows scattered out and sorted.
+    /// a scan of the blocks in order, rows of both sides scattered out
+    /// and sorted.
     fn naive_value_rows(
         blocks: &BlockCollection,
         tokens: &TokenizedPair,
-        n1: usize,
-    ) -> Vec<Vec<Candidate>> {
+    ) -> [Vec<Vec<Candidate>>; 2] {
         let mut acc: minoan_kb::FxHashMap<(u32, u32), f64> = Default::default();
         for b in blocks.blocks() {
             let t = TokenId(b.key);
@@ -876,33 +1134,51 @@ pub(crate) mod tests {
                 }
             }
         }
-        let mut rows: Vec<Vec<Candidate>> = vec![Vec::new(); n1];
+        let mut rows =
+            [KbSide::First, KbSide::Second].map(|side| vec![Vec::new(); tokens.entity_count(side)]);
         for (&(e1, e2), &v) in &acc {
-            rows[e1 as usize].push((EntityId(e2), v));
+            rows[0][e1 as usize].push((EntityId(e2), v));
+            rows[1][e2 as usize].push((EntityId(e1), v));
         }
-        for row in &mut rows {
+        for row in rows.iter_mut().flatten() {
             row.sort_unstable_by(cand_cmp);
         }
         rows
     }
 
-    /// 40 × 50 entities drawing 1–4 tokens each from a 13-word
-    /// vocabulary, so most pairs share several blocks of different
-    /// weights and the addition order shows in the low bits.
-    fn dense_setup() -> (TokenizedPair, BlockCollection) {
-        let words: Vec<String> = (0..13).map(|w| format!("w{w:02}")).collect();
+    /// `value_rows` of `side`, whole, read out row by row in the full
+    /// candidate order.
+    fn kernel_rows(
+        blocks: &BlockCollection,
+        tokens: &TokenizedPair,
+        side: KbSide,
+        exec: &Executor,
+    ) -> Vec<Vec<Candidate>> {
+        let weights = block_weights(blocks, tokens, exec);
+        let rows = value_rows(blocks, &weights, tokens, side, false, exec);
+        let tail_reads = AtomicUsize::new(0);
+        (0..rows.len() as u32)
+            .map(|i| rows.read(e(i), &tail_reads).collect())
+            .collect()
+    }
+
+    /// `n1` × `n2` entities drawing 1–4 tokens each from a `vocab`-word
+    /// vocabulary (`vocab ≥ 4`), so most pairs share several blocks of
+    /// different weights and the addition order shows in the low bits.
+    fn dense_pair(n1: usize, n2: usize, vocab: usize) -> (TokenizedPair, BlockCollection) {
+        let words: Vec<String> = (0..vocab).map(|w| format!("w{w:02}")).collect();
         let text = |i: usize, salt: usize| {
             (0..1 + (i + salt) % 4)
-                .map(|j| words[(i * 7 + j * 5 + salt) % 13].as_str())
+                .map(|j| words[(i * 7 + j * 5 + salt) % vocab].as_str())
                 .collect::<Vec<_>>()
                 .join(" ")
         };
         let mut a = KbBuilder::new("E1");
-        for i in 0..40 {
+        for i in 0..n1 {
             a.add_literal(&format!("a:{i}"), "v", &text(i, 0));
         }
         let mut b = KbBuilder::new("E2");
-        for i in 0..50 {
+        for i in 0..n2 {
             b.add_literal(&format!("b:{i}"), "v", &text(i, 3));
         }
         let pair = KbPair::new(a.finish(), b.finish());
@@ -912,13 +1188,60 @@ pub(crate) mod tests {
     #[test]
     fn kernel_rows_equal_the_naive_pair_keyed_accumulation() {
         let (_, small_tokens, small_blocks, _, _) = setup();
-        for (tokens, blocks) in [dense_setup(), (small_tokens, small_blocks)] {
-            let n1 = tokens.entity_count(KbSide::First);
-            let want = naive_value_rows(&blocks, &tokens, n1);
-            assert!(want.iter().any(|row| !row.is_empty()));
+        for (tokens, blocks) in [dense_pair(40, 50, 13), (small_tokens, small_blocks)] {
+            let want = naive_value_rows(&blocks, &tokens);
+            assert!(want[0].iter().any(|row| !row.is_empty()));
             for exec in [Executor::sequential(), Executor::new(ExecutorKind::Pool, 3)] {
-                // Exact: same candidates, same order, same f64 bits.
-                assert_eq!(value_rows(&blocks, &tokens, &exec), want);
+                // Exact, in both directions: same candidates, same
+                // order, same f64 bits.
+                for side in [KbSide::First, KbSide::Second] {
+                    let got = kernel_rows(&blocks, &tokens, side, &exec);
+                    assert_eq!(got, want[side.index()], "{side:?}");
+                }
+            }
+        }
+    }
+
+    /// On a pair whose rows run past [`MAX_CANDIDATES`] on both sides,
+    /// in both orientations: the probe side's rows are whole and exact,
+    /// every row of the other side is the exact top of the full row and
+    /// says whether it was cut, and lookups and counts are exact.
+    #[test]
+    fn non_probe_rows_are_cut_to_the_top_of_the_full_rows() {
+        for (n1, n2) in [(140, 150), (150, 140), (150, 150)] {
+            let (tokens, blocks) = dense_pair(n1, n2, 4);
+            let want = naive_value_rows(&blocks, &tokens);
+            let probe = if n1 <= n2 {
+                KbSide::First
+            } else {
+                KbSide::Second
+            };
+            let no_neighbors: Vec<Vec<EntityId>> = vec![Vec::new(); 150];
+            let idx = build(&blocks, &tokens, [&no_neighbors[..n1], &no_neighbors[..n2]]);
+            for side in [KbSide::First, KbSide::Second] {
+                let mut cut = 0;
+                for (i, full) in want[side.index()].iter().enumerate() {
+                    let row = idx.value_candidates(side, e(i as u32));
+                    let label = format!("{n1}x{n2}: {side:?} row {i}");
+                    if side == probe {
+                        assert!(!row.is_cut(), "{label}");
+                        assert_eq!(&row.collect::<Vec<_>>(), full, "{label}");
+                    } else {
+                        let keep = full.len().min(MAX_CANDIDATES);
+                        assert_eq!(row.is_cut(), full.len() > MAX_CANDIDATES, "{label}");
+                        cut += usize::from(row.is_cut());
+                        assert_eq!(row.len(), keep, "{label}");
+                        assert_eq!(row.take(keep).collect::<Vec<_>>(), full[..keep], "{label}");
+                    }
+                }
+                assert_eq!(cut > 0, side != probe, "{n1}x{n2}: {side:?} cut {cut} rows");
+            }
+            let pairs: usize = want[0].iter().map(Vec::len).sum();
+            assert_eq!(idx.pair_count(), pairs);
+            for (i, full) in want[0].iter().enumerate() {
+                for &(c, v) in full {
+                    assert_eq!(idx.value_sim(e(i as u32), c).to_bits(), v.to_bits());
+                }
             }
         }
     }
@@ -933,7 +1256,7 @@ pub(crate) mod tests {
         let pair = KbPair::new(a.finish(), b.finish());
         let (tokens, blocks) = tokenize_and_block(&pair);
         assert!(blocks.blocks_of(KbSide::First, e(1)).is_empty());
-        let rows = value_rows(&blocks, &tokens, &Executor::sequential());
+        let rows = kernel_rows(&blocks, &tokens, KbSide::First, &Executor::sequential());
         assert_eq!(rows, vec![vec![(e(0), 1.0)], vec![]]);
         // A collection that indexes fewer entities than were tokenized:
         // the row-major walk must not read `blocks_of` out of bounds.
@@ -946,19 +1269,18 @@ pub(crate) mod tests {
     fn scratch_is_fully_reset_between_rows() {
         let (a, b, c) = ([e(0), e(1)], [e(1), e(2)], [e(3)]);
         let mut scratch = RowScratch::new(4);
-        assert_eq!(
-            scratch.value_row([(0.5, &a[..]), (0.25, &b[..])]),
-            vec![(e(1), 0.75), (e(0), 0.5), (e(2), 0.25)]
-        );
+        let mut row = Vec::new();
+        scratch.value_row([(0.5, &a[..]), (0.25, &b[..])], &mut row);
+        assert_eq!(row, vec![(e(1), 0.75), (e(0), 0.5), (e(2), 0.25)]);
         // Overlapping candidates: nothing of the previous row's 0.75 or
         // 0.25 may leak into the sums.
-        assert_eq!(
-            scratch.value_row([(1.0, &b[..])]),
-            vec![(e(1), 1.0), (e(2), 1.0)]
-        );
+        scratch.value_row([(1.0, &b[..])], &mut row);
+        assert_eq!(row, vec![(e(1), 1.0), (e(2), 1.0)]);
         // Disjoint candidates, then no blocks at all.
-        assert_eq!(scratch.value_row([(0.125, &c[..])]), vec![(e(3), 0.125)]);
-        assert!(scratch.value_row([]).is_empty());
+        scratch.value_row([(0.125, &c[..])], &mut row);
+        assert_eq!(row, vec![(e(3), 0.125)]);
+        scratch.value_row([], &mut row);
+        assert!(row.is_empty());
         assert!(scratch.touched.is_empty());
         assert!(scratch.sums.iter().all(|&v| v == 0.0));
     }

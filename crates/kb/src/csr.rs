@@ -101,27 +101,6 @@ impl<T> Csr<T> {
     }
 }
 
-impl<T: Copy> Csr<T> {
-    /// Keeps the first `max_len` items of every row, compacting the
-    /// item buffer **in place** — each kept prefix moves down over the
-    /// dropped tails before it, so no second buffer is allocated — and
-    /// then returning the freed tail of the buffer to the allocator.
-    pub fn truncate_rows(&mut self, max_len: usize) {
-        let mut write = 0;
-        for i in 0..self.rows() {
-            let start = self.offsets[i];
-            let len = (self.offsets[i + 1] - start).min(max_len);
-            // `write <= start`: a prefix only ever moves down.
-            self.items.copy_within(start..start + len, write);
-            self.offsets[i] = write;
-            write += len;
-        }
-        *self.offsets.last_mut().expect("offsets never empty") = write;
-        self.items.truncate(write);
-        self.items.shrink_to_fit();
-    }
-}
-
 /// Exclusive prefix sum of row lengths: the offsets array of a CSR.
 pub fn offsets_from_lens(lens: &[usize]) -> Vec<usize> {
     let mut offsets = Vec::with_capacity(lens.len() + 1);
@@ -172,30 +151,6 @@ mod tests {
         assert_eq!(csr.row(3), &[] as &[u32]);
         let d: Csr<u32> = Csr::default();
         assert_eq!(d.rows(), 0);
-    }
-
-    #[test]
-    fn truncate_rows_keeps_each_prefix() {
-        let rows = vec![
-            vec![1, 2, 3, 4],
-            vec![],
-            vec![5],
-            vec![6, 7, 8],
-            vec![9, 10],
-        ];
-        let mut csr = Csr::from_rows(rows.clone());
-        csr.truncate_rows(2);
-        let capped: Vec<Vec<i32>> = rows
-            .iter()
-            .map(|r| r.iter().take(2).copied().collect())
-            .collect();
-        assert_eq!(csr, Csr::from_rows(capped));
-        // A cap no row reaches changes nothing; a zero cap empties all.
-        let mut same = csr.clone();
-        same.truncate_rows(9);
-        assert_eq!(same, csr);
-        csr.truncate_rows(0);
-        assert_eq!(csr, Csr::empty(rows.len()));
     }
 
     #[test]

@@ -38,8 +38,9 @@
 //! manifest of these needs no data files — or *file-based* — `first` and
 //! `second` on-disk KBs (`.tsv` / `.nt`) with an optional `truth` file
 //! (2-column TSV of matching URIs). Either kind takes the per-job
-//! overrides `theta`, `k`, `purge`, `timeout_ms` and `max_retries`.
-//! Serving one profile twice under different names, seeds or overrides
+//! overrides `theta`, `k` (in `1..=128`,
+//! [`minoan_core::MAX_CANDIDATES`]), `purge`, `timeout_ms` and
+//! `max_retries`. Serving one profile twice under different names, seeds or overrides
 //! is fine: jobs share no state, and per-job outputs are bit-identical
 //! to running each pair alone.
 //!
@@ -52,7 +53,7 @@
 
 use std::path::{Path, PathBuf};
 
-use minoan_core::MinoanConfig;
+use minoan_core::{MinoanConfig, MAX_CANDIDATES};
 use minoan_datagen::DatasetKind;
 use minoan_kb::Json;
 
@@ -166,8 +167,10 @@ impl JobSpec {
                 return Err(format!("theta must be in (0,1), got {theta}"));
             }
         }
-        if self.candidates_k == Some(0) {
-            return Err("k must be at least 1".into());
+        if let Some(k) = self.candidates_k {
+            if !(1..=MAX_CANDIDATES).contains(&k) {
+                return Err(format!("k must be in 1..={MAX_CANDIDATES}, got {k}"));
+            }
         }
         Ok(())
     }
@@ -607,6 +610,8 @@ mod tests {
                 "unknown dataset",
             ),
             (rexa(r#", "theta": 1.5"#), "theta"),
+            (rexa(r#", "k": 0"#), "k must be in 1..=128, got 0"),
+            (rexa(r#", "k": 129"#), "k must be in 1..=128, got 129"),
             (rexa(r#", "scale": 0"#), "scale"),
             (
                 r#"{"jobs": [{"name": "x", "dataset": "rexa"}, {"name": "x", "dataset": "bbc"}]}"#

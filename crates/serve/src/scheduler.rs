@@ -1705,6 +1705,7 @@ pub fn load_truth_file(path: &std::path::Path, pair: &KbPair) -> Result<GroundTr
 mod tests {
     use super::*;
     use crate::manifest::JobInput;
+    use minoan_core::MAX_CANDIDATES;
     use minoan_datagen::DatasetKind;
 
     fn synthetic_job(name: &str, kind: DatasetKind, scale: f64) -> JobSpec {
@@ -1822,17 +1823,27 @@ mod tests {
     fn invalid_override_fails_alone() {
         let mut manifest = small_manifest();
         manifest.jobs[1].theta = Some(0.999999); // valid
-        manifest.jobs[1].candidates_k = Some(usize::MAX); // absurd but valid
+        manifest.jobs[1].candidates_k = Some(MAX_CANDIDATES); // the widest valid K
+                                                              // Bypass manifest validation to exercise the scheduler's own
+                                                              // config check: hand-built specs with an out-of-range theta and
+                                                              // a K past the longest candidate row an index keeps.
         let mut bad = synthetic_job("bad", DatasetKind::Restaurant, 0.05);
-        // Bypass manifest validation to exercise the scheduler's own
-        // config check: a hand-built spec with an out-of-range theta.
         bad.theta = Some(7.0);
         manifest.jobs.push(bad);
+        let mut wide = synthetic_job("wide", DatasetKind::Restaurant, 0.05);
+        wide.candidates_k = Some(MAX_CANDIDATES + 1);
+        manifest.jobs.push(wide);
         let report = run_batch(&manifest, &ServeOptions::default());
         assert_eq!(report.ok_count(), 3);
-        assert_eq!(report.failed_count(), 1);
-        let failed = &report.jobs[3];
-        assert!(matches!(&failed.status, JobStatus::Failed(e) if e.contains("theta")));
+        assert_eq!(report.failed_count(), 2);
+        for (failed, needle) in report.jobs[3..].iter().zip(["theta", "candidates_k"]) {
+            assert!(
+                matches!(&failed.status, JobStatus::Failed(e) if e.contains(needle)),
+                "{}: {:?}",
+                failed.name,
+                failed.status
+            );
+        }
     }
 
     #[test]

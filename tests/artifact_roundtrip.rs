@@ -104,50 +104,61 @@ fn persisted_artifacts_are_bit_identical_to_fresh_runs_on_all_profiles() {
     }
 }
 
-/// One side's full value rows, as a run computed them.
+/// One side's value rows, as a run holds them: whole on the side H2
+/// and H3 probe, the best [`MAX_CANDIDATES`] of each row on the other.
 type Rows = Vec<Vec<Candidate>>;
 
-/// Runs the pipeline over `pair` and returns the run's full value rows
-/// of both sides — read before [`IndexArtifact::from_run`] caps them —
-/// together with the artifact packed from that same run.
-fn full_rows_and_artifact(pair: &KbPair) -> ([Rows; 2], IndexArtifact) {
+/// Runs the pipeline over `pair` and returns the run's value rows of
+/// both sides — read before [`IndexArtifact::from_run`] caps them — and
+/// how many rows per side are longer than [`MAX_CANDIDATES`] at the
+/// run, together with the artifact packed from that same run.
+fn full_rows_and_artifact(pair: &KbPair) -> ([Rows; 2], [usize; 2], IndexArtifact) {
     let matcher = MinoanEr::with_defaults();
     let indexed = matcher
         .run_cancellable_indexed(pair, &Executor::sequential(), &CancelToken::new())
         .expect("nothing cancels this run");
+    let mut long = [0; 2];
     let full = [KbSide::First, KbSide::Second].map(|side| {
         pair.kb(side)
             .entities()
-            .map(|e| indexed.index.value_candidates(side, e).collect())
+            .map(|e| {
+                let row = indexed.index.value_candidates(side, e);
+                let len = row.len();
+                long[side.index()] += usize::from(len > MAX_CANDIDATES || row.is_cut());
+                row.take(len).collect()
+            })
             .collect()
     });
     let artifact = IndexArtifact::from_run("capped", pair, indexed, matcher.config());
-    (full, artifact)
+    (full, long, artifact)
 }
 
 /// A row as comparable bits: `(id, similarity bit pattern)`.
-fn row_bits(row: &[Candidate]) -> Vec<(u32, u64)> {
-    row.iter().map(|&(e, v)| (e.0, v.to_bits())).collect()
+fn row_bits(row: impl IntoIterator<Item = Candidate>) -> Vec<(u32, u64)> {
+    row.into_iter().map(|(e, v)| (e.0, v.to_bits())).collect()
 }
 
 /// Every persisted row of `artifact` is the first
-/// `min(len, MAX_CANDIDATES)` entries of the matching full row, bit for
-/// bit; `match_query(…, MAX_CANDIDATES)` answers exactly the full
-/// index's top `MAX_CANDIDATES`; and on each side at least one row was
-/// actually cut, so the check cannot pass vacuously.
-fn assert_top_of_full_rows(artifact: &IndexArtifact, full: &[Rows; 2], label: &str) {
+/// `min(len, MAX_CANDIDATES)` entries of the run's row, bit for bit;
+/// `match_query(…, MAX_CANDIDATES)` answers exactly the run's top
+/// `MAX_CANDIDATES`; and on each side some row of the run was longer
+/// than that (`long`), so the check cannot pass vacuously.
+fn assert_top_of_full_rows(
+    artifact: &IndexArtifact,
+    full: &[Rows; 2],
+    long: [usize; 2],
+    label: &str,
+) {
     let pair = artifact.pair();
     for side in [KbSide::First, KbSide::Second] {
         let persisted = artifact.candidates(side);
         let rows = &full[side.index()];
         assert_eq!(persisted.rows(), rows.len(), "{label}/{side:?}: row count");
-        let mut cut = 0;
         for (e, row) in rows.iter().enumerate() {
             let top = &row[..row.len().min(MAX_CANDIDATES)];
-            cut += usize::from(top.len() < row.len());
             assert_eq!(
-                row_bits(persisted.row(e)),
-                row_bits(top),
+                row_bits(persisted.row(e).iter()),
+                row_bits(top.iter().copied()),
                 "{label}/{side:?}: row {e} is not the top of the full row"
             );
             let uri = pair.kb(side).entity_uri(EntityId(e as u32));
@@ -166,7 +177,7 @@ fn assert_top_of_full_rows(artifact: &IndexArtifact, full: &[Rows; 2], label: &s
             assert_eq!(got, expected, "{label}/{side:?}: query answer for {uri}");
         }
         assert!(
-            cut > 0,
+            long[side.index()] > 0,
             "{label}/{side:?}: no row is longer than {MAX_CANDIDATES}, so nothing was capped"
         );
     }
@@ -181,13 +192,13 @@ fn persisted_rows_are_the_top_of_the_full_rows() {
     let path = scratch.path("capped.idx");
 
     // Packed from a run, before any disk trip.
-    let (full, mut artifact) = full_rows_and_artifact(&pair);
-    assert_top_of_full_rows(&artifact, &full, "from_run");
+    let (full, long, mut artifact) = full_rows_and_artifact(&pair);
+    assert_top_of_full_rows(&artifact, &full, long, "from_run");
 
     // Written and read back.
     artifact.write_to(&path).expect("persist artifact");
     let loaded = IndexArtifact::read_from(&path).expect("load artifact");
-    assert_top_of_full_rows(&loaded, &full, "read_from");
+    assert_top_of_full_rows(&loaded, &full, long, "read_from");
 
     // Patched, persisted and read back, against a fresh run over the
     // mutated pair.
@@ -199,8 +210,8 @@ fn persisted_rows_are_the_top_of_the_full_rows() {
     let patched = IndexArtifact::read_from(&path).expect("load patched artifact");
     let mut mutated = pair.clone();
     minoaner::kb::delta::apply_to_pair(&mut mutated, &ops);
-    let (full_mutated, _) = full_rows_and_artifact(&mutated);
-    assert_top_of_full_rows(&patched, &full_mutated, "patch");
+    let (full_mutated, long_mutated, _) = full_rows_and_artifact(&mutated);
+    assert_top_of_full_rows(&patched, &full_mutated, long_mutated, "patch");
 }
 
 #[test]

@@ -4,13 +4,16 @@
 //! similarity values. This is the contract that makes `--executor` a
 //! pure performance knob.
 
+use minoaner::blocking::BlockCollection;
 use minoaner::core::{
     build_blocks, top_neighbors_with, Candidate, MatchOutput, MinoanConfig, MinoanEr, Ranked,
     SimilarityIndex, MAX_CANDIDATES,
 };
 use minoaner::datagen::DatasetKind;
 use minoaner::exec::{Executor, ExecutorKind};
-use minoaner::kb::{EntityId, KbPair, KbSide, Matching};
+use minoaner::kb::{EntityId, FxHashMap, KbPair, KbSide, Matching, TokenId};
+use minoaner::sim::token_weight;
+use minoaner::text::TokenizedPair;
 
 const SEED: u64 = 20180416;
 const SCALE: f64 = 0.1;
@@ -73,9 +76,11 @@ const GOLDEN_FINGERPRINTS: [[u64; 3]; 4] = [
         0x5fbf_7dd0_2c29_c20d,
         0x4f29_c993_26c5_73a7,
     ],
+    // The second side's rows past MAX_CANDIDATES are cut (LONG_ROWS),
+    // so its hash alone re-pinned when the index began to cut them.
     [
         0xb1a5_1617_df41_e55b,
-        0x7238_f0df_79fd_48f0,
+        0x5df2_3d8e_a6c5_354f,
         0xf5b5_1f7c_6f34_13c8,
     ],
     [
@@ -86,11 +91,14 @@ const GOLDEN_FINGERPRINTS: [[u64; 3]; 4] = [
 ];
 
 /// Per profile, as [`GOLDEN_FINGERPRINTS`]: how many candidate rows are
-/// longer than [`MAX_CANDIDATES`] — value and neighbor rows of the first
-/// side, then of the second. Rows are stored ranked and read through
-/// the index's reader, so these rows are where the fingerprints cover
-/// the reader's sorted tail; at least one profile must have some, or
-/// the gate would pass without reading a tail.
+/// longer than [`MAX_CANDIDATES`] at the run — value and neighbor rows
+/// of the first side, then of the second. The first side is the probe
+/// side on every profile: its rows are stored whole, ranked, and read
+/// through the index's reader, so these rows are where the fingerprints
+/// cover the reader's sorted tail. The second side's such rows are the
+/// ones the index cut to their best [`MAX_CANDIDATES`] ([`Ranked::is_cut`]),
+/// so its counts prove the cut happened. At least one profile must have
+/// some of each, or the gate would pass without reading a tail or a cut.
 const LONG_ROWS: [[usize; 4]; 4] = [[0; 4], [55, 5, 0, 0], [145, 140, 64, 25], [0; 4]];
 
 /// Both candidate rows of `e`, value then neighbor, read as far as the
@@ -108,14 +116,19 @@ fn read(row: Ranked<'_>) -> Vec<Candidate> {
     row.take(len).collect()
 }
 
-/// Counts the rows of `idx` longer than [`MAX_CANDIDATES`], in
-/// [`LONG_ROWS`]' layout.
+/// Counts the rows of `idx` longer than [`MAX_CANDIDATES`] at the run,
+/// stored whole or cut, in [`LONG_ROWS`]' layout.
 fn long_rows(idx: &SimilarityIndex, counts: [usize; 2]) -> [usize; 4] {
     let mut long = [0; 4];
     for side in [KbSide::First, KbSide::Second] {
         for e in (0..counts[side.index()] as u32).map(EntityId) {
-            for (kind, row) in rows(idx, side, e).iter().enumerate() {
-                long[2 * side.index() + kind] += usize::from(row.len() > MAX_CANDIDATES);
+            let both = [
+                idx.value_candidates(side, e),
+                idx.neighbor_candidates(side, e),
+            ];
+            for (kind, row) in both.iter().enumerate() {
+                let cut = row.len() > MAX_CANDIDATES || row.is_cut();
+                long[2 * side.index() + kind] += usize::from(cut);
             }
         }
     }
@@ -237,6 +250,154 @@ fn candidate_orderings_are_bit_identical_on_every_profile() {
                 d.name
             );
         }
+    }
+}
+
+/// The matching of BBC at [`SEED`]/[`SCALE`] with its two KBs swapped,
+/// as [`matching_fingerprint`] hashes it: captured before the index
+/// began to cut rows, when every row was stored whole.
+const SWAPPED_BBC_MATCHING: u64 = 0x780b_5bab_71aa_e634;
+
+/// The reference candidate order: similarity descending through the
+/// float comparison, ties by entity id ascending.
+fn cand_cmp(a: &Candidate, b: &Candidate) -> std::cmp::Ordering {
+    b.1.partial_cmp(&a.1)
+        .unwrap_or(std::cmp::Ordering::Equal)
+        .then(a.0.cmp(&b.0))
+}
+
+/// Both sides' full value and neighbor rows, computed the naive way:
+/// `valueSim` from one pair-keyed map over the blocks in block order,
+/// `neighborNSim` straight from its formula over the value candidates,
+/// each sum in the order the index adds it, every row fully sorted.
+fn naive_rows(
+    blocks: &BlockCollection,
+    tokens: &TokenizedPair,
+    top: [&[Vec<EntityId>]; 2],
+) -> [[Vec<Vec<Candidate>>; 2]; 2] {
+    let n = [KbSide::First, KbSide::Second].map(|side| tokens.entity_count(side));
+    let mut value: FxHashMap<(EntityId, EntityId), f64> = FxHashMap::default();
+    for b in blocks.blocks() {
+        let t = TokenId(b.key);
+        let w = token_weight(
+            tokens.dict().ef(KbSide::First, t),
+            tokens.dict().ef(KbSide::Second, t),
+        );
+        for &e1 in &b.firsts {
+            for &e2 in &b.seconds {
+                *value.entry((e1, e2)).or_insert(0.0) += w;
+            }
+        }
+    }
+    let mut value_firsts = vec![Vec::new(); n[0]];
+    for (&(e1, e2), &v) in &value {
+        value_firsts[e1.index()].push((e2, v));
+    }
+    let mut neighbor: FxHashMap<(EntityId, EntityId), f64> = FxHashMap::default();
+    let mut acc = vec![0.0; n[1]];
+    for (e1, cands) in value_firsts.iter().enumerate() {
+        for nb1 in &top[0][e1] {
+            for &(nb2, v) in &value_firsts[nb1.index()] {
+                acc[nb2.index()] += v;
+            }
+        }
+        for &(e2, _) in cands {
+            let s = top[1][e2.index()]
+                .iter()
+                .fold(0.0, |s, nb2| s + acc[nb2.index()]);
+            if s > 0.0 {
+                neighbor.insert((EntityId(e1 as u32), e2), s);
+            }
+        }
+        acc.fill(0.0);
+    }
+    [value, neighbor].map(|pairs| {
+        let mut rows = n.map(|len| vec![Vec::new(); len]);
+        for (&(e1, e2), &v) in &pairs {
+            rows[0][e1.index()].push((e2, v));
+            rows[1][e2.index()].push((e1, v));
+        }
+        for row in rows.iter_mut().flatten() {
+            row.sort_by(cand_cmp);
+        }
+        rows
+    })
+}
+
+/// No benchmark profile has a larger first KB, so BBC with its sides
+/// swapped stands in: the first side is then the non-probe side, with
+/// value rows past [`MAX_CANDIDATES`] that the neighbor pass must still
+/// read whole, and neighbor rows the transpose must still read whole.
+/// Probe rows must equal the naive reference, every other row its top
+/// `min(len, MAX_CANDIDATES)`, lookups and counts must stay exact, and
+/// the matching must not move.
+#[test]
+fn first_side_larger_cuts_its_rows_after_their_last_whole_read() {
+    let d = DatasetKind::BbcDbpedia.generate_scaled(SEED, SCALE);
+    let pair = KbPair::new(d.pair.second.clone(), d.pair.first.clone());
+    assert_eq!(pair.smaller_side(), KbSide::Second);
+    let config = MinoanConfig::default();
+    let seq = Executor::sequential();
+    let art = build_blocks(&pair, &config, &seq);
+    let [tn1, tn2] = [&pair.first, &pair.second]
+        .map(|kb| top_neighbors_with(kb, config.top_relations_n, config.max_top_neighbors, &seq));
+    let want = naive_rows(&art.token_blocks, &art.tokens, [&tn1, &tn2]);
+    for exec in [seq.clone(), Executor::new(ExecutorKind::Pool, 3)] {
+        let idx = SimilarityIndex::build_with(&art.token_blocks, &art.tokens, [&tn1, &tn2], &exec);
+        for side in [KbSide::First, KbSide::Second] {
+            let mut cut = 0;
+            for (kind, rows) in want.iter().enumerate() {
+                for (i, full) in rows[side.index()].iter().enumerate() {
+                    let e = EntityId(i as u32);
+                    let row = match kind {
+                        0 => idx.value_candidates(side, e),
+                        _ => idx.neighbor_candidates(side, e),
+                    };
+                    let label = format!("{side:?} {e} ({})", ["value", "neighbor"][kind]);
+                    let keep = match side {
+                        KbSide::Second => full.len(),
+                        KbSide::First => full.len().min(MAX_CANDIDATES),
+                    };
+                    assert_eq!(row.is_cut(), keep < full.len(), "{label}");
+                    cut += usize::from(row.is_cut());
+                    let bits = |row: &[Candidate]| {
+                        row.iter()
+                            .map(|&(c, v)| (c, v.to_bits()))
+                            .collect::<Vec<_>>()
+                    };
+                    assert_eq!(bits(&read(row)), bits(&full[..keep]), "{label}");
+                }
+            }
+            assert_eq!(cut > 0, side == KbSide::First, "{side:?}: {cut} rows cut");
+        }
+        let pairs = |kind: usize| want[kind][0].iter().map(Vec::len).sum::<usize>();
+        assert_eq!(idx.pair_count(), pairs(0));
+        assert_eq!(idx.neighbor_pair_count(), pairs(1));
+        for (kind, rows) in want.iter().enumerate() {
+            for (i, full) in rows[0].iter().enumerate().step_by(7) {
+                for &(c, v) in full {
+                    let e = EntityId(i as u32);
+                    let got = match kind {
+                        0 => idx.value_sim(e, c),
+                        _ => idx.neighbor_sim(e, c),
+                    };
+                    assert_eq!(got.to_bits(), v.to_bits(), "sim of ({e}, {c})");
+                }
+            }
+        }
+    }
+    for threads in [1, 3] {
+        let kind = if threads == 1 {
+            ExecutorKind::Sequential
+        } else {
+            ExecutorKind::Pool
+        };
+        let matching = run(config_with(kind, threads), &pair).matching;
+        assert_eq!(
+            matching_fingerprint(&matching),
+            SWAPPED_BBC_MATCHING,
+            "the swapped pair's matching moved at {threads} threads"
+        );
     }
 }
 

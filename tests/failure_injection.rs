@@ -2,7 +2,7 @@
 //! gracefully, never panic, on degenerate or corrupted inputs — and a
 //! poisoned job in a serving fleet must fail alone.
 
-use minoaner::core::{build_blocks, MinoanConfig, MinoanEr};
+use minoaner::core::{build_blocks, MinoanConfig, MinoanEr, MAX_CANDIDATES};
 use minoaner::exec::Executor;
 use minoaner::kb::{parse, KbBuilder, KbPair};
 use minoaner::serve::{
@@ -110,28 +110,34 @@ fn duplicate_triples_are_harmless() {
 
 #[test]
 fn extreme_configs_do_not_panic() {
+    // Every pair shares three tokens, so without purging every row runs
+    // past MAX_CANDIDATES, and the larger side's rows are cut to it.
     let mut a = KbBuilder::new("a");
     let mut b = KbBuilder::new("b");
-    for i in 0..30 {
-        a.add_literal(
-            &format!("a:{i}"),
-            "name",
-            &format!("entity {i} shared words"),
-        );
-        b.add_literal(
-            &format!("b:{i}"),
-            "name",
-            &format!("entity {i} shared words"),
-        );
+    for (kb, prefix, n) in [(&mut a, "a", 150), (&mut b, "b", 160)] {
+        for i in 0..n {
+            kb.add_literal(
+                &format!("{prefix}:{i}"),
+                "name",
+                &format!("entity {i} shared words"),
+            );
+        }
     }
     let pair = KbPair::new(a.finish(), b.finish());
+    assert!(MinoanEr::new(MinoanConfig {
+        candidates_k: MAX_CANDIDATES + 1,
+        ..Default::default()
+    })
+    .is_err());
     for config in [
         MinoanConfig {
             candidates_k: 1,
             ..Default::default()
         },
+        // H4 reads every cut row to its last stored candidate.
         MinoanConfig {
-            candidates_k: 10_000,
+            candidates_k: MAX_CANDIDATES,
+            purge_blocks: false,
             ..Default::default()
         },
         MinoanConfig {
