@@ -57,10 +57,10 @@
 //!
 //! # Which rows are whole
 //!
-//! H2 and H3 probe the **smaller** KB only — the *probe side*, by
-//! [`KbPair::smaller_side`](minoan_kb::KbPair::smaller_side)'s rule:
-//! the side with fewer entities, the first on a tie. The index derives
-//! it from the tokenized entity counts. A probe row is read as far as a
+//! H2 and H3 probe the **smaller** KB only — the *probe side*,
+//! [`KbSide::smaller`]: the side with fewer entities, the first on a
+//! tie, the rule [`KbPair::smaller_side`](minoan_kb::KbPair::smaller_side)
+//! applies too. The index derives it from the tokenized entity counts. A probe row is read as far as a
 //! heuristic needs, so it is kept **whole**.
 //!
 //! A row of the other side is read only by H4, up to `K`, and by a
@@ -305,26 +305,25 @@ impl Rows {
         let parts = exec.map_parts(n, |range| {
             let mut scratch = RowScratch::new(n_other);
             let mut row = Vec::new();
-            let mut part = Rows::default();
             let mut csr = CandidateCsr::default();
-            part.starts.push(range.start);
+            let mut cut_rows = Vec::new();
+            let start = range.start;
             for e in range {
                 row_of(&mut scratch, e, &mut row);
                 if cut && row.len() > MAX_CANDIDATES {
-                    part.cut.push(e as u32);
+                    cut_rows.push(e as u32);
                     row.truncate(MAX_CANDIDATES);
                 }
                 csr.push_row(&row);
             }
             csr.shrink_to_fit();
-            part.parts.push(csr);
-            part
+            (start, csr, cut_rows)
         });
         let mut rows = Rows::default();
-        for part in parts {
-            rows.parts.extend(part.parts);
-            rows.starts.extend(part.starts);
-            rows.cut.extend(part.cut);
+        for (start, csr, cut_rows) in parts {
+            rows.starts.push(start);
+            rows.parts.push(csr);
+            rows.cut.extend(cut_rows);
         }
         rows
     }
@@ -514,11 +513,7 @@ impl SimilarityIndex {
         exec: &Executor,
     ) -> Self {
         let n = [KbSide::First, KbSide::Second].map(|side| tokens.entity_count(side));
-        let probe = if n[0] <= n[1] {
-            KbSide::First
-        } else {
-            KbSide::Second
-        };
+        let probe = KbSide::smaller(n);
         let cut = |side: KbSide| side != probe;
         let weights = block_weights(blocks, tokens, exec);
         // The neighbor pass reads the first side's value rows whole.

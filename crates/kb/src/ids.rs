@@ -86,6 +86,16 @@ impl KbSide {
             KbSide::Second => 1,
         }
     }
+
+    /// The side with fewer entities, given the entity counts of the
+    /// first and second side; the first on a tie.
+    pub fn smaller(counts: [usize; 2]) -> Self {
+        if counts[0] <= counts[1] {
+            KbSide::First
+        } else {
+            KbSide::Second
+        }
+    }
 }
 
 /// An entity qualified by the side of the pair it lives on.

@@ -42,11 +42,7 @@ impl KbPair {
 
     /// The side with fewer entities (H2 iterates the smaller KB).
     pub fn smaller_side(&self) -> KbSide {
-        if self.first.entity_count() <= self.second.entity_count() {
-            KbSide::First
-        } else {
-            KbSide::Second
-        }
+        KbSide::smaller([self.first.entity_count(), self.second.entity_count()])
     }
 
     /// The Cartesian comparison count `|E1| · |E2|` (brute-force baseline
