@@ -31,7 +31,7 @@ impl Default for CandidateCsr {
 
 impl CandidateCsr {
     /// `rows` empty rows.
-    pub fn empty(rows: usize) -> Self {
+    pub(crate) fn empty(rows: usize) -> Self {
         Self {
             offsets: vec![0; rows + 1],
             ids: Vec::new(),
@@ -72,7 +72,7 @@ impl CandidateCsr {
     }
 
     /// The offsets array (`rows + 1` entries).
-    pub fn offsets(&self) -> &[usize] {
+    pub(crate) fn offsets(&self) -> &[usize] {
         &self.offsets
     }
 

@@ -20,12 +20,12 @@
 //!   the pool backend runs it as
 //!   [`POOL_TASK_ITEMS`](minoan_exec::POOL_TASK_ITEMS)-bounded tasks
 //!   and a cancel or deadline is observed within one task quantum — the
-//!   promise [`minoan_exec::cancel`] makes for every stage. Each part
-//!   appends its rows to its own flat buffers, and the parts are joined
-//!   in part order;
+//!   promise [`minoan_exec::cancel`] makes for every stage;
 //! - candidate lists are stored as **CSR** ([`CandidateCsr`]): flat
 //!   parallel id and similarity buffers plus offsets, 12 bytes per
-//!   candidate, instead of one allocation per entity;
+//!   candidate, instead of one allocation per entity. Each executor
+//!   part appends its rows to its own CSR, and the index reads the parts
+//!   in place, in part order — no staging rows, no copy into one buffer;
 //! - the `neighborNSim` pass is embarrassingly parallel over `e1` and
 //!   accumulates on the same dense scratch; its reverse direction is a
 //!   parallel CSR **transpose** (partial histograms → per-part cursors →
@@ -59,9 +59,10 @@
 //!
 //! H2 and H3 probe the **smaller** KB only — the *probe side*,
 //! [`KbSide::smaller`]: the side with fewer entities, the first on a
-//! tie, the rule [`KbPair::smaller_side`](minoan_kb::KbPair::smaller_side)
-//! applies too. The index derives it from the tokenized entity counts. A probe row is read as far as a
-//! heuristic needs, so it is kept **whole**.
+//! tie, the rule
+//! [`KbPair::smaller_side`](minoan_kb::KbPair::smaller_side) applies
+//! too. The index derives it from the tokenized entity counts. A probe
+//! row is read as far as a heuristic needs, so it is kept **whole**.
 //!
 //! A row of the other side is read only by H4, up to `K`, and by a
 //! persisted index, up to [`MAX_CANDIDATES`]; the configuration bounds

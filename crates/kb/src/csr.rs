@@ -1,7 +1,7 @@
 //! Compressed sparse row (CSR) storage.
 //!
-//! Per-entity adjacency (candidate lists, block memberships) was
-//! originally stored as `Vec<Vec<T>>` — one heap allocation per entity.
+//! Per-entity adjacency (block memberships) was originally stored as
+//! `Vec<Vec<T>>` — one heap allocation per entity.
 //! [`Csr`] packs all rows into one flat item buffer plus an offsets
 //! array: a single allocation, cache-friendly row scans, and cheap
 //! construction from parallel partial results (each part fills a
@@ -79,20 +79,10 @@ impl<T> Csr<T> {
         &self.items[self.offsets[i]..self.offsets[i + 1]]
     }
 
-    /// The item range of row `i` within [`Csr::items`].
+    /// The item range of row `i` within the flat item buffer.
     #[inline]
     pub fn row_range(&self, i: usize) -> std::ops::Range<usize> {
         self.offsets[i]..self.offsets[i + 1]
-    }
-
-    /// The flat item buffer.
-    pub fn items(&self) -> &[T] {
-        &self.items
-    }
-
-    /// The offsets array (`rows + 1` entries).
-    pub fn offsets(&self) -> &[usize] {
-        &self.offsets
     }
 
     /// Iterates the rows as slices.

@@ -1823,10 +1823,11 @@ mod tests {
     fn invalid_override_fails_alone() {
         let mut manifest = small_manifest();
         manifest.jobs[1].theta = Some(0.999999); // valid
-        manifest.jobs[1].candidates_k = Some(MAX_CANDIDATES); // the widest valid K
-                                                              // Bypass manifest validation to exercise the scheduler's own
-                                                              // config check: hand-built specs with an out-of-range theta and
-                                                              // a K past the longest candidate row an index keeps.
+                                                 // The widest valid K.
+        manifest.jobs[1].candidates_k = Some(MAX_CANDIDATES);
+        // Bypass manifest validation to exercise the scheduler's own
+        // config check: hand-built specs with an out-of-range theta and
+        // a K past the longest candidate row an index keeps.
         let mut bad = synthetic_job("bad", DatasetKind::Restaurant, 0.05);
         bad.theta = Some(7.0);
         manifest.jobs.push(bad);

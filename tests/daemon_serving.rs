@@ -257,15 +257,20 @@ fn malformed_frames_get_error_responses_and_never_wedge_the_daemon() {
         let id = client.submit("survivor", "restaurant", 0.1);
 
         // Raw frames on a separate connection: invalid UTF-8, invalid
-        // JSON, a missing `op`, a wrong-typed `op`. Every one must get
+        // JSON, a missing `op`, a wrong-typed `op`, a job whose `k` runs
+        // past the longest row the index keeps. Every one must get
         // an {"ok":false} response on the same still-usable connection.
         let mut stream = TcpStream::connect(addr).unwrap();
         let mut reader = BufReader::new(stream.try_clone().unwrap());
-        let frames: [(&[u8], &str); 4] = [
+        let frames: [(&[u8], &str); 5] = [
             (b"{\"op\": \"w\xc3\x28at\"}\n", "invalid UTF-8"),
             (b"{\"op\": \n", "bad request JSON"),
             (b"{\"id\": 3}\n", "`op`"),
             (b"{\"op\": 7}\n", "`op`"),
+            (
+                b"{\"op\":\"submit\",\"job\":{\"name\":\"wide\",\"dataset\":\"rexa\",\"k\":129}}\n",
+                "k must be in 1..=128, got 129",
+            ),
         ];
         for (frame, needle) in frames {
             stream.write_all(frame).unwrap();

@@ -465,6 +465,15 @@ fn oversized_and_malformed_requests_get_clean_errors() {
         let r = http.raw(&invalid, false);
         assert_eq!(r.status, 400);
         assert!(r.body.contains("invalid UTF-8"), "{}", r.body);
+        // A job whose K runs past the longest row the index keeps -> 400.
+        let wide = Json::parse(r#"{"name":"wide","dataset":"restaurant","scale":0.05,"k":129}"#);
+        let r = http.request("POST", "/v1/jobs", Some(&wide.unwrap()));
+        assert_eq!(r.status, 400, "{}", r.body);
+        assert!(
+            r.body.contains("k must be in 1..=128, got 129"),
+            "{}",
+            r.body
+        );
 
         // Bad job ids, unknown ids, unknown paths, wrong methods.
         let r = http.request("GET", "/v1/jobs/banana", None);
