@@ -11,9 +11,9 @@
 //! - [`run_paris`]: a PARIS-like probabilistic matcher driven by exact
 //!   shared values and relation functionality.
 //!
-//! LINDA and RiMOM results are quoted from their publications in the
-//! paper itself; the `repro_table3` harness prints those reference rows
-//! verbatim (see DESIGN.md §3).
+//! LINDA and RiMOM are not re-run: their Table III rows are quoted from
+//! the paper in `minoan_eval::paper`, and the Table III test in
+//! `tests/pipeline_integration.rs` prints them beside the measured rows.
 
 #![warn(missing_docs)]
 

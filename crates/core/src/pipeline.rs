@@ -95,9 +95,9 @@ pub struct IndexedOutput {
     pub index: SimilarityIndex,
 }
 
-/// Intermediate artifacts of the pipeline, exposed for the benchmark
-/// harness (Table II needs the block collections, BSL consumes the same
-/// `BN ∪ BT` input as MinoanER).
+/// Intermediate artifacts of the pipeline, exposed for the paper's
+/// table tests (Table II needs the block collections, BSL consumes the
+/// same `BN ∪ BT` input as MinoanER).
 pub struct BlockingArtifacts {
     /// The tokenized pair with the shared dictionary.
     pub tokens: TokenizedPair,

@@ -4,8 +4,8 @@
 //! paper's benchmarks (Table I), scaled to laptop size. What MinoanER
 //! sees is entirely determined by token-frequency statistics, name
 //! uniqueness, schema scatter and link structure — exactly the knobs
-//! these profiles control (see DESIGN.md §3 for the substitution
-//! rationale):
+//! these profiles control (the real pairs' statistics are transcribed in
+//! `minoan_eval::paper`):
 //!
 //! - [`DatasetKind::Restaurant`]: tiny, strongly similar pair with
 //!   address companions — everything matches on names and values;

@@ -5,7 +5,9 @@
 //! or laptop-scale. This crate generates *signature-preserving synthetic
 //! analogues*: seeded worlds of canonical entities rendered into two
 //! heterogeneous KBs with controlled name uniqueness, token overlap,
-//! schema scatter and link structure (see DESIGN.md §3).
+//! schema scatter and link structure. The real pairs' statistics are
+//! transcribed in `minoan_eval::paper`; `tests/pipeline_integration.rs`
+//! checks the generated pairs against their signature.
 //!
 //! ```
 //! use minoan_datagen::DatasetKind;

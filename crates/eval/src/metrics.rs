@@ -43,20 +43,6 @@ impl MatchQuality {
         }
     }
 
-    /// Evaluates without the first-KB restriction: every predicted pair
-    /// counts. Used by ablations that want the strict global view.
-    pub fn evaluate_strict(predicted: &Matching, truth: &GroundTruth) -> Self {
-        let tp = predicted
-            .iter()
-            .filter(|&(e1, e2)| truth.contains(e1, e2))
-            .count();
-        Self {
-            true_positives: tp,
-            predicted: predicted.len(),
-            actual: truth.len(),
-        }
-    }
-
     /// `TP / predicted` (1 when nothing was predicted and nothing exists,
     /// 0 when predictions exist but none are right).
     pub fn precision(&self) -> f64 {
@@ -88,15 +74,6 @@ impl MatchQuality {
         } else {
             2.0 * p * r / (p + r)
         }
-    }
-
-    /// Renders `P/R/F1` as percentages with one decimal, for tables.
-    pub fn as_percent_row(&self) -> [String; 3] {
-        [
-            format!("{:.1}", self.precision() * 100.0),
-            format!("{:.1}", self.recall() * 100.0),
-            format!("{:.1}", self.f1() * 100.0),
-        ]
     }
 }
 
@@ -138,11 +115,9 @@ mod tests {
         let pred = Matching::from_pairs([(e(0), e(0)), (e(7), e(7))]);
         let q = MatchQuality::evaluate(&pred, &truth);
         assert_eq!(q.predicted, 1);
+        assert_eq!(q.true_positives, 1);
+        assert_eq!(q.actual, 1);
         assert_eq!(q.precision(), 1.0);
-        // The strict variant counts it.
-        let qs = MatchQuality::evaluate_strict(&pred, &truth);
-        assert_eq!(qs.predicted, 2);
-        assert!((qs.precision() - 0.5).abs() < 1e-12);
     }
 
     #[test]
@@ -159,13 +134,5 @@ mod tests {
         let wrong = Matching::from_pairs([(e(5), e(5))]);
         let q = MatchQuality::evaluate(&wrong, &truth);
         assert_eq!(q.precision(), 0.0);
-    }
-
-    #[test]
-    fn percent_row_formats() {
-        let truth = Matching::from_pairs([(e(0), e(0)), (e(1), e(1))]);
-        let pred = Matching::from_pairs([(e(0), e(0))]);
-        let q = MatchQuality::evaluate(&pred, &truth);
-        assert_eq!(q.as_percent_row(), ["100.0", "50.0", "66.7"]);
     }
 }

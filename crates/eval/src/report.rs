@@ -1,8 +1,8 @@
 //! Plain-text report tables.
 //!
-//! The `repro_*` binaries print tables shaped like the paper's, with a
-//! `paper` and a `measured` row per metric so the reader can compare the
-//! reproduction at a glance.
+//! `tests/pipeline_integration.rs` prints tables shaped like the paper's,
+//! each cell or row holding the paper's value beside the measured one, so
+//! the reader can compare the reproduction at a glance.
 
 /// A simple right-aligned ASCII table with a header row.
 #[derive(Debug, Clone, Default)]
@@ -28,26 +28,10 @@ impl Table {
         self
     }
 
-    /// Appends a row of string slices.
-    pub fn row_str(&mut self, cells: &[&str]) -> &mut Self {
-        let owned: Vec<String> = cells.iter().map(|s| s.to_string()).collect();
-        self.row(&owned)
-    }
-
     /// Appends a horizontal separator.
     pub fn separator(&mut self) -> &mut Self {
         self.rows.push(Vec::new());
         self
-    }
-
-    /// Number of data rows (separators included).
-    pub fn len(&self) -> usize {
-        self.rows.len()
-    }
-
-    /// Whether the table has no rows.
-    pub fn is_empty(&self) -> bool {
-        self.rows.is_empty()
     }
 
     /// Renders the table. The first column is left-aligned, the rest
@@ -97,21 +81,28 @@ pub fn scientific(v: u128) -> String {
     if v < 100_000 {
         return v.to_string();
     }
-    let f = v as f64;
-    let exp = f.log10().floor() as i32;
-    let mantissa = f / 10f64.powi(exp);
-    format!("{mantissa:.2}e{exp}")
+    // The exponent is chosen after rounding: 999 999 is 1.00e6, not 10.00e5.
+    let mantissa = |exp: u32| format!("{:.2}", v as f64 / 10f64.powi(exp as i32));
+    let exp = v.ilog10();
+    match mantissa(exp) {
+        m if m.starts_with("10") => format!("{}e{}", mantissa(exp + 1), exp + 1),
+        m => format!("{m}e{exp}"),
+    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
 
+    fn cells(cells: &[&str]) -> Vec<String> {
+        cells.iter().map(|s| s.to_string()).collect()
+    }
+
     #[test]
     fn renders_aligned_columns() {
         let mut t = Table::new(&["dataset", "P", "R"]);
-        t.row_str(&["Restaurant", "100.0", "100.0"]);
-        t.row_str(&["Rexa-DBLP", "96.7", "95.3"]);
+        t.row(&cells(&["Restaurant", "100.0", "100.0"]));
+        t.row(&cells(&["Rexa-DBLP", "96.7", "95.3"]));
         let s = t.render();
         let lines: Vec<&str> = s.lines().collect();
         assert_eq!(lines.len(), 4);
@@ -125,17 +116,18 @@ mod tests {
     #[test]
     fn separator_draws_a_line() {
         let mut t = Table::new(&["a", "b"]);
-        t.row_str(&["x", "y"]).separator().row_str(&["z", "w"]);
+        t.row(&cells(&["x", "y"]))
+            .separator()
+            .row(&cells(&["z", "w"]));
         let s = t.render();
+        assert_eq!(s.lines().count(), 5);
         assert_eq!(s.lines().filter(|l| l.starts_with('-')).count(), 2);
-        assert_eq!(t.len(), 3);
-        assert!(!t.is_empty());
     }
 
     #[test]
     fn short_rows_are_padded() {
         let mut t = Table::new(&["a", "b", "c"]);
-        t.row_str(&["only"]);
+        t.row(&cells(&["only"]));
         let s = t.render();
         assert!(s.lines().count() == 3);
     }
@@ -144,7 +136,10 @@ mod tests {
     fn scientific_formatting() {
         assert_eq!(scientific(83), "83");
         assert_eq!(scientific(1800), "1800");
+        assert_eq!(scientific(100_000), "1.00e5");
         assert_eq!(scientific(654_000_000), "6.54e8");
+        assert_eq!(scientific(999_999), "1.00e6");
+        assert_eq!(scientific(9_999_999), "1.00e7");
         assert_eq!(scientific(27_800_000_000_000), "2.78e13");
     }
 }
