@@ -132,7 +132,7 @@ use minoan_core::{
 };
 use minoan_datagen::DatasetKind;
 use minoan_eval::MatchQuality;
-use minoan_kb::{GroundTruth, Json, KbPair, KbSide, KnowledgeBase, Matching};
+use minoan_kb::{GroundTruth, Json, KbPair, KnowledgeBase, Matching};
 use minoan_serve::{
     run_batch_streaming, run_server, CancelToken, Frontends, HttpOptions, JobReport, Manifest,
     ServeOptions,
@@ -249,17 +249,6 @@ fn fleet_flag(fleet: &mut FleetArgs, flag: &str, it: &mut Args) -> Result<bool, 
         _ => return Ok(false),
     }
     Ok(true)
-}
-
-/// A benchmark profile by its command-line name.
-fn dataset_kind(name: &str) -> Option<DatasetKind> {
-    match name {
-        "restaurant" => Some(DatasetKind::Restaurant),
-        "rexa" => Some(DatasetKind::RexaDblp),
-        "bbc" => Some(DatasetKind::BbcDbpedia),
-        "yago" => Some(DatasetKind::YagoImdb),
-        _ => None,
-    }
 }
 
 /// Loads a KB by **streaming** the file through the chunked parallel
@@ -478,7 +467,7 @@ fn index_build(args: &[String]) {
             "--dir" => dir = Some(or_usage(value(&mut it))),
             "--dataset" => {
                 let kind: String = or_usage(value(&mut it));
-                dataset = Some(dataset_kind(&kind).unwrap_or_else(|| usage()))
+                dataset = Some(DatasetKind::parse(&kind).unwrap_or_else(|| usage()))
             }
             "--scale" => scale = or_usage(value(&mut it)),
             "--seed" => seed = or_usage(value(&mut it)),
@@ -592,43 +581,7 @@ fn index_query(args: &[String]) {
         exit(1);
     };
     let query_ms = t1.elapsed().as_secs_f64() * 1e3;
-    let body = Json::obj([
-        ("index", Json::str(&artifact.meta().name)),
-        ("entity", Json::str(&answer.entity)),
-        (
-            "side",
-            Json::str(match answer.side {
-                KbSide::First => "first",
-                KbSide::Second => "second",
-            }),
-        ),
-        (
-            "matches",
-            Json::Arr(answer.matches.iter().map(Json::str).collect()),
-        ),
-        (
-            "candidates",
-            Json::Arr(
-                answer
-                    .candidates
-                    .iter()
-                    .map(|(uri, score)| {
-                        Json::obj([("uri", Json::str(uri)), ("score", Json::num(*score))])
-                    })
-                    .collect(),
-            ),
-        ),
-        (
-            "stage_timings_ms",
-            Json::obj([
-                ("ingest", Json::num(0.0)),
-                ("blocking", Json::num(0.0)),
-                ("similarities", Json::num(0.0)),
-                ("load", Json::num(load_ms)),
-                ("query", Json::num(query_ms)),
-            ]),
-        ),
-    ]);
+    let body = answer.to_json(&artifact.meta().name, load_ms, query_ms);
     println!("{}", body.pretty());
 }
 
@@ -701,10 +654,10 @@ fn index_patch(args: &[String]) {
         ("ops_applied", Json::num(delta.ops_applied as f64)),
         ("ops_noop", Json::num(delta.ops_noop as f64)),
         ("affected_rows", Json::num(delta.affected_rows as f64)),
-        ("h1_matches", Json::num(delta.h1_matches as f64)),
-        ("h2_matches", Json::num(delta.h2_matches as f64)),
-        ("h3_matches", Json::num(delta.h3_matches as f64)),
-        ("h4_removed", Json::num(delta.h4_removed as f64)),
+        ("h1_matches", Json::num(delta.pipeline.h1_matches as f64)),
+        ("h2_matches", Json::num(delta.pipeline.h2_matches as f64)),
+        ("h3_matches", Json::num(delta.pipeline.h3_matches as f64)),
+        ("h4_removed", Json::num(delta.pipeline.h4_removed as f64)),
         ("matched_pairs", Json::num(delta.matched_pairs as f64)),
         (
             "stage_timings_ms",
@@ -732,7 +685,7 @@ fn datagen_cmd(args: &[String]) {
             "--seed" => seed = or_usage(value(&mut it)),
             "--mutate-seed" => mutate_seed = or_usage(value(&mut it)),
             "--ops" => n_ops = or_usage(value(&mut it)),
-            name => kind = Some(dataset_kind(name).unwrap_or_else(|| usage())),
+            name => kind = Some(DatasetKind::parse(name).unwrap_or_else(|| usage())),
         }
     }
     let Some(kind) = kind else { usage() };
@@ -923,7 +876,7 @@ fn main() {
                     "--scale" => scale = or_usage(value(&mut it)),
                     "--seed" => seed = or_usage(value(&mut it)),
                     flag if or_usage(executor_flag(&mut config, flag, &mut it)) => {}
-                    name => kind = dataset_kind(name).unwrap_or_else(|| usage()),
+                    name => kind = DatasetKind::parse(name).unwrap_or_else(|| usage()),
                 }
             }
             let d = kind.generate_scaled(seed, scale);
@@ -1172,8 +1125,17 @@ mod tests {
 
     #[test]
     fn dataset_names() {
-        assert_eq!(dataset_kind("rexa"), Some(DatasetKind::RexaDblp));
-        assert_eq!(dataset_kind("yago"), Some(DatasetKind::YagoImdb));
-        assert_eq!(dataset_kind("--scale"), None);
+        // The command line takes what a manifest's `dataset` takes.
+        for (name, kind) in [
+            ("rexa", DatasetKind::RexaDblp),
+            ("yago", DatasetKind::YagoImdb),
+            ("REXA", DatasetKind::RexaDblp),
+            ("rexa-dblp", DatasetKind::RexaDblp),
+            ("BBCmusic-DBpedia", DatasetKind::BbcDbpedia),
+            ("yago-imdb", DatasetKind::YagoImdb),
+        ] {
+            assert_eq!(DatasetKind::parse(name), Some(kind), "{name}");
+        }
+        assert_eq!(DatasetKind::parse("--scale"), None);
     }
 }

@@ -192,7 +192,6 @@ impl ArtifactMeta {
     /// The metadata as a JSON object (the `GET /v1/indexes/{id}` body).
     pub fn to_json(&self) -> Json {
         let config = Json::parse(&self.config_json).unwrap_or(Json::Null);
-        let t = &self.build_timings;
         Json::obj([
             ("name", Json::str(&self.name)),
             ("format_version", Json::num(self.format_version as f64)),
@@ -218,20 +217,7 @@ impl ArtifactMeta {
             ("neighbor_pairs", Json::num(self.neighbor_pair_count as f64)),
             ("matches", Json::num(self.matched_pairs as f64)),
             ("built_unix_ms", Json::num(self.built_unix_ms as f64)),
-            (
-                "build_timings_ms",
-                Json::obj([
-                    ("tokenize", Json::Num(t.tokenize.as_secs_f64() * 1e3)),
-                    ("names_h1", Json::Num(t.names_h1.as_secs_f64() * 1e3)),
-                    ("blocking", Json::Num(t.blocking.as_secs_f64() * 1e3)),
-                    (
-                        "similarities",
-                        Json::Num(t.similarities.as_secs_f64() * 1e3),
-                    ),
-                    ("matching", Json::Num(t.matching.as_secs_f64() * 1e3)),
-                    ("total", Json::Num(t.total().as_secs_f64() * 1e3)),
-                ]),
-            ),
+            ("build_timings_ms", self.build_timings.to_json_ms()),
             ("config", config),
         ])
     }
@@ -251,6 +237,43 @@ pub struct MatchAnswer {
     /// scores, best first: a prefix of the persisted row, so at most
     /// [`MAX_CANDIDATES`] long, and entry for entry the run's own top k.
     pub candidates: Vec<(String, f64)>,
+}
+
+impl MatchAnswer {
+    /// The answer as the body every front end returns for a match
+    /// query against `index`: `load_ms` is the time it took to get the
+    /// index in hand, `query_ms` the time this answer took.
+    pub fn to_json(&self, index: &str, load_ms: f64, query_ms: f64) -> Json {
+        let candidates = self
+            .candidates
+            .iter()
+            .map(|(uri, score)| Json::obj([("uri", Json::str(uri)), ("score", Json::Num(*score))]));
+        Json::obj([
+            ("index", Json::str(index)),
+            ("entity", Json::str(&self.entity)),
+            (
+                "side",
+                Json::str(match self.side {
+                    KbSide::First => "first",
+                    KbSide::Second => "second",
+                }),
+            ),
+            ("matches", Json::arr(self.matches.iter().map(Json::str))),
+            ("candidates", Json::arr(candidates)),
+            (
+                // The zero-ingest guarantee, observable per answer: the
+                // build-once stages cost nothing on this path.
+                "stage_timings_ms",
+                Json::obj([
+                    ("ingest", Json::Num(0.0)),
+                    ("blocking", Json::Num(0.0)),
+                    ("similarities", Json::Num(0.0)),
+                    ("load", Json::Num(load_ms)),
+                    ("query", Json::Num(query_ms)),
+                ]),
+            ),
+        ])
+    }
 }
 
 /// A persistent index, freshly built or loaded — the same five parts
@@ -440,14 +463,7 @@ impl IndexArtifact {
         put_u64(&mut out, m.value_pair_count);
         put_u64(&mut out, m.neighbor_pair_count);
         put_u64(&mut out, m.matched_pairs);
-        let t = &m.build_timings;
-        for d in [
-            t.tokenize,
-            t.names_h1,
-            t.blocking,
-            t.similarities,
-            t.matching,
-        ] {
+        for d in m.build_timings.durations() {
             put_u64(&mut out, d.as_nanos() as u64);
         }
         put_u64(&mut out, m.built_unix_ms);
@@ -494,13 +510,7 @@ fn decode_meta(file: &ArtifactFile) -> Result<ArtifactMeta, ArtifactError> {
         value_pair_count,
         neighbor_pair_count,
         matched_pairs,
-        build_timings: Timings {
-            tokenize: durations[0],
-            names_h1: durations[1],
-            blocking: durations[2],
-            similarities: durations[3],
-            matching: durations[4],
-        },
+        build_timings: Timings::from_durations(durations),
         built_unix_ms,
         config_json,
     })

@@ -38,14 +38,14 @@ use minoan_exec::{faults, CancelToken, Cancelled, Executor};
 use minoan_kb::{DeltaOp, Matching};
 
 use crate::artifact::{ArtifactMeta, IndexArtifact};
-use crate::pipeline::MinoanEr;
+use crate::pipeline::{MinoanEr, PipelineReport};
 
 /// Fault-injection site armed at the start of a patch persist. Combined
 /// with the atomic write underneath, an injected crash here must leave
 /// the on-disk artifact fully old — the chaos suite's invariant.
 pub const PATCH_FAULT_SITE: &str = "core.delta.apply";
 
-/// Counters of one applied delta patch.
+/// What one applied delta patch did.
 #[derive(Debug, Clone, Default)]
 pub struct DeltaReport {
     /// Ops that mutated the pair.
@@ -55,18 +55,13 @@ pub struct DeltaReport {
     /// First-side similarity rows recomputed: every one, `|E1|` after
     /// the ops.
     pub affected_rows: usize,
-    /// Matches contributed by H1 after the patch.
-    pub h1_matches: usize,
-    /// Matches contributed by H2 after the patch.
-    pub h2_matches: usize,
-    /// Matches contributed by H3 after the patch.
-    pub h3_matches: usize,
-    /// Pairs discarded by H4 after the patch.
-    pub h4_removed: usize,
     /// Pairs in the patched matching.
     pub matched_pairs: usize,
     /// The artifact's content version after the patch.
     pub content_version: u64,
+    /// The report of the pipeline run the patch re-resolved with: its
+    /// H1–H4 counters and stage timings.
+    pub pipeline: PipelineReport,
 }
 
 impl IndexArtifact {
@@ -106,17 +101,13 @@ impl IndexArtifact {
         );
         self.candidates = indexed.index.into_value_candidates();
         self.matching = indexed.output.matching;
-        let report = indexed.output.report;
         Ok(DeltaReport {
             ops_applied,
             ops_noop,
             affected_rows: self.pair.first.entity_count(),
-            h1_matches: report.h1_matches,
-            h2_matches: report.h2_matches,
-            h3_matches: report.h3_matches,
-            h4_removed: report.h4_removed,
             matched_pairs: self.matching.len(),
             content_version: self.meta.content_version,
+            pipeline: indexed.output.report,
         })
     }
 

@@ -4,13 +4,13 @@
 //! blocking graph (paper Definition 1). Every similarity is computed
 //! once, from blocks; no matching decision is ever revisited.
 
-use std::time::{Duration, Instant};
+use std::time::Duration;
 
 use minoan_blocking::{
     name_blocking_with, purge_with_exec, token_blocking_with, BlockCollection, PurgeReport,
 };
 use minoan_exec::{CancelToken, Cancelled, Executor};
-use minoan_kb::{EntityId, FxHashSet, KbPair, KbSide, Matching};
+use minoan_kb::{EntityId, FxHashSet, Json, KbPair, KbSide, Matching};
 use minoan_text::{TokenizedPair, Tokenizer};
 
 use crate::config::MinoanConfig;
@@ -45,27 +45,79 @@ pub struct PipelineReport {
     pub timings: Timings,
 }
 
-/// Wall-clock stage timings.
+/// Wall-clock stage timings, each read off its stage's span (see
+/// [`Timings::LABELS`]).
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct Timings {
-    /// Tokenization of both KBs.
+    /// `stage.tokenize`: tokenization of both KBs.
     pub tokenize: Duration,
-    /// H1 alone (the unique-name scan over the finished name blocks).
-    /// Name extraction and name blocking are clocked inside `blocking`.
+    /// `stage.h1`: H1, the unique-name scan over the finished name
+    /// blocks, seeding the matching.
     pub names_h1: Duration,
-    /// Everything else [`build_blocks`] does: name extraction
-    /// for both KBs, name blocking, token blocking and purging.
+    /// `stage.blocking`: everything else [`build_blocks`] does — name
+    /// extraction for both KBs, name blocking, token blocking and
+    /// purging.
     pub blocking: Duration,
-    /// Both top-neighbor passes + similarity-index construction.
+    /// `stage.similarities`: both top-neighbor passes + similarity-index
+    /// construction.
     pub similarities: Duration,
-    /// H2 + H3 + H4.
+    /// `stage.matching`: H2 + H3 + H4.
     pub matching: Duration,
 }
 
 impl Timings {
+    /// The stage table: one label per field, in the order every
+    /// consumer uses — the keys of the `timings_ms`-style JSON objects,
+    /// the Prometheus `stage` label values, and the order of the five
+    /// durations in an index's meta section.
+    pub const LABELS: [&'static str; 5] = [
+        "tokenize",
+        "names_h1",
+        "blocking",
+        "similarities",
+        "matching",
+    ];
+
+    /// The durations in [`Timings::LABELS`] order.
+    pub fn durations(&self) -> [Duration; 5] {
+        [
+            self.tokenize,
+            self.names_h1,
+            self.blocking,
+            self.similarities,
+            self.matching,
+        ]
+    }
+
+    /// The inverse of [`Timings::durations`].
+    pub fn from_durations(
+        [tokenize, names_h1, blocking, similarities, matching]: [Duration; 5],
+    ) -> Self {
+        Timings {
+            tokenize,
+            names_h1,
+            blocking,
+            similarities,
+            matching,
+        }
+    }
+
     /// Total pipeline time.
     pub fn total(&self) -> Duration {
-        self.tokenize + self.names_h1 + self.blocking + self.similarities + self.matching
+        self.durations().iter().sum()
+    }
+
+    /// The table as a JSON object of milliseconds, one member per
+    /// label plus `total`: a job report's `timings_ms` and an index's
+    /// `build_timings_ms`.
+    pub fn to_json_ms(&self) -> Json {
+        let ms = |d: Duration| Json::Num(d.as_secs_f64() * 1e3);
+        Json::obj(
+            Self::LABELS
+                .into_iter()
+                .zip(self.durations().map(ms))
+                .chain([("total", ms(self.total()))]),
+        )
     }
 }
 
@@ -109,14 +161,11 @@ pub struct BlockingArtifacts {
     pub purge: Option<PurgeReport>,
     /// Extracted entity names per side.
     pub names: [Vec<Vec<String>>; 2],
-    /// Wall-clock time spent tokenizing both KBs, measured separately so
-    /// the pipeline can report it apart from blocking proper.
-    pub tokenize_time: Duration,
 }
 
-/// A debug-level span around a pipeline stage or one of its passes;
-/// stage timings for the report are measured by their own `Instant`
-/// clocks, so observation and measurement never share state.
+/// A debug-level span around a pipeline stage or one of its passes.
+/// The five stage spans are also the stages' only clocks: closing one
+/// ([`minoan_obs::trace::Span::close`]) yields its [`Timings`] field.
 pub(crate) fn stage_span(name: &'static str) -> minoan_obs::trace::Span {
     minoan_obs::trace::span(minoan_obs::Level::Debug, name, String::new)
 }
@@ -129,12 +178,22 @@ pub(crate) fn stage_span(name: &'static str) -> minoan_obs::trace::Span {
 /// `config` are ignored. A cancel token on `exec` stops the build at
 /// its next wave (see [`minoan_exec::cancel`]).
 pub fn build_blocks(pair: &KbPair, config: &MinoanConfig, exec: &Executor) -> BlockingArtifacts {
-    let t_tok = Instant::now();
-    let tokens = {
-        let _s = stage_span("stage.tokenize");
-        TokenizedPair::build_with(pair, &Tokenizer::default(), exec)
-    };
-    let tokenize_time = t_tok.elapsed();
+    build_blocks_timed(pair, config, exec, &mut Timings::default())
+}
+
+/// [`build_blocks`], setting `timings.tokenize` and `timings.blocking`
+/// from the `stage.tokenize` and `stage.blocking` spans.
+fn build_blocks_timed(
+    pair: &KbPair,
+    config: &MinoanConfig,
+    exec: &Executor,
+    timings: &mut Timings,
+) -> BlockingArtifacts {
+    let span = stage_span("stage.tokenize");
+    let tokens = TokenizedPair::build_with(pair, &Tokenizer::default(), exec);
+    timings.tokenize = span.close();
+
+    let span = stage_span("stage.blocking");
     let names = {
         let _s = stage_span("stage.names");
         [&pair.first, &pair.second].map(|kb| entity_names_with(kb, config.name_attrs_k, exec))
@@ -154,38 +213,21 @@ pub fn build_blocks(pair: &KbPair, config: &MinoanConfig, exec: &Executor) -> Bl
     } else {
         (bt_raw, None)
     };
+    timings.blocking = span.close();
     BlockingArtifacts {
         tokens,
         name_blocks: bn,
         token_blocks: bt,
         purge,
         names,
-        tokenize_time,
     }
 }
 
-/// Outcome of the H1–H4 matching phase.
-struct MatchingPhase {
-    /// The final matching (after H4).
-    matching: Matching,
-    /// Matches contributed by H1.
-    h1_matches: usize,
-    /// Matches contributed by H2.
-    h2_matches: usize,
-    /// Matches contributed by H3.
-    h3_matches: usize,
-    /// Pairs discarded by H4.
-    h4_removed: usize,
-    /// Wall-clock time of H1.
-    names_h1: Duration,
-    /// Wall-clock time of H2 + H3 + H4.
-    matching_time: Duration,
-}
-
-/// `(H1 ∨ H2 ∨ H3) ∧ H4` over a similarity index and name blocks.
-/// Insertion order (H1, then H2, then H3; H4 retains in that order) is
-/// part of the contract: `Matching` iterates in insertion order and
-/// the persisted fingerprint hashes that order.
+/// `(H1 ∨ H2 ∨ H3) ∧ H4` over a similarity index and name blocks,
+/// filling `report`'s H1–H4 counters and its `names_h1` and `matching`
+/// timings. Insertion order (H1, then H2, then H3; H4 retains in that
+/// order) is part of the contract: `Matching` iterates in insertion
+/// order and the persisted fingerprint hashes that order.
 fn matching_phase(
     name_blocks: &BlockCollection,
     idx: &SimilarityIndex,
@@ -193,12 +235,11 @@ fn matching_phase(
     n_smaller: usize,
     config: &MinoanConfig,
     exec: &Executor,
-) -> MatchingPhase {
+    report: &mut PipelineReport,
+) -> Matching {
     // H1: unique-name matches.
-    let t0 = Instant::now();
+    let span = stage_span("stage.h1");
     let h1 = h1_name_matches(name_blocks);
-    let names_h1 = t0.elapsed();
-
     let mut matched: [FxHashSet<EntityId>; 2] = [FxHashSet::default(), FxHashSet::default()];
     let mut matching = Matching::new();
     for &(e1, e2) in &h1 {
@@ -206,9 +247,10 @@ fn matching_phase(
         matched[0].insert(e1);
         matched[1].insert(e2);
     }
+    report.timings.names_h1 = span.close();
 
     // H2 on the smaller KB.
-    let t0 = Instant::now();
+    let span = stage_span("stage.matching");
     let h2 = h2_value_matches_with(idx, smaller, n_smaller, [&matched[0], &matched[1]], exec);
     for &(e1, e2) in &h2 {
         matching.insert(e1, e2);
@@ -237,21 +279,17 @@ fn matching_phase(
     let keep = h4_reciprocal_batch(idx, config.candidates_k, &pairs, exec);
     let mut keep_flags = keep.iter();
     matching.retain(|_, _| *keep_flags.next().expect("one flag per pair"));
-    let h4_removed = before - matching.len();
     minoan_obs::debug!(
         "simindex.tail_reads",
         "{} candidate reads ran past the ranked prefix",
         idx.tail_reads()
     );
-    MatchingPhase {
-        h1_matches: h1.len(),
-        h2_matches: h2.len(),
-        h3_matches: h3.len(),
-        h4_removed,
-        matching,
-        names_h1,
-        matching_time: t0.elapsed(),
-    }
+    report.timings.matching = span.close();
+    report.h1_matches = h1.len();
+    report.h2_matches = h2.len();
+    report.h3_matches = h3.len();
+    report.h4_removed = before - matching.len();
+    matching
 }
 
 /// The MinoanER matcher.
@@ -313,12 +351,8 @@ impl MinoanEr {
     fn run_indexed(&self, pair: &KbPair, exec: &Executor) -> IndexedOutput {
         let mut report = PipelineReport::default();
 
-        // Tokenize + block. `build_blocks` measures tokenization on its
-        // own clock, so blocking time excludes it.
-        let t0 = Instant::now();
-        let artifacts = build_blocks(pair, &self.config, exec);
-        report.timings.tokenize = artifacts.tokenize_time;
-        report.timings.blocking = t0.elapsed().saturating_sub(artifacts.tokenize_time);
+        // Tokenize + block.
+        let artifacts = build_blocks_timed(pair, &self.config, exec, &mut report.timings);
         report.name_blocks = artifacts.name_blocks.len();
         report.name_comparisons = artifacts.name_blocks.total_comparisons();
         report.token_blocks = artifacts.token_blocks.len();
@@ -326,8 +360,7 @@ impl MinoanEr {
         report.purge = artifacts.purge.clone();
 
         // Similarity index over the purged token blocks.
-        let t0 = Instant::now();
-        let sim_span = stage_span("stage.similarities");
+        let span = stage_span("stage.similarities");
         let [tn1, tn2] = [&pair.first, &pair.second].map(|kb| {
             top_neighbors_with(
                 kb,
@@ -342,34 +375,23 @@ impl MinoanEr {
             [&tn1, &tn2],
             exec,
         );
-        report.timings.similarities = t0.elapsed();
-        drop(sim_span);
+        report.timings.similarities = span.close();
 
         // H1 ∨ H2 ∨ H3, then the H4 reciprocity filter.
         let smaller = pair.smaller_side();
         let n_smaller = pair.kb(smaller).entity_count();
-        let match_span = stage_span("stage.matching");
-        let phase = matching_phase(
+        let matching = matching_phase(
             &artifacts.name_blocks,
             &idx,
             smaller,
             n_smaller,
             &self.config,
             exec,
+            &mut report,
         );
-        drop(match_span);
-        report.h1_matches = phase.h1_matches;
-        report.h2_matches = phase.h2_matches;
-        report.h3_matches = phase.h3_matches;
-        report.h4_removed = phase.h4_removed;
-        report.timings.names_h1 = phase.names_h1;
-        report.timings.matching = phase.matching_time;
 
         IndexedOutput {
-            output: MatchOutput {
-                matching: phase.matching,
-                report,
-            },
+            output: MatchOutput { matching, report },
             artifacts,
             index: idx,
         }
@@ -492,8 +514,56 @@ mod tests {
         // no longer folded into the blocking stage.
         assert!(t.tokenize > Duration::ZERO, "tokenize must be measured");
         assert!(t.total() >= t.tokenize + t.blocking);
-        let art = build_blocks(&pair, &MinoanConfig::default(), &Executor::sequential());
-        assert!(art.tokenize_time > Duration::ZERO);
+    }
+
+    #[test]
+    fn timings_are_read_off_the_stage_spans() {
+        use minoan_obs::trace;
+        let pair = restaurant_pair();
+        let id = trace::new_trace_id();
+        let out = {
+            let _scope = trace::trace_scope(id, -1);
+            MinoanEr::with_defaults().run_with(&pair, &Executor::sequential())
+        };
+        let tree = trace::assemble_trace(id, &trace::collector().records_for_traces(&[id]));
+        let roots: Vec<&str> = tree.roots.iter().map(|n| n.name).collect();
+        assert_eq!(
+            roots,
+            [
+                "stage.tokenize",
+                "stage.blocking",
+                "stage.similarities",
+                "stage.h1",
+                "stage.matching"
+            ],
+            "the five stage spans, in run order, none nested in another"
+        );
+        // One span per `Timings` field, in `Timings::LABELS` order.
+        let spans = [
+            "stage.tokenize",
+            "stage.h1",
+            "stage.blocking",
+            "stage.similarities",
+            "stage.matching",
+        ];
+        let span = |name| tree.roots.iter().find(|n| n.name == name).unwrap();
+        for (name, d) in spans.into_iter().zip(out.report.timings.durations()) {
+            assert_eq!(span(name).dur_micros, Some(d.as_micros() as u64), "{name}");
+        }
+        let blocking: Vec<&str> = span("stage.blocking")
+            .children
+            .iter()
+            .map(|n| n.name)
+            .collect();
+        assert_eq!(
+            blocking,
+            [
+                "stage.names",
+                "stage.name_blocking",
+                "stage.token_blocking",
+                "stage.purge"
+            ]
+        );
     }
 
     #[test]

@@ -69,6 +69,19 @@ impl DatasetKind {
         }
     }
 
+    /// A profile by its short name (`restaurant`, `rexa`, `bbc`,
+    /// `yago`) or its [`DatasetKind::name`], in any case: the one
+    /// parser behind the command line and manifests.
+    pub fn parse(name: &str) -> Option<DatasetKind> {
+        match name.to_ascii_lowercase().as_str() {
+            "restaurant" => Some(DatasetKind::Restaurant),
+            "rexa" | "rexa-dblp" => Some(DatasetKind::RexaDblp),
+            "bbc" | "bbcmusic-dbpedia" => Some(DatasetKind::BbcDbpedia),
+            "yago" | "yago-imdb" => Some(DatasetKind::YagoImdb),
+            _ => None,
+        }
+    }
+
     /// Generates the dataset at default scale.
     pub fn generate(self, seed: u64) -> Dataset {
         self.generate_scaled(seed, 1.0)

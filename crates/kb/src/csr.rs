@@ -27,27 +27,6 @@ impl<T> Default for Csr<T> {
 }
 
 impl<T> Csr<T> {
-    /// An empty CSR with `rows` empty rows.
-    pub fn empty(rows: usize) -> Self {
-        Self {
-            offsets: vec![0; rows + 1],
-            items: Vec::new(),
-        }
-    }
-
-    /// Builds from per-row vectors, consuming them.
-    pub fn from_rows(rows: Vec<Vec<T>>) -> Self {
-        let mut offsets = Vec::with_capacity(rows.len() + 1);
-        offsets.push(0);
-        let total = rows.iter().map(Vec::len).sum();
-        let mut items = Vec::with_capacity(total);
-        for row in rows {
-            items.extend(row);
-            offsets.push(items.len());
-        }
-        Self { offsets, items }
-    }
-
     /// Builds from row lengths and a pre-filled item buffer.
     ///
     /// Used by parallel constructors that compute lengths first, fill the
@@ -78,17 +57,6 @@ impl<T> Csr<T> {
     pub fn row(&self, i: usize) -> &[T] {
         &self.items[self.offsets[i]..self.offsets[i + 1]]
     }
-
-    /// The item range of row `i` within the flat item buffer.
-    #[inline]
-    pub fn row_range(&self, i: usize) -> std::ops::Range<usize> {
-        self.offsets[i]..self.offsets[i + 1]
-    }
-
-    /// Iterates the rows as slices.
-    pub fn iter_rows(&self) -> impl Iterator<Item = &[T]> {
-        (0..self.rows()).map(|i| self.row(i))
-    }
 }
 
 /// Exclusive prefix sum of row lengths: the offsets array of a CSR.
@@ -108,23 +76,13 @@ mod tests {
     use super::*;
 
     #[test]
-    fn from_rows_round_trips() {
-        let csr = Csr::from_rows(vec![vec![1, 2], vec![], vec![3]]);
+    fn from_lens_and_items_round_trips() {
+        let csr = Csr::from_lens_and_items(&[2, 0, 1], vec![1, 2, 3]);
         assert_eq!(csr.rows(), 3);
         assert_eq!(csr.item_count(), 3);
         assert_eq!(csr.row(0), &[1, 2]);
         assert_eq!(csr.row(1), &[] as &[i32]);
         assert_eq!(csr.row(2), &[3]);
-        assert_eq!(csr.row_range(2), 2..3);
-        let rows: Vec<&[i32]> = csr.iter_rows().collect();
-        assert_eq!(rows, vec![&[1, 2][..], &[][..], &[3][..]]);
-    }
-
-    #[test]
-    fn from_lens_and_items_matches_from_rows() {
-        let a = Csr::from_rows(vec![vec![10u8, 11], vec![12]]);
-        let b = Csr::from_lens_and_items(&[2, 1], vec![10u8, 11, 12]);
-        assert_eq!(a, b);
     }
 
     #[test]
@@ -135,7 +93,7 @@ mod tests {
 
     #[test]
     fn empty_and_default() {
-        let csr: Csr<u32> = Csr::empty(4);
+        let csr: Csr<u32> = Csr::from_lens_and_items(&[0; 4], Vec::new());
         assert_eq!(csr.rows(), 4);
         assert_eq!(csr.item_count(), 0);
         assert_eq!(csr.row(3), &[] as &[u32]);

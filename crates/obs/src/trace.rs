@@ -331,11 +331,19 @@ impl Span {
             0
         }
     }
-}
 
-impl Drop for Span {
-    fn drop(&mut self) {
-        if !self.armed {
+    /// Closes the span now and returns its duration — the reading its
+    /// exit record carries. The clock runs whether or not the collector
+    /// is enabled, so a caller can time its work with the span alone.
+    pub fn close(mut self) -> Duration {
+        let dur = self.start.elapsed();
+        self.exit(dur);
+        dur
+    }
+
+    /// Records the exit (once) and restores the parent span.
+    fn exit(&mut self, dur: Duration) {
+        if !std::mem::take(&mut self.armed) {
             return;
         }
         let ctx = CTX.with(|c| {
@@ -344,7 +352,7 @@ impl Drop for Span {
             c.set(ctx);
             ctx
         });
-        let dur = self.start.elapsed().as_micros() as u64;
+        let dur = dur.as_micros() as u64;
         let col = collector();
         col.push(Record {
             seq: 0,
@@ -369,9 +377,18 @@ impl Drop for Span {
     }
 }
 
+impl Drop for Span {
+    fn drop(&mut self) {
+        if self.armed {
+            self.exit(self.start.elapsed());
+        }
+    }
+}
+
 /// Opens a span named `name` at `level` nested under the thread's
 /// current span; `detail` is only evaluated when the collector is
-/// enabled. Close it by dropping the guard.
+/// enabled. Close it by dropping the guard, or with [`Span::close`]
+/// to read its duration.
 pub fn span<D: FnOnce() -> String>(level: Level, name: &'static str, detail: D) -> Span {
     if !enabled() {
         return Span {
@@ -733,6 +750,29 @@ mod tests {
         }
         set_enabled(true);
         assert!(collector().records_for_traces(&[trace]).is_empty());
+    }
+
+    #[test]
+    fn close_returns_the_duration_the_exit_record_carries() {
+        let _lock = global_lock();
+        set_enabled(true);
+        let trace = new_trace_id();
+        let _scope = trace_scope(trace, 5);
+        let s = span(Level::Debug, "test.close", String::new);
+        std::thread::sleep(Duration::from_millis(2));
+        let dur = s.close();
+        assert!(dur >= Duration::from_millis(2));
+        let tree = assemble_trace(trace, &collector().records_for_traces(&[trace]));
+        assert_eq!(tree.roots.len(), 1, "closed once, not again on drop");
+        assert_eq!(tree.roots[0].dur_micros, Some(dur.as_micros() as u64));
+        // Disabled, the span records nothing but still clocks.
+        set_enabled(false);
+        let s = span(Level::Debug, "test.close.off", String::new);
+        std::thread::sleep(Duration::from_millis(1));
+        let off = s.close();
+        set_enabled(true);
+        assert!(off >= Duration::from_millis(1));
+        assert_eq!(collector().records_for_traces(&[trace]).len(), 2);
     }
 
     #[test]

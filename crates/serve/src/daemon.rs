@@ -356,7 +356,11 @@ fn handle_connection(
                 // Drain what the client is still sending before the
                 // close, so the kernel doesn't RST the error response
                 // away (see the HTTP front-end's close path).
-                crate::http::lingering_close(&mut reader);
+                crate::http::lingering_close(
+                    reader.get_ref(),
+                    crate::http::LINGER_DEADLINE,
+                    crate::http::LINGER_MAX_BYTES,
+                );
             }
             return;
         }

@@ -305,7 +305,7 @@ pub(crate) fn handle_connection(
             Err(HttpError::Disconnect) => return,
             Err(HttpError::Status(status, message)) => {
                 if write_response(&mut writer, &Response::error(status, message), true).is_ok() {
-                    lingering_close(&mut reader);
+                    lingering_close(reader.get_ref(), LINGER_DEADLINE, LINGER_MAX_BYTES);
                 }
                 return;
             }
@@ -317,7 +317,7 @@ pub(crate) fn handle_connection(
         if request.method == "GET" && request.path == "/v1/events" {
             if let Some(denied) = auth_failure(&request, options) {
                 if write_response(&mut writer, &denied, true).is_ok() {
-                    lingering_close(&mut reader);
+                    lingering_close(reader.get_ref(), LINGER_DEADLINE, LINGER_MAX_BYTES);
                 }
                 return;
             }
@@ -333,35 +333,38 @@ pub(crate) fn handle_connection(
             return;
         }
         if close {
-            lingering_close(&mut reader);
+            lingering_close(reader.get_ref(), LINGER_DEADLINE, LINGER_MAX_BYTES);
             return;
         }
     }
 }
 
-/// How long [`lingering_close`] keeps draining a slow client.
-const LINGER_DEADLINE: Duration = Duration::from_secs(2);
-/// How many leftover bytes [`lingering_close`] is willing to discard.
-const LINGER_MAX_BYTES: usize = 1 << 20;
+/// How long a handler thread's [`lingering_close`] keeps draining a
+/// slow client.
+pub(crate) const LINGER_DEADLINE: Duration = Duration::from_secs(2);
+/// How many leftover bytes a handler thread's [`lingering_close`] is
+/// willing to discard.
+pub(crate) const LINGER_MAX_BYTES: usize = 1 << 20;
 
 /// Closes a connection without losing the response: half-close the
 /// write side, then drain whatever the client is still sending until
 /// it sees our FIN and stops. Dropping the socket with unread input
 /// would make the kernel turn the close into an RST, which can destroy
 /// the just-written response before the client reads it — precisely on
-/// the error paths (oversized request, early 4xx) where the client is
-/// mid-send and the response matters most. Bounded in both time and
-/// bytes so an abusive client cannot pin the handler thread. Shared
-/// with the line-JSON daemon's oversized-frame close.
-pub(crate) fn lingering_close(reader: &mut BufReader<TcpStream>) {
-    let _ = reader.get_ref().shutdown(std::net::Shutdown::Write);
-    let deadline = Instant::now() + LINGER_DEADLINE;
+/// the error paths (oversized request, early 4xx, over-cap connection)
+/// where the client is mid-send and the response matters most. Bounded
+/// by `deadline` and `max_bytes` so an abusive client cannot pin the
+/// thread. Bytes a `BufReader` over `stream` still holds are dropped
+/// with it. Shared with the line-JSON daemon's oversized-frame close.
+pub(crate) fn lingering_close(mut stream: &TcpStream, deadline: Duration, max_bytes: usize) {
+    let _ = stream.shutdown(std::net::Shutdown::Write);
+    let deadline = Instant::now() + deadline;
     let mut drained = 0usize;
     let mut sink = [0u8; 8 << 10];
-    while Instant::now() < deadline && drained < LINGER_MAX_BYTES {
+    while Instant::now() < deadline && drained < max_bytes {
         // The stream keeps its POLL_INTERVAL-scaled read timeout, so
         // each failed tick is short.
-        match reader.read(&mut sink) {
+        match stream.read(&mut sink) {
             Ok(0) => return, // client's FIN: a fully clean close
             Ok(n) => drained += n,
             Err(e)
@@ -1053,33 +1056,13 @@ const REJECT_LINGER_DEADLINE: Duration = Duration::from_millis(100);
 const REJECT_LINGER_MAX_BYTES: usize = 16 << 10;
 
 /// Rejects one over-cap connection: writes [`overloaded_503`], then
-/// half-closes and briefly drains the client's unread request bytes so
-/// the close sends a FIN, not an RST that would destroy the response
-/// mid-flight (the same hazard [`lingering_close`] guards against —
-/// here the *whole request* is still queued unread). Runs inline on
-/// the accept thread, so both bounds are tight.
+/// closes through [`lingering_close`] — here the *whole request* is
+/// still queued unread. Runs inline on the accept thread, so both
+/// bounds are tight.
 pub(crate) fn reject_over_capacity(mut stream: TcpStream) {
     let _ = stream.set_read_timeout(Some(POLL_INTERVAL));
-    if stream.write_all(overloaded_503().as_bytes()).is_err() {
-        return;
-    }
-    let _ = stream.shutdown(std::net::Shutdown::Write);
-    let deadline = Instant::now() + REJECT_LINGER_DEADLINE;
-    let mut drained = 0usize;
-    let mut sink = [0u8; 8 << 10];
-    while Instant::now() < deadline && drained < REJECT_LINGER_MAX_BYTES {
-        match stream.read(&mut sink) {
-            Ok(0) => return, // client's FIN: a fully clean close
-            Ok(n) => drained += n,
-            Err(e)
-                if matches!(
-                    e.kind(),
-                    std::io::ErrorKind::WouldBlock
-                        | std::io::ErrorKind::TimedOut
-                        | std::io::ErrorKind::Interrupted
-                ) => {}
-            Err(_) => return,
-        }
+    if stream.write_all(overloaded_503().as_bytes()).is_ok() {
+        lingering_close(&stream, REJECT_LINGER_DEADLINE, REJECT_LINGER_MAX_BYTES);
     }
 }
 
@@ -1175,26 +1158,6 @@ pub fn prometheus_metrics(queue: &JobQueue, registry: Option<&IndexRegistry>) ->
         "Submissions rejected by overload shedding.",
         stats.shed_total as f64,
     );
-    let stages = [
-        ("tokenize", stats.stage_totals.tokenize),
-        ("names_h1", stats.stage_totals.names_h1),
-        ("blocking", stats.stage_totals.blocking),
-        ("similarities", stats.stage_totals.similarities),
-        ("matching", stats.stage_totals.matching),
-    ];
-    if text.family(
-        "minoan_stage_seconds_total",
-        "counter",
-        "Cumulative pipeline stage time over finished jobs.",
-    ) {
-        for (stage, duration) in stages {
-            text.sample(
-                "minoan_stage_seconds_total",
-                &format!("{{stage=\"{stage}\"}}"),
-                duration.as_secs_f64(),
-            );
-        }
-    }
     let counters = [
         (
             "minoan_job_wall_seconds_total",
@@ -1337,8 +1300,7 @@ pub fn prometheus_metrics(queue: &JobQueue, registry: Option<&IndexRegistry>) ->
         &[(None, telemetry::QUEUE_WAIT.snapshot())],
     );
     let stage_series: Vec<_> = telemetry::stage_histograms()
-        .iter()
-        .map(|(stage, histogram)| (Some(("stage", *stage)), histogram.snapshot()))
+        .map(|(stage, histogram)| (Some(("stage", stage)), histogram.snapshot()))
         .collect();
     text.histogram(
         "minoan_job_stage_seconds",
@@ -1491,7 +1453,7 @@ mod tests {
             "minoan_jobs_done_total{status=\"killed_over_budget\"} 0",
             "minoan_jobs_retries_scheduled_total 0",
             "minoan_jobs_shed_total 0",
-            "minoan_stage_seconds_total{stage=\"tokenize\"} 0",
+            "minoan_job_stage_seconds_sum{stage=\"tokenize\"}",
         ] {
             assert!(text.contains(family), "missing {family:?} in:\n{text}");
         }

@@ -561,36 +561,7 @@ pub(crate) fn index_match(
     // One end-to-end latency observation per answered query (load +
     // query; rejected queries never reach here).
     crate::telemetry::MATCH_QUERY.observe(t_load.elapsed());
-    let candidates: Vec<Json> = answer
-        .candidates
-        .iter()
-        .map(|(uri, score)| Json::obj([("uri", Json::str(uri)), ("score", Json::Num(*score))]))
-        .collect();
-    Ok(Json::obj([
-        ("index", Json::str(id)),
-        ("entity", Json::str(&answer.entity)),
-        (
-            "side",
-            Json::str(match answer.side {
-                minoan_kb::KbSide::First => "first",
-                minoan_kb::KbSide::Second => "second",
-            }),
-        ),
-        ("matches", Json::arr(answer.matches.iter().map(Json::str))),
-        ("candidates", Json::Arr(candidates)),
-        (
-            // The zero-ingest guarantee, observable per answer: the
-            // build-once stages literally cost nothing on this path.
-            "stage_timings_ms",
-            Json::obj([
-                ("ingest", Json::num(0.0)),
-                ("blocking", Json::num(0.0)),
-                ("similarities", Json::num(0.0)),
-                ("load", Json::Num(load_ms)),
-                ("query", Json::Num(query_ms)),
-            ]),
-        ),
-    ]))
+    Ok(answer.to_json(id, load_ms, query_ms))
 }
 
 #[cfg(test)]

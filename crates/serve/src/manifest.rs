@@ -355,19 +355,6 @@ impl Manifest {
     }
 }
 
-/// Parses the `dataset` field of a synthetic job.
-pub fn parse_dataset_kind(name: &str) -> Result<DatasetKind, String> {
-    match name.to_ascii_lowercase().as_str() {
-        "restaurant" => Ok(DatasetKind::Restaurant),
-        "rexa" | "rexa-dblp" => Ok(DatasetKind::RexaDblp),
-        "bbc" | "bbcmusic-dbpedia" => Ok(DatasetKind::BbcDbpedia),
-        "yago" | "yago-imdb" => Ok(DatasetKind::YagoImdb),
-        other => Err(format!(
-            "unknown dataset {other:?} (expected restaurant|rexa|bbc|yago)"
-        )),
-    }
-}
-
 fn job_from_json(json: &Json) -> Result<JobSpec, String> {
     let Json::Obj(fields) = json else {
         return Err("job must be an object".into());
@@ -388,7 +375,12 @@ fn job_from_json(json: &Json) -> Result<JobSpec, String> {
         let bad = || format!("bad value for {key}");
         match key.as_str() {
             "name" => name = Some(value.as_str().ok_or_else(bad)?.to_string()),
-            "dataset" => dataset = Some(parse_dataset_kind(value.as_str().ok_or_else(bad)?)?),
+            "dataset" => {
+                let raw = value.as_str().ok_or_else(bad)?;
+                dataset = Some(DatasetKind::parse(raw).ok_or_else(|| {
+                    format!("unknown dataset {raw:?} (expected restaurant|rexa|bbc|yago)")
+                })?);
+            }
             "seed" => {
                 let s = value.as_usize().ok_or_else(bad)?;
                 // Manifest numbers travel through f64: a seed above 2^53

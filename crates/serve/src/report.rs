@@ -224,20 +224,7 @@ impl JobReport {
             ));
         }
         if let Some(t) = &self.timings {
-            fields.push((
-                "timings_ms".into(),
-                Json::obj([
-                    ("tokenize", Json::Num(t.tokenize.as_secs_f64() * 1e3)),
-                    ("names_h1", Json::Num(t.names_h1.as_secs_f64() * 1e3)),
-                    ("blocking", Json::Num(t.blocking.as_secs_f64() * 1e3)),
-                    (
-                        "similarities",
-                        Json::Num(t.similarities.as_secs_f64() * 1e3),
-                    ),
-                    ("matching", Json::Num(t.matching.as_secs_f64() * 1e3)),
-                    ("total", Json::Num(t.total().as_secs_f64() * 1e3)),
-                ]),
-            ));
+            fields.push(("timings_ms".into(), t.to_json_ms()));
         }
         fields.push(("wall_ms".into(), Json::Num(self.wall.as_secs_f64() * 1e3)));
         fields.push(("threads".into(), Json::num(self.threads as f64)));

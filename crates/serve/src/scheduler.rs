@@ -96,7 +96,7 @@ use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Arc, Condvar, Mutex};
 use std::time::{Duration, Instant};
 
-use minoan_core::{MinoanConfig, MinoanEr, Timings};
+use minoan_core::{MinoanConfig, MinoanEr, PipelineReport};
 use minoan_datagen::Dataset;
 use minoan_eval::MatchQuality;
 use minoan_exec::{Executor, ExecutorKind, PoolStats, MAX_THREADS};
@@ -264,10 +264,8 @@ pub struct QueueStats {
     pub slots: usize,
     /// High-water mark of concurrently running jobs.
     pub peak_running: usize,
-    /// Cumulative per-stage pipeline timings over every finished job.
-    pub stage_totals: Timings,
     /// Cumulative wall-clock time over every finished job (includes
-    /// input loading, unlike [`QueueStats::stage_totals`]).
+    /// input loading, unlike the stage histograms).
     pub wall_total: Duration,
     /// Sum of admission estimates of finished jobs.
     pub estimated_bytes_total: u64,
@@ -294,8 +292,10 @@ impl QueueStats {
 
     /// The telemetry as a flat JSON object — the `telemetry` member of
     /// the line-JSON `status` response (durations in milliseconds).
-    /// The `pool` member is the work-stealing pool's counters, or
-    /// `null` while the pool has not started.
+    /// `stage_ms` holds the stage histograms' sums
+    /// ([`crate::telemetry::STAGES`]). The `pool` member is the
+    /// work-stealing pool's counters, or `null` while the pool has not
+    /// started.
     pub fn to_json(&self) -> Json {
         let ms = |d: Duration| Json::Num(d.as_secs_f64() * 1e3);
         let pool = match &self.pool {
@@ -348,13 +348,10 @@ impl QueueStats {
             ),
             (
                 "stage_ms",
-                Json::obj([
-                    ("tokenize", ms(self.stage_totals.tokenize)),
-                    ("names_h1", ms(self.stage_totals.names_h1)),
-                    ("blocking", ms(self.stage_totals.blocking)),
-                    ("similarities", ms(self.stage_totals.similarities)),
-                    ("matching", ms(self.stage_totals.matching)),
-                ]),
+                Json::obj(
+                    crate::telemetry::stage_histograms()
+                        .map(|(stage, h)| (stage, Json::Num(h.snapshot().sum_micros as f64 / 1e3))),
+                ),
             ),
             ("wall_ms_total", ms(self.wall_total)),
             ("pool", pool),
@@ -970,13 +967,6 @@ impl JobQueue {
                         JobStatus::Poisoned(_) => stats.done_poisoned += 1,
                         JobStatus::KilledOverBudget => stats.done_killed_over_budget += 1,
                     }
-                    if let Some(t) = &report.timings {
-                        stats.stage_totals.tokenize += t.tokenize;
-                        stats.stage_totals.names_h1 += t.names_h1;
-                        stats.stage_totals.blocking += t.blocking;
-                        stats.stage_totals.similarities += t.similarities;
-                        stats.stage_totals.matching += t.matching;
-                    }
                     stats.wall_total += report.wall;
                     stats.estimated_bytes_total += report.estimated_bytes;
                     stats.rss_delta_bytes_total += report.peak_rss_delta_bytes.unwrap_or(0);
@@ -1551,15 +1541,22 @@ fn execute(
             )
         })
         .collect();
+    let mut report = run_report(spec, matches, out.report);
+    report.quality = quality;
+    Ok(report)
+}
+
+/// The `Ok` report of a job whose pipeline run produced `matches`:
+/// the run's H1–H4 counters and stage timings ride along.
+fn run_report(spec: &JobSpec, matches: Vec<(String, String)>, run: PipelineReport) -> JobReport {
     let mut report = JobReport::empty(&spec.name, JobStatus::Ok);
     report.matches = matches;
-    report.h1_matches = out.report.h1_matches;
-    report.h2_matches = out.report.h2_matches;
-    report.h3_matches = out.report.h3_matches;
-    report.h4_removed = out.report.h4_removed;
-    report.quality = quality;
-    report.timings = Some(out.report.timings);
-    Ok(report)
+    report.h1_matches = run.h1_matches;
+    report.h2_matches = run.h2_matches;
+    report.h3_matches = run.h3_matches;
+    report.h4_removed = run.h4_removed;
+    report.timings = Some(run.timings);
+    report
 }
 
 /// Runs one delta patch against a persisted index: load the artifact
@@ -1594,13 +1591,11 @@ fn execute_patch(
     artifact
         .persist_patch(path)
         .map_err(|e| JobEnd::transient(format!("cannot persist patched index: {e}")))?;
-    let mut report = JobReport::empty(&spec.name, JobStatus::Ok);
-    report.matches = artifact.matched_uri_pairs();
-    report.h1_matches = delta.h1_matches;
-    report.h2_matches = delta.h2_matches;
-    report.h3_matches = delta.h3_matches;
-    report.h4_removed = delta.h4_removed;
-    Ok(report)
+    Ok(run_report(
+        spec,
+        artifact.matched_uri_pairs(),
+        delta.pipeline,
+    ))
 }
 
 /// Loads the KB pair (and ground truth, if any) for one job.

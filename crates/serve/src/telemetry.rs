@@ -22,35 +22,19 @@ pub static HTTP_REQUEST: Histogram = Histogram::new();
 /// dispatch.
 pub static QUEUE_WAIT: Histogram = Histogram::new();
 
-/// Per-job pipeline stage timings, one histogram per stage; see
-/// [`stage_histograms`] for the labeled view.
-pub static STAGE_TOKENIZE: Histogram = Histogram::new();
-/// See [`STAGE_TOKENIZE`].
-pub static STAGE_NAMES_H1: Histogram = Histogram::new();
-/// See [`STAGE_TOKENIZE`].
-pub static STAGE_BLOCKING: Histogram = Histogram::new();
-/// See [`STAGE_TOKENIZE`].
-pub static STAGE_SIMILARITIES: Histogram = Histogram::new();
-/// See [`STAGE_TOKENIZE`].
-pub static STAGE_MATCHING: Histogram = Histogram::new();
+/// Per-job pipeline stage timings over finished jobs, one histogram
+/// per stage in [`Timings::LABELS`] order: the serving layer's only
+/// per-stage aggregate.
+pub static STAGES: [Histogram; 5] = [const { Histogram::new() }; 5];
 
-/// The stage histograms with their Prometheus `stage` label values, in
-/// pipeline order.
-pub fn stage_histograms() -> [(&'static str, &'static Histogram); 5] {
-    [
-        ("tokenize", &STAGE_TOKENIZE),
-        ("names_h1", &STAGE_NAMES_H1),
-        ("blocking", &STAGE_BLOCKING),
-        ("similarities", &STAGE_SIMILARITIES),
-        ("matching", &STAGE_MATCHING),
-    ]
+/// The stage histograms with their Prometheus `stage` label values.
+pub fn stage_histograms() -> impl Iterator<Item = (&'static str, &'static Histogram)> {
+    Timings::LABELS.into_iter().zip(&STAGES)
 }
 
-/// Feeds one finished job's stage timings into the stage histograms.
+/// Feeds one finished job's stage timings into [`STAGES`].
 pub fn observe_stages(t: &Timings) {
-    STAGE_TOKENIZE.observe(t.tokenize);
-    STAGE_NAMES_H1.observe(t.names_h1);
-    STAGE_BLOCKING.observe(t.blocking);
-    STAGE_SIMILARITIES.observe(t.similarities);
-    STAGE_MATCHING.observe(t.matching);
+    for (histogram, d) in STAGES.iter().zip(t.durations()) {
+        histogram.observe(d);
+    }
 }

@@ -345,7 +345,7 @@ fn smoke(api: &Api) {
         ));
     }
 
-    index_smoke(api);
+    let indexed = index_smoke(api);
     events_smoke(api);
 
     // The metrics endpoint must be parseable Prometheus text.
@@ -370,6 +370,19 @@ fn smoke(api: &Api) {
     {
         fail(&format!("unexpected metrics:\n{}", metrics.body));
     }
+    // Every finished pipeline run lands in the stage histograms: the
+    // quick job, and the index build when there was one.
+    let tokenized = metrics
+        .body
+        .lines()
+        .find_map(|l| l.strip_prefix("minoan_job_stage_seconds_count{stage=\"tokenize\"} "))
+        .and_then(|v| v.parse::<f64>().ok());
+    let runs = if indexed { 2.0 } else { 1.0 };
+    if !tokenized.is_some_and(|n| n >= runs) {
+        fail(&format!(
+            "expected at least {runs} tokenize observations, got {tokenized:?}"
+        ));
+    }
     eprintln!("smoke: metrics parse ({seen} samples)");
 
     api.expect("POST", "/v1/shutdown", None, 200);
@@ -379,12 +392,12 @@ fn smoke(api: &Api) {
 /// The index half of the smoke scenario: build an index through the
 /// job queue, inspect it, answer a match query from the persisted
 /// artifact, reject a duplicate build, delete it. Skipped (with a
-/// note) when the server runs without `--index-dir`.
-fn index_smoke(api: &Api) {
+/// note, returning `false`) when the server runs without `--index-dir`.
+fn index_smoke(api: &Api) -> bool {
     let listing = api.request("GET", "/v1/indexes", None);
     if listing.status == 503 {
         eprintln!("smoke: index serving disabled, skipping the index round-trip");
-        return;
+        return false;
     }
     if listing.status != 200 {
         fail(&format!(
@@ -459,6 +472,7 @@ fn index_smoke(api: &Api) {
         fail(&format!("deleted index still answers: {}", gone.status));
     }
     eprintln!("smoke: index deleted");
+    true
 }
 
 /// The live-stream half of the smoke scenario: subscribe to

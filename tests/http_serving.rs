@@ -332,7 +332,7 @@ fn metrics_are_parseable_prometheus_text() {
             "minoan_jobs_done_total{status=\"failed\"} 0",
             "minoan_threads_budget 3",
             "minoan_fleet_slots 2",
-            "minoan_stage_seconds_total{stage=\"matching\"}",
+            "minoan_job_stage_seconds_sum{stage=\"matching\"}",
             "minoan_estimated_bytes_total",
         ] {
             assert!(r.body.contains(needle), "missing {needle:?}:\n{}", r.body);
@@ -775,7 +775,16 @@ fn a_waited_patch_is_visible_to_the_very_next_read() {
                    "statements":[{{"attr":"name","value":"Fresh Arrival {cycle}"}}]}}]}}"#
             ))
             .unwrap();
-            http.json("PATCH", "/v1/indexes/churn?wait=true", Some(&deltas), 202);
+            let patch = http.json("PATCH", "/v1/indexes/churn?wait=true", Some(&deltas), 202);
+            // The patch re-ran the pipeline, and its report says how long
+            // each stage took.
+            let job = patch.get("job").and_then(Json::as_usize).unwrap();
+            let body = http.json("GET", &format!("/v1/jobs/{job}"), None, 200);
+            let timings = body.get("report").and_then(|r| r.get("timings_ms"));
+            assert!(
+                timings.and_then(|t| t.get("total")).is_some(),
+                "cycle {cycle}: a patch job reports its pipeline timings: {body:?}"
+            );
             // Only the patched index knows the new entity…
             let path = format!("/v1/indexes/churn/match?entity=new%3A{cycle}");
             let answer = http.json("GET", &path, None, 200);
