@@ -75,14 +75,35 @@ pub fn offsets_from_lens(lens: &[usize]) -> Vec<usize> {
 mod tests {
     use super::*;
 
+    /// Packs nested rows through `from_lens_and_items`, the way the
+    /// parallel constructors do: lengths first, then the flat buffer.
+    fn from_rows<T: Clone>(rows: &[Vec<T>]) -> Csr<T> {
+        let lens: Vec<usize> = rows.iter().map(Vec::len).collect();
+        Csr::from_lens_and_items(&lens, rows.concat())
+    }
+
+    fn to_rows<T: Clone>(csr: &Csr<T>) -> Vec<Vec<T>> {
+        (0..csr.rows()).map(|i| csr.row(i).to_vec()).collect()
+    }
+
     #[test]
-    fn from_lens_and_items_round_trips() {
-        let csr = Csr::from_lens_and_items(&[2, 0, 1], vec![1, 2, 3]);
+    fn from_rows_round_trips() {
+        let rows = vec![vec![1, 2], vec![], vec![3]];
+        let csr = from_rows(&rows);
         assert_eq!(csr.rows(), 3);
         assert_eq!(csr.item_count(), 3);
         assert_eq!(csr.row(0), &[1, 2]);
         assert_eq!(csr.row(1), &[] as &[i32]);
         assert_eq!(csr.row(2), &[3]);
+        assert_eq!(to_rows(&csr), rows);
+    }
+
+    #[test]
+    fn from_lens_and_items_matches_from_rows() {
+        let rows = vec![vec![10u8, 11], vec![12]];
+        let b = Csr::from_lens_and_items(&[2, 1], vec![10u8, 11, 12]);
+        assert_eq!(to_rows(&b), rows);
+        assert_eq!(from_rows(&rows), b);
     }
 
     #[test]
