@@ -77,7 +77,7 @@ use std::io::{BufRead, BufReader, Write};
 use std::net::{TcpListener, TcpStream};
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Arc;
-use std::time::{Duration, Instant};
+use std::time::Duration;
 
 use minoan_kb::Json;
 use minoan_obs::{trace, Level};
@@ -86,11 +86,8 @@ use crate::http::HttpOptions;
 use crate::intake::{self, ShutdownMode};
 use crate::manifest::{JobInput, JobSpec};
 use crate::registry::IndexRegistry;
-use crate::report::{peak_rss_bytes, JobReport, ServeReport};
-use crate::scheduler::{
-    resolve_fleet_knobs, CancelToken, JobQueue, ServeOptions, DEFAULT_SHED_QUEUE_DEPTH,
-    SHED_BYTES_FACTOR,
-};
+use crate::report::{JobReport, ServeReport};
+use crate::scheduler::{fleet_queue, run_fleet, CancelToken, JobQueue, ServeOptions};
 
 /// How often blocked daemon loops (accept, per-connection reads) check
 /// the shutdown flag.
@@ -120,28 +117,11 @@ pub struct Frontends {
     pub http_options: HttpOptions,
 }
 
-/// Runs the line-JSON daemon on an already-bound listener until a
-/// client sends `shutdown`, then drains the queue and returns the fleet
-/// report. Equivalent to [`run_server`] with only the `line` front-end.
-pub fn run_daemon(
-    listener: TcpListener,
-    opts: &ServeOptions,
-    on_done: impl Fn(&JobReport) + Sync,
-) -> std::io::Result<ServeReport> {
-    run_server(
-        Frontends {
-            line: Some(listener),
-            ..Frontends::default()
-        },
-        opts,
-        on_done,
-    )
-}
-
 /// Runs the serving daemon over one or both protocol front-ends until a
 /// client sends a shutdown request, then drains the queue and returns
 /// the fleet report (jobs in submission order, like a batch run).
-/// `on_done` fires once per terminal job report, in completion order.
+/// `on_done` fires once per report a worker produced, in completion
+/// order; a job cancelled while still queued has none.
 ///
 /// Fleet knobs come from `opts` with zeros meaning "all cores" /
 /// "unlimited", exactly like a manifest with no limits; there is no
@@ -151,7 +131,6 @@ pub fn run_server(
     opts: &ServeOptions,
     on_done: impl Fn(&JobReport) + Sync,
 ) -> std::io::Result<ServeReport> {
-    let t0 = Instant::now();
     let Frontends {
         line,
         http,
@@ -166,22 +145,6 @@ pub fn run_server(
     for listener in line.iter().chain(http.iter()) {
         listener.set_nonblocking(true)?;
     }
-    let (slots, threads, budget_bytes) = resolve_fleet_knobs(opts, 0, 0, 0, usize::MAX);
-    // Overload shedding is a daemon-only concern: batch submits its
-    // whole manifest up front and would only shed its own jobs. The
-    // byte mark is a multiple of the admission budget — jobs past the
-    // budget *wait*; jobs past the shed mark are *refused* — and
-    // disabled when admission itself is unlimited.
-    let queue = JobQueue::new(slots, threads, budget_bytes)
-        .with_job_defaults(opts.timeout_ms.unwrap_or(0), opts.max_retries.unwrap_or(0))
-        .with_shed_limits(
-            opts.shed_queue_depth.unwrap_or(DEFAULT_SHED_QUEUE_DEPTH),
-            budget_bytes.saturating_mul(SHED_BYTES_FACTOR),
-        );
-    let shutdown = CancelToken::new();
-    // The daemon has no fleet-level cancel; per-job cancellation goes
-    // through the queue.
-    let never = CancelToken::new();
     let http_options = &http_options;
     // Index serving is opt-in: without a directory the `index-*` ops
     // and `/v1/indexes` endpoints answer structured `unavailable`
@@ -211,85 +174,69 @@ pub fn run_server(
         on_done(report);
     };
 
-    std::thread::scope(|scope| -> std::io::Result<()> {
-        let queue = &queue;
-        let shutdown = &shutdown;
-        let notify = &notify;
-        for _ in 0..slots {
-            scope.spawn(|| queue.worker(opts, &never, notify));
-        }
-        let mut accept_loops = Vec::new();
-        if let Some(listener) = line {
-            accept_loops.push(scope.spawn(move || {
-                accept_loop(listener, shutdown, |stream| {
-                    scope.spawn(move || handle_connection(stream, queue, shutdown, registry));
-                })
-            }));
-        }
-        if let Some(listener) = http {
-            let max_connections = http_options
-                .max_connections
-                .unwrap_or(crate::http::DEFAULT_MAX_CONNECTIONS)
-                .max(1);
-            let live = Arc::new(AtomicUsize::new(0));
-            accept_loops.push(scope.spawn(move || {
-                accept_loop(listener, shutdown, |stream| {
-                    // Claim a handler slot before spawning; over the cap
-                    // the 503 is written right here in the accept loop
-                    // (with a tightly bounded linger so it survives the
-                    // close), so a connection flood never ties up a
-                    // handler thread.
-                    let claimed = live
-                        .fetch_update(Ordering::AcqRel, Ordering::Acquire, |n| {
-                            (n < max_connections).then_some(n + 1)
-                        })
-                        .is_ok();
-                    if !claimed {
-                        crate::http::reject_over_capacity(stream);
-                        return;
-                    }
-                    let live = Arc::clone(&live);
-                    scope.spawn(move || {
-                        crate::http::handle_connection(
-                            stream,
-                            queue,
-                            shutdown,
-                            http_options,
-                            registry,
-                        );
-                        live.fetch_sub(1, Ordering::AcqRel);
-                    });
-                })
-            }));
-        }
-        let mut result = Ok(());
-        for handle in accept_loops {
-            let loop_result = handle.join().expect("accept loops do not panic");
-            if result.is_ok() {
-                result = loop_result;
+    // The intake: one accept loop per front-end, each connection on its
+    // own handler thread. It returns once every handler has stopped;
+    // the runner then closes the queue and drains it.
+    run_fleet(fleet_queue(opts, None), opts, &notify, |queue| {
+        let shutdown = &CancelToken::new();
+        std::thread::scope(|scope| {
+            let mut accept_loops = Vec::new();
+            if let Some(listener) = line {
+                accept_loops.push(scope.spawn(move || {
+                    accept_loop(listener, shutdown, |stream| {
+                        scope.spawn(move || handle_connection(stream, queue, shutdown, registry));
+                    })
+                }));
             }
-        }
-        // Release every scoped thread before returning — including on
-        // a fatal accept error, where skipping this would leave workers
-        // parked in the admission wait and the scope joining forever:
-        // the shutdown flag stops connection handlers, closing the
-        // queue lets workers exit once it drains (a `shutdown` with
-        // mode "cancel" has already flipped/cancelled everything, so
-        // that drain is immediate).
-        shutdown.cancel();
-        queue.close();
-        result
-    })?;
-
-    let peak_active = queue.peak_concurrent();
-    Ok(ServeReport {
-        jobs: queue.into_reports(),
-        slots,
-        threads,
-        memory_budget_bytes: budget_bytes,
-        peak_concurrent_jobs: peak_active,
-        wall: t0.elapsed(),
-        peak_rss_bytes: peak_rss_bytes(),
+            if let Some(listener) = http {
+                let max_connections = http_options
+                    .max_connections
+                    .unwrap_or(crate::http::DEFAULT_MAX_CONNECTIONS)
+                    .max(1);
+                let live = Arc::new(AtomicUsize::new(0));
+                accept_loops.push(scope.spawn(move || {
+                    accept_loop(listener, shutdown, |stream| {
+                        // Claim a handler slot before spawning; over the
+                        // cap the 503 is written right here in the accept
+                        // loop (with a tightly bounded linger so it
+                        // survives the close), so a connection flood
+                        // never ties up a handler thread.
+                        let claimed = live
+                            .fetch_update(Ordering::AcqRel, Ordering::Acquire, |n| {
+                                (n < max_connections).then_some(n + 1)
+                            })
+                            .is_ok();
+                        if !claimed {
+                            crate::http::reject_over_capacity(stream);
+                            return;
+                        }
+                        let live = Arc::clone(&live);
+                        scope.spawn(move || {
+                            crate::http::handle_connection(
+                                stream,
+                                queue,
+                                shutdown,
+                                http_options,
+                                registry,
+                            );
+                            live.fetch_sub(1, Ordering::AcqRel);
+                        });
+                    })
+                }));
+            }
+            let mut result = Ok(());
+            for handle in accept_loops {
+                let loop_result = handle.join().expect("accept loops do not panic");
+                if result.is_ok() {
+                    result = loop_result;
+                }
+            }
+            // The shutdown flag stops every connection handler, so the
+            // scope can join them — on a fatal accept error too, where
+            // no client asked for a shutdown.
+            shutdown.cancel();
+            result
+        })
     })
 }
 
@@ -695,6 +642,15 @@ mod tests {
         Json::parse(line.trim()).expect("response parses")
     }
 
+    /// The daemon with only the line-JSON front-end.
+    fn serve_line(listener: TcpListener, opts: &ServeOptions) -> ServeReport {
+        let frontends = Frontends {
+            line: Some(listener),
+            ..Frontends::default()
+        };
+        run_server(frontends, opts, |_| {}).unwrap()
+    }
+
     fn tiny_opts() -> ServeOptions {
         ServeOptions {
             slots: Some(2),
@@ -709,7 +665,7 @@ mod tests {
         let addr = listener.local_addr().unwrap();
         let opts = tiny_opts();
         std::thread::scope(|scope| {
-            let daemon = scope.spawn(|| run_daemon(listener, &opts, |_| {}).unwrap());
+            let daemon = scope.spawn(|| serve_line(listener, &opts));
 
             let r = roundtrip(
                 addr,
@@ -747,7 +703,7 @@ mod tests {
         let addr = listener.local_addr().unwrap();
         let opts = tiny_opts();
         std::thread::scope(|scope| {
-            let daemon = scope.spawn(|| run_daemon(listener, &opts, |_| {}).unwrap());
+            let daemon = scope.spawn(|| serve_line(listener, &opts));
             for (request, needle) in [
                 ("not json", "bad request JSON"),
                 ("{}", "op"),
@@ -785,7 +741,7 @@ mod tests {
         let addr = listener.local_addr().unwrap();
         let opts = tiny_opts();
         std::thread::scope(|scope| {
-            let daemon = scope.spawn(|| run_daemon(listener, &opts, |_| {}).unwrap());
+            let daemon = scope.spawn(|| serve_line(listener, &opts));
             let mut stream = TcpStream::connect(addr).unwrap();
             stream.write_all(b"{\"op\": \"stat\xffus\"}\n").unwrap();
             let mut reader = BufReader::new(stream.try_clone().unwrap());
@@ -824,7 +780,7 @@ mod tests {
             ..ServeOptions::default()
         };
         std::thread::scope(|scope| {
-            let daemon = scope.spawn(|| run_daemon(listener, &opts, |_| {}).unwrap());
+            let daemon = scope.spawn(|| serve_line(listener, &opts));
             for name in ["a", "b", "c"] {
                 let r = roundtrip(
                     addr,

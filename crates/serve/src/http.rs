@@ -108,18 +108,18 @@
 //! line-JSON front-end.
 
 use std::io::{BufRead, BufReader, Read, Write};
-use std::net::{TcpListener, TcpStream};
+use std::net::TcpStream;
 use std::time::{Duration, Instant};
 
 use minoan_kb::Json;
 use minoan_obs::{trace, Level};
 
-use crate::daemon::{run_server, Frontends, POLL_INTERVAL};
+use crate::daemon::POLL_INTERVAL;
 use crate::events::{record_json, EventFilter, MAX_EVENT_BATCH};
 use crate::intake::{self, ShutdownMode};
 use crate::registry::IndexRegistry;
-use crate::report::{peak_rss_bytes, JobReport, ServeReport};
-use crate::scheduler::{CancelOutcome, CancelToken, JobQueue, ServeOptions};
+use crate::report::peak_rss_bytes;
+use crate::scheduler::{CancelOutcome, CancelToken, JobQueue};
 use crate::telemetry;
 
 /// Maximum bytes in the request line (method + target + version).
@@ -153,28 +153,6 @@ pub struct HttpOptions {
     /// immediate `503` + `Retry-After` and is closed — it never ties up
     /// a handler thread.
     pub max_connections: Option<usize>,
-}
-
-/// Runs the HTTP front-end alone on an already-bound listener until a
-/// client posts `/v1/shutdown`, then drains the queue and returns the
-/// fleet report. Equivalent to [`run_server`] with only the `http`
-/// front-end; use [`run_server`] directly to serve HTTP and line-JSON
-/// side by side.
-pub fn run_http(
-    listener: TcpListener,
-    opts: &ServeOptions,
-    http_options: HttpOptions,
-    on_done: impl Fn(&JobReport) + Sync,
-) -> std::io::Result<ServeReport> {
-    run_server(
-        Frontends {
-            http: Some(listener),
-            http_options,
-            ..Frontends::default()
-        },
-        opts,
-        on_done,
-    )
 }
 
 /// One parsed request.

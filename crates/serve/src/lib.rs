@@ -6,18 +6,19 @@
 //! schedules jobs across the executor with **pair-level parallelism
 //! first** and intra-pair parallelism for stragglers, and streams
 //! per-job results, timings and peak-RSS metrics into a report. Two
-//! front-ends drain the same queue: **batch mode** ([`run_batch`])
-//! submits a whole manifest up front, and **daemon mode**
-//! ([`run_server`], `minoaner serve`) accepts jobs as they arrive over
-//! one or both live protocols — the line-delimited JSON socket
-//! (`--listen`, see [`daemon`] for the wire protocol and cancellation
-//! granularity) and the dependency-free HTTP/1.1 front-end
-//! (`--listen-http`, see [`http`] for the endpoint table, bearer-token
-//! auth, request limits and Prometheus metrics). Submit / status /
-//! cancel / wait / shutdown work identically on both, including
-//! cooperative **mid-job cancellation** through the job's executor,
-//! because both delegate to one shared queue-fronting
-//! request layer.
+//! front-ends feed the same queue, and one fleet runner staffs and
+//! drains it for both: **batch mode** ([`run_batch`]) submits a whole
+//! manifest and closes the queue before the workers start, and
+//! **daemon mode** ([`run_server`], `minoaner serve`) accepts jobs as
+//! they arrive over one or both live protocols — the line-delimited
+//! JSON socket (`--listen`, see [`daemon`] for the wire protocol and
+//! cancellation granularity) and the dependency-free HTTP/1.1
+//! front-end (`--listen-http`, see [`http`] for the endpoint table,
+//! bearer-token auth, request limits and Prometheus metrics). Submit /
+//! status / cancel / wait / shutdown work identically on both,
+//! including cooperative **mid-job cancellation** through the job's
+//! own token on its executor — the only way a job is cancelled —
+//! because both delegate to one shared queue-fronting request layer.
 //!
 //! ## Manifest format
 //!
@@ -78,8 +79,8 @@ pub mod report;
 pub mod scheduler;
 pub mod telemetry;
 
-pub use daemon::{run_daemon, run_server, Frontends};
-pub use http::{prometheus_metrics, run_http, HttpOptions};
+pub use daemon::{run_server, Frontends};
+pub use http::{prometheus_metrics, HttpOptions};
 pub use registry::{IndexEntry, IndexRegistry, RegistryError};
 
 pub use manifest::{JobInput, JobSpec, Manifest};

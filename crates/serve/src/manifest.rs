@@ -128,9 +128,8 @@ pub struct JobSpec {
     /// Where to persist the built index artifact, if anywhere. This is
     /// an *internal* field set by the serving layer for
     /// `POST /v1/indexes` builds — it is not part of the manifest wire
-    /// schema ([`JobSpec::from_json`] never sets it, [`JobSpec::to_json`]
-    /// never emits it), so clients cannot point the daemon at arbitrary
-    /// filesystem paths.
+    /// schema ([`JobSpec::from_json`] never sets it), so clients cannot
+    /// point the daemon at arbitrary filesystem paths.
     pub persist: Option<PathBuf>,
 }
 
@@ -140,12 +139,6 @@ impl JobSpec {
     /// takes over the wire.
     pub fn from_json(json: &Json) -> Result<JobSpec, String> {
         job_from_json(json)
-    }
-
-    /// Serializes this job as its JSON spelling (round-trips through
-    /// [`JobSpec::from_json`]).
-    pub fn to_json(&self) -> Json {
-        job_to_json(self)
     }
 
     /// Validates this job on its own: non-empty name, parameters in
@@ -337,22 +330,6 @@ impl Manifest {
         }
         Ok(())
     }
-
-    /// Serializes the manifest as its JSON spelling (round-trips through
-    /// [`Manifest::from_json`]).
-    pub fn to_json(&self) -> Json {
-        Json::obj([
-            ("slots", Json::num(self.slots as f64)),
-            ("threads", Json::num(self.threads as f64)),
-            (
-                "memory_budget_mib",
-                Json::num(self.memory_budget_mib as f64),
-            ),
-            ("timeout_ms", Json::num(self.timeout_ms as f64)),
-            ("max_retries", Json::num(self.max_retries as f64)),
-            ("jobs", Json::arr(self.jobs.iter().map(job_to_json))),
-        ])
-    }
 }
 
 fn job_from_json(json: &Json) -> Result<JobSpec, String> {
@@ -448,53 +425,6 @@ fn job_from_json(json: &Json) -> Result<JobSpec, String> {
     })
 }
 
-fn job_to_json(job: &JobSpec) -> Json {
-    let mut fields: Vec<(String, Json)> = vec![("name".into(), Json::str(&job.name))];
-    match &job.input {
-        JobInput::Synthetic { kind, seed, scale } => {
-            let spelled = match kind {
-                DatasetKind::Restaurant => "restaurant",
-                DatasetKind::RexaDblp => "rexa",
-                DatasetKind::BbcDbpedia => "bbc",
-                DatasetKind::YagoImdb => "yago",
-            };
-            fields.push(("dataset".into(), Json::str(spelled)));
-            fields.push(("seed".into(), Json::num(*seed as f64)));
-            fields.push(("scale".into(), Json::Num(*scale)));
-        }
-        JobInput::Files { first, second } => {
-            fields.push(("first".into(), Json::str(first.display().to_string())));
-            fields.push(("second".into(), Json::str(second.display().to_string())));
-        }
-        JobInput::IndexPatch { id, ops, .. } => {
-            // Internal input: reported for observability (job listings),
-            // never re-parsed — `job_from_json` treats these fields as
-            // unknown, exactly like `persist`.
-            fields.push(("index_patch".into(), Json::str(id)));
-            fields.push(("delta_ops".into(), Json::num(ops.len() as f64)));
-        }
-    }
-    if let Some(truth) = &job.truth {
-        fields.push(("truth".into(), Json::str(truth.display().to_string())));
-    }
-    if let Some(theta) = job.theta {
-        fields.push(("theta".into(), Json::Num(theta)));
-    }
-    if let Some(k) = job.candidates_k {
-        fields.push(("k".into(), Json::num(k as f64)));
-    }
-    if let Some(purge) = job.purge_blocks {
-        fields.push(("purge".into(), Json::Bool(purge)));
-    }
-    if let Some(timeout) = job.timeout_ms {
-        fields.push(("timeout_ms".into(), Json::num(timeout as f64)));
-    }
-    if let Some(retries) = job.max_retries {
-        fields.push(("max_retries".into(), Json::num(retries as f64)));
-    }
-    Json::Obj(fields)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -539,7 +469,9 @@ mod tests {
     #[test]
     fn json_round_trip() {
         let m = Manifest::parse_json(JSON).unwrap();
-        let back = Manifest::parse_json(&m.to_json().pretty()).unwrap();
+        let reprinted = Json::parse(JSON).unwrap().pretty();
+        assert_ne!(reprinted, JSON);
+        let back = Manifest::parse_json(&reprinted).unwrap();
         assert_eq!(m, back);
     }
 

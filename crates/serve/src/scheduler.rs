@@ -4,17 +4,19 @@
 //!
 //! ## The queue
 //!
-//! [`JobQueue`] is the one scheduling engine in the workspace. Batch
-//! mode ([`run_batch`]) submits every manifest job up front, closes the
-//! queue and drains it; daemon mode ([`crate::daemon`]) keeps the queue
-//! open and feeds it jobs as they arrive over the socket. Either way
-//! the rules are identical:
+//! [`JobQueue`] is the one scheduling engine in the workspace, and one
+//! runner staffs and drains it. Batch mode ([`run_batch`]) submits
+//! every manifest job up front and closes the queue before the runner
+//! starts; daemon mode ([`crate::daemon`]) hands the runner its accept
+//! loops, which feed jobs as they arrive over the socket, and the
+//! runner closes the queue when they return. Either way the rules are
+//! identical:
 //!
 //! - **Pairs first.** Up to `min(slots, available_parallelism())`
 //!   jobs run concurrently — the queue's **execution width** — each on
-//!   its own executor; slots beyond the core count buy queue residency
-//!   (admission accounting, a worker ready to claim, FIFO position)
-//!   rather than one more CPU-bound pipeline evicting everyone else's
+//!   its own executor, and the runner starts exactly that many workers.
+//!   Slots beyond the core count are reported but never dispatched:
+//!   one more CPU-bound pipeline would only evict everyone else's
 //!   working set on every timeslice. The total thread budget is
 //!   divided with real accounting: a claim takes `max(1, free / fill)`
 //!   workers, where `free` is the budget minus the allotments of
@@ -48,10 +50,9 @@
 //!   wave start on the sequential one. A job is
 //!   never observable as both running and cancelled: phase transitions
 //!   (`Queued → Running → Done`, or `Queued → Done` for a pre-dispatch
-//!   cancel) happen under one lock and anything else panics. The
-//!   fleet-level token passed to [`run_batch_streaming`] keeps its
-//!   coarser historical meaning: stop *dispatching* (queued jobs report
-//!   `Cancelled`; running jobs complete normally).
+//!   cancel) happen under one lock and anything else panics. Per-job
+//!   tokens are the only cancellation; [`JobQueue::cancel_all`] sets
+//!   every one of them.
 //! - **Determinism.** Job results never depend on scheduling: the
 //!   pipeline is bit-identical across executors and thread counts, and
 //!   each job's inputs are private to it. The fleet report lists jobs
@@ -91,6 +92,7 @@
 //! the bit-identity gates observe the historical behavior unchanged.
 
 use std::collections::{HashMap, VecDeque};
+use std::convert::Infallible;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Arc, Condvar, Mutex};
@@ -291,7 +293,8 @@ impl QueueStats {
     }
 
     /// The telemetry as a flat JSON object — the `telemetry` member of
-    /// the line-JSON `status` response (durations in milliseconds).
+    /// the line-JSON `status` response and of HTTP `GET /v1/jobs`
+    /// (durations in milliseconds).
     /// `stage_ms` holds the stage histograms' sums
     /// ([`crate::telemetry::STAGES`]). The `pool` member is the
     /// work-stealing pool's counters, or `null` while the pool has not
@@ -472,43 +475,6 @@ impl QueueInner {
         );
         entry.phase = to;
     }
-
-    /// Flips a still-queued job to its terminal `Cancelled` report:
-    /// removes it from pending and transitions it to `Done`, returning
-    /// the report. The one implementation behind both the per-job
-    /// cancel and the fleet-level-cancel dispatch skip, so the shape of
-    /// a cancelled report cannot drift between the two paths. Callers
-    /// notify the condvars after releasing the lock.
-    fn flip_queued_to_cancelled(&mut self, id: JobId) -> JobReport {
-        let entry = &self.entries[id];
-        let mut report = JobReport::empty(&entry.spec.name, JobStatus::Cancelled);
-        report.estimated_bytes = entry.estimate;
-        self.pending.retain(|&p| p != id);
-        self.transition(id, Phase::Done(Box::new(report.clone())));
-        trace::emit_job(
-            Level::Info,
-            "job.done",
-            id as i64,
-            0,
-            "status=cancelled (pre-dispatch)".to_string(),
-        );
-        report
-    }
-}
-
-/// The claim a worker leaves the admission loop with.
-enum Claim {
-    /// Run this job with the given thread allotment.
-    Run { id: JobId, allot: usize },
-    /// The job was flipped to `Cancelled` pre-dispatch (fleet-level
-    /// cancel); the stored report's clone still goes to `on_done`,
-    /// which also wants the spec it belonged to.
-    Flipped {
-        spec: Box<JobSpec>,
-        report: Box<JobReport>,
-    },
-    /// Queue closed and drained: the worker exits.
-    Exit,
 }
 
 /// A live, bounded-memory admission queue of resolution jobs — the
@@ -522,12 +488,12 @@ pub struct JobQueue {
     done: Condvar,
     slots: usize,
     /// Execution width: at most this many jobs are *dispatched* at
-    /// once — `min(slots, available_parallelism())`. Slots beyond the
-    /// core count still buy queue residency (admission accounting,
-    /// worker threads ready to claim, FIFO position) but never put more
-    /// CPU-bound pipelines on the machine than it has cores: on a small
-    /// box, excess concurrency only evicts each job's working set on
-    /// every timeslice without adding parallelism.
+    /// once — `min(slots, available_parallelism())` — and the fleet
+    /// runner starts exactly this many workers. Slots beyond the core
+    /// count are reported but never put more CPU-bound pipelines on the
+    /// machine than it has cores: on a small box, excess concurrency
+    /// only evicts each job's working set on every timeslice without
+    /// adding parallelism.
     width: usize,
     threads: usize,
     budget_bytes: u64,
@@ -817,7 +783,18 @@ impl JobQueue {
         };
         match phase {
             JobPhase::Queued => {
-                guard.flip_queued_to_cancelled(id);
+                let entry = &guard.entries[id];
+                let mut report = JobReport::empty(&entry.spec.name, JobStatus::Cancelled);
+                report.estimated_bytes = entry.estimate;
+                guard.pending.retain(|&p| p != id);
+                guard.transition(id, Phase::Done(Box::new(report)));
+                trace::emit_job(
+                    Level::Info,
+                    "job.done",
+                    id as i64,
+                    0,
+                    "status=cancelled (pre-dispatch)".to_string(),
+                );
                 drop(guard);
                 // The head of the queue changed; a worker blocked on
                 // admission for this job must re-evaluate.
@@ -977,167 +954,158 @@ impl JobQueue {
     }
 
     /// One fleet worker: claim the next admissible job, run it, repeat
-    /// until the queue is closed and drained. Run exactly
-    /// [`JobQueue::slots`] of these concurrently. `fleet_cancel` is the
-    /// coarse batch-mode token (stop dispatching); per-job cancellation
-    /// goes through [`JobQueue::cancel`]. `on_done` fires once per
-    /// terminal report, in completion order, outside the queue lock and
+    /// until the queue is closed and drained. Workers beyond
+    /// [`JobQueue::width`] only park, since no more jobs than that are
+    /// ever dispatched at once; the fleet runner starts exactly `width`.
+    /// `on_done` fires exactly once per terminal report *this worker
+    /// produced*, in completion order, outside the queue lock and
     /// **before** waiters on that job are woken; it receives the spec
     /// too, so callers with post-completion side effects (the daemon
     /// invalidating a patched index's cache entry) can see what kind of
-    /// job finished.
-    pub fn worker(
-        &self,
-        opts: &ServeOptions,
-        fleet_cancel: &CancelToken,
-        on_done: &(impl Fn(&JobSpec, &JobReport) + Sync),
-    ) {
-        loop {
-            match self.claim(fleet_cancel) {
-                Claim::Exit => return,
-                Claim::Flipped { spec, report } => on_done(&spec, &report),
-                Claim::Run { id, allot } => {
-                    // Every attempt gets a fresh trace: its spans and
-                    // events never interleave with a previous attempt's.
-                    let job_trace = trace::new_trace_id();
-                    let (spec, estimate, raw_estimate, job_cancel, timeout, attempt) = {
-                        let mut guard = self.lock();
-                        let e = &mut guard.entries[id];
-                        e.trace_ids.push(job_trace);
-                        (
-                            e.spec.clone(),
-                            e.estimate,
-                            e.raw_estimate,
-                            e.cancel.clone(),
-                            e.timeout,
-                            e.attempt,
-                        )
-                    };
-                    trace::emit_job(
-                        Level::Info,
-                        "job.running",
-                        id as i64,
-                        job_trace,
-                        format!("name={:?} attempt={attempt} threads={allot}", spec.name),
-                    );
-                    // The deadline clock starts at dispatch (queue wait
-                    // does not count) and restarts on every attempt.
-                    if let Some(timeout) = timeout {
-                        job_cancel.set_deadline(timeout);
-                    }
-                    let trace_binding = trace::trace_scope(job_trace, id as i64);
-                    let (mut report, class) = run_job(&spec, opts, allot, estimate, &job_cancel);
-                    drop(trace_binding);
-                    // Self-calibrating admission: successful jobs teach
-                    // the profile's estimate-accuracy ratio, and a
-                    // charged estimate off by more than 2× either way is
-                    // worth an operator-visible warning.
-                    if report.status.is_ok() {
-                        if let Some(delta) = report.peak_rss_delta_bytes {
-                            self.observe_calibration(spec.profile_key(), raw_estimate, delta);
-                        }
-                        if let Some(ratio) = report.rss_estimate_ratio() {
-                            if !(0.5..=2.0).contains(&ratio) {
-                                minoan_obs::warn!(
-                                    "serve.admission",
-                                    "job {:?}: admission estimate off by {ratio:.2}x \
-                                     (charged {estimate} bytes, measured {} bytes); future \
-                                     {:?} submissions will use the recalibrated ratio",
-                                    spec.name,
-                                    report.peak_rss_delta_bytes.unwrap_or(0),
-                                    spec.profile_key(),
-                                );
-                            }
-                        }
-                    }
-                    let mut guard = self.lock();
-                    guard.active -= 1;
-                    guard.in_flight_bytes -= estimate;
-                    guard.threads_in_use -= allot;
-                    let entry = &mut guard.entries[id];
-                    if matches!(class, EndClass::Panicked) {
-                        entry.panics += 1;
-                    }
-                    // Quarantine before the retry decision: the second
-                    // panic is terminal even with retry budget left.
-                    let poisoned =
-                        matches!(class, EndClass::Panicked) && entry.panics >= POISON_PANICS;
-                    // An operator cancel that raced a transient failure
-                    // is still a cancel; never resurrect the job.
-                    let user_cancelled =
-                        entry.cancel.reason() == Some(minoan_exec::CancelReason::User);
-                    let retry = !poisoned
-                        && !user_cancelled
-                        && !matches!(class, EndClass::Final)
-                        && entry.attempt < entry.max_retries;
-                    if retry {
-                        entry.attempt += 1;
-                        entry.cancel = CancelToken::new();
-                        let delay = minoan_exec::backoff::jittered_delay(
-                            RETRY_BACKOFF_BASE,
-                            entry.attempt - 1,
-                            RETRY_BACKOFF_CAP,
-                            retry_seed(id, entry.attempt),
+    /// job finished. A retried attempt is not terminal and fires
+    /// nothing; a job [cancelled](JobQueue::cancel) while still queued
+    /// never reaches a worker, so it fires nothing either, though its
+    /// `Cancelled` report is in [`JobQueue::into_reports`].
+    pub fn worker(&self, opts: &ServeOptions, on_done: &(impl Fn(&JobSpec, &JobReport) + Sync)) {
+        while let Some((id, allot)) = self.claim() {
+            // Every attempt gets a fresh trace: its spans and
+            // events never interleave with a previous attempt's.
+            let job_trace = trace::new_trace_id();
+            let (spec, estimate, raw_estimate, job_cancel, timeout, attempt) = {
+                let mut guard = self.lock();
+                let e = &mut guard.entries[id];
+                e.trace_ids.push(job_trace);
+                (
+                    e.spec.clone(),
+                    e.estimate,
+                    e.raw_estimate,
+                    e.cancel.clone(),
+                    e.timeout,
+                    e.attempt,
+                )
+            };
+            trace::emit_job(
+                Level::Info,
+                "job.running",
+                id as i64,
+                job_trace,
+                format!("name={:?} attempt={attempt} threads={allot}", spec.name),
+            );
+            // The deadline clock starts at dispatch (queue wait
+            // does not count) and restarts on every attempt.
+            if let Some(timeout) = timeout {
+                job_cancel.set_deadline(timeout);
+            }
+            let trace_binding = trace::trace_scope(job_trace, id as i64);
+            let (mut report, class) = run_job(&spec, opts, allot, estimate, &job_cancel);
+            drop(trace_binding);
+            // Self-calibrating admission: successful jobs teach
+            // the profile's estimate-accuracy ratio, and a
+            // charged estimate off by more than 2× either way is
+            // worth an operator-visible warning.
+            if report.status.is_ok() {
+                if let Some(delta) = report.peak_rss_delta_bytes {
+                    self.observe_calibration(spec.profile_key(), raw_estimate, delta);
+                }
+                if let Some(ratio) = report.rss_estimate_ratio() {
+                    if !(0.5..=2.0).contains(&ratio) {
+                        minoan_obs::warn!(
+                            "serve.admission",
+                            "job {:?}: admission estimate off by {ratio:.2}x \
+                             (charged {estimate} bytes, measured {} bytes); future \
+                             {:?} submissions will use the recalibrated ratio",
+                            spec.name,
+                            report.peak_rss_delta_bytes.unwrap_or(0),
+                            spec.profile_key(),
                         );
-                        entry.not_before = Some(Instant::now() + delay);
-                        entry.queued_at = Instant::now();
-                        let next_attempt = entry.attempt;
-                        guard.retries_scheduled += 1;
-                        guard.transition(id, Phase::Queued);
-                        guard.pending.push_back(id);
-                        drop(guard);
-                        trace::emit_job(
-                            Level::Warn,
-                            "job.retry",
-                            id as i64,
-                            job_trace,
-                            format!(
-                                "attempt {attempt} ended {}; attempt {next_attempt} \
-                                 re-queued after {delay:?}",
-                                report.status.label()
-                            ),
-                        );
-                        self.admit.notify_all();
-                        // Not terminal: no on_done, no done notification.
-                        continue;
                     }
-                    if poisoned {
-                        let detail = match &report.status {
-                            JobStatus::Failed(e) => e.clone(),
-                            other => other.label().to_string(),
-                        };
-                        report.status = JobStatus::Poisoned(detail);
-                    }
-                    // The job's slot, bytes and threads are free, but
-                    // its terminal phase is published only after
-                    // `on_done` returned: a `wait` caller woken by
-                    // `done` must find the post-completion side effects
-                    // finished (the daemon drops a patched index's
-                    // cached copy there, so patch-then-read never meets
-                    // the pre-patch index). Nothing else moves a
-                    // `Running` entry, so the phase is still ours to set.
-                    drop(guard);
-                    self.admit.notify_all();
-                    on_done(&spec, &report);
-                    if let Some(timings) = &report.timings {
-                        crate::telemetry::observe_stages(timings);
-                    }
-                    let ended = format!(
-                        "status={} wall_ms={:.1}",
-                        report.status.label(),
-                        report.wall.as_secs_f64() * 1e3
-                    );
-                    self.lock().transition(id, Phase::Done(Box::new(report)));
-                    trace::emit_job(Level::Info, "job.done", id as i64, job_trace, ended);
-                    self.done.notify_all();
                 }
             }
+            let mut guard = self.lock();
+            guard.active -= 1;
+            guard.in_flight_bytes -= estimate;
+            guard.threads_in_use -= allot;
+            let entry = &mut guard.entries[id];
+            if matches!(class, EndClass::Panicked) {
+                entry.panics += 1;
+            }
+            // Quarantine before the retry decision: the second
+            // panic is terminal even with retry budget left.
+            let poisoned = matches!(class, EndClass::Panicked) && entry.panics >= POISON_PANICS;
+            // An operator cancel that raced a transient failure
+            // is still a cancel; never resurrect the job.
+            let user_cancelled = entry.cancel.reason() == Some(minoan_exec::CancelReason::User);
+            let retry = !poisoned
+                && !user_cancelled
+                && !matches!(class, EndClass::Final)
+                && entry.attempt < entry.max_retries;
+            if retry {
+                entry.attempt += 1;
+                entry.cancel = CancelToken::new();
+                let delay = minoan_exec::backoff::jittered_delay(
+                    RETRY_BACKOFF_BASE,
+                    entry.attempt - 1,
+                    RETRY_BACKOFF_CAP,
+                    retry_seed(id, entry.attempt),
+                );
+                entry.not_before = Some(Instant::now() + delay);
+                entry.queued_at = Instant::now();
+                let next_attempt = entry.attempt;
+                guard.retries_scheduled += 1;
+                guard.transition(id, Phase::Queued);
+                guard.pending.push_back(id);
+                drop(guard);
+                trace::emit_job(
+                    Level::Warn,
+                    "job.retry",
+                    id as i64,
+                    job_trace,
+                    format!(
+                        "attempt {attempt} ended {}; attempt {next_attempt} \
+                         re-queued after {delay:?}",
+                        report.status.label()
+                    ),
+                );
+                self.admit.notify_all();
+                // Not terminal: no on_done, no done notification.
+                continue;
+            }
+            if poisoned {
+                let detail = match &report.status {
+                    JobStatus::Failed(e) => e.clone(),
+                    other => other.label().to_string(),
+                };
+                report.status = JobStatus::Poisoned(detail);
+            }
+            // The job's slot, bytes and threads are free, but
+            // its terminal phase is published only after
+            // `on_done` returned: a `wait` caller woken by
+            // `done` must find the post-completion side effects
+            // finished (the daemon drops a patched index's
+            // cached copy there, so patch-then-read never meets
+            // the pre-patch index). Nothing else moves a
+            // `Running` entry, so the phase is still ours to set.
+            drop(guard);
+            self.admit.notify_all();
+            on_done(&spec, &report);
+            if let Some(timings) = &report.timings {
+                crate::telemetry::observe_stages(timings);
+            }
+            let ended = format!(
+                "status={} wall_ms={:.1}",
+                report.status.label(),
+                report.wall.as_secs_f64() * 1e3
+            );
+            self.lock().transition(id, Phase::Done(Box::new(report)));
+            trace::emit_job(Level::Info, "job.done", id as i64, job_trace, ended);
+            self.done.notify_all();
         }
     }
 
     /// The admission loop: blocks until the head of the queue fits the
-    /// memory budget (or must be flipped/skipped) or the queue drains.
-    fn claim(&self, fleet_cancel: &CancelToken) -> Claim {
+    /// memory budget, returning its id and thread allotment, or until
+    /// the queue is closed and drained (`None`: the worker exits).
+    fn claim(&self) -> Option<(JobId, usize)> {
         let mut guard = self.lock();
         loop {
             let Some(&id) = guard.pending.front() else {
@@ -1146,21 +1114,11 @@ impl JobQueue {
                 // by their own workers); an open queue blocks for the
                 // next submission or close().
                 if guard.closed {
-                    return Claim::Exit;
+                    return None;
                 }
                 guard = self.admit.wait(guard).expect("queue lock");
                 continue;
             };
-            if fleet_cancel.is_cancelled() {
-                let spec = guard.entries[id].spec.clone();
-                let report = guard.flip_queued_to_cancelled(id);
-                drop(guard);
-                self.done.notify_all();
-                return Claim::Flipped {
-                    spec: Box::new(spec),
-                    report: Box::new(report),
-                };
-            }
             // Backoff gate: a retried job at the head waits out its
             // delay here. FIFO order is preserved — jobs behind it wait
             // too, which keeps retry scheduling deterministic.
@@ -1202,7 +1160,7 @@ impl JobQueue {
                 guard.peak_active = guard.peak_active.max(guard.active);
                 guard.in_flight_bytes += est;
                 guard.threads_in_use += allot;
-                return Claim::Run { id, allot };
+                return Some((id, allot));
             }
             guard = self.admit.wait(guard).expect("queue lock");
         }
@@ -1245,7 +1203,7 @@ impl JobQueue {
 /// **explicit** option (CLI `--slots`/`--threads`) is an operator
 /// decision and is honored as written (`0` still meaning "all
 /// available cores").
-pub(crate) fn resolve_fleet_knobs(
+fn resolve_fleet_knobs(
     opts: &ServeOptions,
     manifest_slots: usize,
     manifest_threads: usize,
@@ -1273,63 +1231,96 @@ pub(crate) fn resolve_fleet_knobs(
     (slots, threads, budget_mib as u64 * (1 << 20))
 }
 
+/// The queue one fleet drains, with `opts` resolved over the fleet's
+/// knobs. Batch passes its manifest: knobs and lifecycle defaults come
+/// from it, slots clamp to its job count, and nothing is shed because
+/// a manifest is admitted whole. A daemon passes `None`: its zeros mean
+/// "all cores", "unlimited", no deadline and no retries, and it sheds
+/// past a queue-depth or admitted-bytes mark — jobs past the budget
+/// *wait*, jobs past the shed mark (a multiple of the budget, off when
+/// admission is unlimited) are *refused*.
+pub(crate) fn fleet_queue(opts: &ServeOptions, manifest: Option<&Manifest>) -> JobQueue {
+    let Some(m) = manifest else {
+        let (slots, threads, budget_bytes) = resolve_fleet_knobs(opts, 0, 0, 0, usize::MAX);
+        return JobQueue::new(slots, threads, budget_bytes)
+            .with_job_defaults(opts.timeout_ms.unwrap_or(0), opts.max_retries.unwrap_or(0))
+            .with_shed_limits(
+                opts.shed_queue_depth.unwrap_or(DEFAULT_SHED_QUEUE_DEPTH),
+                budget_bytes.saturating_mul(SHED_BYTES_FACTOR),
+            );
+    };
+    let (slots, threads, budget_bytes) =
+        resolve_fleet_knobs(opts, m.slots, m.threads, m.memory_budget_mib, m.jobs.len());
+    JobQueue::new(slots, threads, budget_bytes).with_job_defaults(
+        opts.timeout_ms.unwrap_or(m.timeout_ms),
+        opts.max_retries.unwrap_or(m.max_retries),
+    )
+}
+
+/// The one fleet runner: starts a worker per dispatch slot
+/// ([`JobQueue::width`]), runs `intake` beside them, closes the queue
+/// when the intake returns (on error too), joins every worker and
+/// reports. Batch submits and closes before calling this, with an
+/// intake that does nothing; the daemon's intake is its accept loops.
+pub(crate) fn run_fleet<E>(
+    queue: JobQueue,
+    opts: &ServeOptions,
+    on_done: &(impl Fn(&JobSpec, &JobReport) + Sync),
+    intake: impl FnOnce(&JobQueue) -> Result<(), E>,
+) -> Result<ServeReport, E> {
+    let t0 = Instant::now();
+    std::thread::scope(|scope| {
+        for _ in 0..queue.width() {
+            scope.spawn(|| queue.worker(opts, on_done));
+        }
+        let intake_result = intake(&queue);
+        queue.close();
+        intake_result
+    })?;
+    Ok(ServeReport {
+        slots: queue.slots(),
+        threads: queue.threads(),
+        memory_budget_bytes: queue.budget_bytes(),
+        peak_concurrent_jobs: queue.peak_concurrent(),
+        jobs: queue.into_reports(),
+        wall: t0.elapsed(),
+        peak_rss_bytes: peak_rss_bytes(),
+    })
+}
+
 /// Runs every job of `manifest` and returns the fleet report.
 pub fn run_batch(manifest: &Manifest, opts: &ServeOptions) -> ServeReport {
-    run_batch_streaming(manifest, opts, &CancelToken::new(), |_, _| {})
+    run_batch_streaming(manifest, opts, |_, _| {})
 }
 
 /// Like [`run_batch`], but streaming: `on_done` is invoked once per job
 /// as it finishes (in completion order, possibly from multiple worker
-/// threads), before the fleet report is assembled. Implemented on the
-/// same live [`JobQueue`] the daemon uses: submit everything, close,
-/// drain.
+/// threads), before the fleet report is assembled. The whole manifest
+/// is submitted and the queue closed before any worker starts, so
+/// every claim sees the full pending queue when it divides threads.
 pub fn run_batch_streaming(
     manifest: &Manifest,
     opts: &ServeOptions,
-    cancel: &CancelToken,
     on_done: impl Fn(&JobSpec, &JobReport) + Sync,
 ) -> ServeReport {
-    let t0 = Instant::now();
-    let (slots, threads, budget_bytes) = resolve_fleet_knobs(
-        opts,
-        manifest.slots,
-        manifest.threads,
-        manifest.memory_budget_mib,
-        manifest.jobs.len(),
-    );
-    let queue = JobQueue::new(slots, threads, budget_bytes).with_job_defaults(
-        opts.timeout_ms.unwrap_or(manifest.timeout_ms),
-        opts.max_retries.unwrap_or(manifest.max_retries),
-    );
+    let queue = fleet_queue(opts, Some(manifest));
     for job in &manifest.jobs {
         queue
             .submit(job.clone())
             .expect("the batch queue is open while submitting");
     }
     queue.close();
-    std::thread::scope(|scope| {
-        for _ in 0..slots {
-            scope.spawn(|| queue.worker(opts, cancel, &on_done));
-        }
-    });
-    let peak_active = queue.peak_concurrent();
-    ServeReport {
-        jobs: queue.into_reports(),
-        slots,
-        threads,
-        memory_budget_bytes: budget_bytes,
-        peak_concurrent_jobs: peak_active,
-        wall: t0.elapsed(),
-        peak_rss_bytes: peak_rss_bytes(),
-    }
+    let Ok(report) = run_fleet(queue, opts, &on_done, |_| Ok::<(), Infallible>(()));
+    report
 }
 
 /// How a job ended without producing a normal report. `transient`
 /// separates failures worth retrying (I/O errors, injected faults)
 /// from deterministic ones (parse errors, bad config) that would fail
-/// identically on every attempt.
+/// identically on every attempt; a panic carries its message.
 enum JobEnd {
     Failed { error: String, transient: bool },
+    Panicked(String),
     Cancelled,
 }
 
@@ -1439,10 +1430,7 @@ fn run_job(
                 .map(|s| s.to_string())
                 .or_else(|| panic.downcast_ref::<String>().cloned())
                 .unwrap_or_else(|| "non-string panic payload".into());
-            Err(JobEnd::Failed {
-                error: format!("job panicked: {msg}"),
-                transient: true,
-            })
+            Err(JobEnd::Panicked(msg))
         });
     if let Some((stop, handle)) = watchdog {
         stop.store(true, Ordering::Release);
@@ -1450,19 +1438,21 @@ fn run_job(
     }
     let (mut report, class) = match outcome {
         Ok(report) => (report, EndClass::Final),
-        Err(JobEnd::Failed { error, transient }) => {
-            let class = if error.starts_with("job panicked:") {
-                EndClass::Panicked
-            } else if transient {
+        Err(JobEnd::Failed { error, transient }) => (
+            JobReport::empty(&spec.name, JobStatus::Failed(error)),
+            if transient {
                 EndClass::Transient
             } else {
                 EndClass::Final
-            };
-            (
-                JobReport::empty(&spec.name, JobStatus::Failed(error)),
-                class,
-            )
-        }
+            },
+        ),
+        Err(JobEnd::Panicked(msg)) => (
+            JobReport::empty(
+                &spec.name,
+                JobStatus::Failed(format!("job panicked: {msg}")),
+            ),
+            EndClass::Panicked,
+        ),
         Err(JobEnd::Cancelled) => match cancel.reason() {
             Some(minoan_exec::CancelReason::DeadlineExceeded) => (
                 JobReport::empty(&spec.name, JobStatus::TimedOut),
@@ -1756,12 +1746,9 @@ mod tests {
     #[test]
     fn streaming_callback_sees_every_job() {
         let seen = Mutex::new(Vec::new());
-        let report = run_batch_streaming(
-            &small_manifest(),
-            &ServeOptions::default(),
-            &CancelToken::new(),
-            |_, job| seen.lock().unwrap().push(job.name.clone()),
-        );
+        let report = run_batch_streaming(&small_manifest(), &ServeOptions::default(), |_, job| {
+            seen.lock().unwrap().push(job.name.clone())
+        });
         let mut seen = seen.into_inner().unwrap();
         seen.sort();
         let mut expect: Vec<String> = report.jobs.iter().map(|j| j.name.clone()).collect();
@@ -1802,16 +1789,41 @@ mod tests {
 
     #[test]
     fn cancellation_skips_undispatched_jobs() {
-        let cancel = CancelToken::new();
-        cancel.cancel();
-        let report = run_batch_streaming(
-            &small_manifest(),
-            &ServeOptions::default(),
-            &cancel,
-            |_, _| {},
-        );
+        let manifest = small_manifest();
+        let opts = ServeOptions::default();
+        let queue = fleet_queue(&opts, Some(&manifest));
+        for job in &manifest.jobs {
+            queue.submit(job.clone()).unwrap();
+        }
+        // Every job is still queued: no worker has started.
+        queue.cancel_all();
+        queue.close();
+        let Ok(report) = run_fleet(queue, &opts, &|_, _| {}, |_| Ok::<(), Infallible>(()));
         assert_eq!(report.ok_count(), 0);
         assert!(report.jobs.iter().all(|j| j.status == JobStatus::Cancelled));
+    }
+
+    #[test]
+    fn on_done_fires_only_for_reports_a_worker_produced() {
+        let queue = JobQueue::new(1, 1, 0);
+        assert_eq!(queue.width(), 1);
+        queue
+            .submit(synthetic_job("first", DatasetKind::Restaurant, 0.05))
+            .unwrap();
+        let second = queue
+            .submit(synthetic_job("second", DatasetKind::Restaurant, 0.05))
+            .unwrap();
+        assert_eq!(queue.cancel(second), CancelOutcome::CancelledQueued);
+        queue.close();
+        let seen = Mutex::new(Vec::new());
+        queue.worker(&ServeOptions::default(), &|_, job| {
+            seen.lock().unwrap().push(job.name.clone())
+        });
+        assert_eq!(seen.into_inner().unwrap(), ["first"]);
+        let reports = queue.into_reports();
+        assert_eq!(reports[0].status, JobStatus::Ok);
+        assert_eq!(reports[1].name, "second");
+        assert_eq!(reports[1].status, JobStatus::Cancelled);
     }
 
     #[test]
@@ -1993,10 +2005,9 @@ mod tests {
             .unwrap();
         assert_eq!((a, b), (0, 1));
         let opts = ServeOptions::default();
-        let fleet = CancelToken::new();
         std::thread::scope(|scope| {
             for _ in 0..2 {
-                scope.spawn(|| queue.worker(&opts, &fleet, &|_, _| {}));
+                scope.spawn(|| queue.worker(&opts, &|_, _| {}));
             }
             // wait() from outside the worker pool, while workers run.
             let ra = queue.wait(a).expect("known id");
@@ -2024,7 +2035,7 @@ mod tests {
             .unwrap();
         queue.close();
         let seen = Mutex::new(None);
-        queue.worker(&ServeOptions::default(), &CancelToken::new(), &|_, _| {
+        queue.worker(&ServeOptions::default(), &|_, _| {
             *seen.lock().unwrap() = queue.job_snapshot(id).map(|s| s.phase);
         });
         assert_eq!(seen.into_inner().unwrap(), Some(JobPhase::Running));
@@ -2087,9 +2098,8 @@ mod tests {
         let raw = spec.estimated_bytes();
         let id = queue.submit(spec.clone()).unwrap();
         let opts = ServeOptions::default();
-        let fleet = CancelToken::new();
         std::thread::scope(|scope| {
-            scope.spawn(|| queue.worker(&opts, &fleet, &|_, _| {}));
+            scope.spawn(|| queue.worker(&opts, &|_, _| {}));
             let report = queue.wait(id).expect("known id");
             assert_eq!(report.status, JobStatus::Ok);
             queue.close();
@@ -2136,11 +2146,8 @@ mod tests {
     }
 
     fn drain(queue: &JobQueue, opts: &ServeOptions) {
-        let fleet = CancelToken::new();
         queue.close();
-        std::thread::scope(|scope| {
-            scope.spawn(|| queue.worker(opts, &fleet, &|_, _| {}));
-        });
+        queue.worker(opts, &|_, _| {});
     }
 
     #[test]

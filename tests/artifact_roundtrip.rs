@@ -7,36 +7,14 @@
 //! magic, wrong format version, flipped checksum, injected read faults —
 //! must be rejected with structured errors, never a panic.
 
-use std::io::{Read, Write};
-use std::net::{SocketAddr, TcpListener, TcpStream};
-
 use minoaner::core::{Candidate, IndexArtifact, MinoanEr, MAX_CANDIDATES};
 use minoaner::datagen::{mutate_stream, DatasetKind};
 use minoaner::exec::{faults, Executor};
 use minoaner::kb::{ArtifactError, EntityId, Json, KbPair, KbSide};
-use minoaner::serve::{fnv1a, run_http, CancelToken, HttpOptions, ServeOptions};
+use minoaner::serve::{fnv1a, CancelToken, HttpOptions, ServeOptions};
 
-/// A scratch directory that cleans up after itself.
-struct ScratchDir(std::path::PathBuf);
-
-impl ScratchDir {
-    fn new(tag: &str) -> ScratchDir {
-        let dir =
-            std::env::temp_dir().join(format!("minoan-artifact-{tag}-{}", std::process::id()));
-        std::fs::create_dir_all(&dir).expect("create scratch dir");
-        ScratchDir(dir)
-    }
-
-    fn path(&self, name: &str) -> std::path::PathBuf {
-        self.0.join(name)
-    }
-}
-
-impl Drop for ScratchDir {
-    fn drop(&mut self) {
-        let _ = std::fs::remove_dir_all(&self.0);
-    }
-}
+mod common;
+use common::{with_server, Raw, ScratchDir};
 
 /// Builds the index artifact for one synthetic profile through the
 /// pipeline's indexed run — the same code path the serving layer uses.
@@ -326,56 +304,16 @@ fn injected_read_faults_surface_as_clean_io_errors() {
 // HTTP serving: zero-ingest telemetry through /v1/indexes
 // ---------------------------------------------------------------------
 
-/// Minimal HTTP client: one fresh connection per request.
-struct Http {
-    addr: SocketAddr,
-}
-
-impl Http {
-    fn request(&self, method: &str, path: &str, body: Option<&Json>) -> (u16, String) {
-        let payload = body.map(Json::compact).unwrap_or_default();
-        let mut head = format!("{method} {path} HTTP/1.1\r\nHost: test\r\nConnection: close\r\n");
-        if !payload.is_empty() {
-            head += &format!("Content-Length: {}\r\n", payload.len());
-        }
-        head += "\r\n";
-        let mut stream = TcpStream::connect(self.addr).expect("connect");
-        stream
-            .write_all(format!("{head}{payload}").as_bytes())
-            .expect("send");
-        let mut raw = String::new();
-        stream.read_to_string(&mut raw).expect("read response");
-        let (head, body) = raw.split_once("\r\n\r\n").expect("header/body split");
-        let status = head
-            .split(' ')
-            .nth(1)
-            .and_then(|s| s.parse().ok())
-            .expect("status code");
-        (status, body.to_string())
-    }
-
-    fn json(&self, method: &str, path: &str, body: Option<&Json>, expect: u16) -> Json {
-        let (status, body) = self.request(method, path, body);
-        assert_eq!(status, expect, "{method} {path}: {body}");
-        Json::parse(&body).expect("JSON body")
-    }
-}
-
 #[test]
 fn http_match_queries_answer_with_zero_ingest_telemetry() {
     let scratch = ScratchDir::new("http");
-    let listener = TcpListener::bind("127.0.0.1:0").unwrap();
-    let addr = listener.local_addr().unwrap();
     let opts = ServeOptions {
         slots: Some(2),
         threads: Some(2),
         index_dir: Some(scratch.path("indexes")),
         ..ServeOptions::default()
     };
-    std::thread::scope(|scope| {
-        let server = scope.spawn(move || run_http(listener, &opts, HttpOptions::default(), |_| {}));
-        let http = Http { addr };
-
+    with_server(opts, HttpOptions::default(), |http| {
         // Build-and-persist through the job queue; ?wait=true holds the
         // 201 until the artifact is on disk.
         let job = Json::obj([
@@ -426,7 +364,7 @@ fn http_match_queries_answer_with_zero_ingest_telemetry() {
                 None,
             )
         };
-        let (status, body) = query(MAX_CANDIDATES);
+        let Raw { status, body, .. } = query(MAX_CANDIDATES);
         assert_eq!(status, 200, "{body}");
         for (k, needle) in [
             (0, "at least 1".to_string()),
@@ -435,7 +373,7 @@ fn http_match_queries_answer_with_zero_ingest_telemetry() {
                 format!("at most {MAX_CANDIDATES}, got {}", MAX_CANDIDATES + 1),
             ),
         ] {
-            let (status, body) = query(k);
+            let Raw { status, body, .. } = query(k);
             assert_eq!(status, 400, "k={k}: {body}");
             let err = Json::parse(&body).unwrap();
             let err = err.get("error").expect("unified error body");
@@ -449,7 +387,8 @@ fn http_match_queries_answer_with_zero_ingest_telemetry() {
         }
 
         // Unknown entities and unknown indexes map to structured 404s.
-        let (status, body) = http.request("GET", "/v1/indexes/rt/match?entity=nope%3A0", None);
+        let Raw { status, body, .. } =
+            http.request("GET", "/v1/indexes/rt/match?entity=nope%3A0", None);
         assert_eq!(status, 404, "{body}");
         let err = Json::parse(&body).unwrap();
         assert_eq!(
@@ -462,10 +401,9 @@ fn http_match_queries_answer_with_zero_ingest_telemetry() {
 
         // DELETE removes the artifact and the loaded copy.
         http.json("DELETE", "/v1/indexes/rt", None, 200);
-        let (status, _) = http.request("GET", "/v1/indexes/rt", None);
+        let Raw { status, .. } = http.request("GET", "/v1/indexes/rt", None);
         assert_eq!(status, 404);
 
         http.json("POST", "/v1/shutdown", None, 200);
-        server.join().unwrap().unwrap();
     });
 }

@@ -12,19 +12,20 @@
 //! seed flows into each test's plan through [`ci_seed`], so the suite
 //! must hold at any seed.
 
-use std::io::{Read, Write};
-use std::net::{SocketAddr, TcpListener, TcpStream};
+use std::net::TcpStream;
 use std::sync::{Mutex, MutexGuard};
 use std::time::{Duration, Instant};
 
 use minoaner::core::{IndexArtifact, MinoanEr};
 use minoaner::datagen::DatasetKind;
 use minoaner::exec::{faults, Executor};
-use minoaner::kb::{DeltaOp, Json, KbBuilder, KbPair, KbSide, Object};
+use minoaner::kb::{DeltaOp, KbBuilder, KbPair, KbSide, Object};
 use minoaner::serve::{
-    run_http, CancelToken, HttpOptions, JobInput, JobQueue, JobSpec, JobStatus, QueueStats,
-    ServeOptions,
+    CancelToken, HttpOptions, JobInput, JobQueue, JobSpec, JobStatus, QueueStats, ServeOptions,
 };
+
+mod common;
+use common::{with_server, ScratchDir};
 
 /// Serializes every test in this binary: fault plans are process-global
 /// state, and an armed site would otherwise fire in a neighbor test's
@@ -57,29 +58,6 @@ fn ci_seed() -> u64 {
                 .find_map(|clause| clause.trim().strip_prefix("seed:")?.trim().parse().ok())
         })
         .unwrap_or(42)
-}
-
-/// A scratch directory that cleans up after itself.
-struct ScratchDir(std::path::PathBuf);
-
-impl ScratchDir {
-    fn new(tag: &str) -> ScratchDir {
-        let dir = std::env::temp_dir().join(format!("minoan-chaos-{tag}-{}", std::process::id()));
-        std::fs::create_dir_all(&dir).expect("create scratch dir");
-        ScratchDir(dir)
-    }
-
-    fn file(&self, name: &str, content: &str) -> std::path::PathBuf {
-        let path = self.0.join(name);
-        std::fs::write(&path, content).expect("write scratch file");
-        path
-    }
-}
-
-impl Drop for ScratchDir {
-    fn drop(&mut self) {
-        let _ = std::fs::remove_dir_all(&self.0);
-    }
 }
 
 /// A tiny two-sided TSV pair whose entities match on a distinctive name.
@@ -129,10 +107,9 @@ fn synthetic_spec(name: &str, scale: f64) -> JobSpec {
 /// final telemetry (reports stay in the queue for `into_reports`).
 fn drain(queue: &JobQueue, opts: &ServeOptions) -> QueueStats {
     queue.close();
-    let fleet = CancelToken::new();
     std::thread::scope(|scope| {
         for _ in 0..queue.slots() {
-            scope.spawn(|| queue.worker(opts, &fleet, &|_, _| {}));
+            scope.spawn(|| queue.worker(opts, &|_, _| {}));
         }
     });
     queue.stats()
@@ -321,131 +298,6 @@ fn rss_watchdog_kills_the_over_budget_job_and_spares_the_fleet() {
     assert_eq!(stats.done_ok, 1);
 }
 
-/// A minimal test-side HTTP client: one fresh connection per request,
-/// `Connection: close`, whole-response reads.
-struct Http {
-    addr: SocketAddr,
-}
-
-/// Status code, full header section, body.
-struct Raw {
-    status: u16,
-    head: String,
-    body: String,
-}
-
-impl Http {
-    fn request(&self, method: &str, path: &str, body: Option<&Json>) -> Raw {
-        let payload = body.map(Json::compact).unwrap_or_default();
-        let mut head = format!("{method} {path} HTTP/1.1\r\nHost: test\r\nConnection: close\r\n");
-        if !payload.is_empty() {
-            head += &format!("Content-Length: {}\r\n", payload.len());
-        }
-        head += "\r\n";
-        let mut stream = TcpStream::connect(self.addr).expect("connect");
-        stream
-            .write_all(format!("{head}{payload}").as_bytes())
-            .expect("send");
-        stream.flush().unwrap();
-        let mut raw = Vec::new();
-        stream.read_to_end(&mut raw).expect("read response");
-        let raw = String::from_utf8(raw).expect("responses are UTF-8");
-        let (head, body) = raw
-            .split_once("\r\n\r\n")
-            .unwrap_or_else(|| panic!("no header/body split in {raw:?}"));
-        let status = head
-            .split(' ')
-            .nth(1)
-            .and_then(|s| s.parse().ok())
-            .unwrap_or_else(|| panic!("bad status line in {head:?}"));
-        Raw {
-            status,
-            head: head.to_string(),
-            body: body.to_string(),
-        }
-    }
-
-    fn json(&self, method: &str, path: &str, body: Option<&Json>, expect: u16) -> Json {
-        let r = self.request(method, path, body);
-        assert_eq!(r.status, expect, "{method} {path}: {}", r.body);
-        Json::parse(&r.body).expect("JSON body")
-    }
-
-    fn submit_raw(&self, name: &str, scale: f64) -> Raw {
-        let job = Json::obj([
-            ("name", Json::str(name)),
-            ("dataset", Json::str("restaurant")),
-            ("seed", Json::num(20180416.0)),
-            ("scale", Json::Num(scale)),
-        ]);
-        self.request("POST", "/v1/jobs", Some(&job))
-    }
-
-    fn submit(&self, name: &str, scale: f64) -> usize {
-        let r = self.submit_raw(name, scale);
-        assert_eq!(r.status, 201, "submit {name}: {}", r.body);
-        Json::parse(&r.body)
-            .expect("JSON body")
-            .get("id")
-            .and_then(Json::as_usize)
-            .expect("submit id")
-    }
-
-    /// Blocks until the job is terminal; returns its status label.
-    fn wait(&self, id: usize) -> String {
-        let r = self.json("GET", &format!("/v1/jobs/{id}?wait=true"), None, 200);
-        r.get("status")
-            .and_then(Json::as_str)
-            .expect("status")
-            .to_string()
-    }
-
-    /// Polls the job until it leaves the queued phase.
-    fn await_running(&self, id: usize) {
-        let t0 = Instant::now();
-        loop {
-            let r = self.json("GET", &format!("/v1/jobs/{id}"), None, 200);
-            let phase = r.get("phase").and_then(Json::as_str).unwrap().to_string();
-            if phase != "queued" {
-                return;
-            }
-            assert!(
-                t0.elapsed() < Duration::from_secs(60),
-                "job #{id} never dispatched"
-            );
-            std::thread::sleep(Duration::from_millis(2));
-        }
-    }
-
-    fn shutdown(&self) {
-        self.json("POST", "/v1/shutdown", None, 200);
-    }
-}
-
-/// Runs `body` against a live HTTP server. A panicking `body` still
-/// shuts the server down before the panic resumes, so a failed
-/// assertion reports as a failure instead of wedging the scope join.
-fn with_server<T>(opts: ServeOptions, options: HttpOptions, body: impl FnOnce(&Http) -> T) -> T {
-    let listener = TcpListener::bind("127.0.0.1:0").unwrap();
-    let addr = listener.local_addr().unwrap();
-    std::thread::scope(|scope| {
-        let server = scope.spawn(move || run_http(listener, &opts, options, |_| {}).unwrap());
-        let client = Http { addr };
-        let out = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| body(&client)));
-        let out = out.unwrap_or_else(|panic| {
-            if let Ok(mut stream) = TcpStream::connect(addr) {
-                let _ = stream.write_all(
-                    b"POST /v1/shutdown HTTP/1.1\r\nHost: t\r\nConnection: close\r\n\r\n",
-                );
-                let _ = stream.read_to_end(&mut Vec::new());
-            }
-            std::panic::resume_unwind(panic);
-        });
-        server.join().unwrap();
-        out
-    })
-}
-
 /// Overload shedding end to end through a real HTTP client: past the
 /// queue-depth high-water mark a submit gets `429` + `Retry-After`, and
 /// the *same* submission succeeds once the queue drains — the
@@ -465,12 +317,12 @@ fn http_sheds_past_the_high_water_mark_then_accepts_the_retry() {
         ..ServeOptions::default()
     };
     with_server(opts, HttpOptions::default(), |http| {
-        let first = http.submit("running", 0.08);
+        let first = http.submit("running", "restaurant", 0.08);
         http.await_running(first);
         // One slot is busy; this job parks in the queue at the mark.
-        let queued = http.submit("queued", 0.03);
+        let queued = http.submit("queued", "restaurant", 0.03);
         // Past the mark: shed with a retryable 429.
-        let shed = http.submit_raw("shed", 0.03);
+        let shed = http.submit_raw("shed", "restaurant", 0.03);
         assert_eq!(shed.status, 429, "expected shed, got: {}", shed.body);
         assert!(
             shed.head.contains("Retry-After:"),
@@ -480,10 +332,10 @@ fn http_sheds_past_the_high_water_mark_then_accepts_the_retry() {
         assert!(shed.body.contains("overloaded"), "body: {}", shed.body);
 
         // Drain, then retry the shed submission: it must be accepted.
-        assert_eq!(http.wait(first), "ok");
-        assert_eq!(http.wait(queued), "ok");
-        let retried = http.submit("shed", 0.03);
-        assert_eq!(http.wait(retried), "ok");
+        assert_eq!(http.wait(first).1, "ok");
+        assert_eq!(http.wait(queued).1, "ok");
+        let retried = http.submit("shed", "restaurant", 0.03);
+        assert_eq!(http.wait(retried).1, "ok");
 
         // The shed is visible in the Prometheus telemetry.
         let metrics = http.request("GET", "/v1/metrics", None);

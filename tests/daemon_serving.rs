@@ -14,8 +14,18 @@ use minoaner::datagen::DatasetKind;
 use minoaner::exec::ExecutorKind;
 use minoaner::kb::Json;
 use minoaner::serve::{
-    run_batch, run_daemon, JobInput, JobSpec, JobStatus, Manifest, ServeOptions,
+    run_batch, run_server, Frontends, JobInput, JobSpec, JobStatus, Manifest, ServeOptions,
+    ServeReport,
 };
+
+/// The daemon with only the line-JSON front-end.
+fn serve_line(listener: TcpListener, opts: &ServeOptions) -> ServeReport {
+    let frontends = Frontends {
+        line: Some(listener),
+        ..Frontends::default()
+    };
+    run_server(frontends, opts, |_| {}).unwrap()
+}
 
 /// A tiny line-delimited JSON client (the shipping one lives in
 /// `examples/daemon_client.rs`; tests keep their own to stay
@@ -163,7 +173,7 @@ fn socket_jobs_are_bit_identical_to_batch_and_solo_runs() {
 
     // Daemon path: submit all four profiles over the socket.
     let (daemon_fps, report) = std::thread::scope(|scope| {
-        let daemon = scope.spawn(|| run_daemon(listener, &opts, |_| {}).unwrap());
+        let daemon = scope.spawn(|| serve_line(listener, &opts));
         let mut client = Client::connect(addr);
         let ids: Vec<(usize, DatasetKind)> = DatasetKind::ALL
             .into_iter()
@@ -250,7 +260,7 @@ fn malformed_frames_get_error_responses_and_never_wedge_the_daemon() {
         ..ServeOptions::default()
     };
     std::thread::scope(|scope| {
-        let daemon = scope.spawn(|| run_daemon(listener, &opts, |_| {}).unwrap());
+        let daemon = scope.spawn(|| serve_line(listener, &opts));
         let mut client = Client::connect(addr);
         // A real job first, so malformed traffic has something to
         // (fail to) disturb.
@@ -337,7 +347,7 @@ fn index_match_k_is_bounded_by_the_persisted_row_cap() {
         ..ServeOptions::default()
     };
     std::thread::scope(|scope| {
-        let daemon = scope.spawn(|| run_daemon(listener, &opts, |_| {}).unwrap());
+        let daemon = scope.spawn(|| serve_line(listener, &opts));
         let mut client = Client::connect(addr);
         let built = client.request(Json::obj([
             ("op", Json::str("index-build")),
@@ -396,7 +406,7 @@ fn cancelling_a_running_job_spares_the_rest_of_the_fleet() {
     };
 
     let report = std::thread::scope(|scope| {
-        let daemon = scope.spawn(|| run_daemon(listener, &opts, |_| {}).unwrap());
+        let daemon = scope.spawn(|| serve_line(listener, &opts));
         let mut client = Client::connect(addr);
         // A job heavy enough (~1.5 s debug) that cancelling right after
         // dispatch leaves many checkpoints ahead of it.

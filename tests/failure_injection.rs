@@ -6,9 +6,12 @@ use minoaner::core::{build_blocks, MinoanConfig, MinoanEr, MAX_CANDIDATES};
 use minoaner::exec::Executor;
 use minoaner::kb::{parse, KbBuilder, KbPair};
 use minoaner::serve::{
-    run_batch, CancelOutcome, CancelToken, JobInput, JobPhase, JobQueue, JobSpec, JobStatus,
-    Manifest, ServeOptions,
+    run_batch, CancelOutcome, JobInput, JobPhase, JobQueue, JobSpec, JobStatus, Manifest,
+    ServeOptions,
 };
+
+mod common;
+use common::ScratchDir;
 
 #[test]
 fn empty_kbs() {
@@ -161,29 +164,6 @@ fn extreme_configs_do_not_panic() {
     }
 }
 
-/// A scratch directory that cleans up after itself.
-struct ScratchDir(std::path::PathBuf);
-
-impl ScratchDir {
-    fn new(tag: &str) -> ScratchDir {
-        let dir = std::env::temp_dir().join(format!("minoan-failure-{tag}-{}", std::process::id()));
-        std::fs::create_dir_all(&dir).expect("create scratch dir");
-        ScratchDir(dir)
-    }
-
-    fn file(&self, name: &str, content: &str) -> std::path::PathBuf {
-        let path = self.0.join(name);
-        std::fs::write(&path, content).expect("write scratch file");
-        path
-    }
-}
-
-impl Drop for ScratchDir {
-    fn drop(&mut self) {
-        let _ = std::fs::remove_dir_all(&self.0);
-    }
-}
-
 /// A tiny two-sided TSV pair whose entities match on a distinctive name.
 fn tsv_pair(tag: usize) -> (String, String) {
     let mut a = String::new();
@@ -298,7 +278,6 @@ fn cancel_racing_dispatch_yields_exactly_one_terminal_state() {
             queue.submit(tiny_synthetic(&format!("job-{i}"))).unwrap();
         }
         queue.close();
-        let fleet = CancelToken::new();
         let outcome = std::sync::Mutex::new(None);
         std::thread::scope(|scope| {
             // The racing canceller goes first so some rounds hit the
@@ -310,7 +289,7 @@ fn cancel_racing_dispatch_yields_exactly_one_terminal_state() {
                 *outcome.lock().unwrap() = Some(queue.cancel(1));
             });
             for _ in 0..2 {
-                scope.spawn(|| queue.worker(&opts, &fleet, &|_, _| {}));
+                scope.spawn(|| queue.worker(&opts, &|_, _| {}));
             }
             // Monitor: no snapshot may ever pair a non-terminal phase
             // with a status (or Done without one).

@@ -6,7 +6,7 @@
 //! panic, a wedged accept loop, or any disturbance to running jobs.
 
 use std::io::{Read, Write};
-use std::net::{SocketAddr, TcpListener, TcpStream};
+use std::net::{SocketAddr, TcpStream};
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Arc, Mutex};
 use std::time::{Duration, Instant};
@@ -15,119 +15,11 @@ use minoaner::datagen::DatasetKind;
 use minoaner::exec::ExecutorKind;
 use minoaner::kb::Json;
 use minoaner::serve::{
-    run_batch, run_http, HttpOptions, JobInput, JobSpec, JobStatus, Manifest, ServeOptions,
+    run_batch, HttpOptions, JobInput, JobSpec, JobStatus, Manifest, ServeOptions,
 };
 
-/// A minimal test-side HTTP client: one fresh connection per request,
-/// `Connection: close`, whole-response reads.
-struct Http {
-    addr: SocketAddr,
-    token: Option<&'static str>,
-}
-
-/// Status code, full header section, body.
-struct Raw {
-    status: u16,
-    head: String,
-    body: String,
-}
-
-impl Http {
-    /// Writes raw bytes, optionally half-closing the write side, and
-    /// parses whatever response comes back.
-    fn raw(&self, bytes: &[u8], half_close: bool) -> Raw {
-        let mut stream = TcpStream::connect(self.addr).expect("connect");
-        stream.write_all(bytes).expect("send");
-        stream.flush().unwrap();
-        if half_close {
-            stream.shutdown(std::net::Shutdown::Write).unwrap();
-        }
-        let mut raw = Vec::new();
-        stream.read_to_end(&mut raw).expect("read response");
-        let raw = String::from_utf8(raw).expect("responses are UTF-8");
-        let (head, body) = raw
-            .split_once("\r\n\r\n")
-            .unwrap_or_else(|| panic!("no header/body split in {raw:?}"));
-        let status = head
-            .split(' ')
-            .nth(1)
-            .and_then(|s| s.parse().ok())
-            .unwrap_or_else(|| panic!("bad status line in {head:?}"));
-        Raw {
-            status,
-            head: head.to_string(),
-            body: body.to_string(),
-        }
-    }
-
-    fn request(&self, method: &str, path: &str, body: Option<&Json>) -> Raw {
-        let payload = body.map(Json::compact).unwrap_or_default();
-        let mut head = format!("{method} {path} HTTP/1.1\r\nHost: test\r\nConnection: close\r\n");
-        if let Some(token) = self.token {
-            head += &format!("Authorization: Bearer {token}\r\n");
-        }
-        if !payload.is_empty() {
-            head += &format!("Content-Length: {}\r\n", payload.len());
-        }
-        head += "\r\n";
-        self.raw(format!("{head}{payload}").as_bytes(), false)
-    }
-
-    fn json(&self, method: &str, path: &str, body: Option<&Json>, expect: u16) -> Json {
-        let r = self.request(method, path, body);
-        assert_eq!(r.status, expect, "{method} {path}: {}", r.body);
-        Json::parse(&r.body).expect("JSON body")
-    }
-
-    fn submit(&self, name: &str, dataset: &str, scale: f64) -> usize {
-        let job = Json::obj([
-            ("name", Json::str(name)),
-            ("dataset", Json::str(dataset)),
-            ("seed", Json::num(20180416.0)),
-            ("scale", Json::Num(scale)),
-        ]);
-        let r = self.json("POST", "/v1/jobs", Some(&job), 201);
-        r.get("id").and_then(Json::as_usize).expect("submit id")
-    }
-
-    /// Blocks until the job is terminal; returns (fingerprint, status).
-    fn wait(&self, id: usize) -> (String, String) {
-        let r = self.json("GET", &format!("/v1/jobs/{id}?wait=true"), None, 200);
-        let fingerprint = r
-            .get("fingerprint")
-            .and_then(Json::as_str)
-            .expect("fingerprint")
-            .to_string();
-        let status = r
-            .get("status")
-            .and_then(Json::as_str)
-            .expect("status")
-            .to_string();
-        (fingerprint, status)
-    }
-
-    fn shutdown(&self) {
-        self.json("POST", "/v1/shutdown", None, 200);
-    }
-
-    /// Polls the job until it reaches `phase`.
-    fn await_phase(&self, id: usize, phase: &str) {
-        let t0 = Instant::now();
-        loop {
-            let r = self.json("GET", &format!("/v1/jobs/{id}"), None, 200);
-            let got = r.get("phase").and_then(Json::as_str).unwrap().to_string();
-            if got == phase {
-                return;
-            }
-            assert!(got != "done", "job #{id} finished before {phase:?}");
-            assert!(
-                t0.elapsed() < Duration::from_secs(60),
-                "job #{id} never reached {phase:?}"
-            );
-            std::thread::sleep(Duration::from_millis(2));
-        }
-    }
-}
+mod common;
+use common::{with_server, Http};
 
 fn serve_opts() -> ServeOptions {
     ServeOptions {
@@ -164,42 +56,9 @@ fn profile_name(kind: DatasetKind) -> &'static str {
     }
 }
 
-/// Runs `body` against a live HTTP server and returns the fleet report
-/// from its clean shutdown. A panicking `body` still shuts the server
-/// down (with the right token) before the panic resumes, so a failed
-/// assertion reports as a failure instead of wedging the scope join.
-fn with_server<T>(
-    options: HttpOptions,
-    body: impl FnOnce(&Http) -> T,
-) -> (minoaner::serve::ServeReport, T) {
-    let listener = TcpListener::bind("127.0.0.1:0").unwrap();
-    let addr = listener.local_addr().unwrap();
-    let token = options.auth_token.clone();
-    let opts = serve_opts();
-    std::thread::scope(|scope| {
-        let server = scope.spawn(move || run_http(listener, &opts, options, |_| {}).unwrap());
-        let client = Http { addr, token: None };
-        let out = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| body(&client)));
-        let out = out.unwrap_or_else(|panic| {
-            let mut head =
-                String::from("POST /v1/shutdown HTTP/1.1\r\nHost: t\r\nConnection: close\r\n");
-            if let Some(token) = &token {
-                head += &format!("Authorization: Bearer {token}\r\n");
-            }
-            head += "\r\n";
-            if let Ok(mut stream) = TcpStream::connect(addr) {
-                let _ = stream.write_all(head.as_bytes());
-                let _ = stream.read_to_end(&mut Vec::new());
-            }
-            std::panic::resume_unwind(panic);
-        });
-        (server.join().unwrap(), out)
-    })
-}
-
 #[test]
 fn http_jobs_are_bit_identical_to_batch_and_solo_runs() {
-    let (report, fingerprints) = with_server(HttpOptions::default(), |http| {
+    let (report, fingerprints) = with_server(serve_opts(), HttpOptions::default(), |http| {
         let ids: Vec<(usize, DatasetKind)> = DatasetKind::ALL
             .into_iter()
             .map(|kind| {
@@ -275,7 +134,7 @@ fn http_jobs_are_bit_identical_to_batch_and_solo_runs() {
 
 #[test]
 fn cancelling_a_running_job_over_http_spares_the_fleet() {
-    let (report, ()) = with_server(HttpOptions::default(), |http| {
+    let (report, ()) = with_server(serve_opts(), HttpOptions::default(), |http| {
         let doomed = http.submit("doomed", "yago", 1.0);
         let quick = http.submit("quick", "restaurant", 0.1);
         http.await_phase(doomed, "running");
@@ -299,7 +158,7 @@ fn cancelling_a_running_job_over_http_spares_the_fleet() {
 
 #[test]
 fn metrics_are_parseable_prometheus_text() {
-    let (_, ()) = with_server(HttpOptions::default(), |http| {
+    let (_, ()) = with_server(serve_opts(), HttpOptions::default(), |http| {
         let id = http.submit("one", "restaurant", 0.05);
         let (_, status) = http.wait(id);
         assert_eq!(status, "ok");
@@ -347,7 +206,7 @@ fn auth_rejects_missing_and_wrong_tokens_without_disturbing_jobs() {
         auth_token: Some("sesame-open".into()),
         ..HttpOptions::default()
     };
-    let (report, ()) = with_server(options, |anon| {
+    let (report, ()) = with_server(serve_opts(), options, |anon| {
         let authed = Http {
             addr: anon.addr,
             token: Some("sesame-open"),
@@ -399,7 +258,7 @@ fn auth_rejects_missing_and_wrong_tokens_without_disturbing_jobs() {
 
 #[test]
 fn oversized_and_malformed_requests_get_clean_errors() {
-    let (report, ()) = with_server(HttpOptions::default(), |http| {
+    let (report, ()) = with_server(serve_opts(), HttpOptions::default(), |http| {
         // A running job that every malformed request must leave alone.
         let id = http.submit("survivor", "restaurant", 0.15);
 
@@ -635,7 +494,7 @@ fn assert_lifecycle(sse: &mut Sse, label: &str, job_name: &str, deadline: Instan
 #[test]
 fn concurrent_sse_subscribers_both_observe_the_job_lifecycle() {
     let _serial = SSE_SERIAL.lock().unwrap_or_else(|e| e.into_inner());
-    let (report, ()) = with_server(HttpOptions::default(), |http| {
+    let (report, ()) = with_server(serve_opts(), HttpOptions::default(), |http| {
         let mut first = Sse::open(http.addr, "?level=info");
         let mut second = Sse::open(http.addr, "?level=info");
         let id = http.submit("sse-both", "restaurant", 0.08);
@@ -657,7 +516,7 @@ fn concurrent_sse_subscribers_both_observe_the_job_lifecycle() {
 #[test]
 fn a_stalled_sse_subscriber_is_dropped_while_others_stream_on() {
     let _serial = SSE_SERIAL.lock().unwrap_or_else(|e| e.into_inner());
-    let (report, ()) = with_server(HttpOptions::default(), |http| {
+    let (report, ()) = with_server(serve_opts(), HttpOptions::default(), |http| {
         let mut healthy = Sse::open(http.addr, "?level=info");
         let mut stalled = Sse::open(http.addr, "?level=info");
 
@@ -719,7 +578,7 @@ fn a_stalled_sse_subscriber_is_dropped_while_others_stream_on() {
 
 #[test]
 fn shutdown_cancel_mode_flips_queued_jobs_and_closes_the_connection() {
-    let (report, ()) = with_server(HttpOptions::default(), |http| {
+    let (report, ()) = with_server(serve_opts(), HttpOptions::default(), |http| {
         // One heavy job occupies both listed profiles' worth of time;
         // the rest queue behind it (2 slots, so submit 4).
         for (name, scale) in [("a", 0.3), ("b", 0.3), ("c", 0.3), ("d", 0.3)] {
@@ -750,15 +609,11 @@ fn shutdown_cancel_mode_flips_queued_jobs_and_closes_the_connection() {
 fn a_waited_patch_is_visible_to_the_very_next_read() {
     let dir = std::env::temp_dir().join(format!("minoan-http-patch-{}", std::process::id()));
     std::fs::create_dir_all(&dir).unwrap();
-    let listener = TcpListener::bind("127.0.0.1:0").unwrap();
-    let addr = listener.local_addr().unwrap();
     let opts = ServeOptions {
         index_dir: Some(dir.clone()),
         ..serve_opts()
     };
-    std::thread::scope(|scope| {
-        let server = scope.spawn(move || run_http(listener, &opts, HttpOptions::default(), |_| {}));
-        let http = Http { addr, token: None };
+    with_server(opts, HttpOptions::default(), |http| {
         let job = Json::obj([
             ("name", Json::str("churn")),
             ("dataset", Json::str("restaurant")),
@@ -798,7 +653,6 @@ fn a_waited_patch_is_visible_to_the_very_next_read() {
             );
         }
         http.shutdown();
-        server.join().unwrap().unwrap();
     });
     let _ = std::fs::remove_dir_all(&dir);
 }
