@@ -9,8 +9,8 @@
 //! - [`Executor`] with a [`Sequential`](ExecutorKind::Sequential)
 //!   backend (the reference every equivalence test compares against)
 //!   and a [`Pool`](ExecutorKind::Pool) backend (waves submitted as
-//!   quantum-bounded task batches into the process-wide work-stealing
-//!   [`pool`]), selected by configuration;
+//!   quantum-bounded task batches into the process-wide [`pool`] and its
+//!   one queue), selected by configuration;
 //! - ordered fan-out primitives ([`Executor::map_parts`],
 //!   [`Executor::map_range`]) whose merged output is **independent of the
 //!   thread count** (and, for the pool backend, of the task count), so
@@ -57,9 +57,9 @@ use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 pub enum ExecutorKind {
     /// Everything on the calling thread, one part per fan-out.
     Sequential,
-    /// Data-parallel over the process-wide work-stealing [`pool`]: waves
-    /// become batches of quantum-bounded tasks, so concurrent jobs share
-    /// one fixed worker set instead of oversubscribing the machine.
+    /// Data-parallel over the process-wide [`pool`]: waves become
+    /// batches of quantum-bounded tasks, so concurrent jobs share one
+    /// fixed worker set instead of oversubscribing the machine.
     #[default]
     Pool,
 }
@@ -202,7 +202,7 @@ impl Executor {
     /// progress immediately even when every pool worker is busy with
     /// other jobs' waves, and a fleet of concurrent jobs degrades to
     /// the OS timeslicing `slots` working threads (plus the fixed
-    /// worker set donating to whichever wave was submitted last) rather
+    /// worker set running queued helpers oldest first) rather
     /// than funnelling every job's quanta through the workers with a
     /// park/wake per wave. Helpers that arrive after the cursor is
     /// drained exit immediately.

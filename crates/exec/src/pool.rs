@@ -1,129 +1,90 @@
-//! The process-wide work-stealing thread pool behind
+//! The process-wide thread pool behind
 //! [`ExecutorKind::Pool`](crate::ExecutorKind::Pool).
 //!
 //! ## Why one pool
 //!
-//! The fleet scheduler runs many jobs concurrently, and every job's
-//! pipeline fans waves out over an executor. Threads spawned per job
-//! would let a 4-slot fleet on a small machine oversubscribe the cores:
-//! each job brings its own workers and the kernel time-slices them
-//! against each other, which is slower than running the jobs one after
-//! another. The pool rules that out structurally: there is **one**
-//! process-wide [`WorkPool`] sized to `available_parallelism()`, and
-//! every job submits its waves into it as task batches. The submitter *helps* with its own wave (it runs
-//! the same claim loop the injected helper tasks run — rayon's
-//! help-first `join` discipline) and returns when the wave completes,
-//! so the runnable CPU-bound threads are the fixed worker set plus at
-//! most one submitter per job mid-wave — never `slots × threads`
-//! scoped spawns — and an idle worker's share of the machine is
-//! donated to whichever job has tasks pending *mid-run*, not only at
-//! dispatch time.
+//! The fleet scheduler runs many jobs concurrently, each fanning waves
+//! out over an executor. Threads spawned per job would oversubscribe a
+//! small machine's cores. So there is **one** process-wide [`WorkPool`]
+//! sized to `available_parallelism()`, and every job submits its waves
+//! into it as task batches. The submitter *helps* with its own wave (it
+//! runs the same claim loop as the injected helpers — rayon's
+//! help-first `join` discipline), so the runnable CPU-bound threads are
+//! the fixed workers plus at most one submitter per job mid-wave, never
+//! `slots × threads`, and an idle worker's share of the machine goes to
+//! whichever job has tasks pending *mid-run*.
 //!
-//! ## Stealing discipline
+//! ## One queue
 //!
-//! Each worker owns a deque guarded by its own mutex. New tasks are
-//! injected round-robin across the deques; a worker pops its **own**
-//! deque from the back (LIFO — the task most recently pushed is the
-//! most cache-warm) and, when empty, sweeps the other workers' deques
-//! from a random starting victim, popping from the **front** (FIFO —
-//! stealing the oldest task minimizes contention with the owner's LIFO
-//! end and tends to grab the largest remaining unit of work). A worker
-//! that finds nothing anywhere parks on a condvar; every injection
-//! notifies. Steals, per-worker task counts and queued depth are
-//! counted and surfaced via [`WorkPool::stats`] for the serving layer's
-//! telemetry endpoints.
+//! Every injected job is the same claim loop over one wave's atomic
+//! cursor, so there is nothing for per-worker queues to balance. Jobs
+//! wait in one FIFO queue; an injection wakes one idle worker, which
+//! takes the **oldest** job. That matters because a submitter joins
+//! every helper it spawned, even one that starts after the cursor ran
+//! dry: such a helper waits only behind jobs queued before it.
 //!
 //! ## Determinism argument
 //!
 //! The pool schedules *execution*, never *results*. A wave is an
 //! ordered list of index ranges plus one result slot per range; tasks
-//! claim ranges through an atomic cursor in ascending order, each task
-//! writes only its own slot, and the submitter collects the slots in
-//! range order after the wave completes. Which worker runs which range,
-//! in what interleaving, on how many cores — none of it is observable
-//! in the output. Combined with the workspace rule that every fan-out
-//! merges partials in part order (each floating-point sum accumulated
-//! whole inside one part, in data order), pool runs are bit-identical to
-//! sequential runs, which `tests/executor_equivalence.rs` enforces per
-//! profile.
+//! claim ranges through an atomic cursor, each writes only its own
+//! slot, and the submitter collects the slots in range order, so which
+//! worker runs which range is not observable in the output. With the
+//! workspace rule that every fan-out merges partials in part order (each
+//! floating-point sum accumulated whole inside one part, in data order),
+//! pool runs are bit-identical to sequential runs, which
+//! `tests/executor_equivalence.rs` enforces per profile.
 //!
 //! ## Shape of the API
 //!
-//! The public surface is deliberately shaped like the scoped API of the
-//! upstream rayon crate: [`WorkPool::scope`] and [`Scope::spawn`] keep
-//! the lifetime contract of its `scope` and `Scope::spawn` (spawned
-//! closures may borrow anything that outlives the scope, and `scope`
-//! does not return until every spawned task finished). Swapping this
-//! pool for that crate is therefore a one-line change at the submission
-//! site; the pool exists because the build environment has no registry
-//! access.
+//! [`WorkPool::scope`] and [`Scope::spawn`] keep the lifetime contract
+//! of the rayon crate's `scope` and `Scope::spawn`: spawned closures may
+//! borrow anything that outlives the scope, and `scope` returns only
+//! after every spawned task finished. Swapping in that crate is a
+//! one-line change; this pool exists because the build has no registry.
 //!
 //! ## Quantum sizing
 //!
-//! Callers bound each submitted task to a fixed work quantum
-//! ([`crate::POOL_TASK_ITEMS`] items, or [`crate::POOL_TASK_BYTES`]
-//! bytes for byte-range waves) so a [`CancelToken`](crate::CancelToken)
-//! observed between task claims lands within predictable latency even
-//! when one logical block is enormous. Smaller quanta would sharpen
-//! cancel latency further but pay one cursor claim (an atomic RMW) and
-//! one slot write per task; ~1024 items keeps claim overhead well under
-//! 1% of realistic per-item work while holding per-task runtime in the
-//! low milliseconds.
+//! Callers bound each task to [`crate::POOL_TASK_ITEMS`] items (or
+//! [`crate::POOL_TASK_BYTES`] bytes for byte-range waves), so a
+//! [`CancelToken`](crate::CancelToken) observed between task claims
+//! lands within predictable latency even when one block is enormous,
+//! while the per-task cursor claim stays well under 1% of the work.
 
 use std::any::Any;
 use std::collections::VecDeque;
 use std::marker::PhantomData;
 use std::panic::{catch_unwind, resume_unwind, AssertUnwindSafe};
-use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
+use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Condvar, Mutex, OnceLock};
 
-/// A queued unit of work: a closure whose borrows are guaranteed (by
-/// [`WorkPool::scope`] blocking until completion) to outlive it.
+/// A queued unit of work; [`WorkPool::scope`] outlives every borrow in it.
 type Job = Box<dyn FnOnce() + Send>;
-
-/// Per-worker state: the owned deque plus the tasks-executed counter.
-struct WorkerState {
-    deque: Mutex<VecDeque<Job>>,
-    /// Wave tasks this worker executed (counted by the executor's claim
-    /// loops via [`note_tasks`], not per queued job — one queued job
-    /// runs many quantum-bounded tasks).
-    tasks: AtomicU64,
-}
 
 /// State shared between the pool handle and its worker threads.
 struct Shared {
-    workers: Vec<WorkerState>,
-    /// Round-robin injection cursor.
-    next_victim: AtomicUsize,
-    /// Successful steals (a worker took a job from another's deque).
-    steals: AtomicU64,
+    /// Jobs waiting for a worker, oldest at the front.
+    queue: Mutex<VecDeque<Job>>,
+    /// Signalled once per injection; idle workers wait on it.
+    wake: Condvar,
     /// Jobs injected over the pool's lifetime.
     injected: AtomicU64,
-    /// Parking lot for idle workers; every injection notifies.
-    sleep: Mutex<()>,
-    wake: Condvar,
+    /// Wave tasks executed per worker, credited by [`note_tasks`].
+    tasks: Vec<AtomicU64>,
 }
 
-impl Shared {
-    /// Total jobs currently sitting in deques (point-in-time).
-    fn queued(&self) -> usize {
-        self.workers
-            .iter()
-            .map(|w| w.deque.lock().expect("pool deque lock").len())
-            .sum()
-    }
-}
-
-/// Point-in-time pool telemetry, surfaced through
-/// `JobQueue::stats()` into the line-JSON `status` response and
-/// `GET /v1/metrics`.
+/// Point-in-time pool telemetry, surfaced through `JobQueue::stats()`
+/// into the line-JSON `status` response and `GET /v1/metrics`.
 #[derive(Debug, Clone, Default, PartialEq)]
 pub struct PoolStats {
     /// Worker threads in the pool.
     pub workers: usize,
-    /// Jobs queued in worker deques right now.
+    /// Jobs waiting in the pool's queue right now.
     pub queued: usize,
-    /// Cumulative successful steals.
+    /// Always 0: the pool has one queue and nothing to steal. The field
+    /// stays only because the benchmark's `exec.pool_steals` layer
+    /// metric (`spine/src/layers.rs`) reads it; ROADMAP item 1(c)
+    /// deletes that metric and this field with it.
     pub steals: u64,
     /// Cumulative jobs injected.
     pub injected: u64,
@@ -138,8 +99,8 @@ impl PoolStats {
     }
 }
 
-/// A work-stealing thread pool. One process-wide instance lives behind
-/// [`global`]; constructing private pools is possible for tests.
+/// A thread pool with one FIFO job queue. One process-wide instance
+/// lives behind [`global`]; tests construct private pools.
 pub struct WorkPool {
     shared: Arc<Shared>,
 }
@@ -159,13 +120,9 @@ pub fn on_worker() -> bool {
 /// Credits `count` executed wave tasks to the current worker's counter
 /// (no-op on non-worker threads, e.g. single-part inline waves).
 pub fn note_tasks(pool: &WorkPool, count: u64) {
-    if count == 0 {
-        return;
-    }
-    if let Some(idx) = WORKER_INDEX.with(|w| w.get()) {
-        if let Some(worker) = pool.shared.workers.get(idx) {
-            worker.tasks.fetch_add(count, Ordering::Relaxed);
-        }
+    let idx = WORKER_INDEX.with(|w| w.get());
+    if let Some(tasks) = idx.and_then(|idx| pool.shared.tasks.get(idx)) {
+        tasks.fetch_add(count, Ordering::Relaxed);
     }
 }
 
@@ -175,17 +132,10 @@ impl WorkPool {
     pub fn new(workers: usize) -> WorkPool {
         let workers = workers.max(1);
         let shared = Arc::new(Shared {
-            workers: (0..workers)
-                .map(|_| WorkerState {
-                    deque: Mutex::new(VecDeque::new()),
-                    tasks: AtomicU64::new(0),
-                })
-                .collect(),
-            next_victim: AtomicUsize::new(0),
-            steals: AtomicU64::new(0),
-            injected: AtomicU64::new(0),
-            sleep: Mutex::new(()),
+            queue: Mutex::new(VecDeque::new()),
             wake: Condvar::new(),
+            injected: AtomicU64::new(0),
+            tasks: (0..workers).map(|_| AtomicU64::new(0)).collect(),
         });
         for idx in 0..workers {
             let shared = Arc::clone(&shared);
@@ -199,22 +149,18 @@ impl WorkPool {
 
     /// Number of worker threads.
     pub fn workers(&self) -> usize {
-        self.shared.workers.len()
+        self.shared.tasks.len()
     }
 
     /// Point-in-time telemetry snapshot.
     pub fn stats(&self) -> PoolStats {
+        let (shared, load) = (&self.shared, |c: &AtomicU64| c.load(Ordering::Relaxed));
         PoolStats {
             workers: self.workers(),
-            queued: self.shared.queued(),
-            steals: self.shared.steals.load(Ordering::Relaxed),
-            injected: self.shared.injected.load(Ordering::Relaxed),
-            worker_tasks: self
-                .shared
-                .workers
-                .iter()
-                .map(|w| w.tasks.load(Ordering::Relaxed))
-                .collect(),
+            queued: shared.queue.lock().expect("pool queue lock").len(),
+            steals: 0,
+            injected: load(&shared.injected),
+            worker_tasks: shared.tasks.iter().map(load).collect(),
         }
     }
 
@@ -244,22 +190,13 @@ impl WorkPool {
         result
     }
 
-    /// Queues a job round-robin across the worker deques and wakes the
-    /// pool.
+    /// Queues a job behind every job already waiting and wakes one idle
+    /// worker.
     fn inject(&self, job: Job) {
         let shared = &self.shared;
-        let idx = shared.next_victim.fetch_add(1, Ordering::Relaxed) % shared.workers.len();
-        shared.workers[idx]
-            .deque
-            .lock()
-            .expect("pool deque lock")
-            .push_back(job);
+        shared.queue.lock().expect("pool queue lock").push_back(job);
         shared.injected.fetch_add(1, Ordering::Relaxed);
-        // Lock/unlock of the sleep mutex orders this notify after any
-        // in-progress "queues empty → park" check, so the push above
-        // can never be missed by a worker about to sleep.
-        drop(shared.sleep.lock().expect("pool sleep lock"));
-        shared.wake.notify_all();
+        shared.wake.notify_one();
     }
 }
 
@@ -347,8 +284,7 @@ impl Latch {
     }
 }
 
-/// Joins a scope's tasks on drop, so the join happens on panic paths
-/// too.
+/// Joins a scope's tasks on drop, so the join happens on panic paths too.
 struct WaitGuard<'a>(&'a Latch);
 
 impl Drop for WaitGuard<'_> {
@@ -357,66 +293,21 @@ impl Drop for WaitGuard<'_> {
     }
 }
 
-/// The worker thread body: pop own deque (LIFO), steal (FIFO) from a
-/// random victim, park when the whole pool is drained.
+/// The worker thread body: take the oldest queued job, or wait for an
+/// injection while the queue is empty.
 fn worker_loop(shared: &Shared, idx: usize) {
     WORKER_INDEX.with(|w| w.set(Some(idx)));
-    // Scheduling-only RNG (victim selection); results never depend on
-    // it. Splitmix-style seeding keeps per-worker streams distinct.
-    let mut rng = 0x9E37_79B9_7F4A_7C15u64 ^ ((idx as u64 + 1).wrapping_mul(0xA24B_AED4_963E_E407));
     loop {
-        if let Some(job) = take_job(shared, idx, &mut rng) {
-            job();
-            continue;
+        let mut queue = shared.queue.lock().expect("pool queue lock");
+        while queue.is_empty() {
+            queue = shared.wake.wait(queue).expect("pool queue lock");
         }
-        let guard = shared.sleep.lock().expect("pool sleep lock");
-        // Re-check under the sleep lock: an injection between the
-        // failed sweep above and this park would otherwise be lost
-        // (inject() serializes its notify through this same mutex).
-        if shared.queued() == 0 {
-            drop(shared.wake.wait(guard).expect("pool sleep lock"));
-        }
+        let job = queue.pop_front().expect("queue is non-empty");
+        drop(queue);
+        // Jobs catch their own panics (see `Scope::spawn`), so the
+        // worker outlives every task and the queue lock never poisons.
+        job();
     }
-}
-
-/// Pops the worker's own deque from the back, else sweeps the others
-/// from a random start, popping fronts.
-fn take_job(shared: &Shared, idx: usize, rng: &mut u64) -> Option<Job> {
-    if let Some(job) = shared.workers[idx]
-        .deque
-        .lock()
-        .expect("pool deque lock")
-        .pop_back()
-    {
-        return Some(job);
-    }
-    let n = shared.workers.len();
-    let start = (xorshift(rng) as usize) % n;
-    for offset in 0..n {
-        let victim = (start + offset) % n;
-        if victim == idx {
-            continue;
-        }
-        if let Some(job) = shared.workers[victim]
-            .deque
-            .lock()
-            .expect("pool deque lock")
-            .pop_front()
-        {
-            shared.steals.fetch_add(1, Ordering::Relaxed);
-            return Some(job);
-        }
-    }
-    None
-}
-
-fn xorshift(state: &mut u64) -> u64 {
-    let mut x = *state;
-    x ^= x << 13;
-    x ^= x >> 7;
-    x ^= x << 17;
-    *state = x;
-    x
 }
 
 /// Worker count of the process-wide pool: `available_parallelism()`,
@@ -436,10 +327,7 @@ static GLOBAL: OnceLock<WorkPool> = OnceLock::new();
 pub fn global() -> &'static WorkPool {
     GLOBAL.get_or_init(|| {
         let workers = default_workers();
-        minoan_obs::debug!(
-            "exec.pool",
-            "work-stealing pool started with {workers} workers"
-        );
+        minoan_obs::debug!("exec.pool", "pool started with {workers} workers");
         WorkPool::new(workers)
     })
 }
@@ -454,6 +342,7 @@ pub fn try_stats() -> Option<PoolStats> {
 mod tests {
     use super::*;
     use std::sync::atomic::AtomicUsize;
+    use std::sync::Barrier;
 
     #[test]
     fn scope_joins_all_spawns_and_allows_borrows() {
@@ -531,25 +420,56 @@ mod tests {
     }
 
     #[test]
-    fn work_is_stolen_when_one_deque_holds_everything() {
-        // Round-robin injection spreads jobs, but a pool where only one
-        // worker ever received work still drains via stealing: inject
-        // many slow-ish jobs from a scope on a single-victim basis by
-        // saturating a 4-worker pool and checking the steal counter
-        // moved (probabilistic in scheduling, deterministic in result).
-        let pool = WorkPool::new(4);
-        let done = AtomicUsize::new(0);
-        pool.scope(|s| {
-            for _ in 0..200 {
-                s.spawn(|| {
-                    // Enough work that workers outpace injection and
-                    // go hunting in each other's deques.
-                    std::hint::black_box((0..500).sum::<u64>());
-                    done.fetch_add(1, Ordering::Relaxed);
+    fn jobs_run_oldest_first() {
+        const N: usize = 16;
+        let pool = WorkPool::new(1);
+        let (started, release) = (Barrier::new(2), Barrier::new(2));
+        let order = Mutex::new(Vec::new());
+        let queued = pool.scope(|s| {
+            // Hold the only worker so every later job waits in the queue.
+            s.spawn(|| {
+                started.wait();
+                release.wait();
+            });
+            started.wait();
+            for i in 0..N {
+                let order = &order;
+                s.spawn(move || order.lock().unwrap().push(i));
+            }
+            // Read before releasing: a failed assert while the worker is
+            // held would leave the scope joining forever.
+            let queued = pool.stats().queued;
+            release.wait();
+            queued
+        });
+        assert_eq!(queued, N);
+        assert_eq!(*order.lock().unwrap(), (0..N).collect::<Vec<_>>());
+    }
+
+    #[test]
+    fn concurrent_submitters_never_lose_a_wakeup() {
+        // A lost wakeup strands a job with every worker asleep, and the
+        // scope waiting on it never returns: this test hangs.
+        let pool = WorkPool::new(2);
+        std::thread::scope(|threads| {
+            for _ in 0..4 {
+                threads.spawn(|| {
+                    for round in 0..2_000 {
+                        let count = AtomicUsize::new(0);
+                        let spawns = 1 + round % 3;
+                        pool.scope(|s| {
+                            for _ in 0..spawns {
+                                s.spawn(|| {
+                                    count.fetch_add(1, Ordering::Relaxed);
+                                });
+                            }
+                        });
+                        assert_eq!(count.load(Ordering::Relaxed), spawns);
+                    }
                 });
             }
         });
-        assert_eq!(done.load(Ordering::Relaxed), 200);
+        assert_eq!(pool.stats().queued, 0);
     }
 
     #[test]

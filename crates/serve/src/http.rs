@@ -1049,9 +1049,9 @@ pub(crate) fn reject_over_capacity(mut stream: TcpStream) {
 /// depth and running/done counts, admitted footprint vs. memory budget,
 /// thread allotments, cumulative per-stage pipeline timings, admission
 /// estimate vs. measured RSS-delta totals, the process peak RSS, and —
-/// once the work-stealing pool is live — pool worker/steal/queue-depth
-/// counters including per-worker task counts. With an index registry
-/// live, the `minoan_index_*` family reports its cache: loaded entries,
+/// once the pool is live — pool worker/queue-depth/injection counters
+/// including per-worker task counts. With an index registry live, the
+/// `minoan_index_*` family reports its cache: loaded entries,
 /// resident vs. budget bytes, and hit/miss/eviction/invalidation
 /// counters (invalidations are cache drops caused by `PATCH` rewrites,
 /// distinct from LRU budget evictions).
@@ -1164,27 +1164,21 @@ pub fn prometheus_metrics(queue: &JobQueue, registry: Option<&IndexRegistry>) ->
             rss as f64,
         );
     }
-    // Work-stealing pool telemetry, present once the first pool-backed
-    // wave has started the process-wide pool (the snapshot never starts
-    // it, so an all-sequential process simply omits the family).
+    // Pool telemetry, present once the first pool-backed wave has
+    // started the process-wide pool (the snapshot never starts it, so
+    // an all-sequential process simply omits the family).
     if let Some(pool) = &stats.pool {
         text.single(
             "gauge",
             "minoan_pool_workers",
-            "Worker threads of the process-wide work-stealing pool.",
+            "Worker threads of the process-wide pool.",
             pool.workers as f64,
         );
         text.single(
             "gauge",
             "minoan_pool_queued_tasks",
-            "Tasks sitting in pool worker deques right now.",
+            "Helper jobs waiting in the pool's queue right now.",
             pool.queued as f64,
-        );
-        text.single(
-            "counter",
-            "minoan_pool_steals_total",
-            "Tasks taken from another worker's deque.",
-            pool.steals as f64,
         );
         text.single(
             "counter",

@@ -25,9 +25,9 @@
 //!   queue drains the stragglers automatically widen to intra-pair
 //!   parallelism (the last job alone gets every free thread). On the
 //!   default pool backend the allotment is a *partition hint*: wave
-//!   work runs through the process-wide work-stealing pool sized to
-//!   the core count (the submitter helping with its own wave), and
-//!   idle capacity flows to whichever job has tasks pending.
+//!   work runs through the process-wide pool sized to the core count
+//!   (the submitter helping with its own wave), and idle capacity
+//!   flows to whichever job has tasks pending.
 //!   Manifest-derived `slots`/`threads` clamp to
 //!   `available_parallelism()`; explicit CLI overrides are honored as
 //!   written — they widen the queue, while the execution width keeps
@@ -274,8 +274,8 @@ pub struct QueueStats {
     /// Sum of measured peak-RSS deltas of finished jobs (see
     /// [`JobReport::peak_rss_delta_bytes`] for what a delta attributes).
     pub rss_delta_bytes_total: u64,
-    /// Work-stealing pool telemetry (worker count, queued-task depth,
-    /// steal and per-worker task counters). `None` until the first
+    /// Pool telemetry (worker count, queue depth, injected and
+    /// per-worker task counters). `None` until the first
     /// pool-backed wave starts the process-wide pool — taking a
     /// snapshot never starts it.
     pub pool: Option<PoolStats>,
@@ -296,9 +296,8 @@ impl QueueStats {
     /// the line-JSON `status` response and of HTTP `GET /v1/jobs`
     /// (durations in milliseconds).
     /// `stage_ms` holds the stage histograms' sums
-    /// ([`crate::telemetry::STAGES`]). The `pool` member is the
-    /// work-stealing pool's counters, or `null` while the pool has not
-    /// started.
+    /// ([`crate::telemetry::STAGES`]). The `pool` member is the pool's
+    /// counters, or `null` while the pool has not started.
     pub fn to_json(&self) -> Json {
         let ms = |d: Duration| Json::Num(d.as_secs_f64() * 1e3);
         let pool = match &self.pool {
@@ -306,7 +305,6 @@ impl QueueStats {
             Some(p) => Json::obj([
                 ("workers", Json::num(p.workers as f64)),
                 ("queued_tasks", Json::num(p.queued as f64)),
-                ("steals", Json::num(p.steals as f64)),
                 ("injected", Json::num(p.injected as f64)),
                 ("tasks_total", Json::num(p.tasks_total() as f64)),
                 (

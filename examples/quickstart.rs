@@ -46,7 +46,7 @@ fn main() {
     // Resolve with the paper's default configuration: no schema
     // alignment, no thresholds to tune, no iterations. Every stage runs
     // on the executor it is handed; the default one is the process-wide
-    // work-stealing pool, and the result is the same on any executor.
+    // thread pool, and the result is the same on any executor.
     let out = MinoanEr::with_defaults().run_with(&pair, &Executor::default());
 
     println!("found {} matches:", out.matching.len());

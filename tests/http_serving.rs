@@ -193,9 +193,29 @@ fn metrics_are_parseable_prometheus_text() {
             "minoan_fleet_slots 2",
             "minoan_job_stage_seconds_sum{stage=\"matching\"}",
             "minoan_estimated_bytes_total",
+            // The job's waves ran on the process-wide pool.
+            "minoan_pool_workers",
+            "minoan_pool_queued_tasks",
+            "minoan_pool_injected_total",
+            "minoan_pool_tasks_total",
+            "minoan_pool_worker_tasks_total{worker=\"0\"}",
         ] {
             assert!(r.body.contains(needle), "missing {needle:?}:\n{}", r.body);
         }
+        // One queue, nothing to steal: the steal counter is gone.
+        assert!(!r.body.contains("minoan_pool_steals_total"), "{}", r.body);
+        let jobs = http.json("GET", "/v1/jobs", None, 200);
+        let pool = jobs
+            .get("telemetry")
+            .and_then(|t| t.get("pool"))
+            .unwrap_or_else(|| panic!("no telemetry.pool: {jobs:?}"));
+        for key in ["workers", "injected", "tasks_total"] {
+            assert!(
+                pool.get(key).and_then(Json::as_f64).is_some(),
+                "telemetry.pool.{key} missing: {pool:?}"
+            );
+        }
+        assert!(pool.get("steals").is_none(), "{pool:?}");
         http.shutdown();
     });
 }
