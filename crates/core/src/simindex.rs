@@ -26,9 +26,20 @@
 //!   candidate, instead of one allocation per entity. Each executor
 //!   part appends its rows to its own CSR, and the index reads the parts
 //!   in place, in part order — no staging rows, no copy into one buffer;
+//! - the scratch records a slot's first touch **without a branch**: it
+//!   always writes the id at `touched[len]` and advances `len` only if
+//!   the slot read `0.0`. `0.0` stays the untouched mark because every
+//!   term is strictly positive, and `touched` has `n_other + 1` slots
+//!   because the write comes before the advance (see `RowScratch`);
 //! - the `neighborNSim` pass is embarrassingly parallel over `e1` and
-//!   accumulates on the same dense scratch; its reverse direction is a
-//!   parallel CSR **transpose** (partial histograms → per-part cursors →
+//!   accumulates on the same dense scratch. Its probe reads a **flat
+//!   copy** of the second side's top-neighbor lists (one CSR of `u32`
+//!   ids, built once per index, each list padded to a multiple of four
+//!   with the id of a slot that stays `0.0`) and appends every
+//!   candidate to a row presized to the candidate count, advancing past
+//!   it only if its score is positive — no data-dependent branch, the
+//!   same sums in the same order. Its reverse direction is a parallel
+//!   CSR **transpose** (partial histograms → per-part cursors →
 //!   disjoint fills), each column then ranked like any other row.
 //!
 //! # Candidate order
@@ -90,6 +101,7 @@ use std::sync::atomic::{AtomicUsize, Ordering};
 
 use minoan_blocking::BlockCollection;
 use minoan_exec::{Executor, SharedSlice};
+use minoan_kb::csr::Csr;
 use minoan_kb::{EntityId, KbSide, TokenId};
 use minoan_sim::token_weight;
 use minoan_text::TokenizedPair;
@@ -214,17 +226,33 @@ impl ExactSizeIterator for Ranked<'_> {}
 /// for entity frequencies `≥ 1` (a block's token occurs on both sides)
 /// and is never zero, negative or NaN for any frequencies; the neighbor
 /// pass adds sums of such weights.
+///
+/// A first touch is recorded **without a branch**: [`RowScratch::add`]
+/// always writes the slot's id at `touched[len]` and advances `len`
+/// only if the slot read `0.0`, so a later touch's write is overwritten
+/// by the next first touch. At most `n_other` slots are ever touched,
+/// so `len ≤ n_other`; `touched` has one slot more than that because
+/// the write comes before the advance — a row touching all `n_other`
+/// slots writes once more, at index `n_other`, on every later add.
+///
+/// `sums` has one slot more too: no entity has the id `n_other`, so
+/// `sums[n_other]` is never added to and reads `0.0` for good. It is
+/// the padding id of the `neighborNSim` probe's lists ([`probe_lists`]).
 struct RowScratch {
     sums: Vec<f64>,
+    /// `touched[..len]` are the touched slots in first-touch order; the
+    /// rest is scratch for the next write.
     touched: Vec<u32>,
+    len: usize,
 }
 
 impl RowScratch {
     /// A zeroed scratch for candidates in `0..n_other`.
     fn new(n_other: usize) -> Self {
         Self {
-            sums: vec![0.0; n_other],
-            touched: Vec::new(),
+            sums: vec![0.0; n_other + 1],
+            touched: vec![0; n_other + 1],
+            len: 0,
         }
     }
 
@@ -232,23 +260,35 @@ impl RowScratch {
     fn add(&mut self, e2: EntityId, v: f64) {
         debug_assert!(v > 0.0, "0.0 is the untouched mark; terms must be positive");
         let slot = &mut self.sums[e2.index()];
-        if *slot == 0.0 {
-            self.touched.push(e2.0);
-        }
+        self.touched[self.len] = e2.0;
+        self.len += usize::from(*slot == 0.0);
         *slot += v;
     }
 
-    /// The sum accumulated for `e2` (`0.0` if untouched).
+    /// The sum of the slots `ids`, a list padded by [`probe_lists`],
+    /// added in list order. An untouched slot and the padding read
+    /// `0.0`, and `s + 0.0` is `s` bit for bit.
     #[inline]
-    fn get(&self, e2: EntityId) -> f64 {
-        self.sums[e2.index()]
+    fn sum_of(&self, ids: &[u32]) -> f64 {
+        debug_assert!(
+            ids.len().is_multiple_of(PROBE_WIDTH),
+            "an unpadded probe list"
+        );
+        let mut s = 0.0;
+        for group in ids.chunks_exact(PROBE_WIDTH) {
+            for &id in group {
+                s += self.sums[id as usize];
+            }
+        }
+        s
     }
 
     /// Zeroes every touched slot.
     fn reset(&mut self) {
-        for e2 in self.touched.drain(..) {
+        for &e2 in &self.touched[..self.len] {
             self.sums[e2 as usize] = 0.0;
         }
+        self.len = 0;
     }
 
     /// **The** `valueSim` row: accumulates `weight` into every entity of
@@ -271,10 +311,11 @@ impl RowScratch {
         let sums = &mut self.sums;
         row.clear();
         row.extend(
-            self.touched
-                .drain(..)
-                .map(|e2| (EntityId(e2), std::mem::take(&mut sums[e2 as usize]))),
+            self.touched[..self.len]
+                .iter()
+                .map(|&e2| (EntityId(e2), std::mem::take(&mut sums[e2 as usize]))),
         );
+        self.len = 0;
         rank(row);
     }
 }
@@ -419,6 +460,32 @@ fn value_rows(
     })
 }
 
+/// The group width of the `neighborNSim` probe's lists ([`probe_lists`]).
+const PROBE_WIDTH: usize = 4;
+
+/// The second side's top-neighbor lists as the `neighborNSim` probe
+/// reads them: one CSR of `u32` ids, each list in its own order and
+/// padded to a multiple of [`PROBE_WIDTH`] with `n_second`, the id of
+/// the scratch's slot that stays `0.0` ([`RowScratch`]). So a candidate
+/// is scored over one slice of one buffer instead of through a pointer
+/// to its own `Vec`, and the probe's inner loop runs whole groups of
+/// four instead of a trip count that changes with every candidate.
+/// The padding adds `+0.0` to a sum that is never `-0.0`, which leaves
+/// it bit for bit as it was.
+fn probe_lists(lists: &[Vec<EntityId>], n_second: usize) -> Csr<u32> {
+    let lens: Vec<usize> = lists
+        .iter()
+        .map(|list| list.len().next_multiple_of(PROBE_WIDTH))
+        .collect();
+    let pad = std::iter::repeat(n_second as u32);
+    let ids = lists
+        .iter()
+        .zip(&lens)
+        .flat_map(|(list, &len)| list.iter().map(|e| e.0).chain(pad.clone()).take(len))
+        .collect();
+    Csr::from_lens_and_items(&lens, ids)
+}
+
 /// The `neighborNSim` candidate row of every first-side entity, scored
 /// over that entity's **value candidates only**: a pair whose entities
 /// share no purged token block gets no neighbor score, however similar
@@ -430,15 +497,18 @@ fn value_rows(
 /// at every scale (82.6 → 77.2 at ×1) and moves Rexa and YAGO by at
 /// most half a point at ×1 and ×2 (ROADMAP F5).
 ///
-/// Reads the first side's value rows **whole**. Accumulates on the
-/// kernel's dense scratch, one per executor task; the sums follow the
-/// order of the top-neighbor lists, never the part boundaries, nor the
-/// order of a ranked value row's tail: a row adds each `nb2` at most
-/// once. Each row is stored [`rank`]ed and whole.
+/// Reads the first side's value rows **whole**, `top_firsts` as given
+/// and the second side's top neighbors as [`probe_lists`] built them
+/// (`top_seconds`). Accumulates on the kernel's dense scratch, one per
+/// executor task; the sums follow the order of the top-neighbor lists,
+/// never the part boundaries, nor the order of a ranked value row's
+/// tail: a row adds each `nb2` at most once. Each row is stored
+/// [`rank`]ed and whole.
 fn neighbor_rows(
     value_firsts: &Rows,
     n_second: usize,
-    top_neighbors: [&[Vec<EntityId>]; 2],
+    top_firsts: &[Vec<EntityId>],
+    top_seconds: &Csr<u32>,
     exec: &Executor,
 ) -> Rows {
     // neighborNSim(e1, e2) = Σ_{n1 ∈ top(e1), n2 ∈ top(e2)} valueSim(n1, n2),
@@ -450,23 +520,22 @@ fn neighbor_rows(
         row.clear();
         let cands = value_firsts.row(e1);
         if !cands.is_empty() {
-            for &nb1 in &top_neighbors[0][e1] {
+            for &nb1 in &top_firsts[e1] {
                 for (nb2, v) in value_firsts.row(nb1.index()).iter() {
                     acc.add(nb2, v);
                 }
             }
-            if !acc.touched.is_empty() {
+            if acc.len > 0 {
+                // Every candidate is written; only a positive score
+                // advances past it, so a zero is overwritten or cut.
+                row.resize(cands.len(), (EntityId(0), 0.0));
+                let mut n = 0;
                 for &e2 in cands.ids() {
-                    // An untouched neighbor reads 0.0, and
-                    // `s + 0.0` is `s` bit for bit.
-                    let mut s = 0.0;
-                    for &nb2 in &top_neighbors[1][e2.index()] {
-                        s += acc.get(nb2);
-                    }
-                    if s > 0.0 {
-                        row.push((e2, s));
-                    }
+                    let s = acc.sum_of(top_seconds.row(e2.index()));
+                    row[n] = (e2, s);
+                    n += usize::from(s > 0.0);
                 }
+                row.truncate(n);
                 acc.reset();
             }
         }
@@ -501,8 +570,10 @@ impl SimilarityIndex {
     /// per first-side entity through the shared row kernel
     /// (`simindex.value_rows`); one per second-side entity through the
     /// same kernel (`simindex.value_reverse`); the `neighborNSim` rows
-    /// (`simindex.neighbor_rows`); and their transpose
-    /// (`simindex.neighbor_reverse`). Rows of the non-probe side are cut
+    /// (`simindex.neighbor_rows`, which first flattens and pads the
+    /// second side's top-neighbor lists for the probe); and their transpose
+    /// (`simindex.neighbor_reverse`, split into `simindex.transpose_fill`
+    /// and `simindex.transpose_rank`). Rows of the non-probe side are cut
     /// after the last pass that reads them whole (see the module docs).
     /// A row is a function of its own entity's blocks alone, so the
     /// result is bit-identical for any backend, thread count and part
@@ -536,7 +607,8 @@ impl SimilarityIndex {
         // The transpose reads the first side's neighbor rows whole.
         let mut neighbor_firsts = {
             let _span = stage_span("simindex.neighbor_rows");
-            neighbor_rows(&value_firsts, n[1], top_neighbors, exec)
+            let top_seconds = probe_lists(top_neighbors[1], n[1]);
+            neighbor_rows(&value_firsts, n[1], top_neighbors[0], &top_seconds, exec)
         };
         if cut(KbSide::First) {
             value_firsts.cut();
@@ -673,7 +745,12 @@ fn lookup(rows: &Rows, e: EntityId, other: EntityId) -> f64 {
 /// source row — identical to a sequential transpose — whatever order
 /// the source rows' tails are in, so each column's rank, and with it
 /// the result, does not depend on the thread count.
+///
+/// Two debug spans split the pass: `simindex.transpose_fill` (the
+/// histograms, cursors and fills) and `simindex.transpose_rank` (the
+/// per-column ranks).
 fn transpose(src: &Rows, n_cols: usize, exec: &Executor) -> CandidateCsr {
+    let fill_span = stage_span("simindex.transpose_fill");
     let n_rows = src.len();
     let ranges = exec.part_ranges(n_rows);
     let histograms: Vec<Vec<usize>> = exec.map_range(ranges.len(), |p| {
@@ -725,6 +802,8 @@ fn transpose(src: &Rows, n_cols: usize, exec: &Executor) -> CandidateCsr {
             }
         });
     }
+    drop(fill_span);
+    let _rank_span = stage_span("simindex.transpose_rank");
     {
         let (shared_ids, shared_sims) = (SharedSlice::new(&mut ids), SharedSlice::new(&mut sims));
         exec.map_parts(n_cols, |cols| {
@@ -1198,6 +1277,87 @@ pub(crate) mod tests {
         }
     }
 
+    /// Hand-made top-neighbor lists over `n` entities: every `empty`-th
+    /// list (from entity 0) is empty, entity `full`'s holds 32 entities
+    /// (`max_top_neighbors`), the others 1–4, each list distinct ids in
+    /// a scrambled order. `stride` must be coprime to `n`.
+    fn hand_made_tops(n: usize, empty: usize, full: usize, stride: usize) -> Vec<Vec<EntityId>> {
+        (0..n)
+            .map(|i| {
+                let len = if i % empty == 0 {
+                    0
+                } else if i == full {
+                    32
+                } else {
+                    1 + i % 4
+                };
+                (0..len)
+                    .map(|j| e(((i * 11 + j * stride) % n) as u32))
+                    .collect()
+            })
+            .collect()
+    }
+
+    /// `neighborNSim` by its formula, restricted to value candidates:
+    /// for each `e1` and each `e2` in `e1`'s value row,
+    /// `Σ_{nb2 ∈ top(e2)} (Σ_{nb1 ∈ top(e1)} valueSim(nb1, nb2))` in
+    /// list order, kept if positive.
+    #[test]
+    fn neighbor_rows_equal_the_naive_formula() {
+        let (n1, n2) = (40, 50);
+        let (tokens, blocks) = dense_pair(n1, n2, 13);
+        let values = naive_value_rows(&blocks, &tokens);
+        let value_sim = |nb1: EntityId, nb2: EntityId| {
+            values[0][nb1.index()]
+                .iter()
+                .find(|&&(c, _)| c == nb2)
+                .map_or(0.0, |&(_, v)| v)
+        };
+        let top1 = hand_made_tops(n1, 5, 1, 7);
+        let top2 = hand_made_tops(n2, 4, 2, 9);
+        let mut want = [vec![Vec::new(); n1], vec![Vec::new(); n2]];
+        for (i, cands) in values[0].iter().enumerate() {
+            for &(e2, _) in cands {
+                let mut s = 0.0;
+                for &nb2 in &top2[e2.index()] {
+                    let mut inner = 0.0;
+                    for &nb1 in &top1[i] {
+                        inner += value_sim(nb1, nb2);
+                    }
+                    s += inner;
+                }
+                if s > 0.0 {
+                    want[0][i].push((e2, s));
+                    want[1][e2.index()].push((e(i as u32), s));
+                }
+            }
+        }
+        for row in want.iter_mut().flatten() {
+            row.sort_unstable_by(cand_cmp);
+        }
+        // The cases the lists must reach: an entity with value
+        // candidates but no top neighbors, the 32-entry list, and a
+        // value candidate whose own list is empty.
+        assert!(top1[0].is_empty() && !values[0][0].is_empty());
+        assert!(top1[1].len() == 32 && !want[0][1].is_empty());
+        assert!(values[0]
+            .iter()
+            .flatten()
+            .any(|&(c, _)| top2[c.index()].is_empty()));
+        assert!(want[1].iter().any(|row| !row.is_empty()));
+        for exec in [Executor::sequential(), Executor::new(ExecutorKind::Pool, 3)] {
+            let idx = SimilarityIndex::build_with(&blocks, &tokens, [&top1, &top2], &exec);
+            // Exact, in both directions: same candidates, same order,
+            // same f64 bits.
+            for side in [KbSide::First, KbSide::Second] {
+                for (i, row) in want[side.index()].iter().enumerate() {
+                    let got: Vec<_> = idx.neighbor_candidates(side, e(i as u32)).collect();
+                    assert_eq!(&got, row, "{side:?} row {i}");
+                }
+            }
+        }
+    }
+
     /// On a pair whose rows run past [`MAX_CANDIDATES`] on both sides,
     /// in both orientations: the probe side's rows are whole and exact,
     /// every row of the other side is the exact top of the full row and
@@ -1268,16 +1428,42 @@ pub(crate) mod tests {
         let mut row = Vec::new();
         scratch.value_row([(0.5, &a[..]), (0.25, &b[..])], &mut row);
         assert_eq!(row, vec![(e(1), 0.75), (e(0), 0.5), (e(2), 0.25)]);
+        assert_reset(&scratch);
         // Overlapping candidates: nothing of the previous row's 0.75 or
         // 0.25 may leak into the sums.
         scratch.value_row([(1.0, &b[..])], &mut row);
         assert_eq!(row, vec![(e(1), 1.0), (e(2), 1.0)]);
+        assert_reset(&scratch);
         // Disjoint candidates, then no blocks at all.
         scratch.value_row([(0.125, &c[..])], &mut row);
         assert_eq!(row, vec![(e(3), 0.125)]);
+        assert_reset(&scratch);
         scratch.value_row([], &mut row);
         assert!(row.is_empty());
-        assert!(scratch.touched.is_empty());
+        assert_reset(&scratch);
+        // Every one of the n_other slots, several times: from the fifth
+        // add on, each add writes the spare last slot of `touched`.
+        let all = [e(0), e(1), e(2), e(3)];
+        scratch.value_row(
+            [(0.5, &all[..]), (0.25, &all[..]), (0.125, &a[..])],
+            &mut row,
+        );
+        assert_eq!(
+            row,
+            vec![(e(0), 0.875), (e(1), 0.875), (e(2), 0.75), (e(3), 0.75)]
+        );
+        assert_eq!(scratch.touched[4], 1, "the last add wrote the spare slot");
+        assert_reset(&scratch);
+        // Then a row disjoint from the id left in the spare slot: it
+        // must not come back.
+        scratch.value_row([(0.25, &c[..]), (0.5, &[e(0), e(2)][..])], &mut row);
+        assert_eq!(row, vec![(e(0), 0.5), (e(2), 0.5), (e(3), 0.25)]);
+        assert_reset(&scratch);
+    }
+
+    /// No touched slot and every sum back at 0.0.
+    fn assert_reset(scratch: &RowScratch) {
+        assert_eq!(scratch.len, 0);
         assert!(scratch.sums.iter().all(|&v| v == 0.0));
     }
 
