@@ -55,9 +55,10 @@
 //! does not stop the fleet, but the exit code is 1 when any job failed.
 //!
 //! `serve` runs the same fleet scheduler as a **long-running daemon**:
-//! jobs arrive over a line-delimited JSON socket protocol (submit /
-//! status / cancel / wait / shutdown — see `minoan_serve::daemon` for
-//! the wire format; `examples/daemon_client.rs` is a ready-made
+//! jobs arrive over HTTP (`--listen-http`, below) or line-delimited
+//! JSON (`--listen`; each op — submit / status / cancel / wait /
+//! shutdown, … — is a framing over one HTTP endpoint, see
+//! `minoan_serve::daemon`; `examples/daemon_client.rs` is a ready-made
 //! client), feed the same bounded-memory admission queue, and can be
 //! cancelled **mid-run** through the job's executor. On
 //! `shutdown` the daemon drains and prints the fleet report in
@@ -68,8 +69,8 @@
 //!
 //! `serve --listen-http <addr>` additionally (or instead) exposes the
 //! queue over a dependency-free HTTP/1.1 front-end — both listeners
-//! feed the **same** queue, so line-JSON and HTTP clients see the same
-//! jobs and either protocol can shut the daemon down. Endpoints (see
+//! feed the **same** queue and the same router, so line-JSON and HTTP
+//! clients see the same jobs and either can shut the daemon down. Endpoints (see
 //! `minoan_serve::http` for limits and error codes): `POST /v1/jobs`
 //! submits a manifest job object, `GET /v1/jobs` lists jobs with live
 //! queue telemetry, `GET /v1/jobs/{id}` (`?wait=true` blocks) returns
@@ -78,7 +79,9 @@
 //! Prometheus-format telemetry, and `POST /v1/shutdown` stops the
 //! daemon (`{"mode":"drain"|"cancel"}`). With `--auth-token <secret>`
 //! every HTTP request must carry `Authorization: Bearer <secret>`
-//! (compared in constant time). `examples/http_client.rs` is a
+//! (compared in constant time); line-JSON frames cannot carry a token,
+//! so `--auth-token` with `--listen` is a usage error (exit 2).
+//! `examples/http_client.rs` is a
 //! ready-made client. Results are bit-identical to `batch` and solo
 //! runs no matter which protocol submitted the job.
 //!
@@ -148,7 +151,8 @@ fn usage() -> ! {
          [--memory-mib N] [--timeout-ms N] [--max-retries N] [--rss-kill-factor F] \
          [--executor sequential|pool] [--json] [--pairs]\n  \
          minoaner serve [--listen addr:port] [--listen-http addr:port] \
-         [--auth-token T] [--index-dir dir] [--index-cache-mib N] \
+         [--auth-token T (HTTP only: not with --listen)] \
+         [--index-dir dir] [--index-cache-mib N] \
          [--slots N] [--threads N] [--memory-mib N] \
          [--timeout-ms N] [--max-retries N] [--rss-kill-factor F] \
          [--shed-depth N] [--max-connections N] \
@@ -806,6 +810,13 @@ fn main() {
             }
             if listen.is_none() && listen_http.is_none() {
                 minoan_obs::error!("cli", "serve needs --listen and/or --listen-http");
+                usage();
+            }
+            if listen.is_some() && auth_token.is_some() {
+                minoan_obs::error!(
+                    "cli",
+                    "--auth-token needs HTTP only: line-JSON (--listen) cannot carry it"
+                );
                 usage();
             }
             let bind = |addr: &str| {

@@ -1,67 +1,56 @@
-//! Long-running daemon intake: a line-delimited JSON socket protocol
-//! feeding the same live [`JobQueue`] the batch scheduler drains.
+//! The serving daemon: [`run_server`] drives the HTTP/1.1 front-end
+//! ([`crate::http`], `--listen-http`) and the line-delimited JSON
+//! framing (`--listen`) over one live [`JobQueue`], the one the batch
+//! scheduler drains.
 //!
-//! `minoaner serve --listen <addr>` turns the one-shot batch fleet into
-//! a service: jobs arrive over time, are admitted strictly in
-//! submission order under the bounded-memory budget, run pairs-first
-//! with straggler widening, and stream terminal reports in completion
-//! order — exactly like a manifest batch, including per-job
-//! bit-identity with solo sequential runs. A *running* job can be
-//! cancelled: its [`CancelToken`] rides on the job's executor and makes
-//! the load or pipeline unwind (see [`minoan_exec::cancel`]) to a
-//! `Cancelled` report within one pool task, or one wave on the
-//! sequential backend, without disturbing other in-flight jobs.
+//! Jobs arrive over time, are admitted strictly in submission order
+//! under the bounded-memory budget, run pairs-first with straggler
+//! widening, and stream terminal reports in completion order — exactly
+//! like a manifest batch, including per-job bit-identity with solo
+//! sequential runs. A *running* job can be cancelled: its
+//! [`CancelToken`] rides on the job's executor and makes the load or
+//! pipeline unwind (see [`minoan_exec::cancel`]) to a `Cancelled`
+//! report within one pool task, or one wave on the sequential backend,
+//! without disturbing other in-flight jobs.
 //!
-//! The daemon can run **two protocol front-ends over the same queue**
-//! at once ([`run_server`], [`Frontends`]): this module's line-JSON
-//! protocol and the HTTP/1.1 front-end in [`crate::http`]
-//! (`--listen-http`). Both delegate every operation to the shared
-//! queue-fronting request layer, so a job takes the identical
-//! parse → validate → admit path whichever socket it arrives on.
+//! ## Line-JSON framing
 //!
-//! ## Wire protocol
+//! Line-JSON is a framing over the HTTP routes, not a second protocol:
+//! `http::route` gives every request its meaning. One JSON document
+//! per line in each direction (UTF-8, LF-terminated; the writer escapes
+//! embedded newlines). A request is an object whose `op` names the
+//! endpoint it stands for; its other fields become path segments,
+//! decoded query pairs or the body:
 //!
-//! One JSON document per line in each direction (UTF-8, LF-terminated;
-//! the writer escapes embedded newlines, so framing is unambiguous).
-//! Requests are objects with an `op` field; every response carries
-//! `"ok": true|false`, with `"error"` describing a failure — including
-//! for frames that are not valid UTF-8 or not valid JSON (the
-//! connection stays usable; a malformed frame never wedges the accept
-//! loop). Frames are capped at [`MAX_FRAME_BYTES`]; an over-long frame
-//! gets one error response and the connection closes. Requests on one
-//! connection are processed strictly in order; concurrent connections
-//! are independent.
+//! | op | routed as |
+//! |----|-----------|
+//! | `submit` | `POST /v1/jobs`, body `job` |
+//! | `status` | `GET /v1/jobs?status=&limit=&id=` |
+//! | `cancel` | `DELETE /v1/jobs/{id}` |
+//! | `wait` | `GET /v1/jobs/{id}?wait=true` |
+//! | `trace` | `GET /v1/jobs/{id}/trace` |
+//! | `index-build` | `POST /v1/indexes`, body `job` |
+//! | `index-list` | `GET /v1/indexes` |
+//! | `index-inspect` | `GET /v1/indexes/{index}` |
+//! | `index-delete` | `DELETE /v1/indexes/{index}` |
+//! | `index-patch` | `PATCH /v1/indexes/{index}`, body `{"deltas":…}` |
+//! | `index-match` | `GET /v1/indexes/{index}/match?entity=&k=` |
+//! | `shutdown` | `POST /v1/shutdown`, body `{"mode":…}` |
 //!
-//! Failures use the same structured error object as the HTTP
-//! front-end, wrapped in the protocol's envelope:
-//! `{"ok":false,"error":{"code":"…","message":"…","retryable":B}}`.
-//! `retryable` is `true` exactly when backing off and resubmitting can
-//! succeed (overload shed, index cache pressure); overload sheds keep
-//! the historical top-level `"retryable":true` alongside.
+//! The routed response comes back in the line envelope: below status
+//! 400 `{"ok":true, …body}`, otherwise
+//! `{"ok":false, ["retryable":true,] "error":{…}}`, where the top-level
+//! `retryable` appears exactly when `error.retryable` is true. A
+//! malformed frame — invalid UTF-8 or JSON, a missing or unknown `op`,
+//! a malformed id, index id or `k` — is a `bad_request`, and the
+//! connection stays usable. Frames are capped at [`MAX_FRAME_BYTES`];
+//! an over-long frame gets one error response and the connection
+//! closes. Requests on one connection are answered strictly in order.
 //!
-//! | op | request fields | response |
-//! |----|----------------|----------|
-//! | `submit` | `job`: a manifest job object (same schema as a `[[job]]` table / `jobs` element, see [`crate::manifest`]) | `{"ok":true,"id":N,"name":"…"}` — `id` is the submission index; an overload shed answers `{"ok":false,"retryable":true,"error":{…}}` (back off and resubmit) |
-//! | `status` | optional `id`, optional `status` (phase or terminal-status label), optional `limit` | `{"ok":true,"accepting":B,"queued":N,"running":N,"done":N,"telemetry":{…},"jobs":[{"id":N,"name":"…","phase":"queued\|running\|done","status":"ok\|failed\|cancelled"?,"error":"…"?}]}` (`jobs` narrowed by the filters; with an index registry live, an `"indexes"` cache-telemetry object rides along) — `telemetry` is the live [`QueueStats`](crate::scheduler::QueueStats) view: admitted footprint vs. memory budget, thread allotments, per-status done counts, cumulative stage timings |
-//! | `cancel` | `id` | `{"ok":true,"id":N,"outcome":"cancelled\|cancelling\|done\|unknown"}` — `cancelled`: flipped before dispatch; `cancelling`: token set, the running job unwinds at its next wave; `done`: already terminal, report unchanged |
-//! | `wait` | `id` | blocks until the job is terminal, then `{"ok":true,"id":N,"fingerprint":"…","report":{…}}` — `report` is [`JobReport::to_json`] with pairs, `fingerprint` the raw deterministic [`JobReport::fingerprint`] |
-//! | `events` | optional `from` (ring cursor, default `0`: everything still buffered), optional `job`, optional `level` (`error\|warn\|info\|debug`, default `info`), optional `wait` (block up to ~1 s for at least one new record) | `{"ok":true,"events":[{"seq","micros","level","name","job","trace","detail"}],"next":N,"dropped":N}` — poll with `from` set to the previous `next`; `dropped` counts ring records evicted before this cursor read them |
-//! | `trace` | `id` | `{"ok":true,"id":N,"name":"…","phase":"…","attempts":[{"trace":N,"spans":[…],"events":[…]}]}` — one assembled span tree per attempt (each retry runs under a fresh trace id), from whatever the bounded ring still retains |
-//! | `index-build` | `job`: a manifest job object; its `name` becomes the index id | `{"ok":true,"job":N,"index":"…"}` — the build runs through the job queue and persists an artifact under the registry directory; rebuilding an existing id is a `conflict` |
-//! | `index-list` | — | `{"ok":true,"indexes":[{"id":"…","file_bytes":N,"loaded":B}],"cache":{…}}` |
-//! | `index-inspect` | `index` | `{"ok":true,"id":"…",…}` — the artifact's metadata section, read without loading the full index |
-//! | `index-delete` | `index` | `{"ok":true,"index":"…","deleted":true}` — also evicts the loaded copy |
-//! | `index-patch` | `index`, `deltas`: an array of delta ops (the [`minoan_kb::delta`] wire schema) | `{"ok":true,"job":N,"index":"…"}` — admits a patch job: the ops are applied to the index's embedded KB pair, the pipeline re-runs over it with the index's build parameters, the artifact file is atomically rewritten, and the stale cached copy is dropped on completion; `wait` on the job id for the patched report. A second patch for the same index while one is in flight is a `conflict` |
-//! | `index-match` | `index`, `entity` (an entity IRI from either KB), optional `k` in `1..=128` ([`minoan_core::MAX_CANDIDATES`]; outside it is a `bad_request`) | `{"ok":true,"index":"…","entity":"…","side":"first\|second","matches":[…],"candidates":[{"uri":"…","score":F}],"stage_timings_ms":{…}}` — answered from the loaded artifact; `ingest`/`blocking`/`similarities` timings are literally `0` |
-//! | `shutdown` | optional `mode`: `"drain"` (default: queued jobs still run) or `"cancel"` (queued jobs flip to `Cancelled`, running jobs are cancelled) | `{"ok":true}`; the daemon then stops accepting, drains and exits |
-//!
-//! The `index-*` ops need the daemon started with an index directory
-//! (`--index-dir`); without one they answer an `unavailable` error.
-//!
-//! A `status`/`done` job is never reported `running` and `cancelled` at
-//! once: phase transitions are atomic under the queue lock
-//! ([`JobQueue::cancel`]), and `status` is present exactly when `phase`
-//! is `done`.
+//! `events` (optional `from`, `job`, `level`, `wait`) is the one op
+//! that is not routed: it pages the trace ring, which HTTP streams over
+//! SSE instead. Line-JSON carries no credentials, so a server with an
+//! auth token refuses to open a line listener.
 //!
 //! ## Checkpoint granularity
 //!
@@ -82,10 +71,10 @@ use std::time::Duration;
 use minoan_kb::Json;
 use minoan_obs::{trace, Level};
 
-use crate::http::HttpOptions;
-use crate::intake::{self, ShutdownMode};
+use crate::events::{events_batch_json, EventFilter};
+use crate::http::{self, Body, HttpOptions, Request, Response};
 use crate::manifest::{JobInput, JobSpec};
-use crate::registry::IndexRegistry;
+use crate::registry::{valid_id, IndexRegistry, RegistryError};
 use crate::report::{JobReport, ServeReport};
 use crate::scheduler::{fleet_queue, run_fleet, CancelToken, JobQueue, ServeOptions};
 
@@ -100,20 +89,21 @@ pub(crate) const POLL_INTERVAL: Duration = Duration::from_millis(25);
 /// the read buffer without bound.
 pub const MAX_FRAME_BYTES: usize = 4 << 20;
 
-/// The protocol front-ends one [`run_server`] call drives over a single
-/// shared [`JobQueue`]. At least one listener must be present; with
-/// both, line-JSON and HTTP clients submit into the same admission
-/// order and see the same jobs, and a `shutdown` arriving on either
-/// protocol stops both.
+/// The listeners one [`run_server`] call drives over a single shared
+/// [`JobQueue`]. At least one must be present; with both, line-JSON and
+/// HTTP clients submit into the same admission order and see the same
+/// jobs, and a `shutdown` arriving on either stops both.
 #[derive(Debug, Default)]
 pub struct Frontends {
-    /// Listener for the line-delimited JSON protocol (`--listen`).
+    /// Listener for the line-delimited JSON framing (`--listen`).
     pub line: Option<TcpListener>,
     /// Listener for the HTTP/1.1 front-end (`--listen-http`), see
     /// [`crate::http`].
     pub http: Option<TcpListener>,
-    /// Options for the HTTP front-end (auth token; ignored without an
-    /// `http` listener).
+    /// Options of the HTTP router, which answers both listeners. An
+    /// auth token requires HTTP only: line-JSON frames carry no
+    /// credentials, so [`run_server`] refuses a token with a `line`
+    /// listener.
     pub http_options: HttpOptions,
 }
 
@@ -140,6 +130,12 @@ pub fn run_server(
         return Err(std::io::Error::new(
             std::io::ErrorKind::InvalidInput,
             "run_server needs at least one front-end listener",
+        ));
+    }
+    if line.is_some() && http_options.auth_token.is_some() {
+        return Err(std::io::Error::new(
+            std::io::ErrorKind::InvalidInput,
+            "an auth token requires HTTP only: line-JSON cannot carry it",
         ));
     }
     for listener in line.iter().chain(http.iter()) {
@@ -184,14 +180,16 @@ pub fn run_server(
             if let Some(listener) = line {
                 accept_loops.push(scope.spawn(move || {
                     accept_loop(listener, shutdown, |stream| {
-                        scope.spawn(move || handle_connection(stream, queue, shutdown, registry));
+                        scope.spawn(move || {
+                            handle_connection(stream, queue, shutdown, http_options, registry)
+                        });
                     })
                 }));
             }
             if let Some(listener) = http {
                 let max_connections = http_options
                     .max_connections
-                    .unwrap_or(crate::http::DEFAULT_MAX_CONNECTIONS)
+                    .unwrap_or(http::DEFAULT_MAX_CONNECTIONS)
                     .max(1);
                 let live = Arc::new(AtomicUsize::new(0));
                 accept_loops.push(scope.spawn(move || {
@@ -207,12 +205,12 @@ pub fn run_server(
                             })
                             .is_ok();
                         if !claimed {
-                            crate::http::reject_over_capacity(stream);
+                            http::reject_over_capacity(stream);
                             return;
                         }
                         let live = Arc::clone(&live);
                         scope.spawn(move || {
-                            crate::http::handle_connection(
+                            http::handle_connection(
                                 stream,
                                 queue,
                                 shutdown,
@@ -276,6 +274,7 @@ fn handle_connection(
     stream: TcpStream,
     queue: &JobQueue,
     shutdown: &CancelToken,
+    options: &HttpOptions,
     registry: Option<&IndexRegistry>,
 ) {
     use std::io::Read as _;
@@ -292,8 +291,9 @@ fn handle_connection(
         // connection closes (mid-frame, so framing is unrecoverable) —
         // a terminator-less byte flood cannot grow `line` unboundedly.
         if line.len() > MAX_FRAME_BYTES {
-            let response = error(format!(
-                "request frame exceeds the {MAX_FRAME_BYTES}-byte limit"
+            let response = envelope(Response::error(
+                400,
+                format!("request frame exceeds the {MAX_FRAME_BYTES}-byte limit"),
             ));
             if writer
                 .write_all((response.compact() + "\n").as_bytes())
@@ -303,10 +303,10 @@ fn handle_connection(
                 // Drain what the client is still sending before the
                 // close, so the kernel doesn't RST the error response
                 // away (see the HTTP front-end's close path).
-                crate::http::lingering_close(
+                http::lingering_close(
                     reader.get_ref(),
-                    crate::http::LINGER_DEADLINE,
-                    crate::http::LINGER_MAX_BYTES,
+                    http::LINGER_DEADLINE,
+                    http::LINGER_MAX_BYTES,
                 );
             }
             return;
@@ -323,7 +323,7 @@ fn handle_connection(
             Ok(_) => {
                 let frame = trim_frame(&line);
                 if !frame.is_empty() {
-                    let response = handle_request(frame, queue, shutdown, registry);
+                    let response = handle_request(frame, queue, shutdown, options, registry);
                     if writer
                         .write_all((response.compact() + "\n").as_bytes())
                         .and_then(|()| writer.flush())
@@ -370,256 +370,143 @@ fn trim_frame(line: &[u8]) -> &[u8] {
 
 /// Answers one request frame. Never panics: malformed input — invalid
 /// UTF-8, bad JSON, a missing or unknown `op` — becomes an
-/// `{"ok":false,...}` response. All queue operations go through the
-/// shared request layer ([`crate::intake`]), the same one the HTTP
-/// front-end uses.
+/// `{"ok":false,...}` response. Every op but `events` is translated to
+/// its HTTP request and answered by [`http::route`].
 fn handle_request(
     frame: &[u8],
     queue: &JobQueue,
     shutdown: &CancelToken,
+    options: &HttpOptions,
     registry: Option<&IndexRegistry>,
 ) -> Json {
-    let request = match Json::parse_bytes(frame) {
-        Ok(v) => v,
-        Err(e) => return error(format!("bad request JSON: {e}")),
+    let response = match Json::parse_bytes(frame) {
+        Err(e) => Response::error(400, format!("bad request JSON: {e}")),
+        // HTTP streams events over SSE and has no JSON long-poll to
+        // route to, so this op reads the trace ring itself.
+        Ok(request) if request.get("op").and_then(Json::as_str) == Some("events") => {
+            match events(&request) {
+                Ok(body) => Response::json(200, body),
+                Err(e) => Response::error(400, e),
+            }
+        }
+        Ok(request) => match translate(&request) {
+            Ok(request) => http::route(&request, queue, shutdown, options, registry),
+            Err(e) => Response::error(400, e),
+        },
     };
-    let Some(op) = request.get("op").and_then(Json::as_str) else {
-        return error("request needs a string `op` field".to_string());
-    };
-    match op {
-        "submit" => {
-            let Some(job) = request.get("job") else {
-                return error("submit needs a `job` object".to_string());
-            };
-            match intake::submit_job(queue, job) {
-                Ok((id, name)) => Json::obj([
-                    ("ok", Json::Bool(true)),
-                    ("id", Json::num(id as f64)),
-                    ("name", Json::str(name)),
-                ]),
-                // A shed submit is worth resubmitting after a backoff;
-                // the top-level flag predates the structured error
-                // object and stays for compatibility.
-                Err(e) if e.retryable() => Json::obj([
-                    ("ok", Json::Bool(false)),
-                    ("retryable", Json::Bool(true)),
-                    (
-                        "error",
-                        intake::error_body("overloaded", e.to_string(), true),
-                    ),
-                ]),
-                Err(e) => error(e.to_string()),
-            }
-        }
-        "status" => {
-            let id = match optional_id(&request) {
-                Ok(f) => f,
-                Err(e) => return error(e),
-            };
-            let limit = match request.get("limit") {
-                None => None,
-                Some(v) => match v.as_usize() {
-                    Some(n) => Some(n),
-                    None => return error("`limit` must be a non-negative integer".to_string()),
-                },
-            };
-            let filter = intake::JobFilter {
-                id,
-                status: request
-                    .get("status")
-                    .and_then(Json::as_str)
-                    .map(str::to_string),
-                limit,
-            };
-            match intake::status_json(queue, !shutdown.is_cancelled(), &filter, registry) {
-                Ok(body) => ok_with(body),
-                Err(e) => error(e),
-            }
-        }
-        "cancel" => match required_id(&request) {
-            Err(e) => error(e),
-            Ok(id) => {
-                let outcome = queue.cancel(id);
-                Json::obj([
-                    ("ok", Json::Bool(true)),
-                    ("id", Json::num(id as f64)),
-                    ("outcome", Json::str(outcome.label())),
-                ])
-            }
-        },
-        "wait" => match required_id(&request) {
-            Err(e) => error(e),
-            Ok(id) => match intake::wait_json(queue, id) {
-                None => error(format!("unknown job id {id}")),
-                Some(body) => ok_with(body),
-            },
-        },
-        "events" => {
-            let from = match request.get("from") {
-                None => 0u64,
-                Some(v) => match v.as_usize() {
-                    Some(n) => n as u64,
-                    None => return error("`from` must be a non-negative integer".to_string()),
-                },
-            };
-            let job = match request.get("job") {
-                None => None,
-                Some(v) => match v.as_usize() {
-                    Some(n) => Some(n as i64),
-                    None => return error("`job` must be a non-negative integer".to_string()),
-                },
-            };
-            let level = match request.get("level").and_then(Json::as_str) {
-                None => Level::Info,
-                Some(raw) => match raw.parse::<Level>() {
-                    Ok(level) => level,
-                    Err(e) => return error(e),
-                },
-            };
-            let wait = request.get("wait") == Some(&Json::Bool(true));
-            let filter = crate::events::EventFilter { job, level };
-            ok_with(crate::events::events_batch_json(
-                from,
-                &filter,
-                wait,
-                POLL_INTERVAL * 40,
-            ))
-        }
-        "trace" => match required_id(&request) {
-            Err(e) => error(e),
-            Ok(id) => match crate::events::job_trace_json(queue, id) {
-                None => error(format!("unknown job id {id}")),
-                Some(body) => ok_with(body),
-            },
-        },
-        "index-build" => {
-            let Some(job) = request.get("job") else {
-                return error("index-build needs a `job` object".to_string());
-            };
-            match intake::index_build(queue, registry, job) {
-                Ok((id, name)) => Json::obj([
-                    ("ok", Json::Bool(true)),
-                    ("job", Json::num(id as f64)),
-                    ("index", Json::str(name)),
-                ]),
-                Err(rejection) => index_error(&rejection),
-            }
-        }
-        "index-list" => match intake::index_list(registry) {
-            Ok(body) => ok_with(body),
-            Err(rejection) => index_error(&rejection),
-        },
-        "index-inspect" => match required_str(&request, "index") {
-            Err(e) => error(e),
-            Ok(id) => match intake::index_meta(registry, id) {
-                Ok(body) => ok_with(body),
-                Err(rejection) => index_error(&rejection),
-            },
-        },
-        "index-delete" => match required_str(&request, "index") {
-            Err(e) => error(e),
-            Ok(id) => match intake::index_delete(registry, id) {
-                Ok(body) => ok_with(body),
-                Err(rejection) => index_error(&rejection),
-            },
-        },
-        "index-patch" => match required_str(&request, "index") {
-            Err(e) => error(e),
-            // The whole request doubles as the delta body: ops_from_json
-            // only looks at its `deltas` field.
-            Ok(id) => match intake::index_patch(queue, registry, id, &request) {
-                Ok((job, index)) => Json::obj([
-                    ("ok", Json::Bool(true)),
-                    ("job", Json::num(job as f64)),
-                    ("index", Json::str(index)),
-                ]),
-                Err(rejection) => index_error(&rejection),
-            },
-        },
-        "index-match" => {
-            let id = match required_str(&request, "index") {
-                Ok(id) => id,
-                Err(e) => return error(e),
-            };
-            let entity = match required_str(&request, "entity") {
-                Ok(entity) => entity,
-                Err(e) => return error(e),
-            };
-            let k = match request.get("k") {
-                None => intake::DEFAULT_MATCH_K,
-                Some(v) => match v.as_usize() {
-                    Some(n) => n,
-                    None => return error("`k` must be a non-negative integer".to_string()),
-                },
-            };
-            match intake::index_match(registry, id, entity, k) {
-                Ok(body) => ok_with(body),
-                Err(rejection) => index_error(&rejection),
-            }
-        }
-        "shutdown" => {
-            let mode = match ShutdownMode::parse(request.get("mode").and_then(Json::as_str)) {
-                Ok(mode) => mode,
-                Err(e) => return error(e),
-            };
-            intake::shutdown(queue, shutdown, mode);
-            Json::obj([("ok", Json::Bool(true))])
-        }
-        other => error(format!("unknown op {other:?}")),
-    }
+    envelope(response)
 }
 
-/// Prefixes a shared-layer body with the protocol's `"ok": true` flag.
-fn ok_with(body: Json) -> Json {
-    let Json::Obj(mut fields) = body else {
-        unreachable!("intake bodies are objects");
-    };
-    fields.insert(0, ("ok".to_string(), Json::Bool(true)));
-    Json::Obj(fields)
-}
-
-/// A malformed-request failure in the unified error schema (code
-/// `bad_request`, never retryable) under the protocol's `"ok": false`
-/// envelope.
-fn error(message: String) -> Json {
-    Json::obj([
-        ("ok", Json::Bool(false)),
-        ("error", intake::error_body("bad_request", &message, false)),
-    ])
-}
-
-/// An index-op failure: the rejection's own code/retryability, with the
-/// top-level `retryable` flag mirrored for shed-style backoff clients.
-fn index_error(rejection: &intake::IndexRejection) -> Json {
-    let mut fields = vec![
-        ("ok".to_string(), Json::Bool(false)),
-        ("error".to_string(), rejection.to_error_body()),
-    ];
-    if rejection.retryable() {
-        fields.insert(1, ("retryable".to_string(), Json::Bool(true)));
-    }
-    Json::Obj(fields)
-}
-
-fn required_id(request: &Json) -> Result<usize, String> {
-    optional_id(request)?.ok_or_else(|| "request needs a numeric `id` field".to_string())
-}
-
-fn required_str<'a>(request: &'a Json, field: &str) -> Result<&'a str, String> {
-    request
-        .get(field)
+/// The HTTP request a frame stands for (see the module's table). Ids,
+/// index ids and `k` are checked here, so a malformed one stays a
+/// `bad_request` and never reaches `route` as an unknown path.
+fn translate(frame: &Json) -> Result<Request, String> {
+    let op = frame
+        .get("op")
         .and_then(Json::as_str)
-        .ok_or_else(|| format!("request needs a string `{field}` field"))
+        .ok_or("request needs a string `op` field")?;
+    let job_path = |suffix: &str| -> Result<String, String> {
+        let id = count(frame, "id")?.ok_or("request needs a numeric `id` field")?;
+        Ok(format!("/v1/jobs/{id}{suffix}"))
+    };
+    let index_path = |suffix: &str| -> Result<String, String> {
+        let index = frame.get("index").and_then(Json::as_str).unwrap_or("");
+        if !valid_id(index) {
+            return Err(RegistryError::InvalidId.to_string());
+        }
+        Ok(format!("/v1/indexes/{index}{suffix}"))
+    };
+    let text = |field: &str| {
+        let value = frame.get(field).and_then(Json::as_str)?;
+        Some((field.to_string(), value.to_string()))
+    };
+    let number = |field: &str| -> Result<_, String> {
+        Ok(count(frame, field)?.map(|n| (field.to_string(), n.to_string())))
+    };
+    // A body field as an HTTP client would send it (`null` if absent),
+    // bare or under its own name.
+    let field = |name: &str| frame.get(name).unwrap_or(&Json::Null).compact();
+    let wrapped = |name: &str| format!("{{\"{name}\":{}}}", field(name));
+    let (method, path, query, body) = match op {
+        "submit" => ("POST", "/v1/jobs".into(), vec![], field("job")),
+        "status" => {
+            let query = [text("status"), number("limit")?, number("id")?];
+            (
+                "GET",
+                "/v1/jobs".into(),
+                query.into_iter().flatten().collect(),
+                String::new(),
+            )
+        }
+        "cancel" => ("DELETE", job_path("")?, vec![], String::new()),
+        "wait" => {
+            let query = vec![("wait".to_string(), "true".to_string())];
+            ("GET", job_path("")?, query, String::new())
+        }
+        "trace" => ("GET", job_path("/trace")?, vec![], String::new()),
+        "index-build" => ("POST", "/v1/indexes".into(), vec![], field("job")),
+        "index-list" => ("GET", "/v1/indexes".into(), vec![], String::new()),
+        "index-inspect" => ("GET", index_path("")?, vec![], String::new()),
+        "index-delete" => ("DELETE", index_path("")?, vec![], String::new()),
+        "index-patch" => ("PATCH", index_path("")?, vec![], wrapped("deltas")),
+        "index-match" => {
+            let query = [text("entity"), number("k")?];
+            let query = query.into_iter().flatten().collect();
+            ("GET", index_path("/match")?, query, String::new())
+        }
+        "shutdown" => ("POST", "/v1/shutdown".into(), vec![], wrapped("mode")),
+        other => return Err(format!("unknown op {other:?}")),
+    };
+    Ok(Request {
+        method: method.to_string(),
+        path,
+        query,
+        headers: Vec::new(),
+        body: body.into_bytes(),
+    })
 }
 
-fn optional_id(request: &Json) -> Result<Option<usize>, String> {
-    match request.get("id") {
-        None => Ok(None),
-        Some(v) => v
-            .as_usize()
-            .map(Some)
-            .ok_or_else(|| "`id` must be a non-negative integer".to_string()),
+/// The `events` op: one batch from the trace ring at cursor `from`.
+fn events(frame: &Json) -> Result<Json, String> {
+    let from = count(frame, "from")?.unwrap_or(0) as u64;
+    let job = count(frame, "job")?.map(|n| n as i64);
+    let level = match frame.get("level").and_then(Json::as_str) {
+        None => Level::Info,
+        Some(raw) => raw.parse::<Level>()?,
+    };
+    let wait = frame.get("wait") == Some(&Json::Bool(true));
+    let filter = EventFilter { job, level };
+    Ok(events_batch_json(from, &filter, wait, POLL_INTERVAL * 40))
+}
+
+/// An optional non-negative integer field of a frame.
+fn count(frame: &Json, field: &str) -> Result<Option<usize>, String> {
+    frame
+        .get(field)
+        .map(|v| {
+            v.as_usize()
+                .ok_or_else(|| format!("`{field}` must be a non-negative integer"))
+        })
+        .transpose()
+}
+
+/// Wraps a routed response in the line envelope: `{"ok":true, …body}`
+/// below status 400, else `{"ok":false, ["retryable":true,] "error":{…}}`
+/// with the top-level `retryable` present exactly when
+/// `error.retryable` is true.
+fn envelope(response: Response) -> Json {
+    let Body::Json(Json::Obj(mut fields)) = response.body else {
+        unreachable!("every line op routes to an endpoint with a JSON object body");
+    };
+    let ok = response.status < 400;
+    let retryable = fields
+        .iter()
+        .any(|(key, value)| key == "error" && value.get("retryable") == Some(&Json::Bool(true)));
+    if !ok && retryable {
+        fields.insert(0, ("retryable".to_string(), Json::Bool(true)));
     }
+    fields.insert(0, ("ok".to_string(), Json::Bool(ok)));
+    Json::Obj(fields)
 }
 
 #[cfg(test)]
@@ -724,7 +611,13 @@ mod tests {
                 let r = roundtrip(addr, request);
                 assert_eq!(r.get("ok"), Some(&Json::Bool(false)), "{request}");
                 let err = r.get("error").unwrap();
-                assert_eq!(err.get("code").unwrap().as_str(), Some("bad_request"));
+                // An unknown job id is routed like `GET /v1/jobs/7`.
+                let code = if request.contains("wait") {
+                    "not_found"
+                } else {
+                    "bad_request"
+                };
+                assert_eq!(err.get("code").unwrap().as_str(), Some(code));
                 assert_eq!(err.get("retryable"), Some(&Json::Bool(false)));
                 let e = err.get("message").unwrap().as_str().unwrap();
                 assert!(e.contains(needle), "{request} -> {e}");
@@ -815,6 +708,7 @@ mod tests {
             br#"{"op":"shutdown","mode":"cancel"}"#,
             &queue,
             &shutdown,
+            &HttpOptions::default(),
             None,
         );
         assert_eq!(r.get("ok"), Some(&Json::Bool(true)));
@@ -831,6 +725,75 @@ mod tests {
     fn run_server_requires_a_front_end() {
         let err = run_server(Frontends::default(), &tiny_opts(), |_| {}).unwrap_err();
         assert_eq!(err.kind(), std::io::ErrorKind::InvalidInput);
+    }
+
+    #[test]
+    fn run_server_refuses_an_auth_token_with_a_line_listener() {
+        // Line-JSON frames carry no credentials, so a token would guard
+        // the HTTP listener while the line one let everyone in.
+        let frontends = Frontends {
+            line: Some(TcpListener::bind("127.0.0.1:0").unwrap()),
+            http: Some(TcpListener::bind("127.0.0.1:0").unwrap()),
+            http_options: HttpOptions {
+                auth_token: Some("secret".into()),
+                ..HttpOptions::default()
+            },
+        };
+        let err = run_server(frontends, &tiny_opts(), |_| {}).unwrap_err();
+        assert_eq!(err.kind(), std::io::ErrorKind::InvalidInput);
+        assert!(err.to_string().contains("HTTP only"), "{err}");
+    }
+
+    /// The line answer to `frame` and the HTTP answer to the request it
+    /// translates to, both on `queue`.
+    fn both_ways(queue: &JobQueue, frame: &str) -> (Json, Response) {
+        let shutdown = CancelToken::new();
+        let options = HttpOptions::default();
+        let line = handle_request(frame.as_bytes(), queue, &shutdown, &options, None);
+        let request = translate(&Json::parse(frame).unwrap()).unwrap();
+        (
+            line,
+            http::route(&request, queue, &shutdown, &options, None),
+        )
+    }
+
+    #[test]
+    fn a_shed_and_a_closed_queue_answer_alike_on_both_framings() {
+        let submit = r#"{"op":"submit","job":{"name":"j","dataset":"restaurant","scale":0.05}}"#;
+        // No runner drains this queue: the first job stays pending, so
+        // every later submit crosses the high-water mark of one.
+        let queue = JobQueue::new(1, 1, 0).with_shed_limits(1, 0);
+        let (first, _) = both_ways(&queue, submit);
+        assert_eq!(first.get("ok"), Some(&Json::Bool(true)), "{first:?}");
+        let (line, shed) = both_ways(&queue, submit);
+        assert_eq!(shed.status, 429);
+        let Body::Json(body) = &shed.body else {
+            panic!("a JSON error body")
+        };
+        let error = body.get("error").unwrap();
+        assert_eq!(error.get("code").unwrap().as_str(), Some("overloaded"));
+        assert_eq!(
+            line,
+            Json::obj([
+                ("ok", Json::Bool(false)),
+                ("retryable", Json::Bool(true)),
+                ("error", error.clone()),
+            ])
+        );
+
+        queue.close();
+        let (line, closed) = both_ways(&queue, submit);
+        assert_eq!(closed.status, 409);
+        let Body::Json(body) = &closed.body else {
+            panic!("a JSON error body")
+        };
+        let error = body.get("error").unwrap();
+        assert_eq!(error.get("code").unwrap().as_str(), Some("conflict"));
+        assert_eq!(error.get("retryable"), Some(&Json::Bool(false)));
+        assert_eq!(
+            line,
+            Json::obj([("ok", Json::Bool(false)), ("error", error.clone())])
+        );
     }
 
     #[test]

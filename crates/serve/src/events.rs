@@ -1,9 +1,9 @@
 //! Shared event-stream plumbing: JSON views of trace-ring records and
-//! assembled span trees, plus the subscriber filter both front-ends
-//! apply — the SSE stream (`GET /v1/events`) and the line-JSON
-//! `events` verb read the same global ring through the same cursor
+//! assembled span trees, plus the subscriber filter both readers of the
+//! ring apply — the SSE stream (`GET /v1/events`) and the line-JSON
+//! `events` op (the one op not routed through HTTP) use the same cursor
 //! semantics, so a fanned-out lifecycle event looks identical on
-//! either protocol.
+//! either.
 
 use minoan_kb::Json;
 use minoan_obs::trace::{self, Record, RecordKind, SpanNode, TraceTree};

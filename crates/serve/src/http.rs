@@ -4,19 +4,19 @@
 //! queue to anything that speaks HTTP — browsers, `curl`, load
 //! balancers, Prometheus scrapers — without adding a dependency: the
 //! server is a hand-rolled, strictly bounded HTTP/1.1 implementation on
-//! `std` alone, matching the workspace's vendored-shim constraint. It
-//! can run next to the line-JSON protocol ([`crate::daemon`]) on the
-//! same queue; both delegate every operation to the shared
-//! queue-fronting request layer, so jobs take the identical
-//! parse → validate → admit path and reports are bit-identical to
-//! `minoaner batch` and solo sequential runs.
+//! `std` alone, matching the workspace's vendored-shim constraint.
+//! Reports are bit-identical to `minoaner batch` and solo sequential
+//! runs. `route` is the one place a request is given meaning: the
+//! line-JSON protocol ([`crate::daemon`]) is only a framing that
+//! translates each frame into the request an HTTP client would send
+//! and wraps the routed response in its `"ok"` envelope.
 //!
 //! ## Endpoints
 //!
 //! | Method & path | Body | Response |
 //! |---------------|------|----------|
 //! | `POST /v1/jobs` | a manifest job object (see [`crate::manifest`]) | `201` `{"id":N,"name":"…"}` + `Location`; `400` bad job; `409` queue closed; `429` + `Retry-After` overload shed |
-//! | `GET /v1/jobs` | — | `200` the status body: `accepting`, phase counts, `telemetry` ([`QueueStats`](crate::scheduler::QueueStats)), `jobs` list; `?status=<s>` narrows by phase (`queued\|running\|done`) or terminal status (`ok\|failed\|cancelled\|timed_out\|poisoned\|killed_over_budget`), `?limit=<n>` caps the list (counts stay fleet-wide) |
+//! | `GET /v1/jobs` | — | `200` the status body: `accepting`, phase counts, `telemetry` ([`QueueStats`](crate::scheduler::QueueStats)), `jobs` list; `?status=<s>` narrows by phase (`queued\|running\|done`) or terminal status (`ok\|failed\|cancelled\|timed_out\|poisoned\|killed_over_budget`), `?limit=<n>` caps the list, `?id=<n>` narrows it to one job (counts stay fleet-wide; an unknown id is `400`) |
 //! | `GET /v1/jobs/{id}` | — | `200` `{"id","name","phase",…}`, plus `"fingerprint"` and the full `"report"` once terminal; `?wait=true` blocks until terminal; `404` unknown id |
 //! | `GET /v1/jobs/{id}/trace` | — | `200` the job's span trees as JSON, one tree per attempt (each retry runs under a fresh trace id); spans carry name, level, start/duration µs, detail and nested events; `404` unknown id |
 //! | `GET /v1/events` | — | `200` a live [server-sent-events](https://html.spec.whatwg.org/multipage/server-sent-events.html) stream (`text/event-stream`) of job lifecycle and index events from now on; `?job=<id>` narrows to one job, `?level=error\|warn\|info\|debug` widens/narrows verbosity (default `info`); a subscriber lapped by the bounded ring gets an `event: dropped` frame with the gap size, and one stalled past the write timeout is disconnected without ever blocking the scheduler |
@@ -36,8 +36,8 @@
 //!
 //! ## Error schema
 //!
-//! Every error body is the **unified error object** shared with the
-//! line-JSON protocol:
+//! Every error body is the **unified error object** (the line-JSON
+//! framing carries the same one under `"ok":false`):
 //!
 //! ```json
 //! {"error":{"code":"not_found","message":"…","retryable":false}}
@@ -96,7 +96,7 @@
 //! ## Threading model
 //!
 //! One thread per connection, spawned from the same accept loop
-//! structure as the line-JSON daemon: the listener polls with the
+//! structure as the line-JSON listener: the listener polls with the
 //! shutdown flag, each connection gets a read timeout so an idle client
 //! cannot outlive a shutdown, and a blocking `?wait=true` request parks
 //! on the queue's condvar (jobs always terminate, so shutdown cannot
@@ -155,18 +155,19 @@ pub struct HttpOptions {
     pub max_connections: Option<usize>,
 }
 
-/// One parsed request.
-struct Request {
-    method: String,
+/// One parsed request: what [`route`] gives meaning to, whether it was
+/// read off an HTTP connection or translated from a line-JSON frame.
+pub(crate) struct Request {
+    pub(crate) method: String,
     /// Path with the query string split off.
-    path: String,
+    pub(crate) path: String,
     /// Query parameters, in order, `key=value` pairs. Values are
     /// percent-decoded (entity IRIs in match queries carry `:` and `/`,
     /// which strict clients encode); keys are plain ASCII names.
-    query: Vec<(String, String)>,
+    pub(crate) query: Vec<(String, String)>,
     /// Header fields with lower-cased names, in arrival order.
-    headers: Vec<(String, String)>,
-    body: Vec<u8>,
+    pub(crate) headers: Vec<(String, String)>,
+    pub(crate) body: Vec<u8>,
 }
 
 impl Request {
@@ -210,20 +211,27 @@ enum HttpError {
     Disconnect,
 }
 
-/// One response ready to serialize.
-struct Response {
-    status: u16,
-    content_type: &'static str,
-    body: Vec<u8>,
+/// A response body, kept unserialized until [`write_response`] so the
+/// line-JSON framing can wrap the same value in its envelope.
+pub(crate) enum Body {
+    /// Every endpoint but the metrics one (`application/json`).
+    Json(Json),
+    /// The Prometheus exposition of `GET /v1/metrics`.
+    Metrics(String),
+}
+
+/// One routed response.
+pub(crate) struct Response {
+    pub(crate) status: u16,
+    pub(crate) body: Body,
     extra_headers: Vec<(&'static str, String)>,
 }
 
 impl Response {
-    fn json(status: u16, body: &Json) -> Response {
+    pub(crate) fn json(status: u16, body: Json) -> Response {
         Response {
             status,
-            content_type: "application/json",
-            body: body.compact().into_bytes(),
+            body: Body::Json(body),
             extra_headers: Vec::new(),
         }
     }
@@ -231,13 +239,13 @@ impl Response {
     /// An error response in the unified schema:
     /// `{"error":{"code","message","retryable"}}`, with the code and
     /// retryability derived from the status.
-    fn error(status: u16, message: impl Into<String>) -> Response {
+    pub(crate) fn error(status: u16, message: impl Into<String>) -> Response {
         let body = intake::error_body(
             intake::code_for_status(status),
             message,
             intake::retryable_status(status),
         );
-        Response::json(status, &Json::obj([("error", body)]))
+        Response::json(status, Json::obj([("error", body)]))
     }
 
     /// The response for a failed index operation, including the
@@ -245,7 +253,7 @@ impl Response {
     fn index_error(rejection: &intake::IndexRejection) -> Response {
         let mut response = Response::json(
             rejection.status(),
-            &Json::obj([("error", rejection.to_error_body())]),
+            Json::obj([("error", rejection.to_error_body())]),
         );
         if rejection.retryable() {
             response
@@ -659,9 +667,10 @@ fn read_body(
     Ok(body)
 }
 
-/// Routes one request to its endpoint. Every queue operation delegates
-/// to the shared request layer ([`crate::intake`]).
-fn route(
+/// Routes one request to its endpoint: the one place a request is given
+/// meaning, for HTTP connections and translated line-JSON frames alike.
+/// Every queue and registry operation delegates to [`crate::intake`].
+pub(crate) fn route(
     request: &Request,
     queue: &JobQueue,
     shutdown: &CancelToken,
@@ -675,20 +684,17 @@ fn route(
     match (request.method.as_str(), segments.as_slice()) {
         ("POST", ["v1", "jobs"]) => submit(request, queue),
         ("GET", ["v1", "jobs"]) => {
-            let limit = match request.query_param("limit").map(str::parse::<usize>) {
-                None => None,
-                Some(Ok(n)) => Some(n),
-                Some(Err(_)) => {
-                    return Response::error(400, "limit must be a non-negative integer")
-                }
+            let (limit, id) = match (count_param(request, "limit"), count_param(request, "id")) {
+                (Ok(limit), Ok(id)) => (limit, id),
+                (Err(response), _) | (_, Err(response)) => return response,
             };
             let filter = intake::JobFilter {
-                id: None,
+                id,
                 status: request.query_param("status").map(str::to_string),
                 limit,
             };
             match intake::status_json(queue, !shutdown.is_cancelled(), &filter, registry) {
-                Ok(body) => Response::json(200, &body),
+                Ok(body) => Response::json(200, body),
                 Err(e) => Response::error(400, e),
             }
         }
@@ -696,14 +702,14 @@ fn route(
             Err(response) => response,
             Ok(id) => match intake::job_json(queue, id, request.wants_wait()) {
                 None => Response::error(404, format!("unknown job id {id}")),
-                Some(body) => Response::json(200, &body),
+                Some(body) => Response::json(200, body),
             },
         },
         ("GET", ["v1", "jobs", id, "trace"]) => match parse_id(id) {
             Err(response) => response,
             Ok(id) => match crate::events::job_trace_json(queue, id) {
                 None => Response::error(404, format!("unknown job id {id}")),
-                Some(body) => Response::json(200, &body),
+                Some(body) => Response::json(200, body),
             },
         },
         ("DELETE", ["v1", "jobs", id]) => match parse_id(id) {
@@ -712,7 +718,7 @@ fn route(
                 CancelOutcome::Unknown => Response::error(404, format!("unknown job id {id}")),
                 outcome => Response::json(
                     200,
-                    &Json::obj([
+                    Json::obj([
                         ("id", Json::num(id as f64)),
                         ("outcome", Json::str(outcome.label())),
                     ]),
@@ -721,8 +727,7 @@ fn route(
         },
         ("GET", ["v1", "metrics"]) => Response {
             status: 200,
-            content_type: "text/plain; version=0.0.4",
-            body: prometheus_metrics(queue, registry).into_bytes(),
+            body: Body::Metrics(prometheus_metrics(queue, registry)),
             extra_headers: Vec::new(),
         },
         ("POST", ["v1", "shutdown"]) => {
@@ -740,7 +745,7 @@ fn route(
                     intake::shutdown(queue, shutdown, mode);
                     Response::json(
                         200,
-                        &Json::obj([
+                        Json::obj([
                             ("shutting_down", Json::Bool(true)),
                             (
                                 "mode",
@@ -764,7 +769,7 @@ fn route(
                 Ok((id, name)) => {
                     let mut response = Response::json(
                         201,
-                        &Json::obj([("job", Json::num(id as f64)), ("index", Json::str(&name))]),
+                        Json::obj([("job", Json::num(id as f64)), ("index", Json::str(&name))]),
                     );
                     response
                         .extra_headers
@@ -780,15 +785,15 @@ fn route(
             }
         }
         ("GET", ["v1", "indexes"]) => match intake::index_list(registry) {
-            Ok(body) => Response::json(200, &body),
+            Ok(body) => Response::json(200, body),
             Err(rejection) => Response::index_error(&rejection),
         },
         ("GET", ["v1", "indexes", id]) => match intake::index_meta(registry, id) {
-            Ok(body) => Response::json(200, &body),
+            Ok(body) => Response::json(200, body),
             Err(rejection) => Response::index_error(&rejection),
         },
         ("DELETE", ["v1", "indexes", id]) => match intake::index_delete(registry, id) {
-            Ok(body) => Response::json(200, &body),
+            Ok(body) => Response::json(200, body),
             Err(rejection) => Response::index_error(&rejection),
         },
         ("PATCH", ["v1", "indexes", id]) => {
@@ -800,7 +805,7 @@ fn route(
                 Ok((job, index)) => {
                     let mut response = Response::json(
                         202,
-                        &Json::obj([("job", Json::num(job as f64)), ("index", Json::str(&index))]),
+                        Json::obj([("job", Json::num(job as f64)), ("index", Json::str(&index))]),
                     );
                     response
                         .extra_headers
@@ -830,7 +835,7 @@ fn route(
                 },
             };
             match intake::index_match(registry, id, entity, k) {
-                Ok(body) => Response::json(200, &body),
+                Ok(body) => Response::json(200, body),
                 Err(rejection) => Response::index_error(&rejection),
             }
         }
@@ -889,7 +894,7 @@ fn submit(request: &Request, queue: &JobQueue) -> Response {
         Ok((id, name)) => {
             let mut response = Response::json(
                 201,
-                &Json::obj([("id", Json::num(id as f64)), ("name", Json::str(name))]),
+                Json::obj([("id", Json::num(id as f64)), ("name", Json::str(name))]),
             );
             response
                 .extra_headers
@@ -916,6 +921,15 @@ fn method_not_allowed(allow: &'static str) -> Response {
     let mut response = Response::error(405, format!("method not allowed; allowed: {allow}"));
     response.extra_headers.push(("Allow", allow.to_string()));
     response
+}
+
+/// A non-negative integer query parameter; `None` when absent.
+fn count_param(request: &Request, name: &str) -> Result<Option<usize>, Response> {
+    request
+        .query_param(name)
+        .map(str::parse::<usize>)
+        .transpose()
+        .map_err(|_| Response::error(400, format!("{name} must be a non-negative integer")))
 }
 
 fn parse_id(segment: &str) -> Result<usize, Response> {
@@ -971,14 +985,21 @@ fn constant_time_eq(expected: &str, supplied: &str) -> bool {
 /// Serializes one response; `close` decides the `Connection` header.
 fn write_response(writer: &mut TcpStream, response: &Response, close: bool) -> std::io::Result<()> {
     use std::fmt::Write as _;
+    let json;
+    let (content_type, body) = match &response.body {
+        Body::Json(value) => {
+            json = value.compact();
+            ("application/json", &json)
+        }
+        Body::Metrics(text) => ("text/plain; version=0.0.4", text),
+    };
     let mut head = String::new();
     let _ = write!(
         head,
-        "HTTP/1.1 {} {}\r\nContent-Type: {}\r\nContent-Length: {}\r\n",
+        "HTTP/1.1 {} {}\r\nContent-Type: {content_type}\r\nContent-Length: {}\r\n",
         response.status,
         reason_phrase(response.status),
-        response.content_type,
-        response.body.len()
+        body.len()
     );
     for (name, value) in &response.extra_headers {
         let _ = write!(head, "{name}: {value}\r\n");
@@ -989,7 +1010,7 @@ fn write_response(writer: &mut TcpStream, response: &Response, close: bool) -> s
         if close { "close" } else { "keep-alive" }
     );
     writer.write_all(head.as_bytes())?;
-    writer.write_all(&response.body)?;
+    writer.write_all(body.as_bytes())?;
     writer.flush()
 }
 

@@ -1,22 +1,14 @@
-//! The queue-fronting request layer shared by the protocol front-ends.
+//! The queue and registry operations behind [`crate::http::route`].
 //!
-//! Both intake protocols — the line-JSON socket ([`crate::daemon`]) and
-//! HTTP/1.1 ([`crate::http`]) — expose the same five operations over
-//! the same live [`JobQueue`]: submit, status, cancel, wait, shutdown.
-//! This module is the one implementation of those operations, returning
-//! protocol-neutral JSON bodies and domain errors; each front-end only
-//! adds its own framing (an `"ok"` envelope on the socket, status codes
-//! and headers over HTTP). Response shapes therefore cannot drift
-//! between protocols, and a job submitted over either one goes through
-//! the identical parse → validate → admit path.
-//!
-//! Since the index API landed the same layer also fronts the
-//! [`IndexRegistry`](crate::registry): build (through the job queue,
-//! with the artifact path injected server-side), list, inspect, delete
-//! and the hot match-query path, plus the **unified error schema** both
-//! protocols emit — `{"error":{"code","message","retryable"}}`, wrapped
-//! in `"ok":false` on the socket and under the HTTP status code on the
-//! web front-end.
+//! `route` is the one place a request is given meaning, and
+//! [`crate::http`] is the only caller of this module: the line-JSON
+//! protocol ([`crate::daemon`]) is a framing over `route`, not a second
+//! front-end. Each function here implements one operation over the live
+//! [`JobQueue`] or the [`IndexRegistry`](crate::registry) — submit,
+//! status, job state, shutdown, and index build, patch, list, inspect,
+//! delete and match — returning a JSON body or a domain error that the
+//! router maps to a status code. The **unified error schema**,
+//! `{"error":{"code","message","retryable"}}`, is built here too.
 
 use std::time::Instant;
 
@@ -28,9 +20,7 @@ use crate::registry::{IndexRegistry, RegistryError};
 use crate::report::JobStatus;
 use crate::scheduler::{CancelToken, JobId, JobQueue, JobSnapshot, SubmitError};
 
-/// Machine-readable error code for an HTTP status, shared by both
-/// protocols so a line-JSON client and an HTTP client see the same
-/// `code` for the same failure.
+/// Machine-readable error code for an HTTP status.
 pub(crate) fn code_for_status(status: u16) -> &'static str {
     match status {
         400 => "bad_request",
@@ -55,7 +45,7 @@ pub(crate) fn retryable_status(status: u16) -> bool {
     matches!(status, 429 | 503)
 }
 
-/// The unified error object both protocols carry under their `"error"`
+/// The unified error object every failure carries under its `"error"`
 /// key: `{"code","message","retryable"}`.
 pub(crate) fn error_body(code: &str, message: impl Into<String>, retryable: bool) -> Json {
     Json::obj([
@@ -88,9 +78,8 @@ impl ShutdownMode {
     }
 }
 
-/// Why [`submit_job`] refused a job, with enough structure for each
-/// front-end to pick its own framing (HTTP status code and
-/// `Retry-After`, line-JSON `"retryable"` flag).
+/// Why [`submit_job`] refused a job, with enough structure for the
+/// router to pick the status code and `Retry-After`.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub(crate) enum SubmitRejection {
     /// Malformed or invalid job spec: the client's fault, never
@@ -100,13 +89,6 @@ pub(crate) enum SubmitRejection {
     Closed,
     /// Overload shed: retryable after backing off.
     Overloaded(String),
-}
-
-impl SubmitRejection {
-    /// Whether resubmitting the identical request later can succeed.
-    pub(crate) fn retryable(&self) -> bool {
-        matches!(self, SubmitRejection::Overloaded(_))
-    }
 }
 
 impl std::fmt::Display for SubmitRejection {
@@ -133,7 +115,7 @@ pub(crate) fn submit_job(queue: &JobQueue, job: &Json) -> Result<(JobId, String)
     Ok((id, name))
 }
 
-/// One queue entry as the JSON object both protocols list: id, name,
+/// One queue entry as the JSON object job lists carry: id, name,
 /// phase, and — exactly when terminal — status (plus the error message
 /// for failures).
 pub(crate) fn snapshot_json(snap: &JobSnapshot) -> Json {
@@ -165,9 +147,8 @@ const STATUS_FILTER_LABELS: [&str; 9] = [
     "killed_over_budget",
 ];
 
-/// Optional narrowing of the job list both protocols support:
-/// HTTP spells it `GET /v1/jobs?status=<s>&limit=<n>`, the socket adds
-/// `"status"`/`"limit"` fields to the `status` op.
+/// Optional narrowing of the job list:
+/// `GET /v1/jobs?status=<s>&limit=<n>&id=<n>`.
 #[derive(Debug, Clone, Default)]
 pub(crate) struct JobFilter {
     /// Only the job with this id (an unknown id is an error).
@@ -243,19 +224,6 @@ pub(crate) fn status_json(
     Ok(Json::Obj(fields))
 }
 
-/// Blocks until job `id` is terminal, then returns the body shared by
-/// the socket's `wait` op and HTTP's `?wait=true`: id, the raw
-/// deterministic fingerprint, and the full report. `None` for an
-/// unknown id.
-pub(crate) fn wait_json(queue: &JobQueue, id: JobId) -> Option<Json> {
-    let report = queue.wait(id)?;
-    Some(Json::obj([
-        ("id", Json::num(id as f64)),
-        ("fingerprint", Json::str(report.fingerprint())),
-        ("report", report.to_json(true)),
-    ]))
-}
-
 /// One job's current state: the snapshot fields, plus the fingerprint
 /// and full report once the job is terminal. With `wait`, blocks until
 /// terminal first. `None` for an unknown id.
@@ -299,10 +267,9 @@ pub(crate) fn shutdown(queue: &JobQueue, flag: &CancelToken, mode: ShutdownMode)
 /// does not pass one.
 pub(crate) const DEFAULT_MATCH_K: usize = 10;
 
-/// Why an index operation failed, with enough structure for each
-/// front-end to pick its status code; the unified error body comes from
-/// [`IndexRejection::to_error_body`], so both protocols emit the same
-/// `code`/`message`/`retryable` triple.
+/// Why an index operation failed, with enough structure for the router
+/// to pick its status code; the unified error body comes from
+/// [`IndexRejection::to_error_body`].
 #[derive(Debug)]
 pub(crate) enum IndexRejection {
     /// Malformed id, job spec or query parameter (HTTP `400`).
@@ -715,7 +682,6 @@ mod tests {
         let job = Json::parse(r#"{"name":"late","dataset":"restaurant","scale":0.05}"#).unwrap();
         let err = submit_job(&queue, &job).unwrap_err();
         assert_eq!(err, SubmitRejection::Closed);
-        assert!(!err.retryable());
         assert!(err.to_string().contains("closed"), "{err}");
     }
 }

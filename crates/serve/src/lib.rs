@@ -10,15 +10,15 @@
 //! drains it for both: **batch mode** ([`run_batch`]) submits a whole
 //! manifest and closes the queue before the workers start, and
 //! **daemon mode** ([`run_server`], `minoaner serve`) accepts jobs as
-//! they arrive over one or both live protocols — the line-delimited
-//! JSON socket (`--listen`, see [`daemon`] for the wire protocol and
-//! cancellation granularity) and the dependency-free HTTP/1.1
-//! front-end (`--listen-http`, see [`http`] for the endpoint table,
-//! bearer-token auth, request limits and Prometheus metrics). Submit /
-//! status / cancel / wait / shutdown work identically on both,
-//! including cooperative **mid-job cancellation** through the job's
-//! own token on its executor — the only way a job is cancelled —
-//! because both delegate to one shared queue-fronting request layer.
+//! they arrive over the dependency-free HTTP/1.1 front-end
+//! (`--listen-http`, see [`http`] for the endpoint table, bearer-token
+//! auth, request limits and Prometheus metrics) and the line-delimited
+//! JSON framing (`--listen`, see [`daemon`] for the op table and
+//! cancellation granularity). One router answers both: each line-JSON
+//! op is translated to its HTTP request, so submit / status / cancel /
+//! wait / shutdown behave identically, including cooperative
+//! **mid-job cancellation** through the job's own token on its
+//! executor — the only way a job is cancelled.
 //!
 //! ## Manifest format
 //!

@@ -157,6 +157,39 @@ fn cancelling_a_running_job_over_http_spares_the_fleet() {
 }
 
 #[test]
+fn the_job_list_narrows_to_one_id() {
+    with_server(serve_opts(), HttpOptions::default(), |http| {
+        let first = http.submit("first", "restaurant", 0.05);
+        let second = http.submit("second", "restaurant", 0.05);
+        http.wait(first);
+        http.wait(second);
+        let r = http.json("GET", &format!("/v1/jobs?id={second}"), None, 200);
+        let Some(Json::Arr(jobs)) = r.get("jobs") else {
+            panic!("a job list: {r:?}");
+        };
+        assert_eq!(jobs.len(), 1);
+        assert_eq!(jobs[0].get("id").and_then(Json::as_usize), Some(second));
+        assert_eq!(jobs[0].get("name").and_then(Json::as_str), Some("second"));
+        // The counts stay fleet-wide.
+        assert_eq!(r.get("done").and_then(Json::as_usize), Some(2));
+        for (query, needle) in [
+            ("id=99", "unknown job id 99"),
+            ("id=x", "id must be a non-negative integer"),
+        ] {
+            let r = http.json("GET", &format!("/v1/jobs?{query}"), None, 400);
+            let error = r.get("error").expect("unified error body");
+            assert_eq!(
+                error.get("code").and_then(Json::as_str),
+                Some("bad_request")
+            );
+            let message = error.get("message").and_then(Json::as_str).unwrap();
+            assert!(message.contains(needle), "{query}: {message}");
+        }
+        http.shutdown();
+    });
+}
+
+#[test]
 fn metrics_are_parseable_prometheus_text() {
     let (_, ()) = with_server(serve_opts(), HttpOptions::default(), |http| {
         let id = http.submit("one", "restaurant", 0.05);
