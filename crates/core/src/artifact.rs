@@ -58,12 +58,13 @@ use crate::pipeline::{IndexedOutput, Timings};
 /// ([`MinoanConfig::candidates_k`](crate::MinoanConfig::candidates_k)),
 /// and with it what a run holds in memory. Every candidate row of a
 /// [`SimilarityIndex`](crate::SimilarityIndex) is ranked to this length:
-/// the best 128 entries in candidate order, the rest behind them
-/// unordered. The rows of the side H2 and H3 probe stay whole — a reader
-/// that runs off the prefix sorts the tail — while H4 reads a row of
-/// the other side only to `K`, so those rows are cut to their best 128
-/// (see [`crate::simindex`]). Measured on all four benchmark profiles at
-/// ×1 and ×2, no decision of H1–H4 reads past entry 128.
+/// the best 128 entries in candidate order, and cut to them once no
+/// pass of the build reads the row whole. A row of the side H2 and H3
+/// probe still reads whole — a reader that runs off the prefix
+/// recomputes the row — while H4 reads a row of the other side only to
+/// `K`, so its reader ends at the cut (see [`crate::simindex`]).
+/// Measured on all four benchmark profiles at ×1 and ×2, no decision of
+/// H1–H4 reads past entry 128.
 pub const MAX_CANDIDATES: usize = 128;
 
 /// Section tag: artifact metadata (name, counts, timings, config).

@@ -118,15 +118,16 @@ impl CandidateCsr {
     /// Keeps the first `max_len` candidates of every row, compacting
     /// both buffers **in place** — each kept prefix moves down over the
     /// dropped tails before it — and then returns the freed tails to the
-    /// allocator. Returns the rows that lost candidates, ascending.
-    pub(crate) fn cut_rows(&mut self, max_len: usize) -> Vec<u32> {
+    /// allocator. Returns the rows that lost candidates, ascending, each
+    /// with the length it had.
+    pub(crate) fn cut_rows(&mut self, max_len: usize) -> Vec<(u32, u32)> {
         let mut cut = Vec::new();
         let mut write = 0;
         for i in 0..self.rows() {
             let start = self.offsets[i];
             let len = self.offsets[i + 1] - start;
             if len > max_len {
-                cut.push(i as u32);
+                cut.push((i as u32, len as u32));
             }
             let keep = len.min(max_len);
             // `write <= start`: a prefix only ever moves down.
@@ -267,7 +268,7 @@ mod tests {
     fn cut_rows_keeps_each_prefix() {
         let rows = sample();
         let mut csr = csr_of(&rows);
-        assert_eq!(csr.cut_rows(2), vec![0, 3]);
+        assert_eq!(csr.cut_rows(2), vec![(0, 4), (3, 3)]);
         let capped: Vec<Vec<Candidate>> =
             rows.iter().map(|r| r[..r.len().min(2)].to_vec()).collect();
         assert_eq!(csr, csr_of(&capped));
@@ -275,7 +276,7 @@ mod tests {
         let mut same = csr.clone();
         assert!(same.cut_rows(9).is_empty());
         assert_eq!(same, csr);
-        assert_eq!(csr.cut_rows(0), vec![0, 2, 3, 4]);
+        assert_eq!(csr.cut_rows(0), vec![(0, 2), (2, 1), (3, 2), (4, 2)]);
         assert_eq!(csr, CandidateCsr::empty(rows.len()));
     }
 }

@@ -17,8 +17,8 @@ pub struct MinoanConfig {
     pub name_attrs_k: usize,
     /// `K`: number of candidate matches kept per entity from values and
     /// from neighbors (H3 list size and H4 reciprocity window), at most
-    /// [`MAX_CANDIDATES`]: the similarity index keeps only that many
-    /// candidates of a non-probe row.
+    /// [`MAX_CANDIDATES`]: the similarity index stores only that many
+    /// candidates of any row, and a non-probe row's reader ends there.
     pub candidates_k: usize,
     /// `N`: number of most important relations per KB defining
     /// `topNneighbors` (H3).

@@ -673,6 +673,90 @@ mod tests {
         );
     }
 
+    /// A pair where H3's matched-candidate filter skips more than
+    /// [`MAX_CANDIDATES`](crate::MAX_CANDIDATES) entries of a probe row.
+    /// Every token is shared by exactly one entity per side, so Block
+    /// Purging keeps every block and each shared token weighs 1. `a:x`
+    /// shares four tokens with each `b:{i}` for `i < 150` and 1–3 with
+    /// each `b:{j}` for `150 ≤ j < 200`, so its best 150 value
+    /// candidates are `b:0..b:149` — each taken by H2 through
+    /// `a:{i}`'s `u{i}` — and the usable ones behind them come in three
+    /// tiers of tied values. `a:x` and `b:170` also point at the
+    /// name-matched `a:y`/`b:y`, so `b:170` is `a:x`'s only neighbor
+    /// candidate, H3 ranks it from its place in the read past entry
+    /// 128, and H4 keeps the match.
+    fn deep_h3_pair() -> KbPair {
+        let mut a = KbBuilder::new("E1");
+        let mut b = KbBuilder::new("E2");
+        let mut probe = Vec::new();
+        for i in 0..200 {
+            let shared: Vec<String> = if i < 150 {
+                ["p", "r", "s", "t"].map(|t| format!("{t}{i}")).to_vec()
+            } else {
+                ["qa", "qb", "qc"][..1 + i % 3]
+                    .iter()
+                    .map(|t| format!("{t}{i}"))
+                    .collect()
+            };
+            let mut text = shared.join(" ");
+            if i < 150 {
+                a.add_literal(&format!("a:{i}"), "v", &format!("u{i}"));
+                text.push_str(&format!(" u{i}"));
+            }
+            b.add_literal(&format!("b:{i}"), "v", &text);
+            probe.extend(shared);
+        }
+        a.add_literal("a:x", "v", &probe.join(" "));
+        a.add_uri("a:x", "rel", "a:y");
+        a.add_literal("a:y", "v", "yname ysurname");
+        b.add_uri("b:170", "rel", "b:y");
+        b.add_literal("b:y", "v", "yname ysurname");
+        KbPair::new(a.finish(), b.finish())
+    }
+
+    /// FNV-1a over the matching's `(e1, e2)` ids in insertion order.
+    fn matching_hash(matching: &Matching) -> u64 {
+        let mut h: u64 = 0xcbf2_9ce4_8422_2325;
+        for (e1, e2) in matching.iter() {
+            for b in [e1.0, e2.0].into_iter().flat_map(u32::to_le_bytes) {
+                h = (h ^ u64::from(b)).wrapping_mul(0x0000_0100_0000_01b3);
+            }
+        }
+        h
+    }
+
+    /// [`deep_h3_pair`]'s matching at `K = MAX_CANDIDATES`, as
+    /// [`matching_hash`] hashes it: captured when every probe row was
+    /// stored whole.
+    const DEEP_H3_MATCHING: u64 = 0x9d4c_5b7b_9bfb_33d6;
+
+    #[test]
+    fn h3_reading_past_the_prefix_matches_as_a_whole_row_build() {
+        let pair = deep_h3_pair();
+        assert_eq!(pair.smaller_side(), KbSide::First);
+        let config = MinoanConfig {
+            candidates_k: crate::MAX_CANDIDATES,
+            ..MinoanConfig::default()
+        };
+        let matcher = MinoanEr::new(config).unwrap();
+        let x = pair.first.entity_by_uri("a:x").unwrap();
+        let b170 = pair.second.entity_by_uri("b:170").unwrap();
+        for exec in [
+            Executor::sequential(),
+            Executor::new(minoan_exec::ExecutorKind::Pool, 3),
+        ] {
+            let run = matcher
+                .run_cancellable_indexed(&pair, &exec, &CancelToken::new())
+                .unwrap();
+            let MatchOutput { matching, report } = &run.output;
+            assert_eq!(report.h2_matches, 150);
+            assert!(report.h3_matches >= 1);
+            assert!(matching.contains(x, b170), "the deep H3 match survives H4");
+            assert!(run.index.tail_reads() > 0, "nothing read past the prefix");
+            assert_eq!(matching_hash(matching), DEEP_H3_MATCHING);
+        }
+    }
+
     #[test]
     fn h3_contributes_when_values_are_weak_but_neighbors_strong() {
         // Movies share only a weak title token; their actors match

@@ -68,33 +68,61 @@
 //!
 //! # Which rows are whole
 //!
-//! H2 and H3 probe the **smaller** KB only — the *probe side*,
-//! [`KbSide::smaller`]: the side with fewer entities, the first on a
-//! tie, the rule
-//! [`KbPair::smaller_side`](minoan_kb::KbPair::smaller_side) applies
-//! too. The index derives it from the tokenized entity counts. A probe
-//! row is read as far as a heuristic needs, so it is kept **whole**.
+//! None, once the build is done: every row of both sides is stored
+//! **cut** to its best [`MAX_CANDIDATES`] right after the last pass
+//! that reads it whole. The passes run in the order that keeps whole
+//! rows alive for the shortest time:
 //!
-//! A row of the other side is read only by H4, up to `K`, and by a
-//! persisted index, up to [`MAX_CANDIDATES`]; the configuration bounds
-//! `K` by [`MAX_CANDIDATES`] too. So each such row is **cut** to its
-//! best [`MAX_CANDIDATES`] once no pass of the build reads it whole:
+//! 1. the first side's value rows, whole (`simindex.value_rows`);
+//! 2. the `neighborNSim` rows of the first side, whole
+//!    (`simindex.neighbor_rows`) — the last whole read of the first
+//!    side's value rows, which are cut right after it;
+//! 3. the second side's value rows (`simindex.value_reverse`), each cut
+//!    as the kernel ranks it;
+//! 4. the transpose of the neighbor rows (`simindex.neighbor_reverse`),
+//!    after which both sides' neighbor rows are cut.
 //!
-//! - its value rows as they are computed when the probe side is the
-//!   first — the kernel ranks a row and keeps its prefix — or, when the
-//!   first side is the larger one, after the `neighborNSim` pass has
-//!   read them;
-//! - its neighbor rows after the transpose has read them (the first
-//!   side's), or right after the transpose has built them (the
-//!   second side's).
+//! A cut keeps a row's ranked prefix, which is the fully sorted row's
+//! first [`MAX_CANDIDATES`] entries bit for bit. What a reader sees past
+//! it depends on the side:
 //!
-//! The cut is exact: it keeps a row's ranked prefix, which is the
-//! fully sorted row's first [`MAX_CANDIDATES`] entries bit for bit, and
-//! no reader of the cut side reads further. A reader that tries anyway
-//! panics in debug builds ([`Ranked::is_cut`]) instead of ending
-//! quietly. Lookups and pair counts
-//! ([`SimilarityIndex::value_sim`], [`SimilarityIndex::pair_count`], …)
-//! read the probe side, so they stay exact too.
+//! - H2 and H3 probe the **smaller** KB only — the *probe side*,
+//!   [`KbSide::smaller`]: the side with fewer entities, the first on a
+//!   tie, the rule
+//!   [`KbPair::smaller_side`](minoan_kb::KbPair::smaller_side) applies
+//!   too. The index derives it from the tokenized entity counts. A probe
+//!   row is read as far as a heuristic needs, so it **reads whole**: the
+//!   index records each cut probe row's full length ([`Ranked::len`],
+//!   [`SimilarityIndex::pair_count`] and
+//!   [`SimilarityIndex::neighbor_pair_count`] stay exact), and a reader
+//!   that runs off the stored prefix **recomputes** the row — with the
+//!   same kernel, every sum in the same addition order — ranks it and
+//!   yields its sorted tail. For that the index keeps what one row is
+//!   rebuilt from: a copy of the purged token blocks, their weights, the
+//!   first side's top-neighbor lists and the probe's padded lists of the
+//!   second side's (`Rebuild`). A value row is the kernel's row over the
+//!   entity's blocks; a first-side neighbor row is the `neighbor_rows`
+//!   accumulation over the kernel's rows of its top neighbors; a
+//!   second-side neighbor row sums, for each `e1` of its value row and
+//!   in the forward pass's order, `Σ_{nb1 ∈ top(e1)} valueSim(nb1,
+//!   nb2)` over its padded list of `nb2` — an absent pair adds `+0.0`,
+//!   which leaves every bit as it was. By ROADMAP F4 no heuristic reads
+//!   past entry 75 on the benchmark profiles, so the recompute is the
+//!   cold path (`simindex.tail_reads` counts it).
+//! - A row of the other side is read only by H4, up to `K`, and by a
+//!   persisted index, up to [`MAX_CANDIDATES`]; the configuration bounds
+//!   `K` by [`MAX_CANDIDATES`] too. So a reader of such a row ends at
+//!   the cut, and one that tries to read further panics in debug builds
+//!   ([`Ranked::is_cut`]) instead of ending quietly.
+//!
+//! Lookups ([`SimilarityIndex::value_sim`],
+//! [`SimilarityIndex::neighbor_sim`]) read the probe side through the
+//! same path, so they stay exact too.
+//!
+//! At debug level the build emits `simindex.candidate_bytes` once per
+//! pass: the bytes of candidate rows alive when the pass's rows are
+//! complete, and after the cuts that follow it — 12 per candidate plus
+//! 8 per row offset, computed from the row lengths.
 
 use std::cmp::Reverse;
 use std::sync::atomic::{AtomicUsize, Ordering};
@@ -136,48 +164,89 @@ fn rank(row: &mut [Candidate]) {
 
 /// One ranked candidate row read in the full candidate order: the
 /// stored prefix as it is, then — only once a reader runs off the
-/// prefix — a sorted copy of the tail. The sequence is the fully sorted
-/// row, bit for bit, however far it is read; for a cut row, as far as
-/// [`Ranked::len`].
+/// prefix — the sorted rest of the row, taken from the stored tail or,
+/// for a cut probe row, from the row recomputed (see the module docs).
+/// The sequence is the fully sorted row, bit for bit, however far it
+/// is read, as far as [`Ranked::len`]: the full row's length, except
+/// for a row [`Ranked::is_cut`], which ends at its stored prefix.
 #[derive(Debug)]
 pub struct Ranked<'a> {
     row: CandidateRow<'a>,
-    /// Whether `row` is the best [`MAX_CANDIDATES`] of a longer row.
-    cut: bool,
+    /// How many candidates the reader yields.
+    len: usize,
+    /// Where the candidates after the prefix come from.
+    past: Past<'a>,
     next: usize,
-    /// `row[MAX_CANDIDATES..]` in [`cand_key`] order; empty until the
-    /// first read past the prefix.
+    /// The candidates after the prefix in [`cand_key`] order; empty
+    /// until the first read past the prefix.
     tail: Vec<Candidate>,
     tail_reads: &'a AtomicUsize,
 }
 
+/// Where a [`Ranked`] reader finds the candidates after a row's stored
+/// prefix.
+#[derive(Debug, Clone, Copy)]
+enum Past<'a> {
+    /// The row is stored whole: its stored tail.
+    Stored,
+    /// The row was cut and its reader ends at the cut.
+    End,
+    /// The row was cut and reads whole: the row of `e` of this kind and
+    /// side, recomputed.
+    Recompute(&'a Rebuild, RowKind, KbSide, EntityId),
+}
+
 impl<'a> Ranked<'a> {
-    /// A reader over `row`, ranked by [`rank`] (and `cut` if it holds
-    /// only a longer row's prefix), counting its tail sort (if any) in
-    /// `tail_reads`.
-    fn new(row: CandidateRow<'a>, cut: bool, tail_reads: &'a AtomicUsize) -> Self {
-        Self {
-            row,
-            cut,
-            next: 0,
-            tail: Vec::new(),
-            tail_reads,
-        }
-    }
-
-    /// Whether the row was cut to its best [`MAX_CANDIDATES`] (a row of
-    /// the non-probe side, see the module docs): it yields exactly that
-    /// prefix, and a read past it panics in debug builds, since the
-    /// candidates after it are not stored.
+    /// Whether the row was cut to its best [`MAX_CANDIDATES`] and its
+    /// reader ends there (a row of the non-probe side longer than that,
+    /// see the module docs): it yields exactly that prefix, and a read
+    /// past it panics in debug builds. A cut probe row is not: it reads
+    /// whole.
     pub fn is_cut(&self) -> bool {
-        self.cut
+        matches!(self.past, Past::End)
     }
 
+    /// The candidates after the stored prefix, sorted, counted in
+    /// `tail_reads`.
     #[cold]
-    fn sort_tail(&mut self) {
-        self.tail = self.row.tail(MAX_CANDIDATES);
+    fn fill_tail(&mut self) {
+        self.tail = match self.past {
+            Past::Stored => self.row.tail(MAX_CANDIDATES),
+            Past::Recompute(rebuild, kind, side, e) => {
+                let mut full = rebuild.row(kind, side, e);
+                let bits = |(c, v): Candidate| (c, v.to_bits());
+                debug_assert!(
+                    full.len() == self.len
+                        && full[..MAX_CANDIDATES]
+                            .iter()
+                            .copied()
+                            .map(bits)
+                            .eq(self.row.iter().map(bits)),
+                    "the recomputed {kind:?} row of {side:?} {e} differs from its stored prefix"
+                );
+                full.split_off(MAX_CANDIDATES)
+            }
+            Past::End => unreachable!("a cut row's reader ends at the cut"),
+        };
         self.tail.sort_unstable_by_key(cand_key);
         self.tail_reads.fetch_add(1, Ordering::Relaxed);
+    }
+
+    /// The similarity of `other` in the row, `0.0` if absent. Scans the
+    /// stored candidates as they are — an id occurs at most once in a
+    /// row, so the order is immaterial — and reads on past them only if
+    /// the row is longer than what is stored.
+    fn similarity_of(mut self, other: EntityId) -> f64 {
+        let stored = self.row.len();
+        match self.row.ids().iter().position(|&c| c == other) {
+            Some(i) => self.row.get(i).map_or(0.0, |(_, v)| v),
+            None if self.len > stored => {
+                self.next = stored;
+                self.find_map(|(c, v)| (c == other).then_some(v))
+                    .unwrap_or(0.0)
+            }
+            None => 0.0,
+        }
     }
 }
 
@@ -190,15 +259,15 @@ impl Iterator for Ranked<'_> {
         let item = if i < MAX_CANDIDATES {
             self.row.get(i)?
         } else {
-            if i >= self.row.len() {
+            if i >= self.len {
                 debug_assert!(
-                    !self.cut,
+                    !self.is_cut(),
                     "read past the {MAX_CANDIDATES} stored candidates of a cut row"
                 );
                 return None;
             }
             if self.tail.is_empty() {
-                self.sort_tail();
+                self.fill_tail();
             }
             self.tail[i - MAX_CANDIDATES]
         };
@@ -207,7 +276,7 @@ impl Iterator for Ranked<'_> {
     }
 
     fn size_hint(&self) -> (usize, Option<usize>) {
-        let left = self.row.len() - self.next;
+        let left = self.len - self.next;
         (left, Some(left))
     }
 }
@@ -318,6 +387,47 @@ impl RowScratch {
         self.len = 0;
         rank(row);
     }
+
+    /// **The** `neighborNSim` row of one first-side entity: `cands` are
+    /// its value candidates, `nb_rows` the value rows of its top
+    /// neighbors in list order, and `top_seconds` the second side's
+    /// lists as [`probe_lists`] pads them. Accumulates every `nb_rows`
+    /// row into the scratch — each slot's sum in list order, however a
+    /// row orders its own candidates — then scores each candidate over
+    /// its own list, and leaves the positive ones in `row` [`rank`]ed and
+    /// the scratch reset. The scratch spans the second side's entities
+    /// plus the padding slot.
+    #[inline]
+    fn neighbor_row<R: IntoIterator<Item = Candidate>>(
+        &mut self,
+        cands: &[EntityId],
+        nb_rows: impl IntoIterator<Item = R>,
+        top_seconds: &Csr<u32>,
+        row: &mut Vec<Candidate>,
+    ) {
+        row.clear();
+        if !cands.is_empty() {
+            for nb_row in nb_rows {
+                for (nb2, v) in nb_row {
+                    self.add(nb2, v);
+                }
+            }
+            if self.len > 0 {
+                // Every candidate is written; only a positive score
+                // advances past it, so a zero is overwritten or cut.
+                row.resize(cands.len(), (EntityId(0), 0.0));
+                let mut n = 0;
+                for &e2 in cands {
+                    let s = self.sum_of(top_seconds.row(e2.index()));
+                    row[n] = (e2, s);
+                    n += usize::from(s > 0.0);
+                }
+                row.truncate(n);
+                self.reset();
+            }
+        }
+        rank(row);
+    }
 }
 
 /// One side's candidate rows of one similarity, as the index stores
@@ -330,8 +440,9 @@ struct Rows {
     parts: Vec<CandidateCsr>,
     /// The first row of each part.
     starts: Vec<usize>,
-    /// The rows cut to their best [`MAX_CANDIDATES`], ascending.
-    cut: Vec<u32>,
+    /// The rows cut to their best [`MAX_CANDIDATES`], ascending, each
+    /// with its full length.
+    cut: Vec<(u32, u32)>,
 }
 
 impl Rows {
@@ -353,7 +464,7 @@ impl Rows {
             for e in range {
                 row_of(&mut scratch, e, &mut row);
                 if cut && row.len() > MAX_CANDIDATES {
-                    cut_rows.push(e as u32);
+                    cut_rows.push((e as u32, row.len() as u32));
                     row.truncate(MAX_CANDIDATES);
                 }
                 csr.push_row(&row);
@@ -387,9 +498,25 @@ impl Rows {
         }
     }
 
-    /// Number of candidates stored.
-    fn item_count(&self) -> usize {
-        self.parts.iter().map(CandidateCsr::item_count).sum()
+    /// Number of candidates the rows held before any cut.
+    fn full_item_count(&self) -> usize {
+        let stored: usize = self.parts.iter().map(CandidateCsr::item_count).sum();
+        let dropped: usize = self
+            .cut
+            .iter()
+            .map(|&(_, len)| len as usize - MAX_CANDIDATES)
+            .sum();
+        stored + dropped
+    }
+
+    /// Bytes of the stored rows: 12 per candidate (a `u32` id and an
+    /// `f64`) plus 8 per offset.
+    fn bytes(&self) -> usize {
+        let candidate = size_of::<EntityId>() + size_of::<f64>();
+        self.parts
+            .iter()
+            .map(|part| candidate * part.item_count() + size_of_val(part.offsets()))
+            .sum()
     }
 
     /// The stored row of entity `e`.
@@ -399,21 +526,46 @@ impl Rows {
         self.parts[p].row(e - self.starts[p])
     }
 
-    /// Cuts every row to its best [`MAX_CANDIDATES`], in place.
+    /// Cuts every row to its best [`MAX_CANDIDATES`], in place,
+    /// recording the full length of each row it cuts.
     fn cut(&mut self) {
-        self.cut.clear();
         for (part, &start) in self.parts.iter_mut().zip(&self.starts) {
             let cut = part.cut_rows(MAX_CANDIDATES);
-            self.cut.extend(cut.into_iter().map(|e| e + start as u32));
+            self.cut
+                .extend(cut.into_iter().map(|(e, len)| (e + start as u32, len)));
         }
     }
 
-    /// A reader over the row of `e`.
-    fn read<'a>(&'a self, e: EntityId, tail_reads: &'a AtomicUsize) -> Ranked<'a> {
+    /// A reader over the row of `e`. A cut row reads whole, recomputed
+    /// past its prefix, if `recompute` says how; otherwise it ends at
+    /// the cut.
+    fn read<'a>(
+        &'a self,
+        e: EntityId,
+        recompute: Option<(&'a Rebuild, RowKind, KbSide)>,
+        tail_reads: &'a AtomicUsize,
+    ) -> Ranked<'a> {
         let row = self.row(e.index());
         // Only a row of exactly MAX_CANDIDATES can have been cut.
-        let cut = row.len() == MAX_CANDIDATES && self.cut.binary_search(&e.0).is_ok();
-        Ranked::new(row, cut, tail_reads)
+        let full = (row.len() == MAX_CANDIDATES)
+            .then(|| self.cut.binary_search_by_key(&e.0, |&(r, _)| r).ok())
+            .flatten()
+            .map(|i| self.cut[i].1 as usize);
+        let (len, past) = match (full, recompute) {
+            (None, _) => (row.len(), Past::Stored),
+            (Some(full), Some((rebuild, kind, side))) => {
+                (full, Past::Recompute(rebuild, kind, side, e))
+            }
+            (Some(_), None) => (MAX_CANDIDATES, Past::End),
+        };
+        Ranked {
+            row,
+            len,
+            past,
+            next: 0,
+            tail: Vec::new(),
+            tail_reads,
+        }
     }
 }
 
@@ -430,6 +582,26 @@ fn block_weights(blocks: &BlockCollection, tokens: &TokenizedPair, exec: &Execut
     })
 }
 
+/// The `(weight, other side's entities)` of every block of entity `e`
+/// of `side`, in ascending block order: the kernel's input for `e`'s
+/// value row ([`RowScratch::value_row`]). An entity in no block — or one
+/// `blocks` does not index at all — has none.
+fn entity_blocks<'a>(
+    blocks: &'a BlockCollection,
+    weights: &'a [f64],
+    side: KbSide,
+    e: usize,
+) -> impl Iterator<Item = (f64, &'a [EntityId])> {
+    let block_list = blocks.blocks();
+    let of_e: &[_] = if e < blocks.entity_count(side) {
+        blocks.blocks_of(side, EntityId(e as u32))
+    } else {
+        &[]
+    };
+    of_e.iter()
+        .map(move |b| (weights[b.index()], block_list[b.index()].side(side.other())))
+}
+
 /// The `valueSim` candidate row of every entity of `side` over `blocks`
 /// (whose per-block token weights are `weights`), in entity order, each
 /// [`rank`]ed as the kernel computes it and cut at once if `cut`. An
@@ -443,20 +615,10 @@ fn value_rows(
     cut: bool,
     exec: &Executor,
 ) -> Rows {
-    let block_list = blocks.blocks();
-    let indexed = blocks.entity_count(side);
     let n = tokens.entity_count(side);
     let n_other = blocks.entity_count(side.other());
     Rows::build(n, n_other, cut, exec, |scratch, e, row| {
-        let of_e: &[_] = if e < indexed {
-            blocks.blocks_of(side, EntityId(e as u32))
-        } else {
-            &[]
-        };
-        let weighted = of_e
-            .iter()
-            .map(|b| (weights[b.index()], block_list[b.index()].side(side.other())));
-        scratch.value_row(weighted, row);
+        scratch.value_row(entity_blocks(blocks, weights, side, e), row);
     })
 }
 
@@ -517,47 +679,150 @@ fn neighbor_rows(
     // sum acc over e2's top neighbors for each candidate e2. Pure
     // reads over the value CSR — embarrassingly parallel over e1.
     Rows::build(value_firsts.len(), n_second, false, exec, |acc, e1, row| {
-        row.clear();
-        let cands = value_firsts.row(e1);
-        if !cands.is_empty() {
-            for &nb1 in &top_firsts[e1] {
-                for (nb2, v) in value_firsts.row(nb1.index()).iter() {
-                    acc.add(nb2, v);
-                }
-            }
-            if acc.len > 0 {
-                // Every candidate is written; only a positive score
-                // advances past it, so a zero is overwritten or cut.
-                row.resize(cands.len(), (EntityId(0), 0.0));
-                let mut n = 0;
-                for &e2 in cands.ids() {
-                    let s = acc.sum_of(top_seconds.row(e2.index()));
-                    row[n] = (e2, s);
-                    n += usize::from(s > 0.0);
-                }
-                row.truncate(n);
-                acc.reset();
-            }
-        }
-        rank(row);
+        let nb_rows = top_firsts[e1]
+            .iter()
+            .map(|nb1| value_firsts.row(nb1.index()).iter());
+        acc.neighbor_row(value_firsts.row(e1).ids(), nb_rows, top_seconds, row);
     })
 }
 
-/// Value and neighbor similarities for all co-occurring pairs, with
-/// per-entity candidate lists stored ranked in CSR form — whole on the
-/// probe side, cut to [`MAX_CANDIDATES`] on the other — and read in the
-/// candidate order (similarity descending, ties by entity id; see the
+/// Which similarity a candidate row holds.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+enum RowKind {
+    Value,
+    Neighbor,
+}
+
+/// What the index keeps to recompute one cut probe row exactly: the
+/// inputs of the row kernels, owned for the index's life (see the
 /// module docs).
 #[derive(Debug)]
+struct Rebuild {
+    /// The purged token blocks.
+    blocks: BlockCollection,
+    /// Their token weights.
+    weights: Vec<f64>,
+    /// Tokenized entities per side.
+    n: [usize; 2],
+    /// The first side's top-neighbor lists.
+    top_firsts: Csr<EntityId>,
+    /// The second side's, as the `neighborNSim` probe reads them.
+    top_seconds: Csr<u32>,
+}
+
+impl Rebuild {
+    /// The whole row of `e` of `kind` on `side`, [`rank`]ed: the row the
+    /// build computed, bit for bit, before any cut.
+    fn row(&self, kind: RowKind, side: KbSide, e: EntityId) -> Vec<Candidate> {
+        match (kind, side) {
+            (RowKind::Value, _) => self.value_row(side, e),
+            (RowKind::Neighbor, KbSide::First) => self.first_neighbor_row(e),
+            (RowKind::Neighbor, KbSide::Second) => self.second_neighbor_row(e),
+        }
+    }
+
+    /// The kernel's value row of `e` of `side`.
+    fn value_row(&self, side: KbSide, e: EntityId) -> Vec<Candidate> {
+        let mut row = Vec::new();
+        let mut scratch = RowScratch::new(self.blocks.entity_count(side.other()));
+        let blocks = entity_blocks(&self.blocks, &self.weights, side, e.index());
+        scratch.value_row(blocks, &mut row);
+        row
+    }
+
+    /// The `neighbor_rows` accumulation for `e1`, over the kernel's
+    /// value rows of `e1` and of its top neighbors.
+    fn first_neighbor_row(&self, e1: EntityId) -> Vec<Candidate> {
+        let cands: Vec<EntityId> = self
+            .value_row(KbSide::First, e1)
+            .into_iter()
+            .map(|(e2, _)| e2)
+            .collect();
+        let nb_rows = self
+            .top_firsts
+            .row(e1.index())
+            .iter()
+            .map(|&nb1| self.value_row(KbSide::First, nb1));
+        let mut row = Vec::new();
+        RowScratch::new(self.n[1]).neighbor_row(&cands, nb_rows, &self.top_seconds, &mut row);
+        row
+    }
+
+    /// The transpose's column `e2`: for each `e1` of `e2`'s value row,
+    /// the sum over `e2`'s padded list of `Σ_{nb1 ∈ top(e1)} valueSim(nb1,
+    /// nb2)`, both in list order — the forward pass's sum for the pair,
+    /// with `+0.0` where a pair never co-occurs — kept if positive.
+    fn second_neighbor_row(&self, e2: EntityId) -> Vec<Candidate> {
+        // valueSim(·, nb2) of each nb2 of the list, in list order and
+        // ascending by id; none for the padding.
+        let columns: Vec<Vec<Candidate>> = self
+            .top_seconds
+            .row(e2.index())
+            .iter()
+            .map(|&nb2| {
+                if nb2 as usize >= self.n[1] {
+                    return Vec::new();
+                }
+                let mut column = self.value_row(KbSide::Second, EntityId(nb2));
+                column.sort_unstable_by_key(|&(nb1, _)| nb1);
+                column
+            })
+            .collect();
+        let mut row: Vec<Candidate> = self
+            .value_row(KbSide::Second, e2)
+            .into_iter()
+            .filter_map(|(e1, _)| {
+                let mut s = 0.0;
+                for column in &columns {
+                    let mut acc = 0.0;
+                    for nb1 in self.top_firsts.row(e1.index()) {
+                        acc += column
+                            .binary_search_by_key(nb1, |&(id, _)| id)
+                            .map_or(0.0, |i| column[i].1);
+                    }
+                    s += acc;
+                }
+                (s > 0.0).then_some((e1, s))
+            })
+            .collect();
+        rank(&mut row);
+        row
+    }
+}
+
+/// Value and neighbor similarities for all co-occurring pairs, with
+/// per-entity candidate lists stored ranked in CSR form, each cut to its
+/// best [`MAX_CANDIDATES`], and read in the candidate order (similarity
+/// descending, ties by entity id; see the module docs) — the probe
+/// side's rows whole, recomputed past the cut.
+#[derive(Debug)]
 pub struct SimilarityIndex {
-    /// The side H2 and H3 probe, whose rows are stored whole.
+    /// The side H2 and H3 probe, whose rows read whole.
     probe: KbSide,
     /// Per side: candidates by value similarity.
     value_cands: [Rows; 2],
     /// Per side: candidates with non-zero neighbor similarity.
     neighbor_cands: [Rows; 2],
+    /// What a cut probe row is recomputed from; `None` if no probe row
+    /// was cut.
+    rebuild: Option<Rebuild>,
     /// How many [`Ranked`] readers have sorted a tail.
     tail_reads: AtomicUsize,
+}
+
+/// Bytes of the stored candidate rows of `rows` ([`Rows::bytes`]).
+fn candidate_bytes<'a>(rows: impl IntoIterator<Item = &'a Rows>) -> usize {
+    rows.into_iter().map(Rows::bytes).sum()
+}
+
+/// Emits the debug event `simindex.candidate_bytes` for `pass`: the
+/// candidate bytes alive when its rows are complete, and after the cuts
+/// that follow it.
+fn report_candidate_bytes(pass: &str, alive: usize, kept: usize) {
+    minoan_obs::debug!(
+        "simindex.candidate_bytes",
+        "{pass}: {alive} B alive, {kept} B kept"
+    );
 }
 
 impl SimilarityIndex {
@@ -566,18 +831,19 @@ impl SimilarityIndex {
     /// `top_neighbors` holds `topNneighbors(e)` per entity for each side
     /// (see [`crate::importance::top_neighbors_with`]).
     ///
-    /// Four passes, each under its own debug span: one `valueSim` row
-    /// per first-side entity through the shared row kernel
-    /// (`simindex.value_rows`); one per second-side entity through the
-    /// same kernel (`simindex.value_reverse`); the `neighborNSim` rows
+    /// Four passes, each under its own debug span and in this order: one
+    /// `valueSim` row per first-side entity through the shared row kernel
+    /// (`simindex.value_rows`); the `neighborNSim` rows
     /// (`simindex.neighbor_rows`, which first flattens and pads the
-    /// second side's top-neighbor lists for the probe); and their transpose
+    /// second side's top-neighbor lists for the probe); one `valueSim`
+    /// row per second-side entity through the same kernel
+    /// (`simindex.value_reverse`); and the transpose of the neighbor rows
     /// (`simindex.neighbor_reverse`, split into `simindex.transpose_fill`
-    /// and `simindex.transpose_rank`). Rows of the non-probe side are cut
-    /// after the last pass that reads them whole (see the module docs).
-    /// A row is a function of its own entity's blocks alone, so the
-    /// result is bit-identical for any backend, thread count and part
-    /// count.
+    /// and `simindex.transpose_rank`). Every row is cut after the last
+    /// pass that reads it whole, and each pass reports its
+    /// `simindex.candidate_bytes` (see the module docs). A row is a
+    /// function of its own entity's blocks alone, so the result is
+    /// bit-identical for any backend, thread count and part count.
     pub fn build_with(
         blocks: &BlockCollection,
         tokens: &TokenizedPair,
@@ -586,84 +852,123 @@ impl SimilarityIndex {
     ) -> Self {
         let n = [KbSide::First, KbSide::Second].map(|side| tokens.entity_count(side));
         let probe = KbSide::smaller(n);
-        let cut = |side: KbSide| side != probe;
         let weights = block_weights(blocks, tokens, exec);
         // The neighbor pass reads the first side's value rows whole.
         let mut value_firsts = {
             let _span = stage_span("simindex.value_rows");
             value_rows(blocks, &weights, tokens, KbSide::First, false, exec)
         };
-        let value_seconds = {
-            let _span = stage_span("simindex.value_reverse");
-            value_rows(
-                blocks,
-                &weights,
-                tokens,
-                KbSide::Second,
-                cut(KbSide::Second),
-                exec,
-            )
-        };
+        let alive = candidate_bytes([&value_firsts]);
+        report_candidate_bytes("simindex.value_rows", alive, alive);
         // The transpose reads the first side's neighbor rows whole.
-        let mut neighbor_firsts = {
+        let (neighbor_firsts, top_seconds) = {
             let _span = stage_span("simindex.neighbor_rows");
             let top_seconds = probe_lists(top_neighbors[1], n[1]);
-            neighbor_rows(&value_firsts, n[1], top_neighbors[0], &top_seconds, exec)
+            let rows = neighbor_rows(&value_firsts, n[1], top_neighbors[0], &top_seconds, exec);
+            (rows, top_seconds)
         };
-        if cut(KbSide::First) {
-            value_firsts.cut();
-        }
-        let mut neighbor_seconds = {
+        let alive = candidate_bytes([&value_firsts, &neighbor_firsts]);
+        value_firsts.cut();
+        let kept = candidate_bytes([&value_firsts, &neighbor_firsts]);
+        report_candidate_bytes("simindex.neighbor_rows", alive, kept);
+        let value_seconds = {
+            let _span = stage_span("simindex.value_reverse");
+            value_rows(blocks, &weights, tokens, KbSide::Second, true, exec)
+        };
+        let alive = candidate_bytes([&value_firsts, &neighbor_firsts, &value_seconds]);
+        report_candidate_bytes("simindex.value_reverse", alive, alive);
+        let neighbor_seconds = {
             let _span = stage_span("simindex.neighbor_reverse");
             Rows::whole(transpose(&neighbor_firsts, n[1], exec))
         };
-        if cut(KbSide::First) {
-            neighbor_firsts.cut();
-        }
-        if cut(KbSide::Second) {
-            neighbor_seconds.cut();
-        }
+        let value_cands = [value_firsts, value_seconds];
+        let mut neighbor_cands = [neighbor_firsts, neighbor_seconds];
+        let alive = candidate_bytes(value_cands.iter().chain(&neighbor_cands));
+        neighbor_cands.iter_mut().for_each(Rows::cut);
+        let kept = candidate_bytes(value_cands.iter().chain(&neighbor_cands));
+        report_candidate_bytes("simindex.neighbor_reverse", alive, kept);
+        let probe_cut = [&value_cands, &neighbor_cands]
+            .iter()
+            .any(|rows| !rows[probe.index()].cut.is_empty());
+        let rebuild = probe_cut.then(|| {
+            let tops = top_neighbors[0];
+            let lens: Vec<usize> = tops.iter().map(Vec::len).collect();
+            Rebuild {
+                blocks: blocks.clone(),
+                weights,
+                n,
+                top_firsts: Csr::from_lens_and_items(&lens, tops.concat()),
+                top_seconds,
+            }
+        });
         Self {
             probe,
-            value_cands: [value_firsts, value_seconds],
-            neighbor_cands: [neighbor_firsts, neighbor_seconds],
+            value_cands,
+            neighbor_cands,
+            rebuild,
             tail_reads: AtomicUsize::new(0),
         }
     }
 
-    /// `(e, other)` for the probe side's row of the pair `(e1, e2)`.
-    fn probe_pair(&self, e1: EntityId, e2: EntityId) -> (EntityId, EntityId) {
-        match self.probe {
-            KbSide::First => (e1, e2),
-            KbSide::Second => (e2, e1),
+    /// How a cut row of `kind` on `side` is read past its prefix: the
+    /// probe side's are recomputed, the other side's end at the cut.
+    fn recompute(&self, kind: RowKind, side: KbSide) -> Option<(&Rebuild, RowKind, KbSide)> {
+        let rebuild = self.rebuild.as_ref().filter(|_| side == self.probe)?;
+        Some((rebuild, kind, side))
+    }
+
+    /// Per side, the rows of `kind`.
+    fn rows(&self, kind: RowKind) -> &[Rows; 2] {
+        match kind {
+            RowKind::Value => &self.value_cands,
+            RowKind::Neighbor => &self.neighbor_cands,
         }
     }
 
+    /// The reader of `e`'s row of `kind` on `side`.
+    fn read(&self, kind: RowKind, side: KbSide, e: EntityId) -> Ranked<'_> {
+        self.rows(kind)[side.index()].read(e, self.recompute(kind, side), &self.tail_reads)
+    }
+
+    /// The similarity of kind `kind` of the pair `(e1, e2)`, read from the
+    /// probe side's row, whole (0 when the row does not hold the pair).
+    fn lookup(&self, kind: RowKind, e1: EntityId, e2: EntityId) -> f64 {
+        let (e, other) = match self.probe {
+            KbSide::First => (e1, e2),
+            KbSide::Second => (e2, e1),
+        };
+        if e.index() >= self.rows(kind)[self.probe.index()].len() {
+            return 0.0;
+        }
+        self.read(kind, self.probe, e).similarity_of(other)
+    }
+
     /// `valueSim(e1, e2)` over the purged blocks (0 when the pair never
-    /// co-occurs), read from the probe side's whole row.
+    /// co-occurs), read from the probe side's row, whole — a pair past
+    /// its stored prefix through the recompute (see the module docs).
     pub fn value_sim(&self, e1: EntityId, e2: EntityId) -> f64 {
-        let (e, other) = self.probe_pair(e1, e2);
-        lookup(&self.value_cands[self.probe.index()], e, other)
+        self.lookup(RowKind::Value, e1, e2)
     }
 
     /// `neighborNSim(e1, e2)`, scored only when `e2` is a value
     /// candidate of `e1`: 0 when the pair itself shares no purged token
     /// block — even if some top-neighbor pair co-occurs — and 0 when no
     /// top-neighbor pair co-occurs. The restriction is deliberate (see
-    /// `neighbor_rows`). Read from the probe side's whole row.
+    /// `neighbor_rows`). Read like [`SimilarityIndex::value_sim`].
     pub fn neighbor_sim(&self, e1: EntityId, e2: EntityId) -> f64 {
-        let (e, other) = self.probe_pair(e1, e2);
-        lookup(&self.neighbor_cands[self.probe.index()], e, other)
+        self.lookup(RowKind::Neighbor, e1, e2)
     }
 
     /// Candidates of `e` (an entity of `side`) by value similarity, in
-    /// the candidate order. The row is stored ranked; the reader yields
-    /// its full order and sorts the tail only if it is read past entry
-    /// [`MAX_CANDIDATES`] (counted for the debug event
-    /// `simindex.tail_reads`). A row of the non-probe side may be cut to
-    /// that many (see [`Ranked::is_cut`]).
+    /// the candidate order. The row is stored ranked and cut; the reader
+    /// yields its full order — on the probe side, as far as the full row
+    /// reaches, recomputing it only if it is read past entry
+    /// [`MAX_CANDIDATES`] — and sorts a stored tail only if it is read
+    /// that far. Both count for the debug event `simindex.tail_reads`.
+    /// A reader of the other side's row ends at the cut (see
+    /// [`Ranked::is_cut`]).
     pub fn value_candidates(&self, side: KbSide, e: EntityId) -> Ranked<'_> {
-        self.value_cands[side.index()].read(e, &self.tail_reads)
+        self.read(RowKind::Value, side, e)
     }
 
     /// Candidates of `e` with non-zero neighbor similarity, in the
@@ -672,11 +977,11 @@ impl SimilarityIndex {
     /// candidates only: a pair that shares no purged token block is
     /// never a neighbor candidate (see [`SimilarityIndex::neighbor_sim`]).
     pub fn neighbor_candidates(&self, side: KbSide, e: EntityId) -> Ranked<'_> {
-        self.neighbor_cands[side.index()].read(e, &self.tail_reads)
+        self.read(RowKind::Neighbor, side, e)
     }
 
     /// How many candidate readers so far ran off a row's ranked prefix
-    /// and sorted its tail.
+    /// and sorted its tail, a cut probe row's recomputed.
     pub(crate) fn tail_reads(&self) -> usize {
         self.tail_reads.load(Ordering::Relaxed)
     }
@@ -687,52 +992,36 @@ impl SimilarityIndex {
         self.value_cands[side.index()].row(e.index()).get(0)
     }
 
-    /// Number of co-occurring pairs with recorded value similarity,
-    /// counted on the probe side's whole rows.
+    /// Number of co-occurring pairs with recorded value similarity: the
+    /// full lengths of the probe side's rows, which the index records
+    /// when it cuts them, so the count is exact.
     pub fn pair_count(&self) -> usize {
-        self.value_cands[self.probe.index()].item_count()
+        self.value_cands[self.probe.index()].full_item_count()
     }
 
     /// Consumes the index, keeping the two value-candidate CSRs (first
     /// side, then second) — all a persistent index serves match queries
-    /// from — each row cut to its best [`MAX_CANDIDATES`] in place. That
-    /// cut keeps exactly a row's ranked prefix, so a kept row is in
-    /// candidate order and a bit-identical prefix of the full one. The
-    /// neighbor lists are dropped: `neighborNSim` is read only by H3 and
-    /// H4, while the pipeline runs.
+    /// from — with every row as stored: cut to its best
+    /// [`MAX_CANDIDATES`], so a kept row is in candidate order and a
+    /// bit-identical prefix of the full one. The neighbor lists and what
+    /// a row is recomputed from are dropped: `neighborNSim` is read only
+    /// by H3 and H4, while the pipeline runs.
     pub fn into_value_candidates(self) -> [CandidateCsr; 2] {
         let Self {
             value_cands,
             neighbor_cands,
+            rebuild,
             ..
         } = self;
-        drop(neighbor_cands);
-        value_cands.map(|mut rows| {
-            rows.cut();
-            CandidateCsr::concat(rows.parts)
-        })
+        drop((neighbor_cands, rebuild));
+        value_cands.map(|rows| CandidateCsr::concat(rows.parts))
     }
 
-    /// Number of pairs with non-zero neighbor similarity, counted on the
-    /// probe side's whole rows.
+    /// Number of pairs with non-zero neighbor similarity, counted like
+    /// [`SimilarityIndex::pair_count`] on the probe side's rows.
     pub fn neighbor_pair_count(&self) -> usize {
-        self.neighbor_cands[self.probe.index()].item_count()
+        self.neighbor_cands[self.probe.index()].full_item_count()
     }
-}
-
-/// Finds `other` in the candidate row of `e`, returning its similarity.
-/// Scans the stored row as it is: an id occurs at most once in a row,
-/// so the order is immaterial.
-fn lookup(rows: &Rows, e: EntityId, other: EntityId) -> f64 {
-    if e.index() >= rows.len() {
-        return 0.0;
-    }
-    let row = rows.row(e.index());
-    row.ids()
-        .iter()
-        .position(|&c| c == other)
-        .and_then(|i| row.get(i))
-        .map_or(0.0, |(_, v)| v)
 }
 
 /// Transposes a `rows -> (col, v)` CSR into a `cols -> (row, v)` CSR with
@@ -952,7 +1241,7 @@ pub(crate) mod tests {
             let want = reference(&row);
             let rows = stored(&row, false);
             let tail_reads = AtomicUsize::new(0);
-            let whole = rows.read(e(0), &tail_reads);
+            let whole = rows.read(e(0), None, &tail_reads);
             assert_eq!(whole.len(), len);
             assert!(!whole.is_cut());
             assert_eq!(
@@ -961,7 +1250,7 @@ pub(crate) mod tests {
                 "{len}-entry row read whole"
             );
             for stop in [0, 1, MAX_CANDIDATES, MAX_CANDIDATES + 1, 200] {
-                let got: Vec<_> = rows.read(e(0), &tail_reads).take(stop).collect();
+                let got: Vec<_> = rows.read(e(0), None, &tail_reads).take(stop).collect();
                 assert_eq!(got, want[..stop.min(len)], "{len}-entry row cut at {stop}");
             }
             // One tail sort per reader that left the prefix: the whole
@@ -981,19 +1270,19 @@ pub(crate) mod tests {
             assert_eq!(
                 rows.cut,
                 if len > MAX_CANDIDATES {
-                    vec![0]
+                    vec![(0, len as u32)]
                 } else {
                     vec![]
                 }
             );
             let tail_reads = AtomicUsize::new(0);
-            let read = rows.read(e(0), &tail_reads);
+            let read = rows.read(e(0), None, &tail_reads);
             assert_eq!(read.is_cut(), len > MAX_CANDIDATES, "{len}-entry row");
             assert_eq!(read.len(), keep);
             assert_eq!(read.take(keep).collect::<Vec<_>>(), want[..keep]);
             // An uncut row ends where it ends, past the prefix or not.
             if len <= MAX_CANDIDATES {
-                assert_eq!(rows.read(e(0), &tail_reads).count(), len);
+                assert_eq!(rows.read(e(0), None, &tail_reads).count(), len);
             }
             assert_eq!(tail_reads.into_inner(), 0, "a cut row has no tail");
         }
@@ -1005,7 +1294,7 @@ pub(crate) mod tests {
     fn reading_past_a_cut_panics() {
         let rows = stored(&repeating_row(MAX_CANDIDATES + 1), true);
         let tail_reads = AtomicUsize::new(0);
-        let _ = rows.read(e(0), &tail_reads).count();
+        let _ = rows.read(e(0), None, &tail_reads).count();
     }
 
     #[cfg(debug_assertions)]
@@ -1233,7 +1522,7 @@ pub(crate) mod tests {
         let rows = value_rows(blocks, &weights, tokens, side, false, exec);
         let tail_reads = AtomicUsize::new(0);
         (0..rows.len() as u32)
-            .map(|i| rows.read(e(i), &tail_reads).collect())
+            .map(|i| rows.read(e(i), None, &tail_reads).collect())
             .collect()
     }
 
@@ -1279,9 +1568,16 @@ pub(crate) mod tests {
 
     /// Hand-made top-neighbor lists over `n` entities: every `empty`-th
     /// list (from entity 0) is empty, entity `full`'s holds 32 entities
-    /// (`max_top_neighbors`), the others 1–4, each list distinct ids in
-    /// a scrambled order. `stride` must be coprime to `n`.
-    fn hand_made_tops(n: usize, empty: usize, full: usize, stride: usize) -> Vec<Vec<EntityId>> {
+    /// (`max_top_neighbors`), the others `shortest` to `shortest + 3`,
+    /// each list distinct ids in a scrambled order. `stride` must be
+    /// coprime to `n`.
+    fn hand_made_tops(
+        n: usize,
+        empty: usize,
+        full: usize,
+        stride: usize,
+        shortest: usize,
+    ) -> Vec<Vec<EntityId>> {
         (0..n)
             .map(|i| {
                 let len = if i % empty == 0 {
@@ -1289,7 +1585,7 @@ pub(crate) mod tests {
                 } else if i == full {
                     32
                 } else {
-                    1 + i % 4
+                    shortest + i % 4
                 };
                 (0..len)
                     .map(|j| e(((i * 11 + j * stride) % n) as u32))
@@ -1299,23 +1595,22 @@ pub(crate) mod tests {
     }
 
     /// `neighborNSim` by its formula, restricted to value candidates:
-    /// for each `e1` and each `e2` in `e1`'s value row,
-    /// `Σ_{nb2 ∈ top(e2)} (Σ_{nb1 ∈ top(e1)} valueSim(nb1, nb2))` in
-    /// list order, kept if positive.
-    #[test]
-    fn neighbor_rows_equal_the_naive_formula() {
-        let (n1, n2) = (40, 50);
-        let (tokens, blocks) = dense_pair(n1, n2, 13);
-        let values = naive_value_rows(&blocks, &tokens);
+    /// for each `e1` and each `e2` in `e1`'s value row (of the naive
+    /// `values`), `Σ_{nb2 ∈ top(e2)} (Σ_{nb1 ∈ top(e1)} valueSim(nb1,
+    /// nb2))` in list order, kept if positive. Both sides' rows, fully
+    /// sorted.
+    fn naive_neighbor_rows(
+        values: &[Vec<Vec<Candidate>>; 2],
+        top1: &[Vec<EntityId>],
+        top2: &[Vec<EntityId>],
+    ) -> [Vec<Vec<Candidate>>; 2] {
         let value_sim = |nb1: EntityId, nb2: EntityId| {
             values[0][nb1.index()]
                 .iter()
                 .find(|&&(c, _)| c == nb2)
                 .map_or(0.0, |&(_, v)| v)
         };
-        let top1 = hand_made_tops(n1, 5, 1, 7);
-        let top2 = hand_made_tops(n2, 4, 2, 9);
-        let mut want = [vec![Vec::new(); n1], vec![Vec::new(); n2]];
+        let mut want = [vec![Vec::new(); top1.len()], vec![Vec::new(); top2.len()]];
         for (i, cands) in values[0].iter().enumerate() {
             for &(e2, _) in cands {
                 let mut s = 0.0;
@@ -1335,6 +1630,17 @@ pub(crate) mod tests {
         for row in want.iter_mut().flatten() {
             row.sort_unstable_by(cand_cmp);
         }
+        want
+    }
+
+    #[test]
+    fn neighbor_rows_equal_the_naive_formula() {
+        let (n1, n2) = (40, 50);
+        let (tokens, blocks) = dense_pair(n1, n2, 13);
+        let values = naive_value_rows(&blocks, &tokens);
+        let top1 = hand_made_tops(n1, 5, 1, 7, 1);
+        let top2 = hand_made_tops(n2, 4, 2, 9, 1);
+        let want = naive_neighbor_rows(&values, &top1, &top2);
         // The cases the lists must reach: an entity with value
         // candidates but no top neighbors, the 32-entry list, and a
         // value candidate whose own list is empty.
@@ -1358,10 +1664,181 @@ pub(crate) mod tests {
         }
     }
 
+    /// A row as comparable bits: `(id, similarity bit pattern)`.
+    fn bits(row: impl IntoIterator<Item = Candidate>) -> Vec<(u32, u64)> {
+        row.into_iter().map(|(c, v)| (c.0, v.to_bits())).collect()
+    }
+
+    /// A pair whose value and neighbor rows run past [`MAX_CANDIDATES`]
+    /// on both sides, with hand-made top-neighbor lists.
+    struct LongRowsPair {
+        /// The naive value rows, then neighbor rows, of each side.
+        want: [[Vec<Vec<Candidate>>; 2]; 2],
+        /// The top-neighbor lists of each side.
+        tops: [Vec<Vec<EntityId>>; 2],
+        tokens: TokenizedPair,
+        blocks: BlockCollection,
+    }
+
+    /// [`LongRowsPair`] over `n1` × `n2` entities.
+    fn long_rows_pair(n1: usize, n2: usize) -> LongRowsPair {
+        let (tokens, blocks) = dense_pair(n1, n2, 4);
+        // Strides coprime to 140 and 150. Lists of 5–8 make even the
+        // smallest neighbor sums, the tails, long enough for their
+        // addition order to show in the low bits.
+        let stride = |n: usize| if n.is_multiple_of(3) { 7 } else { 9 };
+        let tops = [
+            hand_made_tops(n1, 50, 1, stride(n1), 5),
+            hand_made_tops(n2, 40, 2, stride(n2), 5),
+        ];
+        let values = naive_value_rows(&blocks, &tokens);
+        let neighbors = naive_neighbor_rows(&values, &tops[0], &tops[1]);
+        LongRowsPair {
+            want: [values, neighbors],
+            tops,
+            tokens,
+            blocks,
+        }
+    }
+
+    /// The recompute path, forced: every probe row longer than
+    /// [`MAX_CANDIDATES`] is stored cut, and read whole through its
+    /// reader it must equal the naive row bit for bit — value and
+    /// neighbor rows, with the probe on either side, so both neighbor
+    /// recomputes run — each recompute counted once in `tail_reads`.
+    /// Lookups past the stored prefix read through the same path.
+    #[test]
+    fn cut_probe_rows_read_back_whole_through_the_recompute() {
+        for (n1, n2) in [(140, 150), (150, 140)] {
+            let LongRowsPair {
+                want,
+                tops,
+                tokens,
+                blocks,
+            } = long_rows_pair(n1, n2);
+            let probe = KbSide::smaller([n1, n2]);
+            for exec in [Executor::sequential(), Executor::new(ExecutorKind::Pool, 3)] {
+                let idx =
+                    SimilarityIndex::build_with(&blocks, &tokens, [&tops[0], &tops[1]], &exec);
+                let mut long = [0; 2];
+                for (kind, rows) in [RowKind::Value, RowKind::Neighbor].into_iter().zip(&want) {
+                    for (i, full) in rows[probe.index()].iter().enumerate() {
+                        let label = format!("{n1}x{n2}: {kind:?} row {i} of {probe:?}");
+                        assert!(idx.rows(kind)[probe.index()].row(i).len() <= MAX_CANDIDATES);
+                        let row = idx.read(kind, probe, e(i as u32));
+                        assert!(!row.is_cut(), "{label}");
+                        assert_eq!(row.len(), full.len(), "{label}");
+                        assert_eq!(bits(row), bits(full.iter().copied()), "{label}");
+                        if full.len() > MAX_CANDIDATES {
+                            long[kind as usize] += 1;
+                            // The recomputed row, prefix included — what
+                            // the reader checks in debug builds only.
+                            let rebuild = idx.rebuild.as_ref().expect("a probe row was cut");
+                            let mut rebuilt = rebuild.row(kind, probe, e(i as u32));
+                            rebuilt.sort_unstable_by_key(cand_key);
+                            assert_eq!(bits(rebuilt), bits(full.iter().copied()), "{label}");
+                        }
+                    }
+                }
+                assert!(long.iter().all(|&n| n > 0), "{n1}x{n2}: {long:?} long rows");
+                assert_eq!(idx.tail_reads(), long[0] + long[1], "{n1}x{n2}");
+                // The last entry of every long probe row, looked up.
+                let mut lookups = 0;
+                for (kind, rows) in [RowKind::Value, RowKind::Neighbor].into_iter().zip(&want) {
+                    for (i, full) in rows[probe.index()].iter().enumerate() {
+                        let Some(&(c, v)) = full.get(MAX_CANDIDATES..).and_then(<[_]>::last) else {
+                            continue;
+                        };
+                        let (e1, e2) = match probe {
+                            KbSide::First => (e(i as u32), c),
+                            KbSide::Second => (c, e(i as u32)),
+                        };
+                        let got = match kind {
+                            RowKind::Value => idx.value_sim(e1, e2),
+                            RowKind::Neighbor => idx.neighbor_sim(e1, e2),
+                        };
+                        assert_eq!(got.to_bits(), v.to_bits(), "{kind:?} sim of ({e1}, {e2})");
+                        lookups += 1;
+                    }
+                }
+                assert_eq!(idx.tail_reads(), 2 * (long[0] + long[1]));
+                assert_eq!(lookups, long[0] + long[1]);
+            }
+        }
+    }
+
+    /// The `simindex.candidate_bytes` events of a sequential build over
+    /// [`long_rows_pair`] (140 × 150, the first side probes), pinned:
+    /// per pass, the bytes alive when its rows are complete and after
+    /// the cuts that follow it.
+    #[test]
+    fn candidate_bytes_are_reported_per_pass() {
+        use minoan_obs::trace;
+        let LongRowsPair {
+            want,
+            tops,
+            tokens,
+            blocks,
+        } = long_rows_pair(140, 150);
+        let id = trace::new_trace_id();
+        {
+            let _scope = trace::trace_scope(id, -1);
+            build(&blocks, &tokens, [&tops[0], &tops[1]]);
+        }
+        let events: Vec<String> = trace::collector()
+            .records_for_traces(&[id])
+            .into_iter()
+            .filter(|r| r.name == "simindex.candidate_bytes")
+            .map(|r| r.detail)
+            .collect();
+        assert_eq!(
+            events,
+            [
+                "simindex.value_rows: 190128 B alive, 190128 B kept",
+                "simindex.neighbor_rows: 370080 B alive, 351600 B kept",
+                "simindex.value_reverse: 531008 B alive, 531008 B kept",
+                "simindex.neighbor_reverse: 711040 B alive, 688468 B kept",
+            ]
+        );
+        // The same from the naive rows' lengths: each row set is one
+        // part, 12 B per stored candidate plus 8 B per offset.
+        let bytes = |rows: &[Vec<Candidate>], cut: bool| {
+            let stored: usize = rows
+                .iter()
+                .map(|row| {
+                    if cut {
+                        row.len().min(MAX_CANDIDATES)
+                    } else {
+                        row.len()
+                    }
+                })
+                .sum();
+            12 * stored + 8 * (rows.len() + 1)
+        };
+        let [values, neighbors] = &want;
+        let [v1, v1_cut] = [false, true].map(|cut| bytes(&values[0], cut));
+        let [n1, n1_cut] = [false, true].map(|cut| bytes(&neighbors[0], cut));
+        let [n2, n2_cut] = [false, true].map(|cut| bytes(&neighbors[1], cut));
+        let v2_cut = bytes(&values[1], true);
+        let derived = [
+            (v1, v1),
+            (v1 + n1, v1_cut + n1),
+            (v1_cut + n1 + v2_cut, v1_cut + n1 + v2_cut),
+            (v1_cut + n1 + v2_cut + n2, v1_cut + n1_cut + v2_cut + n2_cut),
+        ];
+        for (event, (alive, kept)) in events.iter().zip(derived) {
+            assert!(
+                event.ends_with(&format!(": {alive} B alive, {kept} B kept")),
+                "{event}"
+            );
+        }
+    }
+
     /// On a pair whose rows run past [`MAX_CANDIDATES`] on both sides,
-    /// in both orientations: the probe side's rows are whole and exact,
-    /// every row of the other side is the exact top of the full row and
-    /// says whether it was cut, and lookups and counts are exact.
+    /// in both orientations: the probe side's rows read back whole and
+    /// exact, a long one through the recompute path, every row of the
+    /// other side is the exact top of the full row and says whether it
+    /// was cut, and lookups and counts are exact.
     #[test]
     fn non_probe_rows_are_cut_to_the_top_of_the_full_rows() {
         for (n1, n2) in [(140, 150), (150, 140), (150, 150)] {
@@ -1374,6 +1851,7 @@ pub(crate) mod tests {
             };
             let no_neighbors: Vec<Vec<EntityId>> = vec![Vec::new(); 150];
             let idx = build(&blocks, &tokens, [&no_neighbors[..n1], &no_neighbors[..n2]]);
+            let mut recomputed = 0;
             for side in [KbSide::First, KbSide::Second] {
                 let mut cut = 0;
                 for (i, full) in want[side.index()].iter().enumerate() {
@@ -1381,7 +1859,9 @@ pub(crate) mod tests {
                     let label = format!("{n1}x{n2}: {side:?} row {i}");
                     if side == probe {
                         assert!(!row.is_cut(), "{label}");
+                        assert_eq!(row.len(), full.len(), "{label}");
                         assert_eq!(&row.collect::<Vec<_>>(), full, "{label}");
+                        recomputed += usize::from(full.len() > MAX_CANDIDATES);
                     } else {
                         let keep = full.len().min(MAX_CANDIDATES);
                         assert_eq!(row.is_cut(), full.len() > MAX_CANDIDATES, "{label}");
@@ -1392,6 +1872,9 @@ pub(crate) mod tests {
                 }
                 assert_eq!(cut > 0, side != probe, "{n1}x{n2}: {side:?} cut {cut} rows");
             }
+            // Every long probe row is stored cut and was recomputed once.
+            assert!(recomputed > 0, "{n1}x{n2}: no long probe row");
+            assert_eq!(idx.tail_reads(), recomputed, "{n1}x{n2}");
             let pairs: usize = want[0].iter().map(Vec::len).sum();
             assert_eq!(idx.pair_count(), pairs);
             for (i, full) in want[0].iter().enumerate() {

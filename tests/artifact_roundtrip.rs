@@ -82,12 +82,15 @@ fn persisted_artifacts_are_bit_identical_to_fresh_runs_on_all_profiles() {
     }
 }
 
-/// One side's value rows, as a run holds them: whole on the side H2
-/// and H3 probe, the best [`MAX_CANDIDATES`] of each row on the other.
+/// One side's value rows, as a run's readers yield them: whole on the
+/// side H2 and H3 probe (recomputed past the stored best
+/// [`MAX_CANDIDATES`]), that best [`MAX_CANDIDATES`] of each row on the
+/// other.
 type Rows = Vec<Vec<Candidate>>;
 
 /// Runs the pipeline over `pair` and returns the run's value rows of
-/// both sides — read before [`IndexArtifact::from_run`] caps them — and
+/// both sides — read through the run's index, before
+/// [`IndexArtifact::from_run`] packs it — and
 /// how many rows per side are longer than [`MAX_CANDIDATES`] at the
 /// run, together with the artifact packed from that same run.
 fn full_rows_and_artifact(pair: &KbPair) -> ([Rows; 2], [usize; 2], IndexArtifact) {

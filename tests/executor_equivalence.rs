@@ -93,12 +93,14 @@ const GOLDEN_FINGERPRINTS: [[u64; 3]; 4] = [
 /// Per profile, as [`GOLDEN_FINGERPRINTS`]: how many candidate rows are
 /// longer than [`MAX_CANDIDATES`] at the run — value and neighbor rows
 /// of the first side, then of the second. The first side is the probe
-/// side on every profile: its rows are stored whole, ranked, and read
-/// through the index's reader, so these rows are where the fingerprints
-/// cover the reader's sorted tail. The second side's such rows are the
-/// ones the index cut to their best [`MAX_CANDIDATES`] ([`Ranked::is_cut`]),
-/// so its counts prove the cut happened. At least one profile must have
-/// some of each, or the gate would pass without reading a tail or a cut.
+/// side on every profile: the index stores its rows cut to their best
+/// [`MAX_CANDIDATES`] too, records their full length, and recomputes a
+/// row whose reader runs off that prefix, so these rows are where the
+/// fingerprints cover the recompute and its sorted tail, read whole.
+/// The second side's such rows are the ones whose readers end at the
+/// cut ([`Ranked::is_cut`]), so its counts prove the cut happened. At
+/// least one profile must have some of each, or the gate would pass
+/// without a recompute or a cut.
 const LONG_ROWS: [[usize; 4]; 4] = [[0; 4], [55, 5, 0, 0], [145, 140, 64, 25], [0; 4]];
 
 /// Both candidate rows of `e`, value then neighbor, read as far as the
@@ -117,7 +119,7 @@ fn read(row: Ranked<'_>) -> Vec<Candidate> {
 }
 
 /// Counts the rows of `idx` longer than [`MAX_CANDIDATES`] at the run,
-/// stored whole or cut, in [`LONG_ROWS`]' layout.
+/// read whole or cut, in [`LONG_ROWS`]' layout.
 fn long_rows(idx: &SimilarityIndex, counts: [usize; 2]) -> [usize; 4] {
     let mut long = [0; 4];
     for side in [KbSide::First, KbSide::Second] {
@@ -328,9 +330,12 @@ fn naive_rows(
 /// swapped stands in: the first side is then the non-probe side, with
 /// value rows past [`MAX_CANDIDATES`] that the neighbor pass must still
 /// read whole, and neighbor rows the transpose must still read whole.
-/// Probe rows must equal the naive reference, every other row its top
-/// `min(len, MAX_CANDIDATES)`, lookups and counts must stay exact, and
-/// the matching must not move.
+/// The probe side is the second, so its long neighbor rows are the
+/// transpose's columns, stored cut and recomputed when read past the
+/// cut. Probe rows must read back whole and equal the naive reference,
+/// every other row its top `min(len, MAX_CANDIDATES)`, lookups — which
+/// read the probe side's rows through the same recompute — and counts
+/// must stay exact, and the matching must not move.
 #[test]
 fn first_side_larger_cuts_its_rows_after_their_last_whole_read() {
     let d = DatasetKind::BbcDbpedia.generate_scaled(SEED, SCALE);
