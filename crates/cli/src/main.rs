@@ -4,12 +4,12 @@
 //! minoaner match  <first.(tsv|nt)> <second.(tsv|nt)> [--method minoaner|bsl|sigma|paris]
 //!                 [--truth <pairs.tsv>] [--json] [--theta F] [--k N] [--no-purge]
 //!                 [--executor sequential|pool] [--threads N]
-//! minoaner batch  --manifest <fleet.json> [--slots N] [--threads N]
+//! minoaner batch  --manifest <fleet.json> [--slots N]
 //!                 [--memory-mib N] [--timeout-ms N] [--max-retries N]
 //!                 [--rss-kill-factor F] [--executor sequential|pool] [--json] [--pairs]
 //! minoaner serve  [--listen <addr>] [--listen-http <addr>] [--auth-token T]
 //!                 [--index-dir <dir>] [--index-cache-mib N]
-//!                 [--slots N] [--threads N] [--memory-mib N]
+//!                 [--slots N] [--memory-mib N]
 //!                 [--timeout-ms N] [--max-retries N] [--rss-kill-factor F]
 //!                 [--shed-depth N] [--max-connections N]
 //!                 [--executor sequential|pool] [--json] [--pairs]
@@ -26,7 +26,7 @@
 //!                 [--mutate-seed N] [--ops N]
 //! minoaner demo   [restaurant|rexa|bbc|yago] [--scale F] [--seed N]
 //!                 [--executor sequential|pool] [--threads N]
-//! minoaner trace  <job-id> --connect <addr>
+//! minoaner trace  <job-id> --connect <http-addr>
 //! minoaner stats  <kb.(tsv|nt)>
 //! ```
 //!
@@ -34,13 +34,18 @@
 //! error|warn|info|debug` flag, which sets the console threshold of the
 //! structured logging layer (`minoan_obs`; the `MINOAN_LOG` environment
 //! variable is the same knob, the flag wins). `trace` asks a running
-//! daemon (`--connect` its `--listen` address) for a job's span trees —
-//! one per attempt — over the line-JSON `trace` verb.
+//! daemon (`--connect` its `--listen-http` address) for a job's span
+//! trees — one per attempt — with `GET /v1/jobs/{id}/trace`, and exits
+//! 1 on any status but `200`. It sends no token, so it reads a daemon
+//! started without `--auth-token`.
 //!
 //! `--truth` is a 2-column TSV of matching URIs (first-KB URI, second-KB
 //! URI); with it the tool reports precision/recall/F1. `--executor`
 //! selects the backend the hot pipeline stages run on (results are
-//! bit-identical across backends); `--threads 0` means all cores.
+//! bit-identical across backends). `--threads N` is each pool wave's
+//! minimum task count (`0` = the core count); the pool itself always
+//! runs `available_parallelism()` workers, so to run on fewer cores,
+//! limit the process's CPU affinity (`taskset`).
 //! `match` and `index build` check their matching parameters before
 //! reading any input: `--k` outside `1..=128`
 //! (`minoan_core::MAX_CANDIDATES`) or `--theta` outside `(0,1)` is a
@@ -49,7 +54,8 @@
 //! `batch` resolves a whole fleet of KB pairs described by a manifest
 //! (see `minoan_serve::manifest`; `examples/fleet.json` is a ready-made
 //! one): jobs are scheduled pairs-first across `--slots` fleet slots
-//! under bounded-memory admission, per-job completions stream to stderr,
+//! (never more than the cores or the jobs) under bounded-memory
+//! admission, per-job completions stream to stderr,
 //! and the final report goes to stdout (`--json` for the machine
 //! spelling, `--pairs` to list every matched URI pair). A failed job
 //! does not stop the fleet, but the exit code is 1 when any job failed.
@@ -147,13 +153,13 @@ fn usage() -> ! {
         "usage:\n  minoaner match <first> <second> [--method minoaner|bsl|sigma|paris] \
          [--truth pairs.tsv] [--json] [--theta F] [--k N] [--no-purge] \
          [--executor sequential|pool] [--threads N]\n  \
-         minoaner batch --manifest fleet.json [--slots N] [--threads N] \
+         minoaner batch --manifest fleet.json [--slots N] \
          [--memory-mib N] [--timeout-ms N] [--max-retries N] [--rss-kill-factor F] \
          [--executor sequential|pool] [--json] [--pairs]\n  \
          minoaner serve [--listen addr:port] [--listen-http addr:port] \
          [--auth-token T (HTTP only: not with --listen)] \
          [--index-dir dir] [--index-cache-mib N] \
-         [--slots N] [--threads N] [--memory-mib N] \
+         [--slots N] [--memory-mib N] \
          [--timeout-ms N] [--max-retries N] [--rss-kill-factor F] \
          [--shed-depth N] [--max-connections N] \
          [--executor sequential|pool] [--json] [--pairs]\n  \
@@ -168,7 +174,7 @@ fn usage() -> ! {
          [--mutate-seed N] [--ops N]\n  \
          minoaner demo [restaurant|rexa|bbc|yago] [--scale F] [--seed N] \
          [--executor sequential|pool] [--threads N]\n  \
-         minoaner trace <job-id> --connect addr:port\n  \
+         minoaner trace <job-id> --connect http-addr:port\n  \
          minoaner stats <kb>\n\
          global: [--log-level error|warn|info|debug]"
     );
@@ -235,14 +241,13 @@ struct FleetArgs {
 }
 
 /// The fleet flags. Explicit flags override the manifest — including
-/// explicit zeros (`--threads 0` = all cores, `--memory-mib 0` =
+/// explicit zeros (`--slots 0` = all cores, `--memory-mib 0` =
 /// unlimited), so a manifest limit can always be lifted from the
 /// command line.
 fn fleet_flag(fleet: &mut FleetArgs, flag: &str, it: &mut Args) -> Result<bool, FlagError> {
     let opts = &mut fleet.opts;
     match flag {
         "--slots" => opts.slots = Some(value(it)?),
-        "--threads" => opts.threads = Some(value(it)?),
         "--memory-mib" => opts.memory_budget_mib = Some(value(it)?),
         "--timeout-ms" => opts.timeout_ms = Some(value(it)?),
         "--max-retries" => opts.max_retries = Some(value(it)?),
@@ -934,11 +939,12 @@ fn main() {
     }
 }
 
-/// `minoaner trace <job-id> --connect <addr>`: ask a running daemon for
-/// one job's span trees (one per attempt) over the line-JSON `trace`
-/// verb and pretty-print the response.
+/// `minoaner trace <job-id> --connect <http-addr>`: ask a running
+/// daemon for one job's span trees (one per attempt) with
+/// `GET /v1/jobs/{id}/trace` and pretty-print the `200` body; any other
+/// status prints the error body and exits 1.
 fn trace_cmd(args: &[String]) {
-    use std::io::{BufRead as _, BufReader, Write as _};
+    use std::io::{Read as _, Write as _};
     let mut id: Option<usize> = None;
     let mut connect: Option<String> = None;
     let mut it = args.iter();
@@ -954,29 +960,34 @@ fn trace_cmd(args: &[String]) {
     let (Some(id), Some(addr)) = (id, connect) else {
         usage()
     };
-    let mut stream = std::net::TcpStream::connect(&addr).unwrap_or_else(|e| {
-        minoan_obs::error!("cli.trace", "cannot connect to {addr}: {e}");
+    let fail = |what: &str, e: std::io::Error| -> ! {
+        minoan_obs::error!("cli.trace", "{what} {addr}: {e}");
         exit(1);
-    });
-    let request = Json::obj([("op", Json::str("trace")), ("id", Json::num(id as f64))]);
-    if let Err(e) = stream.write_all((request.compact() + "\n").as_bytes()) {
-        minoan_obs::error!("cli.trace", "cannot send to {addr}: {e}");
+    };
+    let mut stream =
+        std::net::TcpStream::connect(&addr).unwrap_or_else(|e| fail("cannot connect to", e));
+    let request =
+        format!("GET /v1/jobs/{id}/trace HTTP/1.1\r\nHost: {addr}\r\nConnection: close\r\n\r\n");
+    if let Err(e) = stream.write_all(request.as_bytes()) {
+        fail("cannot send to", e);
+    }
+    let mut response = String::new();
+    if let Err(e) = stream.read_to_string(&mut response) {
+        fail("no response from", e);
+    }
+    let status = response
+        .split(' ')
+        .nth(1)
+        .and_then(|s| s.parse::<u16>().ok());
+    let body = response.split_once("\r\n\r\n").map_or("", |(_, body)| body);
+    if status != Some(200) {
+        minoan_obs::error!("cli.trace", "trace failed: {}", body.trim());
         exit(1);
     }
-    let mut line = String::new();
-    if let Err(e) = BufReader::new(stream).read_line(&mut line) {
-        minoan_obs::error!("cli.trace", "no response from {addr}: {e}");
-        exit(1);
+    match Json::parse(body) {
+        Ok(json) => println!("{}", json.pretty()),
+        Err(_) => println!("{body}"),
     }
-    let response = Json::parse(line.trim()).unwrap_or_else(|e| {
-        minoan_obs::error!("cli.trace", "bad response from {addr}: {e}");
-        exit(1);
-    });
-    if response.get("ok") != Some(&Json::Bool(true)) {
-        minoan_obs::error!("cli.trace", "trace failed: {}", response.compact());
-        exit(1);
-    }
-    println!("{}", response.pretty());
 }
 
 #[cfg(test)]
@@ -1083,7 +1094,6 @@ mod tests {
         use FlagError::{BadValue, MissingValue};
         let table: &[(&[&str], Result<bool, FlagError>, usize)] = &[
             (&["--slots", "2", "next"], Ok(true), 1),
-            (&["--threads", "0"], Ok(true), 0),
             (&["--memory-mib", "0"], Ok(true), 0),
             (&["--timeout-ms", "1500"], Ok(true), 0),
             (&["--max-retries", "2"], Ok(true), 0),
@@ -1098,6 +1108,9 @@ mod tests {
             (&["--executor", "rayon2"], Err(BadValue), 0),
             (&["--theta", "0.5"], Ok(false), 1),
             (&["--manifest", "fleet.json"], Ok(false), 1),
+            // The pool's workers are the fleet's budget: `batch` and
+            // `serve` take no `--threads`, so it falls to usage (exit 2).
+            (&["--threads", "2"], Ok(false), 1),
         ];
         for (words, outcome, left) in table {
             let mut fleet = FleetArgs::default();
@@ -1110,7 +1123,6 @@ mod tests {
         let mut fleet = FleetArgs::default();
         for words in [
             &["--slots", "2"][..],
-            &["--threads", "0"],
             &["--memory-mib", "0"],
             &["--timeout-ms", "1500"],
             &["--max-retries", "2"],
@@ -1123,7 +1135,6 @@ mod tests {
         }
         // Explicit zeros are values, not "unset".
         assert_eq!(fleet.opts.slots, Some(2));
-        assert_eq!(fleet.opts.threads, Some(0));
         assert_eq!(fleet.opts.memory_budget_mib, Some(0));
         assert_eq!(fleet.opts.timeout_ms, Some(1500));
         assert_eq!(fleet.opts.max_retries, Some(2));

@@ -38,7 +38,9 @@ pub struct MinoanConfig {
     /// blocking, similarity indexing, matching). Results are
     /// bit-identical across backends.
     pub executor: ExecutorKind,
-    /// Worker threads for the parallel backend (`0` = all available).
+    /// Each pool wave's minimum task count (`0` = the core count). The
+    /// pool itself always runs `available_parallelism()` workers; to
+    /// run on fewer cores, limit the process's CPU affinity.
     pub threads: usize,
     /// Per-worker chunk size (KiB) of the streaming file parsers; the
     /// reader keeps roughly `ingest_chunk_kib × threads` KiB resident

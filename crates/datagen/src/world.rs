@@ -162,12 +162,6 @@ impl FieldSpec {
         self
     }
 
-    /// Sets the per-side probability that an entity carries this field.
-    pub fn with_support(mut self, support: [f64; 2]) -> Self {
-        self.support = support;
-        self
-    }
-
     /// Sets the fraction of canonical tokens shared across collision
     /// cluster members.
     pub fn with_cluster_share(mut self, share: f64) -> Self {

@@ -153,14 +153,6 @@ impl KnowledgeBase {
             .filter_map(|s| s.value.as_literal())
     }
 
-    /// Iterates the literal values of `e` restricted to attribute `a`.
-    pub fn literals_of_attr(&self, e: EntityId, a: AttrId) -> impl Iterator<Item = &str> {
-        self.statements[e.index()]
-            .iter()
-            .filter(move |s| s.attr == a)
-            .filter_map(|s| s.value.as_literal())
-    }
-
     /// Outgoing edges of the entity graph (object-valued statements).
     pub fn out_edges(&self, e: EntityId) -> impl Iterator<Item = Edge> + '_ {
         self.statements[e.index()].iter().filter_map(|s| {

@@ -276,13 +276,6 @@ thread_local! {
     };
 }
 
-/// The (trace, job) pair active on this thread, for callers that need
-/// to label their own records (`0`/`-1` when none).
-pub fn current_trace_job() -> (u64, i64) {
-    let ctx = CTX.with(Cell::get);
-    (ctx.trace, ctx.job)
-}
-
 /// RAII guard binding a trace (and job) to the current thread; see
 /// [`trace_scope`].
 pub struct TraceScope {

@@ -1107,13 +1107,9 @@ pub fn prometheus_metrics(queue: &JobQueue, registry: Option<&IndexRegistry>) ->
         ),
         (
             "minoan_threads_in_use",
-            "Worker threads allotted to running jobs.",
+            "Sum of running jobs' allotments: each is its pool waves' minimum task count \
+             (the pool always runs available_parallelism() workers).",
             stats.threads_in_use as f64,
-        ),
-        (
-            "minoan_threads_budget",
-            "Total worker-thread budget.",
-            stats.threads_budget as f64,
         ),
         (
             "minoan_fleet_slots",
@@ -1428,18 +1424,19 @@ mod tests {
 
     #[test]
     fn metrics_render_all_families_for_an_empty_queue() {
-        let queue = JobQueue::new(2, 3, 64 << 20);
+        let queue = JobQueue::new(1, 64 << 20);
         let text = prometheus_metrics(&queue, None);
         assert!(
             !text.contains("minoan_index_"),
             "no index family without a registry"
         );
+        assert!(!text.contains("minoan_threads_budget"));
         for family in [
             "minoan_jobs_queued 0",
             "minoan_jobs_running 0",
             "minoan_memory_budget_bytes 67108864",
-            "minoan_threads_budget 3",
-            "minoan_fleet_slots 2",
+            "minoan_threads_in_use 0",
+            "minoan_fleet_slots 1",
             "minoan_jobs_done_total{status=\"ok\"} 0",
             "minoan_jobs_done_total{status=\"timed_out\"} 0",
             "minoan_jobs_done_total{status=\"poisoned\"} 0",
@@ -1463,7 +1460,7 @@ mod tests {
 
     #[test]
     fn prometheus_exposition_follows_the_text_format_grammar() {
-        let queue = JobQueue::new(2, 3, 64 << 20);
+        let queue = JobQueue::new(1, 64 << 20);
         // Feed two histograms so bucket lines carry non-zero counts
         // (process-global statics: other tests may add more, which the
         // grammar checks below are insensitive to).

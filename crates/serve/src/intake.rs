@@ -538,7 +538,7 @@ mod tests {
     use minoan_datagen::DatasetKind;
 
     fn queue_with_one_queued_job() -> (JobQueue, JobId) {
-        let queue = JobQueue::new(1, 1, 0);
+        let queue = JobQueue::new(1, 0);
         let id = queue
             .submit(JobSpec {
                 name: "j".into(),
@@ -644,7 +644,7 @@ mod tests {
 
     #[test]
     fn index_ops_without_a_registry_reject_as_unavailable() {
-        let queue = JobQueue::new(1, 1, 0);
+        let queue = JobQueue::new(1, 0);
         let job = Json::parse(r#"{"name":"ix","dataset":"restaurant","scale":0.05}"#).unwrap();
         let err = index_build(&queue, None, &job).unwrap_err();
         assert_eq!(err.status(), 503);

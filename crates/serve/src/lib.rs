@@ -24,7 +24,7 @@
 //!
 //! A manifest is a JSON document (see [`manifest`] for the full field
 //! reference; `examples/fleet.json` is a ready-made one): fleet knobs
-//! (`slots`, `threads`, `memory_budget_mib`) plus a list of jobs, each
+//! (`slots`, `memory_budget_mib`, `timeout_ms`, `max_retries`) plus a list of jobs, each
 //! either *synthetic* (`dataset`/`seed`/`scale`, a benchmark
 //! profile generated in-process) or *file-based* (`first`/`second` KB
 //! paths with an optional `truth` file), with optional per-job matching

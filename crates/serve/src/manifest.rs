@@ -8,7 +8,6 @@
 //! ```json
 //! {
 //!   "slots": 4,
-//!   "threads": 0,
 //!   "memory_budget_mib": 512,
 //!   "timeout_ms": 0,
 //!   "max_retries": 0,
@@ -24,9 +23,8 @@
 //! Fleet fields (all optional):
 //!
 //! - `slots` — pair-level parallelism: up to this many jobs run
-//!   concurrently (`0` = one slot per core);
-//! - `threads` — total worker-thread budget the running jobs share
-//!   (`0` = all cores);
+//!   concurrently (`0` = one slot per core; never more than the cores
+//!   or the jobs);
 //! - `memory_budget_mib` — bounded-memory admission: jobs are admitted
 //!   in order while their footprint estimates fit (`0` = unlimited);
 //! - `timeout_ms` — default per-job deadline (`0` = none);
@@ -227,11 +225,8 @@ impl JobSpec {
 #[derive(Debug, Clone, PartialEq)]
 pub struct Manifest {
     /// Fleet slots: maximum concurrently running jobs (`0` = one per
-    /// available core, clamped to the job count).
+    /// available core; clamped to the cores and to the job count).
     pub slots: usize,
-    /// Total worker-thread budget shared by all running jobs (`0` = all
-    /// available cores).
-    pub threads: usize,
     /// Memory budget for admission, in MiB (`0` = unlimited).
     pub memory_budget_mib: usize,
     /// Fleet-level default run deadline in milliseconds (`0` = no
@@ -276,7 +271,6 @@ impl Manifest {
         };
         let mut manifest = Manifest {
             slots: 0,
-            threads: 0,
             memory_budget_mib: 0,
             timeout_ms: 0,
             max_retries: 0,
@@ -286,7 +280,6 @@ impl Manifest {
             let bad = || format!("bad value for {key}");
             match key.as_str() {
                 "slots" => manifest.slots = value.as_usize().ok_or_else(bad)?,
-                "threads" => manifest.threads = value.as_usize().ok_or_else(bad)?,
                 "memory_budget_mib" => {
                     manifest.memory_budget_mib = value.as_usize().ok_or_else(bad)?
                 }
@@ -430,7 +423,7 @@ mod tests {
     use super::*;
 
     const JSON: &str = r#"{
-        "slots": 2, "threads": 4, "memory_budget_mib": 256, "timeout_ms": 90000, "max_retries": 1,
+        "slots": 2, "memory_budget_mib": 256, "timeout_ms": 90000, "max_retries": 1,
         "jobs": [
             {"name": "syn", "dataset": "rexa", "seed": 7, "scale": 0.25,
              "timeout_ms": 500, "max_retries": 3},
@@ -443,7 +436,6 @@ mod tests {
     fn json_manifest_parses() {
         let m = Manifest::parse_json(JSON).unwrap();
         assert_eq!(m.slots, 2);
-        assert_eq!(m.threads, 4);
         assert_eq!(m.memory_budget_mib, 256);
         assert_eq!(m.timeout_ms, 90000, "fleet-level deadline default");
         assert_eq!(m.max_retries, 1, "fleet-level retry default");
@@ -543,6 +535,10 @@ mod tests {
                 "duplicate",
             ),
             (r#"{"wat": 1}"#.to_string(), "unknown manifest field"),
+            (
+                r#"{"threads": 2, "jobs": [{"name": "x", "dataset": "rexa"}]}"#.to_string(),
+                r#"unknown manifest field "threads""#,
+            ),
             (rexa(r#", "wat": 1"#), "unknown job field"),
             // 2^53 + 1: rounds to 2^53 in the f64 number pipeline, so it
             // must be rejected rather than silently run as a neighbor.

@@ -110,7 +110,8 @@ pub struct JobReport {
     pub timings: Option<Timings>,
     /// Wall-clock time of the whole job including input loading.
     pub wall: Duration,
-    /// Worker threads the scheduler allotted this job.
+    /// The job's allotment of pool workers: its pool waves' minimum
+    /// task count (1 on the sequential backend).
     pub threads: usize,
     /// The admission estimate the job was charged against the budget.
     pub estimated_bytes: u64,
@@ -270,8 +271,6 @@ pub struct ServeReport {
     pub jobs: Vec<JobReport>,
     /// Fleet slots the scheduler ran with.
     pub slots: usize,
-    /// Total worker-thread budget.
-    pub threads: usize,
     /// Admission budget in bytes (`0` = unlimited).
     pub memory_budget_bytes: u64,
     /// Highest number of jobs observed running at once.
@@ -300,7 +299,6 @@ impl ServeReport {
     pub fn to_json(&self, include_pairs: bool) -> Json {
         Json::obj([
             ("slots", Json::num(self.slots as f64)),
-            ("threads", Json::num(self.threads as f64)),
             (
                 "memory_budget_bytes",
                 Json::num(self.memory_budget_bytes as f64),

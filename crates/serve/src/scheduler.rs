@@ -12,26 +12,21 @@
 //! runner closes the queue when they return. Either way the rules are
 //! identical:
 //!
-//! - **Pairs first.** Up to `min(slots, available_parallelism())`
-//!   jobs run concurrently — the queue's **execution width** — each on
-//!   its own executor, and the runner starts exactly that many workers.
-//!   Slots beyond the core count are reported but never dispatched:
-//!   one more CPU-bound pipeline would only evict everyone else's
-//!   working set on every timeslice. The total thread budget is
-//!   divided with real accounting: a claim takes `max(1, free / fill)`
-//!   workers, where `free` is the budget minus the allotments of
-//!   running jobs and `fill` the width left to take jobs — so
-//!   allotments sum to the budget while the fleet is full, and as the
-//!   queue drains the stragglers automatically widen to intra-pair
-//!   parallelism (the last job alone gets every free thread). On the
-//!   default pool backend the allotment is a *partition hint*: wave
-//!   work runs through the process-wide pool sized to the core count
-//!   (the submitter helping with its own wave), and idle capacity
-//!   flows to whichever job has tasks pending.
-//!   Manifest-derived `slots`/`threads` clamp to
-//!   `available_parallelism()`; explicit CLI overrides are honored as
-//!   written — they widen the queue, while the execution width keeps
-//!   dispatch at what the machine can actually run.
+//! - **Pairs first.** Up to `slots` jobs run concurrently, each on its
+//!   own executor, and the runner starts exactly that many workers.
+//!   Wherever `slots` comes from (manifest, CLI or default), it is
+//!   clamped to `available_parallelism()`: one more CPU-bound pipeline
+//!   than cores would only evict everyone else's working set on every
+//!   timeslice. The pool's workers are divided with real accounting
+//!   (`allotment`): each claim takes a share of the workers not
+//!   allotted to running jobs, so allotments sum to the worker count
+//!   while the fleet is full, and as the queue drains the stragglers
+//!   widen to intra-pair parallelism (the last job alone gets every
+//!   free worker). On the default pool backend an allotment is each
+//!   wave's minimum task count: wave work runs through the
+//!   process-wide pool sized to the core count (the submitter helping
+//!   with its own wave), and idle capacity flows to whichever job has
+//!   tasks pending.
 //! - **Bounded-memory admission.** Jobs are admitted strictly in
 //!   submission order. Before anything is loaded, a job's footprint is
 //!   estimated ([`JobSpec::estimated_bytes`]) and the job waits until
@@ -101,7 +96,7 @@ use std::time::{Duration, Instant};
 use minoan_core::{MinoanConfig, MinoanEr, PipelineReport};
 use minoan_datagen::Dataset;
 use minoan_eval::MatchQuality;
-use minoan_exec::{Executor, ExecutorKind, PoolStats, MAX_THREADS};
+use minoan_exec::{pool, Executor, ExecutorKind, PoolStats};
 use minoan_kb::{parse, GroundTruth, Json, KbPair, Matching};
 use minoan_obs::{trace, Level};
 
@@ -116,11 +111,9 @@ pub use minoan_exec::{CancelToken, Cancelled};
 #[derive(Debug, Clone)]
 pub struct ServeOptions {
     /// Max concurrently running jobs (`Some(0)` = one per available
-    /// core, clamped to the job count in batch mode).
+    /// core). Always clamped to `available_parallelism()`, and to the
+    /// job count in batch mode.
     pub slots: Option<usize>,
-    /// Total worker-thread budget shared by running jobs (`Some(0)` =
-    /// all available cores).
-    pub threads: Option<usize>,
     /// Admission budget in MiB (`Some(0)` = unlimited).
     pub memory_budget_mib: Option<usize>,
     /// Executor backend every job runs on.
@@ -157,7 +150,6 @@ impl Default for ServeOptions {
     fn default() -> Self {
         Self {
             slots: None,
-            threads: None,
             memory_budget_mib: None,
             executor: ExecutorKind::Pool,
             base: MinoanConfig::default(),
@@ -258,10 +250,9 @@ pub struct QueueStats {
     pub admitted_bytes: u64,
     /// The admission budget in bytes (`0` = unlimited).
     pub memory_budget_bytes: u64,
-    /// Worker threads currently allotted to running jobs.
+    /// Sum of the running jobs' allotments: each is its pool waves'
+    /// minimum task count.
     pub threads_in_use: usize,
-    /// Total worker-thread budget.
-    pub threads_budget: usize,
     /// Fleet slots (max concurrent jobs).
     pub slots: usize,
     /// High-water mark of concurrently running jobs.
@@ -336,7 +327,6 @@ impl QueueStats {
                 Json::num(self.memory_budget_bytes as f64),
             ),
             ("threads_in_use", Json::num(self.threads_in_use as f64)),
-            ("threads_budget", Json::num(self.threads_budget as f64)),
             ("slots", Json::num(self.slots as f64)),
             ("peak_running", Json::num(self.peak_running as f64)),
             (
@@ -484,16 +474,11 @@ pub struct JobQueue {
     admit: Condvar,
     /// Wakes [`JobQueue::wait`]ers on any completion.
     done: Condvar,
+    /// At most this many jobs run at once (never more than `workers`),
+    /// and the fleet runner starts exactly this many workers.
     slots: usize,
-    /// Execution width: at most this many jobs are *dispatched* at
-    /// once — `min(slots, available_parallelism())` — and the fleet
-    /// runner starts exactly this many workers. Slots beyond the core
-    /// count are reported but never put more CPU-bound pipelines on the
-    /// machine than it has cores: on a small box, excess concurrency
-    /// only evicts each job's working set on every timeslice without
-    /// adding parallelism.
-    width: usize,
-    threads: usize,
+    /// The process-wide pool's worker count, which claims divide.
+    workers: usize,
     budget_bytes: u64,
     /// Fleet default per-job deadline in ms (`0` = none); per-job
     /// `timeout_ms` overrides.
@@ -575,12 +560,11 @@ const CALIBRATION_ALPHA: f64 = 0.5;
 const CALIBRATION_FACTOR_RANGE: (f64, f64) = (0.25, 8.0);
 
 impl JobQueue {
-    /// A queue with **resolved** knobs: `slots` workers, a total budget
-    /// of `threads` worker threads, `budget_bytes` admission budget
-    /// (`0` = unlimited). Execution width is additionally capped at
-    /// `available_parallelism()` — see [`JobQueue::width`].
-    pub fn new(slots: usize, threads: usize, budget_bytes: u64) -> JobQueue {
-        let slots = slots.max(1);
+    /// A queue of `slots` concurrent jobs, clamped to
+    /// `1..=`[`pool::default_workers`], with a `budget_bytes` admission
+    /// budget (`0` = unlimited).
+    pub fn new(slots: usize, budget_bytes: u64) -> JobQueue {
+        let workers = pool::default_workers();
         JobQueue {
             inner: Mutex::new(QueueInner {
                 entries: Vec::new(),
@@ -595,13 +579,8 @@ impl JobQueue {
             }),
             admit: Condvar::new(),
             done: Condvar::new(),
-            slots,
-            width: slots.min(
-                std::thread::available_parallelism()
-                    .map(std::num::NonZeroUsize::get)
-                    .unwrap_or(1),
-            ),
-            threads: threads.max(1),
+            slots: slots.clamp(1, workers),
+            workers,
             budget_bytes,
             default_timeout_ms: 0,
             default_max_retries: 0,
@@ -631,20 +610,9 @@ impl JobQueue {
         self
     }
 
-    /// Fleet slots (concurrent jobs) this queue schedules for.
+    /// Fleet slots: the most jobs this queue ever runs at once.
     pub fn slots(&self) -> usize {
         self.slots
-    }
-
-    /// Execution width: the most jobs this queue will ever dispatch
-    /// concurrently, `min(slots, available_parallelism())`.
-    pub fn width(&self) -> usize {
-        self.width
-    }
-
-    /// Total worker-thread budget.
-    pub fn threads(&self) -> usize {
-        self.threads
     }
 
     /// Admission budget in bytes (`0` = unlimited).
@@ -921,7 +889,6 @@ impl JobQueue {
             admitted_bytes: guard.in_flight_bytes,
             memory_budget_bytes: self.budget_bytes,
             threads_in_use: guard.threads_in_use,
-            threads_budget: self.threads,
             slots: self.slots,
             peak_running: guard.peak_active,
             retries_scheduled: guard.retries_scheduled,
@@ -953,8 +920,8 @@ impl JobQueue {
 
     /// One fleet worker: claim the next admissible job, run it, repeat
     /// until the queue is closed and drained. Workers beyond
-    /// [`JobQueue::width`] only park, since no more jobs than that are
-    /// ever dispatched at once; the fleet runner starts exactly `width`.
+    /// [`JobQueue::slots`] only park, since no more jobs than that are
+    /// ever dispatched at once; the fleet runner starts exactly `slots`.
     /// `on_done` fires exactly once per terminal report *this worker
     /// produced*, in completion order, outside the queue lock and
     /// **before** waiters on that job are woken; it receives the spec
@@ -1132,10 +1099,7 @@ impl JobQueue {
                 }
             }
             let est = guard.entries[id].estimate;
-            // Never dispatch beyond the execution width: a slot past
-            // the core count waits here instead of thrashing the
-            // machine with one more CPU-bound pipeline.
-            if guard.active >= self.width {
+            if guard.active >= self.slots {
                 guard = self.admit.wait(guard).expect("queue lock");
                 continue;
             }
@@ -1143,14 +1107,12 @@ impl JobQueue {
                 || guard.active == 0
                 || guard.in_flight_bytes.saturating_add(est) <= self.budget_bytes;
             if fits {
-                // Straggler widening with real accounting: divide the
-                // threads not already allotted to running jobs across
-                // the width left to fill (this claim included), so
-                // allotments sum to the thread budget while the fleet
-                // is full and the last jobs widen as the queue drains.
-                let fill = (self.width - guard.active).min(guard.pending.len()).max(1);
-                let free = self.threads.saturating_sub(guard.threads_in_use);
-                let allot = (free / fill).max(1);
+                let allot = allotment(
+                    self.workers,
+                    guard.threads_in_use,
+                    self.slots - guard.active,
+                    guard.pending.len(),
+                );
                 crate::telemetry::QUEUE_WAIT.observe(guard.entries[id].queued_at.elapsed());
                 guard.pending.pop_front();
                 guard.transition(id, Phase::Running);
@@ -1190,73 +1152,66 @@ impl JobQueue {
     }
 }
 
-/// Resolves `opts` against manifest-level knobs into concrete
-/// `(slots, threads, budget_bytes)` values. `job_count` caps the slot
-/// count in batch mode; pass `usize::MAX` for a daemon, which has no
-/// job count up front.
+/// How many pool workers one claim is allotted: the `workers` not
+/// already `in_use` by running jobs, divided over the slots left to
+/// fill (`free_slots`, this claim's included, but no more than the
+/// `pending` jobs that could take them), and never less than 1. While
+/// the fleet is full the allotments sum to `workers`; as the queue
+/// drains, the stragglers widen, and a lone job gets every worker.
 ///
-/// Admission learns the core count: manifest-derived `slots` and
-/// `threads` clamp to `available_parallelism()` — a manifest written on
-/// a 16-core box must not dispatch 16-wide on a 2-core one. An
-/// **explicit** option (CLI `--slots`/`--threads`) is an operator
-/// decision and is honored as written (`0` still meaning "all
-/// available cores").
-fn resolve_fleet_knobs(
-    opts: &ServeOptions,
-    manifest_slots: usize,
-    manifest_threads: usize,
-    manifest_budget_mib: usize,
-    job_count: usize,
-) -> (usize, usize, u64) {
-    let available = std::thread::available_parallelism()
-        .map(std::num::NonZeroUsize::get)
-        .unwrap_or(1);
-    let or_available = |v: usize| if v == 0 { available } else { v };
-    let clamp_manifest = |v: usize| if v == 0 { available } else { v.min(available) };
-    let slots = match opts.slots {
-        Some(explicit) => or_available(explicit),
-        None => clamp_manifest(manifest_slots),
-    }
-    .min(job_count.max(1))
-    .min(MAX_THREADS);
-    let threads = match opts.threads {
-        Some(explicit) => or_available(explicit),
-        None => clamp_manifest(manifest_threads),
-    }
-    .min(MAX_THREADS);
-    // Budget zero means unlimited (not "all available").
-    let budget_mib = opts.memory_budget_mib.unwrap_or(manifest_budget_mib);
-    (slots, threads, budget_mib as u64 * (1 << 20))
+/// On the pool backend an allotment is each wave's minimum task count
+/// (the pool itself always runs `available_parallelism()` workers).
+/// The policy is not "all workers for everyone": on `fleet_small`
+/// (768 file jobs over 64 small pairs, 2 cores, seeds 31–33, 3
+/// alternating pairs of runs), giving every job all workers raised
+/// p50 from 3 653 / 3 354 / 3 701 ms to 4 198 / 4 251 / 4 243 ms and
+/// cut throughput from 210 / 229 / 208 to 183 / 181 / 181 jobs per
+/// second. Nor is it 1 for everyone: a lone `demo yago --scale 2` at a
+/// minimum of 1 task per wave ran about 10 % slower than at 2 (median
+/// 368 against 333 ms over 5 runs each).
+pub(crate) fn allotment(workers: usize, in_use: usize, free_slots: usize, pending: usize) -> usize {
+    let fill = free_slots.min(pending).max(1);
+    (workers.saturating_sub(in_use) / fill).max(1)
 }
 
-/// The queue one fleet drains, with `opts` resolved over the fleet's
-/// knobs. Batch passes its manifest: knobs and lifecycle defaults come
-/// from it, slots clamp to its job count, and nothing is shed because
-/// a manifest is admitted whole. A daemon passes `None`: its zeros mean
-/// "all cores", "unlimited", no deadline and no retries, and it sheds
-/// past a queue-depth or admitted-bytes mark — jobs past the budget
-/// *wait*, jobs past the shed mark (a multiple of the budget, off when
-/// admission is unlimited) are *refused*.
+/// The queue one fleet drains, with `opts` over the fleet's knobs: an
+/// option left `None` defers to the manifest. Batch passes its
+/// manifest: knobs and lifecycle defaults come from it, slots clamp to
+/// its job count, and nothing is shed because a manifest is admitted
+/// whole. A daemon passes `None`: its zeros mean "all cores",
+/// "unlimited", no deadline and no retries, and it sheds past a
+/// queue-depth or admitted-bytes mark — jobs past the budget *wait*,
+/// jobs past the shed mark (a multiple of the budget, off when
+/// admission is unlimited) are *refused*. Either way [`JobQueue::new`]
+/// clamps the slots to the cores.
 pub(crate) fn fleet_queue(opts: &ServeOptions, manifest: Option<&Manifest>) -> JobQueue {
-    let Some(m) = manifest else {
-        let (slots, threads, budget_bytes) = resolve_fleet_knobs(opts, 0, 0, 0, usize::MAX);
-        return JobQueue::new(slots, threads, budget_bytes)
+    let (slots, budget_mib, jobs) = match manifest {
+        Some(m) => (m.slots, m.memory_budget_mib, m.jobs.len()),
+        None => (0, 0, usize::MAX),
+    };
+    let slots = match opts.slots.unwrap_or(slots) {
+        0 => usize::MAX,
+        slots => slots,
+    };
+    // A budget of zero means unlimited, not "all available".
+    let budget_bytes = opts.memory_budget_mib.unwrap_or(budget_mib) as u64 * (1 << 20);
+    let queue = JobQueue::new(slots.min(jobs), budget_bytes);
+    match manifest {
+        Some(m) => queue.with_job_defaults(
+            opts.timeout_ms.unwrap_or(m.timeout_ms),
+            opts.max_retries.unwrap_or(m.max_retries),
+        ),
+        None => queue
             .with_job_defaults(opts.timeout_ms.unwrap_or(0), opts.max_retries.unwrap_or(0))
             .with_shed_limits(
                 opts.shed_queue_depth.unwrap_or(DEFAULT_SHED_QUEUE_DEPTH),
                 budget_bytes.saturating_mul(SHED_BYTES_FACTOR),
-            );
-    };
-    let (slots, threads, budget_bytes) =
-        resolve_fleet_knobs(opts, m.slots, m.threads, m.memory_budget_mib, m.jobs.len());
-    JobQueue::new(slots, threads, budget_bytes).with_job_defaults(
-        opts.timeout_ms.unwrap_or(m.timeout_ms),
-        opts.max_retries.unwrap_or(m.max_retries),
-    )
+            ),
+    }
 }
 
-/// The one fleet runner: starts a worker per dispatch slot
-/// ([`JobQueue::width`]), runs `intake` beside them, closes the queue
+/// The one fleet runner: starts a worker per slot
+/// ([`JobQueue::slots`]), runs `intake` beside them, closes the queue
 /// when the intake returns (on error too), joins every worker and
 /// reports. Batch submits and closes before calling this, with an
 /// intake that does nothing; the daemon's intake is its accept loops.
@@ -1268,7 +1223,7 @@ pub(crate) fn run_fleet<E>(
 ) -> Result<ServeReport, E> {
     let t0 = Instant::now();
     std::thread::scope(|scope| {
-        for _ in 0..queue.width() {
+        for _ in 0..queue.slots() {
             scope.spawn(|| queue.worker(opts, on_done));
         }
         let intake_result = intake(&queue);
@@ -1277,7 +1232,6 @@ pub(crate) fn run_fleet<E>(
     })?;
     Ok(ServeReport {
         slots: queue.slots(),
-        threads: queue.threads(),
         memory_budget_bytes: queue.budget_bytes(),
         peak_concurrent_jobs: queue.peak_concurrent(),
         jobs: queue.into_reports(),
@@ -1712,7 +1666,6 @@ mod tests {
     fn small_manifest() -> Manifest {
         Manifest {
             slots: 2,
-            threads: 2,
             memory_budget_mib: 0,
             timeout_ms: 0,
             max_retries: 0,
@@ -1733,8 +1686,8 @@ mod tests {
             assert!(job.status.is_ok(), "{}: {:?}", job.name, job.status);
             assert!(!job.matches.is_empty(), "{} found no matches", job.name);
             assert!(job.quality.is_some(), "synthetic jobs carry truth");
-            // Allotments respect the fleet's thread budget.
-            assert!(job.threads >= 1 && job.threads <= report.threads);
+            // Allotments never exceed the pool's workers.
+            assert!(job.threads >= 1 && job.threads <= pool::default_workers());
         }
         // Report order is manifest order, not completion order.
         let names: Vec<&str> = report.jobs.iter().map(|j| j.name.as_str()).collect();
@@ -1758,7 +1711,6 @@ mod tests {
     fn tiny_budget_serializes_but_completes() {
         let manifest = Manifest {
             slots: 3,
-            threads: 3,
             memory_budget_mib: 1,
             timeout_ms: 0,
             max_retries: 0,
@@ -1803,8 +1755,8 @@ mod tests {
 
     #[test]
     fn on_done_fires_only_for_reports_a_worker_produced() {
-        let queue = JobQueue::new(1, 1, 0);
-        assert_eq!(queue.width(), 1);
+        let queue = JobQueue::new(1, 0);
+        assert_eq!(queue.slots(), 1);
         queue
             .submit(synthetic_job("first", DatasetKind::Restaurant, 0.05))
             .unwrap();
@@ -1882,7 +1834,6 @@ mod tests {
             &manifest,
             &ServeOptions {
                 slots: Some(1),
-                threads: Some(1),
                 executor: ExecutorKind::Sequential,
                 ..ServeOptions::default()
             },
@@ -1891,12 +1842,11 @@ mod tests {
         .iter()
         .map(|j| j.fingerprint())
         .collect();
-        for (slots, threads) in [(2, 2), (3, 7)] {
+        for slots in [2, 3] {
             let got: Vec<String> = run_batch(
                 &manifest,
                 &ServeOptions {
                     slots: Some(slots),
-                    threads: Some(threads),
                     ..ServeOptions::default()
                 },
             )
@@ -1904,72 +1854,117 @@ mod tests {
             .iter()
             .map(|j| j.fingerprint())
             .collect();
-            assert_eq!(base, got, "slots={slots} threads={threads}");
+            assert_eq!(base, got, "slots={slots}");
         }
     }
 
     #[test]
     fn straggler_gets_the_whole_budget() {
         // One job, many slots: the single job is the straggler and must
-        // receive every thread in the budget. The budget is an explicit
-        // option (manifest-derived values clamp to the core count and
-        // would not survive a 1-core CI box).
+        // receive every worker of the pool.
         let manifest = Manifest {
             slots: 4,
-            threads: 6,
             memory_budget_mib: 0,
             timeout_ms: 0,
             max_retries: 0,
             jobs: vec![synthetic_job("only", DatasetKind::Restaurant, 0.05)],
         };
-        let opts = ServeOptions {
-            threads: Some(6),
-            ..ServeOptions::default()
-        };
-        let report = run_batch(&manifest, &opts);
-        assert_eq!(report.jobs[0].threads, 6);
+        let report = run_batch(&manifest, &ServeOptions::default());
+        assert_eq!(report.jobs[0].threads, pool::default_workers());
     }
 
     #[test]
-    fn manifest_knobs_clamp_to_available_cores_but_explicit_ones_do_not() {
-        let available = std::thread::available_parallelism()
-            .map(std::num::NonZeroUsize::get)
-            .unwrap_or(1);
-        let opts = ServeOptions::default();
-        // Manifest values far above the core count clamp down…
-        let (slots, threads, _) = resolve_fleet_knobs(&opts, 4096, 4096, 0, usize::MAX);
-        assert_eq!(slots, available.min(MAX_THREADS));
-        assert_eq!(threads, available.min(MAX_THREADS));
-        // …manifest zero means "all available"…
-        let (slots, threads, _) = resolve_fleet_knobs(&opts, 0, 0, 0, usize::MAX);
-        assert_eq!(slots, available.min(MAX_THREADS));
-        assert_eq!(threads, available.min(MAX_THREADS));
-        // …and an explicit override is an operator decision, honored
-        // beyond the core count (the MAX_THREADS guard still applies).
+    fn allotment_divides_the_free_workers_over_the_slots_left() {
+        for workers in [1, 2, 4, 16] {
+            // A full fleet of W slots on W workers allots 1 per job,
+            // and the allotments sum to the workers.
+            let mut in_use = 0;
+            for active in 0..workers {
+                let allot = allotment(workers, in_use, workers - active, 3 * workers - active);
+                assert_eq!(allot, 1, "workers={workers} active={active}");
+                in_use += allot;
+            }
+            assert_eq!(in_use, workers);
+            // A lone job gets every worker.
+            assert_eq!(allotment(workers, 0, workers, 1), workers);
+        }
+        // The stragglers widen as the queue drains: 8 workers, 4 slots,
+        // one job of 1 still running and two jobs left to claim.
+        assert_eq!(allotment(8, 1, 3, 2), 3);
+        assert_eq!(allotment(8, 4, 2, 1), 4);
+        // Never less than 1, even with every worker in use.
+        assert_eq!(allotment(4, 4, 1, 1), 1);
+    }
+
+    #[test]
+    fn default_options_allot_one_per_job_in_a_full_fleet_and_all_workers_to_a_lone_job() {
+        let workers = pool::default_workers();
+        let queue = fleet_queue(&ServeOptions::default(), None);
+        assert_eq!(queue.slots(), workers);
+        for i in 0..2 * workers {
+            queue
+                .submit(synthetic_job(
+                    &format!("j{i}"),
+                    DatasetKind::Restaurant,
+                    0.05,
+                ))
+                .unwrap();
+        }
+        for _ in 0..workers {
+            assert_eq!(queue.claim().map(|(_, allot)| allot), Some(1));
+        }
+        assert_eq!(queue.stats().threads_in_use, workers);
+
+        let lone = fleet_queue(&ServeOptions::default(), None);
+        lone.submit(synthetic_job("lone", DatasetKind::Restaurant, 0.05))
+            .unwrap();
+        assert_eq!(lone.claim().map(|(_, allot)| allot), Some(workers));
+    }
+
+    #[test]
+    fn slots_clamp_to_the_cores_from_any_source() {
+        let available = pool::default_workers();
+        let manifest = |slots| Manifest {
+            slots,
+            memory_budget_mib: 0,
+            timeout_ms: 0,
+            max_retries: 0,
+            jobs: (0..available + 9)
+                .map(|i| synthetic_job(&format!("j{i}"), DatasetKind::Restaurant, 0.03))
+                .collect(),
+        };
+        let default = ServeOptions::default();
+        // A manifest value far above the core count clamps down, and
+        // zero means "all cores"…
+        for slots in [4096, 0] {
+            assert_eq!(
+                fleet_queue(&default, Some(&manifest(slots))).slots(),
+                available
+            );
+        }
+        // …and so does an explicit option, for a batch or a daemon.
         let explicit = ServeOptions {
             slots: Some(available + 3),
-            threads: Some(available + 5),
             ..ServeOptions::default()
         };
-        let (slots, threads, _) = resolve_fleet_knobs(&explicit, 1, 1, 0, usize::MAX);
-        assert_eq!(slots, (available + 3).min(MAX_THREADS));
-        assert_eq!(threads, (available + 5).min(MAX_THREADS));
+        assert_eq!(
+            fleet_queue(&explicit, Some(&manifest(1))).slots(),
+            available
+        );
+        assert_eq!(fleet_queue(&explicit, None).slots(), available);
+        assert_eq!(fleet_queue(&default, None).slots(), available);
+        // Batch mode also clamps to the job count.
+        let mut one_job = manifest(0);
+        one_job.jobs.truncate(1);
+        assert_eq!(fleet_queue(&explicit, Some(&one_job)).slots(), 1);
     }
 
     #[test]
     fn execution_width_caps_dispatch_at_the_core_count() {
-        let available = std::thread::available_parallelism()
-            .map(std::num::NonZeroUsize::get)
-            .unwrap_or(1);
-        // The queue honors explicit slots as residency…
-        let queue = JobQueue::new(available + 7, 2, 0);
-        assert_eq!(queue.slots(), available + 7);
-        // …but never dispatches more jobs than cores.
-        assert_eq!(queue.width(), available);
-
+        let available = pool::default_workers();
+        assert_eq!(JobQueue::new(available + 7, 0).slots(), available);
         let manifest = Manifest {
             slots: 0,
-            threads: 0,
             memory_budget_mib: 0,
             timeout_ms: 0,
             max_retries: 0,
@@ -1982,19 +1977,18 @@ mod tests {
             ..ServeOptions::default()
         };
         let report = run_batch(&manifest, &opts);
-        assert_eq!(report.slots, available + 7, "explicit slots are reported");
+        assert_eq!(report.slots, available, "explicit slots clamp to the cores");
         assert!(
             report.peak_concurrent_jobs <= available,
-            "peak concurrency {} exceeded the execution width {}",
+            "peak concurrency {} exceeded the {available} cores",
             report.peak_concurrent_jobs,
-            available
         );
         assert_eq!(report.ok_count(), available + 9);
     }
 
     #[test]
     fn queue_lifecycle_submit_run_wait() {
-        let queue = JobQueue::new(2, 2, 0);
+        let queue = JobQueue::new(2, 0);
         let a = queue
             .submit(synthetic_job("a", DatasetKind::Restaurant, 0.05))
             .unwrap();
@@ -2027,7 +2021,7 @@ mod tests {
     /// copy; a waiter woken before it ran would read the stale one.
     #[test]
     fn on_done_runs_before_the_terminal_phase_is_published() {
-        let queue = JobQueue::new(1, 1, 0);
+        let queue = JobQueue::new(1, 0);
         let id = queue
             .submit(synthetic_job("j", DatasetKind::Restaurant, 0.05))
             .unwrap();
@@ -2044,7 +2038,7 @@ mod tests {
     fn cancelling_a_queued_job_flips_it_atomically() {
         // No workers at all: the job must terminate via the cancel path
         // alone, and the snapshot can never show running+cancelled.
-        let queue = JobQueue::new(1, 1, 0);
+        let queue = JobQueue::new(1, 0);
         let id = queue
             .submit(synthetic_job("doomed", DatasetKind::Restaurant, 0.05))
             .unwrap();
@@ -2060,7 +2054,7 @@ mod tests {
 
     #[test]
     fn admission_estimates_self_calibrate_per_profile() {
-        let queue = JobQueue::new(1, 1, 0);
+        let queue = JobQueue::new(1, 0);
         let spec = synthetic_job("cal", DatasetKind::Restaurant, 0.05);
         let profile = spec.profile_key();
         let raw = spec.estimated_bytes();
@@ -2091,7 +2085,7 @@ mod tests {
         // Run one synthetic job to completion; if it produced a usable
         // RSS measurement, a second submission of the same profile must
         // charge the recalibrated estimate.
-        let queue = JobQueue::new(1, 1, 0);
+        let queue = JobQueue::new(1, 0);
         let spec = synthetic_job("first", DatasetKind::Restaurant, 0.05);
         let raw = spec.estimated_bytes();
         let id = queue.submit(spec.clone()).unwrap();
@@ -2116,7 +2110,7 @@ mod tests {
 
     #[test]
     fn submitting_to_a_closed_queue_fails() {
-        let queue = JobQueue::new(1, 1, 0);
+        let queue = JobQueue::new(1, 0);
         queue.close();
         assert_eq!(
             queue
@@ -2153,7 +2147,7 @@ mod tests {
         // A missing input file is a transient (I/O) failure: with a
         // retry budget of 2 the job runs three times before its Failed
         // report becomes terminal.
-        let queue = JobQueue::new(1, 1, 0).with_job_defaults(0, 2);
+        let queue = JobQueue::new(1, 0).with_job_defaults(0, 2);
         let id = queue.submit(ghost_job("ghost")).unwrap();
         drain(&queue, &ServeOptions::default());
         let report = queue.wait(id).unwrap();
@@ -2169,7 +2163,7 @@ mod tests {
 
     #[test]
     fn per_job_retry_budget_overrides_the_queue_default() {
-        let queue = JobQueue::new(1, 1, 0).with_job_defaults(0, 5);
+        let queue = JobQueue::new(1, 0).with_job_defaults(0, 5);
         let mut spec = ghost_job("stubborn");
         spec.max_retries = Some(1);
         let id = queue.submit(spec).unwrap();
@@ -2182,7 +2176,7 @@ mod tests {
     fn permanent_failures_are_never_retried() {
         // An out-of-range theta is a config error: deterministic, so a
         // retry budget must not be spent on it.
-        let queue = JobQueue::new(1, 1, 0).with_job_defaults(0, 3);
+        let queue = JobQueue::new(1, 0).with_job_defaults(0, 3);
         let mut bad = synthetic_job("bad", DatasetKind::Restaurant, 0.05);
         bad.theta = Some(7.0);
         let id = queue.submit(bad).unwrap();
@@ -2197,7 +2191,7 @@ mod tests {
         // A 1 ms deadline on a job that takes tens of ms: some pipeline
         // wave observes the expired deadline and the job ends
         // TimedOut (with no retry budget, terminally).
-        let queue = JobQueue::new(1, 1, 0);
+        let queue = JobQueue::new(1, 0);
         let mut spec = synthetic_job("slow", DatasetKind::Restaurant, 0.3);
         spec.timeout_ms = Some(1);
         let id = queue.submit(spec).unwrap();
@@ -2214,7 +2208,7 @@ mod tests {
         // No workers: submissions pile up in pending. Depth mark 2 →
         // the third submit sheds; terminal states free no room until
         // jobs leave pending.
-        let queue = JobQueue::new(1, 1, 0).with_shed_limits(2, 0);
+        let queue = JobQueue::new(1, 0).with_shed_limits(2, 0);
         queue
             .submit(synthetic_job("a", DatasetKind::Restaurant, 0.05))
             .unwrap();
@@ -2243,7 +2237,7 @@ mod tests {
         let est = probe.estimated_bytes();
         assert!(est > 0);
         // The first job fits exactly; anything more crosses the mark.
-        let queue = JobQueue::new(1, 1, 0).with_shed_limits(0, est);
+        let queue = JobQueue::new(1, 0).with_shed_limits(0, est);
         queue.submit(probe).unwrap();
         let err = queue
             .submit(synthetic_job("extra", DatasetKind::Restaurant, 0.05))

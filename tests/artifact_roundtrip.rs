@@ -312,7 +312,6 @@ fn http_match_queries_answer_with_zero_ingest_telemetry() {
     let scratch = ScratchDir::new("http");
     let opts = ServeOptions {
         slots: Some(2),
-        threads: Some(2),
         index_dir: Some(scratch.path("indexes")),
         ..ServeOptions::default()
     };

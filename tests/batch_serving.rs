@@ -36,7 +36,6 @@ fn four_profile_manifest() -> Manifest {
         .collect();
     Manifest {
         slots: 0,
-        threads: 0,
         memory_budget_mib: 0,
         timeout_ms: 0,
         max_retries: 0,
@@ -96,7 +95,6 @@ fn batch_output_is_bit_identical_to_solo_sequential_runs() {
     for job in &manifest.jobs {
         let solo = Manifest {
             slots: 1,
-            threads: 1,
             memory_budget_mib: 0,
             timeout_ms: 0,
             max_retries: 0,
@@ -104,7 +102,6 @@ fn batch_output_is_bit_identical_to_solo_sequential_runs() {
         };
         let solo_opts = ServeOptions {
             slots: Some(1),
-            threads: Some(1),
             executor: ExecutorKind::Sequential,
             ..ServeOptions::default()
         };
@@ -125,20 +122,24 @@ fn scheduling_shape_never_changes_results() {
         &manifest,
         &ServeOptions {
             slots: Some(1),
-            threads: Some(1),
             ..ServeOptions::default()
         },
     );
-    for (slots, threads) in [(1, 2), (2, 2), (2, 7), (4, 7)] {
+    for (slots, executor) in [
+        (1, ExecutorKind::Sequential),
+        (2, ExecutorKind::Pool),
+        (2, ExecutorKind::Sequential),
+        (4, ExecutorKind::Pool),
+    ] {
         let got = fingerprints(
             &manifest,
             &ServeOptions {
                 slots: Some(slots),
-                threads: Some(threads),
+                executor,
                 ..ServeOptions::default()
             },
         );
-        assert_eq!(base, got, "slots={slots} threads={threads}");
+        assert_eq!(base, got, "slots={slots} executor={executor}");
     }
 }
 

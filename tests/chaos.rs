@@ -131,7 +131,7 @@ fn injected_io_fault_retries_to_a_bit_identical_fingerprint() {
 
     // Baseline: no faults, no retries.
     faults::disarm();
-    let queue = JobQueue::new(1, 1, 0);
+    let queue = JobQueue::new(1, 0);
     queue
         .submit(file_spec("pair", first.clone(), second.clone()))
         .unwrap();
@@ -145,7 +145,7 @@ fn injected_io_fault_retries_to_a_bit_identical_fingerprint() {
     // read error surfaces as a plain failure.
     let plan = format!("seed:{},kb.parse.read:1:io:1", ci_seed());
     faults::arm(&plan).unwrap();
-    let queue = JobQueue::new(1, 1, 0);
+    let queue = JobQueue::new(1, 0);
     queue
         .submit(file_spec("pair", first.clone(), second.clone()))
         .unwrap();
@@ -163,7 +163,7 @@ fn injected_io_fault_retries_to_a_bit_identical_fingerprint() {
     // Re-arm (resetting the fire counter) and grant one retry: the
     // first attempt eats the fault, the second runs clean.
     faults::arm(&plan).unwrap();
-    let queue = JobQueue::new(1, 1, 0);
+    let queue = JobQueue::new(1, 0);
     let mut spec = file_spec("pair", first, second);
     spec.max_retries = Some(1);
     let id = queue.submit(spec).unwrap();
@@ -194,7 +194,7 @@ fn a_job_that_panics_twice_is_poisoned() {
     let plan = format!("seed:{},serve.job.execute:1:panic:2", ci_seed());
     faults::arm(&plan).unwrap();
     let opts = ServeOptions::default();
-    let queue = JobQueue::new(1, 1, 0);
+    let queue = JobQueue::new(1, 0);
     let mut spec = synthetic_spec("crasher", 0.03);
     spec.max_retries = Some(3);
     let id = queue.submit(spec).unwrap();
@@ -228,7 +228,7 @@ fn deadline_expiry_is_contained_to_the_stalled_job() {
     let plan = format!("seed:{},serve.job.execute:1:delay:2", ci_seed());
     faults::arm(&plan).unwrap();
     let opts = ServeOptions::default();
-    let queue = JobQueue::new(2, 2, 0);
+    let queue = JobQueue::new(2, 0);
     let mut victim = synthetic_spec("victim", 0.03);
     victim.timeout_ms = Some(20);
     queue.submit(victim).unwrap();
@@ -275,7 +275,7 @@ fn rss_watchdog_kills_the_over_budget_job_and_spares_the_fleet() {
     };
     // One slot: jobs run one at a time, so the process-wide RSS spike
     // is attributed to the job that caused it.
-    let queue = JobQueue::new(1, 1, 0);
+    let queue = JobQueue::new(1, 0);
     queue
         .submit(file_spec("spiker", first.clone(), second.clone()))
         .unwrap();
@@ -312,7 +312,6 @@ fn http_sheds_past_the_high_water_mark_then_accepts_the_retry() {
     faults::arm(&plan).unwrap();
     let opts = ServeOptions {
         slots: Some(1),
-        threads: Some(1),
         shed_queue_depth: Some(1),
         ..ServeOptions::default()
     };
@@ -356,7 +355,6 @@ fn connection_cap_rejects_excess_connections_with_503() {
     let _lock = locked();
     let opts = ServeOptions {
         slots: Some(1),
-        threads: Some(1),
         ..ServeOptions::default()
     };
     let options = HttpOptions {
@@ -469,7 +467,7 @@ fn mid_patch_fault_leaves_the_artifact_fully_old_then_a_retry_lands_it() {
     // plain transient failure and the file must be fully old.
     let plan = format!("seed:{},core.delta.apply:1:io:1", ci_seed());
     faults::arm(&plan).unwrap();
-    let queue = JobQueue::new(1, 1, 0);
+    let queue = JobQueue::new(1, 0);
     queue
         .submit(patch_spec("victim", path.clone(), vec![rename_op()]))
         .unwrap();
@@ -488,7 +486,7 @@ fn mid_patch_fault_leaves_the_artifact_fully_old_then_a_retry_lands_it() {
     // Re-arm and grant one retry: the first attempt eats the fault,
     // the retry re-reads the (untouched) artifact and patches clean.
     faults::arm(&plan).unwrap();
-    let queue = JobQueue::new(1, 1, 0);
+    let queue = JobQueue::new(1, 0);
     let mut spec = patch_spec("victim", path.clone(), vec![rename_op()]);
     spec.max_retries = Some(1);
     queue.submit(spec).unwrap();
@@ -518,7 +516,7 @@ fn artifact_read_fault_during_a_patch_is_transient_and_recovers() {
 
     let plan = format!("seed:{},store.artifact.read:1:io:1", ci_seed());
     faults::arm(&plan).unwrap();
-    let queue = JobQueue::new(1, 1, 0);
+    let queue = JobQueue::new(1, 0);
     let mut spec = patch_spec("victim", path.clone(), vec![rename_op()]);
     spec.max_retries = Some(1);
     queue.submit(spec).unwrap();

@@ -167,7 +167,6 @@ fn socket_jobs_are_bit_identical_to_batch_and_solo_runs() {
     let addr = listener.local_addr().unwrap();
     let opts = ServeOptions {
         slots: Some(2),
-        threads: Some(3),
         ..ServeOptions::default()
     };
 
@@ -206,7 +205,6 @@ fn socket_jobs_are_bit_identical_to_batch_and_solo_runs() {
     // Batch path: the same jobs as a manifest fleet.
     let manifest = Manifest {
         slots: 2,
-        threads: 3,
         memory_budget_mib: 0,
         timeout_ms: 0,
         max_retries: 0,
@@ -221,7 +219,6 @@ fn socket_jobs_are_bit_identical_to_batch_and_solo_runs() {
     for (i, kind) in DatasetKind::ALL.into_iter().enumerate() {
         let solo_manifest = Manifest {
             slots: 1,
-            threads: 1,
             memory_budget_mib: 0,
             timeout_ms: 0,
             max_retries: 0,
@@ -231,7 +228,6 @@ fn socket_jobs_are_bit_identical_to_batch_and_solo_runs() {
             &solo_manifest,
             &ServeOptions {
                 slots: Some(1),
-                threads: Some(1),
                 executor: ExecutorKind::Sequential,
                 ..ServeOptions::default()
             },
@@ -256,7 +252,6 @@ fn malformed_frames_get_error_responses_and_never_wedge_the_daemon() {
     let addr = listener.local_addr().unwrap();
     let opts = ServeOptions {
         slots: Some(2),
-        threads: Some(2),
         ..ServeOptions::default()
     };
     std::thread::scope(|scope| {
@@ -342,7 +337,6 @@ fn index_match_k_is_bounded_by_the_persisted_row_cap() {
     let dir = std::env::temp_dir().join(format!("minoan-daemon-k-{}", std::process::id()));
     let opts = ServeOptions {
         slots: Some(1),
-        threads: Some(2),
         index_dir: Some(dir.clone()),
         ..ServeOptions::default()
     };
@@ -401,7 +395,6 @@ fn cancelling_a_running_job_spares_the_rest_of_the_fleet() {
     // Two slots so the quick job runs next to the doomed one.
     let opts = ServeOptions {
         slots: Some(2),
-        threads: Some(2),
         ..ServeOptions::default()
     };
 

@@ -221,7 +221,6 @@ fn corrupt_job_fails_alone_in_a_fleet() {
     );
     let manifest = Manifest {
         slots: 2,
-        threads: 2,
         memory_budget_mib: 0,
         timeout_ms: 0,
         max_retries: 0,
@@ -273,7 +272,7 @@ fn tiny_synthetic(name: &str) -> JobSpec {
 fn cancel_racing_dispatch_yields_exactly_one_terminal_state() {
     let opts = ServeOptions::default();
     for round in 0..6 {
-        let queue = JobQueue::new(2, 2, 0);
+        let queue = JobQueue::new(2, 0);
         for i in 0..3 {
             queue.submit(tiny_synthetic(&format!("job-{i}"))).unwrap();
         }

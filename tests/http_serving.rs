@@ -24,7 +24,6 @@ use common::{with_server, Http};
 fn serve_opts() -> ServeOptions {
     ServeOptions {
         slots: Some(2),
-        threads: Some(3),
         ..ServeOptions::default()
     }
 }
@@ -90,7 +89,6 @@ fn http_jobs_are_bit_identical_to_batch_and_solo_runs() {
     // Batch path: the same jobs as a manifest fleet.
     let manifest = Manifest {
         slots: 2,
-        threads: 3,
         memory_budget_mib: 0,
         timeout_ms: 0,
         max_retries: 0,
@@ -106,7 +104,6 @@ fn http_jobs_are_bit_identical_to_batch_and_solo_runs() {
         let solo = run_batch(
             &Manifest {
                 slots: 1,
-                threads: 1,
                 memory_budget_mib: 0,
                 timeout_ms: 0,
                 max_retries: 0,
@@ -114,7 +111,6 @@ fn http_jobs_are_bit_identical_to_batch_and_solo_runs() {
             },
             &ServeOptions {
                 slots: Some(1),
-                threads: Some(1),
                 executor: ExecutorKind::Sequential,
                 ..ServeOptions::default()
             },
@@ -222,8 +218,7 @@ fn metrics_are_parseable_prometheus_text() {
             "minoan_jobs_running 0",
             "minoan_jobs_done_total{status=\"ok\"} 1",
             "minoan_jobs_done_total{status=\"failed\"} 0",
-            "minoan_threads_budget 3",
-            "minoan_fleet_slots 2",
+            "minoan_threads_in_use 0",
             "minoan_job_stage_seconds_sum{stage=\"matching\"}",
             "minoan_estimated_bytes_total",
             // The job's waves ran on the process-wide pool.
@@ -235,6 +230,10 @@ fn metrics_are_parseable_prometheus_text() {
         ] {
             assert!(r.body.contains(needle), "missing {needle:?}:\n{}", r.body);
         }
+        // Slots clamp to the cores; the fleet has no thread budget.
+        let slots = 2.min(minoaner::exec::pool::default_workers());
+        assert!(r.body.contains(&format!("minoan_fleet_slots {slots}\n")));
+        assert!(!r.body.contains("minoan_threads_budget"), "{}", r.body);
         // One queue, nothing to steal: the steal counter is gone.
         assert!(!r.body.contains("minoan_pool_steals_total"), "{}", r.body);
         let jobs = http.json("GET", "/v1/jobs", None, 200);

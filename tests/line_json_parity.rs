@@ -256,7 +256,6 @@ fn every_line_op_answers_like_the_http_request_it_stands_for() {
     };
     let opts = ServeOptions {
         slots: Some(2),
-        threads: Some(2),
         index_dir: Some(dir.0.clone()),
         ..ServeOptions::default()
     };
