@@ -3,7 +3,7 @@
 //! ```text
 //! minoaner match  <first.(tsv|nt)> <second.(tsv|nt)> [--method minoaner|bsl|sigma|paris]
 //!                 [--truth <pairs.tsv>] [--json] [--theta F] [--k N] [--no-purge]
-//!                 [--executor sequential|pool] [--threads N]
+//!                 [--executor sequential|pool]
 //! minoaner batch  --manifest <fleet.json> [--slots N]
 //!                 [--memory-mib N] [--timeout-ms N] [--max-retries N]
 //!                 [--rss-kill-factor F] [--executor sequential|pool] [--json] [--pairs]
@@ -17,15 +17,15 @@
 //!                 (--dataset restaurant|rexa|bbc|yago [--scale F] [--seed N]
 //!                  | <first.(tsv|nt)> <second.(tsv|nt)>)
 //!                 [--theta F] [--k N] [--no-purge]
-//!                 [--executor sequential|pool] [--threads N]
+//!                 [--executor sequential|pool]
 //! minoaner index inspect <artifact.idx>
 //! minoaner index query <artifact.idx> (--entity <iri> | --sample) [--k N]
 //! minoaner index patch <artifact.idx> --deltas <file.json|->
-//!                 [--executor sequential|pool] [--threads N]
+//!                 [--executor sequential|pool]
 //! minoaner datagen <restaurant|rexa|bbc|yago> --mutate [--scale F] [--seed N]
 //!                 [--mutate-seed N] [--ops N]
 //! minoaner demo   [restaurant|rexa|bbc|yago] [--scale F] [--seed N]
-//!                 [--executor sequential|pool] [--threads N]
+//!                 [--executor sequential|pool]
 //! minoaner trace  <job-id> --connect <http-addr>
 //! minoaner stats  <kb.(tsv|nt)>
 //! ```
@@ -42,10 +42,14 @@
 //! `--truth` is a 2-column TSV of matching URIs (first-KB URI, second-KB
 //! URI); with it the tool reports precision/recall/F1. `--executor`
 //! selects the backend the hot pipeline stages run on (results are
-//! bit-identical across backends). `--threads N` is each pool wave's
-//! minimum task count (`0` = the core count); the pool itself always
-//! runs `available_parallelism()` workers, so to run on fewer cores,
-//! limit the process's CPU affinity (`taskset`).
+//! bit-identical across backends). No verb takes a thread count: the
+//! pool runs `available_parallelism()` workers, so to run on fewer
+//! cores, limit the process's CPU affinity (`taskset`).
+//!
+//! Everything a verb prints goes to stdout through one writer
+//! ([`outln!`]): a reader that stops early (`minoaner … | head`) ends
+//! the verb quietly with status 0.
+//!
 //! `match` and `index build` check their matching parameters before
 //! reading any input: `--k` outside `1..=128`
 //! (`minoan_core::MAX_CANDIDATES`) or `--theta` outside `(0,1)` is a
@@ -116,10 +120,9 @@
 //! the first matched entity, handy for smoke tests). Its `--k` (default
 //! 10) is how many ranked candidates to print; an index persists only
 //! the best 128 of each row (`minoan_core::MAX_CANDIDATES`), so a
-//! larger `--k` is a usage error (exit 2), as it is a `400` online. The
-//! same
-//! artifacts serve online when the daemon runs with `--index-dir`:
-//! `POST /v1/indexes` builds through the job queue, and
+//! `--k` outside `1..=128` is a usage error (exit 2), as it is a `400`
+//! online. The same artifacts serve online when the daemon runs with
+//! `--index-dir`: `POST /v1/indexes` builds through the job queue, and
 //! `GET /v1/indexes/{id}/match?entity=<iri>` answers from the loaded
 //! artifact (an LRU cache capped at `--index-cache-mib`). Loaded-
 //! then-queried results are bit-identical to a fresh in-memory run.
@@ -132,6 +135,8 @@
 //! `datagen --mutate` emits deterministic seeded delta streams drawn
 //! from a profile — pipe it straight into `index patch --deltas -`.
 
+#![warn(clippy::print_stdout)]
+
 use std::process::exit;
 
 use minoan_baselines::{run_bsl, run_paris, run_sigma, ParisConfig, SigmaConfig};
@@ -141,18 +146,42 @@ use minoan_core::{
 };
 use minoan_datagen::DatasetKind;
 use minoan_eval::MatchQuality;
+use minoan_exec::Executor;
 use minoan_kb::{GroundTruth, Json, KbPair, KnowledgeBase, Matching};
 use minoan_serve::{
     run_batch_streaming, run_server, CancelToken, Frontends, HttpOptions, JobReport, Manifest,
     ServeOptions,
 };
 
+/// Prints one line to stdout: the CLI's one writer (see [`write_line`]).
+macro_rules! outln {
+    ($($arg:tt)*) => {
+        write_line(format_args!($($arg)*))
+    };
+}
+
+/// Writes `line` and a newline to stdout. A reader that closes early
+/// (`minoaner … | head`) is no error: the verb ends there, quietly,
+/// with status 0. Any other write error exits 1.
+fn write_line(line: std::fmt::Arguments) {
+    use std::io::Write as _;
+    let written = writeln!(std::io::stdout().lock(), "{line}");
+    match written {
+        Ok(()) => {}
+        Err(e) if e.kind() == std::io::ErrorKind::BrokenPipe => exit(0),
+        Err(e) => {
+            minoan_obs::error!("cli", "cannot write to stdout: {e}");
+            exit(1);
+        }
+    }
+}
+
 fn usage() -> ! {
     minoan_obs::error!(
         "cli",
         "usage:\n  minoaner match <first> <second> [--method minoaner|bsl|sigma|paris] \
          [--truth pairs.tsv] [--json] [--theta F] [--k N] [--no-purge] \
-         [--executor sequential|pool] [--threads N]\n  \
+         [--executor sequential|pool]\n  \
          minoaner batch --manifest fleet.json [--slots N] \
          [--memory-mib N] [--timeout-ms N] [--max-retries N] [--rss-kill-factor F] \
          [--executor sequential|pool] [--json] [--pairs]\n  \
@@ -165,15 +194,15 @@ fn usage() -> ! {
          [--executor sequential|pool] [--json] [--pairs]\n  \
          minoaner index build <name> --dir <dir> (--dataset restaurant|rexa|bbc|yago \
          [--scale F] [--seed N] | <first> <second>) [--theta F] [--k N] [--no-purge] \
-         [--executor sequential|pool] [--threads N]\n  \
+         [--executor sequential|pool]\n  \
          minoaner index inspect <artifact.idx>\n  \
          minoaner index query <artifact.idx> (--entity iri | --sample) [--k N]\n  \
          minoaner index patch <artifact.idx> --deltas <file.json|-> \
-         [--executor sequential|pool] [--threads N]\n  \
+         [--executor sequential|pool]\n  \
          minoaner datagen <restaurant|rexa|bbc|yago> --mutate [--scale F] [--seed N] \
          [--mutate-seed N] [--ops N]\n  \
          minoaner demo [restaurant|rexa|bbc|yago] [--scale F] [--seed N] \
-         [--executor sequential|pool] [--threads N]\n  \
+         [--executor sequential|pool]\n  \
          minoaner trace <job-id> --connect http-addr:port\n  \
          minoaner stats <kb>\n\
          global: [--log-level error|warn|info|debug]"
@@ -208,25 +237,25 @@ fn or_usage<T>(read: Result<T, FlagError>) -> T {
     read.unwrap_or_else(|_| usage())
 }
 
-/// `--executor` / `--threads` of the single-pair verbs. Like every flag
-/// group, returns whether `flag` was one of its own (and is now read).
-fn executor_flag(config: &mut MinoanConfig, flag: &str, it: &mut Args) -> Result<bool, FlagError> {
+/// `--executor` of the single-pair verbs: the one executor the verb
+/// runs every stage on. Like every flag group, returns whether `flag`
+/// was one of its own (and is now read).
+fn executor_flag(exec: &mut Executor, flag: &str, it: &mut Args) -> Result<bool, FlagError> {
     match flag {
-        "--executor" => config.executor = value(it)?,
-        "--threads" => config.threads = value(it)?,
+        "--executor" => *exec = Executor::new(value(it)?, 0),
         _ => return Ok(false),
     }
     Ok(true)
 }
 
-/// The matching flags `match` and `index build` share: `--theta`, `--k`,
-/// `--no-purge` and the executor pair.
+/// The matching flags `match` and `index build` share: `--theta`, `--k`
+/// and `--no-purge`.
 fn matching_flag(config: &mut MinoanConfig, flag: &str, it: &mut Args) -> Result<bool, FlagError> {
     match flag {
         "--theta" => config.theta = value(it)?,
         "--k" => config.candidates_k = value(it)?,
         "--no-purge" => config.purge_blocks = false,
-        _ => return executor_flag(config, flag, it),
+        _ => return Ok(false),
     }
     Ok(true)
 }
@@ -262,13 +291,14 @@ fn fleet_flag(fleet: &mut FleetArgs, flag: &str, it: &mut Args) -> Result<bool, 
 
 /// Loads a KB by **streaming** the file through the chunked parallel
 /// parser — the shared serving-layer loader
-/// ([`minoan_serve::load_kb_file`]), exit-on-error for the CLI.
-fn load_kb(path: &str, name: &str, config: &MinoanConfig) -> KnowledgeBase {
-    minoan_serve::load_kb_file(std::path::Path::new(path), name, config, &config.executor())
-        .unwrap_or_else(|e| {
-            minoan_obs::error!("cli", "cannot load {path}: {e}");
-            exit(1);
-        })
+/// ([`minoan_serve::load_kb_file`], which ignores its config),
+/// exit-on-error for the CLI.
+fn load_kb(path: &str, name: &str, exec: &Executor) -> KnowledgeBase {
+    let file = std::path::Path::new(path);
+    minoan_serve::load_kb_file(file, name, &MinoanConfig::default(), exec).unwrap_or_else(|e| {
+        minoan_obs::error!("cli", "cannot load {path}: {e}");
+        exit(1);
+    })
 }
 
 /// Loads a ground-truth TSV via the shared serving-layer loader (lines
@@ -313,10 +343,10 @@ fn report(matching: &Matching, pair: &KbPair, truth: Option<&GroundTruth>, json:
                 },
             ),
         ]);
-        println!("{}", out.pretty());
+        outln!("{}", out.pretty());
     } else {
         for (a, b) in matching.iter() {
-            println!(
+            outln!(
                 "{}\t{}",
                 pair.first.entity_uri(a),
                 pair.second.entity_uri(b)
@@ -352,11 +382,12 @@ fn run_method(
     method: &str,
     pair: &KbPair,
     matcher: &MinoanEr,
+    exec: &Executor,
     truth: Option<&GroundTruth>,
 ) -> Matching {
     let config = matcher.config();
     match method {
-        "minoaner" => matcher.run_with(pair, &config.executor()).matching,
+        "minoaner" => matcher.run_with(pair, exec).matching,
         "bsl" => {
             let Some(t) = truth else {
                 minoan_obs::error!(
@@ -365,7 +396,7 @@ fn run_method(
                 );
                 exit(1);
             };
-            let art = build_blocks(pair, config, &config.executor());
+            let art = build_blocks(pair, config, exec);
             run_bsl(
                 &pair.first,
                 &pair.second,
@@ -375,7 +406,7 @@ fn run_method(
             .matching
         }
         "sigma" => {
-            let art = build_blocks(pair, config, &config.executor());
+            let art = build_blocks(pair, config, exec);
             let seeds = unique_name_pairs(&art.name_blocks);
             run_sigma(
                 pair,
@@ -434,15 +465,15 @@ fn print_job_completion(job: &JobReport) {
 /// shared by `batch` and `serve`.
 fn print_fleet_report(report: &minoan_serve::ServeReport, json: bool, pairs: bool) {
     if json {
-        println!("{}", report.to_json(pairs).pretty());
+        outln!("{}", report.to_json(pairs).pretty());
     } else {
         for job in &report.jobs {
             if pairs {
                 for (a, b) in &job.matches {
-                    println!("{}\t{a}\t{b}", job.name);
+                    outln!("{}\t{a}\t{b}", job.name);
                 }
             } else {
-                println!(
+                outln!(
                     "{}\t{}\t{} matches",
                     job.name,
                     job.status.label(),
@@ -470,6 +501,7 @@ fn index_build(args: &[String]) {
     let mut seed = 20180416u64;
     let mut files: Vec<&str> = Vec::new();
     let mut config = MinoanConfig::default();
+    let mut exec = Executor::pool();
     let mut it = args.iter();
     while let Some(a) = it.next() {
         match a.as_str() {
@@ -481,6 +513,7 @@ fn index_build(args: &[String]) {
             "--scale" => scale = or_usage(value(&mut it)),
             "--seed" => seed = or_usage(value(&mut it)),
             flag if or_usage(matching_flag(&mut config, flag, &mut it)) => {}
+            flag if or_usage(executor_flag(&mut exec, flag, &mut it)) => {}
             other if !other.starts_with('-') && name.is_none() => name = Some(other),
             other if !other.starts_with('-') => files.push(other),
             _ => usage(),
@@ -497,18 +530,17 @@ fn index_build(args: &[String]) {
         exit(2);
     }
     let matcher = matcher_or_usage(config);
-    let config = matcher.config();
     let pair = match (dataset, files.as_slice()) {
         (Some(kind), []) => kind.generate_scaled(seed, scale).pair,
         (None, [first, second]) => {
-            KbPair::new(load_kb(first, "E1", config), load_kb(second, "E2", config))
+            KbPair::new(load_kb(first, "E1", &exec), load_kb(second, "E2", &exec))
         }
         _ => usage(),
     };
     let indexed = matcher
-        .run_cancellable_indexed(&pair, &config.executor(), &CancelToken::new())
+        .run_cancellable_indexed(&pair, &exec, &CancelToken::new())
         .expect("no cancellation source in the CLI");
-    let artifact = IndexArtifact::from_run(name, &pair, indexed, config);
+    let artifact = IndexArtifact::from_run(name, &pair, indexed, matcher.config());
     let dir = std::path::Path::new(&dir);
     if let Err(e) = std::fs::create_dir_all(dir) {
         minoan_obs::error!("cli.index", "cannot create {}: {e}", dir.display());
@@ -525,7 +557,7 @@ fn index_build(args: &[String]) {
         file_bytes,
         ..artifact.meta().clone()
     };
-    println!("{}", meta.to_json().pretty());
+    outln!("{}", meta.to_json().pretty());
 }
 
 /// `minoaner index inspect`: print the metadata section without
@@ -536,7 +568,7 @@ fn index_inspect(args: &[String]) {
         minoan_obs::error!("cli.index", "cannot read {path}: {e}");
         exit(1);
     });
-    println!("{}", meta.to_json().pretty());
+    outln!("{}", meta.to_json().pretty());
 }
 
 /// `minoaner index query`: load a persisted artifact and answer one
@@ -557,10 +589,10 @@ fn index_query(args: &[String]) {
         }
     }
     let Some(path) = path else { usage() };
-    if k > MAX_CANDIDATES {
+    if !(1..=MAX_CANDIDATES).contains(&k) {
         minoan_obs::error!(
             "cli.index",
-            "--k must be at most {MAX_CANDIDATES} (the longest row an index persists), got {k}"
+            "--k must be in 1..={MAX_CANDIDATES} (the longest row an index persists), got {k}"
         );
         usage();
     }
@@ -591,7 +623,7 @@ fn index_query(args: &[String]) {
     };
     let query_ms = t1.elapsed().as_secs_f64() * 1e3;
     let body = answer.to_json(&artifact.meta().name, load_ms, query_ms);
-    println!("{}", body.pretty());
+    outln!("{}", body.pretty());
 }
 
 /// `minoaner index patch`: apply a delta stream to a persisted
@@ -600,12 +632,12 @@ fn index_query(args: &[String]) {
 fn index_patch(args: &[String]) {
     let mut path: Option<&str> = None;
     let mut deltas: Option<String> = None;
-    let mut config = MinoanConfig::default();
+    let mut exec = Executor::pool();
     let mut it = args.iter();
     while let Some(a) = it.next() {
         match a.as_str() {
             "--deltas" => deltas = Some(or_usage(value(&mut it))),
-            flag if or_usage(executor_flag(&mut config, flag, &mut it)) => {}
+            flag if or_usage(executor_flag(&mut exec, flag, &mut it)) => {}
             other if !other.starts_with('-') && path.is_none() => path = Some(other),
             _ => usage(),
         }
@@ -644,7 +676,6 @@ fn index_patch(args: &[String]) {
         exit(1);
     });
     let load_ms = t0.elapsed().as_secs_f64() * 1e3;
-    let exec = config.executor();
     let t1 = std::time::Instant::now();
     let delta = artifact
         .apply_delta(&ops, &exec, &CancelToken::new())
@@ -673,7 +704,7 @@ fn index_patch(args: &[String]) {
             Json::obj([("load", Json::num(load_ms)), ("apply", Json::num(apply_ms))]),
         ),
     ]);
-    println!("{}", body.pretty());
+    outln!("{}", body.pretty());
 }
 
 /// `minoaner datagen --mutate`: emit a deterministic seeded delta
@@ -706,7 +737,7 @@ fn datagen_cmd(args: &[String]) {
         exit(2);
     }
     let ops = minoan_datagen::mutate_stream(kind, seed, scale, mutate_seed, n_ops);
-    println!("{}", minoan_kb::delta::ops_to_json(&ops).compact());
+    outln!("{}", minoan_kb::delta::ops_to_json(&ops).compact());
 }
 
 fn main() {
@@ -732,6 +763,7 @@ fn main() {
             let mut truth_path: Option<String> = None;
             let mut json = false;
             let mut config = MinoanConfig::default();
+            let mut exec = Executor::pool();
             let mut it = args[1..].iter();
             while let Some(a) = it.next() {
                 match a.as_str() {
@@ -739,6 +771,7 @@ fn main() {
                     "--truth" => truth_path = Some(or_usage(value(&mut it))),
                     "--json" => json = true,
                     flag if or_usage(matching_flag(&mut config, flag, &mut it)) => {}
+                    flag if or_usage(executor_flag(&mut exec, flag, &mut it)) => {}
                     other if !other.starts_with('-') => positional.push(other),
                     _ => usage(),
                 }
@@ -748,11 +781,11 @@ fn main() {
             }
             let matcher = matcher_or_usage(config);
             let pair = KbPair::new(
-                load_kb(positional[0], "E1", matcher.config()),
-                load_kb(positional[1], "E2", matcher.config()),
+                load_kb(positional[0], "E1", &exec),
+                load_kb(positional[1], "E2", &exec),
             );
             let truth = truth_path.map(|p| load_truth(&p, &pair));
-            let matching = run_method(&method, &pair, &matcher, truth.as_ref());
+            let matching = run_method(&method, &pair, &matcher, &exec, truth.as_ref());
             report(&matching, &pair, truth.as_ref(), json);
         }
         Some("batch") => {
@@ -883,13 +916,13 @@ fn main() {
             let mut kind = DatasetKind::Restaurant;
             let mut scale = 0.3;
             let mut seed = 20180416u64;
-            let mut config = MinoanConfig::default();
+            let mut exec = Executor::pool();
             let mut it = args[1..].iter();
             while let Some(a) = it.next() {
                 match a.as_str() {
                     "--scale" => scale = or_usage(value(&mut it)),
                     "--seed" => seed = or_usage(value(&mut it)),
-                    flag if or_usage(executor_flag(&mut config, flag, &mut it)) => {}
+                    flag if or_usage(executor_flag(&mut exec, flag, &mut it)) => {}
                     name => kind = DatasetKind::parse(name).unwrap_or_else(|| usage()),
                 }
             }
@@ -901,16 +934,10 @@ fn main() {
                 d.pair.first.entity_count(),
                 d.pair.second.entity_count(),
                 d.truth.len(),
-                config.executor,
-                config.executor().threads(),
+                exec.kind(),
+                exec.threads(),
             );
-            let exec = config.executor();
-            let out = MinoanEr::new(config)
-                .unwrap_or_else(|e| {
-                    minoan_obs::error!("cli", "bad config: {e}");
-                    exit(1);
-                })
-                .run_with(&d.pair, &exec);
+            let out = MinoanEr::with_defaults().run_with(&d.pair, &exec);
             let q = MatchQuality::evaluate(&out.matching, &d.truth);
             minoan_obs::info!(
                 "cli.demo",
@@ -931,9 +958,9 @@ fn main() {
         Some("trace") => trace_cmd(&args[1..]),
         Some("stats") => {
             let Some(path) = it.next() else { usage() };
-            let kb = load_kb(path, "KB", &MinoanConfig::default());
+            let kb = load_kb(path, "KB", &Executor::pool());
             let stats = minoan_kb::KbStats::compute(&kb);
-            println!("{}", stats.to_json().pretty());
+            outln!("{}", stats.to_json().pretty());
         }
         _ => usage(),
     }
@@ -985,8 +1012,8 @@ fn trace_cmd(args: &[String]) {
         exit(1);
     }
     match Json::parse(body) {
-        Ok(json) => println!("{}", json.pretty()),
-        Err(_) => println!("{body}"),
+        Ok(json) => outln!("{}", json.pretty()),
+        Err(_) => outln!("{body}"),
     }
 }
 
@@ -1030,15 +1057,10 @@ mod tests {
             (&["--theta", "0.25", "next"], Ok(true), 1),
             (&["--k", "3"], Ok(true), 0),
             (&["--no-purge", "next"], Ok(true), 1),
-            (&["--executor", "sequential"], Ok(true), 0),
-            (&["--threads", "4"], Ok(true), 0),
             (&["--theta"], Err(MissingValue), 0),
-            (&["--threads"], Err(MissingValue), 0),
             (&["--k", "many"], Err(BadValue), 0),
-            (&["--executor", "gpu"], Err(BadValue), 0),
-            (&["--executor", "rayon"], Err(BadValue), 0),
-            (&["--threads", "-1"], Err(BadValue), 0),
             // Not this group's: left for the verb to judge, nothing read.
+            (&["--executor", "sequential"], Ok(false), 1),
             (&["--slots", "2"], Ok(false), 1),
             (&["first.nt", "second.nt"], Ok(false), 1),
         ];
@@ -1051,42 +1073,53 @@ mod tests {
             );
         }
         let mut config = MinoanConfig::default();
-        for words in [
-            &["--theta", "0.25"][..],
-            &["--k", "3"],
-            &["--no-purge"],
-            &["--executor", "seq"],
-            &["--threads", "4"],
-        ] {
+        for words in [&["--theta", "0.25"][..], &["--k", "3"], &["--no-purge"]] {
             read(matching_flag, &mut config, words).0.unwrap();
         }
         let want = MinoanConfig {
             theta: 0.25,
             candidates_k: 3,
             purge_blocks: false,
-            executor: ExecutorKind::Sequential,
-            threads: 4,
             ..MinoanConfig::default()
         };
         assert_eq!(config, want);
     }
 
-    /// `index patch` and `demo` take the executor pair only: a matching
-    /// parameter there must stay an unknown flag.
+    /// `--executor` is the executor group's only flag: a matching
+    /// parameter stays an unknown flag there, and so does `--threads`,
+    /// which no verb takes (usage, exit 2).
     #[test]
-    fn executor_flags_do_not_read_matching_parameters() {
-        let mut config = MinoanConfig::default();
-        for words in [&["--theta", "0.25"][..], &["--k", "3"], &["--no-purge"]] {
+    fn executor_flags_table() {
+        use FlagError::{BadValue, MissingValue};
+        let table: &[(&[&str], Result<bool, FlagError>, usize)] = &[
+            (&["--executor", "sequential", "next"], Ok(true), 1),
+            (&["--executor", "pool"], Ok(true), 0),
+            (&["--executor"], Err(MissingValue), 0),
+            (&["--executor", "gpu"], Err(BadValue), 0),
+            (&["--executor", "rayon"], Err(BadValue), 0),
+            (&["--theta", "0.25"], Ok(false), 1),
+            (&["--k", "3"], Ok(false), 1),
+            (&["--no-purge"], Ok(false), 0),
+            (&["--threads", "4"], Ok(false), 1),
+        ];
+        for (words, outcome, left) in table {
+            let mut exec = Executor::pool();
             assert_eq!(
-                read(executor_flag, &mut config, words),
-                (Ok(false), words.len() - 1)
+                read(executor_flag, &mut exec, words),
+                (*outcome, *left),
+                "{words:?}"
             );
         }
-        assert_eq!(
-            read(executor_flag, &mut config, &["--threads", "2"]),
-            (Ok(true), 0)
-        );
-        assert_eq!(config.threads, 2);
+        let mut exec = Executor::pool();
+        read(executor_flag, &mut exec, &["--executor", "seq"])
+            .0
+            .unwrap();
+        assert_eq!(exec.kind(), ExecutorKind::Sequential);
+        read(executor_flag, &mut exec, &["--executor", "pool"])
+            .0
+            .unwrap();
+        assert_eq!(exec.kind(), ExecutorKind::Pool);
+        assert_eq!(exec.threads(), Executor::pool().threads());
     }
 
     #[test]

@@ -2,28 +2,13 @@
 //! verb prints a job's span trees, one per attempt, and exits 1 on an
 //! unknown id. Also pins that the fleet verbs take no `--threads`.
 
-use std::io::{Read, Write};
-use std::net::{SocketAddr, TcpListener, TcpStream};
 use std::process::Command;
 
 use minoan_kb::Json;
-use minoan_serve::{run_server, Frontends, ServeOptions};
+use minoan_serve::ServeOptions;
 
-/// One request on a fresh connection; returns the status and the body.
-fn http(addr: SocketAddr, method: &str, path: &str, body: &str) -> (u16, String) {
-    let mut stream = TcpStream::connect(addr).expect("connect to the daemon");
-    let request = format!(
-        "{method} {path} HTTP/1.1\r\nHost: {addr}\r\nConnection: close\r\n\
-         Content-Type: application/json\r\nContent-Length: {}\r\n\r\n{body}",
-        body.len()
-    );
-    stream.write_all(request.as_bytes()).unwrap();
-    let mut response = String::new();
-    stream.read_to_string(&mut response).unwrap();
-    let status = response.split(' ').nth(1).unwrap().parse().unwrap();
-    let (_, body) = response.split_once("\r\n\r\n").unwrap();
-    (status, body.to_string())
-}
+mod common;
+use common::{http, with_daemon};
 
 fn minoaner(args: &[&str]) -> std::process::Output {
     Command::new(env!("CARGO_BIN_EXE_minoaner"))
@@ -35,16 +20,7 @@ fn minoaner(args: &[&str]) -> std::process::Output {
 
 #[test]
 fn trace_prints_one_span_tree_per_attempt_over_http() {
-    let listener = TcpListener::bind("127.0.0.1:0").unwrap();
-    let addr = listener.local_addr().unwrap();
-    let frontends = Frontends {
-        http: Some(listener),
-        ..Frontends::default()
-    };
-    let opts = ServeOptions::default();
-    std::thread::scope(|scope| {
-        let daemon = scope.spawn(|| run_server(frontends, &opts, |_| {}));
-
+    with_daemon(ServeOptions::default(), |addr| {
         let job = r#"{"name":"r","dataset":"restaurant","scale":0.05}"#;
         let (status, body) = http(addr, "POST", "/v1/jobs", job);
         assert_eq!(status, 201, "{body}");
@@ -74,10 +50,6 @@ fn trace_prints_one_span_tree_per_attempt_over_http() {
         let out = minoaner(&["trace", "99", "--connect", &connect]);
         assert_eq!(out.status.code(), Some(1), "{out:?}");
         assert!(out.stdout.is_empty(), "{out:?}");
-
-        let (status, _) = http(addr, "POST", "/v1/shutdown", r#"{"mode":"drain"}"#);
-        assert_eq!(status, 200);
-        daemon.join().unwrap().unwrap();
     });
 }
 

@@ -980,4 +980,39 @@ mod tests {
             std::fs::remove_file(&path).unwrap();
         }
     }
+
+    /// A file written while the config still carried three execution
+    /// settings (here the default of that time, byte for byte) opens to
+    /// the same parameters and answers every query as a file written
+    /// today; those settings never decided a result.
+    #[test]
+    fn artifacts_persisted_with_execution_settings_still_open() {
+        const OLD_DEFAULT: &str = r#"{"name_attrs_k":2,"candidates_k":15,"top_relations_n":3,"theta":0.6,"purge_blocks":true,"purge_smoothing":1.025,"max_top_neighbors":32,"executor":"pool","threads":0,"ingest_chunk_kib":1024}"#;
+        let pair = sample_pair();
+        let (mut artifact, _) = build_artifact(&pair);
+        let path = temp_path("oldconfig");
+        artifact.write_to(&path).unwrap();
+        let current = IndexArtifact::read_from(&path).unwrap();
+        artifact.meta.config_json = OLD_DEFAULT.to_string();
+        artifact.write_to(&path).unwrap();
+        let old = IndexArtifact::read_from(&path).unwrap();
+        std::fs::remove_file(&path).unwrap();
+        assert_eq!(old.config, current.config);
+        assert_eq!(old.config, MinoanConfig::default());
+        let answer = |a: &IndexArtifact, uri: &str| {
+            a.match_query(uri, MAX_CANDIDATES)
+                .map(|m| m.to_json("sample", 0.0, 0.0).compact())
+        };
+        for kb in [&pair.first, &pair.second] {
+            for e in 0..kb.entity_count() as u32 {
+                let uri = kb.entity_uri(EntityId(e));
+                assert_eq!(answer(&old, uri), answer(&current, uri), "{uri}");
+            }
+        }
+        // A patch persists the config as a build does today.
+        let mut old = old;
+        old.apply_delta(&[], &Executor::sequential(), &CancelToken::new())
+            .unwrap();
+        assert_eq!(old.meta.config_json, current.meta.config_json);
+    }
 }

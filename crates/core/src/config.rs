@@ -1,6 +1,6 @@
 //! Pipeline configuration.
 
-use minoan_exec::{Executor, ExecutorKind};
+use minoan_exec::Executor;
 use minoan_kb::Json;
 
 use crate::MAX_CANDIDATES;
@@ -8,8 +8,9 @@ use crate::MAX_CANDIDATES;
 /// Configuration of the MinoanER matching pipeline.
 ///
 /// The defaults are the paper's robust setting (§IV): `K=15`, `N=3`,
-/// `k=2`, `θ=0.6`, with Block Purging enabled, running on the parallel
-/// executor with all available threads.
+/// `k=2`, `θ=0.6`, with Block Purging enabled. It holds only what
+/// decides the result: which executor runs a stage is an argument of
+/// each pipeline call, and every result is bit-identical on any.
 #[derive(Debug, Clone, PartialEq)]
 pub struct MinoanConfig {
     /// `k`: number of most distinctive attributes per KB whose literal
@@ -34,18 +35,6 @@ pub struct MinoanConfig {
     /// set unbounded; the cap only guards against pathological hubs and
     /// is high enough to be inactive on the benchmark profiles.
     pub max_top_neighbors: usize,
-    /// Which executor backend runs the hot stages (parsing, tokenizing,
-    /// blocking, similarity indexing, matching). Results are
-    /// bit-identical across backends.
-    pub executor: ExecutorKind,
-    /// Each pool wave's minimum task count (`0` = the core count). The
-    /// pool itself always runs `available_parallelism()` workers; to
-    /// run on fewer cores, limit the process's CPU affinity.
-    pub threads: usize,
-    /// Per-worker chunk size (KiB) of the streaming file parsers; the
-    /// reader keeps roughly `ingest_chunk_kib × threads` KiB resident
-    /// instead of the whole file.
-    pub ingest_chunk_kib: usize,
 }
 
 impl Default for MinoanConfig {
@@ -58,9 +47,6 @@ impl Default for MinoanConfig {
             purge_blocks: true,
             purge_smoothing: minoan_blocking::DEFAULT_SMOOTHING,
             max_top_neighbors: 32,
-            executor: ExecutorKind::Pool,
-            threads: 0,
-            ingest_chunk_kib: minoan_kb::parse::DEFAULT_CHUNK_BYTES >> 10,
         }
     }
 }
@@ -93,22 +79,21 @@ impl MinoanConfig {
         if self.max_top_neighbors == 0 {
             return Err("max_top_neighbors must be at least 1".into());
         }
-        if self.ingest_chunk_kib == 0 {
-            return Err("ingest_chunk_kib must be at least 1".into());
-        }
         Ok(())
     }
 
-    /// The executor the pipeline stages run on.
+    /// The default executor, [`Executor::pool`]. Kept only because the
+    /// benchmark harness (`spine/`) calls it; ROADMAP item 1A(c) retires
+    /// it. Program code passes its executor to each pipeline call.
     pub fn executor(&self) -> Executor {
-        Executor::new(self.executor, self.threads)
+        Executor::pool()
     }
 
-    /// Streaming-parser options derived from [`MinoanConfig::ingest_chunk_kib`].
+    /// The default streaming-parser options. Kept only because the
+    /// benchmark harness (`spine/`) calls it; ROADMAP item 1A(c) retires
+    /// it.
     pub fn stream_options(&self) -> minoan_kb::parse::StreamOptions {
-        minoan_kb::parse::StreamOptions {
-            chunk_bytes: self.ingest_chunk_kib.max(1) << 10,
-        }
+        minoan_kb::parse::StreamOptions::default()
     }
 
     /// Serializes the configuration as a JSON object.
@@ -124,14 +109,14 @@ impl MinoanConfig {
                 "max_top_neighbors",
                 Json::num(self.max_top_neighbors as f64),
             ),
-            ("executor", Json::str(self.executor.name())),
-            ("threads", Json::num(self.threads as f64)),
-            ("ingest_chunk_kib", Json::num(self.ingest_chunk_kib as f64)),
         ])
     }
 
     /// Deserializes a configuration from [`MinoanConfig::to_json`]
-    /// output. Missing fields keep their defaults; unknown fields error.
+    /// output. Missing fields keep their defaults; unknown fields error,
+    /// except the three execution settings older files persist
+    /// (`executor`, `threads`, `ingest_chunk_kib`), which never decided
+    /// a result and are skipped.
     pub fn from_json(json: &Json) -> Result<Self, String> {
         let Json::Obj(fields) = json else {
             return Err("config must be a JSON object".into());
@@ -149,11 +134,9 @@ impl MinoanConfig {
                 "max_top_neighbors" => {
                     config.max_top_neighbors = value.as_usize().ok_or_else(bad)?
                 }
-                "executor" => {
-                    config.executor = value.as_str().ok_or_else(bad)?.parse()?;
-                }
-                "threads" => config.threads = value.as_usize().ok_or_else(bad)?,
-                "ingest_chunk_kib" => config.ingest_chunk_kib = value.as_usize().ok_or_else(bad)?,
+                // How an older file's run executed, never what it
+                // computed.
+                "executor" | "threads" | "ingest_chunk_kib" => {}
                 other => return Err(format!("unknown config field {other:?}")),
             }
         }
@@ -173,9 +156,11 @@ mod tests {
         assert_eq!(c.top_relations_n, 3);
         assert!((c.theta - 0.6).abs() < 1e-12);
         assert!(c.purge_blocks);
-        assert_eq!(c.executor, ExecutorKind::Pool);
-        assert_eq!(c.threads, 0, "all available threads by default");
         assert!(c.validate().is_ok());
+        let Json::Obj(fields) = c.to_json() else {
+            panic!("config serializes as an object")
+        };
+        assert_eq!(fields.len(), 7, "the seven §IV parameters only");
     }
 
     #[test]
@@ -211,7 +196,7 @@ mod tests {
                 ..default()
             },
             MinoanConfig {
-                ingest_chunk_kib: 0,
+                max_top_neighbors: 0,
                 ..default()
             },
         ] {
@@ -228,8 +213,7 @@ mod tests {
     fn config_serializes_round_trip() {
         let c = MinoanConfig {
             theta: 0.37,
-            executor: ExecutorKind::Sequential,
-            threads: 4,
+            candidates_k: 4,
             purge_blocks: false,
             ..MinoanConfig::default()
         };
@@ -238,27 +222,43 @@ mod tests {
         assert_eq!(c, back);
     }
 
+    /// The execution settings older files persist are skipped whatever
+    /// their values (see also the artifact test that opens the old
+    /// default byte for byte).
+    #[test]
+    fn from_json_skips_the_retired_execution_settings() {
+        let odd = r#"{"theta":0.4,"executor":"sequential","threads":7,"ingest_chunk_kib":0}"#;
+        let back = MinoanConfig::from_json(&Json::parse(odd).unwrap()).unwrap();
+        assert_eq!(
+            back,
+            MinoanConfig {
+                theta: 0.4,
+                ..MinoanConfig::default()
+            }
+        );
+    }
+
     #[test]
     fn from_json_rejects_unknown_fields_and_bad_values() {
         let bad = Json::parse(r#"{"no_such_knob": 1}"#).unwrap();
         assert!(MinoanConfig::from_json(&bad).is_err());
         let bad = Json::parse(r#"{"candidates_k": -3}"#).unwrap();
         assert!(MinoanConfig::from_json(&bad).is_err());
-        for executor in ["gpu", "rayon"] {
-            let bad = Json::parse(&format!(r#"{{"executor": "{executor}"}}"#)).unwrap();
-            assert!(MinoanConfig::from_json(&bad).is_err(), "{executor}");
-        }
     }
 
+    /// The two methods the benchmark harness pins answer the defaults,
+    /// whatever the parameters.
     #[test]
-    fn executor_instance_follows_config() {
-        let mut c = MinoanConfig {
-            executor: ExecutorKind::Sequential,
+    fn pinned_methods_answer_the_defaults() {
+        let c = MinoanConfig {
+            candidates_k: 3,
             ..MinoanConfig::default()
         };
-        assert_eq!(c.executor().threads(), 1);
-        c.executor = ExecutorKind::Pool;
-        c.threads = 7;
-        assert_eq!(c.executor().threads(), 7);
+        assert_eq!(c.executor().kind(), Executor::pool().kind());
+        assert_eq!(c.executor().threads(), Executor::pool().threads());
+        assert_eq!(
+            c.stream_options().chunk_bytes,
+            minoan_kb::parse::DEFAULT_CHUNK_BYTES
+        );
     }
 }

@@ -95,7 +95,7 @@ impl IndexArtifact {
         self.meta = ArtifactMeta::of_run(
             std::mem::take(&mut self.meta.name),
             self.meta.content_version + 1,
-            std::mem::take(&mut self.meta.config_json),
+            self.config.to_json().compact(),
             &self.pair,
             &indexed,
         );

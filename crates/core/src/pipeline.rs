@@ -174,9 +174,8 @@ pub(crate) fn stage_span(name: &'static str) -> minoan_obs::trace::Span {
 /// running tokenization, name extraction, name blocking, token blocking
 /// and purging on `exec`. The serving layer schedules many concurrent
 /// pipeline runs and owns the thread policy (how many workers each job
-/// gets), so the executor is borrowed and the executor fields of
-/// `config` are ignored. A cancel token on `exec` stops the build at
-/// its next wave (see [`minoan_exec::cancel`]).
+/// gets), so the executor is borrowed. A cancel token on `exec` stops
+/// the build at its next wave (see [`minoan_exec::cancel`]).
 pub fn build_blocks(pair: &KbPair, config: &MinoanConfig, exec: &Executor) -> BlockingArtifacts {
     build_blocks_timed(pair, config, exec, &mut Timings::default())
 }
@@ -316,10 +315,10 @@ impl MinoanEr {
     }
 
     /// Resolves `pair` on `exec`, returning the matching and a stage
-    /// report. The executor is borrowed rather than built from the
-    /// config: the serving layer runs many jobs in one process, each
-    /// handed an executor sized by the fleet scheduler, while the
-    /// matching parameters still come from this matcher's config.
+    /// report. The executor is borrowed: the serving layer runs many
+    /// jobs in one process, each handed an executor sized by the fleet
+    /// scheduler, while the matching parameters come from this
+    /// matcher's config.
     /// Results are bit-identical across executors and thread counts.
     ///
     /// A cancel token on `exec` is observed at every wave start and,
@@ -401,11 +400,12 @@ impl MinoanEr {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use minoan_exec::ExecutorKind;
     use minoan_kb::KbBuilder;
 
-    /// Runs `matcher` on the executor its config selects.
+    /// Runs `matcher` on the pool executor.
     fn run(matcher: MinoanEr, pair: &KbPair) -> MatchOutput {
-        matcher.run_with(pair, &matcher.config().executor())
+        matcher.run_with(pair, &Executor::pool())
     }
 
     /// Two restaurant-style KBs with names, values and an address
@@ -569,18 +569,10 @@ mod tests {
     #[test]
     fn sequential_and_parallel_executors_agree() {
         let pair = restaurant_pair();
-        let seq_cfg = MinoanConfig {
-            executor: minoan_exec::ExecutorKind::Sequential,
-            ..MinoanConfig::default()
-        };
-        let seq = run(MinoanEr::new(seq_cfg).unwrap(), &pair);
+        let matcher = MinoanEr::with_defaults();
+        let seq = matcher.run_with(&pair, &Executor::sequential());
         for threads in [2, 5] {
-            let par_cfg = MinoanConfig {
-                executor: minoan_exec::ExecutorKind::Pool,
-                threads,
-                ..MinoanConfig::default()
-            };
-            let par = run(MinoanEr::new(par_cfg).unwrap(), &pair);
+            let par = matcher.run_with(&pair, &Executor::new(ExecutorKind::Pool, threads));
             assert_eq!(
                 seq.matching.iter().collect::<Vec<_>>(),
                 par.matching.iter().collect::<Vec<_>>(),

@@ -836,6 +836,65 @@ mod tests {
         assert!(large.pair.second.entity_count() > 2 * small.pair.second.entity_count());
     }
 
+    /// 64-bit FNV-1a: a digest that does not depend on the toolchain.
+    fn fnv1a(bytes: &[u8]) -> u64 {
+        bytes.iter().fold(0xcbf2_9ce4_8422_2325, |h, &b| {
+            (h ^ u64::from(b)).wrapping_mul(0x0100_0000_01b3)
+        })
+    }
+
+    /// Every generated byte, pinned: FNV-1a of each side's N-Triples and
+    /// of the ground truth's URI pairs, per profile in
+    /// [`DatasetKind::ALL`] order at seed 20180416, ×0.25. Any change to
+    /// the random draws or to the rendering moves one of these, and with
+    /// it the input of every fingerprint downstream.
+    const RENDERED: [[u64; 3]; 4] = [
+        [
+            0xa80a_a6ce_aeae_840b,
+            0xb75c_edb6_a658_0f45,
+            0x3a30_d929_29b5_a10d,
+        ],
+        [
+            0xb4aa_3f3e_56fd_3c3d,
+            0xdf25_a961_0dbc_61d9,
+            0x3031_6850_400d_c96a,
+        ],
+        [
+            0xfb4d_394f_50e0_b2bf,
+            0x374c_6a99_909b_224a,
+            0x0622_d7fb_2dfa_7599,
+        ],
+        [
+            0x6190_983c_209d_d053,
+            0x7996_4131_4072_5a2f,
+            0x9b06_1628_8a49_d90a,
+        ],
+    ];
+
+    #[test]
+    fn rendered_profiles_are_pinned() {
+        let got: Vec<[u64; 3]> = DatasetKind::ALL
+            .into_iter()
+            .map(|kind| {
+                let d = kind.generate_scaled(20180416, 0.25);
+                let truth: String = d
+                    .truth
+                    .iter()
+                    .map(|(a, b)| {
+                        let (a, b) = (d.pair.first.entity_uri(a), d.pair.second.entity_uri(b));
+                        format!("{a}\t{b}\n")
+                    })
+                    .collect();
+                [
+                    fnv1a(minoan_kb::parse::to_ntriples(&d.pair.first).as_bytes()),
+                    fnv1a(minoan_kb::parse::to_ntriples(&d.pair.second).as_bytes()),
+                    fnv1a(truth.as_bytes()),
+                ]
+            })
+            .collect();
+        assert_eq!(got, RENDERED, "{got:#018x?}");
+    }
+
     #[test]
     #[should_panic(expected = "scale must be positive")]
     fn zero_scale_panics() {

@@ -197,8 +197,7 @@ impl World {
         spec: &ClassSpec,
         pools: &TokenPools,
     ) -> usize {
-        let name_pool = pools.rare.clone();
-        self.add_entity_with_name_pool(rng, class, presence, spec, &name_pool, pools)
+        self.add_entity_with_name_pool(rng, class, presence, spec, &pools.rare, pools)
     }
 
     /// Adds an entity whose name tokens come from `name_pool`.

@@ -94,10 +94,10 @@ impl FromStr for ExecutorKind {
     }
 }
 
-/// Hard cap on [`Executor::threads`], so an absurd `--threads` request
-/// cannot translate into an absurd partition count. (The pool never
-/// spawns past `available_parallelism()`; the thread budget is only a
-/// partition hint.)
+/// Hard cap on [`Executor::threads`], so an absurd thread hint passed
+/// to [`Executor::new`] cannot translate into an absurd partition
+/// count. (The pool never spawns past `available_parallelism()`; the
+/// thread budget is only a partition hint.)
 pub const MAX_THREADS: usize = 256;
 
 /// Upper bound on items per pool task: [`ExecutorKind::Pool`] waves over

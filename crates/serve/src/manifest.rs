@@ -166,11 +166,10 @@ impl JobSpec {
         Ok(())
     }
 
-    /// The matching configuration for this job: `base` with this job's
-    /// overrides applied. Executor fields of `base` are irrelevant — the
-    /// scheduler hands the pipeline an executor directly.
-    pub fn config(&self, base: &MinoanConfig) -> MinoanConfig {
-        let mut config = base.clone();
+    /// The matching configuration for this job: the paper's defaults
+    /// with this job's overrides applied.
+    pub fn config(&self) -> MinoanConfig {
+        let mut config = MinoanConfig::default();
         if let Some(theta) = self.theta {
             config.theta = theta;
         }
@@ -470,10 +469,13 @@ mod tests {
     #[test]
     fn overrides_apply_to_config() {
         let m = Manifest::parse_json(JSON).unwrap();
-        let base = MinoanConfig::default();
-        let c0 = m.jobs[0].config(&base);
-        assert_eq!(c0.theta, base.theta, "no override keeps the base");
-        let c1 = m.jobs[1].config(&base);
+        let c0 = m.jobs[0].config();
+        assert_eq!(
+            c0,
+            MinoanConfig::default(),
+            "no override keeps the defaults"
+        );
+        let c1 = m.jobs[1].config();
         assert_eq!(c1.theta, 0.5);
         assert_eq!(c1.candidates_k, 9);
         assert!(!c1.purge_blocks);

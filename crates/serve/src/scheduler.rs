@@ -118,8 +118,6 @@ pub struct ServeOptions {
     pub memory_budget_mib: Option<usize>,
     /// Executor backend every job runs on.
     pub executor: ExecutorKind,
-    /// Matching defaults; per-job overrides apply on top.
-    pub base: MinoanConfig,
     /// Fleet default per-job deadline in ms (`Some(0)` = explicitly no
     /// deadline; `None` defers to the manifest's `timeout_ms`).
     pub timeout_ms: Option<u64>,
@@ -152,7 +150,6 @@ impl Default for ServeOptions {
             slots: None,
             memory_budget_mib: None,
             executor: ExecutorKind::Pool,
-            base: MinoanConfig::default(),
             timeout_ms: None,
             max_retries: None,
             rss_kill_factor: None,
@@ -1371,8 +1368,8 @@ fn run_job(
     // pipeline observes it, and this is the boundary its unwind is
     // caught at.
     let exec = Executor::new(opts.executor, threads).with_cancel(cancel.clone());
-    let outcome = catch_unwind(AssertUnwindSafe(|| execute(spec, opts, &exec, cancel)))
-        .unwrap_or_else(|panic| {
+    let outcome =
+        catch_unwind(AssertUnwindSafe(|| execute(spec, &exec, cancel))).unwrap_or_else(|panic| {
             // A cancelled wave is a cancellation, not a failure.
             if panic.downcast_ref::<Cancelled>().is_some() {
                 return Err(JobEnd::Cancelled);
@@ -1436,12 +1433,7 @@ fn run_job(
 
 /// Loads the job's inputs and resolves the pair on `exec`, which carries
 /// `cancel`.
-fn execute(
-    spec: &JobSpec,
-    opts: &ServeOptions,
-    exec: &Executor,
-    cancel: &CancelToken,
-) -> Result<JobReport, JobEnd> {
+fn execute(spec: &JobSpec, exec: &Executor, cancel: &CancelToken) -> Result<JobReport, JobEnd> {
     // Named fault site for chaos tests: an injected I/O error here is a
     // transient infrastructure failure, retried under the job's budget.
     minoan_exec::faults::point("serve.job.execute")
@@ -1449,10 +1441,9 @@ fn execute(
     if let JobInput::IndexPatch { path, ops, .. } = &spec.input {
         return execute_patch(spec, path, ops, exec, cancel);
     }
-    let config = spec.config(&opts.base);
     let matcher =
-        MinoanEr::new(config.clone()).map_err(|e| JobEnd::permanent(format!("bad config: {e}")))?;
-    let (pair, truth) = load_input(spec, &config, exec)?;
+        MinoanEr::new(spec.config()).map_err(|e| JobEnd::permanent(format!("bad config: {e}")))?;
+    let (pair, truth) = load_input(spec, matcher.config(), exec)?;
     let indexed = matcher
         .run_cancellable_indexed(&pair, exec, cancel)
         .map_err(|Cancelled| JobEnd::Cancelled)?;
@@ -1586,10 +1577,13 @@ fn load_input(
 /// [`StreamError::Io`](parse::StreamError::Io), which the supervisor
 /// retries, where bad input is permanent. A caller that only reports
 /// the failure can `?` it into a `String`.
+///
+/// `_config` is unused: the benchmark harness (`spine/`) pins this
+/// signature, and ROADMAP item 1A(c) retires the parameter.
 pub fn load_kb_file(
     path: &std::path::Path,
     name: &str,
-    config: &MinoanConfig,
+    _config: &MinoanConfig,
     exec: &Executor,
 ) -> Result<minoan_kb::KnowledgeBase, parse::StreamError> {
     let file = std::fs::File::open(path).map_err(|e| {
@@ -1598,7 +1592,7 @@ pub fn load_kb_file(
             message: format!("open error: {e}"),
         })
     })?;
-    let opts = config.stream_options();
+    let opts = parse::StreamOptions::default();
     let is_nt = path
         .extension()
         .is_some_and(|e| e.eq_ignore_ascii_case("nt") || e.eq_ignore_ascii_case("ntriples"));

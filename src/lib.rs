@@ -68,11 +68,12 @@
 //! partials merge in part/chunk order, dictionaries merge in first-seen
 //! order, and ties break by entity id.
 //!
-//! The executor is selected per run through
-//! [`core::MinoanConfig::executor`] (and `--executor` / `--threads` on
-//! the CLI); the default is the parallel backend on all cores. The CLI
-//! streams input files through the chunked parsers with
-//! [`core::MinoanConfig::ingest_chunk_kib`]-sized worker chunks.
+//! Every pipeline call takes the executor it runs on as an argument
+//! ([`exec::Executor::pool`], the parallel backend on all cores, or
+//! [`exec::Executor::sequential`]; `--executor` on the CLI), so
+//! [`core::MinoanConfig`] holds only the paper's parameters. The CLI
+//! streams input files through the chunked parsers in
+//! [`kb::parse::DEFAULT_CHUNK_BYTES`]-sized worker chunks.
 //!
 //! ```
 //! use minoaner::core::MinoanEr;

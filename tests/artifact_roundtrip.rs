@@ -21,9 +21,8 @@ use common::{with_server, Raw, ScratchDir};
 fn build_artifact(kind: DatasetKind, scale: f64) -> IndexArtifact {
     let d = kind.generate_scaled(20180416, scale);
     let matcher = MinoanEr::with_defaults();
-    let exec = matcher.config().executor();
     let indexed = matcher
-        .run_cancellable_indexed(&d.pair, &exec, &CancelToken::new())
+        .run_cancellable_indexed(&d.pair, &Executor::pool(), &CancelToken::new())
         .expect("nothing cancels this run");
     IndexArtifact::from_run(kind.name(), &d.pair, indexed, matcher.config())
 }

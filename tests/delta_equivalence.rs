@@ -11,7 +11,7 @@
 //! This is the contract that makes `PATCH /v1/indexes/{id}` a rebuild
 //! in every respect but where its input comes from.
 
-use minoaner::core::{IndexArtifact, MinoanConfig, MinoanEr};
+use minoaner::core::{IndexArtifact, MinoanEr};
 use minoaner::datagen::{mutate_stream, DatasetKind};
 use minoaner::exec::{CancelToken, Executor, ExecutorKind};
 use minoaner::kb::{DeltaOp, KbPair, KbSide, Object};
@@ -28,15 +28,6 @@ const CHAIN_OPS: usize = 10;
 
 const BACKENDS: [(ExecutorKind, usize); 2] =
     [(ExecutorKind::Sequential, 1), (ExecutorKind::Pool, 3)];
-
-fn executor_for(kind: ExecutorKind, threads: usize) -> Executor {
-    MinoanConfig {
-        executor: kind,
-        threads,
-        ..MinoanConfig::default()
-    }
-    .executor()
-}
 
 fn build_artifact(pair: &KbPair, exec: &Executor) -> IndexArtifact {
     let matcher = MinoanEr::with_defaults();
@@ -86,7 +77,7 @@ fn incremental_patches_match_a_rebuild_on_every_profile_and_backend() {
         let ops = mutate_stream(kind, SEED, SCALE, MUTATE_SEED, N_OPS);
         assert!(ops.len() >= 50, "{kind:?}: stream too short");
         for (backend, threads) in BACKENDS {
-            let exec = executor_for(backend, threads);
+            let exec = Executor::new(backend, threads);
             let mut artifact = build_artifact(&pair, &exec);
             let report = artifact
                 .apply_delta(&ops, &exec, &CancelToken::new())
@@ -113,7 +104,7 @@ fn chunked_patches_converge_to_the_same_artifact() {
     let kind = DatasetKind::Restaurant;
     let pair = kind.generate_scaled(SEED, SCALE).pair;
     let ops = mutate_stream(kind, SEED, SCALE, MUTATE_SEED, N_OPS);
-    let exec = executor_for(ExecutorKind::Sequential, 1);
+    let exec = Executor::sequential();
 
     let mut one_shot = build_artifact(&pair, &exec);
     one_shot
@@ -138,7 +129,7 @@ fn persisted_patch_round_trips() {
     let kind = DatasetKind::Restaurant;
     let pair = kind.generate_scaled(SEED, SCALE).pair;
     let ops = mutate_stream(kind, SEED, SCALE, MUTATE_SEED, N_OPS);
-    let exec = executor_for(ExecutorKind::Sequential, 1);
+    let exec = Executor::sequential();
 
     let dir = std::env::temp_dir().join(format!("minoan-delta-eq-{}", std::process::id()));
     std::fs::create_dir_all(&dir).unwrap();
@@ -164,7 +155,7 @@ fn persisted_patch_round_trips() {
 /// next one, as a serving process does.
 #[test]
 fn a_patch_chain_through_disk_matches_one_rebuild_on_every_profile() {
-    let exec = executor_for(ExecutorKind::Pool, 3);
+    let exec = Executor::new(ExecutorKind::Pool, 3);
     let dir = std::env::temp_dir().join(format!("minoan-delta-chain-{}", std::process::id()));
     std::fs::create_dir_all(&dir).unwrap();
     let path = dir.join("chain.idx");

@@ -18,29 +18,20 @@ use minoaner::text::TokenizedPair;
 const SEED: u64 = 20180416;
 const SCALE: f64 = 0.1;
 const THREAD_COUNTS: [usize; 3] = [2, 3, 7];
-fn config_with(kind: ExecutorKind, threads: usize) -> MinoanConfig {
-    MinoanConfig {
-        executor: kind,
-        threads,
-        ..MinoanConfig::default()
-    }
-}
-
-/// Resolves `pair` on the executor `config` selects.
-fn run(config: MinoanConfig, pair: &KbPair) -> MatchOutput {
-    let exec = config.executor();
-    MinoanEr::new(config).unwrap().run_with(pair, &exec)
+/// Resolves `pair` with the paper's default parameters on `exec`.
+fn run(exec: &Executor, pair: &KbPair) -> MatchOutput {
+    MinoanEr::with_defaults().run_with(pair, exec)
 }
 
 #[test]
 fn matchings_are_bit_identical_on_every_profile() {
     for kind in DatasetKind::ALL {
         let d = kind.generate_scaled(SEED, SCALE);
-        let seq = run(config_with(ExecutorKind::Sequential, 1), &d.pair);
+        let seq = run(&Executor::sequential(), &d.pair);
         let seq_pairs: Vec<_> = seq.matching.iter().collect();
         assert!(!seq_pairs.is_empty(), "{}: empty matching", d.name);
         for threads in THREAD_COUNTS {
-            let par = run(config_with(ExecutorKind::Pool, threads), &d.pair);
+            let par = run(&Executor::new(ExecutorKind::Pool, threads), &d.pair);
             let par_pairs: Vec<_> = par.matching.iter().collect();
             assert_eq!(
                 seq_pairs, par_pairs,
@@ -186,7 +177,7 @@ fn candidate_orderings_are_bit_identical_on_every_profile() {
     for ((kind, golden), long) in profiles.zip(LONG_ROWS) {
         let d = kind.generate_scaled(SEED, SCALE);
         let config = MinoanConfig::default();
-        let art = build_blocks(&d.pair, &config, &config.executor());
+        let art = build_blocks(&d.pair, &config, &Executor::pool());
         let counts = [KbSide::First, KbSide::Second].map(|side| art.tokens.entity_count(side));
         let tn1 = top_neighbors_with(
             &d.pair.first,
@@ -213,7 +204,7 @@ fn candidate_orderings_are_bit_identical_on_every_profile() {
             "{}: rows longer than MAX_CANDIDATES (value, neighbor; first side, then second)",
             d.name
         );
-        let seq_matching = run(config_with(ExecutorKind::Sequential, 1), &d.pair).matching;
+        let seq_matching = run(&Executor::sequential(), &d.pair).matching;
         assert_eq!(
             fingerprints(&seq, counts, &seq_matching),
             golden,
@@ -244,7 +235,7 @@ fn candidate_orderings_are_bit_identical_on_every_profile() {
                     );
                 }
             }
-            let par_matching = run(config_with(ExecutorKind::Pool, threads), &d.pair).matching;
+            let par_matching = run(&Executor::new(ExecutorKind::Pool, threads), &d.pair).matching;
             assert_eq!(
                 fingerprints(&par, counts, &par_matching),
                 golden,
@@ -397,7 +388,7 @@ fn first_side_larger_cuts_its_rows_after_their_last_whole_read() {
         } else {
             ExecutorKind::Pool
         };
-        let matching = run(config_with(kind, threads), &pair).matching;
+        let matching = run(&Executor::new(kind, threads), &pair).matching;
         assert_eq!(
             matching_fingerprint(&matching),
             SWAPPED_BBC_MATCHING,
@@ -439,7 +430,7 @@ fn blocking_artifacts_are_identical_across_executors() {
 fn pregrouped_shard_scan_is_bit_identical_at_high_shard_counts() {
     let d = DatasetKind::Restaurant.generate_scaled(SEED, SCALE);
     let config = MinoanConfig::default();
-    let art = build_blocks(&d.pair, &config, &config.executor());
+    let art = build_blocks(&d.pair, &config, &Executor::pool());
     let tn1 = top_neighbors_with(
         &d.pair.first,
         config.top_relations_n,
