@@ -983,7 +983,11 @@ fn constant_time_eq(expected: &str, supplied: &str) -> bool {
 }
 
 /// Serializes one response; `close` decides the `Connection` header.
-fn write_response(writer: &mut TcpStream, response: &Response, close: bool) -> std::io::Result<()> {
+fn write_response(
+    writer: &mut impl Write,
+    response: &Response,
+    close: bool,
+) -> std::io::Result<()> {
     use std::fmt::Write as _;
     let json;
     let (content_type, body) = match &response.body {
@@ -1393,6 +1397,9 @@ impl PromText {
         }
     }
 }
+
+#[cfg(test)]
+mod wire_pin;
 
 #[cfg(test)]
 mod tests {
