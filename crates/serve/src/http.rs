@@ -6,7 +6,10 @@
 //! server is a hand-rolled, strictly bounded HTTP/1.1 implementation on
 //! `std` alone, matching the workspace's vendored-shim constraint.
 //! Reports are bit-identical to `minoaner batch` and solo sequential
-//! runs. `route` is the one place a request is given meaning: the
+//! runs. `route` is the one place a request is given meaning, and it
+//! only dispatches: each endpoint is a handler in the crate's `intake`
+//! module that returns its finished `Response`, and queue and registry
+//! errors become responses through the `From` impls beside it. The
 //! line-JSON protocol ([`crate::daemon`]) is only a framing that
 //! translates each frame into the request an HTTP client would send
 //! and wraps the routed response in its `"ok"` envelope.
@@ -47,9 +50,11 @@
 //! (`bad_request`, `unauthorized`, `not_found`, `method_not_allowed`,
 //! `conflict`, `payload_too_large`, `overloaded`, `headers_too_large`,
 //! `not_implemented`, `unavailable`, `http_version_not_supported`);
-//! `retryable` is `true` exactly for `429`/`503`, which also carry
-//! `Retry-After`. Status codes and headers are unchanged from the
-//! pre-unified schema — only the body shape is richer.
+//! `retryable` is `true` for an overload shed (`429`) and for
+//! temporary unavailability (`503`: the connection cap, transient
+//! artifact I/O), and a retryable response also carries `Retry-After`.
+//! A `503` for disabled index serving or a corrupt artifact is not
+//! retryable. `Response::failure` builds every error response.
 //!
 //! ## Artifact wire format
 //!
@@ -85,10 +90,11 @@
 //! | Header section | [`MAX_HEADER_BYTES`] | `431` |
 //! | Body (`Content-Length`) | [`MAX_BODY_BYTES`] | `413` |
 //!
-//! Malformed input — a garbled request line, a non-numeric
-//! `Content-Length`, a body shorter than declared, invalid UTF-8 where
-//! JSON is expected — is `400`; `Transfer-Encoding` (chunked bodies) is
-//! not supported (`501`); HTTP versions other than 1.0/1.1 are `505`.
+//! Malformed input — a garbled request line, a `Content-Length` that is
+//! not all ASCII digits or comes more than once, a body shorter than
+//! declared, invalid UTF-8 where JSON is expected — is `400`;
+//! `Transfer-Encoding` (chunked bodies) is not supported (`501`); HTTP
+//! versions other than 1.0/1.1 are `505`.
 //! After an error that may have desynchronized framing the connection
 //! closes (`Connection: close`); otherwise connections are keep-alive
 //! and requests on one connection are processed strictly in order.
@@ -116,10 +122,10 @@ use minoan_obs::{trace, Level};
 
 use crate::daemon::POLL_INTERVAL;
 use crate::events::{record_json, EventFilter, MAX_EVENT_BATCH};
-use crate::intake::{self, ShutdownMode};
-use crate::registry::IndexRegistry;
+use crate::intake;
+use crate::registry::{IndexRegistry, RegistryError};
 use crate::report::peak_rss_bytes;
-use crate::scheduler::{CancelOutcome, CancelToken, JobQueue};
+use crate::scheduler::{CancelToken, JobQueue, SubmitError};
 use crate::telemetry;
 
 /// Maximum bytes in the request line (method + target + version).
@@ -180,14 +186,14 @@ impl Request {
     }
 
     /// Whether the query asks for `wait` (`?wait=true` / `?wait=1`).
-    fn wants_wait(&self) -> bool {
+    pub(crate) fn wants_wait(&self) -> bool {
         self.query
             .iter()
             .any(|(k, v)| k == "wait" && matches!(v.as_str(), "true" | "1"))
     }
 
     /// First query parameter with this name.
-    fn query_param(&self, name: &str) -> Option<&str> {
+    pub(crate) fn query_param(&self, name: &str) -> Option<&str> {
         self.query
             .iter()
             .find(|(k, _)| k == name)
@@ -203,7 +209,7 @@ impl Request {
 
 /// How handling one request ends.
 enum HttpError {
-    /// Respond with this status and `{"error": message}`, then close
+    /// Respond with this status and the unified error body, then close
     /// the connection (framing may be desynchronized after an error).
     Status(u16, String),
     /// Drop the connection without a response (I/O error, shutdown,
@@ -213,6 +219,7 @@ enum HttpError {
 
 /// A response body, kept unserialized until [`write_response`] so the
 /// line-JSON framing can wrap the same value in its envelope.
+#[derive(Debug)]
 pub(crate) enum Body {
     /// Every endpoint but the metrics one (`application/json`).
     Json(Json),
@@ -221,6 +228,7 @@ pub(crate) enum Body {
 }
 
 /// One routed response.
+#[derive(Debug)]
 pub(crate) struct Response {
     pub(crate) status: u16,
     pub(crate) body: Body,
@@ -236,31 +244,74 @@ impl Response {
         }
     }
 
-    /// An error response in the unified schema:
-    /// `{"error":{"code","message","retryable"}}`, with the code and
-    /// retryability derived from the status.
-    pub(crate) fn error(status: u16, message: impl Into<String>) -> Response {
-        let body = intake::error_body(
-            intake::code_for_status(status),
-            message,
-            intake::retryable_status(status),
-        );
-        Response::json(status, Json::obj([("error", body)]))
+    /// This response with one more header.
+    pub(crate) fn with_header(mut self, name: &'static str, value: String) -> Response {
+        self.extra_headers.push((name, value));
+        self
     }
 
-    /// The response for a failed index operation, including the
-    /// `Retry-After` hint on retryable statuses.
-    fn index_error(rejection: &intake::IndexRejection) -> Response {
-        let mut response = Response::json(
-            rejection.status(),
-            Json::obj([("error", rejection.to_error_body())]),
-        );
-        if rejection.retryable() {
+    /// An error response that is retryable exactly when the status is
+    /// `429` or `503`: overload shed and temporary unavailability are
+    /// worth a backoff; everything else is the client's fault as sent.
+    pub(crate) fn error(status: u16, message: impl Into<String>) -> Response {
+        Response::failure(status, message, matches!(status, 429 | 503))
+    }
+
+    /// Every error response is built here: the unified error object
+    /// `{"error":{"code","message","retryable"}}`, whose `code` names
+    /// the status, and `Retry-After` exactly when `retryable`.
+    pub(crate) fn failure(status: u16, message: impl Into<String>, retryable: bool) -> Response {
+        let code = match status {
+            400 => "bad_request",
+            401 => "unauthorized",
+            404 => "not_found",
+            405 => "method_not_allowed",
+            409 => "conflict",
+            413 => "payload_too_large",
+            429 => "overloaded",
+            431 => "headers_too_large",
+            501 => "not_implemented",
+            503 => "unavailable",
+            505 => "http_version_not_supported",
+            _ => "error",
+        };
+        let error = Json::obj([
+            ("code", Json::str(code)),
+            ("message", Json::str(message.into())),
+            ("retryable", Json::Bool(retryable)),
+        ]);
+        let response = Response::json(status, Json::obj([("error", error)]));
+        if retryable {
+            response.with_header("Retry-After", RETRY_AFTER_SECS.to_string())
+        } else {
             response
-                .extra_headers
-                .push(("Retry-After", RETRY_AFTER_SECS.to_string()));
         }
-        response
+    }
+}
+
+impl From<SubmitError> for Response {
+    /// A closed queue is shutting down — a conflict with server state,
+    /// not a bad request; an overload shed is the standard rate-limit
+    /// shape, so off-the-shelf clients back off without bespoke
+    /// handling.
+    fn from(e: SubmitError) -> Response {
+        let status = match e {
+            SubmitError::Closed => 409,
+            SubmitError::Overloaded(_) => 429,
+        };
+        Response::error(status, e.to_string())
+    }
+}
+
+impl From<RegistryError> for Response {
+    /// A malformed id is the client's; an artifact that cannot be read
+    /// is a `503`, retryable exactly for transient I/O trouble.
+    fn from(e: RegistryError) -> Response {
+        match e {
+            RegistryError::InvalidId => Response::error(400, e.to_string()),
+            RegistryError::NotFound => Response::error(404, e.to_string()),
+            RegistryError::Artifact(_) => Response::failure(503, e.to_string(), e.retryable()),
+        }
     }
 }
 
@@ -533,11 +584,26 @@ fn read_request(
             "transfer-encoding is not supported; send a Content-Length body".into(),
         ));
     }
-    let content_length = match request_header("content-length") {
-        None => 0,
-        Some(v) => v.trim().parse::<usize>().map_err(|_| {
-            HttpError::Status(400, format!("content-length {v:?} is not a valid length"))
-        })?,
+    // Exactly one length of ASCII digits: a second field, even an equal
+    // one, or a sign would let a proxy frame the body differently.
+    let mut lengths = headers.iter().filter(|(k, _)| k == "content-length");
+    let content_length = match (lengths.next(), lengths.next()) {
+        (None, _) => 0,
+        (Some(_), Some(_)) => {
+            return Err(HttpError::Status(
+                400,
+                "more than one content-length field".into(),
+            ))
+        }
+        (Some((_, v)), None) => match v.parse::<usize>() {
+            Ok(n) if v.bytes().all(|b| b.is_ascii_digit()) => n,
+            _ => {
+                return Err(HttpError::Status(
+                    400,
+                    format!("content-length {v:?} is not a valid length"),
+                ))
+            }
+        },
     };
     if content_length > MAX_BODY_BYTES {
         return Err(HttpError::Status(
@@ -669,7 +735,8 @@ fn read_body(
 
 /// Routes one request to its endpoint: the one place a request is given
 /// meaning, for HTTP connections and translated line-JSON frames alike.
-/// Every queue and registry operation delegates to [`crate::intake`].
+/// It only dispatches: every queue and registry operation is a handler
+/// in [`intake`] that returns its finished response.
 pub(crate) fn route(
     request: &Request,
     queue: &JobQueue,
@@ -681,177 +748,43 @@ pub(crate) fn route(
         return denied;
     }
     let segments: Vec<&str> = request.path.split('/').filter(|s| !s.is_empty()).collect();
-    match (request.method.as_str(), segments.as_slice()) {
-        ("POST", ["v1", "jobs"]) => submit(request, queue),
+    let handled = match (request.method.as_str(), segments.as_slice()) {
+        ("POST", ["v1", "jobs"]) => intake::submit_job(request, queue),
         ("GET", ["v1", "jobs"]) => {
-            let (limit, id) = match (count_param(request, "limit"), count_param(request, "id")) {
-                (Ok(limit), Ok(id)) => (limit, id),
-                (Err(response), _) | (_, Err(response)) => return response,
-            };
-            let filter = intake::JobFilter {
-                id,
-                status: request.query_param("status").map(str::to_string),
-                limit,
-            };
-            match intake::status_json(queue, !shutdown.is_cancelled(), &filter, registry) {
-                Ok(body) => Response::json(200, body),
-                Err(e) => Response::error(400, e),
-            }
+            intake::list_jobs(request, queue, !shutdown.is_cancelled(), registry)
         }
-        ("GET", ["v1", "jobs", id]) => match parse_id(id) {
-            Err(response) => response,
-            Ok(id) => match intake::job_json(queue, id, request.wants_wait()) {
-                None => Response::error(404, format!("unknown job id {id}")),
-                Some(body) => Response::json(200, body),
-            },
-        },
-        ("GET", ["v1", "jobs", id, "trace"]) => match parse_id(id) {
-            Err(response) => response,
-            Ok(id) => match crate::events::job_trace_json(queue, id) {
-                None => Response::error(404, format!("unknown job id {id}")),
-                Some(body) => Response::json(200, body),
-            },
-        },
-        ("DELETE", ["v1", "jobs", id]) => match parse_id(id) {
-            Err(response) => response,
-            Ok(id) => match queue.cancel(id) {
-                CancelOutcome::Unknown => Response::error(404, format!("unknown job id {id}")),
-                outcome => Response::json(
-                    200,
-                    Json::obj([
-                        ("id", Json::num(id as f64)),
-                        ("outcome", Json::str(outcome.label())),
-                    ]),
-                ),
-            },
-        },
-        ("GET", ["v1", "metrics"]) => Response {
+        ("GET", ["v1", "jobs", id]) => intake::get_job(request, queue, id),
+        ("GET", ["v1", "jobs", id, "trace"]) => intake::job_trace(queue, id),
+        ("DELETE", ["v1", "jobs", id]) => intake::cancel_job(queue, id),
+        ("GET", ["v1", "metrics"]) => Ok(Response {
             status: 200,
             body: Body::Metrics(prometheus_metrics(queue, registry)),
             extra_headers: Vec::new(),
-        },
-        ("POST", ["v1", "shutdown"]) => {
-            let mode_label = if request.body.is_empty() {
-                None
-            } else {
-                match Json::parse_bytes(&request.body) {
-                    Ok(body) => body.get("mode").and_then(Json::as_str).map(str::to_string),
-                    Err(e) => return Response::error(400, format!("bad shutdown body: {e}")),
-                }
-            };
-            match ShutdownMode::parse(mode_label.as_deref()) {
-                Err(e) => Response::error(400, e),
-                Ok(mode) => {
-                    intake::shutdown(queue, shutdown, mode);
-                    Response::json(
-                        200,
-                        Json::obj([
-                            ("shutting_down", Json::Bool(true)),
-                            (
-                                "mode",
-                                Json::str(if mode == ShutdownMode::Cancel {
-                                    "cancel"
-                                } else {
-                                    "drain"
-                                }),
-                            ),
-                        ]),
-                    )
-                }
-            }
-        }
-        ("POST", ["v1", "indexes"]) => {
-            let job = match Json::parse_bytes(&request.body) {
-                Ok(job) => job,
-                Err(e) => return Response::error(400, format!("bad index body: {e}")),
-            };
-            match intake::index_build(queue, registry, &job) {
-                Ok((id, name)) => {
-                    let mut response = Response::json(
-                        201,
-                        Json::obj([("job", Json::num(id as f64)), ("index", Json::str(&name))]),
-                    );
-                    response
-                        .extra_headers
-                        .push(("Location", format!("/v1/indexes/{name}")));
-                    // `?wait=true` blocks the 201 until the build job ends,
-                    // mirroring GET /v1/jobs/{id}?wait=true.
-                    if request.wants_wait() {
-                        let _ = intake::job_json(queue, id, true);
-                    }
-                    response
-                }
-                Err(rejection) => Response::index_error(&rejection),
-            }
-        }
-        ("GET", ["v1", "indexes"]) => match intake::index_list(registry) {
-            Ok(body) => Response::json(200, body),
-            Err(rejection) => Response::index_error(&rejection),
-        },
-        ("GET", ["v1", "indexes", id]) => match intake::index_meta(registry, id) {
-            Ok(body) => Response::json(200, body),
-            Err(rejection) => Response::index_error(&rejection),
-        },
-        ("DELETE", ["v1", "indexes", id]) => match intake::index_delete(registry, id) {
-            Ok(body) => Response::json(200, body),
-            Err(rejection) => Response::index_error(&rejection),
-        },
-        ("PATCH", ["v1", "indexes", id]) => {
-            let body = match Json::parse_bytes(&request.body) {
-                Ok(body) => body,
-                Err(e) => return Response::error(400, format!("bad patch body: {e}")),
-            };
-            match intake::index_patch(queue, registry, id, &body) {
-                Ok((job, index)) => {
-                    let mut response = Response::json(
-                        202,
-                        Json::obj([("job", Json::num(job as f64)), ("index", Json::str(&index))]),
-                    );
-                    response
-                        .extra_headers
-                        .push(("Location", format!("/v1/jobs/{job}")));
-                    // `?wait=true` blocks the 202 until the patch job
-                    // ends, mirroring POST /v1/indexes?wait=true.
-                    if request.wants_wait() {
-                        let _ = intake::job_json(queue, job, true);
-                    }
-                    response
-                }
-                Err(rejection) => Response::index_error(&rejection),
-            }
-        }
-        ("GET", ["v1", "indexes", id, "match"]) => {
-            let entity = request.query_param("entity").unwrap_or("");
-            let k = match request.query_param("k") {
-                None => intake::DEFAULT_MATCH_K,
-                Some(raw) => match raw.parse::<usize>() {
-                    Ok(n) => n,
-                    Err(_) => {
-                        return Response::error(
-                            400,
-                            format!("k must be a positive integer, got {raw:?}"),
-                        )
-                    }
-                },
-            };
-            match intake::index_match(registry, id, entity, k) {
-                Ok(body) => Response::json(200, body),
-                Err(rejection) => Response::index_error(&rejection),
-            }
-        }
-        (_, ["v1", "jobs"]) => method_not_allowed("GET, POST"),
-        (_, ["v1", "jobs", _]) => method_not_allowed("GET, DELETE"),
-        (_, ["v1", "jobs", _, "trace"]) => method_not_allowed("GET"),
+        }),
+        ("POST", ["v1", "shutdown"]) => intake::shutdown(request, queue, shutdown),
+        ("POST", ["v1", "indexes"]) => intake::index_build(request, queue, registry),
+        ("GET", ["v1", "indexes"]) => intake::index_list(registry),
+        ("GET", ["v1", "indexes", id]) => intake::index_meta(registry, id),
+        ("DELETE", ["v1", "indexes", id]) => intake::index_delete(registry, id),
+        ("PATCH", ["v1", "indexes", id]) => intake::index_patch(request, queue, registry, id),
+        ("GET", ["v1", "indexes", id, "match"]) => intake::index_match(request, registry, id),
+        (_, ["v1", "jobs"]) => Err(method_not_allowed("GET, POST")),
+        (_, ["v1", "jobs", _]) => Err(method_not_allowed("GET, DELETE")),
+        (_, ["v1", "jobs", _, "trace"]) => Err(method_not_allowed("GET")),
         // `GET /v1/events` is intercepted before routing (it takes the
         // raw connection over); any other method lands here.
-        (_, ["v1", "events"]) => method_not_allowed("GET"),
-        (_, ["v1", "indexes"]) => method_not_allowed("GET, POST"),
-        (_, ["v1", "indexes", _]) => method_not_allowed("GET, DELETE, PATCH"),
-        (_, ["v1", "indexes", _, "match"]) => method_not_allowed("GET"),
-        (_, ["v1", "metrics"]) => method_not_allowed("GET"),
-        (_, ["v1", "shutdown"]) => method_not_allowed("POST"),
-        _ => Response::error(404, format!("no such endpoint {}", request.path)),
-    }
+        (_, ["v1", "events"]) => Err(method_not_allowed("GET")),
+        (_, ["v1", "indexes"]) => Err(method_not_allowed("GET, POST")),
+        (_, ["v1", "indexes", _]) => Err(method_not_allowed("GET, DELETE, PATCH")),
+        (_, ["v1", "indexes", _, "match"]) => Err(method_not_allowed("GET")),
+        (_, ["v1", "metrics"]) => Err(method_not_allowed("GET")),
+        (_, ["v1", "shutdown"]) => Err(method_not_allowed("POST")),
+        _ => Err(Response::error(
+            404,
+            format!("no such endpoint {}", request.path),
+        )),
+    };
+    handled.unwrap_or_else(|error| error)
 }
 
 /// Decodes `%XX` escapes and `+`-as-space in a query value. Malformed
@@ -884,61 +817,9 @@ fn percent_decode(raw: &str) -> String {
     String::from_utf8_lossy(&out).into_owned()
 }
 
-/// `POST /v1/jobs`: parse, validate and admit one job.
-fn submit(request: &Request, queue: &JobQueue) -> Response {
-    let job = match Json::parse_bytes(&request.body) {
-        Ok(job) => job,
-        Err(e) => return Response::error(400, format!("bad job body: {e}")),
-    };
-    match intake::submit_job(queue, &job) {
-        Ok((id, name)) => {
-            let mut response = Response::json(
-                201,
-                Json::obj([("id", Json::num(id as f64)), ("name", Json::str(name))]),
-            );
-            response
-                .extra_headers
-                .push(("Location", format!("/v1/jobs/{id}")));
-            response
-        }
-        // Closed queue = shutting down: a conflict with server state,
-        // not a bad request.
-        Err(e @ intake::SubmitRejection::Closed) => Response::error(409, e.to_string()),
-        // Overload shed: the standard rate-limit shape, so off-the-shelf
-        // clients back off without bespoke handling.
-        Err(e @ intake::SubmitRejection::Overloaded(_)) => {
-            let mut response = Response::error(429, e.to_string());
-            response
-                .extra_headers
-                .push(("Retry-After", RETRY_AFTER_SECS.to_string()));
-            response
-        }
-        Err(e) => Response::error(400, e.to_string()),
-    }
-}
-
 fn method_not_allowed(allow: &'static str) -> Response {
-    let mut response = Response::error(405, format!("method not allowed; allowed: {allow}"));
-    response.extra_headers.push(("Allow", allow.to_string()));
-    response
-}
-
-/// A non-negative integer query parameter; `None` when absent.
-fn count_param(request: &Request, name: &str) -> Result<Option<usize>, Response> {
-    request
-        .query_param(name)
-        .map(str::parse::<usize>)
-        .transpose()
-        .map_err(|_| Response::error(400, format!("{name} must be a non-negative integer")))
-}
-
-fn parse_id(segment: &str) -> Result<usize, Response> {
-    segment.parse::<usize>().map_err(|_| {
-        Response::error(
-            400,
-            format!("job id must be a non-negative integer, got {segment:?}"),
-        )
-    })
+    Response::error(405, format!("method not allowed; allowed: {allow}"))
+        .with_header("Allow", allow.to_string())
 }
 
 /// The `401` for a request that fails bearer-token auth, or `None` when
@@ -954,11 +835,8 @@ fn auth_failure(request: &Request, options: &HttpOptions) -> Option<Response> {
     if constant_time_eq(expected, supplied) {
         return None;
     }
-    let mut response = Response::error(401, "missing or invalid bearer token");
-    response
-        .extra_headers
-        .push(("WWW-Authenticate", "Bearer".to_string()));
-    Some(response)
+    let denied = Response::error(401, "missing or invalid bearer token");
+    Some(denied.with_header("WWW-Authenticate", "Bearer".to_string()))
 }
 
 /// Extracts the token from an `Authorization: Bearer <token>` value
@@ -1038,19 +916,6 @@ fn reason_phrase(status: u16) -> &'static str {
     }
 }
 
-/// The raw `503` written to a connection rejected by the concurrency
-/// cap, before any request is read: the accept loop writes it inline
-/// (no handler thread) and closes. Built by hand because the normal
-/// response path assumes a parsed request.
-pub(crate) fn overloaded_503() -> String {
-    let body = r#"{"error":{"code":"unavailable","message":"connection limit reached; retry shortly","retryable":true}}"#;
-    format!(
-        "HTTP/1.1 503 Service Unavailable\r\nContent-Type: application/json\r\n\
-         Content-Length: {}\r\nRetry-After: {RETRY_AFTER_SECS}\r\nConnection: close\r\n\r\n{body}",
-        body.len()
-    )
-}
-
 /// How long [`reject_over_capacity`] lingers on a rejected connection.
 /// An order of magnitude tighter than [`LINGER_DEADLINE`] because this
 /// runs on the accept thread, not a handler thread.
@@ -1058,13 +923,14 @@ const REJECT_LINGER_DEADLINE: Duration = Duration::from_millis(100);
 /// Leftover-byte cap for [`reject_over_capacity`]'s drain.
 const REJECT_LINGER_MAX_BYTES: usize = 16 << 10;
 
-/// Rejects one over-cap connection: writes [`overloaded_503`], then
-/// closes through [`lingering_close`] — here the *whole request* is
-/// still queued unread. Runs inline on the accept thread, so both
-/// bounds are tight.
+/// Rejects one over-cap connection before reading any request: writes
+/// a retryable `503`, then closes through [`lingering_close`] — here
+/// the *whole request* is still queued unread. Runs inline on the
+/// accept thread (no handler thread), so both bounds are tight.
 pub(crate) fn reject_over_capacity(mut stream: TcpStream) {
     let _ = stream.set_read_timeout(Some(POLL_INTERVAL));
-    if stream.write_all(overloaded_503().as_bytes()).is_ok() {
+    let refusal = Response::error(503, "connection limit reached; retry shortly");
+    if write_response(&mut stream, &refusal, true).is_ok() {
         lingering_close(&stream, REJECT_LINGER_DEADLINE, REJECT_LINGER_MAX_BYTES);
     }
 }
@@ -1606,12 +1472,19 @@ mod tests {
     }
 
     #[test]
-    fn overloaded_503_is_a_complete_http_response() {
-        let raw = overloaded_503();
-        assert!(raw.starts_with("HTTP/1.1 503 "), "{raw}");
-        assert!(raw.contains("Retry-After: "), "{raw}");
-        assert!(raw.contains("Connection: close"), "{raw}");
-        let body = raw.split("\r\n\r\n").nth(1).expect("body after head");
-        assert!(Json::parse(body).is_ok(), "{body}");
+    fn unified_error_body_has_the_three_fields() {
+        let error = |status: u16| {
+            let Body::Json(body) = Response::error(status, "back off").body else {
+                panic!("error bodies are JSON");
+            };
+            body.get("error").expect("an error object").clone()
+        };
+        let body = error(429);
+        assert_eq!(body.get("code").unwrap().as_str(), Some("overloaded"));
+        assert_eq!(body.get("message").unwrap().as_str(), Some("back off"));
+        assert_eq!(body.get("retryable"), Some(&Json::Bool(true)));
+        assert_eq!(error(404).get("code").unwrap().as_str(), Some("not_found"));
+        assert_eq!(error(404).get("retryable"), Some(&Json::Bool(false)));
+        assert_eq!(error(503).get("retryable"), Some(&Json::Bool(true)));
     }
 }

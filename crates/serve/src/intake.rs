@@ -1,65 +1,32 @@
-//! The queue and registry operations behind [`crate::http::route`].
+//! The endpoint handlers behind [`crate::http::route`].
 //!
-//! `route` is the one place a request is given meaning, and
-//! [`crate::http`] is the only caller of this module: the line-JSON
-//! protocol ([`crate::daemon`]) is a framing over `route`, not a second
-//! front-end. Each function here implements one operation over the live
-//! [`JobQueue`] or the [`IndexRegistry`](crate::registry) — submit,
-//! status, job state, shutdown, and index build, patch, list, inspect,
-//! delete and match — returning a JSON body or a domain error that the
-//! router maps to a status code. The **unified error schema**,
-//! `{"error":{"code","message","retryable"}}`, is built here too.
+//! `route` only dispatches: it matches the method and path and calls
+//! one handler here. A handler reads its parameters off the request,
+//! runs one operation over the live [`JobQueue`] or the
+//! [`IndexRegistry`] — submit, status, job state, trace, cancel,
+//! shutdown, and index build, patch, list, inspect, delete and match —
+//! and returns its finished [`Response`]: `Ok` for the answer, `Err`
+//! for the error, whose status is decided where the failure is known.
+//! Queue and registry errors convert with `?` through the `From` impls
+//! beside [`Response`]. The line-JSON protocol ([`crate::daemon`]) is a
+//! framing over `route`, not a second front-end.
 
 use std::time::Instant;
 
 use minoan_core::MAX_CANDIDATES;
 use minoan_kb::Json;
 
-use crate::manifest::JobSpec;
-use crate::registry::{IndexRegistry, RegistryError};
+use crate::http::{Request, Response};
+use crate::manifest::{JobInput, JobSpec};
+use crate::registry::IndexRegistry;
 use crate::report::JobStatus;
-use crate::scheduler::{CancelToken, JobId, JobQueue, JobSnapshot, SubmitError};
-
-/// Machine-readable error code for an HTTP status.
-pub(crate) fn code_for_status(status: u16) -> &'static str {
-    match status {
-        400 => "bad_request",
-        401 => "unauthorized",
-        404 => "not_found",
-        405 => "method_not_allowed",
-        409 => "conflict",
-        413 => "payload_too_large",
-        429 => "overloaded",
-        431 => "headers_too_large",
-        501 => "not_implemented",
-        503 => "unavailable",
-        505 => "http_version_not_supported",
-        _ => "error",
-    }
-}
-
-/// Whether retrying the identical request later can succeed, by status:
-/// overload shed and temporary unavailability are worth a backoff;
-/// everything else is the client's fault as sent.
-pub(crate) fn retryable_status(status: u16) -> bool {
-    matches!(status, 429 | 503)
-}
-
-/// The unified error object every failure carries under its `"error"`
-/// key: `{"code","message","retryable"}`.
-pub(crate) fn error_body(code: &str, message: impl Into<String>, retryable: bool) -> Json {
-    Json::obj([
-        ("code", Json::str(code)),
-        ("message", Json::str(message.into())),
-        ("retryable", Json::Bool(retryable)),
-    ])
-}
+use crate::scheduler::{CancelOutcome, CancelToken, JobId, JobQueue, JobSnapshot};
 
 /// How a shutdown request treats jobs still in the queue: `drain` lets
 /// queued jobs run to completion, `cancel` flips queued jobs to
 /// `Cancelled` and sets the tokens of running ones.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub(crate) enum ShutdownMode {
+enum ShutdownMode {
     /// Queued jobs still run; the server exits once the queue drains.
     Drain,
     /// Queued jobs flip to `Cancelled`; running jobs unwind at their
@@ -69,7 +36,7 @@ pub(crate) enum ShutdownMode {
 
 impl ShutdownMode {
     /// Parses the wire spelling (`None` defaults to drain).
-    pub(crate) fn parse(label: Option<&str>) -> Result<ShutdownMode, String> {
+    fn parse(label: Option<&str>) -> Result<ShutdownMode, String> {
         match label {
             None | Some("drain") => Ok(ShutdownMode::Drain),
             Some("cancel") => Ok(ShutdownMode::Cancel),
@@ -78,47 +45,55 @@ impl ShutdownMode {
     }
 }
 
-/// Why [`submit_job`] refused a job, with enough structure for the
-/// router to pick the status code and `Retry-After`.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub(crate) enum SubmitRejection {
-    /// Malformed or invalid job spec: the client's fault, never
-    /// retryable as-is.
-    Invalid(String),
-    /// The queue is closed (shutdown in progress): not retryable.
-    Closed,
-    /// Overload shed: retryable after backing off.
-    Overloaded(String),
+/// The request body as JSON; `what` names it in the `400`.
+fn json_body(request: &Request, what: &str) -> Result<Json, Response> {
+    Json::parse_bytes(&request.body)
+        .map_err(|e| Response::error(400, format!("bad {what} body: {e}")))
 }
 
-impl std::fmt::Display for SubmitRejection {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        match self {
-            SubmitRejection::Invalid(e) => f.write_str(e),
-            SubmitRejection::Closed => SubmitError::Closed.fmt(f),
-            SubmitRejection::Overloaded(detail) => write!(f, "overloaded: {detail}"),
-        }
-    }
-}
-
-/// Parses, validates and submits one job given in the manifest job
-/// schema; returns the new id and the job's name.
-pub(crate) fn submit_job(queue: &JobQueue, job: &Json) -> Result<(JobId, String), SubmitRejection> {
-    let spec = JobSpec::from_json(job)
+/// A job in the manifest job schema, parsed and validated.
+fn job_spec(job: &Json) -> Result<JobSpec, Response> {
+    JobSpec::from_json(job)
         .and_then(|s| s.validate().map(|()| s))
-        .map_err(|e| SubmitRejection::Invalid(format!("bad job: {e}")))?;
+        .map_err(|e| Response::error(400, format!("bad job: {e}")))
+}
+
+/// A job id path segment.
+fn job_id(segment: &str) -> Result<JobId, Response> {
+    segment.parse::<JobId>().map_err(|_| {
+        Response::error(
+            400,
+            format!("job id must be a non-negative integer, got {segment:?}"),
+        )
+    })
+}
+
+fn unknown_job(id: JobId) -> Response {
+    Response::error(404, format!("unknown job id {id}"))
+}
+
+/// A non-negative integer query parameter; `None` when absent.
+fn count_param(request: &Request, name: &str) -> Result<Option<usize>, Response> {
+    request
+        .query_param(name)
+        .map(str::parse::<usize>)
+        .transpose()
+        .map_err(|_| Response::error(400, format!("{name} must be a non-negative integer")))
+}
+
+/// `POST /v1/jobs`: parse, validate and admit one job.
+pub(crate) fn submit_job(request: &Request, queue: &JobQueue) -> Result<Response, Response> {
+    let spec = job_spec(&json_body(request, "job")?)?;
     let name = spec.name.clone();
-    let id = queue.submit(spec).map_err(|e| match e {
-        SubmitError::Closed => SubmitRejection::Closed,
-        SubmitError::Overloaded(detail) => SubmitRejection::Overloaded(detail),
-    })?;
-    Ok((id, name))
+    let id = queue.submit(spec)?;
+    let body = Json::obj([("id", Json::num(id as f64)), ("name", Json::str(name))]);
+    Ok(Response::json(201, body).with_header("Location", format!("/v1/jobs/{id}")))
 }
 
 /// One queue entry as the JSON object job lists carry: id, name,
 /// phase, and — exactly when terminal — status (plus the error message
 /// for failures).
-pub(crate) fn snapshot_json(snap: &JobSnapshot) -> Json {
+fn snapshot_json(snap: &JobSnapshot) -> Json {
     let mut fields = vec![
         ("id".to_string(), Json::num(snap.id as f64)),
         ("name".to_string(), Json::str(&snap.name)),
@@ -150,16 +125,16 @@ const STATUS_FILTER_LABELS: [&str; 9] = [
 /// Optional narrowing of the job list:
 /// `GET /v1/jobs?status=<s>&limit=<n>&id=<n>`.
 #[derive(Debug, Clone, Default)]
-pub(crate) struct JobFilter {
+struct JobFilter {
     /// Only the job with this id (an unknown id is an error).
-    pub(crate) id: Option<JobId>,
+    id: Option<JobId>,
     /// Only jobs in this phase (`queued`/`running`/`done`) or with this
     /// terminal status (`ok`/`failed`/`cancelled`/`timed_out`/
     /// `poisoned`/`killed_over_budget`).
-    pub(crate) status: Option<String>,
+    status: Option<String>,
     /// At most this many jobs, keeping the earliest ids (counts and
     /// telemetry stay fleet-wide).
-    pub(crate) limit: Option<usize>,
+    limit: Option<usize>,
 }
 
 impl JobFilter {
@@ -177,11 +152,30 @@ impl JobFilter {
     }
 }
 
+/// `GET /v1/jobs`: [`status_json`] narrowed by the request's
+/// `?status=`, `?limit=` and `?id=`.
+pub(crate) fn list_jobs(
+    request: &Request,
+    queue: &JobQueue,
+    accepting: bool,
+    registry: Option<&IndexRegistry>,
+) -> Result<Response, Response> {
+    let limit = count_param(request, "limit")?;
+    let filter = JobFilter {
+        id: count_param(request, "id")?,
+        status: request.query_param("status").map(str::to_string),
+        limit,
+    };
+    let body =
+        status_json(queue, accepting, &filter, registry).map_err(|e| Response::error(400, e))?;
+    Ok(Response::json(200, body))
+}
+
 /// The common status body: accepting flag, phase counts, live queue
 /// telemetry ([`JobQueue::stats`]) and the job list, narrowed by
 /// `filter` (an unknown id or status label is an error). When an index
 /// registry is live its cache telemetry rides along as `"indexes"`.
-pub(crate) fn status_json(
+fn status_json(
     queue: &JobQueue,
     accepting: bool,
     filter: &JobFilter,
@@ -224,10 +218,17 @@ pub(crate) fn status_json(
     Ok(Json::Obj(fields))
 }
 
+/// `GET /v1/jobs/{id}`: [`job_json`], waiting first on `?wait=true`.
+pub(crate) fn get_job(request: &Request, queue: &JobQueue, id: &str) -> Result<Response, Response> {
+    let id = job_id(id)?;
+    let body = job_json(queue, id, request.wants_wait()).ok_or_else(|| unknown_job(id))?;
+    Ok(Response::json(200, body))
+}
+
 /// One job's current state: the snapshot fields, plus the fingerprint
 /// and full report once the job is terminal. With `wait`, blocks until
 /// terminal first. `None` for an unknown id.
-pub(crate) fn job_json(queue: &JobQueue, id: JobId, wait: bool) -> Option<Json> {
+fn job_json(queue: &JobQueue, id: JobId, wait: bool) -> Option<Json> {
     // At most one report clone: the blocking wait's result is reused
     // for the response instead of being fetched a second time.
     let waited = if wait { Some(queue.wait(id)?) } else { None };
@@ -249,171 +250,141 @@ pub(crate) fn job_json(queue: &JobQueue, id: JobId, wait: bool) -> Option<Json> 
     Some(Json::Obj(fields))
 }
 
-/// Executes a shutdown. The queue is closed *here*, synchronously with
-/// the request, not merely when an accept loop notices the flag: a
-/// submit racing that window on another connection would otherwise be
+/// `GET /v1/jobs/{id}/trace`: the job's span trees, one per attempt.
+pub(crate) fn job_trace(queue: &JobQueue, id: &str) -> Result<Response, Response> {
+    let id = job_id(id)?;
+    let body = crate::events::job_trace_json(queue, id).ok_or_else(|| unknown_job(id))?;
+    Ok(Response::json(200, body))
+}
+
+/// `DELETE /v1/jobs/{id}`: cancel the job, queued or running.
+pub(crate) fn cancel_job(queue: &JobQueue, id: &str) -> Result<Response, Response> {
+    let id = job_id(id)?;
+    match queue.cancel(id) {
+        CancelOutcome::Unknown => Err(unknown_job(id)),
+        outcome => Ok(Response::json(
+            200,
+            Json::obj([
+                ("id", Json::num(id as f64)),
+                ("outcome", Json::str(outcome.label())),
+            ]),
+        )),
+    }
+}
+
+/// `POST /v1/shutdown`, body `{"mode":"drain"|"cancel"}` or empty
+/// (drain). The queue is closed *here*, synchronously with the
+/// request, not merely when an accept loop notices the flag: a submit
+/// racing that window on another connection would otherwise be
 /// admitted after a cancel-mode sweep and run to completion. The
-/// shared `shutdown` flag then stops every accept loop and connection
-/// handler.
-pub(crate) fn shutdown(queue: &JobQueue, flag: &CancelToken, mode: ShutdownMode) {
+/// shared `flag` then stops every accept loop and connection handler.
+pub(crate) fn shutdown(
+    request: &Request,
+    queue: &JobQueue,
+    flag: &CancelToken,
+) -> Result<Response, Response> {
+    let label = if request.body.is_empty() {
+        None
+    } else {
+        let body = json_body(request, "shutdown")?;
+        body.get("mode").and_then(Json::as_str).map(str::to_string)
+    };
+    let mode = ShutdownMode::parse(label.as_deref()).map_err(|e| Response::error(400, e))?;
     queue.close();
     if mode == ShutdownMode::Cancel {
         queue.cancel_all();
     }
     flag.cancel();
+    let label = if mode == ShutdownMode::Cancel {
+        "cancel"
+    } else {
+        "drain"
+    };
+    Ok(Response::json(
+        200,
+        Json::obj([
+            ("shutting_down", Json::Bool(true)),
+            ("mode", Json::str(label)),
+        ]),
+    ))
 }
 
 /// Default `k` (candidate list length) of a match query when the client
 /// does not pass one.
-pub(crate) const DEFAULT_MATCH_K: usize = 10;
+const DEFAULT_MATCH_K: usize = 10;
 
-/// Why an index operation failed, with enough structure for the router
-/// to pick its status code; the unified error body comes from
-/// [`IndexRejection::to_error_body`].
-#[derive(Debug)]
-pub(crate) enum IndexRejection {
-    /// Malformed id, job spec or query parameter (HTTP `400`).
-    BadRequest(String),
-    /// No such index, or the queried entity is in neither KB (`404`).
-    NotFound(String),
-    /// An index with this id already exists, or the queue is closed
-    /// (`409`).
-    Conflict(String),
-    /// Overload shed on the build path (`429`, retryable).
-    Overloaded(String),
-    /// Index serving is disabled or the artifact cannot be read
-    /// (`503`; retryable exactly for transient I/O trouble).
-    Unavailable {
-        /// Human-readable cause.
-        message: String,
-        /// Whether a retry could succeed.
-        retryable: bool,
-    },
-}
-
-impl IndexRejection {
-    /// The HTTP status this rejection maps to.
-    pub(crate) fn status(&self) -> u16 {
-        match self {
-            IndexRejection::BadRequest(_) => 400,
-            IndexRejection::NotFound(_) => 404,
-            IndexRejection::Conflict(_) => 409,
-            IndexRejection::Overloaded(_) => 429,
-            IndexRejection::Unavailable { .. } => 503,
-        }
-    }
-
-    /// Whether resubmitting the identical request later can succeed.
-    pub(crate) fn retryable(&self) -> bool {
-        match self {
-            IndexRejection::Overloaded(_) => true,
-            IndexRejection::Unavailable { retryable, .. } => *retryable,
-            _ => false,
-        }
-    }
-
-    /// The unified `{"code","message","retryable"}` error object.
-    pub(crate) fn to_error_body(&self) -> Json {
-        let message = match self {
-            IndexRejection::BadRequest(m)
-            | IndexRejection::NotFound(m)
-            | IndexRejection::Conflict(m)
-            | IndexRejection::Overloaded(m)
-            | IndexRejection::Unavailable { message: m, .. } => m.as_str(),
-        };
-        error_body(code_for_status(self.status()), message, self.retryable())
-    }
-}
-
-impl From<RegistryError> for IndexRejection {
-    fn from(e: RegistryError) -> Self {
-        match e {
-            RegistryError::InvalidId => IndexRejection::BadRequest(e.to_string()),
-            RegistryError::NotFound => IndexRejection::NotFound(e.to_string()),
-            RegistryError::Artifact(_) => IndexRejection::Unavailable {
-                retryable: e.retryable(),
-                message: e.to_string(),
-            },
-        }
-    }
-}
-
-/// The registry, or the uniform "serving disabled" rejection when the
-/// daemon runs without an index directory.
-fn need_registry(registry: Option<&IndexRegistry>) -> Result<&IndexRegistry, IndexRejection> {
-    registry.ok_or_else(|| IndexRejection::Unavailable {
-        message: "index serving is disabled (start the server with --index-dir)".into(),
-        retryable: false,
+/// The registry, or the "serving disabled" `503` when the daemon runs
+/// without an index directory.
+fn need_registry(registry: Option<&IndexRegistry>) -> Result<&IndexRegistry, Response> {
+    registry.ok_or_else(|| {
+        let message = "index serving is disabled (start the server with --index-dir)";
+        Response::failure(503, message, false)
     })
 }
 
-/// `POST /v1/indexes` / op `index-build`: parse the job, reserve the
-/// artifact path (server-side — the wire schema has no path field) and
-/// admit the build through the supervised queue. The index id is the
-/// job name.
+/// `POST /v1/indexes`: parse the job, reserve the artifact path
+/// (server-side — the wire schema has no path field) and admit the
+/// build through the supervised queue. The index id is the job name.
+/// `?wait=true` holds the `201` until the build job ends.
 pub(crate) fn index_build(
+    request: &Request,
     queue: &JobQueue,
     registry: Option<&IndexRegistry>,
-    job: &Json,
-) -> Result<(JobId, String), IndexRejection> {
+) -> Result<Response, Response> {
+    let job = json_body(request, "index")?;
     let registry = need_registry(registry)?;
-    let mut spec = JobSpec::from_json(job)
-        .and_then(|s| s.validate().map(|()| s))
-        .map_err(|e| IndexRejection::BadRequest(format!("bad job: {e}")))?;
-    let path = registry
-        .path_for(&spec.name)
-        .map_err(IndexRejection::from)?;
+    let mut spec = job_spec(&job)?;
+    let path = registry.path_for(&spec.name)?;
     if path.exists() {
-        return Err(IndexRejection::Conflict(format!(
-            "index {:?} already exists; DELETE it first to rebuild",
-            spec.name
-        )));
+        return Err(Response::error(
+            409,
+            format!(
+                "index {:?} already exists; DELETE it first to rebuild",
+                spec.name
+            ),
+        ));
     }
     spec.persist = Some(path);
     let name = spec.name.clone();
-    let id = queue.submit(spec).map_err(|e| match e {
-        SubmitError::Closed => IndexRejection::Conflict(e.to_string()),
-        SubmitError::Overloaded(detail) => {
-            IndexRejection::Overloaded(format!("overloaded: {detail}"))
-        }
-    })?;
-    Ok((id, name))
+    let id = queue.submit(spec)?;
+    if request.wants_wait() {
+        queue.wait(id);
+    }
+    let body = Json::obj([("job", Json::num(id as f64)), ("index", Json::str(&name))]);
+    Ok(Response::json(201, body).with_header("Location", format!("/v1/indexes/{name}")))
 }
 
-/// `PATCH /v1/indexes/{id}` / op `index-patch`: parse the delta stream
-/// (the [`minoan_kb::delta`] wire schema, `{"deltas":[…]}`) and admit
-/// a patch job through the supervised queue. The job loads the
-/// artifact, applies the ops to its embedded pair, re-runs the pipeline
-/// over it and atomically rewrites the file; the daemon's completion hook then
-/// drops the stale cached copy. One patch per index at a time: a second
-/// PATCH while one is queued or running is a `409` — two writers would
-/// race on the same artifact file.
+/// `PATCH /v1/indexes/{id}`: parse the delta stream (the
+/// [`minoan_kb::delta`] wire schema, `{"deltas":[…]}`, never empty)
+/// and admit a patch job through the supervised queue. The job loads
+/// the artifact, applies the ops to its embedded pair, re-runs the
+/// pipeline over it and atomically rewrites the file; the daemon's
+/// completion hook then drops the stale cached copy. One patch per
+/// index at a time: a second PATCH while one is queued or running is a
+/// `409` — two writers would race on the same artifact file.
+/// `?wait=true` holds the `202` until the patch job ends.
 pub(crate) fn index_patch(
+    request: &Request,
     queue: &JobQueue,
     registry: Option<&IndexRegistry>,
     id: &str,
-    body: &Json,
-) -> Result<(JobId, String), IndexRejection> {
-    let registry = need_registry(registry)?;
-    let path = registry.path_for(id).map_err(IndexRejection::from)?;
-    let ops = minoan_kb::delta::ops_from_json(body)
-        .map_err(|e| IndexRejection::BadRequest(format!("bad delta stream: {e}")))?;
-    if ops.is_empty() {
-        return Err(IndexRejection::BadRequest(
-            "the delta stream is empty; send at least one op".into(),
-        ));
-    }
+) -> Result<Response, Response> {
+    let body = json_body(request, "patch")?;
+    let path = need_registry(registry)?.path_for(id)?;
+    let ops = minoan_kb::delta::ops_from_json(&body)
+        .map_err(|e| Response::error(400, format!("bad delta stream: {e}")))?;
     if !path.exists() {
-        return Err(IndexRejection::NotFound(format!("no such index {id:?}")));
+        return Err(Response::error(404, format!("no such index {id:?}")));
     }
     if queue.patch_in_flight(id) {
-        return Err(IndexRejection::Conflict(format!(
-            "a patch for index {id:?} is already queued or running; wait for it first"
-        )));
+        return Err(Response::error(
+            409,
+            format!("a patch for index {id:?} is already queued or running; wait for it first"),
+        ));
     }
     let spec = JobSpec {
         name: format!("{id}:patch"),
-        input: crate::manifest::JobInput::IndexPatch {
+        input: JobInput::IndexPatch {
             id: id.to_string(),
             path,
             ops,
@@ -426,23 +397,21 @@ pub(crate) fn index_patch(
         max_retries: None,
         persist: None,
     };
-    let job = queue.submit(spec).map_err(|e| match e {
-        SubmitError::Closed => IndexRejection::Conflict(e.to_string()),
-        SubmitError::Overloaded(detail) => {
-            IndexRejection::Overloaded(format!("overloaded: {detail}"))
-        }
-    })?;
-    Ok((job, id.to_string()))
+    let job = queue.submit(spec)?;
+    if request.wants_wait() {
+        queue.wait(job);
+    }
+    let body = Json::obj([("job", Json::num(job as f64)), ("index", Json::str(id))]);
+    Ok(Response::json(202, body).with_header("Location", format!("/v1/jobs/{job}")))
 }
 
-/// `GET /v1/indexes` / op `index-list`: every persisted index plus the
-/// loaded-cache telemetry.
-pub(crate) fn index_list(registry: Option<&IndexRegistry>) -> Result<Json, IndexRejection> {
+/// `GET /v1/indexes`: every persisted index plus the loaded-cache
+/// telemetry.
+pub(crate) fn index_list(registry: Option<&IndexRegistry>) -> Result<Response, Response> {
     let registry = need_registry(registry)?;
-    let entries = registry.list().map_err(|e| IndexRejection::Unavailable {
-        message: format!("cannot list index directory: {e}"),
-        retryable: true,
-    })?;
+    let entries = registry
+        .list()
+        .map_err(|e| Response::error(503, format!("cannot list index directory: {e}")))?;
     let indexes: Vec<Json> = entries
         .iter()
         .map(|e| {
@@ -453,88 +422,91 @@ pub(crate) fn index_list(registry: Option<&IndexRegistry>) -> Result<Json, Index
             ])
         })
         .collect();
-    Ok(Json::obj([
+    let body = Json::obj([
         ("indexes", Json::Arr(indexes)),
         ("cache", registry.stats_json()),
-    ]))
+    ]);
+    Ok(Response::json(200, body))
 }
 
-/// `GET /v1/indexes/{id}` / op `index-inspect`: the artifact's metadata
-/// (sizes, entity counts, build timings, format version).
-pub(crate) fn index_meta(
-    registry: Option<&IndexRegistry>,
-    id: &str,
-) -> Result<Json, IndexRejection> {
-    let registry = need_registry(registry)?;
-    let meta = registry.meta(id).map_err(IndexRejection::from)?;
+/// `GET /v1/indexes/{id}`: the artifact's metadata (sizes, entity
+/// counts, build timings, format version).
+pub(crate) fn index_meta(registry: Option<&IndexRegistry>, id: &str) -> Result<Response, Response> {
+    let meta = need_registry(registry)?.meta(id)?;
     let Json::Obj(mut fields) = meta.to_json() else {
         unreachable!("meta JSON is an object");
     };
     fields.insert(0, ("id".to_string(), Json::str(id)));
-    Ok(Json::Obj(fields))
+    Ok(Response::json(200, Json::Obj(fields)))
 }
 
-/// `DELETE /v1/indexes/{id}` / op `index-delete`: drop the artifact and
-/// evict any cached copy.
+/// `DELETE /v1/indexes/{id}`: drop the artifact and evict any cached
+/// copy.
 pub(crate) fn index_delete(
     registry: Option<&IndexRegistry>,
     id: &str,
-) -> Result<Json, IndexRejection> {
-    let registry = need_registry(registry)?;
-    registry.delete(id).map_err(IndexRejection::from)?;
-    Ok(Json::obj([
-        ("index", Json::str(id)),
-        ("deleted", Json::Bool(true)),
-    ]))
+) -> Result<Response, Response> {
+    need_registry(registry)?.delete(id)?;
+    let body = Json::obj([("index", Json::str(id)), ("deleted", Json::Bool(true))]);
+    Ok(Response::json(200, body))
 }
 
-/// `GET /v1/indexes/{id}/match?entity=<iri>&k=<n>` / op `index-match`:
-/// the hot path. Answers from the loaded artifact — no ingest, no
-/// blocking, no pipeline — and says so in its stage-timing telemetry:
-/// the build-once stages report zero, only `load` (amortized to zero
-/// by the cache) and `query` spend anything.
+/// `GET /v1/indexes/{id}/match?entity=<iri>&k=<n>`: the hot path.
+/// Answers from the loaded artifact — no ingest, no blocking, no
+/// pipeline — and says so in its stage-timing telemetry: the
+/// build-once stages report zero, only `load` (amortized to zero by
+/// the cache) and `query` spend anything.
 pub(crate) fn index_match(
+    request: &Request,
     registry: Option<&IndexRegistry>,
     id: &str,
-    entity: &str,
-    k: usize,
-) -> Result<Json, IndexRejection> {
+) -> Result<Response, Response> {
+    let entity = request.query_param("entity").unwrap_or("");
+    let k = match request.query_param("k") {
+        None => DEFAULT_MATCH_K,
+        Some(raw) => raw.parse::<usize>().map_err(|_| {
+            Response::error(400, format!("k must be a positive integer, got {raw:?}"))
+        })?,
+    };
     let registry = need_registry(registry)?;
     if entity.is_empty() {
-        return Err(IndexRejection::BadRequest(
-            "match queries need a non-empty `entity` IRI".into(),
+        return Err(Response::error(
+            400,
+            "match queries need a non-empty `entity` IRI",
         ));
     }
     if k == 0 {
-        return Err(IndexRejection::BadRequest("`k` must be at least 1".into()));
+        return Err(Response::error(400, "`k` must be at least 1"));
     }
     // The bound is the longest row an index persists: a bigger `k`
     // could not return more candidates.
     if k > MAX_CANDIDATES {
-        return Err(IndexRejection::BadRequest(format!(
-            "`k` must be at most {MAX_CANDIDATES}, got {k}"
-        )));
+        return Err(Response::error(
+            400,
+            format!("`k` must be at most {MAX_CANDIDATES}, got {k}"),
+        ));
     }
     let t_load = Instant::now();
-    let artifact = registry.load(id).map_err(IndexRejection::from)?;
+    let artifact = registry.load(id)?;
     let load_ms = t_load.elapsed().as_secs_f64() * 1e3;
     let t_query = Instant::now();
     let answer = artifact.match_query(entity, k).ok_or_else(|| {
-        IndexRejection::NotFound(format!(
-            "entity {entity:?} is in neither KB of index {id:?}"
-        ))
+        Response::error(
+            404,
+            format!("entity {entity:?} is in neither KB of index {id:?}"),
+        )
     })?;
     let query_ms = t_query.elapsed().as_secs_f64() * 1e3;
     // One end-to-end latency observation per answered query (load +
     // query; rejected queries never reach here).
     crate::telemetry::MATCH_QUERY.observe(t_load.elapsed());
-    Ok(answer.to_json(id, load_ms, query_ms))
+    Ok(Response::json(200, answer.to_json(id, load_ms, query_ms)))
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::manifest::JobInput;
+    use crate::http::Body;
     use minoan_datagen::DatasetKind;
 
     fn queue_with_one_queued_job() -> (JobQueue, JobId) {
@@ -564,6 +536,29 @@ mod tests {
             id: Some(id),
             ..JobFilter::default()
         }
+    }
+
+    /// A request with these query pairs and this body; the handlers
+    /// under test read nothing else.
+    fn request(query: &[(&str, &str)], body: &str) -> Request {
+        Request {
+            method: String::new(),
+            path: String::new(),
+            query: query
+                .iter()
+                .map(|&(k, v)| (k.to_string(), v.to_string()))
+                .collect(),
+            headers: Vec::new(),
+            body: body.as_bytes().to_vec(),
+        }
+    }
+
+    /// The unified error object an error response carries.
+    fn error_object(response: &Response) -> &Json {
+        let Body::Json(body) = &response.body else {
+            panic!("error bodies are JSON");
+        };
+        body.get("error").expect("an error object")
     }
 
     #[test]
@@ -632,29 +627,19 @@ mod tests {
     }
 
     #[test]
-    fn unified_error_body_has_the_three_fields() {
-        let body = error_body(code_for_status(429), "back off", retryable_status(429));
-        assert_eq!(body.get("code").unwrap().as_str(), Some("overloaded"));
-        assert_eq!(body.get("message").unwrap().as_str(), Some("back off"));
-        assert_eq!(body.get("retryable"), Some(&Json::Bool(true)));
-        assert_eq!(code_for_status(404), "not_found");
-        assert!(!retryable_status(404));
-        assert!(retryable_status(503));
-    }
-
-    #[test]
     fn index_ops_without_a_registry_reject_as_unavailable() {
         let queue = JobQueue::new(1, 0);
-        let job = Json::parse(r#"{"name":"ix","dataset":"restaurant","scale":0.05}"#).unwrap();
-        let err = index_build(&queue, None, &job).unwrap_err();
-        assert_eq!(err.status(), 503);
-        assert!(!err.retryable());
-        let body = err.to_error_body();
+        let job = request(&[], r#"{"name":"ix","dataset":"restaurant","scale":0.05}"#);
+        let err = index_build(&job, &queue, None).unwrap_err();
+        assert_eq!(err.status, 503);
+        let body = error_object(&err);
+        assert_eq!(body.get("retryable"), Some(&Json::Bool(false)));
         assert_eq!(body.get("code").unwrap().as_str(), Some("unavailable"));
         assert!(index_list(None).is_err());
         assert!(index_meta(None, "ix").is_err());
         assert!(index_delete(None, "ix").is_err());
-        assert!(index_match(None, "ix", "a:1", 5).is_err());
+        let query = request(&[("entity", "a:1"), ("k", "5")], "");
+        assert!(index_match(&query, None, "ix").is_err());
     }
 
     #[test]
@@ -675,13 +660,17 @@ mod tests {
     fn cancel_mode_shutdown_flips_queued_jobs() {
         let (queue, id) = queue_with_one_queued_job();
         let flag = CancelToken::new();
-        shutdown(&queue, &flag, ShutdownMode::Cancel);
+        shutdown(&request(&[], r#"{"mode":"cancel"}"#), &queue, &flag).unwrap();
         assert!(flag.is_cancelled());
         let report = queue.wait(id).unwrap();
         assert_eq!(report.status, JobStatus::Cancelled);
-        let job = Json::parse(r#"{"name":"late","dataset":"restaurant","scale":0.05}"#).unwrap();
-        let err = submit_job(&queue, &job).unwrap_err();
-        assert_eq!(err, SubmitRejection::Closed);
-        assert!(err.to_string().contains("closed"), "{err}");
+        let job = request(
+            &[],
+            r#"{"name":"late","dataset":"restaurant","scale":0.05}"#,
+        );
+        let err = submit_job(&job, &queue).unwrap_err();
+        assert_eq!(err.status, 409);
+        let message = error_object(&err).get("message").unwrap().as_str().unwrap();
+        assert!(message.contains("closed"), "{message}");
     }
 }

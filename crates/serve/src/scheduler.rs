@@ -1317,9 +1317,9 @@ fn retry_seed(id: JobId, attempt: u32) -> u64 {
 }
 
 /// Watches the process RSS while one job runs and cancels its token
-/// with [`CancelReason::OverBudget`] if the growth over `baseline`
-/// exceeds `limit` bytes. Returns a handle; set the flag and join to
-/// stop. Attribution is process-wide, hence opt-in via
+/// with [`CancelReason::OverBudget`](minoan_exec::CancelReason::OverBudget)
+/// if the growth over `baseline` exceeds `limit` bytes. Returns a
+/// handle; set the flag and join to stop. Attribution is process-wide, hence opt-in via
 /// [`ServeOptions::rss_kill_factor`].
 fn spawn_rss_watchdog(
     cancel: CancelToken,
@@ -1345,9 +1345,9 @@ fn spawn_rss_watchdog(
 /// Runs one job start to finish, converting every failure mode — input
 /// errors, config errors, panics — into a `Failed` report and a
 /// cancellation into a `Cancelled`, `TimedOut`, or `KilledOverBudget`
-/// one (the token's [`CancelReason`] decides which).
-/// The returned [`EndClass`] tells the worker whether a retry is
-/// worthwhile.
+/// one (the token's [`CancelReason`](minoan_exec::CancelReason)
+/// decides which). The returned [`EndClass`] tells the worker whether a
+/// retry is worthwhile.
 fn run_job(
     spec: &JobSpec,
     opts: &ServeOptions,

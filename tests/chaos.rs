@@ -531,6 +531,23 @@ fn artifact_read_fault_during_a_patch_is_transient_and_recovers() {
         original,
         "the landed patch must actually rewrite the artifact"
     );
+
+    // The same fault under a match query is a transient 503: retryable,
+    // with `Retry-After`, and the next query loads the artifact.
+    faults::arm(&plan).unwrap();
+    let opts = ServeOptions {
+        index_dir: Some(scratch.0.clone()),
+        ..ServeOptions::default()
+    };
+    with_server(opts, HttpOptions::default(), |http| {
+        let query = "/v1/indexes/victim/match?entity=a:0";
+        let r = http.request("GET", query, None);
+        assert_eq!(r.status, 503, "{}", r.body);
+        assert!(r.head.contains("\r\nRetry-After: 1"), "{}", r.head);
+        assert!(r.body.contains(r#""retryable":true"#), "{}", r.body);
+        assert_eq!(http.request("GET", query, None).status, 200);
+        http.shutdown();
+    });
 }
 
 /// The fault plan itself is deterministic: same seed, site and hit

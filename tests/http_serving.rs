@@ -350,6 +350,22 @@ fn oversized_and_malformed_requests_get_clean_errors() {
         let bad_len = "POST /v1/jobs HTTP/1.1\r\nContent-Length: abc\r\n\r\n";
         assert_eq!(http.raw(bad_len.as_bytes(), false).status, 400);
 
+        // Two content-length fields, or a signed one -> 400 and close:
+        // a proxy could frame the body by the other reading.
+        let twice = "GET /v1/metrics HTTP/1.1\r\nContent-Length: 0\r\nContent-Length: 5\r\n\r\n";
+        let r = http.raw(twice.as_bytes(), false);
+        assert_eq!(r.status, 400, "{}", r.body);
+        assert!(
+            r.body.contains("more than one content-length"),
+            "{}",
+            r.body
+        );
+        assert!(r.head.contains("Connection: close"), "{}", r.head);
+        let signed = "GET /v1/metrics HTTP/1.1\r\nContent-Length: +0\r\n\r\n";
+        let r = http.raw(signed.as_bytes(), false);
+        assert_eq!(r.status, 400, "{}", r.body);
+        assert!(r.body.contains("not a valid length"), "{}", r.body);
+
         // Truncated request line (client gave up mid-request) -> 400.
         assert_eq!(http.raw(b"GET /v1/jo", true).status, 400);
 
