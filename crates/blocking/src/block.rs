@@ -129,11 +129,6 @@ impl BlockCollection {
         self.blocks.iter().map(Block::comparisons).sum()
     }
 
-    /// Total block assignments (`BC` in purging terms).
-    pub fn total_assignments(&self) -> u64 {
-        self.blocks.iter().map(Block::assignments).sum()
-    }
-
     /// The blocks containing entity `e` of `side`.
     pub fn blocks_of(&self, side: KbSide, e: EntityId) -> &[BlockId] {
         match side {
@@ -238,7 +233,6 @@ mod tests {
         let c = sample();
         assert_eq!(c.len(), 2);
         assert_eq!(c.total_comparisons(), 2 + 2);
-        assert_eq!(c.total_assignments(), 3 + 3);
         assert_eq!(c.block(BlockId(0)).comparisons(), 2);
     }
 

@@ -4,7 +4,7 @@
 //! minoaner match  <first.(tsv|nt)> <second.(tsv|nt)> [--method minoaner|bsl|sigma|paris]
 //!                 [--truth <pairs.tsv>] [--json] [--theta F] [--k N] [--no-purge]
 //!                 [--executor sequential|pool]
-//! minoaner batch  --manifest <fleet.json> [--slots N]
+//! minoaner batch  --manifest <fleet.json: {"jobs":[…]}> [--slots N]
 //!                 [--memory-mib N] [--timeout-ms N] [--max-retries N]
 //!                 [--rss-kill-factor F] [--executor sequential|pool] [--json] [--pairs]
 //! minoaner serve  [--listen <addr>] [--listen-http <addr>] [--auth-token T]
@@ -95,18 +95,24 @@
 //! ready-made client. Results are bit-identical to `batch` and solo
 //! runs no matter which protocol submitted the job.
 //!
-//! ## Supervised lifecycle knobs
+//! ## Fleet settings
 //!
-//! `--timeout-ms N` sets a per-job deadline observed at every wave of
-//! the job's executor (`0` = none; overrides the manifest),
-//! `--max-retries N` gives transiently-failing jobs (I/O errors,
-//! timeouts) that many re-runs with exponential backoff and
-//! deterministic jitter, and `--rss-kill-factor F` arms a watchdog
-//! killing jobs that grow past `F ×` their admission estimate. `serve`
-//! additionally takes `--shed-depth N` — reject submissions once `N`
-//! jobs are queued (HTTP `429` + `Retry-After`, line-JSON
-//! `"retryable":true`) — and `--max-connections N`, capping concurrent
-//! HTTP handler threads (excess connections get an immediate `503`).
+//! The flags are the one source of the fleet settings: a manifest
+//! lists jobs only, and one that still sets `slots`,
+//! `memory_budget_mib`, `timeout_ms` or `max_retries` at the top level
+//! fails to load (exit 1), naming the flag to use. `--memory-mib` and
+//! `--index-cache-mib` become bytes at the flag; a count whose bytes
+//! overflow is a usage error (exit 2). `--timeout-ms N` sets a per-job
+//! deadline observed at every wave of the job's executor (`0` = none;
+//! a job's own `timeout_ms` wins), `--max-retries N` gives
+//! transiently-failing jobs (I/O errors, timeouts) that many re-runs
+//! with exponential backoff and deterministic jitter, and
+//! `--rss-kill-factor F` arms a watchdog killing jobs that grow past
+//! `F ×` their admission estimate. `serve` additionally takes
+//! `--shed-depth N` — reject submissions once `N` jobs are queued
+//! (HTTP `429` + `Retry-After`, line-JSON `"retryable":true`) — and
+//! `--max-connections N`, capping concurrent HTTP handler threads
+//! (excess connections get an immediate `503`).
 //!
 //! ## Persistent indexes
 //!
@@ -149,8 +155,7 @@ use minoan_eval::MatchQuality;
 use minoan_exec::Executor;
 use minoan_kb::{GroundTruth, Json, KbPair, KnowledgeBase, Matching};
 use minoan_serve::{
-    run_batch_streaming, run_server, CancelToken, Frontends, HttpOptions, JobReport, Manifest,
-    ServeOptions,
+    run_batch_streaming, run_server, CancelToken, Frontends, JobReport, Manifest, ServeOptions,
 };
 
 /// Prints one line to stdout: the CLI's one writer (see [`write_line`]).
@@ -182,7 +187,7 @@ fn usage() -> ! {
         "usage:\n  minoaner match <first> <second> [--method minoaner|bsl|sigma|paris] \
          [--truth pairs.tsv] [--json] [--theta F] [--k N] [--no-purge] \
          [--executor sequential|pool]\n  \
-         minoaner batch --manifest fleet.json [--slots N] \
+         minoaner batch --manifest fleet.json (a {{\"jobs\":[...]}} document) [--slots N] \
          [--memory-mib N] [--timeout-ms N] [--max-retries N] [--rss-kill-factor F] \
          [--executor sequential|pool] [--json] [--pairs]\n  \
          minoaner serve [--listen addr:port] [--listen-http addr:port] \
@@ -233,6 +238,14 @@ fn value<T: std::str::FromStr>(it: &mut Args) -> Result<T, FlagError> {
         .map_err(|_| FlagError::BadValue)
 }
 
+/// A flag value in MiB, as bytes. A count whose bytes overflow `u64` is
+/// a bad value, not a budget wrapped to some other size.
+fn mib_value(it: &mut Args) -> Result<u64, FlagError> {
+    value::<u64>(it)?
+        .checked_mul(1 << 20)
+        .ok_or(FlagError::BadValue)
+}
+
 fn or_usage<T>(read: Result<T, FlagError>) -> T {
     read.unwrap_or_else(|_| usage())
 }
@@ -269,18 +282,16 @@ struct FleetArgs {
     pairs: bool,
 }
 
-/// The fleet flags. Explicit flags override the manifest — including
-/// explicit zeros (`--slots 0` = all cores, `--memory-mib 0` =
-/// unlimited), so a manifest limit can always be lifted from the
-/// command line.
+/// The fleet flags: the one source of the fleet settings (`--slots 0`
+/// = all cores, `--memory-mib 0` = unlimited).
 fn fleet_flag(fleet: &mut FleetArgs, flag: &str, it: &mut Args) -> Result<bool, FlagError> {
     let opts = &mut fleet.opts;
     match flag {
-        "--slots" => opts.slots = Some(value(it)?),
-        "--memory-mib" => opts.memory_budget_mib = Some(value(it)?),
-        "--timeout-ms" => opts.timeout_ms = Some(value(it)?),
-        "--max-retries" => opts.max_retries = Some(value(it)?),
-        "--rss-kill-factor" => opts.rss_kill_factor = Some(value(it)?),
+        "--slots" => opts.slots = value(it)?,
+        "--memory-mib" => opts.memory_budget_bytes = mib_value(it)?,
+        "--timeout-ms" => opts.timeout_ms = value(it)?,
+        "--max-retries" => opts.max_retries = value(it)?,
+        "--rss-kill-factor" => opts.rss_kill_factor = value(it)?,
         "--executor" => opts.executor = value(it)?,
         "--json" => fleet.json = true,
         "--pairs" => fleet.pairs = true,
@@ -824,24 +835,21 @@ fn main() {
         Some("serve") => {
             let mut listen: Option<String> = None;
             let mut listen_http: Option<String> = None;
-            let mut auth_token: Option<String> = None;
-            let mut max_connections: Option<usize> = None;
             let mut fleet = FleetArgs::default();
             let mut it = args[1..].iter();
             while let Some(a) = it.next() {
                 match a.as_str() {
                     "--listen" => listen = Some(or_usage(value(&mut it))),
                     "--listen-http" => listen_http = Some(or_usage(value(&mut it))),
-                    "--auth-token" => auth_token = Some(or_usage(value(&mut it))),
+                    "--auth-token" => fleet.opts.auth_token = Some(or_usage(value(&mut it))),
                     "--index-dir" => {
                         fleet.opts.index_dir = Some(or_usage(value::<String>(&mut it)).into())
                     }
                     "--index-cache-mib" => {
-                        let mib: u64 = or_usage(value(&mut it));
-                        fleet.opts.index_cache_bytes = Some(mib << 20);
+                        fleet.opts.index_cache_bytes = or_usage(mib_value(&mut it))
                     }
-                    "--shed-depth" => fleet.opts.shed_queue_depth = Some(or_usage(value(&mut it))),
-                    "--max-connections" => max_connections = Some(or_usage(value(&mut it))),
+                    "--shed-depth" => fleet.opts.shed_queue_depth = or_usage(value(&mut it)),
+                    "--max-connections" => fleet.opts.max_connections = or_usage(value(&mut it)),
                     flag if or_usage(fleet_flag(&mut fleet, flag, &mut it)) => {}
                     _ => usage(),
                 }
@@ -850,7 +858,7 @@ fn main() {
                 minoan_obs::error!("cli", "serve needs --listen and/or --listen-http");
                 usage();
             }
-            if listen.is_some() && auth_token.is_some() {
+            if listen.is_some() && fleet.opts.auth_token.is_some() {
                 minoan_obs::error!(
                     "cli",
                     "--auth-token needs HTTP only: line-JSON (--listen) cannot carry it"
@@ -866,10 +874,6 @@ fn main() {
             let frontends = Frontends {
                 line: listen.as_deref().map(bind),
                 http: listen_http.as_deref().map(bind),
-                http_options: HttpOptions {
-                    auth_token,
-                    max_connections,
-                },
             };
             if let Some(listener) = &frontends.line {
                 let addr = listener
@@ -887,7 +891,7 @@ fn main() {
                 minoan_obs::info!(
                     "serve",
                     "HTTP listening on http://{addr}/v1/jobs ({}; POST /v1/shutdown to stop)",
-                    if frontends.http_options.auth_token.is_some() {
+                    if fleet.opts.auth_token.is_some() {
                         "bearer auth required"
                     } else {
                         "no auth"
@@ -1156,7 +1160,7 @@ mod tests {
         let mut fleet = FleetArgs::default();
         for words in [
             &["--slots", "2"][..],
-            &["--memory-mib", "0"],
+            &["--memory-mib", "1024"],
             &["--timeout-ms", "1500"],
             &["--max-retries", "2"],
             &["--rss-kill-factor", "1.5"],
@@ -1166,12 +1170,11 @@ mod tests {
         ] {
             read(fleet_flag, &mut fleet, words).0.unwrap();
         }
-        // Explicit zeros are values, not "unset".
-        assert_eq!(fleet.opts.slots, Some(2));
-        assert_eq!(fleet.opts.memory_budget_mib, Some(0));
-        assert_eq!(fleet.opts.timeout_ms, Some(1500));
-        assert_eq!(fleet.opts.max_retries, Some(2));
-        assert_eq!(fleet.opts.rss_kill_factor, Some(1.5));
+        assert_eq!(fleet.opts.slots, 2);
+        assert_eq!(fleet.opts.memory_budget_bytes, 1 << 30);
+        assert_eq!(fleet.opts.timeout_ms, 1500);
+        assert_eq!(fleet.opts.max_retries, 2);
+        assert_eq!(fleet.opts.rss_kill_factor, 1.5);
         assert_eq!(fleet.opts.executor, ExecutorKind::Sequential);
         assert!(fleet.json && fleet.pairs);
     }

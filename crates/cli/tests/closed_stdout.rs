@@ -147,7 +147,7 @@ impl Drop for Disarm {
 fn trace_output() {
     let opts = ServeOptions {
         index_dir: Some(scratch("trace")),
-        max_retries: Some(5),
+        max_retries: 5,
         ..ServeOptions::default()
     };
     with_daemon(opts, |addr| {

@@ -46,3 +46,25 @@ fn index_query_k_outside_1_to_128_is_a_usage_error() {
     assert_eq!(query("1"), Some(1));
     assert_eq!(query("128"), Some(1));
 }
+
+/// A MiB count whose bytes overflow `u64` is a usage error, not a
+/// budget wrapped to another size: `2^44 + 1` MiB would wrap to 1 MiB
+/// and serialize the fleet. The batch names a manifest that does not
+/// exist and the daemon an address that cannot be bound, so a flag that
+/// got past the check would exit 1, never run a job or serve.
+#[test]
+fn mib_flags_that_overflow_bytes_are_usage_errors() {
+    let overflow = "17592186044417";
+    let batch = ["batch", "--manifest", "no-such-fleet.json"];
+    assert_eq!(status(&batch), Some(1));
+    let with: Vec<&str> = batch
+        .iter()
+        .copied()
+        .chain(["--memory-mib", overflow])
+        .collect();
+    assert_eq!(status(&with), Some(2), "{with:?}");
+    for flag in ["--memory-mib", "--index-cache-mib"] {
+        let serve = ["serve", "--listen-http", "127.0.0.1:99999", flag, overflow];
+        assert_eq!(status(&serve), Some(2), "{serve:?}");
+    }
+}

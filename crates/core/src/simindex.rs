@@ -986,12 +986,6 @@ impl SimilarityIndex {
         self.tail_reads.load(Ordering::Relaxed)
     }
 
-    /// The best value candidate of `e`, if any: the head of the ranked
-    /// prefix.
-    pub fn top_value_candidate(&self, side: KbSide, e: EntityId) -> Option<Candidate> {
-        self.value_cands[side.index()].row(e.index()).get(0)
-    }
-
     /// Number of co-occurring pairs with recorded value similarity: the
     /// full lengths of the probe side's rows, which the index records
     /// when it cuts them, so the count is exact.
@@ -1431,17 +1425,6 @@ pub(crate) mod tests {
                 assert!(back.any(|(e, bv)| e == EntityId(e1) && (bv - v).abs() < 1e-12));
             }
         }
-    }
-
-    #[test]
-    fn top_value_candidate_is_the_argmax() {
-        let (pair, tokens, bt, tn1, tn2) = setup();
-        let idx = build(&bt, &tokens, [&tn1, &tn2]);
-        let am0 = pair.first.entity_by_uri("a:m0").unwrap();
-        let bm0 = pair.second.entity_by_uri("b:m0").unwrap();
-        let (top, v) = idx.top_value_candidate(KbSide::First, am0).unwrap();
-        assert_eq!(top, bm0);
-        assert!(v > 0.0);
     }
 
     /// The executor-equivalence contract at unit scale: every thread

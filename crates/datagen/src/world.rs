@@ -392,11 +392,6 @@ impl World {
             .map(|(i, _)| i)
             .collect()
     }
-
-    /// Number of entities present on side `i`.
-    pub fn present_on(&self, i: usize) -> usize {
-        self.entities.iter().filter(|e| e.presence.on(i)).count()
-    }
 }
 
 #[cfg(test)]
@@ -475,8 +470,6 @@ mod tests {
         w.add_entity(&mut rng, 1, Presence::Both, &spec(), &pools);
         w.add_entity(&mut rng, 0, Presence::SecondOnly, &spec(), &pools);
         assert_eq!(w.matches(), vec![0]);
-        assert_eq!(w.present_on(0), 3);
-        assert_eq!(w.present_on(1), 3);
     }
 
     #[test]

@@ -377,11 +377,6 @@ impl<'a> Cursor<'a> {
         self.buf.len() - self.pos
     }
 
-    /// Whether the cursor consumed the whole payload.
-    pub fn is_exhausted(&self) -> bool {
-        self.remaining() == 0
-    }
-
     fn take(&mut self, n: usize) -> Result<&'a [u8], ArtifactError> {
         if self.remaining() < n {
             return Err(ArtifactError::Corrupt(format!(
@@ -523,7 +518,7 @@ mod tests {
         assert_eq!(c.get_u64().unwrap(), u64::MAX - 3);
         assert_eq!(c.get_f64().unwrap(), -0.125);
         assert_eq!(c.get_str().unwrap(), "κνωσός");
-        assert!(c.is_exhausted());
+        assert_eq!(c.remaining(), 0);
     }
 
     #[test]

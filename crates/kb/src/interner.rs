@@ -136,11 +136,6 @@ impl Interner {
         self.spans.is_empty()
     }
 
-    /// Total bytes of distinct string content held by the arena.
-    pub fn arena_bytes(&self) -> usize {
-        self.arena.len()
-    }
-
     /// The raw arena: every distinct string, concatenated in id order.
     /// Together with [`Interner::spans`] this is the interner's entire
     /// persistent state (the probe table is derived).
@@ -247,7 +242,6 @@ mod tests {
         let i = Interner::new();
         assert!(i.is_empty());
         assert_eq!(i.len(), 0);
-        assert_eq!(i.arena_bytes(), 0);
     }
 
     #[test]

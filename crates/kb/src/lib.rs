@@ -44,6 +44,6 @@ pub use hash::{FxHashMap, FxHashSet};
 pub use ids::{AttrId, BlockId, EntityId, KbSide, PairEntity, TokenId};
 pub use interner::Interner;
 pub use json::Json;
-pub use model::{AttrProfile, Edge, KbBuilder, KbChunk, KnowledgeBase, Object, Statement, Value};
+pub use model::{Edge, KbBuilder, KbChunk, KnowledgeBase, Object, Statement, Value};
 pub use pair::{GroundTruth, KbPair, Matching};
 pub use stats::{is_type_attr, local_name, namespace_prefix, KbStats};

@@ -5,7 +5,7 @@
 //! URI of another description. Descriptions of one KB therefore form an
 //! *entity graph* whose edges are the object-valued statements.
 
-use crate::hash::{FxHashMap, FxHashSet};
+use crate::hash::FxHashMap;
 use crate::ids::{AttrId, EntityId};
 use crate::interner::Interner;
 
@@ -306,41 +306,6 @@ impl KnowledgeBase {
             triple_count,
         })
     }
-
-    /// Per-attribute aggregates needed by the importance metric:
-    /// (number of entities containing the attribute, number of distinct
-    /// values associated with it). Entity-valued and literal values both
-    /// count as values, keyed by their canonical form.
-    pub fn attr_profile(&self) -> Vec<AttrProfile> {
-        let mut containing = vec![0usize; self.attrs.len()];
-        let mut distinct: Vec<FxHashSet<u64>> = vec![FxHashSet::default(); self.attrs.len()];
-        let mut seen_attr: FxHashSet<AttrId> = FxHashSet::default();
-        for stmts in &self.statements {
-            seen_attr.clear();
-            for s in stmts {
-                if seen_attr.insert(s.attr) {
-                    containing[s.attr.index()] += 1;
-                }
-                let key = match &s.value {
-                    Value::Literal(l) => hash_str(l),
-                    // Offset entity keys so they cannot collide with literal
-                    // hashes in a systematic way.
-                    Value::Entity(e) => u64::from(e.0) | (1u64 << 63),
-                };
-                distinct[s.attr.index()].insert(key);
-            }
-        }
-        containing
-            .into_iter()
-            .zip(distinct)
-            .enumerate()
-            .map(|(i, (entities_containing, distinct_values))| AttrProfile {
-                attr: AttrId(i as u32),
-                entities_containing,
-                distinct_values: distinct_values.len(),
-            })
-            .collect()
-    }
 }
 
 /// Structural equality: same name, same entities/attributes in the same
@@ -359,24 +324,6 @@ impl PartialEq for KnowledgeBase {
 }
 
 impl Eq for KnowledgeBase {}
-
-/// Per-attribute aggregates used for support/discriminability.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct AttrProfile {
-    /// The attribute these aggregates describe.
-    pub attr: AttrId,
-    /// How many entities contain the attribute at least once.
-    pub entities_containing: usize,
-    /// How many distinct values the attribute takes across the KB.
-    pub distinct_values: usize,
-}
-
-fn hash_str(s: &str) -> u64 {
-    use std::hash::{Hash, Hasher};
-    let mut h = crate::hash::FxHasher::default();
-    s.hash(&mut h);
-    h.finish()
-}
 
 /// Object of a raw triple fed to [`KbBuilder`].
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -675,20 +622,6 @@ mod tests {
         let addr = kb.attr_by_name("address").unwrap();
         assert_eq!(rels[&addr], 2);
         assert_eq!(kb.relation_count(), 1);
-    }
-
-    #[test]
-    fn attr_profile_counts_support_and_distinct_values() {
-        let kb = sample();
-        let profiles = kb.attr_profile();
-        let name = kb.attr_by_name("name").unwrap();
-        let p = profiles.iter().find(|p| p.attr == name).unwrap();
-        assert_eq!(p.entities_containing, 2);
-        assert_eq!(p.distinct_values, 2);
-        let addr = kb.attr_by_name("address").unwrap();
-        let p = profiles.iter().find(|p| p.attr == addr).unwrap();
-        assert_eq!(p.entities_containing, 2);
-        assert_eq!(p.distinct_values, 1);
     }
 
     #[test]

@@ -4,7 +4,7 @@
 //! KBs. [`KbPair`] bundles the two sides; [`GroundTruth`] is the set of
 //! known matching pairs used for evaluation.
 
-use crate::hash::{FxHashMap, FxHashSet};
+use crate::hash::FxHashSet;
 use crate::ids::{EntityId, KbSide};
 use crate::model::KnowledgeBase;
 
@@ -124,15 +124,6 @@ impl Matching {
             && self.second_entities().len() == self.pairs.len()
     }
 
-    /// Map from first-KB entity to its matched second-KB entities.
-    pub fn by_first(&self) -> FxHashMap<EntityId, Vec<EntityId>> {
-        let mut m: FxHashMap<EntityId, Vec<EntityId>> = FxHashMap::default();
-        for &(a, b) in &self.pairs {
-            m.entry(a).or_default().push(b);
-        }
-        m
-    }
-
     /// Retains only pairs satisfying `keep`.
     pub fn retain(&mut self, mut keep: impl FnMut(EntityId, EntityId) -> bool) {
         let set = &mut self.set;
@@ -198,17 +189,5 @@ mod tests {
         assert!(m.contains(EntityId(2), EntityId(3)));
         // Re-inserting a removed pair must succeed.
         assert!(m.insert(EntityId(0), EntityId(1)));
-    }
-
-    #[test]
-    fn by_first_groups_pairs() {
-        let m = Matching::from_pairs([
-            (EntityId(0), EntityId(1)),
-            (EntityId(0), EntityId(2)),
-            (EntityId(3), EntityId(4)),
-        ]);
-        let g = m.by_first();
-        assert_eq!(g[&EntityId(0)].len(), 2);
-        assert_eq!(g[&EntityId(3)], vec![EntityId(4)]);
     }
 }

@@ -72,11 +72,13 @@ use minoan_kb::Json;
 use minoan_obs::{trace, Level};
 
 use crate::events::{events_batch_json, EventFilter};
-use crate::http::{self, Body, HttpOptions, Request, Response};
+use crate::http::{self, Body, Request, Response};
 use crate::manifest::{JobInput, JobSpec};
 use crate::registry::{valid_id, IndexRegistry, RegistryError};
 use crate::report::{JobReport, ServeReport};
-use crate::scheduler::{fleet_queue, run_fleet, CancelToken, JobQueue, ServeOptions};
+use crate::scheduler::{
+    fleet_queue, run_fleet, CancelToken, JobQueue, ServeOptions, SHED_BYTES_FACTOR,
+};
 
 /// How often blocked daemon loops (accept, per-connection reads) check
 /// the shutdown flag.
@@ -100,11 +102,6 @@ pub struct Frontends {
     /// Listener for the HTTP/1.1 front-end (`--listen-http`), see
     /// [`crate::http`].
     pub http: Option<TcpListener>,
-    /// Options of the HTTP router, which answers both listeners. An
-    /// auth token requires HTTP only: line-JSON frames carry no
-    /// credentials, so [`run_server`] refuses a token with a `line`
-    /// listener.
-    pub http_options: HttpOptions,
 }
 
 /// Runs the serving daemon over one or both protocol front-ends until a
@@ -113,26 +110,26 @@ pub struct Frontends {
 /// `on_done` fires once per report a worker produced, in completion
 /// order; a job cancelled while still queued has none.
 ///
-/// Fleet knobs come from `opts` with zeros meaning "all cores" /
-/// "unlimited", exactly like a manifest with no limits; there is no
-/// job-count clamp because the job count is unknown up front.
+/// Every setting comes from `opts`. The queue is a batch's queue with
+/// no job-count clamp (the job count is unknown up front) and with
+/// shedding armed: jobs past the budget *wait*, jobs past the shed
+/// mark (a queue depth, or a multiple of the budget) are *refused*.
+/// An auth token requires HTTP only: line-JSON frames carry no
+/// credentials, so a token with a `line` listener is refused.
 pub fn run_server(
     frontends: Frontends,
     opts: &ServeOptions,
     on_done: impl Fn(&JobReport) + Sync,
 ) -> std::io::Result<ServeReport> {
-    let Frontends {
-        line,
-        http,
-        http_options,
-    } = frontends;
+    let Frontends { line, http } = frontends;
     if line.is_none() && http.is_none() {
         return Err(std::io::Error::new(
             std::io::ErrorKind::InvalidInput,
             "run_server needs at least one front-end listener",
         ));
     }
-    if line.is_some() && http_options.auth_token.is_some() {
+    let auth_token = opts.auth_token.as_deref();
+    if line.is_some() && auth_token.is_some() {
         return Err(std::io::Error::new(
             std::io::ErrorKind::InvalidInput,
             "an auth token requires HTTP only: line-JSON cannot carry it",
@@ -141,12 +138,11 @@ pub fn run_server(
     for listener in line.iter().chain(http.iter()) {
         listener.set_nonblocking(true)?;
     }
-    let http_options = &http_options;
     // Index serving is opt-in: without a directory the `index-*` ops
     // and `/v1/indexes` endpoints answer structured `unavailable`
     // errors instead of touching the filesystem.
     let registry = match &opts.index_dir {
-        Some(dir) => Some(IndexRegistry::open(dir, opts.index_cache_bytes)?),
+        Some(dir) => Some(IndexRegistry::open(dir, Some(opts.index_cache_bytes))?),
         None => None,
     };
     let registry = registry.as_ref();
@@ -173,7 +169,11 @@ pub fn run_server(
     // The intake: one accept loop per front-end, each connection on its
     // own handler thread. It returns once every handler has stopped;
     // the runner then closes the queue and drains it.
-    run_fleet(fleet_queue(opts, None), opts, &notify, |queue| {
+    let queue = fleet_queue(opts, usize::MAX).with_shed_limits(
+        opts.shed_queue_depth,
+        opts.memory_budget_bytes.saturating_mul(SHED_BYTES_FACTOR),
+    );
+    run_fleet(queue, opts, &notify, |queue| {
         let shutdown = &CancelToken::new();
         std::thread::scope(|scope| {
             let mut accept_loops = Vec::new();
@@ -181,16 +181,13 @@ pub fn run_server(
                 accept_loops.push(scope.spawn(move || {
                     accept_loop(listener, shutdown, |stream| {
                         scope.spawn(move || {
-                            handle_connection(stream, queue, shutdown, http_options, registry)
+                            handle_connection(stream, queue, shutdown, auth_token, registry)
                         });
                     })
                 }));
             }
             if let Some(listener) = http {
-                let max_connections = http_options
-                    .max_connections
-                    .unwrap_or(http::DEFAULT_MAX_CONNECTIONS)
-                    .max(1);
+                let max_connections = opts.max_connections.max(1);
                 let live = Arc::new(AtomicUsize::new(0));
                 accept_loops.push(scope.spawn(move || {
                     accept_loop(listener, shutdown, |stream| {
@@ -210,13 +207,7 @@ pub fn run_server(
                         }
                         let live = Arc::clone(&live);
                         scope.spawn(move || {
-                            http::handle_connection(
-                                stream,
-                                queue,
-                                shutdown,
-                                http_options,
-                                registry,
-                            );
+                            http::handle_connection(stream, queue, shutdown, auth_token, registry);
                             live.fetch_sub(1, Ordering::AcqRel);
                         });
                     })
@@ -274,7 +265,7 @@ fn handle_connection(
     stream: TcpStream,
     queue: &JobQueue,
     shutdown: &CancelToken,
-    options: &HttpOptions,
+    auth_token: Option<&str>,
     registry: Option<&IndexRegistry>,
 ) {
     use std::io::Read as _;
@@ -323,7 +314,7 @@ fn handle_connection(
             Ok(_) => {
                 let frame = trim_frame(&line);
                 if !frame.is_empty() {
-                    let response = handle_request(frame, queue, shutdown, options, registry);
+                    let response = handle_request(frame, queue, shutdown, auth_token, registry);
                     if writer
                         .write_all((response.compact() + "\n").as_bytes())
                         .and_then(|()| writer.flush())
@@ -376,7 +367,7 @@ fn handle_request(
     frame: &[u8],
     queue: &JobQueue,
     shutdown: &CancelToken,
-    options: &HttpOptions,
+    auth_token: Option<&str>,
     registry: Option<&IndexRegistry>,
 ) -> Json {
     let response = match Json::parse_bytes(frame) {
@@ -390,7 +381,7 @@ fn handle_request(
             }
         }
         Ok(request) => match translate(&request) {
-            Ok(request) => http::route(&request, queue, shutdown, options, registry),
+            Ok(request) => http::route(&request, queue, shutdown, auth_token, registry),
             Err(e) => Response::error(400, e),
         },
     };
@@ -540,7 +531,7 @@ mod tests {
 
     fn tiny_opts() -> ServeOptions {
         ServeOptions {
-            slots: Some(2),
+            slots: 2,
             ..ServeOptions::default()
         }
     }
@@ -668,7 +659,7 @@ mod tests {
         // One slot, so the second and third submissions queue behind
         // the first.
         let opts = ServeOptions {
-            slots: Some(1),
+            slots: 1,
             ..ServeOptions::default()
         };
         std::thread::scope(|scope| {
@@ -707,7 +698,7 @@ mod tests {
             br#"{"op":"shutdown","mode":"cancel"}"#,
             &queue,
             &shutdown,
-            &HttpOptions::default(),
+            None,
             None,
         );
         assert_eq!(r.get("ok"), Some(&Json::Bool(true)));
@@ -733,12 +724,12 @@ mod tests {
         let frontends = Frontends {
             line: Some(TcpListener::bind("127.0.0.1:0").unwrap()),
             http: Some(TcpListener::bind("127.0.0.1:0").unwrap()),
-            http_options: HttpOptions {
-                auth_token: Some("secret".into()),
-                ..HttpOptions::default()
-            },
         };
-        let err = run_server(frontends, &tiny_opts(), |_| {}).unwrap_err();
+        let opts = ServeOptions {
+            auth_token: Some("secret".into()),
+            ..tiny_opts()
+        };
+        let err = run_server(frontends, &opts, |_| {}).unwrap_err();
         assert_eq!(err.kind(), std::io::ErrorKind::InvalidInput);
         assert!(err.to_string().contains("HTTP only"), "{err}");
     }
@@ -747,13 +738,9 @@ mod tests {
     /// translates to, both on `queue`.
     fn both_ways(queue: &JobQueue, frame: &str) -> (Json, Response) {
         let shutdown = CancelToken::new();
-        let options = HttpOptions::default();
-        let line = handle_request(frame.as_bytes(), queue, &shutdown, &options, None);
+        let line = handle_request(frame.as_bytes(), queue, &shutdown, None, None);
         let request = translate(&Json::parse(frame).unwrap()).unwrap();
-        (
-            line,
-            http::route(&request, queue, &shutdown, &options, None),
-        )
+        (line, http::route(&request, queue, &shutdown, None, None))
     }
 
     #[test]

@@ -70,7 +70,7 @@
 //!
 //! ## Authentication
 //!
-//! With an auth token configured ([`HttpOptions::auth_token`],
+//! With an auth token configured ([`crate::ServeOptions::auth_token`],
 //! `--auth-token` on the CLI), **every** endpoint requires
 //! `Authorization: Bearer <token>`. The comparison is constant-time in
 //! the token bytes (the supplied length is not hidden); a missing or
@@ -107,7 +107,7 @@
 //! cannot outlive a shutdown, and a blocking `?wait=true` request parks
 //! on the queue's condvar (jobs always terminate, so shutdown cannot
 //! be wedged by a waiter). Handler threads are capped
-//! ([`HttpOptions::max_connections`], default
+//! ([`crate::ServeOptions::max_connections`], default
 //! [`DEFAULT_MAX_CONNECTIONS`]): a connection over the cap gets an
 //! immediate `503` + `Retry-After` written from the accept loop and is
 //! closed, so a connection flood cannot exhaust threads or starve the
@@ -139,27 +139,14 @@ pub const MAX_HEADER_BYTES: usize = 32 << 10;
 /// Maximum request body size (`Content-Length` above this is `413`).
 pub const MAX_BODY_BYTES: usize = 4 << 20;
 
-/// Concurrent connection-handler threads per listener unless
-/// [`HttpOptions::max_connections`] overrides it.
+/// Default of [`crate::ServeOptions::max_connections`]: concurrent
+/// connection-handler threads per listener.
 pub const DEFAULT_MAX_CONNECTIONS: usize = 64;
 
 /// `Retry-After` seconds suggested on `429`/`503` rejections. Small on
 /// purpose: shed decisions are per-request and the queue drains
 /// continuously, so a quick retry is cheap and usually succeeds.
 pub const RETRY_AFTER_SECS: u64 = 1;
-
-/// Options for the HTTP front-end.
-#[derive(Debug, Clone, Default)]
-pub struct HttpOptions {
-    /// Static bearer token; when set, every request must carry
-    /// `Authorization: Bearer <token>` (constant-time comparison).
-    pub auth_token: Option<String>,
-    /// Cap on concurrent connection-handler threads (`None` =
-    /// [`DEFAULT_MAX_CONNECTIONS`]). A connection over the cap gets an
-    /// immediate `503` + `Retry-After` and is closed — it never ties up
-    /// a handler thread.
-    pub max_connections: Option<usize>,
-}
 
 /// One parsed request: what [`route`] gives meaning to, whether it was
 /// read off an HTTP connection or translated from a line-JSON frame.
@@ -322,7 +309,7 @@ pub(crate) fn handle_connection(
     stream: TcpStream,
     queue: &JobQueue,
     shutdown: &CancelToken,
-    options: &HttpOptions,
+    auth_token: Option<&str>,
     registry: Option<&IndexRegistry>,
 ) {
     let _ = stream.set_read_timeout(Some(POLL_INTERVAL * 4));
@@ -352,7 +339,7 @@ pub(crate) fn handle_connection(
         // timeout) or the daemon shuts down, so it never returns a
         // single Response through the normal path.
         if request.method == "GET" && request.path == "/v1/events" {
-            if let Some(denied) = auth_failure(&request, options) {
+            if let Some(denied) = auth_failure(&request, auth_token) {
                 if write_response(&mut writer, &denied, true).is_ok() {
                     lingering_close(reader.get_ref(), LINGER_DEADLINE, LINGER_MAX_BYTES);
                 }
@@ -362,7 +349,7 @@ pub(crate) fn handle_connection(
             return;
         }
         let t_request = Instant::now();
-        let response = route(&request, queue, shutdown, options, registry);
+        let response = route(&request, queue, shutdown, auth_token, registry);
         telemetry::HTTP_REQUEST.observe(t_request.elapsed());
         // After a shutdown request the flag is set; close either way.
         let close = request.wants_close() || shutdown.is_cancelled() || response.status >= 400;
@@ -741,10 +728,10 @@ pub(crate) fn route(
     request: &Request,
     queue: &JobQueue,
     shutdown: &CancelToken,
-    options: &HttpOptions,
+    auth_token: Option<&str>,
     registry: Option<&IndexRegistry>,
 ) -> Response {
-    if let Some(denied) = auth_failure(request, options) {
+    if let Some(denied) = auth_failure(request, auth_token) {
         return denied;
     }
     let segments: Vec<&str> = request.path.split('/').filter(|s| !s.is_empty()).collect();
@@ -822,12 +809,13 @@ fn method_not_allowed(allow: &'static str) -> Response {
         .with_header("Allow", allow.to_string())
 }
 
-/// The `401` for a request that fails bearer-token auth, or `None` when
-/// the request is authorized (or no token is configured). Shared by the
-/// normal [`route`] path and the SSE takeover, which must authenticate
-/// *before* committing the connection to a stream.
-fn auth_failure(request: &Request, options: &HttpOptions) -> Option<Response> {
-    let expected = options.auth_token.as_ref()?;
+/// The `401` for a request that fails bearer-token auth against
+/// `expected`, or `None` when the request is authorized (or no token is
+/// configured). Shared by the normal [`route`] path and the SSE
+/// takeover, which must authenticate *before* committing the
+/// connection to a stream.
+fn auth_failure(request: &Request, expected: Option<&str>) -> Option<Response> {
+    let expected = expected?;
     let supplied = request
         .header("authorization")
         .and_then(bearer_token)

@@ -74,7 +74,7 @@ fn request(method: &str, target: &str, body: &str) -> Request {
 /// Routes one request and returns the bytes written for it.
 fn wire(
     queue: &JobQueue,
-    options: &HttpOptions,
+    auth_token: Option<&str>,
     registry: Option<&IndexRegistry>,
     method: &str,
     target: &str,
@@ -84,7 +84,7 @@ fn wire(
         &request(method, target, body),
         queue,
         &CancelToken::new(),
-        options,
+        auth_token,
         registry,
     );
     let mut out = Vec::new();
@@ -125,7 +125,7 @@ fn bad_requests_not_found_and_wrong_methods() {
     let indexes = Indexes::new("client");
     let registry = Some(&indexes.registry);
     let queue = JobQueue::new(1, 0);
-    let options = HttpOptions::default();
+    let token = None;
     let cases: [Case; 13] = [
         (
             "POST",
@@ -234,7 +234,7 @@ fn bad_requests_not_found_and_wrong_methods() {
     ];
     for (method, target, body, status_line, extra, error) in cases {
         assert_eq!(
-            wire(&queue, &options, registry, method, target, body),
+            wire(&queue, token, registry, method, target, body),
             expected(status_line, extra, error),
             "{method} {target}"
         );
@@ -244,12 +244,9 @@ fn bad_requests_not_found_and_wrong_methods() {
 #[test]
 fn missing_token_is_unauthorized_with_a_challenge() {
     let queue = JobQueue::new(1, 0);
-    let options = HttpOptions {
-        auth_token: Some("secret".into()),
-        ..HttpOptions::default()
-    };
+    let token = Some("secret");
     assert_eq!(
-        wire(&queue, &options, None, "GET", "/v1/jobs", ""),
+        wire(&queue, token, None, "GET", "/v1/jobs", ""),
         expected(
             "401 Unauthorized",
             &["WWW-Authenticate: Bearer"],
@@ -263,10 +260,10 @@ fn conflicts_with_server_state() {
     let indexes = Indexes::new("conflict");
     let registry = Some(&indexes.registry);
     let queue = JobQueue::new(1, 0);
-    let options = HttpOptions::default();
+    let token = None;
     let demo = r#"{"name":"demo","dataset":"restaurant","scale":0.05}"#;
     assert_eq!(
-        wire(&queue, &options, registry, "POST", "/v1/indexes", demo),
+        wire(&queue, token, registry, "POST", "/v1/indexes", demo),
         expected(
             "409 Conflict",
             &[],
@@ -274,24 +271,10 @@ fn conflicts_with_server_state() {
         )
     );
     // No worker runs this queue, so the first patch stays in flight.
-    let first = wire(
-        &queue,
-        &options,
-        registry,
-        "PATCH",
-        "/v1/indexes/demo",
-        DELTAS,
-    );
+    let first = wire(&queue, token, registry, "PATCH", "/v1/indexes/demo", DELTAS);
     assert!(first.starts_with("HTTP/1.1 202 Accepted\r\n"), "{first}");
     assert_eq!(
-        wire(
-            &queue,
-            &options,
-            registry,
-            "PATCH",
-            "/v1/indexes/demo",
-            DELTAS
-        ),
+        wire(&queue, token, registry, "PATCH", "/v1/indexes/demo", DELTAS),
         expected(
             "409 Conflict",
             &[],
@@ -306,7 +289,7 @@ fn conflicts_with_server_state() {
     );
     for path in ["/v1/jobs", "/v1/indexes"] {
         assert_eq!(
-            wire(&queue, &options, registry, "POST", path, JOB),
+            wire(&queue, token, registry, "POST", path, JOB),
             closed,
             "POST {path}"
         );
@@ -318,8 +301,8 @@ fn shed_submissions_are_retryable_with_retry_after() {
     let indexes = Indexes::new("shed");
     let registry = Some(&indexes.registry);
     let queue = JobQueue::new(1, 0).with_shed_limits(1, 0);
-    let options = HttpOptions::default();
-    let admitted = wire(&queue, &options, registry, "POST", "/v1/jobs", JOB);
+    let token = None;
+    let admitted = wire(&queue, token, registry, "POST", "/v1/jobs", JOB);
     assert!(
         admitted.starts_with("HTTP/1.1 201 Created\r\n"),
         "{admitted}"
@@ -335,7 +318,7 @@ fn shed_submissions_are_retryable_with_retry_after() {
         ("PATCH", "/v1/indexes/demo", DELTAS),
     ] {
         assert_eq!(
-            wire(&queue, &options, registry, method, path, body),
+            wire(&queue, token, registry, method, path, body),
             shed,
             "{method} {path}"
         );
@@ -345,7 +328,7 @@ fn shed_submissions_are_retryable_with_retry_after() {
 #[test]
 fn unavailable_indexes_are_not_retryable() {
     let queue = JobQueue::new(1, 0);
-    let options = HttpOptions::default();
+    let token = None;
     let disabled = expected(
         "503 Service Unavailable",
         &[],
@@ -360,7 +343,7 @@ fn unavailable_indexes_are_not_retryable() {
         ("GET", "/v1/indexes/demo/match?entity=a:1", ""),
     ] {
         assert_eq!(
-            wire(&queue, &options, None, method, target, body),
+            wire(&queue, token, None, method, target, body),
             disabled,
             "{method} {target}"
         );
@@ -373,7 +356,7 @@ fn unavailable_indexes_are_not_retryable() {
     );
     for target in ["/v1/indexes/bad", "/v1/indexes/bad/match?entity=a:1"] {
         assert_eq!(
-            wire(&queue, &options, Some(&indexes.registry), "GET", target, ""),
+            wire(&queue, token, Some(&indexes.registry), "GET", target, ""),
             corrupt,
             "GET {target}"
         );

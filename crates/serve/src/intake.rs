@@ -229,19 +229,16 @@ pub(crate) fn get_job(request: &Request, queue: &JobQueue, id: &str) -> Result<R
 /// and full report once the job is terminal. With `wait`, blocks until
 /// terminal first. `None` for an unknown id.
 fn job_json(queue: &JobQueue, id: JobId, wait: bool) -> Option<Json> {
-    // At most one report clone: the blocking wait's result is reused
-    // for the response instead of being fetched a second time.
-    let waited = if wait { Some(queue.wait(id)?) } else { None };
+    if wait {
+        queue.wait(id)?;
+    }
     let snap = queue.job_snapshot(id)?;
     let body = snapshot_json(&snap);
     if snap.status.is_none() {
         return Some(body);
     }
-    let report = match waited {
-        Some(report) => report,
-        // Terminal, so this wait() returns immediately.
-        None => queue.wait(id)?,
-    };
+    // Terminal, so this wait() returns the shared report at once.
+    let report = queue.wait(id)?;
     let Json::Obj(mut fields) = body else {
         unreachable!("snapshot_json builds an object");
     };

@@ -22,13 +22,15 @@
 //!
 //! ## Manifest format
 //!
-//! A manifest is a JSON document (see [`manifest`] for the full field
-//! reference; `examples/fleet.json` is a ready-made one): fleet knobs
-//! (`slots`, `memory_budget_mib`, `timeout_ms`, `max_retries`) plus a list of jobs, each
-//! either *synthetic* (`dataset`/`seed`/`scale`, a benchmark
-//! profile generated in-process) or *file-based* (`first`/`second` KB
-//! paths with an optional `truth` file), with optional per-job matching
-//! overrides (`theta`, `k`, `purge`).
+//! A manifest is a JSON document `{"jobs":[…]}` (see [`manifest`] for
+//! the full field reference; `examples/fleet.json` is a ready-made
+//! one). Each job is either *synthetic* (`dataset`/`seed`/`scale`, a
+//! benchmark profile generated in-process) or *file-based*
+//! (`first`/`second` KB paths with an optional `truth` file), with
+//! optional per-job overrides (`theta`, `k`, `purge`, `timeout_ms`,
+//! `max_retries`). Fleet and daemon settings are not manifest fields:
+//! [`ServeOptions`] holds every one of them, and the command line is
+//! their one source.
 //!
 //! ## Admission policy
 //!
@@ -80,7 +82,7 @@ pub mod scheduler;
 pub mod telemetry;
 
 pub use daemon::{run_server, Frontends};
-pub use http::{prometheus_metrics, HttpOptions};
+pub use http::prometheus_metrics;
 pub use registry::{IndexEntry, IndexRegistry, RegistryError};
 
 pub use manifest::{JobInput, JobSpec, Manifest};

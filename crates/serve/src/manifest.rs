@@ -1,16 +1,11 @@
 //! Batch manifests: which KB pairs to resolve, with what parameters.
 //!
-//! A manifest is a JSON document listing resolution jobs plus
-//! fleet-level scheduling knobs (`examples/fleet.json` is a ready-made
-//! one; the HTTP and line-JSON `submit` bodies take the same job
-//! objects):
+//! A manifest is a JSON document listing resolution jobs and nothing
+//! else (`examples/fleet.json` is a ready-made one; the HTTP and
+//! line-JSON `submit` bodies take the same job objects):
 //!
 //! ```json
 //! {
-//!   "slots": 4,
-//!   "memory_budget_mib": 512,
-//!   "timeout_ms": 0,
-//!   "max_retries": 0,
 //!   "jobs": [
 //!     {"name": "rexa-small", "dataset": "rexa", "seed": 20180416, "scale": 0.1},
 //!     {"name": "films", "first": "data/yago.nt", "second": "data/imdb.tsv",
@@ -20,15 +15,10 @@
 //! }
 //! ```
 //!
-//! Fleet fields (all optional):
-//!
-//! - `slots` — pair-level parallelism: up to this many jobs run
-//!   concurrently (`0` = one slot per core; never more than the cores
-//!   or the jobs);
-//! - `memory_budget_mib` — bounded-memory admission: jobs are admitted
-//!   in order while their footprint estimates fit (`0` = unlimited);
-//! - `timeout_ms` — default per-job deadline (`0` = none);
-//! - `max_retries` — default transient-failure retry budget.
+//! Fleet settings are not manifest fields: they come from the command
+//! line (`--slots`, `--memory-mib`, `--timeout-ms`, `--max-retries`,
+//! see [`crate::ServeOptions`]). A manifest that still sets one of
+//! them at the top level fails to load, and the error names the flag.
 //!
 //! Job fields: every job has a unique `name` and is either *synthetic* —
 //! `dataset` (`restaurant` | `rexa` | `bbc` | `yago`) with optional
@@ -220,20 +210,9 @@ impl JobSpec {
     }
 }
 
-/// A parsed batch manifest.
+/// A parsed batch manifest: the jobs, in admission order.
 #[derive(Debug, Clone, PartialEq)]
 pub struct Manifest {
-    /// Fleet slots: maximum concurrently running jobs (`0` = one per
-    /// available core; clamped to the cores and to the job count).
-    pub slots: usize,
-    /// Memory budget for admission, in MiB (`0` = unlimited).
-    pub memory_budget_mib: usize,
-    /// Fleet-level default run deadline in milliseconds (`0` = no
-    /// deadline). Jobs can override with their own `timeout_ms`.
-    pub timeout_ms: u64,
-    /// Fleet-level default retry budget for transient failures (`0` =
-    /// no retries). Jobs can override with their own `max_retries`.
-    pub max_retries: u32,
     /// The jobs, in admission order.
     pub jobs: Vec<JobSpec>,
 }
@@ -263,30 +242,17 @@ impl Manifest {
     }
 
     /// Builds a manifest from its JSON object. Unknown fields error,
-    /// like [`MinoanConfig::from_json`].
+    /// like [`MinoanConfig::from_json`]; a fleet setting names the flag
+    /// that sets it instead.
     pub fn from_json(json: &Json) -> Result<Manifest, String> {
         let Json::Obj(fields) = json else {
             return Err("manifest must be an object".into());
         };
-        let mut manifest = Manifest {
-            slots: 0,
-            memory_budget_mib: 0,
-            timeout_ms: 0,
-            max_retries: 0,
-            jobs: Vec::new(),
-        };
+        let mut manifest = Manifest { jobs: Vec::new() };
         for (key, value) in fields {
-            let bad = || format!("bad value for {key}");
+            let flag =
+                |flag| format!("manifest field {key:?} is not supported: set it with {flag}");
             match key.as_str() {
-                "slots" => manifest.slots = value.as_usize().ok_or_else(bad)?,
-                "memory_budget_mib" => {
-                    manifest.memory_budget_mib = value.as_usize().ok_or_else(bad)?
-                }
-                "timeout_ms" => manifest.timeout_ms = value.as_usize().ok_or_else(bad)? as u64,
-                "max_retries" => {
-                    manifest.max_retries =
-                        u32::try_from(value.as_usize().ok_or_else(bad)?).map_err(|_| bad())?
-                }
                 "jobs" => {
                     let Json::Arr(items) = value else {
                         return Err(format!("{key} must be an array"));
@@ -297,6 +263,10 @@ impl Manifest {
                             .push(job_from_json(item).map_err(|e| format!("job #{}: {e}", i + 1))?);
                     }
                 }
+                "slots" => return Err(flag("--slots")),
+                "memory_budget_mib" => return Err(flag("--memory-mib")),
+                "timeout_ms" => return Err(flag("--timeout-ms")),
+                "max_retries" => return Err(flag("--max-retries")),
                 other => return Err(format!("unknown manifest field {other:?}")),
             }
         }
@@ -422,7 +392,6 @@ mod tests {
     use super::*;
 
     const JSON: &str = r#"{
-        "slots": 2, "memory_budget_mib": 256, "timeout_ms": 90000, "max_retries": 1,
         "jobs": [
             {"name": "syn", "dataset": "rexa", "seed": 7, "scale": 0.25,
              "timeout_ms": 500, "max_retries": 3},
@@ -434,10 +403,6 @@ mod tests {
     #[test]
     fn json_manifest_parses() {
         let m = Manifest::parse_json(JSON).unwrap();
-        assert_eq!(m.slots, 2);
-        assert_eq!(m.memory_budget_mib, 256);
-        assert_eq!(m.timeout_ms, 90000, "fleet-level deadline default");
-        assert_eq!(m.max_retries, 1, "fleet-level retry default");
         assert_eq!(m.jobs.len(), 2);
         assert_eq!(m.jobs[0].timeout_ms, Some(500), "per-job override");
         assert_eq!(m.jobs[0].max_retries, Some(3));
@@ -513,7 +478,7 @@ mod tests {
         let rexa =
             |extra: &str| format!(r#"{{"jobs": [{{"name": "x", "dataset": "rexa"{extra}}}]}}"#);
         for (text, needle) in [
-            (r#"{"slots": 1}"#.to_string(), "no jobs"),
+            (r#"{"jobs": []}"#.to_string(), "no jobs"),
             (
                 r#"{"jobs": [{"dataset": "rexa"}]}"#.to_string(),
                 "needs a name",
@@ -542,6 +507,23 @@ mod tests {
                 r#"unknown manifest field "threads""#,
             ),
             (rexa(r#", "wat": 1"#), "unknown job field"),
+            // Fleet settings are flags; the error names the one to use.
+            (
+                r#"{"slots": 4, "jobs": [{"name": "x", "dataset": "rexa"}]}"#.to_string(),
+                r#"manifest field "slots" is not supported: set it with --slots"#,
+            ),
+            (
+                r#"{"memory_budget_mib": 1024, "jobs": []}"#.to_string(),
+                "--memory-mib",
+            ),
+            (
+                r#"{"timeout_ms": 0, "jobs": []}"#.to_string(),
+                "--timeout-ms",
+            ),
+            (
+                r#"{"max_retries": 1, "jobs": []}"#.to_string(),
+                "--max-retries",
+            ),
             // 2^53 + 1: rounds to 2^53 in the f64 number pipeline, so it
             // must be rejected rather than silently run as a neighbor.
             (

@@ -14,15 +14,14 @@
 //!
 //! - **Pairs first.** Up to `slots` jobs run concurrently, each on its
 //!   own executor, and the runner starts exactly that many workers.
-//!   Wherever `slots` comes from (manifest, CLI or default), it is
-//!   clamped to `available_parallelism()`: one more CPU-bound pipeline
-//!   than cores would only evict everyone else's working set on every
-//!   timeslice. The pool's workers are divided with real accounting
-//!   (`allotment`): each claim takes a share of the workers not
-//!   allotted to running jobs, so allotments sum to the worker count
-//!   while the fleet is full, and as the queue drains the stragglers
-//!   widen to intra-pair parallelism (the last job alone gets every
-//!   free worker). On the default pool backend an allotment is each
+//!   [`ServeOptions::slots`] is clamped to `available_parallelism()`:
+//!   one more CPU-bound pipeline than cores would only evict everyone
+//!   else's working set on every timeslice. The pool's workers are
+//!   divided with real accounting (`allotment`): each claim takes a
+//!   share of the workers not allotted to running jobs, so allotments
+//!   sum to the worker count while the fleet is full, and as the queue
+//!   drains the stragglers widen to intra-pair parallelism (the last
+//!   job alone gets every free worker). On the default pool backend an allotment is each
 //!   wave's minimum task count: wave work runs through the
 //!   process-wide pool sized to the core count (the submitter helping
 //!   with its own wave), and idle capacity flows to whichever job has
@@ -105,57 +104,67 @@ use crate::report::{current_rss_bytes, peak_rss_bytes, JobReport, JobStatus, Ser
 
 pub use minoan_exec::{CancelToken, Cancelled};
 
-/// Fleet-level options. `None` defers to the manifest; an explicit
-/// value — including an explicit zero — overrides it, so an operator
-/// can always lift a manifest limit from the command line.
+/// Every fleet and daemon setting, each a plain value with its default
+/// in [`Default`]: the command line is the one source of them (a
+/// manifest lists jobs only). Batch reads the fleet settings, `slots`
+/// through `rss_kill_factor`; the daemon reads them all.
 #[derive(Debug, Clone)]
 pub struct ServeOptions {
-    /// Max concurrently running jobs (`Some(0)` = one per available
-    /// core). Always clamped to `available_parallelism()`, and to the
-    /// job count in batch mode.
-    pub slots: Option<usize>,
-    /// Admission budget in MiB (`Some(0)` = unlimited).
-    pub memory_budget_mib: Option<usize>,
+    /// Max concurrently running jobs (`0` = one per available core).
+    /// Always clamped to `available_parallelism()`, and to the job
+    /// count in batch mode.
+    pub slots: usize,
+    /// Admission budget in bytes (`0` = unlimited).
+    pub memory_budget_bytes: u64,
     /// Executor backend every job runs on.
     pub executor: ExecutorKind,
-    /// Fleet default per-job deadline in ms (`Some(0)` = explicitly no
-    /// deadline; `None` defers to the manifest's `timeout_ms`).
-    pub timeout_ms: Option<u64>,
-    /// Fleet default transient-failure retry budget (`None` defers to
-    /// the manifest's `max_retries`, itself defaulting to `0`).
-    pub max_retries: Option<u32>,
+    /// Default per-job deadline in ms (`0` = none); a job's own
+    /// `timeout_ms` overrides it.
+    pub timeout_ms: u64,
+    /// Default transient-failure retry budget; a job's own
+    /// `max_retries` overrides it.
+    pub max_retries: u32,
     /// RSS watchdog: kill a job whose measured RSS growth exceeds this
-    /// factor times its admission estimate (`None` = watchdog off, the
-    /// default — process-wide RSS attribution is too coarse to arm
+    /// factor times its admission estimate (`0` = off, the default —
+    /// process-wide RSS attribution is too coarse to arm
     /// unconditionally).
-    pub rss_kill_factor: Option<f64>,
+    pub rss_kill_factor: f64,
     /// Overload shedding high-water mark on queue depth for daemon
-    /// intake (`None` = the [`DEFAULT_SHED_QUEUE_DEPTH`] default,
-    /// `Some(0)` = never shed on depth). Batch mode never sheds: a
+    /// intake (`0` = never shed on depth). Batch mode never sheds: a
     /// manifest is admitted whole.
-    pub shed_queue_depth: Option<usize>,
+    pub shed_queue_depth: usize,
     /// Directory where `POST /v1/indexes` builds persist their index
     /// artifacts and where match queries load them from (`None` =
     /// index endpoints are disabled and report `unavailable`).
     pub index_dir: Option<std::path::PathBuf>,
     /// Byte budget for the in-memory cache of loaded index artifacts
-    /// (`None` = [`crate::registry::DEFAULT_CACHE_BYTES`]; `Some(0)` =
-    /// evict after every query).
-    pub index_cache_bytes: Option<u64>,
+    /// (`0` = evict after every query).
+    pub index_cache_bytes: u64,
+    /// Static bearer token; when set, every HTTP request must carry
+    /// `Authorization: Bearer <token>` (constant-time comparison).
+    /// Line-JSON frames carry no credentials, so a token requires HTTP
+    /// only.
+    pub auth_token: Option<String>,
+    /// Cap on concurrent HTTP connection-handler threads (`0` counts
+    /// as 1). A connection over the cap gets an immediate `503` +
+    /// `Retry-After` and is closed — it never ties up a handler thread.
+    pub max_connections: usize,
 }
 
 impl Default for ServeOptions {
     fn default() -> Self {
         Self {
-            slots: None,
-            memory_budget_mib: None,
+            slots: 0,
+            memory_budget_bytes: 0,
             executor: ExecutorKind::Pool,
-            timeout_ms: None,
-            max_retries: None,
-            rss_kill_factor: None,
-            shed_queue_depth: None,
+            timeout_ms: 0,
+            max_retries: 0,
+            rss_kill_factor: 0.0,
+            shed_queue_depth: DEFAULT_SHED_QUEUE_DEPTH,
             index_dir: None,
-            index_cache_bytes: None,
+            index_cache_bytes: crate::registry::DEFAULT_CACHE_BYTES,
+            auth_token: None,
+            max_connections: crate::http::DEFAULT_MAX_CONNECTIONS,
         }
     }
 }
@@ -396,12 +405,12 @@ struct JobEntry {
     trace_ids: Vec<u64>,
 }
 
-/// Internal phase storage; `Done` owns the report (boxed: terminal
-/// reports dwarf the other variants).
+/// Internal phase storage; `Done` holds the report behind an `Arc`, so
+/// a [`JobQueue::wait`] shares it instead of copying every matched pair.
 enum Phase {
     Queued,
     Running,
-    Done(Box<JobReport>),
+    Done(Arc<JobReport>),
 }
 
 impl Phase {
@@ -498,8 +507,9 @@ pub struct JobQueue {
 /// Default overload-shedding high-water mark on queue depth for daemon
 /// intake: submissions beyond this many pending jobs are rejected as
 /// retryable so clients back off instead of piling on. Batch manifests
-/// are exempt (admitted whole); `ServeOptions::shed_queue_depth`
-/// overrides, `0` disabling depth shedding entirely.
+/// are exempt (admitted whole). The default of
+/// [`ServeOptions::shed_queue_depth`], where `0` disables depth
+/// shedding entirely.
 pub const DEFAULT_SHED_QUEUE_DEPTH: usize = 256;
 
 /// Admitted-bytes shedding: with a memory budget configured, intake
@@ -750,7 +760,7 @@ impl JobQueue {
                 let mut report = JobReport::empty(&entry.spec.name, JobStatus::Cancelled);
                 report.estimated_bytes = entry.estimate;
                 guard.pending.retain(|&p| p != id);
-                guard.transition(id, Phase::Done(Box::new(report)));
+                guard.transition(id, Phase::Done(Arc::new(report)));
                 trace::emit_job(
                     Level::Info,
                     "job.done",
@@ -832,10 +842,11 @@ impl JobQueue {
     }
 
     /// Blocks until job `id` reaches a terminal report and returns a
-    /// clone of it (`None` for an unknown id). Jobs always terminate —
-    /// queued work is either dispatched or flipped to `Cancelled` — so
-    /// this cannot wait forever once workers are running.
-    pub fn wait(&self, id: JobId) -> Option<JobReport> {
+    /// shared handle to it (`None` for an unknown id). Jobs always
+    /// terminate — queued work is either dispatched or flipped to
+    /// `Cancelled` — so this cannot wait forever once workers are
+    /// running.
+    pub fn wait(&self, id: JobId) -> Option<Arc<JobReport>> {
         let mut guard = self.lock();
         loop {
             match guard.entries.get(id) {
@@ -843,7 +854,7 @@ impl JobQueue {
                 Some(JobEntry {
                     phase: Phase::Done(report),
                     ..
-                }) => return Some((**report).clone()),
+                }) => return Some(Arc::clone(report)),
                 Some(_) => guard = self.done.wait(guard).expect("queue lock"),
             }
         }
@@ -1058,7 +1069,7 @@ impl JobQueue {
                 report.status.label(),
                 report.wall.as_secs_f64() * 1e3
             );
-            self.lock().transition(id, Phase::Done(Box::new(report)));
+            self.lock().transition(id, Phase::Done(Arc::new(report)));
             trace::emit_job(Level::Info, "job.done", id as i64, job_trace, ended);
             self.done.notify_all();
         }
@@ -1134,7 +1145,7 @@ impl JobQueue {
             .into_iter()
             .enumerate()
             .map(|(id, e)| match e.phase {
-                Phase::Done(report) => *report,
+                Phase::Done(report) => Arc::unwrap_or_clone(report),
                 other => panic!(
                     "job #{id} ({}) ended {:?} without a report",
                     e.spec.name,
@@ -1171,40 +1182,18 @@ pub(crate) fn allotment(workers: usize, in_use: usize, free_slots: usize, pendin
     (workers.saturating_sub(in_use) / fill).max(1)
 }
 
-/// The queue one fleet drains, with `opts` over the fleet's knobs: an
-/// option left `None` defers to the manifest. Batch passes its
-/// manifest: knobs and lifecycle defaults come from it, slots clamp to
-/// its job count, and nothing is shed because a manifest is admitted
-/// whole. A daemon passes `None`: its zeros mean "all cores",
-/// "unlimited", no deadline and no retries, and it sheds past a
-/// queue-depth or admitted-bytes mark — jobs past the budget *wait*,
-/// jobs past the shed mark (a multiple of the budget, off when
-/// admission is unlimited) are *refused*. Either way [`JobQueue::new`]
-/// clamps the slots to the cores.
-pub(crate) fn fleet_queue(opts: &ServeOptions, manifest: Option<&Manifest>) -> JobQueue {
-    let (slots, budget_mib, jobs) = match manifest {
-        Some(m) => (m.slots, m.memory_budget_mib, m.jobs.len()),
-        None => (0, 0, usize::MAX),
-    };
-    let slots = match opts.slots.unwrap_or(slots) {
+/// The queue one fleet drains, built from `opts` alone: `slots` (`0` =
+/// all cores, never more than `max_jobs`), the memory budget and the
+/// per-job lifecycle defaults. Batch passes its job count; the daemon
+/// passes `usize::MAX` and arms shedding on top. Either way
+/// [`JobQueue::new`] clamps the slots to the cores.
+pub(crate) fn fleet_queue(opts: &ServeOptions, max_jobs: usize) -> JobQueue {
+    let slots = match opts.slots {
         0 => usize::MAX,
         slots => slots,
     };
-    // A budget of zero means unlimited, not "all available".
-    let budget_bytes = opts.memory_budget_mib.unwrap_or(budget_mib) as u64 * (1 << 20);
-    let queue = JobQueue::new(slots.min(jobs), budget_bytes);
-    match manifest {
-        Some(m) => queue.with_job_defaults(
-            opts.timeout_ms.unwrap_or(m.timeout_ms),
-            opts.max_retries.unwrap_or(m.max_retries),
-        ),
-        None => queue
-            .with_job_defaults(opts.timeout_ms.unwrap_or(0), opts.max_retries.unwrap_or(0))
-            .with_shed_limits(
-                opts.shed_queue_depth.unwrap_or(DEFAULT_SHED_QUEUE_DEPTH),
-                budget_bytes.saturating_mul(SHED_BYTES_FACTOR),
-            ),
-    }
+    JobQueue::new(slots.min(max_jobs), opts.memory_budget_bytes)
+        .with_job_defaults(opts.timeout_ms, opts.max_retries)
 }
 
 /// The one fleet runner: starts a worker per slot
@@ -1252,7 +1241,7 @@ pub fn run_batch_streaming(
     opts: &ServeOptions,
     on_done: impl Fn(&JobSpec, &JobReport) + Sync,
 ) -> ServeReport {
-    let queue = fleet_queue(opts, Some(manifest));
+    let queue = fleet_queue(opts, manifest.jobs.len());
     for job in &manifest.jobs {
         queue
             .submit(job.clone())
@@ -1357,12 +1346,12 @@ fn run_job(
 ) -> (JobReport, EndClass) {
     let t0 = Instant::now();
     let rss_before = peak_rss_bytes();
-    let watchdog = match opts.rss_kill_factor {
-        Some(factor) if factor > 0.0 && estimated > 0 => {
-            let limit = ((estimated as f64 * factor) as u64).max(WATCHDOG_NOISE_FLOOR);
-            current_rss_bytes().map(|base| spawn_rss_watchdog(cancel.clone(), base, limit))
-        }
-        _ => None,
+    let factor = opts.rss_kill_factor;
+    let watchdog = if factor > 0.0 && estimated > 0 {
+        let limit = ((estimated as f64 * factor) as u64).max(WATCHDOG_NOISE_FLOOR);
+        current_rss_bytes().map(|base| spawn_rss_watchdog(cancel.clone(), base, limit))
+    } else {
+        None
     };
     // The token rides on the executor: every wave of the load and the
     // pipeline observes it, and this is the boundary its unwind is
@@ -1447,7 +1436,21 @@ fn execute(spec: &JobSpec, exec: &Executor, cancel: &CancelToken) -> Result<JobR
     let indexed = matcher
         .run_cancellable_indexed(&pair, exec, cancel)
         .map_err(|Cancelled| JobEnd::Cancelled)?;
-    let out = indexed.output.clone();
+    let out = &indexed.output;
+    let matches = out
+        .matching
+        .iter()
+        .map(|(a, b)| {
+            (
+                pair.first.entity_uri(a).to_string(),
+                pair.second.entity_uri(b).to_string(),
+            )
+        })
+        .collect();
+    let mut report = run_report(spec, matches, &out.report);
+    report.quality = truth
+        .as_ref()
+        .map(|t| MatchQuality::evaluate(&out.matching, t));
     // An index build persists the run's structures *after* the pipeline
     // finished, on the very output object: the matching a later query
     // serves is the matching this run produced, byte for byte. A write
@@ -1461,34 +1464,19 @@ fn execute(spec: &JobSpec, exec: &Executor, cancel: &CancelToken) -> Result<JobR
             .write_to(path)
             .map_err(|e| JobEnd::transient(format!("cannot persist index: {e}")))?;
     }
-    let quality = truth
-        .as_ref()
-        .map(|t| MatchQuality::evaluate(&out.matching, t));
-    let matches = out
-        .matching
-        .iter()
-        .map(|(a, b)| {
-            (
-                pair.first.entity_uri(a).to_string(),
-                pair.second.entity_uri(b).to_string(),
-            )
-        })
-        .collect();
-    let mut report = run_report(spec, matches, out.report);
-    report.quality = quality;
     Ok(report)
 }
 
 /// The `Ok` report of a job whose pipeline run produced `matches`:
 /// the run's H1–H4 counters and stage timings ride along.
-fn run_report(spec: &JobSpec, matches: Vec<(String, String)>, run: PipelineReport) -> JobReport {
+fn run_report(spec: &JobSpec, matches: Vec<(String, String)>, run: &PipelineReport) -> JobReport {
     let mut report = JobReport::empty(&spec.name, JobStatus::Ok);
     report.matches = matches;
     report.h1_matches = run.h1_matches;
     report.h2_matches = run.h2_matches;
     report.h3_matches = run.h3_matches;
     report.h4_removed = run.h4_removed;
-    report.timings = Some(run.timings);
+    report.timings = Some(run.timings.clone());
     report
 }
 
@@ -1527,7 +1515,7 @@ fn execute_patch(
     Ok(run_report(
         spec,
         artifact.matched_uri_pairs(),
-        delta.pipeline,
+        &delta.pipeline,
     ))
 }
 
@@ -1659,10 +1647,6 @@ mod tests {
 
     fn small_manifest() -> Manifest {
         Manifest {
-            slots: 2,
-            memory_budget_mib: 0,
-            timeout_ms: 0,
-            max_retries: 0,
             jobs: vec![
                 synthetic_job("restaurant", DatasetKind::Restaurant, 0.05),
                 synthetic_job("yago", DatasetKind::YagoImdb, 0.05),
@@ -1704,10 +1688,6 @@ mod tests {
     #[test]
     fn tiny_budget_serializes_but_completes() {
         let manifest = Manifest {
-            slots: 3,
-            memory_budget_mib: 1,
-            timeout_ms: 0,
-            max_retries: 0,
             jobs: vec![
                 synthetic_job("a", DatasetKind::Restaurant, 0.3),
                 synthetic_job("b", DatasetKind::Restaurant, 0.3),
@@ -1718,7 +1698,12 @@ mod tests {
         for job in &manifest.jobs {
             assert!(job.estimated_bytes() > 1 << 20);
         }
-        let report = run_batch(&manifest, &ServeOptions::default());
+        let opts = ServeOptions {
+            slots: 3,
+            memory_budget_bytes: 1 << 20,
+            ..ServeOptions::default()
+        };
+        let report = run_batch(&manifest, &opts);
         // …so each runs alone (head-of-queue admission), and all finish.
         assert_eq!(
             report.ok_count(),
@@ -1735,7 +1720,7 @@ mod tests {
     fn cancellation_skips_undispatched_jobs() {
         let manifest = small_manifest();
         let opts = ServeOptions::default();
-        let queue = fleet_queue(&opts, Some(&manifest));
+        let queue = fleet_queue(&opts, manifest.jobs.len());
         for job in &manifest.jobs {
             queue.submit(job.clone()).unwrap();
         }
@@ -1827,7 +1812,7 @@ mod tests {
         let base: Vec<String> = run_batch(
             &manifest,
             &ServeOptions {
-                slots: Some(1),
+                slots: 1,
                 executor: ExecutorKind::Sequential,
                 ..ServeOptions::default()
             },
@@ -1840,7 +1825,7 @@ mod tests {
             let got: Vec<String> = run_batch(
                 &manifest,
                 &ServeOptions {
-                    slots: Some(slots),
+                    slots,
                     ..ServeOptions::default()
                 },
             )
@@ -1857,13 +1842,13 @@ mod tests {
         // One job, many slots: the single job is the straggler and must
         // receive every worker of the pool.
         let manifest = Manifest {
-            slots: 4,
-            memory_budget_mib: 0,
-            timeout_ms: 0,
-            max_retries: 0,
             jobs: vec![synthetic_job("only", DatasetKind::Restaurant, 0.05)],
         };
-        let report = run_batch(&manifest, &ServeOptions::default());
+        let opts = ServeOptions {
+            slots: 4,
+            ..ServeOptions::default()
+        };
+        let report = run_batch(&manifest, &opts);
         assert_eq!(report.jobs[0].threads, pool::default_workers());
     }
 
@@ -1893,7 +1878,7 @@ mod tests {
     #[test]
     fn default_options_allot_one_per_job_in_a_full_fleet_and_all_workers_to_a_lone_job() {
         let workers = pool::default_workers();
-        let queue = fleet_queue(&ServeOptions::default(), None);
+        let queue = fleet_queue(&ServeOptions::default(), usize::MAX);
         assert_eq!(queue.slots(), workers);
         for i in 0..2 * workers {
             queue
@@ -1909,48 +1894,31 @@ mod tests {
         }
         assert_eq!(queue.stats().threads_in_use, workers);
 
-        let lone = fleet_queue(&ServeOptions::default(), None);
+        let lone = fleet_queue(&ServeOptions::default(), usize::MAX);
         lone.submit(synthetic_job("lone", DatasetKind::Restaurant, 0.05))
             .unwrap();
         assert_eq!(lone.claim().map(|(_, allot)| allot), Some(workers));
     }
 
     #[test]
-    fn slots_clamp_to_the_cores_from_any_source() {
+    fn slots_clamp_to_the_cores_and_the_job_count() {
         let available = pool::default_workers();
-        let manifest = |slots| Manifest {
-            slots,
-            memory_budget_mib: 0,
-            timeout_ms: 0,
-            max_retries: 0,
-            jobs: (0..available + 9)
-                .map(|i| synthetic_job(&format!("j{i}"), DatasetKind::Restaurant, 0.03))
-                .collect(),
+        let slots = |slots, max_jobs| {
+            let opts = ServeOptions {
+                slots,
+                ..ServeOptions::default()
+            };
+            fleet_queue(&opts, max_jobs).slots()
         };
-        let default = ServeOptions::default();
-        // A manifest value far above the core count clamps down, and
-        // zero means "all cores"…
-        for slots in [4096, 0] {
-            assert_eq!(
-                fleet_queue(&default, Some(&manifest(slots))).slots(),
-                available
-            );
+        // A value far above the core count clamps down, and zero means
+        // "all cores", for a batch or a daemon…
+        for value in [4096, available + 3, 0] {
+            assert_eq!(slots(value, available + 9), available);
+            assert_eq!(slots(value, usize::MAX), available);
         }
-        // …and so does an explicit option, for a batch or a daemon.
-        let explicit = ServeOptions {
-            slots: Some(available + 3),
-            ..ServeOptions::default()
-        };
-        assert_eq!(
-            fleet_queue(&explicit, Some(&manifest(1))).slots(),
-            available
-        );
-        assert_eq!(fleet_queue(&explicit, None).slots(), available);
-        assert_eq!(fleet_queue(&default, None).slots(), available);
-        // Batch mode also clamps to the job count.
-        let mut one_job = manifest(0);
-        one_job.jobs.truncate(1);
-        assert_eq!(fleet_queue(&explicit, Some(&one_job)).slots(), 1);
+        // …and a batch also clamps to its job count.
+        assert_eq!(slots(available + 3, 1), 1);
+        assert_eq!(slots(0, 1), 1);
     }
 
     #[test]
@@ -1958,16 +1926,12 @@ mod tests {
         let available = pool::default_workers();
         assert_eq!(JobQueue::new(available + 7, 0).slots(), available);
         let manifest = Manifest {
-            slots: 0,
-            memory_budget_mib: 0,
-            timeout_ms: 0,
-            max_retries: 0,
             jobs: (0..available + 9)
                 .map(|i| synthetic_job(&format!("j{i}"), DatasetKind::Restaurant, 0.03))
                 .collect(),
         };
         let opts = ServeOptions {
-            slots: Some(available + 7),
+            slots: available + 7,
             ..ServeOptions::default()
         };
         let report = run_batch(&manifest, &opts);
@@ -2044,6 +2008,18 @@ mod tests {
         let snap = &queue.snapshot()[0];
         assert_eq!(snap.phase, JobPhase::Done);
         assert_eq!(snap.status, Some(JobStatus::Cancelled));
+    }
+
+    #[test]
+    fn waits_on_a_terminal_job_share_one_report() {
+        let queue = JobQueue::new(1, 0);
+        let id = queue
+            .submit(synthetic_job("shared", DatasetKind::Restaurant, 0.05))
+            .unwrap();
+        queue.cancel(id);
+        let first = queue.wait(id).unwrap();
+        let second = queue.wait(id).unwrap();
+        assert!(Arc::ptr_eq(&first, &second), "a wait copied the report");
     }
 
     #[test]

@@ -11,7 +11,7 @@ use minoaner::core::{Candidate, IndexArtifact, MinoanEr, MAX_CANDIDATES};
 use minoaner::datagen::{mutate_stream, DatasetKind};
 use minoaner::exec::{faults, Executor};
 use minoaner::kb::{ArtifactError, EntityId, Json, KbPair, KbSide};
-use minoaner::serve::{fnv1a, CancelToken, HttpOptions, ServeOptions};
+use minoaner::serve::{fnv1a, CancelToken, ServeOptions};
 
 mod common;
 use common::{with_server, Raw, ScratchDir};
@@ -310,11 +310,11 @@ fn injected_read_faults_surface_as_clean_io_errors() {
 fn http_match_queries_answer_with_zero_ingest_telemetry() {
     let scratch = ScratchDir::new("http");
     let opts = ServeOptions {
-        slots: Some(2),
+        slots: 2,
         index_dir: Some(scratch.path("indexes")),
         ..ServeOptions::default()
     };
-    with_server(opts, HttpOptions::default(), |http| {
+    with_server(opts, |http| {
         // Build-and-persist through the job queue; ?wait=true holds the
         // 201 until the artifact is on disk.
         let job = Json::obj([

@@ -21,7 +21,7 @@ use minoaner::datagen::DatasetKind;
 use minoaner::exec::{faults, Executor};
 use minoaner::kb::{DeltaOp, KbBuilder, KbPair, KbSide, Object};
 use minoaner::serve::{
-    CancelToken, HttpOptions, JobInput, JobQueue, JobSpec, JobStatus, QueueStats, ServeOptions,
+    CancelToken, JobInput, JobQueue, JobSpec, JobStatus, QueueStats, ServeOptions,
 };
 
 mod common;
@@ -270,7 +270,7 @@ fn rss_watchdog_kills_the_over_budget_job_and_spares_the_fleet() {
     let first = scratch.file("a.tsv", &a);
     let second = scratch.file("b.tsv", &b);
     let opts = ServeOptions {
-        rss_kill_factor: Some(1.0),
+        rss_kill_factor: 1.0,
         ..ServeOptions::default()
     };
     // One slot: jobs run one at a time, so the process-wide RSS spike
@@ -311,11 +311,11 @@ fn http_sheds_past_the_high_water_mark_then_accepts_the_retry() {
     let plan = format!("seed:{},serve.job.execute:1:delay:1", ci_seed());
     faults::arm(&plan).unwrap();
     let opts = ServeOptions {
-        slots: Some(1),
-        shed_queue_depth: Some(1),
+        slots: 1,
+        shed_queue_depth: 1,
         ..ServeOptions::default()
     };
-    with_server(opts, HttpOptions::default(), |http| {
+    with_server(opts, |http| {
         let first = http.submit("running", "restaurant", 0.08);
         http.await_running(first);
         // One slot is busy; this job parks in the queue at the mark.
@@ -354,14 +354,11 @@ fn http_sheds_past_the_high_water_mark_then_accepts_the_retry() {
 fn connection_cap_rejects_excess_connections_with_503() {
     let _lock = locked();
     let opts = ServeOptions {
-        slots: Some(1),
+        slots: 1,
+        max_connections: 1,
         ..ServeOptions::default()
     };
-    let options = HttpOptions {
-        max_connections: Some(1),
-        ..HttpOptions::default()
-    };
-    with_server(opts, options, |http| {
+    with_server(opts, |http| {
         // Hold the single handler slot with an idle connection. Wait
         // for a probe to confirm the accept loop has claimed it.
         let hog = TcpStream::connect(http.addr).expect("connect hog");
@@ -539,7 +536,7 @@ fn artifact_read_fault_during_a_patch_is_transient_and_recovers() {
         index_dir: Some(scratch.0.clone()),
         ..ServeOptions::default()
     };
-    with_server(opts, HttpOptions::default(), |http| {
+    with_server(opts, |http| {
         let query = "/v1/indexes/victim/match?entity=a:0";
         let r = http.request("GET", query, None);
         assert_eq!(r.status, 503, "{}", r.body);

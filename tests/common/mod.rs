@@ -9,7 +9,7 @@ use std::net::{SocketAddr, TcpListener, TcpStream};
 use std::time::{Duration, Instant};
 
 use minoaner::kb::Json;
-use minoaner::serve::{run_server, Frontends, HttpOptions, ServeOptions, ServeReport};
+use minoaner::serve::{run_server, Frontends, ServeOptions, ServeReport};
 
 /// A scratch directory that cleans up after itself. The name carries
 /// the test binary and the process id, so concurrent runs never share
@@ -188,17 +188,12 @@ impl Http {
 /// from its clean shutdown. A panicking `body` still shuts the server
 /// down (with the right token) before the panic resumes, so a failed
 /// assertion reports as a failure instead of wedging the scope join.
-pub fn with_server<T>(
-    opts: ServeOptions,
-    options: HttpOptions,
-    body: impl FnOnce(&Http) -> T,
-) -> (ServeReport, T) {
+pub fn with_server<T>(opts: ServeOptions, body: impl FnOnce(&Http) -> T) -> (ServeReport, T) {
     let listener = TcpListener::bind("127.0.0.1:0").unwrap();
     let addr = listener.local_addr().unwrap();
-    let token = options.auth_token.clone();
+    let token = opts.auth_token.clone();
     let frontends = Frontends {
         http: Some(listener),
-        http_options: options,
         ..Frontends::default()
     };
     std::thread::scope(|scope| {

@@ -166,7 +166,7 @@ fn socket_jobs_are_bit_identical_to_batch_and_solo_runs() {
     let listener = TcpListener::bind("127.0.0.1:0").unwrap();
     let addr = listener.local_addr().unwrap();
     let opts = ServeOptions {
-        slots: Some(2),
+        slots: 2,
         ..ServeOptions::default()
     };
 
@@ -204,10 +204,6 @@ fn socket_jobs_are_bit_identical_to_batch_and_solo_runs() {
 
     // Batch path: the same jobs as a manifest fleet.
     let manifest = Manifest {
-        slots: 2,
-        memory_budget_mib: 0,
-        timeout_ms: 0,
-        max_retries: 0,
         jobs: DatasetKind::ALL
             .into_iter()
             .map(|kind| synthetic_spec(profile_name(kind), kind, 0.08))
@@ -218,16 +214,12 @@ fn socket_jobs_are_bit_identical_to_batch_and_solo_runs() {
     // Solo path: each job alone on a sequential executor.
     for (i, kind) in DatasetKind::ALL.into_iter().enumerate() {
         let solo_manifest = Manifest {
-            slots: 1,
-            memory_budget_mib: 0,
-            timeout_ms: 0,
-            max_retries: 0,
             jobs: vec![synthetic_spec(profile_name(kind), kind, 0.08)],
         };
         let solo = run_batch(
             &solo_manifest,
             &ServeOptions {
-                slots: Some(1),
+                slots: 1,
                 executor: ExecutorKind::Sequential,
                 ..ServeOptions::default()
             },
@@ -251,7 +243,7 @@ fn malformed_frames_get_error_responses_and_never_wedge_the_daemon() {
     let listener = TcpListener::bind("127.0.0.1:0").unwrap();
     let addr = listener.local_addr().unwrap();
     let opts = ServeOptions {
-        slots: Some(2),
+        slots: 2,
         ..ServeOptions::default()
     };
     std::thread::scope(|scope| {
@@ -336,7 +328,7 @@ fn index_match_k_is_bounded_by_the_persisted_row_cap() {
     let addr = listener.local_addr().unwrap();
     let dir = std::env::temp_dir().join(format!("minoan-daemon-k-{}", std::process::id()));
     let opts = ServeOptions {
-        slots: Some(1),
+        slots: 1,
         index_dir: Some(dir.clone()),
         ..ServeOptions::default()
     };
@@ -394,7 +386,7 @@ fn cancelling_a_running_job_spares_the_rest_of_the_fleet() {
     let addr = listener.local_addr().unwrap();
     // Two slots so the quick job runs next to the doomed one.
     let opts = ServeOptions {
-        slots: Some(2),
+        slots: 2,
         ..ServeOptions::default()
     };
 

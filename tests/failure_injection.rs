@@ -219,13 +219,7 @@ fn corrupt_job_fails_alone_in_a_fleet() {
             persist: None,
         },
     );
-    let manifest = Manifest {
-        slots: 2,
-        memory_budget_mib: 0,
-        timeout_ms: 0,
-        max_retries: 0,
-        jobs,
-    };
+    let manifest = Manifest { jobs };
     let report = run_batch(&manifest, &ServeOptions::default());
 
     // The poisoned job failed with a parse error naming the line…

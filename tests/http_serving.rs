@@ -14,16 +14,14 @@ use std::time::{Duration, Instant};
 use minoaner::datagen::DatasetKind;
 use minoaner::exec::ExecutorKind;
 use minoaner::kb::Json;
-use minoaner::serve::{
-    run_batch, HttpOptions, JobInput, JobSpec, JobStatus, Manifest, ServeOptions,
-};
+use minoaner::serve::{run_batch, JobInput, JobSpec, JobStatus, Manifest, ServeOptions};
 
 mod common;
 use common::{with_server, Http};
 
 fn serve_opts() -> ServeOptions {
     ServeOptions {
-        slots: Some(2),
+        slots: 2,
         ..ServeOptions::default()
     }
 }
@@ -57,7 +55,7 @@ fn profile_name(kind: DatasetKind) -> &'static str {
 
 #[test]
 fn http_jobs_are_bit_identical_to_batch_and_solo_runs() {
-    let (report, fingerprints) = with_server(serve_opts(), HttpOptions::default(), |http| {
+    let (report, fingerprints) = with_server(serve_opts(), |http| {
         let ids: Vec<(usize, DatasetKind)> = DatasetKind::ALL
             .into_iter()
             .map(|kind| {
@@ -88,10 +86,6 @@ fn http_jobs_are_bit_identical_to_batch_and_solo_runs() {
 
     // Batch path: the same jobs as a manifest fleet.
     let manifest = Manifest {
-        slots: 2,
-        memory_budget_mib: 0,
-        timeout_ms: 0,
-        max_retries: 0,
         jobs: DatasetKind::ALL
             .into_iter()
             .map(|kind| synthetic_spec(profile_name(kind), kind, 0.08))
@@ -103,14 +97,10 @@ fn http_jobs_are_bit_identical_to_batch_and_solo_runs() {
     for (i, kind) in DatasetKind::ALL.into_iter().enumerate() {
         let solo = run_batch(
             &Manifest {
-                slots: 1,
-                memory_budget_mib: 0,
-                timeout_ms: 0,
-                max_retries: 0,
                 jobs: vec![synthetic_spec(profile_name(kind), kind, 0.08)],
             },
             &ServeOptions {
-                slots: Some(1),
+                slots: 1,
                 executor: ExecutorKind::Sequential,
                 ..ServeOptions::default()
             },
@@ -130,7 +120,7 @@ fn http_jobs_are_bit_identical_to_batch_and_solo_runs() {
 
 #[test]
 fn cancelling_a_running_job_over_http_spares_the_fleet() {
-    let (report, ()) = with_server(serve_opts(), HttpOptions::default(), |http| {
+    let (report, ()) = with_server(serve_opts(), |http| {
         let doomed = http.submit("doomed", "yago", 1.0);
         let quick = http.submit("quick", "restaurant", 0.1);
         http.await_phase(doomed, "running");
@@ -154,7 +144,7 @@ fn cancelling_a_running_job_over_http_spares_the_fleet() {
 
 #[test]
 fn the_job_list_narrows_to_one_id() {
-    with_server(serve_opts(), HttpOptions::default(), |http| {
+    with_server(serve_opts(), |http| {
         let first = http.submit("first", "restaurant", 0.05);
         let second = http.submit("second", "restaurant", 0.05);
         http.wait(first);
@@ -187,7 +177,7 @@ fn the_job_list_narrows_to_one_id() {
 
 #[test]
 fn metrics_are_parseable_prometheus_text() {
-    let (_, ()) = with_server(serve_opts(), HttpOptions::default(), |http| {
+    let (_, ()) = with_server(serve_opts(), |http| {
         let id = http.submit("one", "restaurant", 0.05);
         let (_, status) = http.wait(id);
         assert_eq!(status, "ok");
@@ -254,11 +244,11 @@ fn metrics_are_parseable_prometheus_text() {
 
 #[test]
 fn auth_rejects_missing_and_wrong_tokens_without_disturbing_jobs() {
-    let options = HttpOptions {
+    let opts = ServeOptions {
         auth_token: Some("sesame-open".into()),
-        ..HttpOptions::default()
+        ..serve_opts()
     };
-    let (report, ()) = with_server(serve_opts(), options, |anon| {
+    let (report, ()) = with_server(opts, |anon| {
         let authed = Http {
             addr: anon.addr,
             token: Some("sesame-open"),
@@ -310,7 +300,7 @@ fn auth_rejects_missing_and_wrong_tokens_without_disturbing_jobs() {
 
 #[test]
 fn oversized_and_malformed_requests_get_clean_errors() {
-    let (report, ()) = with_server(serve_opts(), HttpOptions::default(), |http| {
+    let (report, ()) = with_server(serve_opts(), |http| {
         // A running job that every malformed request must leave alone.
         let id = http.submit("survivor", "restaurant", 0.15);
 
@@ -562,7 +552,7 @@ fn assert_lifecycle(sse: &mut Sse, label: &str, job_name: &str, deadline: Instan
 #[test]
 fn concurrent_sse_subscribers_both_observe_the_job_lifecycle() {
     let _serial = SSE_SERIAL.lock().unwrap_or_else(|e| e.into_inner());
-    let (report, ()) = with_server(serve_opts(), HttpOptions::default(), |http| {
+    let (report, ()) = with_server(serve_opts(), |http| {
         let mut first = Sse::open(http.addr, "?level=info");
         let mut second = Sse::open(http.addr, "?level=info");
         let id = http.submit("sse-both", "restaurant", 0.08);
@@ -584,7 +574,7 @@ fn concurrent_sse_subscribers_both_observe_the_job_lifecycle() {
 #[test]
 fn a_stalled_sse_subscriber_is_dropped_while_others_stream_on() {
     let _serial = SSE_SERIAL.lock().unwrap_or_else(|e| e.into_inner());
-    let (report, ()) = with_server(serve_opts(), HttpOptions::default(), |http| {
+    let (report, ()) = with_server(serve_opts(), |http| {
         let mut healthy = Sse::open(http.addr, "?level=info");
         let mut stalled = Sse::open(http.addr, "?level=info");
 
@@ -646,7 +636,7 @@ fn a_stalled_sse_subscriber_is_dropped_while_others_stream_on() {
 
 #[test]
 fn shutdown_cancel_mode_flips_queued_jobs_and_closes_the_connection() {
-    let (report, ()) = with_server(serve_opts(), HttpOptions::default(), |http| {
+    let (report, ()) = with_server(serve_opts(), |http| {
         // One heavy job occupies both listed profiles' worth of time;
         // the rest queue behind it (2 slots, so submit 4).
         for (name, scale) in [("a", 0.3), ("b", 0.3), ("c", 0.3), ("d", 0.3)] {
@@ -681,7 +671,7 @@ fn a_waited_patch_is_visible_to_the_very_next_read() {
         index_dir: Some(dir.clone()),
         ..serve_opts()
     };
-    with_server(opts, HttpOptions::default(), |http| {
+    with_server(opts, |http| {
         let job = Json::obj([
             ("name", Json::str("churn")),
             ("dataset", Json::str("restaurant")),

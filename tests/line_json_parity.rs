@@ -255,14 +255,13 @@ fn every_line_op_answers_like_the_http_request_it_stands_for() {
         token: None,
     };
     let opts = ServeOptions {
-        slots: Some(2),
+        slots: 2,
         index_dir: Some(dir.0.clone()),
         ..ServeOptions::default()
     };
     let frontends = Frontends {
         line: Some(line_listener),
         http: Some(http_listener),
-        ..Frontends::default()
     };
     let report = std::thread::scope(|scope| {
         let server = scope.spawn(|| run_server(frontends, &opts, |_| {}).unwrap());
