@@ -63,9 +63,9 @@
 //! one wave of residual work.
 
 use std::io::{BufRead, BufReader, Write};
-use std::net::{TcpListener, TcpStream};
-use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::Arc;
+use std::net::{Ipv4Addr, Ipv6Addr, SocketAddr, TcpListener, TcpStream};
+use std::sync::atomic::{AtomicBool, Ordering};
+use std::sync::{Condvar, Mutex};
 use std::time::Duration;
 
 use minoan_kb::Json;
@@ -80,9 +80,21 @@ use crate::scheduler::{
     fleet_queue, run_fleet, CancelToken, JobQueue, ServeOptions, SHED_BYTES_FACTOR,
 };
 
-/// How often blocked daemon loops (accept, per-connection reads) check
-/// the shutdown flag.
+/// The read tick of a connection handler: an idle connection's blocked
+/// read times out this often (×4 on a handler's socket) to check the
+/// shutdown flag. Accept loops do not poll: they block in `accept()`
+/// and are woken by [`Shutdown::wake`].
 pub(crate) const POLL_INTERVAL: Duration = Duration::from_millis(25);
+
+/// How long a connection over the HTTP connection cap waits for a
+/// handler slot before its `503`. A client that reads one response to
+/// EOF and connects again at once must not race the old handler's exit.
+const SLOT_GRACE: Duration = Duration::from_millis(25);
+
+/// How long one wake-up connection may take to reach its listener. On
+/// loopback it connects at once; the bound only matters when the
+/// listener's backlog is full.
+const WAKE_TIMEOUT: Duration = Duration::from_secs(1);
 
 /// Maximum bytes of one request frame (line content, terminator
 /// included). A frame that outgrows this gets an `{"ok":false,...}`
@@ -135,8 +147,10 @@ pub fn run_server(
             "an auth token requires HTTP only: line-JSON cannot carry it",
         ));
     }
+    let mut wake = Vec::new();
     for listener in line.iter().chain(http.iter()) {
-        listener.set_nonblocking(true)?;
+        listener.set_nonblocking(false)?;
+        wake.push(wake_addr(listener)?);
     }
     // Index serving is opt-in: without a directory the `index-*` ops
     // and `/v1/indexes` endpoints answer structured `unavailable`
@@ -174,7 +188,13 @@ pub fn run_server(
         opts.memory_budget_bytes.saturating_mul(SHED_BYTES_FACTOR),
     );
     run_fleet(queue, opts, &notify, |queue| {
-        let shutdown = &CancelToken::new();
+        let shutdown = &Shutdown {
+            flag: CancelToken::new(),
+            wake,
+            woken: AtomicBool::new(false),
+        };
+        // Live HTTP handlers, and the signal that one has ended.
+        let slots = &(Mutex::new(0usize), Condvar::new());
         std::thread::scope(|scope| {
             let mut accept_loops = Vec::new();
             if let Some(listener) = line {
@@ -188,31 +208,41 @@ pub fn run_server(
             }
             if let Some(listener) = http {
                 let max_connections = opts.max_connections.max(1);
-                let live = Arc::new(AtomicUsize::new(0));
+                let (live, ended) = slots;
                 accept_loops.push(scope.spawn(move || {
                     accept_loop(listener, shutdown, |stream| {
-                        // Claim a handler slot before spawning; over the
-                        // cap the 503 is written right here in the accept
+                        // Claim a handler slot before spawning. Over the
+                        // cap, wait up to SLOT_GRACE for one to free,
+                        // then write the 503 right here in the accept
                         // loop (with a tightly bounded linger so it
                         // survives the close), so a connection flood
                         // never ties up a handler thread.
-                        let claimed = live
-                            .fetch_update(Ordering::AcqRel, Ordering::Acquire, |n| {
-                                (n < max_connections).then_some(n + 1)
-                            })
-                            .is_ok();
-                        if !claimed {
+                        let count = live
+                            .lock()
+                            .expect("the slot count is never held across a panic");
+                        let (mut count, _) = ended
+                            .wait_timeout_while(count, SLOT_GRACE, |n| *n >= max_connections)
+                            .expect("the slot count is never held across a panic");
+                        if *count >= max_connections {
+                            drop(count);
                             http::reject_over_capacity(stream);
                             return;
                         }
-                        let live = Arc::clone(&live);
+                        *count += 1;
+                        drop(count);
                         scope.spawn(move || {
                             http::handle_connection(stream, queue, shutdown, auth_token, registry);
-                            live.fetch_sub(1, Ordering::AcqRel);
+                            *live
+                                .lock()
+                                .expect("the slot count is never held across a panic") -= 1;
+                            ended.notify_one();
                         });
                     })
                 }));
             }
+            // An accept loop returns only once the shutdown flag is set,
+            // and the flag stops every connection handler, so the scope
+            // can join them.
             let mut result = Ok(());
             for handle in accept_loops {
                 let loop_result = handle.join().expect("accept loops do not panic");
@@ -220,36 +250,76 @@ pub fn run_server(
                     result = loop_result;
                 }
             }
-            // The shutdown flag stops every connection handler, so the
-            // scope can join them — on a fatal accept error too, where
-            // no client asked for a shutdown.
-            shutdown.cancel();
             result
         })
     })
 }
 
-/// One nonblocking accept loop: hand each connection to `handle`, poll
-/// the shutdown flag between accepts. A fatal accept error flips the
-/// shared shutdown flag (so the sibling front-end and every connection
-/// handler stop too) and is returned.
+/// The daemon's shutdown signal: the flag every accept loop and
+/// connection handler checks, and the listener addresses that wake the
+/// accept loops blocked in `accept()` once it is set.
+pub(crate) struct Shutdown {
+    /// Set by a shutdown request (inside [`http::route`]) or a fatal
+    /// accept error.
+    pub(crate) flag: CancelToken,
+    /// One address per listener, see [`wake_addr`].
+    wake: Vec<SocketAddr>,
+    /// Whether [`Shutdown::wake`] has connected already.
+    woken: AtomicBool,
+}
+
+impl Shutdown {
+    /// Once the flag is set, connects to every listener once, so each
+    /// accept loop's blocked `accept()` returns and the loop sees the
+    /// flag. A handler calls this after every routed request (a
+    /// shutdown request sets the flag inside `route`); only the first
+    /// call after the flag is set connects.
+    pub(crate) fn wake(&self) {
+        // `woken` publishes nothing: the swap only picks the one caller
+        // that connects.
+        if !self.flag.is_cancelled() || self.woken.swap(true, Ordering::Relaxed) {
+            return;
+        }
+        for addr in &self.wake {
+            // A loop that has already returned refuses the connection.
+            let _ = TcpStream::connect_timeout(addr, WAKE_TIMEOUT);
+        }
+    }
+}
+
+/// The address a wake-up connection reaches `listener` by: its own,
+/// with loopback in place of an unspecified IP.
+fn wake_addr(listener: &TcpListener) -> std::io::Result<SocketAddr> {
+    let mut addr = listener.local_addr()?;
+    if addr.ip().is_unspecified() {
+        addr.set_ip(match addr {
+            SocketAddr::V4(_) => Ipv4Addr::LOCALHOST.into(),
+            SocketAddr::V6(_) => Ipv6Addr::LOCALHOST.into(),
+        });
+    }
+    Ok(addr)
+}
+
+/// One blocking accept loop: hands each connection to `handle` until
+/// the shutdown flag is set. Whoever sets the flag connects to this
+/// listener (see [`Shutdown::wake`]), so a blocked `accept()` returns;
+/// a connection accepted once the flag is set, the wake-up one
+/// included, is dropped unserved. A fatal accept error sets the flag
+/// (so the sibling front-end and every connection handler stop too)
+/// and is returned.
 fn accept_loop(
     listener: TcpListener,
-    shutdown: &CancelToken,
+    shutdown: &Shutdown,
     mut handle: impl FnMut(TcpStream),
 ) -> std::io::Result<()> {
     loop {
-        if shutdown.is_cancelled() {
-            return Ok(());
-        }
         match listener.accept() {
+            Ok(_) if shutdown.flag.is_cancelled() => return Ok(()),
             Ok((stream, _peer)) => handle(stream),
-            Err(e) if e.kind() == std::io::ErrorKind::WouldBlock => {
-                std::thread::sleep(POLL_INTERVAL);
-            }
             Err(e) if e.kind() == std::io::ErrorKind::Interrupted => {}
             Err(e) => {
-                shutdown.cancel();
+                shutdown.flag.cancel();
+                shutdown.wake();
                 return Err(e);
             }
         }
@@ -264,7 +334,7 @@ fn accept_loop(
 fn handle_connection(
     stream: TcpStream,
     queue: &JobQueue,
-    shutdown: &CancelToken,
+    shutdown: &Shutdown,
     auth_token: Option<&str>,
     registry: Option<&IndexRegistry>,
 ) {
@@ -314,7 +384,9 @@ fn handle_connection(
             Ok(_) => {
                 let frame = trim_frame(&line);
                 if !frame.is_empty() {
-                    let response = handle_request(frame, queue, shutdown, auth_token, registry);
+                    let response =
+                        handle_request(frame, queue, &shutdown.flag, auth_token, registry);
+                    shutdown.wake();
                     if writer
                         .write_all((response.compact() + "\n").as_bytes())
                         .and_then(|()| writer.flush())
@@ -336,7 +408,7 @@ fn handle_connection(
                         | std::io::ErrorKind::Interrupted
                 ) =>
             {
-                if shutdown.is_cancelled() {
+                if shutdown.flag.is_cancelled() {
                     return;
                 }
             }

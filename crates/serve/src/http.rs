@@ -95,23 +95,32 @@
 //! declared, invalid UTF-8 where JSON is expected — is `400`;
 //! `Transfer-Encoding` (chunked bodies) is not supported (`501`); HTTP
 //! versions other than 1.0/1.1 are `505`.
-//! After an error that may have desynchronized framing the connection
-//! closes (`Connection: close`); otherwise connections are keep-alive
-//! and requests on one connection are processed strictly in order.
+//! An error found while the request is read — a bad request line,
+//! header line or `Content-Length`, a short body, `413`, `431`, `501`,
+//! `505` — may leave framing lost, so the connection closes after its
+//! response (`Connection: close`). Every response to a fully read
+//! request keeps the connection alive, an error included: `400` on a
+//! query value or body, `401`, `404`, `405`, `409`, `429`. A connection
+//! also closes when the request says `Connection: close`, when an
+//! `HTTP/1.0` request does not say `Connection: keep-alive` (RFC 9112
+//! §9.3), and on shutdown. Requests on one connection are processed
+//! strictly in order.
 //!
 //! ## Threading model
 //!
 //! One thread per connection, spawned from the same accept loop
-//! structure as the line-JSON listener: the listener polls with the
-//! shutdown flag, each connection gets a read timeout so an idle client
-//! cannot outlive a shutdown, and a blocking `?wait=true` request parks
-//! on the queue's condvar (jobs always terminate, so shutdown cannot
-//! be wedged by a waiter). Handler threads are capped
-//! ([`crate::ServeOptions::max_connections`], default
-//! [`DEFAULT_MAX_CONNECTIONS`]): a connection over the cap gets an
-//! immediate `503` + `Retry-After` written from the accept loop and is
-//! closed, so a connection flood cannot exhaust threads or starve the
-//! line-JSON front-end.
+//! structure as the line-JSON listener. The listener blocks in
+//! `accept()` and never polls: whoever sets the shutdown flag wakes it
+//! by connecting once (see `daemon::Shutdown`). Each connection gets a
+//! read timeout so an idle client cannot outlive a shutdown, and a
+//! blocking `?wait=true` request parks on the queue's condvar (jobs
+//! always terminate, so shutdown cannot be wedged by a waiter). Handler
+//! threads are capped ([`crate::ServeOptions::max_connections`], default
+//! [`DEFAULT_MAX_CONNECTIONS`]): a connection over the cap waits up to
+//! 25 ms (`daemon::SLOT_GRACE`) for a handler to end, then gets a
+//! `503` + `Retry-After` written from the accept loop and is closed, so
+//! a connection flood cannot exhaust threads or starve the line-JSON
+//! front-end.
 
 use std::io::{BufRead, BufReader, Read, Write};
 use std::net::TcpStream;
@@ -120,7 +129,7 @@ use std::time::{Duration, Instant};
 use minoan_kb::Json;
 use minoan_obs::{trace, Level};
 
-use crate::daemon::POLL_INTERVAL;
+use crate::daemon::{Shutdown, POLL_INTERVAL};
 use crate::events::{record_json, EventFilter, MAX_EVENT_BATCH};
 use crate::intake;
 use crate::registry::{IndexRegistry, RegistryError};
@@ -186,18 +195,13 @@ impl Request {
             .find(|(k, _)| k == name)
             .map(|(_, v)| v.as_str())
     }
-
-    /// Whether the client asked to close the connection.
-    fn wants_close(&self) -> bool {
-        self.header("connection")
-            .is_some_and(|v| v.eq_ignore_ascii_case("close"))
-    }
 }
 
-/// How handling one request ends.
+/// How reading one request ends when it yields no request.
 enum HttpError {
     /// Respond with this status and the unified error body, then close
-    /// the connection (framing may be desynchronized after an error).
+    /// the connection: the request was not fully read, so framing may
+    /// be lost. A response [`route`] returns never takes this path.
     Status(u16, String),
     /// Drop the connection without a response (I/O error, shutdown,
     /// client vanished mid-request).
@@ -302,13 +306,17 @@ impl From<RegistryError> for Response {
     }
 }
 
-/// Serves one HTTP connection until EOF, an error response, a
-/// `Connection: close` request or daemon shutdown. Spawned by the
-/// shared accept loop in [`crate::daemon::run_server`].
+/// Serves one HTTP connection until EOF, a request that was not fully
+/// read (its error response says `Connection: close`), a request that
+/// does not keep the connection alive (`Connection: close`, or
+/// `HTTP/1.0` without `Connection: keep-alive`), or daemon shutdown.
+/// Every response [`route`] returns, an error included, keeps the
+/// connection. Spawned by the shared accept loop in
+/// [`crate::daemon::run_server`].
 pub(crate) fn handle_connection(
     stream: TcpStream,
     queue: &JobQueue,
-    shutdown: &CancelToken,
+    shutdown: &Shutdown,
     auth_token: Option<&str>,
     registry: Option<&IndexRegistry>,
 ) {
@@ -319,12 +327,13 @@ pub(crate) fn handle_connection(
         Err(_) => return,
     };
     let mut reader = BufReader::new(stream);
+    let shutdown_flag = &shutdown.flag;
     loop {
-        if shutdown.is_cancelled() {
+        if shutdown_flag.is_cancelled() {
             return;
         }
-        let request = match read_request(&mut reader, &mut writer, shutdown) {
-            Ok(Some(request)) => request,
+        let (request, keep_alive) = match read_request(&mut reader, &mut writer, shutdown_flag) {
+            Ok(Some(read)) => read,
             Ok(None) => return, // clean close between requests
             Err(HttpError::Disconnect) => return,
             Err(HttpError::Status(status, message)) => {
@@ -334,25 +343,25 @@ pub(crate) fn handle_connection(
                 return;
             }
         };
-        // The SSE stream takes the connection over: it holds the socket
-        // until the subscriber disconnects (or stalls past the write
-        // timeout) or the daemon shuts down, so it never returns a
-        // single Response through the normal path.
-        if request.method == "GET" && request.path == "/v1/events" {
-            if let Some(denied) = auth_failure(&request, auth_token) {
-                if write_response(&mut writer, &denied, true).is_ok() {
-                    lingering_close(reader.get_ref(), LINGER_DEADLINE, LINGER_MAX_BYTES);
-                }
-                return;
-            }
-            serve_events_stream(writer, &request, shutdown);
+        // An authorized SSE subscription takes the connection over: it
+        // holds the socket until the subscriber disconnects (or stalls
+        // past the write timeout) or the daemon shuts down, so it never
+        // returns a single Response through the normal path. An
+        // unauthorized one gets `route`'s 401.
+        if request.method == "GET"
+            && request.path == "/v1/events"
+            && auth_failure(&request, auth_token).is_none()
+        {
+            serve_events_stream(writer, &request, shutdown_flag);
             return;
         }
         let t_request = Instant::now();
-        let response = route(&request, queue, shutdown, auth_token, registry);
+        let response = route(&request, queue, shutdown_flag, auth_token, registry);
         telemetry::HTTP_REQUEST.observe(t_request.elapsed());
-        // After a shutdown request the flag is set; close either way.
-        let close = request.wants_close() || shutdown.is_cancelled() || response.status >= 400;
+        // A shutdown request sets the flag inside `route`: wake the
+        // accept loops, and close this connection too.
+        shutdown.wake();
+        let close = !keep_alive || shutdown_flag.is_cancelled();
         if write_response(&mut writer, &response, close).is_err() {
             return;
         }
@@ -495,13 +504,14 @@ fn serve_events_stream(mut writer: TcpStream, request: &Request, shutdown: &Canc
     }
 }
 
-/// Reads one request head + body. `Ok(None)` is a clean close before
-/// any byte of a request.
+/// Reads one request head + body, and whether the connection stays
+/// open after its response (see [`keeps_alive`]). `Ok(None)` is a clean
+/// close before any byte of a request.
 fn read_request(
     reader: &mut BufReader<TcpStream>,
     writer: &mut TcpStream,
     shutdown: &CancelToken,
-) -> Result<Option<Request>, HttpError> {
+) -> Result<Option<(Request, bool)>, HttpError> {
     let Some(line) = read_line(reader, MAX_REQUEST_LINE_BYTES, shutdown, 431)? else {
         return Ok(None);
     };
@@ -607,6 +617,7 @@ fn read_request(
             .map_err(|_| HttpError::Disconnect)?;
     }
     let body = read_body(reader, content_length, shutdown)?;
+    let keep_alive = keeps_alive(version == "HTTP/1.0", &headers);
 
     let (path, raw_query) = match target.split_once('?') {
         Some((p, q)) => (p.to_string(), q),
@@ -620,13 +631,33 @@ fn read_request(
             None => (pair.to_string(), String::new()),
         })
         .collect();
-    Ok(Some(Request {
+    let request = Request {
         method: method.to_string(),
         path,
         query,
         headers,
         body,
-    }))
+    };
+    Ok(Some((request, keep_alive)))
+}
+
+/// Whether a connection persists after the response to a request with
+/// these headers (RFC 9112 §9.3): an HTTP/1.1 request unless its
+/// `Connection` field lists `close`, an HTTP/1.0 one only if it lists
+/// `keep-alive`.
+fn keeps_alive(http_1_0: bool, headers: &[(String, String)]) -> bool {
+    let lists = |option: &str| {
+        headers
+            .iter()
+            .filter(|(name, _)| name == "connection")
+            .flat_map(|(_, value)| value.split(','))
+            .any(|token| token.trim().eq_ignore_ascii_case(option))
+    };
+    if http_1_0 {
+        lists("keep-alive")
+    } else {
+        !lists("close")
+    }
 }
 
 /// Reads one CRLF/LF-terminated line as raw bytes, bounded by `limit`
@@ -849,6 +880,8 @@ fn constant_time_eq(expected: &str, supplied: &str) -> bool {
 }
 
 /// Serializes one response; `close` decides the `Connection` header.
+/// Head and body leave in one write: on a `TCP_NODELAY` socket two
+/// writes are two segments.
 fn write_response(
     writer: &mut impl Write,
     response: &Response,
@@ -863,24 +896,24 @@ fn write_response(
         }
         Body::Metrics(text) => ("text/plain; version=0.0.4", text),
     };
-    let mut head = String::new();
+    let mut wire = String::with_capacity(256 + body.len());
     let _ = write!(
-        head,
+        wire,
         "HTTP/1.1 {} {}\r\nContent-Type: {content_type}\r\nContent-Length: {}\r\n",
         response.status,
         reason_phrase(response.status),
         body.len()
     );
     for (name, value) in &response.extra_headers {
-        let _ = write!(head, "{name}: {value}\r\n");
+        let _ = write!(wire, "{name}: {value}\r\n");
     }
     let _ = write!(
-        head,
+        wire,
         "Connection: {}\r\n\r\n",
         if close { "close" } else { "keep-alive" }
     );
-    writer.write_all(head.as_bytes())?;
-    writer.write_all(body.as_bytes())?;
+    wire.push_str(body);
+    writer.write_all(wire.as_bytes())?;
     writer.flush()
 }
 

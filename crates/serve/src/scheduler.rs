@@ -146,8 +146,9 @@ pub struct ServeOptions {
     /// only.
     pub auth_token: Option<String>,
     /// Cap on concurrent HTTP connection-handler threads (`0` counts
-    /// as 1). A connection over the cap gets an immediate `503` +
-    /// `Retry-After` and is closed — it never ties up a handler thread.
+    /// as 1). A connection over the cap waits up to 25 ms for a handler
+    /// to end, then gets a `503` + `Retry-After` and is closed — it
+    /// never ties up a handler thread.
     pub max_connections: usize,
 }
 

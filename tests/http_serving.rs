@@ -5,19 +5,21 @@
 //! unauthenticated requests must get clean `4xx` responses — never a
 //! panic, a wedged accept loop, or any disturbance to running jobs.
 
-use std::io::{Read, Write};
-use std::net::{SocketAddr, TcpStream};
+use std::io::{BufRead, BufReader, Read, Write};
+use std::net::{SocketAddr, TcpListener, TcpStream};
 use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::{Arc, Mutex};
+use std::sync::{mpsc, Arc, Mutex};
 use std::time::{Duration, Instant};
 
 use minoaner::datagen::DatasetKind;
 use minoaner::exec::ExecutorKind;
 use minoaner::kb::Json;
-use minoaner::serve::{run_batch, JobInput, JobSpec, JobStatus, Manifest, ServeOptions};
+use minoaner::serve::{
+    run_batch, run_server, Frontends, JobInput, JobSpec, JobStatus, Manifest, ServeOptions,
+};
 
 mod common;
-use common::{with_server, Http};
+use common::{with_server, Http, Raw};
 
 fn serve_opts() -> ServeOptions {
     ServeOptions {
@@ -377,7 +379,9 @@ fn oversized_and_malformed_requests_get_clean_errors() {
         // Bad JSON and invalid UTF-8 bodies -> 400 with a message.
         let r = http.request("POST", "/v1/jobs", Some(&Json::str("not an object")));
         assert_eq!(r.status, 400, "{}", r.body);
-        let mut invalid = b"POST /v1/jobs HTTP/1.1\r\nContent-Length: 4\r\n\r\n".to_vec();
+        // Read in full, so the 400 keeps the connection unless asked.
+        let mut invalid =
+            b"POST /v1/jobs HTTP/1.1\r\nConnection: close\r\nContent-Length: 4\r\n\r\n".to_vec();
         invalid.extend_from_slice(&[0xff, 0xfe, 0xfd, 0xfc]);
         let r = http.raw(&invalid, false);
         assert_eq!(r.status, 400);
@@ -713,4 +717,202 @@ fn a_waited_patch_is_visible_to_the_very_next_read() {
         http.shutdown();
     });
     let _ = std::fs::remove_dir_all(&dir);
+}
+
+/// One client socket for many requests: each response is read by its
+/// `Content-Length`, so the socket stays usable when the server keeps
+/// it.
+struct Conn {
+    reader: BufReader<TcpStream>,
+}
+
+impl Conn {
+    fn open(addr: SocketAddr) -> Conn {
+        let stream = TcpStream::connect(addr).expect("connect");
+        stream
+            .set_read_timeout(Some(Duration::from_secs(10)))
+            .unwrap();
+        Conn {
+            reader: BufReader::new(stream),
+        }
+    }
+
+    /// Sends raw request bytes and reads one response.
+    fn send(&mut self, request: &[u8]) -> Raw {
+        self.reader.get_mut().write_all(request).expect("send");
+        let mut head = String::new();
+        loop {
+            let mut line = String::new();
+            let n = self.reader.read_line(&mut line).expect("read head");
+            assert!(n > 0, "EOF inside a response head: {head:?}");
+            if line == "\r\n" {
+                break;
+            }
+            head += &line;
+        }
+        let length: usize = head
+            .lines()
+            .find_map(|l| l.strip_prefix("Content-Length: "))
+            .and_then(|v| v.trim().parse().ok())
+            .unwrap_or_else(|| panic!("no Content-Length in {head:?}"));
+        let mut body = vec![0u8; length];
+        self.reader.read_exact(&mut body).expect("read body");
+        let status = head.split(' ').nth(1).unwrap().parse().unwrap();
+        Raw {
+            status,
+            head,
+            body: String::from_utf8(body).unwrap(),
+        }
+    }
+
+    /// A `GET` with the given extra header lines.
+    fn get(&mut self, path: &str, headers: &str) -> Raw {
+        self.send(format!("GET {path} HTTP/1.1\r\nHost: t\r\n{headers}\r\n").as_bytes())
+    }
+
+    /// Whether the server has closed its side: the next read is EOF.
+    fn at_eof(&mut self) -> bool {
+        matches!(self.reader.read(&mut [0u8; 1]), Ok(0))
+    }
+}
+
+#[test]
+fn a_fully_read_request_keeps_its_connection_whatever_its_status() {
+    let dir = std::env::temp_dir().join(format!("minoan-http-keep-{}", std::process::id()));
+    std::fs::create_dir_all(&dir).unwrap();
+    let opts = ServeOptions {
+        index_dir: Some(dir.clone()),
+        auth_token: Some("tok".into()),
+        ..serve_opts()
+    };
+    with_server(opts, |anon| {
+        let http = Http {
+            addr: anon.addr,
+            token: Some("tok"),
+        };
+        let job = Json::obj([
+            ("name", Json::str("keep")),
+            ("dataset", Json::str("restaurant")),
+            ("seed", Json::num(20180416.0)),
+            ("scale", Json::Num(0.05)),
+        ]);
+        http.json("POST", "/v1/indexes?wait=true", Some(&job), 201);
+
+        let auth = "Authorization: Bearer tok\r\n";
+        let mut conn = Conn::open(http.addr);
+        for (path, headers, status) in [
+            ("/v1/indexes/keep/match?entity=nobody%3A0", auth, 404),
+            ("/v1/indexes/keep/match?entity=r1%3Ae0&k=0", auth, 400),
+            ("/v1/metrics", "", 401),
+        ] {
+            let r = conn.get(path, headers);
+            assert_eq!(r.status, status, "{path}: {}", r.body);
+            assert!(r.head.contains("Connection: keep-alive"), "{}", r.head);
+            let ok = conn.get("/v1/indexes/keep/match?entity=r1%3Ae0", auth);
+            assert_eq!(ok.status, 200, "after {status}: {}", ok.body);
+        }
+        let r = conn.send(format!("PUT /v1/metrics HTTP/1.1\r\nHost: t\r\n{auth}\r\n").as_bytes());
+        assert_eq!(r.status, 405, "{}", r.body);
+        assert!(r.head.contains("Connection: keep-alive"), "{}", r.head);
+        assert_eq!(conn.get("/v1/jobs?limit=0", auth).status, 200);
+        http.shutdown();
+    });
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+#[test]
+fn a_request_that_was_not_fully_read_still_closes() {
+    with_server(serve_opts(), |http| {
+        let pad = "y".repeat(10_000);
+        for (request, status) in [
+            (
+                "GET /v1/metrics HTTP/1.1\r\nContent-Length: 0\r\nContent-Length: 0\r\n\r\n".into(),
+                400,
+            ),
+            (
+                "POST /v1/jobs HTTP/1.1\r\nContent-Length: 9000000\r\n\r\n".into(),
+                413,
+            ),
+            (
+                format!("GET /v1/jobs HTTP/1.1\r\nX-Pad: {pad}\r\n\r\n"),
+                431,
+            ),
+            ("GET /v1/jobs HTTP/2.0\r\n\r\n".to_string(), 505),
+        ] {
+            let mut conn = Conn::open(http.addr);
+            let r = conn.send(request.as_bytes());
+            assert_eq!(r.status, status, "{}", r.body);
+            assert!(r.head.contains("Connection: close"), "{}", r.head);
+            assert!(conn.at_eof(), "{status} must end the connection");
+        }
+        http.shutdown();
+    });
+}
+
+#[test]
+fn http_1_0_closes_unless_it_asks_for_keep_alive() {
+    with_server(serve_opts(), |http| {
+        let mut conn = Conn::open(http.addr);
+        let r = conn.send(b"GET /v1/metrics HTTP/1.0\r\n\r\n");
+        assert_eq!(r.status, 200);
+        assert!(r.head.contains("Connection: close"), "{}", r.head);
+        assert!(conn.at_eof(), "an HTTP/1.0 request is not persistent");
+
+        let mut conn = Conn::open(http.addr);
+        let kept = b"GET /v1/metrics HTTP/1.0\r\nConnection: Keep-Alive\r\n\r\n";
+        let r = conn.send(kept);
+        assert!(r.head.contains("Connection: keep-alive"), "{}", r.head);
+        assert_eq!(conn.send(kept).status, 200, "same socket");
+        http.shutdown();
+    });
+}
+
+#[test]
+fn fresh_connections_are_served_without_an_accept_poll() {
+    // The bound is 10 × the handlers' read tick (25 ms). An accept loop
+    // that slept that tick between accepts took about a second for the
+    // 40. Best of three rounds, so a busy machine cannot fail it.
+    let bound = Duration::from_millis(250);
+    with_server(serve_opts(), |http| {
+        let round = || {
+            let t0 = Instant::now();
+            for _ in 0..40 {
+                let r = Conn::open(http.addr).get("/v1/jobs?limit=0", "");
+                assert_eq!(r.status, 200, "{}", r.body);
+            }
+            t0.elapsed()
+        };
+        let best = (0..3).map(|_| round()).min().unwrap();
+        assert!(best < bound, "40 fresh connections took {best:?}");
+        http.shutdown();
+    });
+}
+
+#[test]
+fn a_shutdown_over_http_stops_the_line_front_end_too() {
+    let line = TcpListener::bind("127.0.0.1:0").unwrap();
+    let line_addr = line.local_addr().unwrap();
+    let listener = TcpListener::bind("127.0.0.1:0").unwrap();
+    let http = Http {
+        addr: listener.local_addr().unwrap(),
+        token: None,
+    };
+    let frontends = Frontends {
+        line: Some(line),
+        http: Some(listener),
+    };
+    let (done, returned) = mpsc::channel();
+    let server = std::thread::spawn(move || {
+        let report = run_server(frontends, &serve_opts(), |_| {});
+        let _ = done.send(());
+        report
+    });
+    http.shutdown();
+    if returned.recv_timeout(Duration::from_secs(10)).is_err() {
+        // Unblock a line accept loop the shutdown failed to wake, so
+        // the failure reports instead of hanging.
+        let _ = TcpStream::connect(line_addr);
+        panic!("run_server did not return after POST /v1/shutdown");
+    }
+    assert!(server.join().unwrap().unwrap().jobs.is_empty());
 }
