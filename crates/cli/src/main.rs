@@ -825,8 +825,7 @@ fn main() {
             );
             // Stream one line per job as it completes; the final report
             // stays in manifest order.
-            let report =
-                run_batch_streaming(&manifest, &fleet.opts, |_, job| print_job_completion(job));
+            let report = run_batch_streaming(&manifest, &fleet.opts, print_job_completion);
             print_fleet_report(&report, fleet.json, fleet.pairs);
             if report.ok_count() < report.jobs.len() {
                 exit(1);

@@ -8,7 +8,7 @@
 //! - [`IndexArtifact::match_query`] reads the URI dictionaries of the
 //!   embedded pair, the matching and the top `k ≤` [`MAX_CANDIDATES`]
 //!   of one **value**-candidate row;
-//! - [`IndexArtifact::apply_delta`] (a patch is a rebuild, see
+//! - [`IndexArtifact::patched`] (a patch is a rebuild, see
 //!   [`crate::delta`]) reads the persisted configuration and the pair,
 //!   and replaces the rest with a fresh run's.
 //!
@@ -111,11 +111,13 @@ pub struct ArtifactMeta {
     /// every delta patch. Readers use it to tell "same file" from "same
     /// index name, newer contents".
     pub content_version: u64,
-    /// Total artifact file size in bytes (0 until written or read).
+    /// Total artifact file size in bytes (0 until read from a file or
+    /// persisted as a patch).
     pub file_bytes: u64,
     /// Payload bytes per section, by name (`meta`, `kb_first`,
     /// `kb_second`, `candidates`, `matching`) in file order: where the
-    /// file's bytes are. Empty until read from a file.
+    /// file's bytes are. Empty until read from a file or persisted as a
+    /// patch.
     pub section_bytes: Vec<(&'static str, u64)>,
     /// Human-readable KB names, first and second side.
     pub kb_names: [String; 2],
@@ -151,7 +153,7 @@ impl ArtifactMeta {
     /// over `pair`. The one place the run-derived fields (counts,
     /// timings, completion time) are computed — for a fresh build
     /// ([`IndexArtifact::from_run`], content version 1) and for a patch
-    /// ([`IndexArtifact::apply_delta`], the previous version + 1) alike,
+    /// ([`IndexArtifact::patched`], the previous version + 1) alike,
     /// so they always describe the content they sit beside.
     pub(crate) fn of_run(
         name: String,
@@ -279,7 +281,7 @@ impl MatchAnswer {
 
 /// A persistent index, freshly built or loaded — the same five parts
 /// either way: what [`IndexArtifact::match_query`] and
-/// [`IndexArtifact::apply_delta`] read (see the module docs).
+/// [`IndexArtifact::patched`] read (see the module docs).
 ///
 /// The artifact embeds both knowledge bases whole, which is what makes
 /// it *patchable*: [`crate::delta`] applies the ops to the pair and
@@ -397,19 +399,35 @@ impl IndexArtifact {
 
     /// Serializes the artifact to `path`, returning the file size.
     pub fn write_to(&self, path: &Path) -> io::Result<u64> {
+        self.write_sections(path).map(|(bytes, _)| bytes)
+    }
+
+    /// Writes the five sections to `path`; returns the file size and
+    /// each section's payload bytes, in file order.
+    pub(crate) fn write_sections(
+        &self,
+        path: &Path,
+    ) -> io::Result<(u64, Vec<(&'static str, u64)>)> {
         let mut w = ArtifactWriter::new();
+        let mut section_bytes = Vec::new();
         {
             let _span =
                 minoan_obs::trace::span(minoan_obs::Level::Debug, "artifact.encode", || {
                     path.display().to_string()
                 });
-            w.push_section(TAG_META, self.encode_meta());
-            w.push_section(TAG_KB_FIRST, encode_kb(&self.pair.first));
-            w.push_section(TAG_KB_SECOND, encode_kb(&self.pair.second));
-            w.push_section(TAG_CANDIDATES, encode_candidates(&self.candidates));
-            w.push_section(TAG_MATCHING, encode_matching(&self.matching));
+            for (tag, payload) in [
+                (TAG_META, self.encode_meta()),
+                (TAG_KB_FIRST, encode_kb(&self.pair.first)),
+                (TAG_KB_SECOND, encode_kb(&self.pair.second)),
+                (TAG_CANDIDATES, encode_candidates(&self.candidates)),
+                (TAG_MATCHING, encode_matching(&self.matching)),
+            ] {
+                let name = section_name(tag).expect("every written section is named");
+                section_bytes.push((name, payload.len() as u64));
+                w.push_section(tag, payload);
+            }
         }
-        w.write_to(path)
+        Ok((w.write_to(path)?, section_bytes))
     }
 
     /// Loads and fully validates the artifact at `path`.

@@ -1,14 +1,17 @@
 //! Delta patches: a patch is a rebuild.
 //!
-//! [`IndexArtifact::apply_delta`] applies a stream of entity upserts and
-//! deletes to the pair embedded in a loaded index
+//! [`IndexArtifact::patched`] applies a stream of entity upserts and
+//! deletes to a copy of the pair embedded in a loaded index
 //! ([`minoan_kb::delta::apply_op`], the same code the tests' reference
 //! uses) and then runs the one pipeline
 //! ([`MinoanEr::run_cancellable_indexed`]) over the mutated pair with
-//! the artifact's persisted parameters. "Patched index ≡ index rebuilt
-//! from the mutated pair" therefore holds by construction, bit for bit;
+//! the artifact's persisted parameters; [`IndexArtifact::apply_delta`]
+//! is the same patch, in place. "Patched index ≡ index rebuilt from
+//! the mutated pair" therefore holds by construction, bit for bit;
 //! what `tests/delta_equivalence.rs` still has to gate is that the
 //! embedded pair survives persist → reload → patch chains unchanged.
+//! The serving registry patches from the copy it already holds and
+//! publishes the result, so a served patch decodes no artifact file.
 //!
 //! There is deliberately no incremental engine. MinoanER is
 //! non-iterative — every similarity is a function of block statistics,
@@ -65,61 +68,90 @@ pub struct DeltaReport {
 }
 
 impl IndexArtifact {
-    /// Applies `ops` to the embedded pair and re-resolves it: the
-    /// pipeline runs on `exec`, with `cancel` attached to it (see
-    /// [`MinoanEr::run_cancellable_indexed`]), and with the parameters the
-    /// index was built with, and the two products an index keeps of a
-    /// run — the value candidates and the matching — replace the
-    /// artifact's, as do the meta fields describing the run, with the
+    /// Builds the artifact that patching this one with `ops` yields,
+    /// leaving this one untouched: the embedded pair is copied, the ops
+    /// are applied to the copy, and the pipeline runs over it on
+    /// `exec`, with `cancel` attached to it (see
+    /// [`MinoanEr::run_cancellable_indexed`]), and with the parameters
+    /// the index was built with. The result holds that run's value
+    /// candidates and matching, meta fields describing the run, and the
     /// content version bumped by one.
     ///
-    /// The previous two are **released before the run**, so a patch
-    /// peaks at one index in memory, not two. The price is the
-    /// error contract: after [`Cancelled`] the artifact holds the
-    /// mutated pair and no index, and the caller must discard it (the
-    /// serving registry reloads from disk, which a failed patch never
-    /// touched).
+    /// This is the one patch path. A server that holds the loaded index
+    /// behind an `Arc` patches from it without reading the file, and
+    /// readers of the old artifact finish on it;
+    /// [`IndexArtifact::apply_delta`] wraps it for an owner that
+    /// replaces the artifact in place.
+    pub fn patched(
+        &self,
+        ops: &[DeltaOp],
+        exec: &Executor,
+        cancel: &CancelToken,
+    ) -> Result<(IndexArtifact, DeltaReport), Cancelled> {
+        let mut pair = {
+            let _span = minoan_obs::trace::span(minoan_obs::Level::Debug, "patch.copy", || {
+                self.meta.name.clone()
+            });
+            self.pair.clone()
+        };
+        let (ops_applied, ops_noop) = minoan_kb::delta::apply_to_pair(&mut pair, ops);
+        let matcher = MinoanEr::new(self.config.clone())
+            .expect("the config was validated when the artifact was built or opened");
+        let indexed = matcher.run_cancellable_indexed(&pair, exec, cancel)?;
+        let meta = ArtifactMeta::of_run(
+            self.meta.name.clone(),
+            self.meta.content_version + 1,
+            self.config.to_json().compact(),
+            &pair,
+            &indexed,
+        );
+        let report = DeltaReport {
+            ops_applied,
+            ops_noop,
+            affected_rows: pair.first.entity_count(),
+            matched_pairs: indexed.output.matching.len(),
+            content_version: meta.content_version,
+            pipeline: indexed.output.report,
+        };
+        let patched = IndexArtifact {
+            meta,
+            config: self.config.clone(),
+            pair,
+            candidates: indexed.index.into_value_candidates(),
+            matching: indexed.output.matching,
+        };
+        Ok((patched, report))
+    }
+
+    /// Patches the artifact in place: [`IndexArtifact::patched`], after
+    /// the previous value candidates and matching are **released**, so
+    /// a patch peaks at one index in memory, not two. The price is the
+    /// error contract: after [`Cancelled`] the artifact holds its pair
+    /// and no index, and the caller must discard it.
     pub fn apply_delta(
         &mut self,
         ops: &[DeltaOp],
         exec: &Executor,
         cancel: &CancelToken,
     ) -> Result<DeltaReport, Cancelled> {
-        let (ops_applied, ops_noop) = minoan_kb::delta::apply_to_pair(&mut self.pair, ops);
         self.candidates = Default::default();
         self.matching = Matching::new();
-
-        let matcher = MinoanEr::new(self.config.clone())
-            .expect("the config was validated when the artifact was built or opened");
-        let indexed = matcher.run_cancellable_indexed(&self.pair, exec, cancel)?;
-        self.meta = ArtifactMeta::of_run(
-            std::mem::take(&mut self.meta.name),
-            self.meta.content_version + 1,
-            self.config.to_json().compact(),
-            &self.pair,
-            &indexed,
-        );
-        self.candidates = indexed.index.into_value_candidates();
-        self.matching = indexed.output.matching;
-        Ok(DeltaReport {
-            ops_applied,
-            ops_noop,
-            affected_rows: self.pair.first.entity_count(),
-            matched_pairs: self.matching.len(),
-            content_version: self.meta.content_version,
-            pipeline: indexed.output.report,
-        })
+        let (patched, report) = self.patched(ops, exec, cancel)?;
+        *self = patched;
+        Ok(report)
     }
 
     /// Persists a patched artifact atomically: the [`PATCH_FAULT_SITE`]
     /// fault point fires first (so chaos runs crash *before* any bytes
     /// move), then the container writes to a temp file and renames — a
     /// reader never observes a torn artifact, only fully old or fully
-    /// new.
+    /// new. The meta then records the file's size and where its bytes
+    /// are, as a read of the file would report them.
     pub fn persist_patch(&mut self, path: &Path) -> io::Result<u64> {
         faults::point(PATCH_FAULT_SITE)?;
-        let bytes = self.write_to(path)?;
+        let (bytes, section_bytes) = self.write_sections(path)?;
         self.meta.file_bytes = bytes;
+        self.meta.section_bytes = section_bytes;
         Ok(bytes)
     }
 }
@@ -343,6 +375,48 @@ mod tests {
         assert_eq!(loaded.matched_uri_pairs(), artifact.matched_uri_pairs());
         assert_bit_identical(&loaded, &rebuild(&pair, &ops));
         std::fs::remove_file(&path).unwrap();
+    }
+
+    #[test]
+    fn patching_a_borrowed_artifact_leaves_it_untouched() {
+        let pair = sample_pair();
+        let source = build_artifact(&pair);
+        let before = source.matched_uri_pairs();
+        let ops = mixed_ops();
+        let (patched, report) = source
+            .patched(&ops, &Executor::sequential(), &CancelToken::new())
+            .unwrap();
+        assert_eq!(source.matched_uri_pairs(), before);
+        assert_eq!(source.meta().content_version, 1);
+        assert_eq!(patched.meta().content_version, 2);
+        assert_eq!(report.content_version, 2);
+        assert_eq!(report.matched_pairs, patched.matching().len());
+        assert_bit_identical(&patched, &rebuild(&pair, &ops));
+        let mut in_place = build_artifact(&pair);
+        in_place
+            .apply_delta(&ops, &Executor::sequential(), &CancelToken::new())
+            .unwrap();
+        assert_bit_identical(&in_place, &patched);
+    }
+
+    #[test]
+    fn a_persisted_patch_describes_itself_as_its_file_does() {
+        let pair = sample_pair();
+        let (mut patched, _) = build_artifact(&pair)
+            .patched(&mixed_ops(), &Executor::sequential(), &CancelToken::new())
+            .unwrap();
+        let dir = std::env::temp_dir().join("minoan-core-delta-test");
+        std::fs::create_dir_all(&dir).unwrap();
+        let path = dir.join(format!("described-{}.idx", std::process::id()));
+        let bytes = patched.persist_patch(&path).unwrap();
+        let on_disk = IndexArtifact::read_meta(&path).unwrap();
+        std::fs::remove_file(&path).unwrap();
+        assert_eq!(patched.meta().file_bytes, bytes);
+        assert_eq!(patched.meta().section_bytes, on_disk.section_bytes);
+        assert_eq!(
+            patched.meta().to_json().compact(),
+            on_disk.to_json().compact()
+        );
     }
 
     #[test]

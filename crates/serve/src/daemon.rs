@@ -65,15 +65,14 @@
 use std::io::{BufRead, BufReader, Write};
 use std::net::{Ipv4Addr, Ipv6Addr, SocketAddr, TcpListener, TcpStream};
 use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::{Condvar, Mutex};
+use std::sync::{Arc, Condvar, Mutex};
 use std::time::Duration;
 
 use minoan_kb::Json;
-use minoan_obs::{trace, Level};
+use minoan_obs::Level;
 
 use crate::events::{events_batch_json, EventFilter};
 use crate::http::{self, Body, Request, Response};
-use crate::manifest::{JobInput, JobSpec};
 use crate::registry::{valid_id, IndexRegistry, RegistryError};
 use crate::report::{JobReport, ServeReport};
 use crate::scheduler::{
@@ -154,31 +153,17 @@ pub fn run_server(
     }
     // Index serving is opt-in: without a directory the `index-*` ops
     // and `/v1/indexes` endpoints answer structured `unavailable`
-    // errors instead of touching the filesystem.
+    // errors instead of touching the filesystem. A patch job holds the
+    // registry and publishes its result into it before its report is
+    // terminal.
     let registry = match &opts.index_dir {
-        Some(dir) => Some(IndexRegistry::open(dir, Some(opts.index_cache_bytes))?),
+        Some(dir) => Some(Arc::new(IndexRegistry::open(
+            dir,
+            Some(opts.index_cache_bytes),
+        )?)),
         None => None,
     };
     let registry = registry.as_ref();
-    // A successful patch job rewrote the artifact on disk; the loaded
-    // copy (if any) is stale and must be dropped *before* the caller's
-    // on_done observes the terminal report, so a client that waits for
-    // the patch and immediately queries sees the patched index.
-    let notify = |spec: &JobSpec, report: &JobReport| {
-        if report.status.is_ok() {
-            if let (JobInput::IndexPatch { id, .. }, Some(reg)) = (&spec.input, registry) {
-                reg.invalidate(id);
-                trace::emit_job(
-                    Level::Info,
-                    "index.patched",
-                    -1,
-                    0,
-                    format!("index={id:?} (stale cached copy dropped)"),
-                );
-            }
-        }
-        on_done(report);
-    };
 
     // The intake: one accept loop per front-end, each connection on its
     // own handler thread. It returns once every handler has stopped;
@@ -187,7 +172,7 @@ pub fn run_server(
         opts.shed_queue_depth,
         opts.memory_budget_bytes.saturating_mul(SHED_BYTES_FACTOR),
     );
-    run_fleet(queue, opts, &notify, |queue| {
+    run_fleet(queue, opts, &on_done, |queue| {
         let shutdown = &Shutdown {
             flag: CancelToken::new(),
             wake,
@@ -336,7 +321,7 @@ fn handle_connection(
     queue: &JobQueue,
     shutdown: &Shutdown,
     auth_token: Option<&str>,
-    registry: Option<&IndexRegistry>,
+    registry: Option<&Arc<IndexRegistry>>,
 ) {
     use std::io::Read as _;
     let _ = stream.set_read_timeout(Some(POLL_INTERVAL * 4));
@@ -440,7 +425,7 @@ fn handle_request(
     queue: &JobQueue,
     shutdown: &CancelToken,
     auth_token: Option<&str>,
-    registry: Option<&IndexRegistry>,
+    registry: Option<&Arc<IndexRegistry>>,
 ) -> Json {
     let response = match Json::parse_bytes(frame) {
         Err(e) => Response::error(400, format!("bad request JSON: {e}")),

@@ -124,6 +124,7 @@
 
 use std::io::{BufRead, BufReader, Read, Write};
 use std::net::TcpStream;
+use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 use minoan_kb::Json;
@@ -281,13 +282,13 @@ impl Response {
 }
 
 impl From<SubmitError> for Response {
-    /// A closed queue is shutting down — a conflict with server state,
-    /// not a bad request; an overload shed is the standard rate-limit
-    /// shape, so off-the-shelf clients back off without bespoke
-    /// handling.
+    /// A closed queue is shutting down and a patch already in flight
+    /// holds the index — conflicts with server state, not bad requests;
+    /// an overload shed is the standard rate-limit shape, so
+    /// off-the-shelf clients back off without bespoke handling.
     fn from(e: SubmitError) -> Response {
         let status = match e {
-            SubmitError::Closed => 409,
+            SubmitError::Closed | SubmitError::Conflict(_) => 409,
             SubmitError::Overloaded(_) => 429,
         };
         Response::error(status, e.to_string())
@@ -318,7 +319,7 @@ pub(crate) fn handle_connection(
     queue: &JobQueue,
     shutdown: &Shutdown,
     auth_token: Option<&str>,
-    registry: Option<&IndexRegistry>,
+    registry: Option<&Arc<IndexRegistry>>,
 ) {
     let _ = stream.set_read_timeout(Some(POLL_INTERVAL * 4));
     let _ = stream.set_nodelay(true);
@@ -760,11 +761,15 @@ pub(crate) fn route(
     queue: &JobQueue,
     shutdown: &CancelToken,
     auth_token: Option<&str>,
-    registry: Option<&IndexRegistry>,
+    registry: Option<&Arc<IndexRegistry>>,
 ) -> Response {
     if let Some(denied) = auth_failure(request, auth_token) {
         return denied;
     }
+    // A patch job holds the registry it patches; every other handler
+    // borrows it.
+    let shared = registry;
+    let registry = registry.map(Arc::as_ref);
     let segments: Vec<&str> = request.path.split('/').filter(|s| !s.is_empty()).collect();
     let handled = match (request.method.as_str(), segments.as_slice()) {
         ("POST", ["v1", "jobs"]) => intake::submit_job(request, queue),
@@ -784,7 +789,7 @@ pub(crate) fn route(
         ("GET", ["v1", "indexes"]) => intake::index_list(registry),
         ("GET", ["v1", "indexes", id]) => intake::index_meta(registry, id),
         ("DELETE", ["v1", "indexes", id]) => intake::index_delete(registry, id),
-        ("PATCH", ["v1", "indexes", id]) => intake::index_patch(request, queue, registry, id),
+        ("PATCH", ["v1", "indexes", id]) => intake::index_patch(request, queue, shared, id),
         ("GET", ["v1", "indexes", id, "match"]) => intake::index_match(request, registry, id),
         (_, ["v1", "jobs"]) => Err(method_not_allowed("GET, POST")),
         (_, ["v1", "jobs", _]) => Err(method_not_allowed("GET, DELETE")),
@@ -965,8 +970,9 @@ pub(crate) fn reject_over_capacity(mut stream: TcpStream) {
 /// including per-worker task counts. With an index registry live, the
 /// `minoan_index_*` family reports its cache: loaded entries,
 /// resident vs. budget bytes, and hit/miss/eviction/invalidation
-/// counters (invalidations are cache drops caused by `PATCH` rewrites,
-/// distinct from LRU budget evictions).
+/// counters (an invalidation is a cached copy replaced by a published
+/// `PATCH` result — one per successful patch — distinct from LRU budget
+/// evictions).
 pub fn prometheus_metrics(queue: &JobQueue, registry: Option<&IndexRegistry>) -> String {
     let stats = queue.stats();
     let mut text = PromText::new();
@@ -1155,7 +1161,7 @@ pub fn prometheus_metrics(queue: &JobQueue, registry: Option<&IndexRegistry>) ->
             ),
             (
                 "minoan_index_cache_invalidations_total",
-                "Loaded artifacts dropped because a PATCH rewrote the file.",
+                "Cached artifacts replaced by a published PATCH result or dropped as stale.",
                 invalidations as f64,
             ),
         ];

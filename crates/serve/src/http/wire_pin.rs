@@ -17,7 +17,7 @@ use super::*;
 /// An index directory holding `demo` (a real artifact over `a:1`/`b:1`)
 /// and `bad` (a file that is not an artifact), removed on drop.
 struct Indexes {
-    registry: IndexRegistry,
+    registry: Arc<IndexRegistry>,
     dir: PathBuf,
 }
 
@@ -26,7 +26,7 @@ impl Indexes {
         let dir =
             std::env::temp_dir().join(format!("minoan-wire-pin-{tag}-{}", std::process::id()));
         let _ = std::fs::remove_dir_all(&dir);
-        let registry = IndexRegistry::open(&dir, None).unwrap();
+        let registry = Arc::new(IndexRegistry::open(&dir, None).unwrap());
         let mut a = KbBuilder::new("E1");
         a.add_literal("a:1", "name", "Minos of Knossos");
         let mut b = KbBuilder::new("E2");
@@ -75,7 +75,7 @@ fn request(method: &str, target: &str, body: &str) -> Request {
 fn wire(
     queue: &JobQueue,
     auth_token: Option<&str>,
-    registry: Option<&IndexRegistry>,
+    registry: Option<&Arc<IndexRegistry>>,
     method: &str,
     target: &str,
     body: &str,

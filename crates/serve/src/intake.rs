@@ -11,6 +11,7 @@
 //! beside [`Response`]. The line-JSON protocol ([`crate::daemon`]) is a
 //! framing over `route`, not a second front-end.
 
+use std::sync::Arc;
 use std::time::Instant;
 
 use minoan_core::MAX_CANDIDATES;
@@ -312,7 +313,7 @@ const DEFAULT_MATCH_K: usize = 10;
 
 /// The registry, or the "serving disabled" `503` when the daemon runs
 /// without an index directory.
-fn need_registry(registry: Option<&IndexRegistry>) -> Result<&IndexRegistry, Response> {
+fn need_registry<R>(registry: Option<R>) -> Result<R, Response> {
     registry.ok_or_else(|| {
         let message = "index serving is disabled (start the server with --index-dir)";
         Response::failure(503, message, false)
@@ -353,37 +354,34 @@ pub(crate) fn index_build(
 
 /// `PATCH /v1/indexes/{id}`: parse the delta stream (the
 /// [`minoan_kb::delta`] wire schema, `{"deltas":[…]}`, never empty)
-/// and admit a patch job through the supervised queue. The job loads
-/// the artifact, applies the ops to its embedded pair, re-runs the
-/// pipeline over it and atomically rewrites the file; the daemon's
-/// completion hook then drops the stale cached copy. One patch per
-/// index at a time: a second PATCH while one is queued or running is a
-/// `409` — two writers would race on the same artifact file.
-/// `?wait=true` holds the `202` until the patch job ends.
+/// and admit a patch job through the supervised queue. The job holds
+/// the registry: it patches a copy of the loaded index (loading it when
+/// cold), re-runs the pipeline over it, atomically rewrites the file
+/// and publishes the result into the registry before its report is
+/// terminal. One patch per index at a time: the queue refuses a second
+/// PATCH while one is queued or running with a `409`, checked under the
+/// lock that admits it — two patches would start from the same copy and
+/// the later would drop the earlier's ops. `?wait=true` holds the `202`
+/// until the patch job ends, so the next read serves the patched index.
 pub(crate) fn index_patch(
     request: &Request,
     queue: &JobQueue,
-    registry: Option<&IndexRegistry>,
+    registry: Option<&Arc<IndexRegistry>>,
     id: &str,
 ) -> Result<Response, Response> {
     let body = json_body(request, "patch")?;
-    let path = need_registry(registry)?.path_for(id)?;
+    let registry = need_registry(registry)?;
+    let path = registry.path_for(id)?;
     let ops = minoan_kb::delta::ops_from_json(&body)
         .map_err(|e| Response::error(400, format!("bad delta stream: {e}")))?;
     if !path.exists() {
         return Err(Response::error(404, format!("no such index {id:?}")));
     }
-    if queue.patch_in_flight(id) {
-        return Err(Response::error(
-            409,
-            format!("a patch for index {id:?} is already queued or running; wait for it first"),
-        ));
-    }
     let spec = JobSpec {
         name: format!("{id}:patch"),
         input: JobInput::IndexPatch {
             id: id.to_string(),
-            path,
+            registry: Arc::clone(registry),
             ops,
         },
         truth: None,

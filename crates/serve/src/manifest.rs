@@ -40,10 +40,13 @@
 //! rather than deadlocking when it is bigger than the whole budget).
 
 use std::path::{Path, PathBuf};
+use std::sync::Arc;
 
 use minoan_core::{MinoanConfig, MAX_CANDIDATES};
 use minoan_datagen::DatasetKind;
 use minoan_kb::Json;
+
+use crate::registry::IndexRegistry;
 
 /// Estimated resident bytes per synthetic entity once parsed, tokenized,
 /// blocked and indexed (measured on the benchmark profiles, rounded up).
@@ -80,8 +83,9 @@ pub enum JobInput {
     IndexPatch {
         /// The index id (registry key, also the artifact file stem).
         id: String,
-        /// The artifact file to patch.
-        path: PathBuf,
+        /// The registry serving the index: the patch starts from its
+        /// loaded copy and publishes the result back into it.
+        registry: Arc<IndexRegistry>,
         /// The delta stream to apply, in order.
         ops: Vec<minoan_kb::DeltaOp>,
     },
@@ -187,11 +191,12 @@ impl JobSpec {
                 let size = |p: &PathBuf| std::fs::metadata(p).map(|m| m.len()).unwrap_or(0);
                 (size(first) + size(second)) * FILE_FOOTPRINT_FACTOR
             }
-            JobInput::IndexPatch { path, .. } => {
+            JobInput::IndexPatch { id, registry, .. } => {
                 // The artifact is a flat serialization of the loaded
                 // structures, so resident ≈ file size; ×3 covers the
-                // loaded copy, the patch scratch and the re-encode.
-                std::fs::metadata(path).map(|m| m.len()).unwrap_or(0) * 3
+                // loaded copy, the patched copy and the re-encode.
+                let size = |p: PathBuf| std::fs::metadata(p).map(|m| m.len()).unwrap_or(0);
+                registry.path_for(id).map_or(0, size) * 3
             }
         }
     }

@@ -12,10 +12,16 @@
 //!   proxy) evicts least-recently-used entries; in-flight queries keep
 //!   their `Arc` alive, so eviction never invalidates an answer being
 //!   computed;
-//! - **shared-nothing with the job queue**: builds go through the
+//! - **the one copy a patch starts from**: a build goes through the
 //!   supervised [`JobQueue`](crate::scheduler::JobQueue) and only the
-//!   finished file ever becomes visible here (the artifact writer
-//!   publishes with an atomic rename).
+//!   finished file becomes visible here (the artifact writer publishes
+//!   with an atomic rename). A patch job holds the registry it patches:
+//!   it takes the loaded artifact (loading it here when cold), patches a
+//!   copy, persists it and [publishes](IndexRegistry::publish) the
+//!   result into the slot, so no artifact file is decoded on either
+//!   side of a patch;
+//! - **newest wins**: a load that read the file before a patch renamed
+//!   its own over it never replaces the published, newer content.
 //!
 //! Index ids are job names restricted to a filesystem-safe alphabet —
 //! `[A-Za-z0-9._-]`, not starting with a dot — so a wire id can never
@@ -36,6 +42,10 @@ pub const DEFAULT_CACHE_BYTES: u64 = 512 << 20;
 /// File extension of persisted index artifacts inside a registry
 /// directory.
 pub const ARTIFACT_EXT: &str = "idx";
+
+/// Why taking the registry lock cannot fail: no code panics while
+/// holding it.
+const LOCK: &str = "the registry lock is never held across a panic";
 
 /// Longest accepted index id, in bytes.
 pub const MAX_ID_LEN: usize = 120;
@@ -112,6 +122,32 @@ pub struct IndexRegistry {
     budget: u64,
     inner: Mutex<Inner>,
     loaded_cond: Condvar,
+}
+
+impl fmt::Debug for IndexRegistry {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        f.debug_struct("IndexRegistry")
+            .field("dir", &self.dir)
+            .field("budget", &self.budget)
+            .finish_non_exhaustive()
+    }
+}
+
+/// Two handles are equal when they are the same registry: its cache is
+/// state, so two registries over one directory are still two.
+impl PartialEq for IndexRegistry {
+    fn eq(&self, other: &Self) -> bool {
+        std::ptr::eq(self, other)
+    }
+}
+
+/// What [`IndexRegistry::claim`] found in a slot.
+enum Claim {
+    /// The artifact was loaded; the lookup counted as a hit.
+    Hit(Arc<IndexArtifact>),
+    /// The slot was empty and is now `Loading`: the caller reads the
+    /// file and hands the result to [`IndexRegistry::install`].
+    Load,
 }
 
 /// Whether `id` is acceptable as an index id (and thus artifact file
@@ -203,7 +239,23 @@ impl IndexRegistry {
     /// most once however many queries arrive concurrently.
     pub fn load(&self, id: &str) -> Result<Arc<IndexArtifact>, RegistryError> {
         let path = self.path_for(id)?;
-        let mut inner = self.inner.lock().unwrap();
+        if let Claim::Hit(artifact) = self.claim(id) {
+            return Ok(artifact);
+        }
+        let load_span = minoan_obs::trace::span(minoan_obs::Level::Debug, "registry.load", || {
+            format!("index={id:?} path={}", path.display())
+        });
+        let read = IndexArtifact::read_from(&path);
+        drop(load_span);
+        self.install(id, &path, read)
+    }
+
+    /// The first half of [`IndexRegistry::load`]: a hit on a loaded
+    /// slot, or — after waiting out another thread's load — a claim on
+    /// the empty slot, which this thread must then
+    /// [`install`](IndexRegistry::install) into.
+    fn claim(&self, id: &str) -> Claim {
+        let mut inner = self.inner.lock().expect(LOCK);
         loop {
             match inner.slots.get(id) {
                 Some(Slot::Loaded { .. }) => {
@@ -219,30 +271,48 @@ impl IndexRegistry {
                         unreachable!("slot vanished under the lock");
                     };
                     *last_used = tick;
-                    return Ok(Arc::clone(artifact));
+                    return Claim::Hit(Arc::clone(artifact));
                 }
                 Some(Slot::Loading) => {
-                    inner = self.loaded_cond.wait(inner).unwrap();
+                    inner = self.loaded_cond.wait(inner).expect(LOCK);
                 }
                 None => break,
             }
         }
-        // Cold: this thread is the loader.
         inner.misses += 1;
         inner.slots.insert(id.to_string(), Slot::Loading);
-        drop(inner);
-        let load_span = minoan_obs::trace::span(minoan_obs::Level::Debug, "registry.load", || {
-            format!("index={id:?} path={}", path.display())
-        });
-        let result = IndexArtifact::read_from(&path);
-        drop(load_span);
-        let mut inner = self.inner.lock().unwrap();
-        match result {
-            Ok(artifact) => {
-                let artifact = Arc::new(artifact);
+        Claim::Load
+    }
+
+    /// The second half of [`IndexRegistry::load`]: caches what the
+    /// claiming thread read and wakes the threads waiting on it. An
+    /// artifact [published](IndexRegistry::publish) into the slot while
+    /// the file was being read wins when it is at least as new — the
+    /// read may have opened the file before the patch renamed its own
+    /// over it — and is what the loader returns.
+    fn install(
+        &self,
+        id: &str,
+        path: &Path,
+        read: Result<IndexArtifact, ArtifactError>,
+    ) -> Result<Arc<IndexArtifact>, RegistryError> {
+        let mut inner = self.inner.lock().expect(LOCK);
+        let result = match read {
+            Ok(artifact) => match inner.slots.get(id) {
+                Some(Slot::Loaded {
+                    artifact: published,
+                    ..
+                }) if published.meta().content_version >= artifact.meta().content_version => {
+                    Ok(Arc::clone(published))
+                }
                 // Cache only while the file still exists: a DELETE that
                 // raced the load must not resurrect the index.
-                if path.exists() {
+                _ if !path.exists() => {
+                    inner.slots.remove(id);
+                    Ok(Arc::new(artifact))
+                }
+                _ => {
+                    let artifact = Arc::new(artifact);
                     inner.tick += 1;
                     let slot = Slot::Loaded {
                         artifact: Arc::clone(&artifact),
@@ -251,15 +321,13 @@ impl IndexRegistry {
                     };
                     inner.slots.insert(id.to_string(), slot);
                     self.evict_over_budget(&mut inner);
-                } else {
+                    Ok(artifact)
+                }
+            },
+            Err(e) => {
+                if matches!(inner.slots.get(id), Some(Slot::Loading)) {
                     inner.slots.remove(id);
                 }
-                self.loaded_cond.notify_all();
-                Ok(artifact)
-            }
-            Err(e) => {
-                inner.slots.remove(id);
-                self.loaded_cond.notify_all();
                 if matches!(&e, ArtifactError::Io(io) if io.kind() == std::io::ErrorKind::NotFound)
                 {
                     Err(RegistryError::NotFound)
@@ -267,17 +335,49 @@ impl IndexRegistry {
                     Err(RegistryError::Artifact(e))
                 }
             }
-        }
+        };
+        self.loaded_cond.notify_all();
+        result
+    }
+
+    /// Makes `artifact` — a patch of `id`, already persisted to its
+    /// file — the copy the registry serves. Under the lock it replaces
+    /// whatever the slot held (a loaded copy, an in-flight load, or
+    /// nothing), counts one invalidation and evicts over budget; the
+    /// replaced copy is dropped after the lock is released. Queries
+    /// holding an `Arc` to the old artifact finish on it.
+    pub fn publish(&self, id: &str, artifact: IndexArtifact) {
+        let _span = minoan_obs::trace::span(minoan_obs::Level::Debug, "registry.publish", || {
+            format!(
+                "index={id:?} content_version={}",
+                artifact.meta().content_version
+            )
+        });
+        let artifact = Arc::new(artifact);
+        let mut inner = self.inner.lock().expect(LOCK);
+        inner.tick += 1;
+        inner.invalidations += 1;
+        let slot = Slot::Loaded {
+            bytes: artifact.meta().file_bytes,
+            artifact,
+            last_used: inner.tick,
+        };
+        let replaced = inner.slots.insert(id.to_string(), slot);
+        self.evict_over_budget(&mut inner);
+        drop(inner);
+        self.loaded_cond.notify_all();
+        drop(replaced);
     }
 
     /// Drops the cached copy of `id` (if any) without touching the
-    /// file: the invalidation hook for `PATCH /v1/indexes/{id}` — the
-    /// patch job rewrote the artifact on disk, so the next query must
-    /// re-read it. Queries holding an `Arc` to the pre-patch artifact
-    /// finish undisturbed against that consistent snapshot. A slot
-    /// mid-load is left alone: the loader's file handle already sees
-    /// either the fully-old or fully-new artifact (the writer publishes
-    /// with an atomic rename), never a torn one.
+    /// file, so the next query re-reads it. A patch does not go through
+    /// here — it [publishes](IndexRegistry::publish) its result — so this
+    /// serves callers that changed the file some other way. Queries
+    /// holding an `Arc` to the dropped artifact finish undisturbed
+    /// against that consistent snapshot. A slot mid-load is left alone:
+    /// the loader's file handle already sees either the fully-old or
+    /// fully-new artifact (the writer publishes with an atomic rename),
+    /// never a torn one.
     pub fn invalidate(&self, id: &str) {
         let mut inner = self.inner.lock().unwrap();
         if matches!(inner.slots.get(id), Some(Slot::Loaded { .. })) {
@@ -575,8 +675,7 @@ mod tests {
             .collect();
 
         // The writer: patch the on-disk artifact (atomic temp+rename)
-        // and drop the cached copy, exactly as a completed PATCH job
-        // does through the daemon's completion hook.
+        // behind the registry's back and drop the cached copy.
         let mut disk = IndexArtifact::read_from(&path).unwrap();
         for round in 0..5u32 {
             let ops = vec![DeltaOp::Upsert {
@@ -615,6 +714,91 @@ mod tests {
         // dependent — but the initial cached load must have been hit.
         assert!(invalidations >= 1, "invalidations: {invalidations}");
         let _ = std::fs::remove_dir_all(reg.dir());
+    }
+
+    fn rename_a1(round: u32) -> Vec<minoan_kb::DeltaOp> {
+        vec![minoan_kb::DeltaOp::Upsert {
+            side: minoan_kb::KbSide::First,
+            uri: "a:1".into(),
+            statements: vec![(
+                "name".into(),
+                minoan_kb::Object::Literal(format!("Minos of Knossos {round}")),
+            )],
+        }]
+    }
+
+    /// A patch of the loaded copy, persisted to `path` as a patch job
+    /// persists it.
+    fn persisted_patch(reg: &IndexRegistry, id: &str, round: u32) -> IndexArtifact {
+        let (mut next, _) = reg
+            .load(id)
+            .unwrap()
+            .patched(
+                &rename_a1(round),
+                &Executor::sequential(),
+                &CancelToken::new(),
+            )
+            .unwrap();
+        next.persist_patch(&reg.path_for(id).unwrap()).unwrap();
+        next
+    }
+
+    #[test]
+    fn a_publish_replaces_the_cached_copy_under_its_readers() {
+        let reg = temp_registry("publish", None);
+        let path = reg.path_for("live").unwrap();
+        sample_artifact("live").write_to(&path).unwrap();
+        let reader = reg.load("live").unwrap();
+        let next = persisted_patch(&reg, "live", 1);
+        reg.publish("live", next);
+        // The reader finishes on its own copy; the next load is a hit on
+        // the published one, which describes itself as its file does.
+        assert_eq!(reader.meta().content_version, 1);
+        assert_eq!(reg.load("live").unwrap().meta().content_version, 2);
+        let (loaded, bytes, _, hits, misses, _, invalidations) = reg.stats_counts();
+        assert_eq!((loaded, hits, misses, invalidations), (1, 2, 1, 1));
+        assert_eq!(bytes, std::fs::metadata(&path).unwrap().len());
+        let cold = IndexRegistry::open(reg.dir(), None).unwrap();
+        assert_eq!(
+            reg.meta("live").unwrap().to_json().compact(),
+            cold.meta("live").unwrap().to_json().compact()
+        );
+        // Over budget, a publish evicts like a load does.
+        let tight = IndexRegistry::open(reg.dir(), Some(0)).unwrap();
+        tight.publish("live", persisted_patch(&reg, "live", 2));
+        assert_eq!(tight.stats_counts().0, 0);
+        assert_eq!(tight.stats_counts().5, 1);
+        let _ = std::fs::remove_dir_all(reg.dir());
+    }
+
+    /// A cold load that opened the file before a patch renamed its own
+    /// over it finishes after the patch published: the slot keeps the
+    /// published, newer copy, and the loader returns it too.
+    #[test]
+    fn a_load_that_read_the_old_file_never_replaces_a_publish() {
+        let reg = temp_registry("stale-load", None);
+        let path = reg.path_for("live").unwrap();
+        sample_artifact("live").write_to(&path).unwrap();
+        let writer = temp_registry("stale-load-writer", None);
+        let writer_path = writer.path_for("live").unwrap();
+        std::fs::copy(&path, &writer_path).unwrap();
+
+        assert!(matches!(reg.claim("live"), Claim::Load));
+        let stale = IndexArtifact::read_from(&path);
+        let mut next = persisted_patch(&writer, "live", 1);
+        next.persist_patch(&path).unwrap();
+        reg.publish("live", next);
+        let served = reg.install("live", &path, stale).unwrap();
+        assert_eq!(served.meta().content_version, 2);
+        assert_eq!(reg.load("live").unwrap().meta().content_version, 2);
+        // A failed read cannot drop the publish either.
+        assert!(matches!(reg.claim("other"), Claim::Load));
+        reg.publish("other", persisted_patch(&writer, "live", 2));
+        let failed = Err(ArtifactError::Corrupt("torn".into()));
+        assert!(reg.install("other", &path, failed).is_err());
+        assert!(matches!(reg.claim("other"), Claim::Hit(_)));
+        let _ = std::fs::remove_dir_all(reg.dir());
+        let _ = std::fs::remove_dir_all(writer.dir());
     }
 
     #[test]

@@ -100,6 +100,7 @@ use minoan_kb::{parse, GroundTruth, Json, KbPair, Matching};
 use minoan_obs::{trace, Level};
 
 use crate::manifest::{JobInput, JobSpec, Manifest};
+use crate::registry::IndexRegistry;
 use crate::report::{current_rss_bytes, peak_rss_bytes, JobReport, JobStatus, ServeReport};
 
 pub use minoan_exec::{CancelToken, Cancelled};
@@ -548,6 +549,9 @@ pub enum SubmitError {
     /// Load shedding: a high-water mark (queue depth or admitted-bytes)
     /// is crossed. Retryable — the client should back off and resubmit.
     Overloaded(String),
+    /// A patch for the same index is already queued or running. Not
+    /// retryable as such: the client waits for the in-flight patch.
+    Conflict(String),
 }
 
 impl std::fmt::Display for SubmitError {
@@ -555,6 +559,7 @@ impl std::fmt::Display for SubmitError {
         match self {
             SubmitError::Closed => f.write_str("queue is closed to new submissions"),
             SubmitError::Overloaded(detail) => write!(f, "overloaded: {detail}"),
+            SubmitError::Conflict(detail) => f.write_str(detail),
         }
     }
 }
@@ -668,9 +673,13 @@ impl JobQueue {
 
     /// Submits a job, returning its id (= submission index). Fails with
     /// [`SubmitError::Closed`] once the queue is
-    /// [closed](JobQueue::close), and — when [shedding is
-    /// armed](JobQueue::with_shed_limits) — with the retryable
+    /// [closed](JobQueue::close), with [`SubmitError::Conflict`] for a
+    /// patch of an index another patch of which is queued or running —
+    /// two patches would both start from the same copy, and the later
+    /// to publish would drop the other's ops — and, when [shedding is
+    /// armed](JobQueue::with_shed_limits), with the retryable
     /// [`SubmitError::Overloaded`] when a high-water mark is crossed.
+    /// Each check and the admission it guards happen under one lock.
     /// The footprint estimate is taken now, before any input is loaded;
     /// the job's deadline and retry budget resolve against the fleet
     /// defaults now too.
@@ -683,6 +692,17 @@ impl JobQueue {
         let mut guard = self.lock();
         if guard.closed {
             return Err(SubmitError::Closed);
+        }
+        if let JobInput::IndexPatch { id: index, .. } = &spec.input {
+            let in_flight = guard.entries.iter().any(|e| {
+                !matches!(e.phase, Phase::Done(_))
+                    && matches!(&e.spec.input, JobInput::IndexPatch { id, .. } if id == index)
+            });
+            if in_flight {
+                return Err(SubmitError::Conflict(format!(
+                    "a patch for index {index:?} is already queued or running; wait for it first"
+                )));
+            }
         }
         if self.shed_max_queued > 0 && guard.pending.len() >= self.shed_max_queued {
             guard.shed_total += 1;
@@ -881,18 +901,6 @@ impl JobQueue {
         self.stats_of(&self.lock())
     }
 
-    /// Whether a patch for index `index_id` is queued or running. The
-    /// daemon's 409-conflict check: two concurrent patches against the
-    /// same artifact would race on the file, so the second is refused
-    /// at intake until the first reaches a terminal phase.
-    pub fn patch_in_flight(&self, index_id: &str) -> bool {
-        let guard = self.lock();
-        guard.entries.iter().any(|e| {
-            !matches!(e.phase, Phase::Done(_))
-                && matches!(&e.spec.input, JobInput::IndexPatch { id, .. } if id == index_id)
-        })
-    }
-
     fn stats_of(&self, guard: &QueueInner) -> QueueStats {
         let mut stats = QueueStats {
             admitted_bytes: guard.in_flight_bytes,
@@ -933,14 +941,13 @@ impl JobQueue {
     /// ever dispatched at once; the fleet runner starts exactly `slots`.
     /// `on_done` fires exactly once per terminal report *this worker
     /// produced*, in completion order, outside the queue lock and
-    /// **before** waiters on that job are woken; it receives the spec
-    /// too, so callers with post-completion side effects (the daemon
-    /// invalidating a patched index's cache entry) can see what kind of
-    /// job finished. A retried attempt is not terminal and fires
-    /// nothing; a job [cancelled](JobQueue::cancel) while still queued
-    /// never reaches a worker, so it fires nothing either, though its
-    /// `Cancelled` report is in [`JobQueue::into_reports`].
-    pub fn worker(&self, opts: &ServeOptions, on_done: &(impl Fn(&JobSpec, &JobReport) + Sync)) {
+    /// **before** waiters on that job are woken, so whatever it does
+    /// with the report is done when a `wait` returns. A retried
+    /// attempt is not terminal and fires nothing; a job
+    /// [cancelled](JobQueue::cancel) while still queued never reaches a
+    /// worker, so it fires nothing either, though its `Cancelled`
+    /// report is in [`JobQueue::into_reports`].
+    pub fn worker(&self, opts: &ServeOptions, on_done: &(impl Fn(&JobReport) + Sync)) {
         while let Some((id, allot)) = self.claim() {
             // Every attempt gets a fresh trace: its spans and
             // events never interleave with a previous attempt's.
@@ -1054,14 +1061,12 @@ impl JobQueue {
             // The job's slot, bytes and threads are free, but
             // its terminal phase is published only after
             // `on_done` returned: a `wait` caller woken by
-            // `done` must find the post-completion side effects
-            // finished (the daemon drops a patched index's
-            // cached copy there, so patch-then-read never meets
-            // the pre-patch index). Nothing else moves a
-            // `Running` entry, so the phase is still ours to set.
+            // `done` must find what `on_done` did finished.
+            // Nothing else moves a `Running` entry, so the phase
+            // is still ours to set.
             drop(guard);
             self.admit.notify_all();
-            on_done(&spec, &report);
+            on_done(&report);
             if let Some(timings) = &report.timings {
                 crate::telemetry::observe_stages(timings);
             }
@@ -1205,7 +1210,7 @@ pub(crate) fn fleet_queue(opts: &ServeOptions, max_jobs: usize) -> JobQueue {
 pub(crate) fn run_fleet<E>(
     queue: JobQueue,
     opts: &ServeOptions,
-    on_done: &(impl Fn(&JobSpec, &JobReport) + Sync),
+    on_done: &(impl Fn(&JobReport) + Sync),
     intake: impl FnOnce(&JobQueue) -> Result<(), E>,
 ) -> Result<ServeReport, E> {
     let t0 = Instant::now();
@@ -1229,7 +1234,7 @@ pub(crate) fn run_fleet<E>(
 
 /// Runs every job of `manifest` and returns the fleet report.
 pub fn run_batch(manifest: &Manifest, opts: &ServeOptions) -> ServeReport {
-    run_batch_streaming(manifest, opts, |_, _| {})
+    run_batch_streaming(manifest, opts, |_| {})
 }
 
 /// Like [`run_batch`], but streaming: `on_done` is invoked once per job
@@ -1240,7 +1245,7 @@ pub fn run_batch(manifest: &Manifest, opts: &ServeOptions) -> ServeReport {
 pub fn run_batch_streaming(
     manifest: &Manifest,
     opts: &ServeOptions,
-    on_done: impl Fn(&JobSpec, &JobReport) + Sync,
+    on_done: impl Fn(&JobReport) + Sync,
 ) -> ServeReport {
     let queue = fleet_queue(opts, manifest.jobs.len());
     for job in &manifest.jobs {
@@ -1428,8 +1433,8 @@ fn execute(spec: &JobSpec, exec: &Executor, cancel: &CancelToken) -> Result<JobR
     // transient infrastructure failure, retried under the job's budget.
     minoan_exec::faults::point("serve.job.execute")
         .map_err(|e| JobEnd::transient(format!("execute fault: {e}")))?;
-    if let JobInput::IndexPatch { path, ops, .. } = &spec.input {
-        return execute_patch(spec, path, ops, exec, cancel);
+    if let JobInput::IndexPatch { id, registry, ops } = &spec.input {
+        return execute_patch(spec, registry, id, ops, exec, cancel);
     }
     let matcher =
         MinoanEr::new(spec.config()).map_err(|e| JobEnd::permanent(format!("bad config: {e}")))?;
@@ -1481,43 +1486,58 @@ fn run_report(spec: &JobSpec, matches: Vec<(String, String)>, run: &PipelineRepo
     report
 }
 
-/// Runs one delta patch against a persisted index: load the artifact
-/// (`store.artifact.read` fault site), apply the ops to its embedded
-/// pair and re-run the pipeline over it ([`minoan_core::delta`]),
-/// persist the patched artifact atomically (`core.delta.apply` fault
-/// site fires *before* the temp-file/rename write, so a crash leaves
-/// the old artifact fully intact). The loaded copy is private to this
-/// attempt and dropped on any error, which is what `apply_delta`'s
-/// discard-after-`Err` contract asks for. The report's matches are the
-/// patched matching, so a patch job fingerprints exactly like a
-/// from-scratch rebuild of the same final KB state.
+/// Runs one delta patch of index `id` in `registry`. The patch starts
+/// from the registry's loaded copy — loading it through the registry's
+/// one loader when cold, so the `store.artifact.read` fault site stays
+/// on this path — and builds the patched artifact from a copy of its
+/// pair ([`minoan_core::delta`]), leaving the copy that readers hold
+/// untouched. It persists the result atomically (the `core.delta.apply`
+/// fault site fires *before* the temp-file/rename write, so a crash
+/// leaves the old artifact fully intact) and then publishes it into the
+/// registry slot, before this job's report is terminal: a client that
+/// waits for the patch reads the patched index next, and no file is
+/// decoded on either side. A failed attempt publishes nothing. The
+/// report's matches are the patched matching, so a patch job
+/// fingerprints exactly like a from-scratch rebuild of the same final
+/// KB state.
 fn execute_patch(
     spec: &JobSpec,
-    path: &std::path::Path,
+    registry: &IndexRegistry,
+    id: &str,
     ops: &[minoan_kb::DeltaOp],
     exec: &Executor,
     cancel: &CancelToken,
 ) -> Result<JobReport, JobEnd> {
-    use minoan_kb::ArtifactError;
-    let mut artifact = minoan_core::IndexArtifact::read_from(path).map_err(|e| match e {
-        // An I/O error (or injected fault) may clear up; a corrupt or
-        // wrong-version file fails identically on every attempt.
-        ArtifactError::Io(e) => {
-            JobEnd::transient(format!("cannot read index {}: {e}", path.display()))
+    let _span = trace::span(Level::Debug, "index.patch", || format!("index={id:?}"));
+    let path = registry
+        .path_for(id)
+        .map_err(|e| JobEnd::permanent(format!("cannot patch index {id:?}: {e}")))?;
+    let current = registry.load(id).map_err(|e| {
+        let message = format!("cannot read index {}: {e}", path.display());
+        // An I/O error (or injected fault) may clear up; a missing,
+        // corrupt or wrong-version file fails identically on every
+        // attempt.
+        if e.retryable() {
+            JobEnd::transient(message)
+        } else {
+            JobEnd::permanent(message)
         }
-        other => JobEnd::permanent(format!("cannot read index {}: {other}", path.display())),
     })?;
-    let delta = artifact
-        .apply_delta(ops, exec, cancel)
+    let (mut patched, delta) = current
+        .patched(ops, exec, cancel)
         .map_err(|Cancelled| JobEnd::Cancelled)?;
-    artifact
-        .persist_patch(path)
+    patched
+        .persist_patch(&path)
         .map_err(|e| JobEnd::transient(format!("cannot persist patched index: {e}")))?;
-    Ok(run_report(
-        spec,
-        artifact.matched_uri_pairs(),
-        &delta.pipeline,
-    ))
+    let matches = patched.matched_uri_pairs();
+    let version = delta.content_version;
+    registry.publish(id, patched);
+    trace::event(
+        Level::Info,
+        "index.patched",
+        format!("index={id:?} content_version={version} (published to the registry)"),
+    );
+    Ok(run_report(spec, matches, &delta.pipeline))
 }
 
 /// Loads the KB pair (and ground truth, if any) for one job.
@@ -1676,7 +1696,7 @@ mod tests {
     #[test]
     fn streaming_callback_sees_every_job() {
         let seen = Mutex::new(Vec::new());
-        let report = run_batch_streaming(&small_manifest(), &ServeOptions::default(), |_, job| {
+        let report = run_batch_streaming(&small_manifest(), &ServeOptions::default(), |job| {
             seen.lock().unwrap().push(job.name.clone())
         });
         let mut seen = seen.into_inner().unwrap();
@@ -1728,7 +1748,7 @@ mod tests {
         // Every job is still queued: no worker has started.
         queue.cancel_all();
         queue.close();
-        let Ok(report) = run_fleet(queue, &opts, &|_, _| {}, |_| Ok::<(), Infallible>(()));
+        let Ok(report) = run_fleet(queue, &opts, &|_| {}, |_| Ok::<(), Infallible>(()));
         assert_eq!(report.ok_count(), 0);
         assert!(report.jobs.iter().all(|j| j.status == JobStatus::Cancelled));
     }
@@ -1746,7 +1766,7 @@ mod tests {
         assert_eq!(queue.cancel(second), CancelOutcome::CancelledQueued);
         queue.close();
         let seen = Mutex::new(Vec::new());
-        queue.worker(&ServeOptions::default(), &|_, job| {
+        queue.worker(&ServeOptions::default(), &|job| {
             seen.lock().unwrap().push(job.name.clone())
         });
         assert_eq!(seen.into_inner().unwrap(), ["first"]);
@@ -1958,7 +1978,7 @@ mod tests {
         let opts = ServeOptions::default();
         std::thread::scope(|scope| {
             for _ in 0..2 {
-                scope.spawn(|| queue.worker(&opts, &|_, _| {}));
+                scope.spawn(|| queue.worker(&opts, &|_| {}));
             }
             // wait() from outside the worker pool, while workers run.
             let ra = queue.wait(a).expect("known id");
@@ -1976,8 +1996,8 @@ mod tests {
         assert_eq!(queue.into_reports().len(), 2);
     }
 
-    /// `on_done` is where the daemon drops a patched index's cached
-    /// copy; a waiter woken before it ran would read the stale one.
+    /// A waiter woken before `on_done` ran could act on a report the
+    /// caller's callback has not seen yet.
     #[test]
     fn on_done_runs_before_the_terminal_phase_is_published() {
         let queue = JobQueue::new(1, 0);
@@ -1986,7 +2006,7 @@ mod tests {
             .unwrap();
         queue.close();
         let seen = Mutex::new(None);
-        queue.worker(&ServeOptions::default(), &|_, _| {
+        queue.worker(&ServeOptions::default(), &|_| {
             *seen.lock().unwrap() = queue.job_snapshot(id).map(|s| s.phase);
         });
         assert_eq!(seen.into_inner().unwrap(), Some(JobPhase::Running));
@@ -2062,7 +2082,7 @@ mod tests {
         let id = queue.submit(spec.clone()).unwrap();
         let opts = ServeOptions::default();
         std::thread::scope(|scope| {
-            scope.spawn(|| queue.worker(&opts, &|_, _| {}));
+            scope.spawn(|| queue.worker(&opts, &|_| {}));
             let report = queue.wait(id).expect("known id");
             assert_eq!(report.status, JobStatus::Ok);
             queue.close();
@@ -2110,7 +2130,7 @@ mod tests {
 
     fn drain(queue: &JobQueue, opts: &ServeOptions) {
         queue.close();
-        queue.worker(opts, &|_, _| {});
+        queue.worker(opts, &|_| {});
     }
 
     #[test]

@@ -13,7 +13,7 @@
 //! must hold at any seed.
 
 use std::net::TcpStream;
-use std::sync::{Mutex, MutexGuard};
+use std::sync::{Arc, Mutex, MutexGuard};
 use std::time::{Duration, Instant};
 
 use minoaner::core::{IndexArtifact, MinoanEr};
@@ -21,7 +21,7 @@ use minoaner::datagen::DatasetKind;
 use minoaner::exec::{faults, Executor};
 use minoaner::kb::{DeltaOp, KbBuilder, KbPair, KbSide, Object};
 use minoaner::serve::{
-    CancelToken, JobInput, JobQueue, JobSpec, JobStatus, QueueStats, ServeOptions,
+    CancelToken, IndexRegistry, JobInput, JobQueue, JobSpec, JobStatus, QueueStats, ServeOptions,
 };
 
 mod common;
@@ -109,7 +109,7 @@ fn drain(queue: &JobQueue, opts: &ServeOptions) -> QueueStats {
     queue.close();
     std::thread::scope(|scope| {
         for _ in 0..queue.slots() {
-            scope.spawn(|| queue.worker(opts, &|_, _| {}));
+            scope.spawn(|| queue.worker(opts, &|_| {}));
         }
     });
     queue.stats()
@@ -419,13 +419,14 @@ fn persisted_artifact(scratch: &ScratchDir, id: &str) -> std::path::PathBuf {
 }
 
 /// A patch job aimed at a persisted artifact — the internal input the
-/// HTTP `PATCH /v1/indexes/{id}` route builds.
-fn patch_spec(id: &str, path: std::path::PathBuf, ops: Vec<DeltaOp>) -> JobSpec {
+/// HTTP `PATCH /v1/indexes/{id}` route builds — through a fresh
+/// registry over the scratch dir, so the job loads the file cold.
+fn patch_spec(id: &str, scratch: &ScratchDir, ops: Vec<DeltaOp>) -> JobSpec {
     JobSpec {
         name: format!("{id}:patch"),
         input: JobInput::IndexPatch {
             id: id.into(),
-            path,
+            registry: Arc::new(IndexRegistry::open(&scratch.0, None).unwrap()),
             ops,
         },
         truth: None,
@@ -466,7 +467,7 @@ fn mid_patch_fault_leaves_the_artifact_fully_old_then_a_retry_lands_it() {
     faults::arm(&plan).unwrap();
     let queue = JobQueue::new(1, 0);
     queue
-        .submit(patch_spec("victim", path.clone(), vec![rename_op()]))
+        .submit(patch_spec("victim", &scratch, vec![rename_op()]))
         .unwrap();
     drain(&queue, &opts);
     let failed = queue.into_reports().remove(0);
@@ -484,7 +485,7 @@ fn mid_patch_fault_leaves_the_artifact_fully_old_then_a_retry_lands_it() {
     // the retry re-reads the (untouched) artifact and patches clean.
     faults::arm(&plan).unwrap();
     let queue = JobQueue::new(1, 0);
-    let mut spec = patch_spec("victim", path.clone(), vec![rename_op()]);
+    let mut spec = patch_spec("victim", &scratch, vec![rename_op()]);
     spec.max_retries = Some(1);
     queue.submit(spec).unwrap();
     let stats = drain(&queue, &opts);
@@ -514,7 +515,7 @@ fn artifact_read_fault_during_a_patch_is_transient_and_recovers() {
     let plan = format!("seed:{},store.artifact.read:1:io:1", ci_seed());
     faults::arm(&plan).unwrap();
     let queue = JobQueue::new(1, 0);
-    let mut spec = patch_spec("victim", path.clone(), vec![rename_op()]);
+    let mut spec = patch_spec("victim", &scratch, vec![rename_op()]);
     spec.max_retries = Some(1);
     queue.submit(spec).unwrap();
     let stats = drain(&queue, &opts);

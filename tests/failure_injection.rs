@@ -282,7 +282,7 @@ fn cancel_racing_dispatch_yields_exactly_one_terminal_state() {
                 *outcome.lock().unwrap() = Some(queue.cancel(1));
             });
             for _ in 0..2 {
-                scope.spawn(|| queue.worker(&opts, &|_, _| {}));
+                scope.spawn(|| queue.worker(&opts, &|_| {}));
             }
             // Monitor: no snapshot may ever pair a non-terminal phase
             // with a status (or Done without one).

@@ -11,11 +11,13 @@ use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{mpsc, Arc, Mutex};
 use std::time::{Duration, Instant};
 
+use minoaner::core::IndexArtifact;
 use minoaner::datagen::DatasetKind;
 use minoaner::exec::ExecutorKind;
 use minoaner::kb::Json;
 use minoaner::serve::{
-    run_batch, run_server, Frontends, JobInput, JobSpec, JobStatus, Manifest, ServeOptions,
+    run_batch, run_server, Frontends, IndexRegistry, JobInput, JobSpec, JobStatus, Manifest,
+    ServeOptions,
 };
 
 mod common;
@@ -714,6 +716,159 @@ fn a_waited_patch_is_visible_to_the_very_next_read() {
                 "cycle {cycle} was served a stale index"
             );
         }
+        http.shutdown();
+    });
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+/// The registry's cache counters from `GET /v1/metrics`: misses and
+/// invalidations.
+fn cache_counters(http: &Http) -> [u64; 2] {
+    let text = http.request("GET", "/v1/metrics", None).body;
+    ["misses", "invalidations"].map(|name| {
+        let family = format!("minoan_index_cache_{name}_total ");
+        text.lines()
+            .find_map(|l| l.strip_prefix(&family))
+            .and_then(|v| v.trim().parse().ok())
+            .unwrap_or_else(|| panic!("no {family:?} sample in {text}"))
+    })
+}
+
+/// A one-op delta stream that adds entity `uri` to the first KB.
+fn arrival(uri: &str, name: &str) -> Json {
+    Json::parse(&format!(
+        r#"{{"deltas":[{{"op":"upsert","side":"first","uri":"{uri}",
+           "statements":[{{"attr":"name","value":"{name}"}}]}}]}}"#
+    ))
+    .unwrap()
+}
+
+/// A patch of a warm index publishes its result into the registry: the
+/// next read is a hit on the patched copy — no miss, one invalidation
+/// for the replaced copy — and answers exactly as the rewritten file
+/// does. The published copy describes itself byte for byte as a cold
+/// read of that file.
+#[test]
+fn a_patch_is_published_into_the_registry_without_a_reload() {
+    let dir = std::env::temp_dir().join(format!("minoan-http-publish-{}", std::process::id()));
+    std::fs::create_dir_all(&dir).unwrap();
+    let opts = ServeOptions {
+        index_dir: Some(dir.clone()),
+        ..serve_opts()
+    };
+    with_server(opts, |http| {
+        let job = Json::obj([
+            ("name", Json::str("pub")),
+            ("dataset", Json::str("restaurant")),
+            ("seed", Json::num(20180416.0)),
+            ("scale", Json::Num(0.1)),
+        ]);
+        http.json("POST", "/v1/indexes?wait=true", Some(&job), 201);
+        http.json("GET", "/v1/indexes/pub/match?entity=r1%3Ae0", None, 200);
+        let [misses, invalidations] = cache_counters(http);
+
+        let deltas = arrival("new:1", "Fresh Arrival");
+        http.json("PATCH", "/v1/indexes/pub?wait=true", Some(&deltas), 202);
+        let answers = ["new%3A1", "r1%3Ae0"].map(|entity| {
+            let path = format!("/v1/indexes/pub/match?entity={entity}&k=5");
+            http.json("GET", &path, None, 200)
+        });
+        assert_eq!(
+            cache_counters(http),
+            [misses, invalidations + 1],
+            "the read after the patch reloaded the index"
+        );
+
+        let on_disk = IndexArtifact::read_from(&dir.join("pub.idx")).unwrap();
+        for (entity, answer) in ["new:1", "r1:e0"].iter().zip(&answers) {
+            let expected = on_disk
+                .match_query(entity, 5)
+                .unwrap()
+                .to_json("pub", 0.0, 0.0);
+            for field in ["entity", "side", "matches", "candidates"] {
+                assert_eq!(answer.get(field), expected.get(field), "{entity}: {field}");
+            }
+        }
+
+        let served = http.request("GET", "/v1/indexes/pub", None);
+        assert_eq!(served.status, 200, "{}", served.body);
+        let cold = IndexRegistry::open(&dir, None)
+            .unwrap()
+            .meta("pub")
+            .unwrap();
+        let Json::Obj(mut fields) = cold.to_json() else {
+            panic!("meta JSON is an object");
+        };
+        fields.insert(0, ("id".to_string(), Json::str("pub")));
+        assert_eq!(served.body, Json::Obj(fields).compact());
+        assert_eq!(cold.content_version, 2);
+        assert_eq!(cold.section_bytes.len(), 5);
+        http.shutdown();
+    });
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+/// PATCHes of one index racing from several threads: the queue admits
+/// one at a time (the rest are `409`), so every admitted patch starts
+/// from its predecessor's result and none is lost.
+#[test]
+fn racing_patches_of_one_index_each_land() {
+    const THREADS: usize = 4;
+    const ROUNDS: usize = 6;
+    let dir = std::env::temp_dir().join(format!("minoan-http-race-{}", std::process::id()));
+    std::fs::create_dir_all(&dir).unwrap();
+    let opts = ServeOptions {
+        index_dir: Some(dir.clone()),
+        ..serve_opts()
+    };
+    with_server(opts, |http| {
+        let job = Json::obj([
+            ("name", Json::str("race")),
+            ("dataset", Json::str("restaurant")),
+            ("seed", Json::num(20180416.0)),
+            ("scale", Json::Num(0.05)),
+        ]);
+        http.json("POST", "/v1/indexes?wait=true", Some(&job), 201);
+        let start = std::sync::Barrier::new(THREADS);
+        let admitted: Vec<usize> = std::thread::scope(|scope| {
+            let racers: Vec<_> = (0..THREADS)
+                .map(|thread| {
+                    let start = &start;
+                    scope.spawn(move || {
+                        let mut jobs = Vec::new();
+                        for round in 0..ROUNDS {
+                            let uri = format!("race:{thread}-{round}");
+                            let deltas = arrival(&uri, &format!("Racer {thread} {round}"));
+                            start.wait();
+                            let r = http.request("PATCH", "/v1/indexes/race", Some(&deltas));
+                            match r.status {
+                                202 => jobs.push(
+                                    Json::parse(&r.body)
+                                        .unwrap()
+                                        .get("job")
+                                        .and_then(Json::as_usize)
+                                        .unwrap(),
+                                ),
+                                409 => {}
+                                other => panic!("PATCH answered {other}: {}", r.body),
+                            }
+                        }
+                        jobs
+                    })
+                })
+                .collect();
+            racers.into_iter().flat_map(|r| r.join().unwrap()).collect()
+        });
+        assert!(!admitted.is_empty());
+        for &job in &admitted {
+            assert_eq!(http.wait(job).1, "ok", "patch job {job}");
+        }
+        let meta = http.json("GET", "/v1/indexes/race", None, 200);
+        assert_eq!(
+            meta.get("content_version").and_then(Json::as_usize),
+            Some(1 + admitted.len()),
+            "an admitted patch was lost"
+        );
         http.shutdown();
     });
     let _ = std::fs::remove_dir_all(&dir);
