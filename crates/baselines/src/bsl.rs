@@ -71,11 +71,12 @@ type Evaluated = (BslConfig, MatchQuality, Vec<(EntityId, EntityId, f64)>);
 fn ngram_docs(kb: &KnowledgeBase, n: usize, tokenizer: &Tokenizer) -> Vec<Vec<String>> {
     let mut docs = Vec::with_capacity(kb.entity_count());
     let mut toks = Vec::new();
+    let mut buf = String::new();
     for e in kb.entities() {
         let mut doc = Vec::new();
         for lit in kb.literals(e) {
             toks.clear();
-            tokenizer.tokenize_into(lit, &mut toks);
+            tokenizer.for_each_token(lit, &mut buf, |t| toks.push(t.to_string()));
             token_ngrams_into(&toks, n, &mut doc);
         }
         docs.push(doc);

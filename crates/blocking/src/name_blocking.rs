@@ -10,6 +10,7 @@
 
 use minoan_exec::Executor;
 use minoan_kb::{EntityId, Interner};
+use minoan_text::Tokenizer;
 
 use crate::block::{Block, BlockCollection, BlockKind};
 
@@ -100,7 +101,8 @@ pub fn name_blocking_with(
 }
 
 /// Canonicalizes a name: lower-case, strip punctuation, collapse runs of
-/// non-alphanumeric characters to single spaces.
+/// non-alphanumeric characters to single spaces — the default
+/// [`Tokenizer`]'s tokens, joined by single spaces.
 ///
 /// Keying on the *token sequence* rather than the raw string makes H1
 /// robust to formatting differences between KBs ("Dassin, Jules" vs
@@ -109,18 +111,12 @@ pub fn name_blocking_with(
 /// else.
 pub fn canonical_name(name: &str) -> String {
     let mut out = String::with_capacity(name.len());
-    let mut pending_space = false;
-    for c in name.chars() {
-        if c.is_alphanumeric() {
-            if pending_space {
-                out.push(' ');
-                pending_space = false;
-            }
-            out.extend(c.to_lowercase());
-        } else {
-            pending_space = !out.is_empty();
+    Tokenizer::default().for_each_token(name, &mut String::new(), |token| {
+        if !out.is_empty() {
+            out.push(' ');
         }
-    }
+        out.push_str(token);
+    });
     out
 }
 
@@ -160,6 +156,10 @@ mod tests {
         // change the key, token order does.
         assert_eq!(canonical_name("Dassin, Jules"), "dassin jules");
         assert_eq!(canonical_name("dassin  jules"), "dassin jules");
+        assert_eq!(
+            canonical_name(" Stra\u{df}e, \u{130}stanbul \u{2014} CAF\u{c9}\u{a0}\u{663}! "),
+            "stra\u{df}e i\u{307}stanbul caf\u{e9} \u{663}"
+        );
         assert_ne!(
             canonical_name("Jules Dassin"),
             canonical_name("Dassin, Jules")

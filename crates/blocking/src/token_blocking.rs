@@ -7,7 +7,7 @@
 //! heterogeneous KBs.
 
 use minoan_exec::Executor;
-use minoan_kb::{EntityId, FxHashMap, KbSide, TokenId};
+use minoan_kb::{EntityId, KbSide, TokenId};
 use minoan_text::TokenizedPair;
 
 use crate::block::{Block, BlockCollection, BlockKind};
@@ -15,10 +15,14 @@ use crate::block::{Block, BlockCollection, BlockKind};
 /// Builds the token block collection `BT` on `exec`.
 ///
 /// Blocks whose key occurs on only one side are dropped: they can never
-/// produce a comparison. Each part inverts an entity range into a
-/// partial `token -> entities` index; partials are merged in part order,
-/// so every block's entity list is in ascending entity order — exactly
-/// the sequential result — for any thread count.
+/// produce a comparison. Each remaining token's two posting lists are
+/// allocated at their exact lengths — the token's entity frequencies,
+/// which the dictionary already holds — and filled by one scan of each
+/// side's entities in ascending order (one part per side on `exec`),
+/// so every block's entity lists are in ascending entity order for any
+/// thread count. The lists move into the blocks as they are. The one
+/// serial step, choosing the shared tokens and ordering them, is the
+/// debug span `token_blocking.merge`.
 ///
 /// Blocks are emitted in **lexicographic token-string order**.
 /// Floating-point similarity sums accumulate in block order, so this
@@ -27,69 +31,59 @@ use crate::block::{Block, BlockCollection, BlockKind};
 /// for bit. Emitting blocks in any other order (token id, say) moves
 /// low bits of `valueSim` and with them candidate ranks.
 pub fn token_blocking_with(tokens: &TokenizedPair, exec: &Executor) -> BlockCollection {
-    let n_tokens = tokens.dict().len();
-    let n1 = tokens.entity_count(KbSide::First);
-    let n2 = tokens.entity_count(KbSide::Second);
-    let firsts = invert_side(tokens, KbSide::First, n_tokens, exec);
-    let seconds = invert_side(tokens, KbSide::Second, n_tokens, exec);
-    // Assemble blocks in parallel over token ranges; concatenating the
-    // parts preserves ascending token order, then one sort establishes
-    // the canonical lexicographic order (keys are distinct, so the
-    // order is total and thread-count independent).
-    let block_parts = exec.map_parts(n_tokens, |range| {
-        let mut blocks = Vec::new();
-        for t in range {
-            let (f, s) = (&firsts[t], &seconds[t]);
-            if !f.is_empty() && !s.is_empty() {
-                blocks.push(Block {
-                    key: t as u32,
-                    firsts: f.clone(),
-                    seconds: s.clone(),
-                });
-            }
-        }
-        blocks
-    });
-    let mut blocks = block_parts.concat();
     let dict = tokens.dict();
-    blocks.sort_unstable_by(|a, b| dict.token(TokenId(a.key)).cmp(dict.token(TokenId(b.key))));
-    BlockCollection::new(BlockKind::Token, blocks, n1, n2)
-}
-
-/// Inverts one side's `entity -> tokens` lists into `token -> entities`
-/// via per-part partial indexes merged in part order.
-fn invert_side(
-    tokens: &TokenizedPair,
-    side: KbSide,
-    n_tokens: usize,
-    exec: &Executor,
-) -> Vec<Vec<EntityId>> {
-    let n = tokens.entity_count(side);
-    let partials = exec.map_parts(n, |range| {
-        let mut partial: FxHashMap<u32, Vec<EntityId>> = FxHashMap::default();
-        for e in range {
+    let merge = minoan_obs::trace::span(
+        minoan_obs::Level::Debug,
+        "token_blocking.merge",
+        String::new,
+    );
+    // Keys are distinct, so the order is total.
+    let mut keys: Vec<TokenId> = dict
+        .tokens()
+        .filter(|&t| dict.ef(KbSide::First, t) > 0 && dict.ef(KbSide::Second, t) > 0)
+        .collect();
+    keys.sort_unstable_by(|&a, &b| dict.token(a).cmp(dict.token(b)));
+    let mut block_of = vec![u32::MAX; dict.len()];
+    for (i, &t) in keys.iter().enumerate() {
+        block_of[t.index()] = i as u32;
+    }
+    drop(merge);
+    let sides = [KbSide::First, KbSide::Second];
+    // One part per side: the two scans share nothing.
+    let mut postings = exec.map_range(2, |s| {
+        let side = sides[s];
+        let mut lists: Vec<Vec<EntityId>> = keys
+            .iter()
+            .map(|&t| Vec::with_capacity(dict.ef(side, t) as usize))
+            .collect();
+        for e in 0..tokens.entity_count(side) {
             let e = EntityId(e as u32);
             for &t in tokens.tokens(side, e) {
-                partial.entry(t.0).or_default().push(e);
+                // A token of one side only maps past the end: no block.
+                if let Some(list) = lists.get_mut(block_of[t.index()] as usize) {
+                    list.push(e);
+                }
             }
         }
-        partial
+        lists
     });
-    let mut inverted: Vec<Vec<EntityId>> = vec![Vec::new(); n_tokens];
-    for partial in partials {
-        // Per-part lists are in ascending entity order and parts cover
-        // ascending entity ranges, so appending keeps each token's list
-        // sorted regardless of the partial map's iteration order.
-        for (t, mut list) in partial {
-            let slot = &mut inverted[t as usize];
-            if slot.is_empty() {
-                *slot = list;
-            } else {
-                slot.append(&mut list);
-            }
-        }
-    }
-    inverted
+    let seconds = postings.pop().expect("two sides");
+    let firsts = postings.pop().expect("two sides");
+    let blocks = keys
+        .iter()
+        .zip(firsts.into_iter().zip(seconds))
+        .map(|(&t, (firsts, seconds))| Block {
+            key: t.0,
+            firsts,
+            seconds,
+        })
+        .collect();
+    BlockCollection::new(
+        BlockKind::Token,
+        blocks,
+        tokens.entity_count(KbSide::First),
+        tokens.entity_count(KbSide::Second),
+    )
 }
 
 #[cfg(test)]

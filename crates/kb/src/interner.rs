@@ -15,7 +15,8 @@ use std::hash::Hasher;
 
 use crate::hash::FxHasher;
 
-const EMPTY: u32 = u32::MAX;
+/// An unused slot of the probe table.
+const EMPTY: u64 = u64::MAX;
 
 /// A dense string interner: `intern` assigns ids in first-seen order,
 /// `resolve` maps an id back to the string.
@@ -27,14 +28,23 @@ pub struct Interner {
     arena: String,
     /// Per id: `(start, end)` byte span into the arena.
     spans: Vec<(u32, u32)>,
-    /// Open-addressing table of ids (linear probing, power-of-two size).
-    table: Vec<u32>,
+    /// Open-addressing table (linear probing, power-of-two size) of
+    /// slots packing a string's 32-bit hash above its id, so a probe
+    /// compares strings only on a hash match and growing the table
+    /// never rehashes a string.
+    table: Vec<u64>,
 }
 
-fn hash_str(s: &str) -> u64 {
+fn hash_str(s: &str) -> u32 {
     let mut h = FxHasher::default();
     h.write(s.as_bytes());
-    h.finish()
+    // The high half: Fx mixes by multiplication, which carries low
+    // input bits upward only.
+    (h.finish() >> 32) as u32
+}
+
+fn slot(hash: u32, id: u32) -> u64 {
+    u64::from(hash) << 32 | u64::from(id)
 }
 
 impl Interner {
@@ -55,16 +65,20 @@ impl Interner {
     }
 
     fn grow_table(&mut self, new_len: usize) {
-        self.table = vec![EMPTY; new_len];
-        let mask = new_len - 1;
-        for (id, &(start, end)) in self.spans.iter().enumerate() {
-            let s = &self.arena[start as usize..end as usize];
-            let mut i = hash_str(s) as usize & mask;
-            while self.table[i] != EMPTY {
-                i = (i + 1) & mask;
-            }
-            self.table[i] = id as u32;
+        let old = std::mem::replace(&mut self.table, vec![EMPTY; new_len]);
+        for s in old.into_iter().filter(|&s| s != EMPTY) {
+            self.place(s);
         }
+    }
+
+    /// Puts `slot` in the first free place of its probe chain.
+    fn place(&mut self, slot: u64) {
+        let mask = self.table.len() - 1;
+        let mut i = (slot >> 32) as usize & mask;
+        while self.table[i] != EMPTY {
+            i = (i + 1) & mask;
+        }
+        self.table[i] = slot;
     }
 
     fn span_str(&self, id: u32) -> &str {
@@ -72,31 +86,62 @@ impl Interner {
         &self.arena[start as usize..end as usize]
     }
 
+    /// The table index holding `s`, whose hash is `hash`, or the free
+    /// index that ends its probe chain. The table must not be empty.
+    fn find(&self, s: &str, hash: u32) -> usize {
+        let mask = self.table.len() - 1;
+        let mut i = hash as usize & mask;
+        loop {
+            let slot = self.table[i];
+            if slot == EMPTY || ((slot >> 32) as u32 == hash && self.span_str(slot as u32) == s) {
+                return i;
+            }
+            i = (i + 1) & mask;
+        }
+    }
+
     /// Interns `s`, returning its id. Idempotent.
     pub fn intern(&mut self, s: &str) -> u32 {
+        self.intern_hashed(s, hash_str(s))
+    }
+
+    fn intern_hashed(&mut self, s: &str, hash: u32) -> u32 {
         // Keep the table at most half full so probe chains stay short.
         if self.table.len() < (self.spans.len() + 1) * 2 {
             let target = ((self.spans.len() + 1) * 4).next_power_of_two().max(16);
             self.grow_table(target);
         }
-        let mask = self.table.len() - 1;
-        let mut i = hash_str(s) as usize & mask;
-        loop {
-            let slot = self.table[i];
-            if slot == EMPTY {
-                let id = u32::try_from(self.spans.len()).expect("interner overflow");
-                let start = u32::try_from(self.arena.len()).expect("interner arena overflow");
-                self.arena.push_str(s);
-                let end = u32::try_from(self.arena.len()).expect("interner arena overflow");
-                self.spans.push((start, end));
-                self.table[i] = id;
-                return id;
-            }
-            if self.span_str(slot) == s {
-                return slot;
-            }
-            i = (i + 1) & mask;
+        let i = self.find(s, hash);
+        if self.table[i] != EMPTY {
+            return self.table[i] as u32;
         }
+        let id = u32::try_from(self.spans.len())
+            .ok()
+            .filter(|&id| id != u32::MAX)
+            .expect("interner overflow");
+        let start = u32::try_from(self.arena.len()).expect("interner arena overflow");
+        self.arena.push_str(s);
+        let end = u32::try_from(self.arena.len()).expect("interner arena overflow");
+        self.spans.push((start, end));
+        self.table[i] = slot(hash, id);
+        id
+    }
+
+    /// Interns every string of `other` in `other`'s id order and
+    /// returns their ids here, indexed by `other`'s ids: the remap that
+    /// merges a part-local interner into this one. No string of `other`
+    /// is hashed again.
+    pub fn intern_all(&mut self, other: &Interner) -> Vec<u32> {
+        let mut hashes = vec![0u32; other.len()];
+        for &slot in other.table.iter().filter(|&&s| s != EMPTY) {
+            hashes[slot as u32 as usize] = (slot >> 32) as u32;
+        }
+        self.arena.reserve(other.arena.len());
+        other
+            .iter()
+            .zip(hashes)
+            .map(|((_, s), hash)| self.intern_hashed(s, hash))
+            .collect()
     }
 
     /// Looks up a string without interning it.
@@ -104,17 +149,9 @@ impl Interner {
         if self.table.is_empty() {
             return None;
         }
-        let mask = self.table.len() - 1;
-        let mut i = hash_str(s) as usize & mask;
-        loop {
-            let slot = self.table[i];
-            if slot == EMPTY {
-                return None;
-            }
-            if self.span_str(slot) == s {
-                return Some(slot);
-            }
-            i = (i + 1) & mask;
+        match self.table[self.find(s, hash_str(s))] {
+            EMPTY => None,
+            slot => Some(slot as u32),
         }
     }
 
@@ -167,12 +204,15 @@ impl Interner {
             spans,
             table: Vec::new(),
         };
-        this.grow_table((this.spans.len() * 2).next_power_of_two().max(16));
-        for (id, &(start, end)) in this.spans.iter().enumerate() {
-            let s = &this.arena[start as usize..end as usize];
-            if this.get(s) != Some(id as u32) {
+        this.table = vec![EMPTY; (this.spans.len() * 2).next_power_of_two().max(16)];
+        for id in 0..this.spans.len() as u32 {
+            let s = this.span_str(id);
+            let hash = hash_str(s);
+            let i = this.find(s, hash);
+            if this.table[i] != EMPTY {
                 return Err(format!("duplicate interned string at id {id}"));
             }
+            this.table[i] = slot(hash, id);
         }
         Ok(this)
     }
@@ -291,6 +331,29 @@ mod tests {
         assert!(Interner::from_parts("é".into(), vec![(0, 1)]).is_err());
         // Duplicate strings.
         assert!(Interner::from_parts("abab".into(), vec![(0, 2), (2, 4)]).is_err());
+    }
+
+    #[test]
+    fn intern_all_matches_interning_one_by_one() {
+        let mut base = Interner::new();
+        for s in ["knossos", "phaistos"] {
+            base.intern(s);
+        }
+        let mut part = Interner::new();
+        for n in 0..100 {
+            part.intern(&format!("site-{}", n % 40));
+        }
+        part.intern("phaistos");
+        part.intern("");
+        let mut one_by_one = base.clone();
+        let expected: Vec<u32> = part.iter().map(|(_, s)| one_by_one.intern(s)).collect();
+        let remap = base.intern_all(&part);
+        assert_eq!(remap, expected);
+        assert_eq!(base, one_by_one);
+        assert_eq!(remap[40], 1, "a string already present keeps its id");
+        for (id, s) in base.iter() {
+            assert_eq!(base.get(s), Some(id));
+        }
     }
 
     #[test]

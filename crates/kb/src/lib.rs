@@ -10,8 +10,8 @@
 //!   a whole-string flavor ([`parse::parse_ntriples`],
 //!   [`parse::parse_tsv`]) and a **streaming chunked** flavor
 //!   ([`parse::parse_ntriples_reader`], [`parse::parse_tsv_reader`]) that
-//!   parses line-aligned chunks in parallel through per-thread
-//!   [`KbChunk`] partials and never holds the whole input in memory;
+//!   parses line-aligned chunks in parallel into per-thread
+//!   [`KbBuilder`]s and never holds the whole input in memory;
 //! - structural statistics mirroring the paper's Table I ([`KbStats`]);
 //! - pair/ground-truth containers ([`KbPair`], [`Matching`]);
 //! - fast hashing ([`FxHashMap`], [`FxHashSet`]), string interning
@@ -44,6 +44,6 @@ pub use hash::{FxHashMap, FxHashSet};
 pub use ids::{AttrId, BlockId, EntityId, KbSide, PairEntity, TokenId};
 pub use interner::Interner;
 pub use json::Json;
-pub use model::{Edge, KbBuilder, KbChunk, KnowledgeBase, Object, Statement, Value};
+pub use model::{Edge, KbBuilder, KnowledgeBase, Object, Statement, Value};
 pub use pair::{GroundTruth, KbPair, Matching};
 pub use stats::{is_type_attr, local_name, namespace_prefix, KbStats};

@@ -338,10 +338,12 @@ pub enum Object {
 /// Incrementally builds a [`KnowledgeBase`] from raw triples.
 ///
 /// Object URIs may reference subjects that are only described later; the
-/// resolution happens in [`KbBuilder::finish`].
+/// resolution happens in [`KbBuilder::finish`]. Until then a triple is
+/// four numbers: its subject and attribute ids, and the span of its
+/// object's text in one arena that every object is appended to.
 ///
-/// For parallel ingest, per-thread [`KbChunk`]s collect triples with
-/// chunk-local interners and are merged in input order via
+/// For parallel ingest, each worker fills a builder of its own over a
+/// chunk of the input, and the chunks are merged in input order via
 /// [`KbBuilder::absorb`]; the merged builder state is identical to one
 /// fed the same triples sequentially.
 #[derive(Debug, Default)]
@@ -349,25 +351,23 @@ pub struct KbBuilder {
     name: String,
     entity_uris: Interner,
     attrs: Interner,
-    object_uris: Interner,
-    raw: Vec<Vec<(AttrId, RawValue)>>,
-    /// Reusable scratch for building `\u{1}`-marked literal keys.
-    key_buf: String,
+    /// The text of every triple's object, concatenated in triple order.
+    objects: String,
+    /// Triples in input order.
+    triples: Vec<RawTriple>,
+    /// The subject of the last triple: consecutive triples about one
+    /// subject, the common case, skip its lookup.
+    last_subject: Option<u32>,
 }
 
 #[derive(Debug, Clone, Copy)]
-enum RawValue {
-    LiteralId(u32),
-    UriId(u32),
-}
-
-/// Marks a literal in the shared object interner so a literal and a URI
-/// with identical text never collide.
-fn literal_key<'b>(buf: &'b mut String, literal: &str) -> &'b str {
-    buf.clear();
-    buf.push('\u{1}');
-    buf.push_str(literal);
-    buf
+struct RawTriple {
+    subject: u32,
+    attr: u32,
+    /// Byte span of the object's text in [`KbBuilder::objects`].
+    start: u32,
+    end: u32,
+    literal: bool,
 }
 
 impl KbBuilder {
@@ -382,178 +382,120 @@ impl KbBuilder {
     /// Ensures `uri` is a described entity (even if it never gets a
     /// statement) and returns its id.
     pub fn declare_entity(&mut self, uri: &str) -> EntityId {
-        let id = self.entity_uris.intern(uri);
-        if id as usize == self.raw.len() {
-            self.raw.push(Vec::new());
-        }
-        EntityId(id)
+        EntityId(self.entity_uris.intern(uri))
     }
 
     /// Adds one triple. The subject becomes a described entity.
     pub fn add(&mut self, subject: &str, predicate: &str, object: Object) {
-        let subj = self.declare_entity(subject);
-        let attr = AttrId(self.attrs.intern(predicate));
-        let raw = match object {
-            // Literals are interned via the object interner too: repeated
-            // values (countries, genres, years) are extremely common.
-            Object::Literal(l) => {
-                let key = literal_key(&mut self.key_buf, &l);
-                RawValue::LiteralId(self.object_uris.intern(key))
-            }
-            Object::Uri(u) => RawValue::UriId(self.object_uris.intern(&u)),
-        };
-        self.raw[subj.index()].push((attr, raw));
-    }
-
-    /// Merges a chunk-local partial into this builder, remapping every
-    /// chunk-local id to a global one.
-    ///
-    /// Absorbing the chunks of a split input **in input order** leaves the
-    /// builder in exactly the state sequential [`KbBuilder::add`] calls
-    /// over the unsplit input would: a string's global first occurrence
-    /// lies in the earliest chunk containing it, and chunk-local ids are
-    /// assigned in first-seen order, so re-interning each chunk's
-    /// dictionary in id order reproduces the global first-seen order —
-    /// and replaying the chunk's triples in order reproduces every
-    /// entity's statement order.
-    pub fn absorb(&mut self, chunk: KbChunk) {
-        let subj_map: Vec<EntityId> = chunk
-            .subjects
-            .iter()
-            .map(|(_, uri)| self.declare_entity(uri))
-            .collect();
-        let attr_map: Vec<AttrId> = chunk
-            .attrs
-            .iter()
-            .map(|(_, name)| AttrId(self.attrs.intern(name)))
-            .collect();
-        let obj_map: Vec<u32> = chunk
-            .objects
-            .iter()
-            .map(|(_, key)| self.object_uris.intern(key))
-            .collect();
-        for (subj, attr, raw) in chunk.triples {
-            let raw = match raw {
-                RawValue::LiteralId(id) => RawValue::LiteralId(obj_map[id as usize]),
-                RawValue::UriId(id) => RawValue::UriId(obj_map[id as usize]),
-            };
-            self.raw[subj_map[subj as usize].index()].push((attr_map[attr as usize], raw));
+        match object {
+            Object::Literal(l) => self.add_literal(subject, predicate, &l),
+            Object::Uri(u) => self.add_uri(subject, predicate, &u),
         }
     }
 
     /// Adds a literal-valued triple without allocating an [`Object`].
     pub fn add_literal(&mut self, subject: &str, predicate: &str, literal: &str) {
-        let subj = self.declare_entity(subject);
-        let attr = AttrId(self.attrs.intern(predicate));
-        let key = literal_key(&mut self.key_buf, literal);
-        let raw = RawValue::LiteralId(self.object_uris.intern(key));
-        self.raw[subj.index()].push((attr, raw));
+        self.push(subject, predicate, literal, true);
     }
 
     /// Adds a URI-valued triple without allocating an [`Object`].
     pub fn add_uri(&mut self, subject: &str, predicate: &str, object_uri: &str) {
-        let subj = self.declare_entity(subject);
-        let attr = AttrId(self.attrs.intern(predicate));
-        let raw = RawValue::UriId(self.object_uris.intern(object_uri));
-        self.raw[subj.index()].push((attr, raw));
+        self.push(subject, predicate, object_uri, false);
+    }
+
+    fn push(&mut self, subject: &str, predicate: &str, object: &str, literal: bool) {
+        let subject = match self.last_subject {
+            Some(last) if self.entity_uris.resolve(last) == subject => last,
+            _ => self.entity_uris.intern(subject),
+        };
+        self.last_subject = Some(subject);
+        let attr = self.attrs.intern(predicate);
+        let start = arena_offset(self.objects.len());
+        self.objects.push_str(object);
+        self.triples.push(RawTriple {
+            subject,
+            attr,
+            start,
+            end: arena_offset(self.objects.len()),
+            literal,
+        });
+    }
+
+    /// Merges `chunk`, a builder fed the triples that follow this one's
+    /// in the input, remapping its subject and attribute ids to this
+    /// builder's and appending its objects.
+    ///
+    /// Absorbing the chunks of a split input **in input order** leaves the
+    /// builder in exactly the state sequential [`KbBuilder::add`] calls
+    /// over the unsplit input would: a string's global first occurrence
+    /// lies in the earliest chunk containing it, and a chunk assigns its
+    /// ids in first-seen order, so re-interning each chunk's subjects and
+    /// attributes in id order reproduces the global first-seen order —
+    /// and appending the chunk's triples reproduces every entity's
+    /// statement order. A builder that is still empty therefore adopts
+    /// its first chunk as it is: the chunk's ids already are the global
+    /// ones. The name stays this builder's.
+    pub fn absorb(&mut self, chunk: KbBuilder) {
+        if self.entity_uris.is_empty() && self.attrs.is_empty() {
+            self.entity_uris = chunk.entity_uris;
+            self.attrs = chunk.attrs;
+            self.objects = chunk.objects;
+            self.triples = chunk.triples;
+            self.last_subject = None;
+            return;
+        }
+        let subj_map = self.entity_uris.intern_all(&chunk.entity_uris);
+        let attr_map = self.attrs.intern_all(&chunk.attrs);
+        let shift = arena_offset(self.objects.len());
+        self.objects.push_str(&chunk.objects);
+        // The shifted spans must fit as well.
+        arena_offset(self.objects.len());
+        self.triples.extend(chunk.triples.iter().map(|t| RawTriple {
+            subject: subj_map[t.subject as usize],
+            attr: attr_map[t.attr as usize],
+            start: t.start + shift,
+            end: t.end + shift,
+            literal: t.literal,
+        }));
+        self.last_subject = None;
     }
 
     /// Resolves object URIs against the described subjects and freezes
-    /// the KB.
+    /// the KB: each subject's statements in input order, an object URI
+    /// that names a described subject as an edge to it, any other as a
+    /// literal.
     pub fn finish(self) -> KnowledgeBase {
-        let n = self.raw.len();
-        let mut statements: Vec<Vec<Statement>> = Vec::with_capacity(n);
-        let mut in_edges: Vec<Vec<Edge>> = vec![Vec::new(); n];
-        let mut triple_count = 0usize;
-        for (subj_idx, raw_stmts) in self.raw.into_iter().enumerate() {
-            let mut stmts = Vec::with_capacity(raw_stmts.len());
-            for (attr, raw) in raw_stmts {
-                triple_count += 1;
-                let value = match raw {
-                    RawValue::LiteralId(id) => {
-                        let s = self.object_uris.resolve(id);
-                        // Strip the \u{1} literal marker.
-                        Value::Literal(s[1..].into())
-                    }
-                    RawValue::UriId(id) => {
-                        let uri = self.object_uris.resolve(id);
-                        match self.entity_uris.get(uri) {
-                            Some(e) => {
-                                in_edges[e as usize].push(Edge {
-                                    relation: attr,
-                                    neighbor: EntityId(subj_idx as u32),
-                                });
-                                Value::Entity(EntityId(e))
-                            }
-                            None => Value::Literal(uri.into()),
-                        }
-                    }
-                };
-                stmts.push(Statement { attr, value });
-            }
-            statements.push(stmts);
+        let n = self.entity_uris.len();
+        let mut lens = vec![0usize; n];
+        for t in &self.triples {
+            lens[t.subject as usize] += 1;
         }
-        KnowledgeBase {
-            name: self.name,
-            entity_uris: self.entity_uris,
-            attrs: self.attrs,
-            statements,
-            in_edges,
-            triple_count,
+        let mut statements: Vec<Vec<Statement>> =
+            lens.into_iter().map(Vec::with_capacity).collect();
+        for t in &self.triples {
+            let text = &self.objects[t.start as usize..t.end as usize];
+            let entity = if t.literal {
+                None
+            } else {
+                self.entity_uris.get(text)
+            };
+            let value = match entity {
+                Some(e) => Value::Entity(EntityId(e)),
+                None => Value::Literal(text.into()),
+            };
+            statements[t.subject as usize].push(Statement {
+                attr: AttrId(t.attr),
+                value,
+            });
         }
+        KnowledgeBase::from_parts(self.name, self.entity_uris, self.attrs, statements)
+            .expect("a builder's triples reference its own subjects and attributes")
     }
 }
 
-/// A chunk-local partial KB: the per-thread builder of the streaming
-/// parsers. Collects triples against chunk-local interners (no shared
-/// state, no locks) and is merged into the global [`KbBuilder`] with
-/// [`KbBuilder::absorb`].
-#[derive(Debug, Default)]
-pub struct KbChunk {
-    subjects: Interner,
-    attrs: Interner,
-    /// Shared literal/URI dictionary; literals carry a `\u{1}` marker.
-    objects: Interner,
-    /// Triples in occurrence order, as chunk-local ids.
-    triples: Vec<(u32, u32, RawValue)>,
-    key_buf: String,
-}
-
-impl KbChunk {
-    /// Creates an empty chunk builder.
-    pub fn new() -> Self {
-        Self::default()
-    }
-
-    /// Adds one triple (chunk-local mirror of [`KbBuilder::add`]).
-    pub fn add(&mut self, subject: &str, predicate: &str, object: &Object) {
-        match object {
-            Object::Literal(l) => self.add_literal(subject, predicate, l),
-            Object::Uri(u) => self.add_uri(subject, predicate, u),
-        }
-    }
-
-    /// Adds a literal-valued triple (mirror of [`KbBuilder::add_literal`]).
-    pub fn add_literal(&mut self, subject: &str, predicate: &str, literal: &str) {
-        let subj = self.subjects.intern(subject);
-        let attr = self.attrs.intern(predicate);
-        let key = literal_key(&mut self.key_buf, literal);
-        let raw = RawValue::LiteralId(self.objects.intern(key));
-        self.triples.push((subj, attr, raw));
-    }
-
-    /// Adds a URI-valued triple (mirror of [`KbBuilder::add_uri`]).
-    pub fn add_uri(&mut self, subject: &str, predicate: &str, object_uri: &str) {
-        let subj = self.subjects.intern(subject);
-        let attr = self.attrs.intern(predicate);
-        let raw = RawValue::UriId(self.objects.intern(object_uri));
-        self.triples.push((subj, attr, raw));
-    }
-
-    /// Number of triples collected so far.
-    pub fn triple_count(&self) -> usize {
-        self.triples.len()
-    }
+/// `len` as an offset into a builder's object arena.
+fn arena_offset(len: usize) -> u32 {
+    u32::try_from(len).expect("object arena overflow")
 }
 
 #[cfg(test)]
@@ -648,8 +590,8 @@ mod tests {
 
     #[test]
     fn absorbing_chunks_in_order_matches_sequential_adds() {
-        // One triple stream, split across three chunks at arbitrary
-        // points; repeated subjects/attrs/objects straddle the cuts.
+        // One triple stream, split into chunks at arbitrary points;
+        // repeated subjects/attrs/objects straddle the cuts.
         let triples: Vec<(&str, &str, Object)> = vec![
             ("e:a", "name", Object::Literal("alpha".into())),
             ("e:b", "name", Object::Literal("beta".into())),
@@ -663,15 +605,31 @@ mod tests {
         for (s, p, o) in &triples {
             sequential.add(s, p, o.clone());
         }
-        let mut merged = KbBuilder::new("t");
-        for range in [0..3, 3..5, 5..7] {
-            let mut chunk = KbChunk::new();
-            for (s, p, o) in &triples[range] {
-                chunk.add(s, p, o);
+        let expected = sequential.finish();
+        // The first chunk into an empty builder is adopted, later ones
+        // are remapped; `added` triples go in before any chunk, so the
+        // first chunk is remapped too. The rest is cut at `cuts`.
+        let cases: [(usize, &[usize]); 5] =
+            [(0, &[]), (0, &[1]), (0, &[3, 5]), (2, &[]), (2, &[4])];
+        for (added, cuts) in cases {
+            let mut merged = KbBuilder::new("t");
+            for (s, p, o) in &triples[..added] {
+                merged.add(s, p, o.clone());
             }
-            merged.absorb(chunk);
+            let bounds: Vec<usize> = [added]
+                .into_iter()
+                .chain(cuts.iter().copied())
+                .chain([triples.len()])
+                .collect();
+            for range in bounds.windows(2) {
+                let mut chunk = KbBuilder::default();
+                for (s, p, o) in &triples[range[0]..range[1]] {
+                    chunk.add(s, p, o.clone());
+                }
+                merged.absorb(chunk);
+            }
+            assert_eq!(merged.finish(), expected, "added {added}, cuts {cuts:?}");
         }
-        assert_eq!(sequential.finish(), merged.finish());
     }
 
     #[test]

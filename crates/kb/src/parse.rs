@@ -18,7 +18,7 @@
 //! - a **streaming chunked** parser ([`parse_ntriples_reader`],
 //!   [`parse_tsv_reader`]) that never materializes the input as one
 //!   `String`: it reads line-aligned byte blocks, fans each block out
-//!   over the executor into per-thread [`KbChunk`] partials (chunk-local
+//!   over the executor into per-thread [`KbBuilder`]s (chunk-local
 //!   interners, no shared state) and merges them in input order via
 //!   [`KbBuilder::absorb`]. Because lines parse independently and the
 //!   merge preserves first-seen order, the streaming parser produces a
@@ -34,7 +34,7 @@ use std::io::Read;
 
 use minoan_exec::Executor;
 
-use crate::model::{KbBuilder, KbChunk, KnowledgeBase};
+use crate::model::{KbBuilder, KnowledgeBase};
 
 /// A parse failure, with 1-based line number and description.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -137,31 +137,6 @@ enum ObjTerm<'a> {
     Literal(Cow<'a, str>),
 }
 
-/// Anything triples can be parsed into: the global [`KbBuilder`]
-/// (whole-string path) or a per-thread [`KbChunk`] (streaming path).
-trait TripleSink {
-    fn literal(&mut self, subject: &str, predicate: &str, literal: &str);
-    fn uri(&mut self, subject: &str, predicate: &str, object_uri: &str);
-}
-
-impl TripleSink for KbBuilder {
-    fn literal(&mut self, s: &str, p: &str, l: &str) {
-        self.add_literal(s, p, l);
-    }
-    fn uri(&mut self, s: &str, p: &str, o: &str) {
-        self.add_uri(s, p, o);
-    }
-}
-
-impl TripleSink for KbChunk {
-    fn literal(&mut self, s: &str, p: &str, l: &str) {
-        self.add_literal(s, p, l);
-    }
-    fn uri(&mut self, s: &str, p: &str, o: &str) {
-        self.add_uri(s, p, o);
-    }
-}
-
 // ---------------------------------------------------------------------
 // N-Triples
 // ---------------------------------------------------------------------
@@ -185,9 +160,9 @@ pub fn parse_ntriples_reader<R: Read>(
     stream_parse(name, reader, exec, opts, parse_ntriples_into)
 }
 
-/// Parses every line of `text` into `sink`; returns the number of lines
+/// Parses every line of `text` into `builder`; returns the number of lines
 /// seen. Error line numbers are 1-based relative to `text`.
-fn parse_ntriples_into<S: TripleSink>(text: &str, sink: &mut S) -> Result<usize, ParseError> {
+fn parse_ntriples_into(text: &str, builder: &mut KbBuilder) -> Result<usize, ParseError> {
     let mut lines = 0usize;
     for (idx, raw_line) in text.lines().enumerate() {
         lines = idx + 1;
@@ -205,8 +180,8 @@ fn parse_ntriples_into<S: TripleSink>(text: &str, sink: &mut S) -> Result<usize,
             return Err(err(lines, "expected terminating '.'"));
         }
         match object {
-            ObjTerm::Uri(u) => sink.uri(&subject, &predicate, &u),
-            ObjTerm::Literal(l) => sink.literal(&subject, &predicate, &l),
+            ObjTerm::Uri(u) => builder.add_uri(&subject, &predicate, &u),
+            ObjTerm::Literal(l) => builder.add_literal(&subject, &predicate, &l),
         }
     }
     Ok(lines)
@@ -300,8 +275,11 @@ fn parse_object_term(s: &str, line: usize) -> Result<(ObjTerm<'_>, &str), ParseE
         .strip_prefix('"')
         .ok_or_else(|| err(line, "expected URI or literal object"))?;
     // Fast path: no escapes — borrow the literal straight from the line.
+    // Both stop bytes are ASCII, so a byte scan finds the same index a
+    // char scan would, without decoding.
     let stop = rest
-        .find(['"', '\\'])
+        .bytes()
+        .position(|b| b == b'"' || b == b'\\')
         .ok_or_else(|| err(line, "unterminated literal"))?;
     let (literal, end) = if rest.as_bytes()[stop] == b'"' {
         (Cow::Borrowed(&rest[..stop]), stop)
@@ -439,7 +417,7 @@ pub fn parse_tsv_reader<R: Read>(
     stream_parse(name, reader, exec, opts, parse_tsv_into)
 }
 
-fn parse_tsv_into<S: TripleSink>(text: &str, sink: &mut S) -> Result<usize, ParseError> {
+fn parse_tsv_into(text: &str, builder: &mut KbBuilder) -> Result<usize, ParseError> {
     let mut lines = 0usize;
     for (idx, raw_line) in text.lines().enumerate() {
         lines = idx + 1;
@@ -453,8 +431,8 @@ fn parse_tsv_into<S: TripleSink>(text: &str, sink: &mut S) -> Result<usize, Pars
         let kind = cols.next();
         let object = cols.next();
         match (subject, predicate, kind, object) {
-            (Some(s), Some(p), Some("uri"), Some(o)) => sink.uri(s, p, o),
-            (Some(s), Some(p), Some("lit"), Some(o)) => sink.literal(s, p, o),
+            (Some(s), Some(p), Some("uri"), Some(o)) => builder.add_uri(s, p, o),
+            (Some(s), Some(p), Some("lit"), Some(o)) => builder.add_literal(s, p, o),
             (_, _, Some(k), _) if k != "uri" && k != "lit" => {
                 return Err(err(lines, format!("unknown object kind {k:?}")))
             }
@@ -506,7 +484,8 @@ pub fn to_tsv(kb: &KnowledgeBase) -> String {
 /// Reads up to `chunk_bytes` at a time, accumulating raw bytes until
 /// roughly `chunk_bytes × threads` of line-complete input is pending,
 /// then fans the block out over `exec` (each worker parses a line-aligned
-/// sub-chunk into a [`KbChunk`]) and absorbs the partials in chunk order.
+/// sub-chunk into a [`KbBuilder`] of its own) and absorbs the partials in
+/// chunk order.
 /// The trailing partial line is carried into the next block, so the full
 /// input is never resident and every worker sees whole lines only.
 ///
@@ -523,24 +502,25 @@ fn stream_parse<R, F>(
 ) -> Result<KnowledgeBase, StreamError>
 where
     R: Read,
-    F: Fn(&str, &mut KbChunk) -> Result<usize, ParseError> + Sync,
+    F: Fn(&str, &mut KbBuilder) -> Result<usize, ParseError> + Sync,
 {
     let chunk_bytes = opts.chunk_bytes.max(1);
     let batch_bytes = chunk_bytes.saturating_mul(exec.threads().max(1));
     let mut builder = KbBuilder::new(name);
     let mut pending: Vec<u8> = Vec::new();
-    let mut buf = vec![0u8; chunk_bytes.clamp(1, DEFAULT_CHUNK_BYTES)];
     let mut lines_done = 0usize;
     loop {
         minoan_exec::faults::point("kb.parse.read")
             .map_err(|e| StreamError::Io(err(lines_done + 1, format!("read error: {e}"))))?;
-        let n = reader
-            .read(&mut buf)
+        // Up to one chunk straight into the pending bytes: no staging
+        // buffer, and a small file costs no more than its own size.
+        let n = (&mut reader)
+            .take(chunk_bytes as u64)
+            .read_to_end(&mut pending)
             .map_err(|e| StreamError::Io(err(lines_done + 1, format!("read error: {e}"))))?;
         if n == 0 {
             break;
         }
-        pending.extend_from_slice(&buf[..n]);
         if pending.len() >= batch_bytes {
             // Cut at the last complete line; carry the tail. A pending
             // buffer with no newline yet (one enormous line) keeps
@@ -572,7 +552,7 @@ fn parse_block<F>(
     parse_into: &F,
 ) -> Result<usize, ParseError>
 where
-    F: Fn(&str, &mut KbChunk) -> Result<usize, ParseError> + Sync,
+    F: Fn(&str, &mut KbBuilder) -> Result<usize, ParseError> + Sync,
 {
     let align = |p: usize| {
         block[p..]
@@ -581,14 +561,14 @@ where
             .map(|off| p + off + 1)
             .unwrap_or(block.len())
     };
-    let results: Vec<Result<(KbChunk, usize), ParseError>> =
+    let results: Vec<Result<(KbBuilder, usize), ParseError>> =
         exec.map_chunks(block.len(), align, |range| {
             let bytes = &block[range];
             let text = std::str::from_utf8(bytes).map_err(|e| {
                 let bad_line = 1 + count_newlines(&bytes[..e.valid_up_to()]);
                 err(bad_line, "invalid UTF-8 in input")
             })?;
-            let mut chunk = KbChunk::new();
+            let mut chunk = KbBuilder::default();
             let lines = parse_into(text, &mut chunk)?;
             Ok((chunk, lines))
         });

@@ -27,7 +27,7 @@
 //! | `POST /v1/indexes` | a manifest job object | `201` `{"job":N,"index":"…"}` + `Location: /v1/indexes/{name}` — builds through the supervised queue, then persists the index artifact (wait on `/v1/jobs/{N}?wait=true`); `409` the index already exists / queue closed; `503` index serving disabled |
 //! | `GET /v1/indexes` | — | `200` `{"indexes":[{"id","file_bytes","loaded"}],"cache":{…}}` |
 //! | `GET /v1/indexes/{id}` | — | `200` artifact metadata: `file_bytes` and per-section `section_bytes`, entity counts, build timings, format version; `404` unknown index |
-//! | `DELETE /v1/indexes/{id}` | — | `200` `{"index":"…","deleted":true}`; `404` unknown index |
+//! | `DELETE /v1/indexes/{id}` | — | `200` `{"index":"…","deleted":true}`; `404` unknown index; `409` while a patch of it is queued or running |
 //! | `PATCH /v1/indexes/{id}` | `{"deltas":[{"op":"upsert"\|"delete","side":"first"\|"second","uri":"…","statements":[…]}]}` (see [`minoan_kb::delta`]) | `202` `{"job":N,"index":"…"}` + `Location: /v1/jobs/{N}` — admits a **patch** job: the artifact is loaded, the ops are applied to its embedded KB pair, the pipeline re-runs over it with the index's build parameters (so the result is a from-scratch rebuild of the final KB state, bit for bit), and the file is atomically rewritten; `?wait=true` blocks until the patch job is terminal; `404` unknown index; `409` another patch for this index is still in flight; `400` malformed delta stream |
 //! | `GET /v1/indexes/{id}/match?entity=<iri>&k=<n>` | — | `200` the hot match path: `matches`, top-`k` `candidates` with scores, and `stage_timings_ms` whose build-once stages (`ingest`, `blocking`, `similarities`) are always `0` — the answer comes from the loaded artifact, never from re-running the pipeline; `400` `k` outside `1..=128` ([`minoan_core::MAX_CANDIDATES`], the longest row an index persists); `404` unknown index or entity |
 //! | `GET /v1/metrics` | — | `200` Prometheus text (`text/plain; version=0.0.4`), see [`prometheus_metrics`] |
@@ -788,7 +788,7 @@ pub(crate) fn route(
         ("POST", ["v1", "indexes"]) => intake::index_build(request, queue, registry),
         ("GET", ["v1", "indexes"]) => intake::index_list(registry),
         ("GET", ["v1", "indexes", id]) => intake::index_meta(registry, id),
-        ("DELETE", ["v1", "indexes", id]) => intake::index_delete(registry, id),
+        ("DELETE", ["v1", "indexes", id]) => intake::index_delete(queue, registry, id),
         ("PATCH", ["v1", "indexes", id]) => intake::index_patch(request, queue, shared, id),
         ("GET", ["v1", "indexes", id, "match"]) => intake::index_match(request, registry, id),
         (_, ["v1", "jobs"]) => Err(method_not_allowed("GET, POST")),

@@ -281,6 +281,10 @@ fn conflicts_with_server_state() {
             r#"{"error":{"code":"conflict","message":"a patch for index \"demo\" is already queued or running; wait for it first","retryable":false}}"#,
         )
     );
+    assert_eq!(
+        wire(&queue, token, registry, "DELETE", "/v1/indexes/demo", ""),
+        expected("409 Conflict", &[], DELETE_DURING_PATCH)
+    );
     queue.close();
     let closed = expected(
         "409 Conflict",
@@ -294,6 +298,39 @@ fn conflicts_with_server_state() {
             "POST {path}"
         );
     }
+}
+
+const DELETE_DURING_PATCH: &str = r#"{"error":{"code":"conflict","message":"a patch for index \"demo\" is queued or running; wait for it before deleting the index","retryable":false}}"#;
+
+/// A `DELETE` of an index whose patch is running conflicts and leaves
+/// the artifact in place; once the patch is done the `DELETE` removes
+/// the index for good. The worker runs on this thread, and the `DELETE`
+/// is sent from its `on_done` hook, which runs after the patch
+/// persisted and published its result but before the job is terminal.
+#[test]
+fn a_delete_during_a_patch_conflicts_and_keeps_the_index() {
+    let indexes = Indexes::new("delete-during-patch");
+    let registry = Some(&indexes.registry);
+    let path = indexes.registry.path_for("demo").unwrap();
+    let queue = JobQueue::new(1, 0);
+    let patch = wire(&queue, None, registry, "PATCH", "/v1/indexes/demo", DELTAS);
+    assert!(patch.starts_with("HTTP/1.1 202 Accepted\r\n"), "{patch}");
+    queue.close();
+    let during = std::sync::Mutex::new(Vec::new());
+    queue.worker(&crate::ServeOptions::default(), &|_| {
+        let answer = wire(&queue, None, registry, "DELETE", "/v1/indexes/demo", "");
+        during.lock().unwrap().push((answer, path.exists()));
+    });
+    let conflict = expected("409 Conflict", &[], DELETE_DURING_PATCH);
+    assert_eq!(during.into_inner().unwrap(), vec![(conflict, true)]);
+    let meta = wire(&queue, None, registry, "GET", "/v1/indexes/demo", "");
+    assert!(meta.starts_with("HTTP/1.1 200 OK\r\n"), "{meta}");
+    assert!(meta.contains(r#""content_version":2"#), "{meta}");
+    let deleted = wire(&queue, None, registry, "DELETE", "/v1/indexes/demo", "");
+    assert!(deleted.starts_with("HTTP/1.1 200 OK\r\n"), "{deleted}");
+    assert!(!path.exists());
+    let gone = wire(&queue, None, registry, "GET", "/v1/indexes/demo", "");
+    assert!(gone.starts_with("HTTP/1.1 404 Not Found\r\n"), "{gone}");
 }
 
 #[test]

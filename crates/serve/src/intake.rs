@@ -436,12 +436,16 @@ pub(crate) fn index_meta(registry: Option<&IndexRegistry>, id: &str) -> Result<R
 }
 
 /// `DELETE /v1/indexes/{id}`: drop the artifact and evict any cached
-/// copy.
+/// copy — unless a patch of the index is queued or running, which
+/// would persist its result afterwards and bring the index back: that
+/// is a `409`, decided and acted on under the lock that admits patches.
 pub(crate) fn index_delete(
+    queue: &JobQueue,
     registry: Option<&IndexRegistry>,
     id: &str,
 ) -> Result<Response, Response> {
-    need_registry(registry)?.delete(id)?;
+    let registry = need_registry(registry)?;
+    queue.unless_patching(id, || registry.delete(id))??;
     let body = Json::obj([("index", Json::str(id)), ("deleted", Json::Bool(true))]);
     Ok(Response::json(200, body))
 }
@@ -632,7 +636,7 @@ mod tests {
         assert_eq!(body.get("code").unwrap().as_str(), Some("unavailable"));
         assert!(index_list(None).is_err());
         assert!(index_meta(None, "ix").is_err());
-        assert!(index_delete(None, "ix").is_err());
+        assert!(index_delete(&queue, None, "ix").is_err());
         let query = request(&[("entity", "a:1"), ("k", "5")], "");
         assert!(index_match(&query, None, "ix").is_err());
     }

@@ -448,6 +448,14 @@ struct QueueInner {
 }
 
 impl QueueInner {
+    /// Whether a patch of `index` is queued or running.
+    fn patching(&self, index: &str) -> bool {
+        self.entries.iter().any(|e| {
+            !matches!(e.phase, Phase::Done(_))
+                && matches!(&e.spec.input, JobInput::IndexPatch { id, .. } if id == index)
+        })
+    }
+
     /// The single place job phases change. Legal transitions are
     /// `Queued → Running` (dispatch), `Queued → Done` (pre-dispatch
     /// cancel), `Running → Done` (completion) and `Running → Queued`
@@ -694,11 +702,7 @@ impl JobQueue {
             return Err(SubmitError::Closed);
         }
         if let JobInput::IndexPatch { id: index, .. } = &spec.input {
-            let in_flight = guard.entries.iter().any(|e| {
-                !matches!(e.phase, Phase::Done(_))
-                    && matches!(&e.spec.input, JobInput::IndexPatch { id, .. } if id == index)
-            });
-            if in_flight {
+            if guard.patching(index) {
                 return Err(SubmitError::Conflict(format!(
                     "a patch for index {index:?} is already queued or running; wait for it first"
                 )));
@@ -1164,6 +1168,28 @@ impl JobQueue {
     fn lock(&self) -> std::sync::MutexGuard<'_, QueueInner> {
         self.inner.lock().expect("queue lock")
     }
+
+    /// Runs `remove` under the lock that admits patches, unless a patch
+    /// of `index` is queued or running: then [`SubmitError::Conflict`],
+    /// and `remove` does not run. A patch in flight would persist its
+    /// result after the removal and bring the index back; holding the
+    /// lock through `remove` keeps a new patch from being admitted
+    /// between the check and the removal.
+    pub fn unless_patching<R>(
+        &self,
+        index: &str,
+        remove: impl FnOnce() -> R,
+    ) -> Result<R, SubmitError> {
+        let guard = self.lock();
+        if guard.patching(index) {
+            return Err(SubmitError::Conflict(format!(
+                "a patch for index {index:?} is queued or running; wait for it before deleting the index"
+            )));
+        }
+        let removed = remove();
+        drop(guard);
+        Ok(removed)
+    }
 }
 
 /// How many pool workers one claim is allotted: the `workers` not
@@ -1587,6 +1613,8 @@ fn load_input(
 /// retries, where bad input is permanent. A caller that only reports
 /// the failure can `?` it into a `String`.
 ///
+/// Each load is a debug-level `kb.parse` span, detailed with the path.
+///
 /// `_config` is unused: the benchmark harness (`spine/`) pins this
 /// signature, and ROADMAP item 1A(c) retires the parameter.
 pub fn load_kb_file(
@@ -1595,6 +1623,7 @@ pub fn load_kb_file(
     _config: &MinoanConfig,
     exec: &Executor,
 ) -> Result<minoan_kb::KnowledgeBase, parse::StreamError> {
+    let _span = trace::span(Level::Debug, "kb.parse", || path.display().to_string());
     let file = std::fs::File::open(path).map_err(|e| {
         parse::StreamError::Io(parse::ParseError {
             line: 1,

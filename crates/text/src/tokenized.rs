@@ -8,7 +8,7 @@
 //! deduplicated, sorted token set.
 
 use minoan_exec::Executor;
-use minoan_kb::{EntityId, Interner, KbPair, KbSide, KnowledgeBase, TokenId};
+use minoan_kb::{Csr, EntityId, Interner, KbPair, KbSide, KnowledgeBase, TokenId};
 
 use crate::tokenizer::Tokenizer;
 
@@ -55,8 +55,8 @@ impl TokenDictionary {
 /// Tokenized entities of one KB side.
 #[derive(Debug, Clone, Default)]
 struct TokenizedKb {
-    /// Sorted, deduplicated token set per entity.
-    entity_tokens: Vec<Box<[TokenId]>>,
+    /// Sorted, deduplicated token set per entity, one row per entity.
+    entity_tokens: Csr<TokenId>,
     /// Total token occurrences (with duplicates), for the "av. tokens"
     /// column of Table I.
     total_occurrences: usize,
@@ -71,14 +71,19 @@ pub struct TokenizedPair {
 }
 
 impl TokenizedPair {
-    /// Tokenizes both KBs of `pair` with `tokenizer` on `exec`: each
-    /// part tokenizes an entity range against a **part-local** interner,
-    /// and the partials are merged in part order by re-interning each
-    /// part's dictionary in local-id (= first-seen) order. A token's
-    /// global first occurrence lies in the earliest part containing it,
-    /// so the merged dictionary assigns exactly the sequential first-seen
-    /// ids — the result is bit-identical for any backend and thread
-    /// count.
+    /// Tokenizes both KBs of `pair` with `tokenizer` on `exec`, first
+    /// side first. Each part tokenizes an entity range: a token the
+    /// dictionary already holds (from the first side, when the second
+    /// is tokenized) takes its id at once; any other token is interned
+    /// in a **part-local** interner whose ids follow the dictionary's.
+    /// The parts merge in part order (`tokenize.merge`): the first part
+    /// into an empty dictionary is adopted as it is, and every other
+    /// part's new tokens are interned in local-id (= first-seen) order.
+    /// A token's global first occurrence lies in the earliest part
+    /// containing it, so the merged dictionary assigns exactly the
+    /// sequential first-seen ids, and the first part's local ids
+    /// already are those ids — the result is bit-identical for any
+    /// backend and thread count.
     pub fn build_with(pair: &KbPair, tokenizer: &Tokenizer, exec: &Executor) -> Self {
         let mut dict = TokenDictionary::default();
         let mut sides: [TokenizedKb; 2] = Default::default();
@@ -101,32 +106,33 @@ impl TokenizedPair {
 
     /// The sorted, deduplicated token set of an entity.
     pub fn tokens(&self, side: KbSide, e: EntityId) -> &[TokenId] {
-        &self.sides[side.index()].entity_tokens[e.index()]
+        self.sides[side.index()].entity_tokens.row(e.index())
     }
 
     /// Number of entities tokenized on `side`.
     pub fn entity_count(&self, side: KbSide) -> usize {
-        self.sides[side.index()].entity_tokens.len()
+        self.sides[side.index()].entity_tokens.rows()
     }
 
     /// Average number of token occurrences per entity (Table I's
     /// "av. tokens").
     pub fn avg_tokens(&self, side: KbSide) -> f64 {
         let s = &self.sides[side.index()];
-        if s.entity_tokens.is_empty() {
+        if s.entity_tokens.rows() == 0 {
             return 0.0;
         }
-        s.total_occurrences as f64 / s.entity_tokens.len() as f64
+        s.total_occurrences as f64 / s.entity_tokens.rows() as f64
     }
 }
 
-/// One part's tokenization output: a part-local dictionary plus each
-/// entity's token set as local ids (sorted and deduplicated — dedup by
-/// local id equals dedup by string, but the *order* is part-local and is
-/// re-established after remapping).
+/// One part's tokenization output: the tokens new to the dictionary,
+/// and each entity's token set as one flat row of ids — a dictionary id
+/// below the dictionary's length at the start of the wave, a part-local
+/// id past it otherwise. Rows are sorted and deduplicated by these ids.
 struct TokenizedPart {
-    local: Interner,
-    entity_tokens: Vec<Vec<u32>>,
+    fresh: Interner,
+    lens: Vec<usize>,
+    items: Vec<TokenId>,
     occurrences: usize,
 }
 
@@ -138,66 +144,99 @@ fn tokenize_side(
     exec: &Executor,
 ) -> TokenizedKb {
     let n = kb.entity_count();
+    let known = &dict.interner;
+    let base = known.len() as u32;
     let parts = exec.map_parts(n, |range| {
-        let mut local = Interner::new();
-        let mut entity_tokens = Vec::with_capacity(range.len());
+        let mut fresh = Interner::new();
+        let mut lens = Vec::with_capacity(range.len());
+        let mut items: Vec<TokenId> = Vec::new();
         let mut occurrences = 0usize;
-        let mut buf: Vec<String> = Vec::new();
-        let mut ids: Vec<u32> = Vec::new();
+        let mut buf = String::new();
         for e in range {
-            buf.clear();
-            ids.clear();
+            let start = items.len();
             for literal in kb.literals(EntityId(e as u32)) {
-                tokenizer.tokenize_into(literal, &mut buf);
+                tokenizer.for_each_token(literal, &mut buf, |tok| {
+                    occurrences += 1;
+                    let id = match known.get(tok) {
+                        Some(id) => id,
+                        None => base + fresh.intern(tok),
+                    };
+                    items.push(TokenId(id));
+                });
             }
-            occurrences += buf.len();
-            for tok in buf.drain(..) {
-                ids.push(local.intern(&tok));
-            }
-            ids.sort_unstable();
-            ids.dedup();
-            entity_tokens.push(ids.clone());
+            let row = &mut items[start..];
+            row.sort_unstable();
+            let kept = dedup_sorted(row);
+            items.truncate(start + kept);
+            lens.push(kept);
         }
         TokenizedPart {
-            local,
-            entity_tokens,
+            fresh,
+            lens,
+            items,
             occurrences,
         }
     });
 
-    // Ordered merge: re-intern each part's dictionary in local-id order
-    // (its first-seen order), remap every entity's token set and re-sort
-    // by global id. Entity frequency increments run in entity order,
-    // exactly as the sequential pass would.
-    let mut entity_tokens: Vec<Box<[TokenId]>> = Vec::with_capacity(n);
+    // Ordered merge: intern each part's new tokens in local-id order
+    // (its first-seen order), remap its rows, and re-sort them where
+    // the remap moved an id. Entity frequency increments run in entity
+    // order, exactly as the sequential pass would.
+    let _span = minoan_obs::trace::span(minoan_obs::Level::Debug, "tokenize.merge", String::new);
+    let mut lens: Vec<usize> = Vec::with_capacity(n);
+    let mut items: Vec<TokenId> = Vec::new();
     let mut total_occurrences = 0usize;
-    for part in parts {
-        let remap: Vec<u32> = part
-            .local
-            .iter()
-            .map(|(_, tok)| dict.interner.intern(tok))
-            .collect();
+    for mut part in parts {
         total_occurrences += part.occurrences;
-        let ef = &mut dict.ef[side.index()];
-        for local_ids in part.entity_tokens {
-            let mut ids: Vec<TokenId> = local_ids
-                .into_iter()
-                .map(|l| TokenId(remap[l as usize]))
-                .collect();
-            ids.sort_unstable();
-            for &t in ids.iter() {
-                if ef.len() <= t.index() {
-                    ef.resize(t.index() + 1, 0);
+        if dict.interner.is_empty() {
+            // Nothing to merge into: the part's local ids are the ids.
+            dict.interner = std::mem::take(&mut part.fresh);
+        } else {
+            let remap = dict.interner.intern_all(&part.fresh);
+            let moved = remap.iter().enumerate().any(|(l, &g)| g != base + l as u32);
+            if moved {
+                let mut start = 0;
+                for &len in &part.lens {
+                    let row = &mut part.items[start..start + len];
+                    for t in row.iter_mut() {
+                        if t.0 >= base {
+                            *t = TokenId(remap[(t.0 - base) as usize]);
+                        }
+                    }
+                    row.sort_unstable();
+                    start += len;
                 }
-                ef[t.index()] += 1;
             }
-            entity_tokens.push(ids.into_boxed_slice());
         }
+        if items.is_empty() {
+            items = part.items;
+        } else {
+            items.extend_from_slice(&part.items);
+        }
+        lens.extend_from_slice(&part.lens);
+    }
+    let ef = &mut dict.ef[side.index()];
+    ef.resize(dict.interner.len(), 0);
+    for t in &items {
+        ef[t.index()] += 1;
     }
     TokenizedKb {
-        entity_tokens,
+        entity_tokens: Csr::from_lens_and_items(&lens, items),
         total_occurrences,
     }
+}
+
+/// Moves the distinct values of the sorted `row` to its front and
+/// returns how many there are.
+fn dedup_sorted(row: &mut [TokenId]) -> usize {
+    let mut kept = 0;
+    for i in 0..row.len() {
+        if kept == 0 || row[i] != row[kept - 1] {
+            row[kept] = row[i];
+            kept += 1;
+        }
+    }
+    kept
 }
 
 #[cfg(test)]

@@ -30,11 +30,12 @@
 //!   ([`kb::parse::parse_ntriples_reader`], [`kb::parse::parse_tsv_reader`])
 //!   that never materializes the file as one `String` — line-aligned
 //!   byte blocks fan out over the executor into per-thread
-//!   [`kb::KbChunk`] partials (chunk-local interners, no shared state)
-//!   that merge in input order, reproducing the sequential parser's
-//!   output byte for byte;
+//!   [`kb::KbBuilder`]s (chunk-local interners, no shared state) that
+//!   merge in input order, reproducing the sequential parser's output
+//!   byte for byte;
 //! - [`text`] — tokenization, n-grams, the tokenized pair view; the
-//!   tokenizer fans out over entity ranges with part-local token
+//!   tokenizer fans out over entity ranges, looking tokens up in the
+//!   dictionary built so far and interning new ones in part-local
 //!   dictionaries merged in first-seen order;
 //! - [`blocking`] — token/name blocking, Block Purging, block metrics;
 //! - [`sim`] — `valueSim` (ARCS variant) and vector-space measures;
