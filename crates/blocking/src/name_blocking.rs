@@ -79,18 +79,17 @@ pub fn name_blocking_with(
             );
         }
     }
-    let mut blocks = Vec::new();
-    for key in 0..interner.len() {
-        let f = &firsts[key];
-        let s = &seconds[key];
-        if !f.is_empty() && !s.is_empty() {
-            blocks.push(Block {
-                key: key as u32,
-                firsts: f.clone(),
-                seconds: s.clone(),
-            });
-        }
-    }
+    let blocks = firsts
+        .into_iter()
+        .zip(seconds)
+        .enumerate()
+        .filter(|(_, (f, s))| !f.is_empty() && !s.is_empty())
+        .map(|(key, (firsts, seconds))| Block {
+            key: key as u32,
+            firsts,
+            seconds,
+        })
+        .collect();
     let collection = BlockCollection::new(
         BlockKind::Name,
         blocks,

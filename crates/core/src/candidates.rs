@@ -83,6 +83,13 @@ impl CandidateCsr {
         self.offsets.push(self.ids.len());
     }
 
+    /// Makes room for `rows` more rows holding `items` candidates in all.
+    pub(crate) fn reserve(&mut self, rows: usize, items: usize) {
+        self.offsets.reserve_exact(rows);
+        self.ids.reserve_exact(items);
+        self.sims.reserve_exact(items);
+    }
+
     /// Returns the unused capacity of the buffers to the allocator.
     pub(crate) fn shrink_to_fit(&mut self) {
         self.offsets.shrink_to_fit();
@@ -113,37 +120,6 @@ impl CandidateCsr {
             out.sims.extend_from_slice(&part.sims);
         }
         out
-    }
-
-    /// Keeps the first `max_len` candidates of every row, compacting
-    /// both buffers **in place** — each kept prefix moves down over the
-    /// dropped tails before it — and then returns the freed tails to the
-    /// allocator. Returns the rows that lost candidates, ascending, each
-    /// with the length it had.
-    pub(crate) fn cut_rows(&mut self, max_len: usize) -> Vec<(u32, u32)> {
-        let mut cut = Vec::new();
-        let mut write = 0;
-        for i in 0..self.rows() {
-            let start = self.offsets[i];
-            let len = self.offsets[i + 1] - start;
-            if len > max_len {
-                cut.push((i as u32, len as u32));
-            }
-            let keep = len.min(max_len);
-            // `write <= start`: a prefix only ever moves down.
-            if write != start {
-                self.ids.copy_within(start..start + keep, write);
-                self.sims.copy_within(start..start + keep, write);
-            }
-            self.offsets[i] = write;
-            write += keep;
-        }
-        *self.offsets.last_mut().expect("offsets never empty") = write;
-        self.ids.truncate(write);
-        self.sims.truncate(write);
-        self.ids.shrink_to_fit();
-        self.sims.shrink_to_fit();
-        cut
     }
 }
 
@@ -182,11 +158,6 @@ impl<'a> CandidateRow<'a> {
     /// The candidates in row order.
     pub fn iter(&self) -> impl ExactSizeIterator<Item = Candidate> + 'a {
         self.ids.iter().copied().zip(self.sims.iter().copied())
-    }
-
-    /// The candidates from position `start` on, copied out.
-    pub(crate) fn tail(&self, start: usize) -> Vec<Candidate> {
-        self.iter().skip(start).collect()
     }
 }
 
@@ -235,7 +206,10 @@ mod tests {
         assert_eq!(row.ids(), [e(6), e(7), e(8)]);
         assert_eq!(row.get(1), Some((e(7), 0.5)));
         assert_eq!(row.get(3), None);
-        assert_eq!(row.tail(1), vec![(e(7), 0.5), (e(8), 0.25)]);
+        assert_eq!(
+            row.iter().skip(1).collect::<Vec<_>>(),
+            [(e(7), 0.5), (e(8), 0.25)]
+        );
         assert!(csr.row(1).is_empty());
         let lens: Vec<usize> = rows.iter().map(Vec::len).collect();
         let (ids, sims) = rows.iter().flatten().copied().unzip();
@@ -262,21 +236,5 @@ mod tests {
             .collect();
         assert_eq!(CandidateCsr::concat(singles), whole);
         assert_eq!(CandidateCsr::concat(Vec::new()), CandidateCsr::empty(0));
-    }
-
-    #[test]
-    fn cut_rows_keeps_each_prefix() {
-        let rows = sample();
-        let mut csr = csr_of(&rows);
-        assert_eq!(csr.cut_rows(2), vec![(0, 4), (3, 3)]);
-        let capped: Vec<Vec<Candidate>> =
-            rows.iter().map(|r| r[..r.len().min(2)].to_vec()).collect();
-        assert_eq!(csr, csr_of(&capped));
-        // A cap no row reaches changes nothing; a zero cap empties all.
-        let mut same = csr.clone();
-        assert!(same.cut_rows(9).is_empty());
-        assert_eq!(same, csr);
-        assert_eq!(csr.cut_rows(0), vec![(0, 2), (2, 1), (3, 2), (4, 2)]);
-        assert_eq!(csr, CandidateCsr::empty(rows.len()));
     }
 }

@@ -171,7 +171,8 @@ pub fn entity_names_with(kb: &KnowledgeBase, k: usize, exec: &Executor) -> Vec<V
 /// directions, as the paper's datasets use in- and out-neighbors)
 /// connected through one of the `n` most important relations, capped at
 /// `cap` neighbors per entity for robustness against hubs. A pure
-/// per-entity map on `exec`, fanned out in entity order.
+/// per-entity map on `exec`, fanned out in entity order, with one
+/// reused buffer per part and no hashing.
 pub fn top_neighbors_with(
     kb: &KnowledgeBase,
     n: usize,
@@ -185,25 +186,38 @@ pub fn top_neighbors_with(
         .enumerate()
         .map(|(rank, i)| (i.attr, rank))
         .collect();
-    exec.map_range(kb.entity_count(), |e| {
-        let e = EntityId(e as u32);
-        // Collect (relation rank, neighbor) via top relations, both
-        // directions; order by relation rank then id for determinism.
-        let mut nb: Vec<(usize, EntityId)> = kb
-            .edges(e)
-            .filter_map(|edge| top_rel.get(&edge.relation).map(|&r| (r, edge.neighbor)))
-            .collect();
-        nb.sort_unstable();
-        nb.dedup_by_key(|&mut (_, e)| e);
-        let mut out: Vec<EntityId> = nb.into_iter().map(|(_, e)| e).collect();
-        // dedup_by_key only removes consecutive repeats of the same
-        // neighbor; a neighbor reachable via two relations appears
-        // twice with different ranks, so dedup globally.
-        let mut seen = FxHashSet::default();
-        out.retain(|e| seen.insert(*e));
-        out.truncate(cap);
-        out
-    })
+    let parts =
+        exec.map_parts(kb.entity_count(), |range| {
+            let mut nb: Vec<(usize, EntityId)> = Vec::new();
+            range
+                .map(|e| {
+                    // (relation rank, neighbor) via top relations, both
+                    // directions; ordered by relation rank then id for
+                    // determinism.
+                    nb.clear();
+                    nb.extend(kb.edges(EntityId(e as u32)).filter_map(|edge| {
+                        top_rel.get(&edge.relation).map(|&r| (r, edge.neighbor))
+                    }));
+                    nb.sort_unstable();
+                    // The first `cap` distinct neighbors in that order. A
+                    // neighbor reachable via several relations, or twice via
+                    // one, is kept at its first entry: `nb[..i]` is sorted, so
+                    // one binary search per rank up to its own finds any
+                    // earlier one.
+                    let mut out = Vec::new();
+                    for (i, &(r, neighbor)) in nb.iter().enumerate() {
+                        if out.len() == cap {
+                            break;
+                        }
+                        if !(0..=r).any(|r| nb[..i].binary_search(&(r, neighbor)).is_ok()) {
+                            out.push(neighbor);
+                        }
+                    }
+                    out
+                })
+                .collect::<Vec<_>>()
+        });
+    parts.into_iter().flatten().collect()
 }
 
 #[cfg(test)]
@@ -338,6 +352,58 @@ mod tests {
         assert_eq!(tn2[e0.index()].len(), 2, "N=2 adds rel_b's neighbor");
         let capped = top_neighbors(&kb, 2, 1);
         assert_eq!(capped[e0.index()].len(), 1);
+    }
+
+    /// A neighbor reachable via two top relations, or twice via one, is
+    /// kept once, at its first entry in (relation rank, id) order, as a
+    /// set-based reference keeps it, at every cap.
+    #[test]
+    fn top_neighbors_keep_each_neighbor_once_at_its_first_entry() {
+        let mut b = KbBuilder::new("t");
+        for i in 0..6 {
+            let s = format!("e:{i}");
+            b.add_uri(&s, "rel_a", &format!("e:{}", (i + 1) % 6));
+            b.add_uri(&s, "rel_a", &format!("e:{}", (i + 2) % 6));
+            b.add_uri(&s, "rel_b", &format!("e:{}", (i + 1) % 6));
+            b.add_uri(&s, "rel_b", &format!("e:{}", (i + 3) % 6));
+            b.add_uri(&s, "rel_c", &format!("e:{}", (i + 2) % 6));
+        }
+        let kb = b.finish();
+        let reference = |n: usize, cap: usize| -> Vec<Vec<EntityId>> {
+            let ranks: Vec<AttrId> = relation_importance(&kb)
+                .iter()
+                .take(n)
+                .map(|i| i.attr)
+                .collect();
+            kb.entities()
+                .map(|e| {
+                    let mut nb: Vec<(usize, EntityId)> = kb
+                        .edges(e)
+                        .filter_map(|edge| {
+                            let r = ranks.iter().position(|&a| a == edge.relation)?;
+                            Some((r, edge.neighbor))
+                        })
+                        .collect();
+                    nb.sort_unstable();
+                    let mut seen = std::collections::BTreeSet::new();
+                    let mut out: Vec<EntityId> = nb.into_iter().map(|(_, e)| e).collect();
+                    out.retain(|e| seen.insert(*e));
+                    out.truncate(cap);
+                    out
+                })
+                .collect()
+        };
+        let e0 = kb.entity_by_uri("e:0").unwrap();
+        assert!(top_neighbors(&kb, 3, 32)[e0.index()].len() < kb.edges(e0).count());
+        for n in 1..=3 {
+            for cap in [0, 1, 2, 3, 32] {
+                assert_eq!(
+                    top_neighbors(&kb, n, cap),
+                    reference(n, cap),
+                    "n={n} cap={cap}"
+                );
+            }
+        }
     }
 
     #[test]

@@ -159,8 +159,6 @@ pub struct BlockingArtifacts {
     pub token_blocks: BlockCollection,
     /// The purge report, if purging ran.
     pub purge: Option<PurgeReport>,
-    /// Extracted entity names per side.
-    pub names: [Vec<Vec<String>>; 2],
 }
 
 /// A debug-level span around a pipeline stage or one of its passes.
@@ -193,11 +191,12 @@ fn build_blocks_timed(
     timings.tokenize = span.close();
 
     let span = stage_span("stage.blocking");
-    let names = {
-        let _s = stage_span("stage.names");
-        [&pair.first, &pair.second].map(|kb| entity_names_with(kb, config.name_attrs_k, exec))
-    };
+    // The names live only as long as name blocking reads them.
     let (bn, _) = {
+        let names = {
+            let _s = stage_span("stage.names");
+            [&pair.first, &pair.second].map(|kb| entity_names_with(kb, config.name_attrs_k, exec))
+        };
         let _s = stage_span("stage.name_blocking");
         name_blocking_with(&names[0], &names[1], exec)
     };
@@ -218,7 +217,6 @@ fn build_blocks_timed(
         name_blocks: bn,
         token_blocks: bt,
         purge,
-        names,
     }
 }
 
@@ -360,14 +358,17 @@ impl MinoanEr {
 
         // Similarity index over the purged token blocks.
         let span = stage_span("stage.similarities");
-        let [tn1, tn2] = [&pair.first, &pair.second].map(|kb| {
-            top_neighbors_with(
-                kb,
-                self.config.top_relations_n,
-                self.config.max_top_neighbors,
-                exec,
-            )
-        });
+        let [tn1, tn2] = {
+            let _s = stage_span("stage.top_neighbors");
+            [&pair.first, &pair.second].map(|kb| {
+                top_neighbors_with(
+                    kb,
+                    self.config.top_relations_n,
+                    self.config.max_top_neighbors,
+                    exec,
+                )
+            })
+        };
         let idx = SimilarityIndex::build_with(
             &artifacts.token_blocks,
             &artifacts.tokens,
@@ -564,6 +565,21 @@ mod tests {
                 "stage.purge"
             ]
         );
+        let similarities: Vec<&str> = span("stage.similarities")
+            .children
+            .iter()
+            .map(|n| n.name)
+            .filter(|name| !name.starts_with("exec."))
+            .collect();
+        assert_eq!(
+            similarities,
+            [
+                "stage.top_neighbors",
+                "simindex.first_rows",
+                "simindex.neighbor_reverse",
+                "simindex.value_reverse"
+            ]
+        );
     }
 
     #[test]
@@ -599,8 +615,6 @@ mod tests {
         let art = build_blocks(&pair, &MinoanConfig::default(), &Executor::sequential());
         assert!(art.name_blocks.len() >= 3);
         assert!(art.token_blocks.len() > art.name_blocks.len());
-        assert_eq!(art.names[0].len(), pair.first.entity_count());
-        assert_eq!(art.names[1].len(), pair.second.entity_count());
     }
 
     #[test]

@@ -31,16 +31,18 @@
 //!   the slot read `0.0`. `0.0` stays the untouched mark because every
 //!   term is strictly positive, and `touched` has `n_other + 1` slots
 //!   because the write comes before the advance (see `RowScratch`);
-//! - the `neighborNSim` pass is embarrassingly parallel over `e1` and
-//!   accumulates on the same dense scratch. Its probe reads a **flat
-//!   copy** of the second side's top-neighbor lists (one CSR of `u32`
-//!   ids, built once per index, each list padded to a multiple of four
-//!   with the id of a slot that stays `0.0`) and appends every
-//!   candidate to a row presized to the candidate count, advancing past
-//!   it only if its score is positive — no data-dependent branch, the
-//!   same sums in the same order. Its reverse direction is a parallel
-//!   CSR **transpose** (partial histograms → per-part cursors →
-//!   disjoint fills), each column then ranked like any other row.
+//! - the `neighborNSim` rows of the first side are computed in the same
+//!   pass over `e1` as its value rows, embarrassingly parallel, on the
+//!   same dense scratch. Its probe reads a **flat copy** of the second
+//!   side's top-neighbor lists (one CSR of `u32` ids, built once per
+//!   index, each list padded to a multiple of four with the id of a slot
+//!   that stays `0.0`) and appends every candidate to a row presized to
+//!   the candidate count, advancing past it only if its score is
+//!   positive — no data-dependent branch, the same sums in the same
+//!   order. Its reverse direction is scattered into **bounded columns**
+//!   as the rows are computed (`Columns`): a column never holds more
+//!   than `2 · MAX_CANDIDATES` candidates, and is ranked like any other
+//!   row once the pass is done.
 //!
 //! # Candidate order
 //!
@@ -59,28 +61,31 @@
 //! Every stored row — value and neighbor, in both directions — is
 //! **ranked**, not sorted (`rank`): its best [`MAX_CANDIDATES`] entries
 //! come first, in candidate order, and the rest follow in no order.
-//! Rows are read only through [`Ranked`], which yields the prefix and,
-//! should a reader run off it, sorts a copy of the tail and goes on.
-//! That is exact: the key is a total order (ids are unique within a
-//! row), so the best 128 of a row are one set in one order whatever the
-//! input order, and the reader's sequence is the fully sorted row bit
-//! for bit, however far it reads.
+//! A stored row keeps only that prefix. Rows are read only through
+//! [`Ranked`], which yields the prefix and, should a reader run off a
+//! probe row's prefix, sorts the recomputed tail and goes on (see
+//! below). That is exact: the key is a total order (ids are unique
+//! within a row), so the best 128 of a row are one set in one order
+//! whatever the input order, and the reader's sequence is the fully
+//! sorted row bit for bit, however far it reads.
 //!
 //! # Which rows are whole
 //!
-//! None, once the build is done: every row of both sides is stored
-//! **cut** to its best [`MAX_CANDIDATES`] right after the last pass
-//! that reads it whole. The passes run in the order that keeps whole
-//! rows alive for the shortest time:
+//! None, at any point of the build: every row of both sides is stored
+//! **cut** to its best [`MAX_CANDIDATES`] as it is ranked, and no pass
+//! holds the whole rows of a whole KB. Each whole row lives only in one
+//! executor task's scratch while that task computes it. Three passes:
 //!
-//! 1. the first side's value rows, whole (`simindex.value_rows`);
-//! 2. the `neighborNSim` rows of the first side, whole
-//!    (`simindex.neighbor_rows`) — the last whole read of the first
-//!    side's value rows, which are cut right after it;
+//! 1. the first side's rows (`simindex.first_rows`): per `e1`, its value
+//!    row, and its `neighborNSim` row over that value row's candidates,
+//!    which recomputes the value row of every top neighbor `nb1` through
+//!    the same kernel, in block order, instead of reading it from a
+//!    stored whole row. Each whole neighbor row is scattered into the
+//!    second side's bounded columns before both rows are stored cut;
+//! 2. the columns, each ranked and stored cut
+//!    (`simindex.neighbor_reverse`);
 //! 3. the second side's value rows (`simindex.value_reverse`), each cut
-//!    as the kernel ranks it;
-//! 4. the transpose of the neighbor rows (`simindex.neighbor_reverse`),
-//!    after which both sides' neighbor rows are cut.
+//!    as the kernel ranks it.
 //!
 //! A cut keeps a row's ranked prefix, which is the fully sorted row's
 //! first [`MAX_CANDIDATES`] entries bit for bit. What a reader sees past
@@ -101,8 +106,8 @@
 //!   rebuilt from: a copy of the purged token blocks, their weights, the
 //!   first side's top-neighbor lists and the probe's padded lists of the
 //!   second side's (`Rebuild`). A value row is the kernel's row over the
-//!   entity's blocks; a first-side neighbor row is the `neighbor_rows`
-//!   accumulation over the kernel's rows of its top neighbors; a
+//!   entity's blocks; a first-side neighbor row is the first pass's own
+//!   row (`FirstScratch::rows`); a
 //!   second-side neighbor row sums, for each `e1` of its value row and
 //!   in the forward pass's order, `Σ_{nb1 ∈ top(e1)} valueSim(nb1,
 //!   nb2)` over its padded list of `nb2` — an absent pair adds `+0.0`,
@@ -121,14 +126,15 @@
 //!
 //! At debug level the build emits `simindex.candidate_bytes` once per
 //! pass: the bytes of candidate rows alive when the pass's rows are
-//! complete, and after the cuts that follow it — 12 per candidate plus
-//! 8 per row offset, computed from the row lengths.
+//! complete — 12 per stored candidate plus 8 per row offset, and 12 per
+//! candidate a column holds.
 
 use std::cmp::Reverse;
 use std::sync::atomic::{AtomicUsize, Ordering};
+use std::sync::{Mutex, MutexGuard, PoisonError};
 
 use minoan_blocking::BlockCollection;
-use minoan_exec::{Executor, SharedSlice};
+use minoan_exec::Executor;
 use minoan_kb::csr::Csr;
 use minoan_kb::{EntityId, KbSide, TokenId};
 use minoan_sim::token_weight;
@@ -164,11 +170,11 @@ fn rank(row: &mut [Candidate]) {
 
 /// One ranked candidate row read in the full candidate order: the
 /// stored prefix as it is, then — only once a reader runs off the
-/// prefix — the sorted rest of the row, taken from the stored tail or,
-/// for a cut probe row, from the row recomputed (see the module docs).
-/// The sequence is the fully sorted row, bit for bit, however far it
-/// is read, as far as [`Ranked::len`]: the full row's length, except
-/// for a row [`Ranked::is_cut`], which ends at its stored prefix.
+/// prefix of a cut probe row — the sorted rest of the row, recomputed
+/// (see the module docs). The sequence is the fully sorted row, bit for
+/// bit, however far it is read, as far as [`Ranked::len`]: the full
+/// row's length, except for a row [`Ranked::is_cut`], which ends at its
+/// stored prefix.
 #[derive(Debug)]
 pub struct Ranked<'a> {
     row: CandidateRow<'a>,
@@ -187,7 +193,7 @@ pub struct Ranked<'a> {
 /// prefix.
 #[derive(Debug, Clone, Copy)]
 enum Past<'a> {
-    /// The row is stored whole: its stored tail.
+    /// The row is stored whole, so it has none.
     Stored,
     /// The row was cut and its reader ends at the cut.
     End,
@@ -206,28 +212,25 @@ impl<'a> Ranked<'a> {
         matches!(self.past, Past::End)
     }
 
-    /// The candidates after the stored prefix, sorted, counted in
-    /// `tail_reads`.
+    /// The candidates after the stored prefix of a cut probe row, from
+    /// the row recomputed, sorted, counted in `tail_reads`.
     #[cold]
     fn fill_tail(&mut self) {
-        self.tail = match self.past {
-            Past::Stored => self.row.tail(MAX_CANDIDATES),
-            Past::Recompute(rebuild, kind, side, e) => {
-                let mut full = rebuild.row(kind, side, e);
-                let bits = |(c, v): Candidate| (c, v.to_bits());
-                debug_assert!(
-                    full.len() == self.len
-                        && full[..MAX_CANDIDATES]
-                            .iter()
-                            .copied()
-                            .map(bits)
-                            .eq(self.row.iter().map(bits)),
-                    "the recomputed {kind:?} row of {side:?} {e} differs from its stored prefix"
-                );
-                full.split_off(MAX_CANDIDATES)
-            }
-            Past::End => unreachable!("a cut row's reader ends at the cut"),
+        let Past::Recompute(rebuild, kind, side, e) = self.past else {
+            unreachable!("only a cut probe row reads past its stored prefix")
         };
+        let mut full = rebuild.row(kind, side, e);
+        let bits = |(c, v): Candidate| (c, v.to_bits());
+        debug_assert!(
+            full.len() == self.len
+                && full[..MAX_CANDIDATES]
+                    .iter()
+                    .copied()
+                    .map(bits)
+                    .eq(self.row.iter().map(bits)),
+            "the recomputed {kind:?} row of {side:?} {e} differs from its stored prefix"
+        );
+        self.tail = full.split_off(MAX_CANDIDATES);
         self.tail.sort_unstable_by_key(cand_key);
         self.tail_reads.fetch_add(1, Ordering::Relaxed);
     }
@@ -360,6 +363,28 @@ impl RowScratch {
         self.len = 0;
     }
 
+    /// Adds `weight` into every entity of `others` for each `(weight,
+    /// others)` block, in the order given.
+    #[inline]
+    fn accumulate<'a>(&mut self, blocks: impl IntoIterator<Item = (f64, &'a [EntityId])>) {
+        for (weight, others) in blocks {
+            for &e2 in others {
+                self.add(e2, weight);
+            }
+        }
+    }
+
+    /// Hands every touched slot's id and sum to `f`, in first-touch
+    /// order, and leaves the scratch reset.
+    #[inline]
+    fn drain(&mut self, mut f: impl FnMut(EntityId, f64)) {
+        let sums = &mut self.sums;
+        for &e2 in &self.touched[..self.len] {
+            f(EntityId(e2), std::mem::take(&mut sums[e2 as usize]));
+        }
+        self.len = 0;
+    }
+
     /// **The** `valueSim` row: accumulates `weight` into every entity of
     /// `others` for each `(weight, others)` block of one entity, and
     /// leaves the candidates in `row` [`rank`]ed and the scratch reset.
@@ -372,68 +397,87 @@ impl RowScratch {
         blocks: impl IntoIterator<Item = (f64, &'a [EntityId])>,
         row: &mut Vec<Candidate>,
     ) {
-        for (weight, others) in blocks {
-            for &e2 in others {
-                self.add(e2, weight);
-            }
-        }
-        let sums = &mut self.sums;
+        self.accumulate(blocks);
         row.clear();
-        row.extend(
-            self.touched[..self.len]
-                .iter()
-                .map(|&e2| (EntityId(e2), std::mem::take(&mut sums[e2 as usize]))),
-        );
-        self.len = 0;
-        rank(row);
-    }
-
-    /// **The** `neighborNSim` row of one first-side entity: `cands` are
-    /// its value candidates, `nb_rows` the value rows of its top
-    /// neighbors in list order, and `top_seconds` the second side's
-    /// lists as [`probe_lists`] pads them. Accumulates every `nb_rows`
-    /// row into the scratch — each slot's sum in list order, however a
-    /// row orders its own candidates — then scores each candidate over
-    /// its own list, and leaves the positive ones in `row` [`rank`]ed and
-    /// the scratch reset. The scratch spans the second side's entities
-    /// plus the padding slot.
-    #[inline]
-    fn neighbor_row<R: IntoIterator<Item = Candidate>>(
-        &mut self,
-        cands: &[EntityId],
-        nb_rows: impl IntoIterator<Item = R>,
-        top_seconds: &Csr<u32>,
-        row: &mut Vec<Candidate>,
-    ) {
-        row.clear();
-        if !cands.is_empty() {
-            for nb_row in nb_rows {
-                for (nb2, v) in nb_row {
-                    self.add(nb2, v);
-                }
-            }
-            if self.len > 0 {
-                // Every candidate is written; only a positive score
-                // advances past it, so a zero is overwritten or cut.
-                row.resize(cands.len(), (EntityId(0), 0.0));
-                let mut n = 0;
-                for &e2 in cands {
-                    let s = self.sum_of(top_seconds.row(e2.index()));
-                    row[n] = (e2, s);
-                    n += usize::from(s > 0.0);
-                }
-                row.truncate(n);
-                self.reset();
-            }
-        }
+        row.reserve(self.len);
+        self.drain(|e2, v| row.push((e2, v)));
         rank(row);
     }
 }
 
+/// The working memory of the first side's rows: the value kernel's
+/// scratch, on which each row computes its entity's value row and
+/// recomputes every value row it reads, and the `neighborNSim`
+/// accumulator, both over the second side's entities plus the padding
+/// slot. One per executor task, reset per row like a [`RowScratch`].
+struct FirstScratch {
+    value: RowScratch,
+    acc: RowScratch,
+}
+
+impl FirstScratch {
+    /// A zeroed scratch for rows over `n_second` entities.
+    fn new(n_second: usize) -> Self {
+        Self {
+            value: RowScratch::new(n_second),
+            acc: RowScratch::new(n_second),
+        }
+    }
+
+    /// **The** rows of first-side entity `e1`, whose top neighbors are
+    /// `top`, over `blocks` and their `weights`, with the second side's
+    /// lists as [`probe_lists`] pads them (`top_seconds`): its value row
+    /// in `values` and its `neighborNSim` row in `neighbors`, both
+    /// [`rank`]ed, and both scratches reset.
+    ///
+    /// The value row is the kernel's ([`RowScratch::value_row`]); its
+    /// candidates are the neighbor row's. The neighbor row recomputes
+    /// the value row of each `nb1` of `top`, in list order, through the
+    /// same kernel — every `valueSim(nb1, nb2)` summed in block order —
+    /// and adds each into the accumulator, so each slot's sum runs in
+    /// list order. It then scores each candidate over its own list and
+    /// keeps the positive ones. Neither sum depends on the order of a
+    /// row's candidates: a value row holds each `nb2` once.
+    fn rows(
+        &mut self,
+        blocks: &BlockCollection,
+        weights: &[f64],
+        e1: usize,
+        top: &[EntityId],
+        top_seconds: &Csr<u32>,
+        [values, neighbors]: &mut [Vec<Candidate>; 2],
+    ) {
+        let Self { value, acc } = self;
+        value.value_row(entity_blocks(blocks, weights, KbSide::First, e1), values);
+        neighbors.clear();
+        if !values.is_empty() {
+            for nb1 in top {
+                value.accumulate(entity_blocks(blocks, weights, KbSide::First, nb1.index()));
+                value.drain(|nb2, v| acc.add(nb2, v));
+            }
+            if acc.len > 0 {
+                // Every candidate is written; only a positive score
+                // advances past it, so a zero is overwritten or cut.
+                neighbors.resize(values.len(), (EntityId(0), 0.0));
+                let mut n = 0;
+                for &(e2, _) in values.iter() {
+                    let s = acc.sum_of(top_seconds.row(e2.index()));
+                    neighbors[n] = (e2, s);
+                    n += usize::from(s > 0.0);
+                }
+                neighbors.truncate(n);
+                acc.reset();
+            }
+        }
+        rank(neighbors);
+    }
+}
+
 /// One side's candidate rows of one similarity, as the index stores
-/// them: ranked, whole or cut (see the module docs). The rows stay in
-/// the flat buffers the executor parts built them in; the parts are
-/// joined in part order by their first rows, not copied into one buffer.
+/// them: ranked and cut to their best [`MAX_CANDIDATES`], each with the
+/// full length it had (see the module docs). The rows stay in the flat
+/// buffers the executor parts built them in; the parts are joined in
+/// part order by their first rows, not copied into one buffer.
 #[derive(Debug, Default)]
 struct Rows {
     /// The rows of consecutive entity ranges, in range order.
@@ -445,49 +489,88 @@ struct Rows {
     cut: Vec<(u32, u32)>,
 }
 
-impl Rows {
-    /// The row of every entity in `0..n`: `row_of(scratch, e, row)`
-    /// leaves entity `e`'s row [`rank`]ed in `row`, on a [`RowScratch`]
-    /// over `n_other` entities, one per executor part. Each part appends
-    /// its rows to its own flat buffers, every row cut to its best
-    /// [`MAX_CANDIDATES`] at once if `cut`.
-    fn build<F>(n: usize, n_other: usize, cut: bool, exec: &Executor, row_of: F) -> Self
-    where
-        F: Fn(&mut RowScratch, usize, &mut Vec<Candidate>) + Sync,
-    {
-        let parts = exec.map_parts(n, |range| {
-            let mut scratch = RowScratch::new(n_other);
-            let mut row = Vec::new();
-            let mut csr = CandidateCsr::default();
-            let mut cut_rows = Vec::new();
-            let start = range.start;
-            for e in range {
-                row_of(&mut scratch, e, &mut row);
-                if cut && row.len() > MAX_CANDIDATES {
-                    cut_rows.push((e as u32, row.len() as u32));
-                    row.truncate(MAX_CANDIDATES);
-                }
-                csr.push_row(&row);
-            }
-            csr.shrink_to_fit();
-            (start, csr, cut_rows)
-        });
-        let mut rows = Rows::default();
-        for (start, csr, cut_rows) in parts {
-            rows.starts.push(start);
-            rows.parts.push(csr);
-            rows.cut.extend(cut_rows);
-        }
-        rows
-    }
+/// The rows one executor part stores, of consecutive entities from
+/// `start` on: their flat buffers, and the rows it cut with their full
+/// lengths.
+struct Part {
+    start: usize,
+    csr: CandidateCsr,
+    cut: Vec<(u32, u32)>,
+}
 
-    /// Rows held in one buffer, none cut.
-    fn whole(csr: CandidateCsr) -> Self {
+impl Part {
+    fn new(start: usize) -> Self {
         Self {
-            parts: vec![csr],
-            starts: vec![0],
+            start,
+            csr: CandidateCsr::default(),
             cut: Vec::new(),
         }
+    }
+
+    /// Stores the next entity's row cut to its best [`MAX_CANDIDATES`]:
+    /// `row` holds at least that prefix of the row, [`rank`]ed, and
+    /// `full` is the row's full length.
+    fn push(&mut self, row: &mut Vec<Candidate>, full: usize) {
+        debug_assert!(row.len() >= full.min(MAX_CANDIDATES) && row.len() <= full);
+        if full > MAX_CANDIDATES {
+            let e = self.start + self.csr.rows();
+            self.cut.push((e as u32, full as u32));
+            row.truncate(MAX_CANDIDATES);
+        }
+        self.csr.push_row(row);
+    }
+}
+
+impl Rows {
+    /// `K` rows of every entity in `0..n`, each cut to its best
+    /// [`MAX_CANDIDATES`] as it is stored: `row_of(scratch, e, rows)`
+    /// leaves at least that prefix of each of entity `e`'s rows
+    /// [`rank`]ed in `rows` and returns their full lengths. Each executor
+    /// part makes one `scratch()` and appends its rows to its own flat
+    /// buffers.
+    fn build<const K: usize, S, F>(
+        n: usize,
+        exec: &Executor,
+        scratch: impl Fn() -> S + Sync,
+        row_of: F,
+    ) -> [Self; K]
+    where
+        F: Fn(&mut S, usize, &mut [Vec<Candidate>; K]) -> [usize; K] + Sync,
+    {
+        let parts = exec.map_parts(n, |range| {
+            let mut scratch = scratch();
+            let mut rows = std::array::from_fn(|_| Vec::new());
+            let mut parts: [Part; K] = std::array::from_fn(|_| Part::new(range.start));
+            for e in range {
+                let full = row_of(&mut scratch, e, &mut rows);
+                for ((part, row), full) in parts.iter_mut().zip(&mut rows).zip(full) {
+                    part.push(row, full);
+                }
+            }
+            for part in &mut parts {
+                part.csr.shrink_to_fit();
+            }
+            parts
+        });
+        let mut sets: [Vec<Part>; K] = std::array::from_fn(|_| Vec::with_capacity(parts.len()));
+        for part in parts {
+            for (set, part) in sets.iter_mut().zip(part) {
+                set.push(part);
+            }
+        }
+        sets.map(Self::from_parts)
+    }
+
+    /// The rows of `parts`, which hold consecutive entity ranges in
+    /// order.
+    fn from_parts(parts: Vec<Part>) -> Self {
+        let mut rows = Rows::default();
+        for part in parts {
+            rows.starts.push(part.start);
+            rows.parts.push(part.csr);
+            rows.cut.extend(part.cut);
+        }
+        rows
     }
 
     /// Number of rows.
@@ -524,16 +607,6 @@ impl Rows {
     fn row(&self, e: usize) -> CandidateRow<'_> {
         let p = self.starts.partition_point(|&start| start <= e) - 1;
         self.parts[p].row(e - self.starts[p])
-    }
-
-    /// Cuts every row to its best [`MAX_CANDIDATES`], in place,
-    /// recording the full length of each row it cuts.
-    fn cut(&mut self) {
-        for (part, &start) in self.parts.iter_mut().zip(&self.starts) {
-            let cut = part.cut_rows(MAX_CANDIDATES);
-            self.cut
-                .extend(cut.into_iter().map(|(e, len)| (e + start as u32, len)));
-        }
     }
 
     /// A reader over the row of `e`. A cut row reads whole, recomputed
@@ -604,22 +677,27 @@ fn entity_blocks<'a>(
 
 /// The `valueSim` candidate row of every entity of `side` over `blocks`
 /// (whose per-block token weights are `weights`), in entity order, each
-/// [`rank`]ed as the kernel computes it and cut at once if `cut`. An
-/// entity in no block — or one `blocks` does not index at all — gets an
-/// empty row.
+/// [`rank`]ed as the kernel computes it and cut at once. An entity in no
+/// block — or one `blocks` does not index at all — gets an empty row.
 fn value_rows(
     blocks: &BlockCollection,
     weights: &[f64],
     tokens: &TokenizedPair,
     side: KbSide,
-    cut: bool,
     exec: &Executor,
 ) -> Rows {
     let n = tokens.entity_count(side);
     let n_other = blocks.entity_count(side.other());
-    Rows::build(n, n_other, cut, exec, |scratch, e, row| {
-        scratch.value_row(entity_blocks(blocks, weights, side, e), row);
-    })
+    let [rows] = Rows::build(
+        n,
+        exec,
+        || RowScratch::new(n_other),
+        |scratch, e, [row]| {
+            scratch.value_row(entity_blocks(blocks, weights, side, e), row);
+            [row.len()]
+        },
+    );
+    rows
 }
 
 /// The group width of the `neighborNSim` probe's lists ([`probe_lists`]).
@@ -648,42 +726,245 @@ fn probe_lists(lists: &[Vec<EntityId>], n_second: usize) -> Csr<u32> {
     Csr::from_lens_and_items(&lens, ids)
 }
 
-/// The `neighborNSim` candidate row of every first-side entity, scored
-/// over that entity's **value candidates only**: a pair whose entities
-/// share no purged token block gets no neighbor score, however similar
-/// their top neighbors are. This restriction is deliberate. The formula
-/// below has no such condition, and the unrestricted rows would be
-/// larger on the synthetic profiles at ×1 — Restaurant 11×, Rexa 4.3×,
-/// BBC 1.8×, YAGO 9.1× — yet every ground-truth pair there shares a
-/// purged block. Replaying H1–H4 over unrestricted rows lowers BBC's F1
-/// at every scale (82.6 → 77.2 at ×1) and moves Rexa and YAGO by at
-/// most half a point at ×1 and ×2 (ROADMAP F5).
+/// The value and `neighborNSim` candidate rows of every first-side
+/// entity in `0..n_first`, in entity order, each [`rank`]ed as it is
+/// computed ([`FirstScratch::rows`], on one scratch per executor task)
+/// and cut at once; each whole neighbor row is scattered into `columns`,
+/// the second side's neighbor rows, first.
 ///
-/// Reads the first side's value rows **whole**, `top_firsts` as given
-/// and the second side's top neighbors as [`probe_lists`] built them
-/// (`top_seconds`). Accumulates on the kernel's dense scratch, one per
-/// executor task; the sums follow the order of the top-neighbor lists,
-/// never the part boundaries, nor the order of a ranked value row's
-/// tail: a row adds each `nb2` at most once. Each row is stored
-/// [`rank`]ed and whole.
-fn neighbor_rows(
-    value_firsts: &Rows,
-    n_second: usize,
+/// A neighbor row is scored over its entity's **value candidates
+/// only**: a pair whose entities share no purged token block gets no
+/// neighbor score, however similar their top neighbors are. This
+/// restriction is deliberate. The formula below has no such condition,
+/// and the unrestricted rows would be larger on the synthetic profiles
+/// at ×1 — Restaurant 11×, Rexa 4.3×, BBC 1.8×, YAGO 9.1× — yet every
+/// ground-truth pair there shares a purged block. Replaying H1–H4 over
+/// unrestricted rows lowers BBC's F1 at every scale (82.6 → 77.2 at ×1)
+/// and moves Rexa and YAGO by at most half a point at ×1 and ×2
+/// (ROADMAP F5).
+fn first_rows(
+    blocks: &BlockCollection,
+    weights: &[f64],
+    n_first: usize,
     top_firsts: &[Vec<EntityId>],
     top_seconds: &Csr<u32>,
+    columns: &Columns,
     exec: &Executor,
-) -> Rows {
+) -> [Rows; 2] {
     // neighborNSim(e1, e2) = Σ_{n1 ∈ top(e1), n2 ∈ top(e2)} valueSim(n1, n2),
     // evaluated only for the e2 in e1's value row (see above).
     // For each e1: acc[n2] = Σ_{n1 ∈ top(e1)} valueSim(n1, n2), then
-    // sum acc over e2's top neighbors for each candidate e2. Pure
-    // reads over the value CSR — embarrassingly parallel over e1.
-    Rows::build(value_firsts.len(), n_second, false, exec, |acc, e1, row| {
-        let nb_rows = top_firsts[e1]
-            .iter()
-            .map(|nb1| value_firsts.row(nb1.index()).iter());
-        acc.neighbor_row(value_firsts.row(e1).ids(), nb_rows, top_seconds, row);
-    })
+    // sum acc over e2's top neighbors for each candidate e2. A function
+    // of e1 alone — embarrassingly parallel over e1.
+    Rows::build(
+        n_first,
+        exec,
+        || (FirstScratch::new(columns.n), Scatter::new(columns)),
+        |(scratch, scatter), e1, rows| {
+            scratch.rows(blocks, weights, e1, &top_firsts[e1], top_seconds, rows);
+            for &(e2, s) in &rows[1] {
+                scatter.push(e2, (EntityId(e1 as u32), s));
+            }
+            [rows[0].len(), rows[1].len()]
+        },
+    )
+}
+
+/// How many column ranges [`Columns`] splits the second side into, one
+/// lock each.
+const COLUMN_RANGES: usize = 64;
+
+/// How many candidates a [`Scatter`] holds for one column range before
+/// it hands them over.
+const STAGED_PER_RANGE: usize = 1024;
+
+/// The second side's `neighborNSim` rows — the columns of the first
+/// side's — while the first side's pass scatters its whole neighbor rows
+/// into them from every executor task at once. The columns are split
+/// into at most [`COLUMN_RANGES`] ranges of consecutive entities, each
+/// behind its own lock, and each task hands its candidates over a range
+/// at a time ([`Scatter`]).
+///
+/// A column holds at most `2 · MAX_CANDIDATES` candidates ([`Column`]),
+/// so the full transpose never exists, and neither its order nor its
+/// part boundaries show in what it keeps.
+struct Columns {
+    ranges: Vec<Mutex<Vec<Column>>>,
+    /// Range `r` holds the columns from `r << shift` on, `1 << shift` of
+    /// them (the last may hold fewer).
+    shift: u32,
+    n: usize,
+}
+
+/// A candidate as a column holds it: the first-side entity's id, then
+/// its similarity's bit pattern in two halves, low first — 12 bytes,
+/// where a [`Candidate`] takes 16.
+type Slot = [u32; 3];
+
+/// `(e1, s)` as a [`Slot`].
+#[inline]
+fn slot((e1, s): Candidate) -> Slot {
+    let bits = s.to_bits();
+    [e1.0, bits as u32, (bits >> 32) as u32]
+}
+
+/// The [`Candidate`] of a [`Slot`].
+#[inline]
+fn unslot(&[e1, lo, hi]: &Slot) -> Candidate {
+    let bits = u64::from(hi) << 32 | u64::from(lo);
+    (EntityId(e1), f64::from_bits(bits))
+}
+
+/// [`cand_key`] of a slot.
+#[inline]
+fn slot_key(slot: &Slot) -> (Reverse<u64>, u32) {
+    cand_key(&unslot(slot))
+}
+
+/// One column of [`Columns`]. When it holds `2 · MAX_CANDIDATES`
+/// candidates it is compacted to its best [`MAX_CANDIDATES`], and from
+/// then on a candidate that ranks below the worst of those is not kept.
+/// A candidate is dropped only when at least [`MAX_CANDIDATES`] others
+/// of the column outrank it, so the column's best [`MAX_CANDIDATES`]
+/// are never dropped. The candidate order is total (a column holds each
+/// `e1` once), so they are one set in one order whatever order the
+/// candidates arrive in — whichever task, part or thread count
+/// scattered them. The column counts every candidate it is given, so
+/// its full length is exact.
+#[derive(Debug, Default, Clone)]
+struct Column {
+    /// A superset of the column's best [`MAX_CANDIDATES`] so far.
+    best: Vec<Slot>,
+    /// How many candidates the column has been given.
+    len: u32,
+    /// The key of the worst of the best [`MAX_CANDIDATES`] kept by the
+    /// last compaction.
+    floor: Option<(Reverse<u64>, u32)>,
+}
+
+impl Column {
+    /// Adds `c`.
+    #[inline]
+    fn push(&mut self, c: Candidate) {
+        self.len += 1;
+        if self.floor.is_some_and(|floor| cand_key(&c) > floor) {
+            return;
+        }
+        self.best.push(slot(c));
+        if self.best.len() == 2 * MAX_CANDIDATES {
+            let (_, worst, _) = self
+                .best
+                .select_nth_unstable_by_key(MAX_CANDIDATES - 1, slot_key);
+            self.floor = Some(slot_key(worst));
+            self.best.truncate(MAX_CANDIDATES);
+        }
+    }
+}
+
+impl Columns {
+    /// `n` empty columns.
+    fn new(n: usize) -> Self {
+        let width = n.div_ceil(COLUMN_RANGES).next_power_of_two();
+        let ranges = (0..n)
+            .step_by(width)
+            .map(|start| Mutex::new(vec![Column::default(); width.min(n - start)]))
+            .collect();
+        Self {
+            ranges,
+            shift: width.trailing_zeros(),
+            n,
+        }
+    }
+
+    /// The range of column `e`, and `e`'s place in it.
+    #[inline]
+    fn place(&self, e: usize) -> (usize, usize) {
+        (e >> self.shift, e & ((1 << self.shift) - 1))
+    }
+
+    /// Range `r`, locked. A lock poisoned by a task that panicked is
+    /// taken back: that panic ends the build anyway, and this also runs
+    /// in [`Scatter`]'s drop, which must not panic while one unwinds.
+    fn lock(&self, r: usize) -> MutexGuard<'_, Vec<Column>> {
+        self.ranges[r]
+            .lock()
+            .unwrap_or_else(PoisonError::into_inner)
+    }
+
+    /// Bytes of the candidates the columns hold.
+    fn bytes(&self) -> usize {
+        let held: usize = (0..self.ranges.len())
+            .map(|r| self.lock(r).iter().map(|c| c.best.len()).sum::<usize>())
+            .sum();
+        held * size_of::<Slot>()
+    }
+
+    /// The columns as rows, each [`rank`]ed and cut, one executor task
+    /// per range, every column freed as soon as its row is stored.
+    fn into_rows(self, exec: &Executor) -> Rows {
+        Rows::from_parts(exec.map_range(self.ranges.len(), |r| {
+            let columns = std::mem::take(&mut *self.lock(r));
+            let mut part = Part::new(r << self.shift);
+            let kept = columns.iter().map(|c| c.best.len().min(MAX_CANDIDATES));
+            part.csr.reserve(columns.len(), kept.sum());
+            let mut row = Vec::new();
+            for column in columns {
+                row.clear();
+                row.extend(column.best.iter().map(unslot));
+                drop(column.best);
+                rank(&mut row);
+                part.push(&mut row, column.len as usize);
+            }
+            part
+        }))
+    }
+}
+
+/// One executor task's candidates on their way into [`Columns`], held
+/// per column range and handed over [`STAGED_PER_RANGE`] at a time under
+/// that range's lock, so a task takes a lock per that many candidates,
+/// not per candidate, and works on one range's columns at a time. What
+/// it still holds is handed over when it is dropped, at the end of its
+/// task.
+struct Scatter<'a> {
+    columns: &'a Columns,
+    /// Per range: `e2` and the slot of `(e1, s)`.
+    staged: Vec<Vec<(u32, Slot)>>,
+}
+
+impl<'a> Scatter<'a> {
+    fn new(columns: &'a Columns) -> Self {
+        Self {
+            columns,
+            staged: vec![Vec::new(); columns.ranges.len()],
+        }
+    }
+
+    /// Adds `c` to the column of `e2`.
+    #[inline]
+    fn push(&mut self, e2: EntityId, c: Candidate) {
+        let (r, _) = self.columns.place(e2.index());
+        self.staged[r].push((e2.0, slot(c)));
+        if self.staged[r].len() == STAGED_PER_RANGE {
+            self.hand_over(r);
+        }
+    }
+
+    /// Hands range `r`'s candidates over to its columns.
+    fn hand_over(&mut self, r: usize) {
+        let mut columns = self.columns.lock(r);
+        for (e2, c) in self.staged[r].drain(..) {
+            columns[self.columns.place(e2 as usize).1].push(unslot(&c));
+        }
+    }
+}
+
+impl Drop for Scatter<'_> {
+    fn drop(&mut self) {
+        for r in 0..self.staged.len() {
+            self.hand_over(r);
+        }
+    }
 }
 
 /// Which similarity a candidate row holds.
@@ -730,28 +1011,27 @@ impl Rebuild {
         row
     }
 
-    /// The `neighbor_rows` accumulation for `e1`, over the kernel's
-    /// value rows of `e1` and of its top neighbors.
+    /// The neighbor row of `e1`, as the build computes it
+    /// ([`FirstScratch::rows`]).
     fn first_neighbor_row(&self, e1: EntityId) -> Vec<Candidate> {
-        let cands: Vec<EntityId> = self
-            .value_row(KbSide::First, e1)
-            .into_iter()
-            .map(|(e2, _)| e2)
-            .collect();
-        let nb_rows = self
-            .top_firsts
-            .row(e1.index())
-            .iter()
-            .map(|&nb1| self.value_row(KbSide::First, nb1));
-        let mut row = Vec::new();
-        RowScratch::new(self.n[1]).neighbor_row(&cands, nb_rows, &self.top_seconds, &mut row);
-        row
+        let mut rows = [Vec::new(), Vec::new()];
+        FirstScratch::new(self.n[1]).rows(
+            &self.blocks,
+            &self.weights,
+            e1.index(),
+            self.top_firsts.row(e1.index()),
+            &self.top_seconds,
+            &mut rows,
+        );
+        let [_, neighbors] = rows;
+        neighbors
     }
 
-    /// The transpose's column `e2`: for each `e1` of `e2`'s value row,
-    /// the sum over `e2`'s padded list of `Σ_{nb1 ∈ top(e1)} valueSim(nb1,
-    /// nb2)`, both in list order — the forward pass's sum for the pair,
-    /// with `+0.0` where a pair never co-occurs — kept if positive.
+    /// The second side's row of `e2`, a column of the first side's: for
+    /// each `e1` of `e2`'s value row, the sum over `e2`'s padded list of
+    /// `Σ_{nb1 ∈ top(e1)} valueSim(nb1, nb2)`, both in list order — the
+    /// forward pass's sum for the pair, with `+0.0` where a pair never
+    /// co-occurs — kept if positive.
     fn second_neighbor_row(&self, e2: EntityId) -> Vec<Candidate> {
         // valueSim(·, nb2) of each nb2 of the list, in list order and
         // ascending by id; none for the padding.
@@ -816,13 +1096,9 @@ fn candidate_bytes<'a>(rows: impl IntoIterator<Item = &'a Rows>) -> usize {
 }
 
 /// Emits the debug event `simindex.candidate_bytes` for `pass`: the
-/// candidate bytes alive when its rows are complete, and after the cuts
-/// that follow it.
-fn report_candidate_bytes(pass: &str, alive: usize, kept: usize) {
-    minoan_obs::debug!(
-        "simindex.candidate_bytes",
-        "{pass}: {alive} B alive, {kept} B kept"
-    );
+/// candidate bytes alive when its rows are complete.
+fn report_candidate_bytes(pass: &str, alive: usize) {
+    minoan_obs::debug!("simindex.candidate_bytes", "{pass}: {alive} B alive");
 }
 
 impl SimilarityIndex {
@@ -831,18 +1107,21 @@ impl SimilarityIndex {
     /// `top_neighbors` holds `topNneighbors(e)` per entity for each side
     /// (see [`crate::importance::top_neighbors_with`]).
     ///
-    /// Four passes, each under its own debug span and in this order: one
-    /// `valueSim` row per first-side entity through the shared row kernel
-    /// (`simindex.value_rows`); the `neighborNSim` rows
-    /// (`simindex.neighbor_rows`, which first flattens and pads the
-    /// second side's top-neighbor lists for the probe); one `valueSim`
-    /// row per second-side entity through the same kernel
-    /// (`simindex.value_reverse`); and the transpose of the neighbor rows
-    /// (`simindex.neighbor_reverse`, split into `simindex.transpose_fill`
-    /// and `simindex.transpose_rank`). Every row is cut after the last
-    /// pass that reads it whole, and each pass reports its
+    /// Three passes, each under its own debug span and in this order:
+    /// the first side's rows (`simindex.first_rows`, which first
+    /// flattens and pads the second side's top-neighbor lists for the
+    /// probe) — per first-side entity, its `valueSim` row through the
+    /// shared row kernel and its `neighborNSim` row, which recomputes the
+    /// value rows of its top neighbors through the same kernel and is
+    /// scattered into the second side's bounded columns; the columns
+    /// ranked into the second side's neighbor rows
+    /// (`simindex.neighbor_reverse`); and one `valueSim` row per
+    /// second-side entity through the kernel (`simindex.value_reverse`).
+    /// Every row is stored cut as it is ranked, so no pass holds the
+    /// whole rows of a whole KB, and each pass reports its
     /// `simindex.candidate_bytes` (see the module docs). A row is a
-    /// function of its own entity's blocks alone, so the result is
+    /// function of its own entity's blocks and top neighbors alone, and
+    /// a column of the set of rows scattered into it, so the result is
     /// bit-identical for any backend, thread count and part count.
     pub fn build_with(
         blocks: &BlockCollection,
@@ -853,40 +1132,37 @@ impl SimilarityIndex {
         let n = [KbSide::First, KbSide::Second].map(|side| tokens.entity_count(side));
         let probe = KbSide::smaller(n);
         let weights = block_weights(blocks, tokens, exec);
-        // The neighbor pass reads the first side's value rows whole.
-        let mut value_firsts = {
-            let _span = stage_span("simindex.value_rows");
-            value_rows(blocks, &weights, tokens, KbSide::First, false, exec)
-        };
-        let alive = candidate_bytes([&value_firsts]);
-        report_candidate_bytes("simindex.value_rows", alive, alive);
-        // The transpose reads the first side's neighbor rows whole.
-        let (neighbor_firsts, top_seconds) = {
-            let _span = stage_span("simindex.neighbor_rows");
+        let columns = Columns::new(n[1]);
+        let ([value_firsts, neighbor_firsts], top_seconds) = {
+            let _span = stage_span("simindex.first_rows");
             let top_seconds = probe_lists(top_neighbors[1], n[1]);
-            let rows = neighbor_rows(&value_firsts, n[1], top_neighbors[0], &top_seconds, exec);
+            let rows = first_rows(
+                blocks,
+                &weights,
+                n[0],
+                top_neighbors[0],
+                &top_seconds,
+                &columns,
+                exec,
+            );
             (rows, top_seconds)
         };
-        let alive = candidate_bytes([&value_firsts, &neighbor_firsts]);
-        value_firsts.cut();
-        let kept = candidate_bytes([&value_firsts, &neighbor_firsts]);
-        report_candidate_bytes("simindex.neighbor_rows", alive, kept);
-        let value_seconds = {
-            let _span = stage_span("simindex.value_reverse");
-            value_rows(blocks, &weights, tokens, KbSide::Second, true, exec)
-        };
-        let alive = candidate_bytes([&value_firsts, &neighbor_firsts, &value_seconds]);
-        report_candidate_bytes("simindex.value_reverse", alive, alive);
+        let alive = candidate_bytes([&value_firsts, &neighbor_firsts]) + columns.bytes();
+        report_candidate_bytes("simindex.first_rows", alive);
         let neighbor_seconds = {
             let _span = stage_span("simindex.neighbor_reverse");
-            Rows::whole(transpose(&neighbor_firsts, n[1], exec))
+            columns.into_rows(exec)
+        };
+        let alive = candidate_bytes([&value_firsts, &neighbor_firsts, &neighbor_seconds]);
+        report_candidate_bytes("simindex.neighbor_reverse", alive);
+        let value_seconds = {
+            let _span = stage_span("simindex.value_reverse");
+            value_rows(blocks, &weights, tokens, KbSide::Second, exec)
         };
         let value_cands = [value_firsts, value_seconds];
-        let mut neighbor_cands = [neighbor_firsts, neighbor_seconds];
+        let neighbor_cands = [neighbor_firsts, neighbor_seconds];
         let alive = candidate_bytes(value_cands.iter().chain(&neighbor_cands));
-        neighbor_cands.iter_mut().for_each(Rows::cut);
-        let kept = candidate_bytes(value_cands.iter().chain(&neighbor_cands));
-        report_candidate_bytes("simindex.neighbor_reverse", alive, kept);
+        report_candidate_bytes("simindex.value_reverse", alive);
         let probe_cut = [&value_cands, &neighbor_cands]
             .iter()
             .any(|rows| !rows[probe.index()].cut.is_empty());
@@ -954,7 +1230,7 @@ impl SimilarityIndex {
     /// candidate of `e1`: 0 when the pair itself shares no purged token
     /// block — even if some top-neighbor pair co-occurs — and 0 when no
     /// top-neighbor pair co-occurs. The restriction is deliberate (see
-    /// `neighbor_rows`). Read like [`SimilarityIndex::value_sim`].
+    /// `first_rows`). Read like [`SimilarityIndex::value_sim`].
     pub fn neighbor_sim(&self, e1: EntityId, e2: EntityId) -> f64 {
         self.lookup(RowKind::Neighbor, e1, e2)
     }
@@ -1016,103 +1292,6 @@ impl SimilarityIndex {
     pub fn neighbor_pair_count(&self) -> usize {
         self.neighbor_cands[self.probe.index()].full_item_count()
     }
-}
-
-/// Transposes a `rows -> (col, v)` CSR into a `cols -> (row, v)` CSR with
-/// every output row [`rank`]ed.
-///
-/// Parallel scheme: per-part column histograms, a sequential prefix-sum
-/// handing each part a private cursor per column, then disjoint parallel
-/// fills and per-row parallel ranks through [`SharedSlice`]s over the id
-/// and similarity buffers. The fill order within a column is ascending
-/// source row — identical to a sequential transpose — whatever order
-/// the source rows' tails are in, so each column's rank, and with it
-/// the result, does not depend on the thread count.
-///
-/// Two debug spans split the pass: `simindex.transpose_fill` (the
-/// histograms, cursors and fills) and `simindex.transpose_rank` (the
-/// per-column ranks).
-fn transpose(src: &Rows, n_cols: usize, exec: &Executor) -> CandidateCsr {
-    let fill_span = stage_span("simindex.transpose_fill");
-    let n_rows = src.len();
-    let ranges = exec.part_ranges(n_rows);
-    let histograms: Vec<Vec<usize>> = exec.map_range(ranges.len(), |p| {
-        let mut counts = vec![0usize; n_cols];
-        for r in ranges[p].clone() {
-            for &c in src.row(r).ids() {
-                counts[c.index()] += 1;
-            }
-        }
-        counts
-    });
-    let mut lens = vec![0usize; n_cols];
-    for h in &histograms {
-        for (len, c) in lens.iter_mut().zip(h) {
-            *len += c;
-        }
-    }
-    let offsets = minoan_kb::csr::offsets_from_lens(&lens);
-    // cursors[p][c]: where part p starts writing in column c.
-    let mut cursors: Vec<Vec<usize>> = Vec::with_capacity(histograms.len());
-    let mut acc = offsets[..n_cols].to_vec();
-    for h in &histograms {
-        cursors.push(acc.clone());
-        for (a, c) in acc.iter_mut().zip(h) {
-            *a += c;
-        }
-    }
-    let total = *offsets.last().expect("offsets never empty");
-    let mut ids = vec![EntityId(0); total];
-    let mut sims = vec![0.0; total];
-    {
-        let (shared_ids, shared_sims) = (SharedSlice::new(&mut ids), SharedSlice::new(&mut sims));
-        exec.map_range(ranges.len(), |p| {
-            let mut cur = cursors[p].clone();
-            for r in ranges[p].clone() {
-                let row_entity = EntityId(r as u32);
-                for (c, v) in src.row(r).iter() {
-                    let at = cur[c.index()];
-                    // SAFETY: part p exclusively owns positions
-                    // cursors[p][c] .. cursors[p][c] + histograms[p][c]
-                    // of every column c in both buffers; parts never
-                    // overlap.
-                    unsafe {
-                        shared_ids.write(at, row_entity);
-                        shared_sims.write(at, v);
-                    }
-                    cur[c.index()] += 1;
-                }
-            }
-        });
-    }
-    drop(fill_span);
-    let _rank_span = stage_span("simindex.transpose_rank");
-    {
-        let (shared_ids, shared_sims) = (SharedSlice::new(&mut ids), SharedSlice::new(&mut sims));
-        exec.map_parts(n_cols, |cols| {
-            let mut column: Vec<Candidate> = Vec::new();
-            for c in cols {
-                let range = offsets[c]..offsets[c + 1];
-                // SAFETY: column ranges are disjoint slices of both
-                // buffers, and parts rank disjoint column ranges.
-                let (col_ids, col_sims) = unsafe {
-                    (
-                        shared_ids.slice_mut(range.clone()),
-                        shared_sims.slice_mut(range),
-                    )
-                };
-                column.clear();
-                column.extend(col_ids.iter().copied().zip(col_sims.iter().copied()));
-                rank(&mut column);
-                for ((id, sim), &(e, v)) in col_ids.iter_mut().zip(col_sims.iter_mut()).zip(&column)
-                {
-                    *id = e;
-                    *sim = v;
-                }
-            }
-        });
-    }
-    CandidateCsr::from_lens(&lens, ids, sims)
 }
 
 #[cfg(test)]
@@ -1219,48 +1398,33 @@ pub(crate) mod tests {
     }
 
     /// `row`, ranked, stored as the only row of a [`Rows`], cut to its
-    /// best [`MAX_CANDIDATES`] if `cut`.
-    fn stored(row: &[Candidate], cut: bool) -> Rows {
-        Rows::build(1, 0, cut, &Executor::sequential(), |_, _, out| {
-            out.clear();
-            out.extend_from_slice(row);
-            rank(out);
-        })
+    /// best [`MAX_CANDIDATES`].
+    fn stored(row: &[Candidate]) -> Rows {
+        let [rows] = Rows::build(
+            1,
+            &Executor::sequential(),
+            || (),
+            |_, _, [out]| {
+                out.clear();
+                out.extend_from_slice(row);
+                rank(out);
+                [out.len()]
+            },
+        );
+        rows
     }
 
-    #[test]
-    fn ranked_yields_the_full_order_read_whole_or_abandoned() {
-        for len in LENS {
-            let row = repeating_row(len);
-            let want = reference(&row);
-            let rows = stored(&row, false);
-            let tail_reads = AtomicUsize::new(0);
-            let whole = rows.read(e(0), None, &tail_reads);
-            assert_eq!(whole.len(), len);
-            assert!(!whole.is_cut());
-            assert_eq!(
-                whole.collect::<Vec<_>>(),
-                want,
-                "{len}-entry row read whole"
-            );
-            for stop in [0, 1, MAX_CANDIDATES, MAX_CANDIDATES + 1, 200] {
-                let got: Vec<_> = rows.read(e(0), None, &tail_reads).take(stop).collect();
-                assert_eq!(got, want[..stop.min(len)], "{len}-entry row cut at {stop}");
-            }
-            // One tail sort per reader that left the prefix: the whole
-            // read, and the cuts at 129 and 200.
-            let left = if len > MAX_CANDIDATES { 3 } else { 0 };
-            assert_eq!(tail_reads.into_inner(), left, "{len}-entry row");
-        }
-    }
-
+    /// A row no longer than [`MAX_CANDIDATES`] is stored whole and reads
+    /// whole, or abandoned anywhere; a longer one is stored as its ranked
+    /// prefix, records its full length and reads as that prefix. Neither
+    /// sorts a tail.
     #[test]
     fn a_cut_row_is_the_ranked_prefix_of_the_full_one() {
         for len in LENS {
             let row = repeating_row(len);
             let want = reference(&row);
             let keep = len.min(MAX_CANDIDATES);
-            let rows = stored(&row, true);
+            let rows = stored(&row);
             assert_eq!(
                 rows.cut,
                 if len > MAX_CANDIDATES {
@@ -1274,11 +1438,49 @@ pub(crate) mod tests {
             assert_eq!(read.is_cut(), len > MAX_CANDIDATES, "{len}-entry row");
             assert_eq!(read.len(), keep);
             assert_eq!(read.take(keep).collect::<Vec<_>>(), want[..keep]);
+            for stop in [0, 1, MAX_CANDIDATES - 1, MAX_CANDIDATES] {
+                let got: Vec<_> = rows.read(e(0), None, &tail_reads).take(stop).collect();
+                assert_eq!(got, want[..stop.min(keep)], "{len}-entry row cut at {stop}");
+            }
             // An uncut row ends where it ends, past the prefix or not.
             if len <= MAX_CANDIDATES {
                 assert_eq!(rows.read(e(0), None, &tail_reads).count(), len);
             }
-            assert_eq!(tail_reads.into_inner(), 0, "a cut row has no tail");
+            assert_eq!(tail_reads.into_inner(), 0, "a stored row has no tail");
+        }
+    }
+
+    /// A column given `len` candidates in any order — as built,
+    /// reversed, best first, worst first, strided — never holds
+    /// `2 · MAX_CANDIDATES` of them, counts them all, and keeps the best
+    /// [`MAX_CANDIDATES`] of the full row bit for bit.
+    #[test]
+    fn a_column_keeps_the_best_of_what_it_is_given() {
+        for len in [0, 1, 127, 128, 129, 255, 256, 257, 300, 383, 384, 600] {
+            let row = repeating_row(len);
+            let want = reference(&row);
+            let keep = len.min(MAX_CANDIDATES);
+            let mut orders = vec![row.clone(), row.iter().rev().copied().collect()];
+            orders.push(want.clone());
+            orders.push(want.iter().rev().copied().collect());
+            if len > 0 {
+                let stride = if len % 7 == 0 { 11 } else { 7 };
+                orders.push((0..len).map(|i| row[i * stride % len]).collect());
+            }
+            for (o, order) in orders.into_iter().enumerate() {
+                let mut column = Column::default();
+                for c in order {
+                    column.push(c);
+                    assert!(column.best.len() < 2 * MAX_CANDIDATES);
+                }
+                assert_eq!(column.len as usize, len, "order {o} of {len}");
+                let mut held: Vec<Candidate> = column.best.iter().map(unslot).collect();
+                rank(&mut held);
+                assert_eq!(
+                    bits(held.into_iter().take(keep)),
+                    bits(want[..keep].iter().copied())
+                );
+            }
         }
     }
 
@@ -1286,7 +1488,7 @@ pub(crate) mod tests {
     #[test]
     #[should_panic(expected = "read past the 128 stored candidates of a cut row")]
     fn reading_past_a_cut_panics() {
-        let rows = stored(&repeating_row(MAX_CANDIDATES + 1), true);
+        let rows = stored(&repeating_row(MAX_CANDIDATES + 1));
         let tail_reads = AtomicUsize::new(0);
         let _ = rows.read(e(0), None, &tail_reads).count();
     }
@@ -1493,8 +1695,8 @@ pub(crate) mod tests {
         rows
     }
 
-    /// `value_rows` of `side`, whole, read out row by row in the full
-    /// candidate order.
+    /// `value_rows` of `side`, read out row by row in the full candidate
+    /// order: whole, for rows no longer than [`MAX_CANDIDATES`].
     fn kernel_rows(
         blocks: &BlockCollection,
         tokens: &TokenizedPair,
@@ -1502,7 +1704,8 @@ pub(crate) mod tests {
         exec: &Executor,
     ) -> Vec<Vec<Candidate>> {
         let weights = block_weights(blocks, tokens, exec);
-        let rows = value_rows(blocks, &weights, tokens, side, false, exec);
+        let rows = value_rows(blocks, &weights, tokens, side, exec);
+        assert!(rows.cut.is_empty(), "a row longer than {MAX_CANDIDATES}");
         let tail_reads = AtomicUsize::new(0);
         (0..rows.len() as u32)
             .map(|i| rows.read(e(i), None, &tail_reads).collect())
@@ -1587,12 +1790,13 @@ pub(crate) mod tests {
         top1: &[Vec<EntityId>],
         top2: &[Vec<EntityId>],
     ) -> [Vec<Vec<Candidate>>; 2] {
-        let value_sim = |nb1: EntityId, nb2: EntityId| {
-            values[0][nb1.index()]
-                .iter()
-                .find(|&&(c, _)| c == nb2)
-                .map_or(0.0, |&(_, v)| v)
-        };
+        let pairs: minoan_kb::FxHashMap<(EntityId, EntityId), f64> = values[0]
+            .iter()
+            .enumerate()
+            .flat_map(|(i, row)| row.iter().map(move |&(c, v)| ((e(i as u32), c), v)))
+            .collect();
+        let value_sim =
+            |nb1: EntityId, nb2: EntityId| pairs.get(&(nb1, nb2)).copied().unwrap_or(0.0);
         let mut want = [vec![Vec::new(); top1.len()], vec![Vec::new(); top2.len()]];
         for (i, cands) in values[0].iter().enumerate() {
             for &(e2, _) in cands {
@@ -1752,8 +1956,10 @@ pub(crate) mod tests {
 
     /// The `simindex.candidate_bytes` events of a sequential build over
     /// [`long_rows_pair`] (140 × 150, the first side probes), pinned:
-    /// per pass, the bytes alive when its rows are complete and after
-    /// the cuts that follow it.
+    /// per pass, the bytes alive when its rows are complete. No whole
+    /// row set is alive at any pass: every row is stored cut as it is
+    /// ranked, and the columns are bounded (here none reaches its
+    /// compaction, so each holds all of its candidates).
     #[test]
     fn candidate_bytes_are_reported_per_pass() {
         use minoan_obs::trace;
@@ -1777,43 +1983,83 @@ pub(crate) mod tests {
         assert_eq!(
             events,
             [
-                "simindex.value_rows: 190128 B alive, 190128 B kept",
-                "simindex.neighbor_rows: 370080 B alive, 351600 B kept",
-                "simindex.value_reverse: 531008 B alive, 531008 B kept",
-                "simindex.neighbor_reverse: 711040 B alive, 688468 B kept",
+                "simindex.first_rows: 515520 B alive",
+                "simindex.neighbor_reverse: 509356 B alive",
+                "simindex.value_reverse: 688764 B alive",
             ]
         );
-        // The same from the naive rows' lengths: each row set is one
-        // part, 12 B per stored candidate plus 8 B per offset.
-        let bytes = |rows: &[Vec<Candidate>], cut: bool| {
-            let stored: usize = rows
-                .iter()
-                .map(|row| {
-                    if cut {
-                        row.len().min(MAX_CANDIDATES)
-                    } else {
-                        row.len()
-                    }
-                })
-                .sum();
-            12 * stored + 8 * (rows.len() + 1)
+        // The same from the naive rows' lengths: 12 B per stored
+        // candidate, at most MAX_CANDIDATES a row, plus 8 B per offset,
+        // a part's rows having one more offset than rows. Every row set
+        // is one part, but the columns' rows, one per column range. A
+        // column holds each of its candidates in a 12 B slot.
+        let cut = |rows: &[Vec<Candidate>], parts: usize| {
+            let stored: usize = rows.iter().map(|row| row.len().min(MAX_CANDIDATES)).sum();
+            12 * stored + 8 * (rows.len() + parts)
         };
         let [values, neighbors] = &want;
-        let [v1, v1_cut] = [false, true].map(|cut| bytes(&values[0], cut));
-        let [n1, n1_cut] = [false, true].map(|cut| bytes(&neighbors[0], cut));
-        let [n2, n2_cut] = [false, true].map(|cut| bytes(&neighbors[1], cut));
-        let v2_cut = bytes(&values[1], true);
-        let derived = [
-            (v1, v1),
-            (v1 + n1, v1_cut + n1),
-            (v1_cut + n1 + v2_cut, v1_cut + n1 + v2_cut),
-            (v1_cut + n1 + v2_cut + n2, v1_cut + n1_cut + v2_cut + n2_cut),
-        ];
-        for (event, (alive, kept)) in events.iter().zip(derived) {
+        assert!(neighbors[1].iter().all(|c| c.len() < 2 * MAX_CANDIDATES));
+        let columns: usize = neighbors[1].iter().map(|column| 12 * column.len()).sum();
+        let n = neighbors[1].len();
+        let ranges = n.div_ceil(n.div_ceil(COLUMN_RANGES).next_power_of_two());
+        let [v1, v2] = [&values[0], &values[1]].map(|rows| cut(rows, 1));
+        let n1 = cut(&neighbors[0], 1);
+        let n2 = cut(&neighbors[1], ranges);
+        let derived = [v1 + n1 + columns, v1 + n1 + n2, v1 + n1 + n2 + v2];
+        for (event, alive) in events.iter().zip(derived) {
+            assert!(event.ends_with(&format!(": {alive} B alive")), "{event}");
+        }
+    }
+
+    /// The neighbor rows against their formula on pairs whose rows and
+    /// columns run past `2 · MAX_CANDIDATES`, so every column is
+    /// compacted at least once, in both orientations, on both
+    /// executors: a row of the non-probe side — the first side's rows,
+    /// cut as they are written, or the second side's, the bounded
+    /// columns — is the exact top of the full row and says whether it
+    /// was cut; a probe row reads back whole (its stored prefix checked
+    /// against the recompute in debug builds); and the pair count is the
+    /// formula's.
+    #[test]
+    fn non_probe_neighbor_rows_are_the_top_of_the_formula() {
+        for (n1, n2) in [(300, 320), (320, 300)] {
+            let LongRowsPair {
+                want,
+                tops,
+                tokens,
+                blocks,
+            } = long_rows_pair(n1, n2);
+            let [_, neighbors] = &want;
+            let probe = KbSide::smaller([n1, n2]);
+            let longest = neighbors[1].iter().map(Vec::len).max();
             assert!(
-                event.ends_with(&format!(": {alive} B alive, {kept} B kept")),
-                "{event}"
+                longest > Some(2 * MAX_CANDIDATES),
+                "{n1}x{n2}: no column reaches a compaction ({longest:?})"
             );
+            let total: usize = neighbors[0].iter().map(Vec::len).sum();
+            for exec in [Executor::sequential(), Executor::new(ExecutorKind::Pool, 3)] {
+                let idx =
+                    SimilarityIndex::build_with(&blocks, &tokens, [&tops[0], &tops[1]], &exec);
+                for side in [KbSide::First, KbSide::Second] {
+                    let mut cut = 0;
+                    for (i, full) in neighbors[side.index()].iter().enumerate() {
+                        let label = format!("{n1}x{n2}: {side:?} row {i}");
+                        let row = idx.neighbor_candidates(side, e(i as u32));
+                        let keep = if side == probe {
+                            full.len()
+                        } else {
+                            full.len().min(MAX_CANDIDATES)
+                        };
+                        assert_eq!(row.is_cut(), keep < full.len(), "{label}");
+                        cut += usize::from(row.is_cut());
+                        assert_eq!(row.len(), keep, "{label}");
+                        let got = bits(row.take(keep));
+                        assert_eq!(got, bits(full[..keep].iter().copied()), "{label}");
+                    }
+                    assert_eq!(cut > 0, side != probe, "{n1}x{n2}: {side:?} cut {cut} rows");
+                }
+                assert_eq!(idx.neighbor_pair_count(), total, "{n1}x{n2}");
+            }
         }
     }
 

@@ -16,8 +16,8 @@
 //!   thread count** (and, for the pool backend, of the task count), so
 //!   parallel runs are bit-identical to sequential ones by construction;
 //! - [`SharedSlice`], the unsafe-but-audited escape hatch for writing
-//!   disjoint index ranges of one buffer from multiple threads (CSR
-//!   fills and transposes);
+//!   disjoint index ranges of one buffer from multiple threads (a pool
+//!   wave's result slots);
 //! - [`CancelToken`], cooperative cancellation carried by the executor:
 //!   an [`Executor::with_cancel`] executor observes the token at the
 //!   start of every wave on both backends and, on the pool backend,

@@ -319,11 +319,11 @@ fn naive_rows(
 
 /// No benchmark profile has a larger first KB, so BBC with its sides
 /// swapped stands in: the first side is then the non-probe side, with
-/// value rows past [`MAX_CANDIDATES`] that the neighbor pass must still
-/// read whole, and neighbor rows the transpose must still read whole.
-/// The probe side is the second, so its long neighbor rows are the
-/// transpose's columns, stored cut and recomputed when read past the
-/// cut. Probe rows must read back whole and equal the naive reference,
+/// value rows past [`MAX_CANDIDATES`] that the neighbor pass recomputes
+/// whole, and whole neighbor rows scattered into the second side's
+/// bounded columns before they are stored cut. The probe side is the
+/// second, so its long neighbor rows are those columns, stored cut and
+/// recomputed when read past the cut. Probe rows must read back whole and equal the naive reference,
 /// every other row its top `min(len, MAX_CANDIDATES)`, lookups — which
 /// read the probe side's rows through the same recompute — and counts
 /// must stay exact, and the matching must not move.
