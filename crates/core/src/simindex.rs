@@ -1954,6 +1954,52 @@ pub(crate) mod tests {
         }
     }
 
+    /// A probe row reads in the full candidate order however far it is
+    /// read: whole, or abandoned anywhere, before, at or past the stored
+    /// prefix's edge. Each reader that leaves the prefix of a cut row
+    /// recomputes its tail once, and no other reader does.
+    #[test]
+    fn ranked_yields_the_full_order_read_whole_or_abandoned() {
+        let LongRowsPair {
+            want,
+            tops,
+            tokens,
+            blocks,
+        } = long_rows_pair(140, 150);
+        let probe = KbSide::First;
+        let idx = SimilarityIndex::build_with(
+            &blocks,
+            &tokens,
+            [&tops[0], &tops[1]],
+            &Executor::sequential(),
+        );
+        let stops = [0, 1, MAX_CANDIDATES, MAX_CANDIDATES + 1, 200];
+        let mut left = 0;
+        for (kind, rows) in [RowKind::Value, RowKind::Neighbor].into_iter().zip(&want) {
+            for (i, full) in rows[probe.index()].iter().enumerate() {
+                let label = format!("{kind:?} row {i} of {} entries", full.len());
+                let whole = idx.read(kind, probe, e(i as u32));
+                assert!(!whole.is_cut(), "{label}");
+                assert_eq!(whole.len(), full.len(), "{label}");
+                assert_eq!(bits(whole), bits(full.iter().copied()), "{label} read whole");
+                for stop in stops {
+                    let got = idx.read(kind, probe, e(i as u32)).take(stop);
+                    assert_eq!(
+                        bits(got),
+                        bits(full[..stop.min(full.len())].iter().copied()),
+                        "{label} abandoned at {stop}"
+                    );
+                }
+                // The whole read, and the stops at 129 and 200.
+                if full.len() > MAX_CANDIDATES {
+                    left += 3;
+                }
+            }
+        }
+        assert!(left > 0, "no probe row runs past the prefix");
+        assert_eq!(idx.tail_reads(), left);
+    }
+
     /// The `simindex.candidate_bytes` events of a sequential build over
     /// [`long_rows_pair`] (140 × 150, the first side probes), pinned:
     /// per pass, the bytes alive when its rows are complete. No whole
